@@ -63,7 +63,7 @@ impl TraceCache {
             h.part(t.name.as_bytes());
             h.part(t.entry.as_bytes());
         }
-        h.part(target.to_string().as_bytes());
+        h.part_display(target);
         // AliasMap iterates in hash order, which differs between
         // instances; sort for a content-stable key.
         let mut entries: Vec<_> = aliases.iter().collect();
@@ -140,6 +140,51 @@ mod tests {
         .expect("parse");
         let tests = vec![TestCase::new("test_drive", "drives")];
         (p, tests, TargetSpec::Call { callee: "act".into() })
+    }
+
+    /// Trace-cache keys name stored batches. Their values are pinned so
+    /// that a change in how a key is computed cannot move them.
+    #[test]
+    fn key_values_are_pinned() {
+        let tests = vec![
+            TestCase::new("test_drive", "drives"),
+            TestCase { name: "t2".into(), summary: String::new(), entry: "test_other".into() },
+        ];
+        let mut aliases = AliasMap::default();
+        aliases.insert("drive", "s", "e");
+        aliases.insert("*", "sessions", "sessions");
+        let targets = [
+            TargetSpec::Call { callee: "act".into() },
+            TargetSpec::Builtin { name: "blocking_io".into() },
+            TargetSpec::BuiltinInSync { name: "blocking_io".into() },
+            TargetSpec::BuiltinInCaller { name: "log".into(), caller: "drive".into() },
+        ];
+        let mut got = Vec::new();
+        for (i, target) in targets.iter().enumerate() {
+            let budget = HarnessBudget {
+                max_steps_per_test: (i % 2 == 1).then_some(5000),
+                wall: None,
+            };
+            let policy = if i < 2 { Policy::RelevantOnly } else { Policy::RecordAll };
+            let fp = 0x0123_4567_89ab_cdef;
+            got.push(TraceCache::key(fp, &tests, target, &aliases, &policy, &budget));
+        }
+        got.push(TraceCache::key(
+            7,
+            &[],
+            &targets[0],
+            &AliasMap::default(),
+            &Policy::RelevantOnly,
+            &HarnessBudget::default(),
+        ));
+        let pinned: Vec<u64> = vec![
+            0xce5512021b867a45,
+            0xc2baac8178dbeb4f,
+            0x38be50c8ca71009c,
+            0xfeeb2d90a205c277,
+            0x1ea2e93eecc321bf,
+        ];
+        assert_eq!(got, pinned, "{got:#x?}");
     }
 
     #[test]

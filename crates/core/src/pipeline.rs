@@ -349,6 +349,7 @@ impl Pipeline {
                     .collect();
                 ctx.fan_out(jobs)
             };
+        let outcomes = Arc::new(outcomes);
         let runs: Vec<_> = outcomes.iter().flat_map(|o| o.runs.iter()).collect();
         let truncated = outcomes.iter().any(|o| o.truncated);
         stats.tests_executed = runs.len() as u64;
@@ -380,14 +381,18 @@ impl Pipeline {
         // byte-identical to fresh ones and query-pure (the session only
         // decides Unsat incrementally; everything else re-derives on the
         // fresh path), so sharing it across concurrently scheduled
-        // leaves cannot leak scheduling order into any verdict.
+        // leaves cannot leak scheduling order into any verdict. Each job
+        // reads its π in place through the shared batch outcomes and the
+        // checker through the session; neither is cloned per arrival.
         let session = Arc::new(lisa_smt::SolverSession::new(&rule.condition));
-        let solver_jobs: Vec<_> = runs
-            .iter()
-            .flat_map(|run| run.hits.iter())
-            .map(|hit| {
-                let pi = hit.pi.clone();
-                let cond = rule.condition.clone();
+        let arrivals = outcomes.iter().enumerate().flat_map(|(oi, o)| {
+            o.runs.iter().enumerate().flat_map(move |(ri, run)| {
+                (0..run.hits.len()).map(move |hi| (oi, ri, hi))
+            })
+        });
+        let solver_jobs: Vec<_> = arrivals
+            .map(|(oi, ri, hi)| {
+                let outcomes = Arc::clone(&outcomes);
                 let cache = self.cache.clone();
                 let session = Arc::clone(&session);
                 let degrade = ctx.degrade;
@@ -401,11 +406,14 @@ impl Pipeline {
                     } else {
                         full
                     };
+                    let pi = &outcomes[oi].runs[ri].hits[hi].pi;
                     match &cache {
-                        Some(c) => c.queries().violates_with(&pi, &cond, conflicts, || {
-                            session.violates_budgeted(&pi, conflicts)
-                        }),
-                        None => session.violates_budgeted(&pi, conflicts),
+                        Some(c) => {
+                            c.queries().violates_with(pi, session.checker(), conflicts, || {
+                                session.violates_budgeted(pi, conflicts)
+                            })
+                        }
+                        None => session.violates_budgeted(pi, conflicts),
                     }
                 }
             })

@@ -8,19 +8,25 @@
 //! property tests pin, so they are insensitive to spans, statement ids,
 //! and original formatting, but change whenever any semantics-bearing
 //! text changes.
+//!
+//! The printer streams straight into the hasher (FNV-1a consumes bytes
+//! one at a time, so hashing the pieces equals hashing the whole
+//! rendering). Fingerprint values are a persisted format —
+//! `fingerprints.log` stores them across runs — pinned per corpus
+//! version by `crates/corpus/tests/fingerprint_golden.rs`.
 
 use std::collections::BTreeMap;
 
 use lisa_util::Fnv1a;
 
 use crate::ast::FnDecl;
-use crate::pretty::{print_fn, print_struct};
+use crate::pretty::{write_fn, write_struct};
 use crate::program::Program;
 
 /// Fingerprint one function body (canonical form).
 pub fn fingerprint_fn(f: &FnDecl) -> u64 {
     let mut h = Fnv1a::new();
-    h.part(print_fn(f).as_bytes());
+    h.part_with(|h| write_fn(h, f));
     h.finish()
 }
 
@@ -30,11 +36,11 @@ pub fn fingerprint_fn(f: &FnDecl) -> u64 {
 pub fn fingerprint_decls(p: &Program) -> u64 {
     let mut h = Fnv1a::new();
     for s in p.structs() {
-        h.part(print_struct(s).as_bytes());
+        h.part_with(|h| write_struct(h, s));
     }
     for g in p.globals() {
         h.part(g.name.as_bytes());
-        h.part(g.ty.to_string().as_bytes());
+        h.part_display(&g.ty);
     }
     h.finish()
 }

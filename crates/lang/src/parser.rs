@@ -22,14 +22,19 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+impl ParseError {
+    /// An error at byte `offset` of `src`. The line map is built here,
+    /// on the error path only: a successful parse never needs one.
+    fn at(name: &str, src: &str, offset: usize, message: String) -> ParseError {
+        let loc = LineMap::new(name, src).loc(offset);
+        ParseError { message, line: loc.line, col: loc.col, source: loc.source }
+    }
+}
+
 /// Parse one module from source text.
 pub fn parse_module(name: &str, src: &str) -> Result<Module, ParseError> {
-    let linemap = LineMap::new(name, src);
-    let toks = lex(src).map_err(|e| {
-        let loc = linemap.loc(e.offset);
-        ParseError { message: e.message, line: loc.line, col: loc.col, source: name.to_string() }
-    })?;
-    let mut p = Parser { toks, pos: 0, next_stmt: 0, linemap: &linemap };
+    let toks = lex(src).map_err(|e| ParseError::at(name, src, e.offset, e.message))?;
+    let mut p = Parser { toks, pos: 0, next_stmt: 0, name, src };
     let mut module = Module {
         name: name.to_string(),
         structs: Vec::new(),
@@ -54,7 +59,8 @@ struct Parser<'a> {
     toks: Vec<(Tok, Span)>,
     pos: usize,
     next_stmt: u32,
-    linemap: &'a LineMap,
+    name: &'a str,
+    src: &'a str,
 }
 
 impl<'a> Parser<'a> {
@@ -62,30 +68,24 @@ impl<'a> Parser<'a> {
         &self.toks[self.pos].0
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].0
-    }
-
     fn span(&self) -> Span {
         self.toks[self.pos].1
     }
 
+    /// Consume the current token, moving it out: the parser never looks
+    /// back at a consumed token, only at its span. The trailing `Eof` is
+    /// never consumed, so `peek` stays valid at the end of input.
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.toks[self.pos - 1].0, Tok::Eof)
+        } else {
+            Tok::Eof
         }
-        t
     }
 
     fn error(&self, message: String) -> ParseError {
-        let loc = self.linemap.span_loc(self.span());
-        ParseError {
-            message,
-            line: loc.line,
-            col: loc.col,
-            source: self.linemap.source_name().to_string(),
-        }
+        ParseError::at(self.name, self.src, self.span().lo, message)
     }
 
     fn expect(&mut self, tok: Tok) -> Result<Span, ParseError> {
@@ -99,11 +99,11 @@ impl<'a> Parser<'a> {
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
+        match self.peek() {
+            Tok::Ident(_) => match self.bump() {
+                Tok::Ident(s) => Ok(s),
+                _ => unreachable!("peeked an identifier"),
+            },
             other => Err(self.error(format!("expected identifier, found {other}"))),
         }
     }
@@ -173,7 +173,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_type(&mut self) -> Result<Type, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::TyInt => {
                 self.bump();
                 Ok(Type::Int)
@@ -202,10 +202,7 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::Gt)?;
                 Ok(Type::List(Box::new(t)))
             }
-            Tok::Ident(name) => {
-                self.bump();
-                Ok(Type::Struct(name))
-            }
+            Tok::Ident(_) => Ok(Type::Struct(self.ident()?)),
             other => Err(self.error(format!("expected type, found {other}"))),
         }
     }
@@ -225,7 +222,7 @@ impl<'a> Parser<'a> {
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
         let start = self.span();
         let id = self.fresh_stmt_id();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Let => {
                 self.bump();
                 let name = self.ident()?;
@@ -507,15 +504,15 @@ impl<'a> Parser<'a> {
 
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
         let start = self.span();
-        match self.peek().clone() {
-            Tok::Int(v) => {
+        match self.peek() {
+            &Tok::Int(v) => {
                 self.bump();
                 Ok(Expr { kind: ExprKind::Int(v), span: start })
             }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(Expr { kind: ExprKind::Str(s), span: start })
-            }
+            Tok::Str(_) => match self.bump() {
+                Tok::Str(s) => Ok(Expr { kind: ExprKind::Str(s), span: start }),
+                _ => unreachable!("peeked a string"),
+            },
             Tok::True => {
                 self.bump();
                 Ok(Expr { kind: ExprKind::Bool(true), span: start })
@@ -553,14 +550,13 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
-            Tok::Ident(name) => {
-                if self.peek2() == &Tok::LParen {
-                    self.bump();
+            Tok::Ident(_) => {
+                let name = self.ident()?;
+                if self.peek() == &Tok::LParen {
                     let args = self.parse_args()?;
                     let span = start.to(self.toks[self.pos - 1].1);
                     Ok(Expr { kind: ExprKind::Call(name, args), span })
                 } else {
-                    self.bump();
                     Ok(Expr { kind: ExprKind::Var(name), span: start })
                 }
             }

@@ -6,138 +6,185 @@
 //! ids. Corpus tooling uses it to render patched modules and the oracle
 //! uses it in diagnostics.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 use crate::ast::*;
 
 /// Render a whole module.
 pub fn print_module(m: &Module) -> String {
-    let mut out = String::new();
-    for s in &m.structs {
-        out.push_str(&print_struct(s));
-        out.push('\n');
-    }
-    for g in &m.globals {
-        let _ = writeln!(out, "global {}: {};", g.name, g.ty);
-    }
-    if !m.globals.is_empty() {
-        out.push('\n');
-    }
-    for (i, f) in m.functions.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        out.push_str(&print_fn(f));
-    }
-    out
+    render(|out| write_module(out, m))
 }
 
 /// Render a struct declaration.
 pub fn print_struct(s: &StructDecl) -> String {
-    let fields: Vec<String> = s.fields.iter().map(|(n, t)| format!("{n}: {t}")).collect();
-    format!("struct {} {{ {} }}\n", s.name, fields.join(", "))
+    render(|out| write_struct(out, s))
 }
 
 /// Render a function declaration.
 pub fn print_fn(f: &FnDecl) -> String {
-    let params: Vec<String> = f.params.iter().map(|(n, t)| format!("{n}: {t}")).collect();
-    let ret = if f.ret == Type::Unit { String::new() } else { format!(" -> {}", f.ret) };
-    let mut out = format!("fn {}({}){} {{\n", f.name, params.join(", "), ret);
-    for s in &f.body {
-        print_stmt(s, 1, &mut out);
-    }
-    out.push_str("}\n");
+    render(|out| write_fn(out, f))
+}
+
+/// Render an expression with minimal parentheses.
+pub fn print_expr(e: &Expr) -> String {
+    render(|out| write_expr(out, e))
+}
+
+fn render(write: impl FnOnce(&mut String) -> fmt::Result) -> String {
+    let mut out = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = write(&mut out);
     out
 }
 
-fn indent(depth: usize, out: &mut String) {
+/// [`print_module`] into any writer: the same bytes, without building
+/// them up as a `String` first (fingerprints hash them as they stream).
+pub fn write_module(out: &mut impl Write, m: &Module) -> fmt::Result {
+    for s in &m.structs {
+        write_struct(out, s)?;
+        out.write_char('\n')?;
+    }
+    for g in &m.globals {
+        writeln!(out, "global {}: {};", g.name, g.ty)?;
+    }
+    if !m.globals.is_empty() {
+        out.write_char('\n')?;
+    }
+    for (i, f) in m.functions.iter().enumerate() {
+        if i > 0 {
+            out.write_char('\n')?;
+        }
+        write_fn(out, f)?;
+    }
+    Ok(())
+}
+
+/// [`print_struct`] into any writer.
+pub fn write_struct(out: &mut impl Write, s: &StructDecl) -> fmt::Result {
+    write!(out, "struct {} {{ ", s.name)?;
+    for (i, (n, t)) in s.fields.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        write!(out, "{n}: {t}")?;
+    }
+    out.write_str(" }\n")
+}
+
+/// [`print_fn`] into any writer.
+pub fn write_fn(out: &mut impl Write, f: &FnDecl) -> fmt::Result {
+    write!(out, "fn {}(", f.name)?;
+    for (i, (n, t)) in f.params.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        write!(out, "{n}: {t}")?;
+    }
+    out.write_char(')')?;
+    if f.ret != Type::Unit {
+        write!(out, " -> {}", f.ret)?;
+    }
+    out.write_str(" {\n")?;
+    for s in &f.body {
+        write_stmt(out, s, 1)?;
+    }
+    out.write_str("}\n")
+}
+
+fn indent(out: &mut impl Write, depth: usize) -> fmt::Result {
     for _ in 0..depth {
-        out.push_str("    ");
+        out.write_str("    ")?;
     }
+    Ok(())
 }
 
-fn print_block(body: &[Stmt], depth: usize, out: &mut String) {
-    out.push_str("{\n");
+fn write_block(out: &mut impl Write, body: &[Stmt], depth: usize) -> fmt::Result {
+    out.write_str("{\n")?;
     for s in body {
-        print_stmt(s, depth + 1, out);
+        write_stmt(out, s, depth + 1)?;
     }
-    indent(depth, out);
-    out.push('}');
+    indent(out, depth)?;
+    out.write_char('}')
 }
 
-fn print_stmt(s: &Stmt, depth: usize, out: &mut String) {
-    indent(depth, out);
+fn write_stmt(out: &mut impl Write, s: &Stmt, depth: usize) -> fmt::Result {
+    indent(out, depth)?;
     match &s.kind {
         StmtKind::Let { name, ty, init } => {
-            match ty {
-                Some(t) => {
-                    let _ = write!(out, "let {name}: {t} = {};", print_expr(init));
-                }
-                None => {
-                    let _ = write!(out, "let {name} = {};", print_expr(init));
-                }
+            write!(out, "let {name}")?;
+            if let Some(t) = ty {
+                write!(out, ": {t}")?;
             }
-            out.push('\n');
+            out.write_str(" = ")?;
+            write_expr(out, init)?;
+            out.write_str(";\n")
         }
         StmtKind::Assign { target, value } => {
-            let lhs = match target {
-                LValue::Var(v) => v.clone(),
-                LValue::Field(obj, field) => format!("{}.{field}", print_expr(obj)),
-            };
-            let _ = writeln!(out, "{lhs} = {};", print_expr(value));
+            match target {
+                LValue::Var(v) => out.write_str(v)?,
+                LValue::Field(obj, field) => {
+                    write_child(out, obj, 7, false)?;
+                    write!(out, ".{field}")?;
+                }
+            }
+            out.write_str(" = ")?;
+            write_expr(out, value)?;
+            out.write_str(";\n")
         }
         StmtKind::If { cond, then_body, else_body } => {
-            let _ = write!(out, "if ({}) ", print_expr(cond));
-            print_block(then_body, depth, out);
+            out.write_str("if (")?;
+            write_expr(out, cond)?;
+            out.write_str(") ")?;
+            write_block(out, then_body, depth)?;
             if !else_body.is_empty() {
-                out.push_str(" else ");
-                // `else if` chains render flat.
-                if else_body.len() == 1 {
-                    if let StmtKind::If { .. } = &else_body[0].kind {
-                        let mut nested = String::new();
-                        print_stmt(&else_body[0], 0, &mut nested);
-                        out.push_str(nested.trim_start());
-                        return;
-                    }
+                out.write_str(" else ")?;
+                // `else if` chains render flat: the nested `if` is
+                // written at depth 0, so its own blocks indent from
+                // column 0 and it ends its own line.
+                if let [nested @ Stmt { kind: StmtKind::If { .. }, .. }] = else_body.as_slice() {
+                    return write_stmt(out, nested, 0);
                 }
-                print_block(else_body, depth, out);
+                write_block(out, else_body, depth)?;
             }
-            out.push('\n');
+            out.write_char('\n')
         }
         StmtKind::While { cond, body } => {
-            let _ = write!(out, "while ({}) ", print_expr(cond));
-            print_block(body, depth, out);
-            out.push('\n');
+            out.write_str("while (")?;
+            write_expr(out, cond)?;
+            out.write_str(") ")?;
+            write_block(out, body, depth)?;
+            out.write_char('\n')
         }
         StmtKind::For { var, iter, body } => {
-            let _ = write!(out, "for {var} in {} ", print_expr(iter));
-            print_block(body, depth, out);
-            out.push('\n');
+            write!(out, "for {var} in ")?;
+            write_expr(out, iter)?;
+            out.write_char(' ')?;
+            write_block(out, body, depth)?;
+            out.write_char('\n')
         }
-        StmtKind::Return(None) => out.push_str("return;\n"),
+        StmtKind::Return(None) => out.write_str("return;\n"),
         StmtKind::Return(Some(e)) => {
-            let _ = writeln!(out, "return {};", print_expr(e));
+            out.write_str("return ")?;
+            write_expr(out, e)?;
+            out.write_str(";\n")
         }
         StmtKind::Assert { cond, message } => {
-            match message {
-                Some(m) => {
-                    let _ = writeln!(out, "assert({}, {m:?});", print_expr(cond));
-                }
-                None => {
-                    let _ = writeln!(out, "assert({});", print_expr(cond));
-                }
-            };
+            out.write_str("assert(")?;
+            write_expr(out, cond)?;
+            if let Some(m) = message {
+                write!(out, ", {m:?}")?;
+            }
+            out.write_str(");\n")
         }
         StmtKind::Sync { lock, body } => {
-            let _ = write!(out, "sync ({lock}) ");
-            print_block(body, depth, out);
-            out.push('\n');
+            write!(out, "sync ({lock}) ")?;
+            write_block(out, body, depth)?;
+            out.write_char('\n')
         }
-        StmtKind::Throw(m) => {
-            let _ = writeln!(out, "throw {m:?};");
-        }
+        StmtKind::Throw(m) => writeln!(out, "throw {m:?};"),
         StmtKind::Expr(e) => {
-            let _ = writeln!(out, "{};", print_expr(e));
+            write_expr(out, e)?;
+            out.write_str(";\n")
         }
     }
 }
@@ -158,57 +205,89 @@ fn prec(e: &Expr) -> u8 {
     }
 }
 
-/// Render an expression with minimal parentheses.
-pub fn print_expr(e: &Expr) -> String {
-    fn child(e: &Expr, parent: u8, right_assoc_guard: bool) -> String {
-        let p = prec(e);
-        let s = print_expr(e);
-        if p < parent || (right_assoc_guard && p == parent) {
-            format!("({s})")
-        } else {
-            s
+fn write_args(out: &mut impl Write, args: &[Expr]) -> fmt::Result {
+    for (i, a) in args.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
         }
+        write_expr(out, a)?;
     }
+    Ok(())
+}
+
+/// Write `e` as an operand of an operator of precedence `parent`,
+/// parenthesized when it binds looser (or equally loose, when
+/// `guard_equal`).
+fn write_child(out: &mut impl Write, e: &Expr, parent: u8, guard_equal: bool) -> fmt::Result {
+    let p = prec(e);
+    if p < parent || (guard_equal && p == parent) {
+        out.write_char('(')?;
+        write_expr(out, e)?;
+        out.write_char(')')
+    } else {
+        write_expr(out, e)
+    }
+}
+
+/// [`print_expr`] into any writer.
+pub fn write_expr(out: &mut impl Write, e: &Expr) -> fmt::Result {
     match &e.kind {
-        ExprKind::Int(v) => v.to_string(),
-        ExprKind::Bool(b) => b.to_string(),
-        ExprKind::Str(s) => format!("{s:?}"),
-        ExprKind::Null => "null".to_string(),
-        ExprKind::Var(v) => v.clone(),
-        ExprKind::Field(obj, field) => format!("{}.{field}", child(obj, 7, false)),
+        ExprKind::Int(v) => write!(out, "{v}"),
+        ExprKind::Bool(b) => write!(out, "{b}"),
+        ExprKind::Str(s) => write!(out, "{s:?}"),
+        ExprKind::Null => out.write_str("null"),
+        ExprKind::Var(v) => out.write_str(v),
+        ExprKind::Field(obj, field) => {
+            write_child(out, obj, 7, false)?;
+            write!(out, ".{field}")
+        }
         ExprKind::MethodCall(recv, name, args) => {
-            let args: Vec<String> = args.iter().map(print_expr).collect();
-            format!("{}.{name}({})", child(recv, 7, false), args.join(", "))
+            write_child(out, recv, 7, false)?;
+            write!(out, ".{name}(")?;
+            write_args(out, args)?;
+            out.write_char(')')
         }
         ExprKind::Call(name, args) => {
-            let args: Vec<String> = args.iter().map(print_expr).collect();
-            format!("{name}({})", args.join(", "))
+            write!(out, "{name}(")?;
+            write_args(out, args)?;
+            out.write_char(')')
         }
         ExprKind::New(name, fields) => {
-            if fields.is_empty() {
-                format!("new {name} {{ }}")
-            } else {
-                let fields: Vec<String> =
-                    fields.iter().map(|(n, v)| format!("{n}: {}", print_expr(v))).collect();
-                format!("new {name} {{ {} }}", fields.join(", "))
+            write!(out, "new {name} {{ ")?;
+            for (i, (n, v)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.write_str(", ")?;
+                }
+                write!(out, "{n}: ")?;
+                write_expr(out, v)?;
             }
+            // `new S { }` and `new S { a: 1 }` both close with " }".
+            if !fields.is_empty() {
+                out.write_char(' ')?;
+            }
+            out.write_char('}')
         }
         ExprKind::Unary(op, inner) => {
-            let sigil = match op {
+            out.write_str(match op {
                 UnOp::Neg => "-",
                 UnOp::Not => "!",
-            };
-            format!("{sigil}{}", child(inner, 6, false))
+            })?;
+            write_child(out, inner, 6, false)
         }
         ExprKind::Binary(op, l, r) => {
             let p = prec(e);
-            // Comparisons are non-associative in the grammar; arithmetic
-            // and logical chains parse left-associative, so the right
-            // child needs parens at equal precedence.
-            format!("{} {op} {}", child(l, p, false), child(r, p, true))
+            // Arithmetic and logical chains parse left-associative, so
+            // the right child needs parens at equal precedence.
+            // Comparisons do not chain at all, so both children do.
+            write_child(out, l, p, p == 3)?;
+            write!(out, " {op} ")?;
+            write_child(out, r, p, true)
         }
         ExprKind::Index(list, idx) => {
-            format!("{}[{}]", child(list, 7, false), print_expr(idx))
+            write_child(out, list, 7, false)?;
+            out.write_char('[')?;
+            write_expr(out, idx)?;
+            out.write_char(']')
         }
     }
 }
@@ -292,6 +371,23 @@ mod tests {
                  return p.tags.len() + ps.size();\n\
              }",
         );
+    }
+
+    #[test]
+    fn nested_comparisons_keep_their_parentheses() {
+        // Comparisons do not chain in the grammar, so a comparison
+        // operand of a comparison needs parentheses on either side.
+        roundtrip("fn f(a: bool, b: bool, c: bool) -> bool { return (a == b) == c; }");
+        roundtrip("fn g(a: bool, b: bool, c: bool) -> bool { return a == (b != c); }");
+        let m = parse_module("t", "fn f(a: int, b: int) -> bool { return (a < b) == (b < a); }")
+            .expect("parse");
+        assert!(print_fn(&m.functions[0]).contains("return (a < b) == (b < a);"));
+    }
+
+    #[test]
+    fn assigned_field_object_keeps_its_parentheses() {
+        // Not well-typed, but it parses, so it must print back to itself.
+        roundtrip("fn f(a: int, b: int) { (a + b).v = 1; (-a).v = 2; }");
     }
 
     #[test]

@@ -210,13 +210,19 @@ pub fn lex(src: &str) -> Result<Vec<(Tok, Span)>, LexError> {
             '"' => {
                 i += 1;
                 let mut s = String::new();
+                // Unescaped text is copied from the source a run at a
+                // time: the delimiters are ASCII, so every run boundary is
+                // a char boundary and multi-byte UTF-8 survives intact.
+                let mut run = i;
                 loop {
                     match bytes.get(i) {
                         Some(b'"') => {
+                            s.push_str(&src[run..i]);
                             i += 1;
                             break;
                         }
                         Some(b'\\') => {
+                            s.push_str(&src[run..i]);
                             match bytes.get(i + 1) {
                                 Some(b'n') => s.push('\n'),
                                 Some(b't') => s.push('\t'),
@@ -230,11 +236,9 @@ pub fn lex(src: &str) -> Result<Vec<(Tok, Span)>, LexError> {
                                 }
                             }
                             i += 2;
+                            run = i;
                         }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        Some(_) => i += 1,
                         None => {
                             return Err(LexError {
                                 offset: start,
@@ -293,11 +297,12 @@ pub fn lex(src: &str) -> Result<Vec<(Tok, Span)>, LexError> {
                 };
                 out.push((tok, Span::new(start, i)));
             }
-            other => {
+            _ => {
+                let other = src[i..].chars().next().unwrap_or(c);
                 return Err(LexError {
                     offset: i,
                     message: format!("unexpected character {other:?}"),
-                })
+                });
             }
         }
     }
@@ -368,6 +373,19 @@ mod tests {
     #[test]
     fn string_escapes() {
         assert_eq!(toks(r#""a\n\"b\"""#), vec![Tok::Str("a\n\"b\"".into()), Tok::Eof]);
+    }
+
+    #[test]
+    fn non_ascii_string_literals_keep_their_utf8() {
+        assert_eq!(toks("log(\"café ✓\")")[2], Tok::Str("café ✓".into()));
+        assert_eq!(toks(r#""é\n→""#), vec![Tok::Str("é\n→".into()), Tok::Eof]);
+    }
+
+    #[test]
+    fn stray_non_ascii_is_reported_as_itself() {
+        let err = lex("a é").expect_err("stray char");
+        assert_eq!(err.offset, 2);
+        assert_eq!(err.message, "unexpected character 'é'");
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! struct-reference type; maps and lists are invariant in their element
 //! types; orderings apply only to `int`.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::ast::*;
@@ -71,16 +70,15 @@ pub fn builtin_signature(name: &str) -> Option<(&'static [Type], Type)> {
 pub fn check_program(program: &Program) -> Vec<TypeError> {
     let mut errors = Vec::new();
     for module in &program.modules {
-        let lm = LineMap::new(module.name.clone(), &module.source);
-        let mut ck = Checker { program, lm: &lm, errors: &mut errors };
+        let mut ck = Checker { program, module, lm: None, errors: &mut errors };
         // Struct field types must be well-formed.
         for s in &module.structs {
             for (fname, ty) in &s.fields {
-                ck.check_type_wf(ty, s.span, &format!("field `{}.{}`", s.name, fname));
+                ck.check_type_wf(ty, s.span, &|| format!("field `{}.{}`", s.name, fname));
             }
         }
         for g in &module.globals {
-            ck.check_type_wf(&g.ty, g.span, &format!("global `{}`", g.name));
+            ck.check_type_wf(&g.ty, g.span, &|| format!("global `{}`", g.name));
         }
         for f in &module.functions {
             ck.check_fn(f);
@@ -97,15 +95,39 @@ pub fn check_program_strict(program: &Program) -> Result<(), TypeError> {
     }
 }
 
+/// The local variables in scope: a stack searched from the end, so the
+/// latest binding of a name shadows earlier ones. A block records the
+/// stack height on entry and truncates back to it on exit, which drops
+/// its `let`s (and a `for` loop's variable) and uncovers whatever they
+/// shadowed.
+#[derive(Default)]
+struct Scope<'a> {
+    vars: Vec<(&'a str, Type)>,
+}
+
+impl<'a> Scope<'a> {
+    fn get(&self, name: &str) -> Option<&Type> {
+        self.vars.iter().rev().find(|(n, _)| *n == name).map(|(_, t)| t)
+    }
+
+    fn bind(&mut self, name: &'a str, ty: Type) {
+        self.vars.push((name, ty));
+    }
+}
+
 struct Checker<'a> {
     program: &'a Program,
-    lm: &'a LineMap,
+    module: &'a Module,
+    /// Built on the first error: a clean module never needs one.
+    lm: Option<LineMap>,
     errors: &'a mut Vec<TypeError>,
 }
 
 impl<'a> Checker<'a> {
     fn error(&mut self, span: Span, message: String) {
-        let loc = self.lm.span_loc(span);
+        let module = self.module;
+        let lm = self.lm.get_or_insert_with(|| LineMap::new(module.name.clone(), &module.source));
+        let loc = lm.span_loc(span);
         self.errors.push(TypeError {
             message,
             source: loc.source,
@@ -114,15 +136,17 @@ impl<'a> Checker<'a> {
         });
     }
 
-    fn check_type_wf(&mut self, ty: &Type, span: Span, what: &str) {
+    /// `what` names the declaration in a message; it is rendered only
+    /// when there is an error to report.
+    fn check_type_wf(&mut self, ty: &Type, span: Span, what: &dyn Fn() -> String) {
         match ty {
             Type::Struct(name)
                 if self.program.struct_decl(name).is_none() => {
-                    self.error(span, format!("{what}: unknown struct type `{name}`"));
+                    self.error(span, format!("{}: unknown struct type `{name}`", what()));
                 }
             Type::Map(k, v) => {
                 if !matches!(**k, Type::Int | Type::Str | Type::Bool) {
-                    self.error(span, format!("{what}: map key type must be int/str/bool"));
+                    self.error(span, format!("{}: map key type must be int/str/bool", what()));
                 }
                 self.check_type_wf(v, span, what);
             }
@@ -131,11 +155,11 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_fn(&mut self, f: &FnDecl) {
-        let mut env: HashMap<String, Type> = HashMap::new();
+    fn check_fn(&mut self, f: &'a FnDecl) {
+        let mut env = Scope::default();
         for (p, ty) in &f.params {
-            self.check_type_wf(ty, f.span, &format!("parameter `{p}` of `{}`", f.name));
-            env.insert(p.clone(), ty.clone());
+            self.check_type_wf(ty, f.span, &|| format!("parameter `{p}` of `{}`", f.name));
+            env.bind(p, ty.clone());
         }
         let returned = self.check_block(&f.body, &mut env, f);
         if f.ret != Type::Unit && !returned {
@@ -147,26 +171,21 @@ impl<'a> Checker<'a> {
     }
 
     /// Check a block; returns whether every path through it returns.
-    fn check_block(
-        &mut self,
-        stmts: &[Stmt],
-        env: &mut HashMap<String, Type>,
-        f: &FnDecl,
-    ) -> bool {
+    fn check_block(&mut self, stmts: &'a [Stmt], env: &mut Scope<'a>, f: &FnDecl) -> bool {
         let mut returns = false;
-        let shadow: HashMap<String, Type> = env.clone();
+        let mark = env.vars.len();
         for s in stmts {
             if self.check_stmt(s, env, f) {
                 returns = true;
             }
         }
         // Restore scope (lets are block-scoped).
-        *env = shadow;
+        env.vars.truncate(mark);
         returns
     }
 
     /// Check one statement; returns whether it definitely returns/throws.
-    fn check_stmt(&mut self, s: &Stmt, env: &mut HashMap<String, Type>, f: &FnDecl) -> bool {
+    fn check_stmt(&mut self, s: &'a Stmt, env: &mut Scope<'a>, f: &FnDecl) -> bool {
         match &s.kind {
             StmtKind::Let { name, ty, init } => {
                 let init_ty = self.infer(init, env);
@@ -200,7 +219,7 @@ impl<'a> Checker<'a> {
                         Type::Unit
                     }
                 };
-                env.insert(name.clone(), final_ty);
+                env.bind(name, final_ty);
                 false
             }
             StmtKind::Assign { target, value } => {
@@ -267,10 +286,10 @@ impl<'a> Checker<'a> {
                         Type::Unit
                     }
                 };
-                let saved = env.clone();
-                env.insert(var.clone(), elem);
+                let mark = env.vars.len();
+                env.bind(var, elem);
                 self.check_block(body, env, f);
-                *env = saved;
+                env.vars.truncate(mark);
                 false
             }
             StmtKind::Return(value) => {
@@ -319,14 +338,14 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn require_bool(&mut self, e: &Expr, env: &HashMap<String, Type>) {
+    fn require_bool(&mut self, e: &Expr, env: &Scope) {
         let ty = self.infer(e, env);
         if ty != Ty::T(Type::Bool) {
             self.error(e.span, format!("condition must be bool, found {}", ty.display()));
         }
     }
 
-    fn infer(&mut self, e: &Expr, env: &HashMap<String, Type>) -> Ty {
+    fn infer(&mut self, e: &Expr, env: &Scope) -> Ty {
         match &e.kind {
             ExprKind::Int(_) => Ty::T(Type::Int),
             ExprKind::Bool(_) => Ty::T(Type::Bool),
@@ -397,7 +416,8 @@ impl<'a> Checker<'a> {
                 self.infer_method(recv, method, args, e.span, env)
             }
             ExprKind::New(name, fields) => {
-                let Some(decl) = self.program.struct_decl(name).cloned() else {
+                let program = self.program;
+                let Some(decl) = program.struct_decl(name) else {
                     self.error(e.span, format!("unknown struct `{name}`"));
                     return Ty::T(Type::Unit);
                 };
@@ -405,7 +425,7 @@ impl<'a> Checker<'a> {
                     match decl.field_type(fname) {
                         Some(ft) => {
                             let at = self.infer(fexpr, env);
-                            self.require_assignable(&ft.clone(), &at, fexpr.span, fname);
+                            self.require_assignable(ft, &at, fexpr.span, fname);
                         }
                         None => {
                             self.error(fexpr.span, format!("struct `{name}` has no field `{fname}`"))
@@ -425,7 +445,7 @@ impl<'a> Checker<'a> {
         l: &Expr,
         r: &Expr,
         span: Span,
-        env: &HashMap<String, Type>,
+        env: &Scope,
     ) -> Ty {
         let lt = self.infer(l, env);
         let rt = self.infer(r, env);
@@ -479,7 +499,7 @@ impl<'a> Checker<'a> {
         name: &str,
         args: &[Expr],
         span: Span,
-        env: &HashMap<String, Type>,
+        env: &Scope,
     ) -> Ty {
         if let Some((params, ret)) = builtin_signature(name) {
             if args.len() != params.len() {
@@ -494,7 +514,8 @@ impl<'a> Checker<'a> {
             }
             return Ty::T(ret);
         }
-        let Some(decl) = self.program.function(name).cloned() else {
+        let program = self.program;
+        let Some(decl) = program.function(name) else {
             self.error(span, format!("call to unknown function `{name}`"));
             for a in args {
                 self.infer(a, env);
@@ -515,7 +536,7 @@ impl<'a> Checker<'a> {
             let at = self.infer(a, env);
             self.require_assignable(pty, &at, a.span, pname);
         }
-        Ty::T(decl.ret)
+        Ty::T(decl.ret.clone())
     }
 
     fn infer_method(
@@ -524,7 +545,7 @@ impl<'a> Checker<'a> {
         method: &str,
         args: &[Expr],
         span: Span,
-        env: &HashMap<String, Type>,
+        env: &Scope,
     ) -> Ty {
         let rty = self.infer(recv, env);
         let arg_tys: Vec<Ty> = args.iter().map(|a| self.infer(a, env)).collect();

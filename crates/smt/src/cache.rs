@@ -27,7 +27,7 @@ use std::sync::Mutex;
 
 use lisa_util::{lock_counted, Fnv1a, LockStats};
 
-use crate::nnf::preprocess;
+use crate::nnf::preprocess_violation;
 use crate::solver::{violates_budgeted, ViolationOutcome};
 use crate::term::Term;
 
@@ -83,9 +83,9 @@ impl QueryCache {
     /// Cache key for a violation query: hash of the canonicalized
     /// `π ∧ ¬checker` plus the conflict budget it will run under.
     fn key(pi: &Term, checker: &Term, max_conflicts: Option<u64>) -> Key {
-        let query = preprocess(&Term::and([pi.clone(), checker.clone().not()]));
+        let query = preprocess_violation(pi, checker);
         let mut h = Fnv1a::new();
-        h.part(query.to_string().as_bytes());
+        h.part_display(&query);
         (h.finish(), max_conflicts)
     }
 
@@ -184,6 +184,33 @@ mod tests {
 
     fn t(s: &str) -> Term {
         parse_cond(s).expect("parse")
+    }
+
+    /// Query keys are the cache's identity. Their values are pinned so
+    /// that a change in how a key is computed cannot move them.
+    #[test]
+    fn key_values_are_pinned() {
+        let cases = [
+            (
+                "s != null && s.isClosing == false",
+                "s != null && s.isClosing == false && s.ttl > 0",
+                None,
+            ),
+            ("x > 3", "x > 4", Some(1000)),
+            ("3 < x || y == \"a\"", "!(x >= 9) -> z", None),
+            ("true", "p == true", None),
+            ("a == b && (c != 2 || !d)", "false", Some(0)),
+        ];
+        let got: Vec<Key> =
+            cases.iter().map(|(pi, c, b)| QueryCache::key(&t(pi), &t(c), *b)).collect();
+        let pinned: Vec<Key> = vec![
+            (0xe6d18bd3f5ff1c58, None),
+            (0xe85d4bd5a01daf24, Some(1000)),
+            (0x58a57ea2f501ec22, None),
+            (0xbb3dce17c9f919d1, None),
+            (0xe2f60512fedad36c, Some(0)),
+        ];
+        assert_eq!(got, pinned, "{got:#x?}");
     }
 
     #[test]

@@ -276,6 +276,21 @@ pub fn preprocess(term: &Term) -> Term {
     simplify(&to_nnf(term))
 }
 
+/// [`preprocess`] of `¬term`, without cloning `term` to negate it: the
+/// NNF of `¬t` is `t`'s NNF taken at negative polarity.
+pub fn preprocess_negated(term: &Term) -> Term {
+    simplify(&nnf(term, false))
+}
+
+/// [`preprocess`] of the violation query `π ∧ ¬checker`, without
+/// cloning either side into the conjunction: the NNF of a conjunction is
+/// the conjunction of its parts' NNFs, and `Term::and` flattens nested
+/// conjunctions the same way at either level. Equal, term for term, to
+/// `preprocess(&Term::and([pi.clone(), checker.clone().not()]))`.
+pub fn preprocess_violation(pi: &Term, checker: &Term) -> Term {
+    simplify(&Term::and([nnf(pi, true), nnf(checker, false)]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,6 +362,33 @@ mod tests {
         let a = Term::bool_var("a");
         let t = Term::and([a.clone(), a.clone(), a.clone()]);
         assert_eq!(preprocess(&t), a);
+    }
+
+    #[test]
+    fn violation_preprocessing_equals_the_built_conjunction() {
+        let a = Term::bool_var("a");
+        let b = Term::int_cmp_c("x", CmpOp::Eq, 3);
+        // Raw nesting the builders would flatten, plus constants.
+        let nested = Term::And(vec![a.clone(), Term::And(vec![b.clone(), Term::True])]);
+        let terms = [
+            Term::True,
+            Term::False,
+            a.clone(),
+            a.clone().not(),
+            Term::Not(Box::new(nested.clone())),
+            Term::Not(Box::new(Term::Not(Box::new(b.clone())))),
+            nested,
+            Term::or([a.clone(), b.clone()]).not(),
+            a.clone().implies(b.clone()),
+            a.iff(b),
+        ];
+        for pi in &terms {
+            for checker in &terms {
+                let built = preprocess(&Term::and([pi.clone(), checker.clone().not()]));
+                assert_eq!(preprocess_violation(pi, checker), built, "{pi} / {checker}");
+            }
+            assert_eq!(preprocess_negated(pi), preprocess(&pi.clone().not()), "{pi}");
+        }
     }
 
     #[test]

@@ -43,11 +43,17 @@
 //! clauses are safe because assumptions enter the search as decisions
 //! and are never resolved away, so every resolvent is implied by the
 //! clause database alone (see `solve_under_assumptions`).
+//!
+//! **Laziness.** Opening a session encodes nothing. The CNF of `¬C` is
+//! built by the first query that reaches the persistent solver, so a
+//! rule whose every query is answered elsewhere — a `QueryCache` hit, or
+//! a budget-isolated solve — never pays for the encoding. The
+//! `smt.session.opened` counter counts sessions whose solver was built.
 
 use std::sync::Mutex;
 
 use crate::cnf::Cnf;
-use crate::nnf::preprocess;
+use crate::nnf::{preprocess, preprocess_negated};
 use crate::sat::{SatOutcome, SatSolver};
 use crate::solver::{violates_budgeted, ViolationOutcome};
 use crate::term::Term;
@@ -79,10 +85,17 @@ pub struct SessionStats {
     pub conflicts: u64,
 }
 
-/// Everything behind the session lock: the persistent encoding and the
-/// persistent SAT core.
-#[derive(Debug)]
+/// Everything behind the session lock.
+#[derive(Debug, Default)]
 struct Inner {
+    /// The persistent solver, built by the first query that needs it.
+    core: Option<Core>,
+    stats: SessionStats,
+}
+
+/// The persistent encoding and the persistent SAT core.
+#[derive(Debug)]
+struct Core {
     cnf: Cnf,
     sat: SatSolver,
     /// `cnf.clauses` below this index are already in `sat`.
@@ -90,7 +103,27 @@ struct Inner {
     /// `preprocess(¬checker)` folded to `False`: every query is
     /// `Verified` without touching the solver.
     checker_valid: bool,
-    stats: SessionStats,
+}
+
+impl Core {
+    /// The Tseitin CNF of the canonicalized `¬checker` as the base
+    /// clause database, shared by every later query.
+    fn new(checker: &Term) -> Core {
+        let mut cnf = Cnf::new();
+        let checker_valid = cnf.assert_term(&preprocess_negated(checker)).is_err();
+        let mut sat = SatSolver::new(cnf.num_vars());
+        let mut synced = 0;
+        while synced < cnf.clauses.len() {
+            if !sat.add_clause(cnf.clauses[synced].clone()) {
+                // ¬checker is propositionally unsat on its own: the
+                // sticky solver-level unsat makes every query Verified,
+                // exactly as the fresh path would conclude.
+                break;
+            }
+            synced += 1;
+        }
+        Core { cnf, sat, synced, checker_valid }
+    }
 }
 
 /// A persistent solver for one rule's violation queries: `¬checker` is
@@ -106,34 +139,16 @@ pub struct SolverSession {
 }
 
 impl SolverSession {
-    /// Open a session for `checker`. The Tseitin CNF of the
-    /// canonicalized `¬checker` becomes the session's base clause
-    /// database, shared by every subsequent query.
+    /// Open a session for `checker`. Nothing is encoded yet: the first
+    /// query that reaches the persistent solver builds the Tseitin CNF of
+    /// the canonicalized `¬checker` as the base clause database.
     pub fn new(checker: &Term) -> SolverSession {
-        let mut cnf = Cnf::new();
-        let neg = preprocess(&checker.clone().not());
-        let checker_valid = cnf.assert_term(&neg).is_err();
-        let mut sat = SatSolver::new(cnf.num_vars());
-        let mut synced = 0;
-        while synced < cnf.clauses.len() {
-            if !sat.add_clause(cnf.clauses[synced].clone()) {
-                // ¬checker is propositionally unsat on its own: the
-                // sticky solver-level unsat makes every query Verified,
-                // exactly as the fresh path would conclude.
-                break;
-            }
-            synced += 1;
-        }
-        SolverSession {
-            checker: checker.clone(),
-            inner: Mutex::new(Inner {
-                cnf,
-                sat,
-                synced,
-                checker_valid,
-                stats: SessionStats::default(),
-            }),
-        }
+        SolverSession { checker: checker.clone(), inner: Mutex::new(Inner::default()) }
+    }
+
+    /// The checker this session refutes.
+    pub fn checker(&self) -> &Term {
+        &self.checker
     }
 
     /// The session's violation query: is `π ∧ ¬checker` satisfiable?
@@ -158,16 +173,18 @@ impl SolverSession {
             return violates_budgeted(pi, &self.checker, Some(budget));
         }
         let decided = {
-            let mut inner = self.lock();
-            inner.stats.queries += 1;
-            inner.stats.learned_reused += inner.sat.stats.learned_clauses;
-            let decided = incremental_verified(&mut inner, pi);
+            let mut guard = self.lock();
+            let Inner { core, stats } = &mut *guard;
+            let core = core.get_or_insert_with(|| Core::new(&self.checker));
+            stats.queries += 1;
+            stats.learned_reused += core.sat.stats.learned_clauses;
+            let decided = incremental_verified(core, stats, pi);
             if decided {
-                inner.stats.incremental += 1;
+                stats.incremental += 1;
             } else {
-                inner.stats.fallback_fresh += 1;
+                stats.fallback_fresh += 1;
             }
-            inner.stats.learned_retained = inner.sat.stats.learned_clauses;
+            stats.learned_retained = core.sat.stats.learned_clauses;
             decided
         };
         if decided {
@@ -194,13 +211,19 @@ impl SolverSession {
     /// Publish the session's counters to telemetry (no-op unless metrics
     /// collection is on). Call once, when the session's rule is done;
     /// totals accumulate across sessions under the `smt.session.*`
-    /// namespace.
+    /// namespace, and `smt.session.opened` counts the sessions whose
+    /// persistent solver was actually built.
     pub fn publish_metrics(&self) {
         if !lisa_telemetry::metrics_enabled() {
             return;
         }
-        let stats = self.stats();
-        lisa_telemetry::counter_add("smt.session.opened", 1);
+        let (stats, built) = {
+            let inner = self.lock();
+            (inner.stats, inner.core.is_some())
+        };
+        if built {
+            lisa_telemetry::counter_add("smt.session.opened", 1);
+        }
         for (name, value) in [
             ("smt.session.queries", stats.queries),
             ("smt.session.incremental", stats.incremental),
@@ -232,26 +255,26 @@ const MAX_ROUNDS: u64 = 100_000;
 /// database. Returns `true` when the query is proved unsat (`Verified`);
 /// `false` means "delegate to the fresh solver" (satisfiable, or the
 /// refinement loop did not converge).
-fn incremental_verified(inner: &mut Inner, pi: &Term) -> bool {
-    if inner.checker_valid {
+fn incremental_verified(core: &mut Core, stats: &mut SessionStats, pi: &Term) -> bool {
+    if core.checker_valid {
         // ¬checker canonicalized to False: π ∧ False is unsat for every
         // π, exactly as the fresh path's joint preprocessing concludes.
         return true;
     }
     let pre = preprocess(pi);
-    let clauses_before = inner.cnf.clauses.len();
+    let clauses_before = core.cnf.clauses.len();
     let assumptions: Vec<_> = match &pre {
         // π canonicalized to False: unsat regardless of the checker.
         Term::False => return true,
         // π canonicalized to True: the query is just SAT(¬checker).
         Term::True => Vec::new(),
-        term => vec![inner.cnf.encode_term(term)],
+        term => vec![core.cnf.encode_term(term)],
     };
     // Feed the newly emitted (definitional) clauses to the SAT core.
-    while inner.synced < inner.cnf.clauses.len() {
-        let clause = inner.cnf.clauses[inner.synced].clone();
-        inner.synced += 1;
-        if !inner.sat.add_clause(clause) {
+    while core.synced < core.cnf.clauses.len() {
+        let clause = core.cnf.clauses[core.synced].clone();
+        core.synced += 1;
+        if !core.sat.add_clause(clause) {
             return true;
         }
     }
@@ -259,14 +282,14 @@ fn incremental_verified(inner: &mut Inner, pi: &Term) -> bool {
     let telemetry = lisa_telemetry::metrics_enabled() || lisa_telemetry::spans_enabled();
     let span = telemetry.then(|| lisa_telemetry::span("smt.check"));
     let started = std::time::Instant::now();
-    let before = inner.sat.stats;
-    let verified = solve_loop(inner, &assumptions);
-    let spent = inner.sat.stats.conflicts - before.conflicts;
-    inner.stats.conflicts += spent;
+    let before = core.sat.stats;
+    let verified = solve_loop(core, &assumptions);
+    let spent = core.sat.stats.conflicts - before.conflicts;
+    stats.conflicts += spent;
     if let Some(mut span) = span {
         // Mirror the per-query counters the stateless path publishes so
         // `smt.*` telemetry stays live whichever path answered.
-        let after = inner.sat.stats;
+        let after = core.sat.stats;
         if verified {
             lisa_telemetry::counter_add("smt.queries", 1);
             lisa_telemetry::counter_add("smt.outcome.unsat", 1);
@@ -277,7 +300,7 @@ fn incremental_verified(inner: &mut Inner, pi: &Term) -> bool {
         }
         lisa_telemetry::counter_add(
             "smt.clauses",
-            (inner.cnf.clauses.len() - clauses_before) as u64,
+            (core.cnf.clauses.len() - clauses_before) as u64,
         );
         lisa_telemetry::counter_add("smt.conflicts", after.conflicts - before.conflicts);
         lisa_telemetry::counter_add("smt.decisions", after.decisions - before.decisions);
@@ -295,9 +318,9 @@ fn incremental_verified(inner: &mut Inner, pi: &Term) -> bool {
 }
 
 /// The lazy SAT ↔ theory refinement loop over the persistent core.
-fn solve_loop(inner: &mut Inner, assumptions: &[i32]) -> bool {
+fn solve_loop(core: &mut Core, assumptions: &[i32]) -> bool {
     for _ in 0..MAX_ROUNDS {
-        match inner.sat.solve_under_assumptions(assumptions) {
+        match core.sat.solve_under_assumptions(assumptions) {
             // No budget is set on the persistent core, but stay total.
             SatOutcome::Unknown => return false,
             SatOutcome::Unsat => return true,
@@ -310,7 +333,7 @@ fn solve_loop(inner: &mut Inner, assumptions: &[i32]) -> bool {
                 // search, never excludes a real model of the live query.
                 let mut lits: Vec<TheoryLit> = Vec::new();
                 let mut lit_vars: Vec<usize> = Vec::new();
-                for (v, atom) in inner.cnf.atom_of.iter().enumerate() {
+                for (v, atom) in core.cnf.atom_of.iter().enumerate() {
                     if let Some(atom) = atom {
                         lits.push((atom.clone(), assignment[v]));
                         lit_vars.push(v);
@@ -335,7 +358,7 @@ fn solve_loop(inner: &mut Inner, assumptions: &[i32]) -> bool {
                                 }
                             })
                             .collect();
-                        if clause.is_empty() || !inner.sat.add_clause(clause) {
+                        if clause.is_empty() || !core.sat.add_clause(clause) {
                             return true;
                         }
                     }
@@ -441,6 +464,19 @@ mod tests {
         let fresh = violates_budgeted(&t("w > 0"), &checker, None);
         assert!(same_outcome(&after, &fresh), "{after:?} vs {fresh:?}");
         assert_eq!(session.stats().budget_isolated, 1);
+    }
+
+    #[test]
+    fn session_encodes_nothing_until_a_query_reaches_its_solver() {
+        let session = SolverSession::new(&zk_checker());
+        assert!(session.lock().core.is_none(), "opening a session encodes nothing");
+        // A budgeted query is isolated on a fresh solver: still nothing.
+        session.violates_budgeted(&t("s == null"), Some(100));
+        assert!(session.lock().core.is_none());
+        session.violates_budgeted(&zk_checker(), None);
+        assert!(session.lock().core.is_some(), "the first unbudgeted query builds it");
+        let stats = session.stats();
+        assert_eq!((stats.queries, stats.budget_isolated, stats.incremental), (2, 1, 1));
     }
 
     #[test]

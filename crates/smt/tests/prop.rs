@@ -149,6 +149,20 @@ fn preprocess_preserves_truth_pointwise() {
 }
 
 #[test]
+fn violation_preprocessing_never_needs_the_built_conjunction() {
+    let mut rng = Prng::seed_from_u64(0xabcd_0010);
+    for case in 0..256 {
+        let pi = gen_term(&mut rng, 3);
+        let checker = gen_term(&mut rng, 3);
+        let built = lisa_smt::preprocess(&Term::and([pi.clone(), checker.clone().not()]));
+        let direct = lisa_smt::nnf::preprocess_violation(&pi, &checker);
+        assert_eq!(direct, built, "case {case}: pi {pi} checker {checker}");
+        let negated = lisa_smt::preprocess(&checker.clone().not());
+        assert_eq!(lisa_smt::nnf::preprocess_negated(&checker), negated, "case {case}");
+    }
+}
+
+#[test]
 fn violates_is_negated_implication() {
     let mut rng = Prng::seed_from_u64(0xabcd_0003);
     for case in 0..192 {

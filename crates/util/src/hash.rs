@@ -54,8 +54,34 @@ impl Fnv1a {
         self.part(&v.to_le_bytes())
     }
 
+    /// Feed one delimited part that `write` renders straight into the
+    /// hash: the same value as `part` over the bytes it writes, without
+    /// building them up as a `String`.
+    pub fn part_with(&mut self, write: impl FnOnce(&mut Self) -> std::fmt::Result) -> &mut Self {
+        // Writing into the hasher cannot fail.
+        let _ = write(self);
+        self.update(&[0x1f])
+    }
+
+    /// [`Fnv1a::part_with`] for a `Display` value: the same value as
+    /// `part(value.to_string().as_bytes())`.
+    pub fn part_display(&mut self, value: impl std::fmt::Display) -> &mut Self {
+        use std::fmt::Write as _;
+        self.part_with(|h| write!(h, "{value}"))
+    }
+
     pub fn finish(&self) -> u64 {
         self.state
+    }
+}
+
+/// Formatted output hashes the bytes it would have written, so
+/// anything that renders into a `fmt::Write` can be fingerprinted
+/// without an intermediate `String`.
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -78,6 +104,15 @@ mod tests {
         let mut b = Fnv1a::new();
         b.part(b"a").part(b"bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn streamed_display_equals_rendered_part() {
+        let mut a = Fnv1a::new();
+        a.part(format!("{}-{:?}", 42, "x").as_bytes());
+        let mut b = Fnv1a::new();
+        b.part_display(format_args!("{}-{:?}", 42, "x"));
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

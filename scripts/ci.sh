@@ -14,6 +14,17 @@ cargo clippy --workspace -- -D warnings
 RUSTFLAGS="-D deprecated" cargo check -q --workspace --all-targets
 echo "deny-deprecated check: ok"
 
+# Benchmark crate: `lisabench/` is a workspace of its own, so the root
+# `cargo test` never builds it, and an API change in the crates it uses
+# would break it silently. Build it, run its tests, and run a short
+# gate-warm smoke, which exits 1 on any verdict that disagrees with the
+# corpus ground truth.
+cargo build --release --offline --manifest-path lisabench/Cargo.toml
+cargo test -q --release --offline --manifest-path lisabench/Cargo.toml
+lisabench/target/release/lisabench --workload gate-warm --seed 1 --seconds 2 --trace 0 \
+    > /dev/null
+echo "benchmark smoke: ok"
+
 # Crash-recovery e2e: kill-at-every-boundary matrix, seeded disk faults,
 # and the supervised `lisa serve` daemon.
 cargo test -q -p lisa --test e2e_recovery

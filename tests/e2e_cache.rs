@@ -9,6 +9,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lisa::report::render_enforcement;
@@ -69,8 +70,14 @@ fn config() -> PipelineConfig {
     PipelineConfig { selection: TestSelection::All, ..PipelineConfig::default() }
 }
 
+/// A fresh directory per call. Tests run in parallel and some share a
+/// helper (and so a tag), so the pid alone would let one test's cleanup
+/// delete another's journal.
 fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lisa-e2e-cache-{tag}-{}", std::process::id()));
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let name = format!("lisa-e2e-cache-{tag}-{}-{seq}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir

@@ -10,6 +10,7 @@
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,8 +68,14 @@ fn registry() -> RuleRegistry {
     reg
 }
 
+/// A fresh directory per call. Tests run in parallel and some share a
+/// helper (and so a tag), so the pid alone would let one test's cleanup
+/// delete another's journal.
 fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lisa-e2e-fo-{tag}-{}", std::process::id()));
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let name = format!("lisa-e2e-fo-{tag}-{}-{seq}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir
