@@ -74,10 +74,10 @@ use std::time::Duration;
 
 use lisa::faults::FAULT_PANIC_PREFIX;
 use lisa::report::{render_enforcement, render_rule_report};
-use lisa::service::request;
+use lisa::service::{exit_code_of, request};
 use lisa::{
-    gate_durable, load_rules, load_system, serve, DurableOptions, FailMode, Gate, GateConfig,
-    GateDecision, GateOptions, Json, Pipeline, RuleRegistry, ServeConfig, StreamFaultInjector,
+    gate_durable, load_rules, load_system, serve, DurableOptions, Gate, GateConfig, Json, Pipeline,
+    RuleRegistry, ServeConfig, StreamFaultInjector,
 };
 use lisa_analysis::{execution_tree_filtered, CallGraph, TargetSpec, TreeLimits};
 use lisa_oracle::suggest_conditions;
@@ -92,6 +92,17 @@ enum Outcome {
     /// The gate machinery failed on at least one rule under fail-closed:
     /// nobody knows whether the change is safe.
     EngineFailure,
+}
+
+impl Outcome {
+    /// The outcome an exit code stands for (see `service::exit_code_of`).
+    fn of(exit_code: u64) -> Outcome {
+        match exit_code {
+            0 => Outcome::Clean,
+            1 => Outcome::Violations,
+            _ => Outcome::EngineFailure,
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -239,7 +250,23 @@ fn cmd_check(flags: &HashMap<String, String>, gate: bool) -> Result<Outcome, Str
         // `--state <dir>`: journal the run so a crash can be resumed
         // without re-checking already-settled rules.
         if let Some(state) = flags.get("state") {
-            return run_durable(&registry, &version, &cfg, &options, state, json);
+            let durable = DurableOptions {
+                state_dir: PathBuf::from(state),
+                workers: cfg.workers,
+                cache: cfg.gate_cache(),
+                ..DurableOptions::default()
+            };
+            let report = gate_durable(&registry, &version, &config, &options, &durable)
+                .map_err(|e| format!("durable state {state}: {e}"))?;
+            if json {
+                println!(
+                    "{{\"decision\":\"{}\",\"reused\":{},\"fresh\":{},\"durable\":{}}}",
+                    report.decision, report.reused, report.fresh, report.durable
+                );
+            } else {
+                print!("{}", report.render());
+            }
+            return Ok(Outcome::of(exit_code_of(report.decision, report.has_violation()).into()));
         }
         let mut gate = Gate::new(&registry).config(config).workers(cfg.workers).options(options);
         if let Some(cache) = cfg.gate_cache() {
@@ -256,18 +283,7 @@ fn cmd_check(flags: &HashMap<String, String>, gate: bool) -> Result<Outcome, Str
         } else {
             print!("{}", render_enforcement(&report));
         }
-        // Exit 2 is reserved for true engine errors: the gate could not
-        // complete a check under fail-closed and no violation explains
-        // the block. Genuine violations stay exit 1.
-        if report.reports.iter().any(|r| r.has_violation()) {
-            Ok(Outcome::Violations)
-        } else if report.has_engine_errors() && cfg.fail_mode == FailMode::Closed {
-            Ok(Outcome::EngineFailure)
-        } else if report.decision == GateDecision::Pass {
-            Ok(Outcome::Clean)
-        } else {
-            Ok(Outcome::Violations)
-        }
+        Ok(Outcome::of(exit_code_of(report.decision, !report.violated_rules().is_empty()).into()))
     } else {
         let pipeline = Pipeline::new(config);
         let mut clean = true;
@@ -292,50 +308,8 @@ fn cmd_check(flags: &HashMap<String, String>, gate: bool) -> Result<Outcome, Str
 /// `gate --state <dir>`: the journal itself knows which verdicts are
 /// already settled, so "start" and "resume" are the same operation.
 fn cmd_resume(flags: &HashMap<String, String>) -> Result<Outcome, String> {
-    let cfg = GateConfig::from_args(flags)?;
-    let version = load_system(required(flags, "system")?, &cfg.pipeline.test_prefix)?;
-    let rules = load_rules(required(flags, "rules")?)?;
-    let state = required(flags, "state")?;
-    let ids: Vec<String> = rules.iter().map(|r| r.id.clone()).collect();
-    let options = cfg.gate_options(&ids);
-    let mut registry = RuleRegistry::new();
-    for r in rules {
-        registry.register(r);
-    }
-    run_durable(&registry, &version, &cfg, &options, state, false)
-}
-
-fn run_durable(
-    registry: &RuleRegistry,
-    version: &lisa_concolic::SystemVersion,
-    cfg: &GateConfig,
-    options: &GateOptions,
-    state: &str,
-    json: bool,
-) -> Result<Outcome, String> {
-    let durable = DurableOptions {
-        state_dir: PathBuf::from(state),
-        workers: cfg.workers,
-        cache: cfg.gate_cache(),
-        ..DurableOptions::default()
-    };
-    let report = gate_durable(registry, version, &cfg.pipeline, options, &durable)
-        .map_err(|e| format!("durable state {state}: {e}"))?;
-    if json {
-        println!(
-            "{{\"decision\":\"{}\",\"reused\":{},\"fresh\":{},\"durable\":{}}}",
-            report.decision, report.reused, report.fresh, report.durable
-        );
-    } else {
-        print!("{}", report.render());
-    }
-    if report.has_violation() {
-        Ok(Outcome::Violations)
-    } else if report.engine_errors() > 0 && report.fail_mode == FailMode::Closed {
-        Ok(Outcome::EngineFailure)
-    } else {
-        Ok(Outcome::Clean)
-    }
+    required(flags, "state")?;
+    cmd_check(flags, true)
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<Outcome, String> {
@@ -460,11 +434,7 @@ fn cmd_submit(flags: &HashMap<String, String>) -> Result<Outcome, String> {
     };
     println!("{reply}");
     let parsed = Json::parse(&reply).map_err(|e| format!("bad reply: {e}"))?;
-    match parsed.u64_of("exit") {
-        Some(0) | None => Ok(Outcome::Clean),
-        Some(1) => Ok(Outcome::Violations),
-        Some(_) => Ok(Outcome::EngineFailure),
-    }
+    Ok(Outcome::of(parsed.u64_of("exit").unwrap_or(0)))
 }
 
 fn cmd_suggest(flags: &HashMap<String, String>) -> Result<Outcome, String> {

@@ -166,19 +166,41 @@ impl EnforcementReport {
     pub fn violated_rules(&self) -> Vec<&RuleReport> {
         self.reports.iter().filter(|r| r.has_violation()).collect()
     }
+}
 
-    /// True when an engine error occurred — the condition exit code 2 is
-    /// reserved for (under fail-closed).
-    pub fn has_engine_errors(&self) -> bool {
-        self.engine_errors > 0
+/// Block on any violation, or on any engine error under fail-closed. The
+/// one decision rule, shared by the in-memory and the durable gate.
+pub(crate) fn decide(
+    has_violation: bool,
+    engine_errors: usize,
+    fail_mode: FailMode,
+) -> GateDecision {
+    if has_violation || (engine_errors > 0 && fail_mode == FailMode::Closed) {
+        GateDecision::Block
+    } else {
+        GateDecision::Pass
     }
 }
 
-/// The gate engine behind [`crate::Gate`]. The gate never propagates a
-/// panic: every rule yields a report, and the worst a faulty rule can do
-/// is mark itself as an engine error. When `cache` is given, workers
-/// share its memoized analysis/trace/query artifacts; its counters are
-/// published to telemetry on the way out.
+/// A caller's view into the engine's slots: which rules it settled
+/// itself, and what it does as each checked rule settles. The durable
+/// gate uses it to resume a journal and to journal the merge.
+pub(crate) trait SlotHook: Sync {
+    /// Asked as rule `i`'s task dequeues; `true` skips the check and
+    /// leaves the slot out of the report (settled before the run, or the
+    /// run was cancelled).
+    fn skip(&self, i: usize) -> bool;
+    /// Rule `i` was checked; called on the worker that checked it.
+    fn settled(&self, i: usize, report: &RuleReport);
+}
+
+/// The gate engine behind [`crate::Gate`] and the durable gate. The gate
+/// never propagates a panic: every rule yields a report, and the worst a
+/// faulty rule can do is mark itself as an engine error. When `cache` is
+/// given, workers share its memoized analysis/trace/query artifacts; its
+/// counters are published to telemetry on the way out. With a `hook`,
+/// skipped slots are missing from the report and the caller owns the
+/// run's decision counters.
 pub(crate) fn enforce_impl(
     registry: &RuleRegistry,
     version: &SystemVersion,
@@ -186,6 +208,7 @@ pub(crate) fn enforce_impl(
     workers: usize,
     options: &GateOptions,
     cache: Option<&Arc<crate::gate::GateCache>>,
+    hook: Option<&dyn SlotHook>,
 ) -> EnforcementReport {
     let started = Instant::now();
     let mut gate_span = lisa_telemetry::span_with("gate.enforce", version.label.clone());
@@ -216,6 +239,9 @@ pub(crate) fn enforce_impl(
         let total_retries = &total_retries;
         let degrade = &degrade;
         sched.spawn_rule(move |exec| {
+            if hook.is_some_and(|h| h.skip(i)) {
+                return;
+            }
             let pipeline = match cache {
                 Some(c) => Pipeline::with_cache(gate_config.clone(), Arc::clone(c)),
                 None => Pipeline::new(gate_config.clone()),
@@ -235,6 +261,9 @@ pub(crate) fn enforce_impl(
             let (report, retries) =
                 check_one_rule(&pipeline, version, rule, options, past_deadline, ctx);
             total_retries.fetch_add(retries as u64, Ordering::Relaxed);
+            if let Some(h) = hook {
+                h.settled(i, &report);
+            }
             // Recover from a poisoned lock: a panicking sibling worker
             // must not cost us this rule's report.
             *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(report);
@@ -245,13 +274,10 @@ pub(crate) fn enforce_impl(
     // The scheduler's queues borrow `slots`; release them before folding.
     drop(sched);
 
+    // Every rule task writes its slot unless the hook skipped it.
     let reports: Vec<RuleReport> = slots
         .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .expect("every rule task writes its slot before the scheduler drains")
-        })
+        .filter_map(|s| s.into_inner().unwrap_or_else(|p| p.into_inner()))
         .collect();
 
     let engine_errors = reports.iter().filter(|r| r.has_engine_error()).count();
@@ -278,14 +304,8 @@ pub(crate) fn enforce_impl(
         warnings.push(format!("rule {}: engine error: {reason}", r.rule_id));
     }
 
-    let has_violation = reports.iter().any(|r| r.has_violation());
-    let decision = if has_violation
-        || (engine_errors > 0 && options.fail_mode == FailMode::Closed)
-    {
-        GateDecision::Block
-    } else {
-        GateDecision::Pass
-    };
+    let decision =
+        decide(reports.iter().any(|r| r.has_violation()), engine_errors, options.fail_mode);
     let mut review_needed: usize = reports.iter().map(|r| r.not_covered_count()).sum();
     if options.fail_mode == FailMode::Closed {
         // Engine-errored rules need a human verdict too.
@@ -299,13 +319,9 @@ pub(crate) fn enforce_impl(
     gate_span.set_detail(format!("{} -> {decision}", version.label));
     if lisa_telemetry::metrics_enabled() {
         lisa_telemetry::counter_add("gate.runs", 1);
-        lisa_telemetry::counter_add(
-            match decision {
-                GateDecision::Pass => "gate.pass",
-                GateDecision::Block => "gate.block",
-            },
-            1,
-        );
+        if hook.is_none() {
+            count_decision(decision);
+        }
         lisa_telemetry::counter_add("gate.engine_errors", engine_errors as u64);
         lisa_telemetry::counter_add("gate.degraded_rules", degraded_rules as u64);
         lisa_telemetry::counter_add("gate.retries", total_retries.load(Ordering::Relaxed));
@@ -325,6 +341,12 @@ pub(crate) fn enforce_impl(
         warnings,
         workers,
     }
+}
+
+/// Count a run's decision in `gate.pass` / `gate.block`.
+pub(crate) fn count_decision(decision: GateDecision) {
+    let name = if decision == GateDecision::Pass { "gate.pass" } else { "gate.block" };
+    lisa_telemetry::counter_add(name, 1);
 }
 
 /// Check one rule with panic isolation, fault arming, and bounded retry.

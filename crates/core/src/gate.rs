@@ -200,6 +200,7 @@ impl<'r> Gate<'r> {
             self.workers,
             &self.options,
             self.cache.as_ref(),
+            None,
         )
     }
 }

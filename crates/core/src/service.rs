@@ -2,12 +2,13 @@
 //!
 //! Two layers live here, both built on `lisa-store`:
 //!
-//! - [`gate_durable`] — a gate run whose progress is journaled. Rules
-//!   are checked **sequentially** (deterministic journal-record
-//!   boundaries are what make the E11 kill-matrix meaningful), each
-//!   settled verdict is appended to the write-ahead journal before the
-//!   next rule starts, and a resumed run reuses journaled verdicts
-//!   instead of re-running concolic exploration. The recovery invariant:
+//! - [`gate_durable`] — a gate run whose progress is journaled. It is
+//!   one call into the work-stealing engine; settled verdicts are
+//!   appended to the write-ahead journal in **registry order** at the
+//!   merge frontier (deterministic journal-record boundaries are what
+//!   make the E11 kill-matrix meaningful), and a resumed run reuses
+//!   journaled verdicts instead of re-running concolic exploration. The
+//!   recovery invariant:
 //!   a run killed at *any* journal-record boundary and resumed produces
 //!   a byte-identical final verdict artifact ([`DurableGateReport::verdicts_text`]).
 //! - [`serve`] — a daemon accepting gate jobs as newline-delimited JSON
@@ -32,8 +33,8 @@
 //! a hand-rolled `poll(2)` readiness loop ([`crate::netloop`]): idle
 //! clients cost no threads.
 //!
-//! Parallel throughput comes from the worker pool across jobs; within a
-//! durable run, determinism wins over parallelism.
+//! Parallel throughput comes from the worker pool across jobs and, with
+//! `DurableOptions::workers`, from the engine's fan-out within a job.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -62,7 +63,10 @@ use lisa_store::{
 };
 use lisa_util::RetryPolicy;
 
-use crate::enforce::{enforce_impl, FailMode, GateDecision, GateOptions, RuleRegistry};
+use crate::enforce::{
+    count_decision, decide, enforce_impl, FailMode, GateDecision, GateOptions, RuleRegistry,
+    SlotHook,
+};
 use crate::faults::FAULT_PANIC_PREFIX;
 use crate::gate::GateCache;
 use crate::json::{escape, Json};
@@ -313,22 +317,24 @@ impl DepHasher {
 pub struct DurableOptions {
     /// Directory holding the run's journal and snapshot.
     pub state_dir: PathBuf,
-    /// Scheduler width for each rule's leaf fan-out (0 = auto). Rules
-    /// themselves settle one at a time — the journal's replay order is
-    /// the registry order — but within a rule the concolic tests, SMT
-    /// queries, and alias chains still spread across this many workers.
+    /// Scheduler width for the run (0 = auto): rules spread across this
+    /// many workers, and so do the concolic tests, SMT queries and alias
+    /// chains within each rule. The journal stays in registry order at
+    /// any width — a rule is appended once every earlier rule settled.
     pub workers: usize,
     /// Disk fault injection at the store's I/O seams (E11, tests).
     pub disk_faults: Option<Arc<dyn IoFaults>>,
     /// Checkpoint (snapshot + journal truncate) after every N fresh
     /// verdicts; 0 = never checkpoint.
     pub checkpoint_every: usize,
-    /// Liveness heartbeat: called after every rule settles (reused or
-    /// fresh). The serve supervisor uses it to tell a slow-but-
-    /// progressing job from a wedged one.
+    /// Liveness heartbeat: called once per rule (reused or fresh) as the
+    /// journal frontier passes it, possibly on a worker thread. The serve
+    /// supervisor uses it to tell a slow-but-progressing job from a
+    /// wedged one.
     pub progress: Option<Arc<dyn Fn() + Send + Sync>>,
-    /// Cooperative cancellation, checked at every rule boundary. When it
-    /// fires the run returns [`StoreError::Cancelled`] without touching
+    /// Cooperative cancellation, checked as each rule task dequeues and
+    /// before the journal frontier starts a rule. When it fires the run
+    /// returns [`StoreError::Cancelled`] without touching
     /// the store further; the journal written so far stays valid for
     /// resume.
     pub cancel: Option<Arc<AtomicBool>>,
@@ -349,7 +355,7 @@ impl Default for DurableOptions {
             state_dir: PathBuf::new(),
             // Sequential by default: durable runs are usually one job of
             // many inside `lisa serve`, which already parallelizes across
-            // jobs. Callers opt into per-rule fan-out explicitly.
+            // jobs. Callers opt into fan-out explicitly.
             workers: 1,
             disk_faults: None,
             checkpoint_every: 0,
@@ -439,11 +445,101 @@ impl DurableGateReport {
     }
 }
 
+/// One rule's slot in a durable run.
+enum DurableSlot {
+    /// Finished in the journal already (resume): nothing to append.
+    Journaled,
+    /// Settled, not yet journaled: a cross-version reuse (its recorded
+    /// outcome, verbatim) or a rule the engine checked.
+    Settled(RuleOutcome),
+    /// Being checked by the engine.
+    Pending,
+}
+
+/// The journal side of a durable run: a frontier that walks the slots in
+/// registry order, appending a rule's records only once every earlier
+/// slot has settled. The append sequence is the sequential loop's at any
+/// width; at width 1 the timing is too (`RuleCheckStarted` for rule k
+/// lands when the frontier reaches it, before rule k runs).
+struct Frontier<'a> {
+    rules: &'a [SemanticRule],
+    durable: &'a DurableOptions,
+    /// Slots the engine checks; read lock-free at dequeue, never behind
+    /// an append's fsync.
+    pending: Vec<bool>,
+    state: Mutex<FrontierState>,
+}
+
+struct FrontierState {
+    store: RunStore,
+    slots: Vec<DurableSlot>,
+    /// First slot not yet journaled, and whether its `RuleCheckStarted`
+    /// is already appended.
+    next: usize,
+    started: bool,
+    /// `RuleCheckFinished` appends so far (the checkpoint cadence).
+    fresh: usize,
+}
+
+impl Frontier<'_> {
+    fn cancelled(&self) -> bool {
+        self.durable.cancel.as_ref().is_some_and(|c| c.load(Ordering::SeqCst))
+    }
+
+    /// Journal every slot up to the first pending one. Once cancellation
+    /// fires nothing more is appended; the journal stays valid for resume.
+    fn advance(&self, st: &mut FrontierState) {
+        while st.next < st.slots.len() && !self.cancelled() {
+            if !st.started && !matches!(st.slots[st.next], DurableSlot::Journaled) {
+                st.store.record_started(&self.rules[st.next].id);
+                st.started = true;
+            }
+            match &st.slots[st.next] {
+                DurableSlot::Pending => return,
+                DurableSlot::Journaled => {}
+                DurableSlot::Settled(outcome) => {
+                    st.store.record_finished(outcome.clone());
+                    st.fresh += 1;
+                    let every = self.durable.checkpoint_every;
+                    if every > 0 && st.fresh.is_multiple_of(every) {
+                        if let Err(e) = st.store.checkpoint() {
+                            let warning = format!("checkpoint failed ({e}); journal left as-is");
+                            st.store.warnings.push(warning);
+                        }
+                    }
+                }
+            }
+            if let Some(beat) = &self.durable.progress {
+                beat();
+            }
+            st.next += 1;
+            st.started = false;
+        }
+    }
+}
+
+impl SlotHook for Frontier<'_> {
+    fn skip(&self, i: usize) -> bool {
+        !self.pending[i] || self.cancelled()
+    }
+
+    fn settled(&self, i: usize, report: &RuleReport) {
+        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        st.slots[i] = DurableSlot::Settled(outcome_of(report));
+        self.advance(&mut st);
+    }
+}
+
 /// Run the gate durably: journal every settled verdict, reuse verdicts a
 /// previous (crashed) run already journaled, and record the final
 /// decision. Opening the store can fail (bad directory); everything past
 /// that degrades instead of failing — an undecidable gate is worse than
 /// an unjournaled one.
+///
+/// The run is one engine call over the whole registry. Journaled and
+/// fingerprint-reused rules are settled before scheduling and skipped by
+/// the engine; the [`Frontier`] journals the rest in registry order as
+/// they settle.
 pub fn gate_durable(
     registry: &RuleRegistry,
     version: &SystemVersion,
@@ -451,7 +547,8 @@ pub fn gate_durable(
     gate: &GateOptions,
     durable: &DurableOptions,
 ) -> Result<DurableGateReport, StoreError> {
-    let key = run_key(version, registry.rules());
+    let rules = registry.rules();
+    let key = run_key(version, rules);
     let mut run_span = lisa_telemetry::span_with("service.durable_run", key.clone());
     let mut store = RunStore::open_replicated(
         &durable.state_dir,
@@ -466,87 +563,69 @@ pub fn gate_durable(
     // persisted fingerprint file (written by the previous run in this
     // state dir, possibly for a *different* version) gets its recorded
     // outcome journaled verbatim instead of being re-explored. Off
-    // whenever faults or a deadline could make a verdict depend on
-    // anything but the hashed inputs.
-    // A wall-clock budget makes truncation timing-dependent: such
-    // verdicts are not pure functions of the hashed inputs, so reuse is
-    // off entirely (mirrors the trace cache's wall-budget bypass).
+    // whenever faults, a deadline or a wall-clock budget could make a
+    // verdict depend on anything but the hashed inputs (mirrors the
+    // trace cache's wall-budget bypass).
     let reuse_fingerprints = durable.cache.is_some()
         && gate.faults.is_none()
         && gate.deadline.is_none()
         && gate.budgets.rule_wall.is_none()
         && config.budgets.rule_wall.is_none();
-    let prior = if reuse_fingerprints {
-        FingerprintFile::load(&durable.state_dir)
-    } else {
-        FingerprintFile::default()
-    };
-    let deps = reuse_fingerprints.then(|| DepHasher::new(version, config, gate));
+    // The previous run's fingerprints, and this run's hash per rule.
+    let reuse: Option<(FingerprintFile, Vec<u64>)> = reuse_fingerprints.then(|| {
+        let deps = DepHasher::new(version, config, gate);
+        let hashes = rules.iter().map(|r| deps.dep_hash(r)).collect();
+        (FingerprintFile::load(&durable.state_dir), hashes)
+    });
 
-    let mut reused = 0usize;
-    let mut fresh = 0usize;
-    let mut cross_version = 0usize;
-    for rule in registry.rules() {
-        if durable.cancel.as_ref().is_some_and(|c| c.load(Ordering::SeqCst)) {
-            return Err(StoreError::Cancelled);
-        }
-        if store.state.finished_outcome(&rule.id).is_some() {
-            reused += 1;
-            if let Some(beat) = &durable.progress {
-                beat();
+    let slots: Vec<DurableSlot> = rules
+        .iter()
+        .enumerate()
+        .map(|(i, rule)| {
+            if store.state.finished_outcome(&rule.id).is_some() {
+                return DurableSlot::Journaled;
             }
-            continue;
-        }
-        store.record_started(&rule.id);
-        let prior_outcome = deps
-            .as_ref()
-            .and_then(|d| prior.reusable(&rule.id, d.dep_hash(rule)))
-            .cloned();
-        if let Some(outcome) = prior_outcome {
-            // Same records a re-check would journal: the wal stays
-            // byte-identical to an uncached run's.
-            store.record_finished(outcome);
-            cross_version += 1;
-        } else {
-            // One rule at a time: the per-rule machinery (panic
-            // isolation, retries, budgets) is the gate engine on a
-            // singleton registry. `durable.workers` widens the fan-out
-            // *inside* the rule without touching the journal order.
-            let mut single = RuleRegistry::new();
-            single.register(rule.clone());
-            let report = enforce_impl(
-                &single,
-                version,
-                config,
-                durable.workers,
-                gate,
-                durable.cache.as_ref(),
-            );
-            warnings.extend(report.warnings.iter().cloned());
-            store.record_finished(outcome_of(&report.reports[0]));
-        }
-        fresh += 1;
-        if let Some(beat) = &durable.progress {
-            beat();
-        }
-        if durable.checkpoint_every > 0 && fresh.is_multiple_of(durable.checkpoint_every) {
-            if let Err(e) = store.checkpoint() {
-                warnings.push(format!("checkpoint failed ({e}); journal left as-is"));
+            match reuse.as_ref().and_then(|(prior, hashes)| prior.reusable(&rule.id, hashes[i])) {
+                Some(outcome) => DurableSlot::Settled(outcome.clone()),
+                None => DurableSlot::Pending,
             }
-        }
-    }
-    if durable.cancel.as_ref().is_some_and(|c| c.load(Ordering::SeqCst)) {
+        })
+        .collect();
+    let pending: Vec<bool> = slots.iter().map(|s| matches!(s, DurableSlot::Pending)).collect();
+    let reused = slots.iter().filter(|s| matches!(s, DurableSlot::Journaled)).count();
+    let cross_version = slots.iter().filter(|s| matches!(s, DurableSlot::Settled(_))).count();
+
+    let frontier = Frontier {
+        rules,
+        durable,
+        pending,
+        state: Mutex::new(FrontierState { store, slots, next: 0, started: false, fresh: 0 }),
+    };
+    frontier.advance(&mut frontier.state.lock().unwrap_or_else(|p| p.into_inner()));
+    let report = enforce_impl(
+        registry,
+        version,
+        config,
+        durable.workers,
+        gate,
+        durable.cache.as_ref(),
+        Some(&frontier),
+    );
+    if frontier.cancelled() {
         return Err(StoreError::Cancelled);
     }
+    let FrontierState { mut store, fresh, .. } =
+        frontier.state.into_inner().unwrap_or_else(|p| p.into_inner());
+    warnings.extend(report.warnings);
 
     // Persist this run's fingerprints so the *next* version can reuse
     // every rule whose dependencies it leaves untouched. Failures warn:
     // the fingerprint file is an optimization, the journal is the truth.
-    if let Some(d) = &deps {
+    if let Some((_, hashes)) = &reuse {
         let mut next = FingerprintFile::default();
-        for rule in registry.rules() {
+        for (rule, &hash) in rules.iter().zip(hashes) {
             if let Some(o) = store.state.finished_outcome(&rule.id) {
-                next.insert(d.dep_hash(rule), o.clone());
+                next.insert(hash, o.clone());
             }
         }
         if let Err(e) = next.save(&durable.state_dir) {
@@ -554,23 +633,16 @@ pub fn gate_durable(
         }
     }
 
-    let outcomes: Vec<RuleOutcome> = registry
-        .rules()
-        .iter()
-        .filter_map(|r| store.state.finished_outcome(&r.id).cloned())
-        .collect();
+    let outcomes: Vec<RuleOutcome> =
+        rules.iter().filter_map(|r| store.state.finished_outcome(&r.id).cloned()).collect();
     let engine_errors = outcomes.iter().filter(|o| o.has_engine_error()).count();
-    let has_violation = outcomes.iter().any(|o| o.has_violation());
-    let decision = if has_violation || (engine_errors > 0 && gate.fail_mode == FailMode::Closed)
-    {
-        GateDecision::Block
-    } else {
-        GateDecision::Pass
-    };
+    let decision =
+        decide(outcomes.iter().any(|o| o.has_violation()), engine_errors, gate.fail_mode);
     store.record_run_finished(&decision.to_string());
     warnings.extend(store.warnings.iter().cloned());
+    count_decision(decision);
 
-    run_span.arg("rules", registry.rules().len() as u64);
+    run_span.arg("rules", rules.len() as u64);
     run_span.arg("reused", reused as u64);
     run_span.arg("fresh", fresh as u64);
     run_span.arg("cross_version", cross_version as u64);
@@ -727,8 +799,7 @@ impl Responder {
     /// Write one reply line. A failed write is counted in
     /// `serve.reply_errors` and the connection is torn down cleanly —
     /// a dead client must cost a counter bump, never a wedged worker.
-    /// Returns whether the reply reached the kernel.
-    fn send(&mut self, line: &str) -> bool {
+    fn send(&mut self, line: &str) {
         let res = match self {
             Responder::Unix(s) => write_reply(s, line),
             Responder::Tcp(s) => write_reply(s, line),
@@ -740,9 +811,7 @@ impl Responder {
                 Responder::Unix(s) => drop(s.shutdown(std::net::Shutdown::Both)),
                 Responder::Tcp(s) => drop(s.shutdown(std::net::Shutdown::Both)),
             }
-            return false;
         }
-        true
     }
 }
 
@@ -896,15 +965,15 @@ fn respond(stream: &mut impl Write, line: &str) {
     }
 }
 
-/// Exit-code contract, same as the CLI: 0 = pass, 1 = violations,
-/// 2 = engine errors under fail-closed.
-fn exit_code_of(report: &DurableGateReport) -> u64 {
-    if report.has_violation() {
-        1
-    } else if report.engine_errors() > 0 && report.fail_mode == FailMode::Closed {
-        2
-    } else {
-        0
+/// The exit-code contract of `lisa gate`, `lisa resume` and serve
+/// replies: 0 = pass, 1 = violations, 2 = blocked by engine errors alone
+/// (fail-closed). Exit 2 is reserved for true engine errors, so a
+/// violation explains a block before an engine error does.
+pub fn exit_code_of(decision: GateDecision, has_violation: bool) -> u8 {
+    match decision {
+        GateDecision::Pass => 0,
+        GateDecision::Block if has_violation => 1,
+        GateDecision::Block => 2,
     }
 }
 
@@ -913,7 +982,7 @@ fn done_response(job_id: &str, report: &DurableGateReport) -> String {
         "{{\"job_id\":\"{}\",\"status\":\"done\",\"decision\":\"{}\",\"exit\":{},\"violations\":{},\"engine_errors\":{},\"reused\":{},\"fresh\":{}}}",
         escape(job_id),
         report.decision,
-        exit_code_of(report),
+        exit_code_of(report.decision, report.has_violation()),
         report.outcomes.iter().map(|o| o.violated).sum::<u64>(),
         report.engine_errors(),
         report.reused,
@@ -942,14 +1011,34 @@ fn shed_response(job_id: &str, tenant: &str, retry_after_ms: u64, reason: &str) 
     )
 }
 
-/// Structured bad-request for an over-long job id. The id is not echoed
-/// back: the reply must stay bounded no matter what the client sent.
-fn job_id_too_long(len: usize) -> String {
-    error_response(
-        "",
-        "bad-request",
-        &format!("job_id length {len} exceeds the {MAX_JOB_ID_LEN}-byte bound"),
-    )
+/// The request's `job_id`, or a structured bad-request when it exceeds
+/// [`MAX_JOB_ID_LEN`]. The over-long id is not echoed back: every reply
+/// must stay bounded no matter what the client sent.
+fn bounded_job_id(request: &Json) -> Result<Option<&str>, String> {
+    match request.str_of("job_id") {
+        Some(id) if id.len() > MAX_JOB_ID_LEN => Err(error_response(
+            "",
+            "bad-request",
+            &format!("job_id length {} exceeds the {MAX_JOB_ID_LEN}-byte bound", id.len()),
+        )),
+        id => Ok(id),
+    }
+}
+
+/// A gate request's checked fields — job id, tenant, system, rules and
+/// fail mode — or the bad-request reply that rejects it.
+fn gate_fields(request: &Json) -> Result<(Option<&str>, &str, &str, &str, FailMode), String> {
+    let bad = |e: &str| error_response("", "bad-request", e);
+    let tenant = request.str_of("tenant").unwrap_or("default");
+    if !valid_tenant(tenant) {
+        return Err(bad("tenant must be 1..=32 chars of [A-Za-z0-9_-]"));
+    }
+    let (Some(system), Some(rules)) = (request.str_of("system"), request.str_of("rules")) else {
+        return Err(bad("gate needs `system` and `rules`"));
+    };
+    let fail_mode =
+        request.str_of("fail_mode").unwrap_or("closed").parse().map_err(|e: String| bad(&e))?;
+    Ok((bounded_job_id(request)?, tenant, system, rules, fail_mode))
 }
 
 /// Map a client-supplied job id to its state-directory name. Ids that
@@ -1593,18 +1682,10 @@ fn run_follower(
     let mut last_snapshot = Instant::now();
     let mut drained = false;
     let exit = loop {
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    handle_follower_connection(stream, config, &state, &mut drained)
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    lisa_telemetry::note("serve", || format!("accept failed: {e}"));
-                    break;
-                }
-            }
-        }
+        accept_pending(
+            || listener.accept(),
+            |stream| handle_follower_connection(stream, config, &state, &mut drained),
+        );
         if drained {
             break FollowerExit::Drained;
         }
@@ -1628,6 +1709,23 @@ fn run_follower(
     exit
 }
 
+/// Hand every connection pending on a nonblocking listener to `handle`.
+fn accept_pending<S, A>(
+    accept: impl Fn() -> std::io::Result<(S, A)>,
+    mut handle: impl FnMut(S),
+) {
+    loop {
+        match accept() {
+            Ok((stream, _)) => handle(stream),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+            Err(e) => {
+                lisa_telemetry::note("serve", || format!("accept failed: {e}"));
+                return;
+            }
+        }
+    }
+}
+
 /// One NDJSON request in follower mode: read-only ops plus `shutdown`.
 /// Writes are refused with a structured `read-only` reply (Degradation:
 /// the follower keeps serving what it can, never what it can't).
@@ -1638,52 +1736,31 @@ fn handle_follower_connection(
     drained: &mut bool,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut line = String::new();
-    if BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    })
-    .read_line(&mut line)
-    .is_err()
-    {
-        respond(&mut stream, &error_response("", "bad-request", "could not read request line"));
-        return;
-    }
-    let request = match Json::parse(line.trim()) {
-        Ok(v) => v,
-        Err(e) => {
-            respond(&mut stream, &error_response("", "bad-request", &format!("bad JSON: {e}")));
-            return;
-        }
+    let request = match read_line(&stream).and_then(|line| parse_request(&line)) {
+        Ok(request) => request,
+        Err(reply) => return respond(&mut stream, &reply),
     };
-    if let Err(e) = version_ok(&request) {
-        respond(&mut stream, &error_response("", "bad-request", &e));
-        return;
-    }
-    match request.str_of("op").unwrap_or("gate") {
-        "ping" => respond(&mut stream, "{\"status\":\"ok\"}"),
-        "stats" => respond(&mut stream, &follower_stats_response(state)),
-        "verdict" => {
-            let id = request.str_of("job_id").unwrap_or("");
-            respond(&mut stream, &verdict_response(&config.state_root, id));
-        }
+    let reply = match request.str_of("op").unwrap_or("gate") {
+        "ping" => "{\"status\":\"ok\"}".to_string(),
+        "stats" => follower_stats_response(state),
+        "verdict" => verdict_response(&config.state_root, &request),
         "shutdown" => {
             *drained = true;
-            respond(&mut stream, "{\"status\":\"draining\"}");
+            "{\"status\":\"draining\"}".to_string()
         }
-        "gate" => respond(
-            &mut stream,
-            &error_response(
-                request.str_of("job_id").unwrap_or(""),
-                "read-only",
-                "follower is read-only while its leader is alive; submit to the leader",
-            ),
+        "gate" => bounded_job_id(&request).map_or_else(
+            |reply| reply,
+            |id| {
+                error_response(
+                    id.unwrap_or(""),
+                    "read-only",
+                    "follower is read-only while its leader is alive; submit to the leader",
+                )
+            },
         ),
-        other => respond(
-            &mut stream,
-            &error_response("", "bad-request", &format!("unknown op {other:?}")),
-        ),
-    }
+        other => error_response("", "bad-request", &format!("unknown op {other:?}")),
+    };
+    respond(&mut stream, &reply);
 }
 
 /// The follower's `stats` reply: role, replication progress, and the
@@ -1708,10 +1785,12 @@ fn follower_stats_response(state: &FollowState) -> String {
 /// would *mutate* the journals this node is busy mirroring. Corrupt or
 /// torn tails simply aren't counted; the leader's copy is authoritative
 /// until promotion.
-fn verdict_response(state_root: &Path, job_id: &str) -> String {
-    if job_id.is_empty() {
-        return error_response("", "bad-request", "verdict needs `job_id`");
-    }
+fn verdict_response(state_root: &Path, request: &Json) -> String {
+    let job_id = match bounded_job_id(request) {
+        Ok(Some(id)) if !id.is_empty() => id,
+        Ok(_) => return error_response("", "bad-request", "verdict needs `job_id`"),
+        Err(reply) => return reply,
+    };
     let dir = state_root.join(sanitize(job_id));
     if !dir.is_dir() {
         return error_response(job_id, "not-found", "no durable state for this job id");
@@ -1751,28 +1830,10 @@ fn verdict_response(state_root: &Path, job_id: &str) -> String {
 /// so exposing the replication port never exposes the write path.
 fn handle_repl_tcp(mut stream: TcpStream, config: &ServeConfig, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut line = String::new();
-    if BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    })
-    .read_line(&mut line)
-    .is_err()
-    {
-        respond(&mut stream, &error_response("", "bad-request", "could not read request line"));
-        return;
-    }
-    let request = match Json::parse(line.trim()) {
-        Ok(v) => v,
-        Err(e) => {
-            respond(&mut stream, &error_response("", "bad-request", &format!("bad JSON: {e}")));
-            return;
-        }
+    let request = match read_line(&stream).and_then(|line| parse_request(&line)) {
+        Ok(request) => request,
+        Err(reply) => return respond(&mut stream, &reply),
     };
-    if let Err(e) = version_ok(&request) {
-        respond(&mut stream, &error_response("", "bad-request", &e));
-        return;
-    }
     match request.str_of("op").unwrap_or("") {
         "ping" => respond(&mut stream, "{\"status\":\"ok\"}"),
         "follow" => {
@@ -1984,34 +2045,14 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
         poll.wait(Duration::from_millis(10));
 
         // 1. Accept one round of connections.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => handle_connection(
-                    stream,
-                    config,
-                    &shared,
-                    &mut stats,
-                    &mut next_job,
-                    &mut draining,
-                ),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    lisa_telemetry::note("serve", || format!("accept failed: {e}"));
-                    break;
-                }
-            }
-        }
+        accept_pending(
+            || listener.accept(),
+            |stream| {
+                handle_connection(stream, config, &shared, &mut stats, &mut next_job, &mut draining)
+            },
+        );
         if let Some(l) = &repl_listener {
-            loop {
-                match l.accept() {
-                    Ok((stream, _)) => handle_repl_tcp(stream, config, &shared),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) => {
-                        lisa_telemetry::note("serve", || format!("repl accept failed: {e}"));
-                        break;
-                    }
-                }
-            }
+            accept_pending(|| l.accept(), |stream| handle_repl_tcp(stream, config, &shared));
         }
 
         // 1b. Pump the TCP gate: accept new connections, advance every
@@ -2367,20 +2408,31 @@ fn stats_response(shared: &Arc<Shared>, stats: &ServeStats) -> String {
     )
 }
 
-/// Protocol versioning, shared by every listener: absent `v` means v1
-/// (pre-versioning clients); a non-numeric or mismatched `v` is a
-/// structured bad-request rather than a silent assumption.
-fn version_ok(request: &Json) -> Result<(), String> {
-    if let Some(v) = request.u64_of("v") {
-        if v != PROTOCOL_VERSION {
-            return Err(format!(
-                "unsupported protocol version {v} (daemon speaks v{PROTOCOL_VERSION})"
-            ));
-        }
-    } else if request.get("v").is_some() {
-        return Err("field `v` must be a number".to_string());
+/// Read one request line from a blocking connection. Requests are one
+/// short line; the caller's read timeout cuts off a slow or silent
+/// client rather than letting it wedge the caller. `Err` is the reply.
+fn read_line(stream: impl Read) -> Result<String, String> {
+    let mut line = String::new();
+    match BufReader::new(stream).read_line(&mut line) {
+        Ok(_) => Ok(line),
+        Err(_) => Err(error_response("", "bad-request", "could not read request line")),
     }
-    Ok(())
+}
+
+/// Parse one NDJSON request line, shared by every listener. Protocol
+/// versioning: absent `v` means v1 (pre-versioning clients); a
+/// non-numeric or mismatched `v` is a structured bad-request rather than
+/// a silent assumption. `Err` is the reply.
+fn parse_request(line: &str) -> Result<Json, String> {
+    let bad = |e: &str| error_response("", "bad-request", e);
+    let request = Json::parse(line.trim()).map_err(|e| bad(&format!("bad JSON: {e}")))?;
+    match (request.get("v"), request.u64_of("v")) {
+        (None, _) | (_, Some(PROTOCOL_VERSION)) => Ok(request),
+        (_, Some(v)) => Err(bad(&format!(
+            "unsupported protocol version {v} (daemon speaks v{PROTOCOL_VERSION})"
+        ))),
+        (Some(_), None) => Err(bad("field `v` must be a number")),
+    }
 }
 
 /// Read one NDJSON request from a fresh unix-socket connection and
@@ -2393,21 +2445,14 @@ fn handle_connection(
     next_job: &mut u64,
     draining: &mut bool,
 ) {
-    // Requests are one short line; a slow or silent client gets cut off
-    // rather than wedging the supervisor.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut line = String::new();
-    if BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    })
-    .read_line(&mut line)
-    .is_err()
-    {
-        respond(&mut stream, &error_response("", "bad-request", "could not read request line"));
-        return;
+    match read_line(&stream) {
+        Ok(line) => {
+            let stream = Responder::Unix(stream);
+            dispatch_request(&line, stream, config, shared, stats, next_job, draining)
+        }
+        Err(reply) => respond(&mut stream, &reply),
     }
-    dispatch_request(&line, Responder::Unix(stream), config, shared, stats, next_job, draining);
 }
 
 /// Dispatch one complete NDJSON request line. Shared by the unix-socket
@@ -2422,32 +2467,17 @@ fn dispatch_request(
     next_job: &mut u64,
     draining: &mut bool,
 ) {
-    let request = match Json::parse(line.trim()) {
-        Ok(v) => v,
-        Err(e) => {
-            stream.send(&error_response("", "bad-request", &format!("bad JSON: {e}")));
+    let request = match parse_request(line) {
+        Ok(request) => request,
+        Err(reply) => {
+            stream.send(&reply);
             return;
         }
     };
-    if let Err(e) = version_ok(&request) {
-        stream.send(&error_response("", "bad-request", &e));
-        return;
-    }
     match request.str_of("op").unwrap_or("gate") {
-        "ping" => {
-            stream.send("{\"status\":\"ok\"}");
-        }
-        "stats" => {
-            stream.send(&stats_response(shared, stats));
-        }
-        "verdict" => {
-            let id = request.str_of("job_id").unwrap_or("");
-            if id.len() > MAX_JOB_ID_LEN {
-                stream.send(&job_id_too_long(id.len()));
-                return;
-            }
-            stream.send(&verdict_response(&shared.state_root, id));
-        }
+        "ping" => stream.send("{\"status\":\"ok\"}"),
+        "stats" => stream.send(&stats_response(shared, stats)),
+        "verdict" => stream.send(&verdict_response(&shared.state_root, &request)),
         "follow" => match stream {
             Responder::Unix(s) => {
                 // A follower that stops reading must not wedge its
@@ -2474,43 +2504,15 @@ fn dispatch_request(
                 stream.send(&error_response("", "shutting-down", "daemon is draining"));
                 return;
             }
-            let tenant = request.str_of("tenant").unwrap_or("default");
-            if !valid_tenant(tenant) {
-                stream.send(&error_response(
-                    "",
-                    "bad-request",
-                    "tenant must be 1..=32 chars of [A-Za-z0-9_-]",
-                ));
-                return;
-            }
-            let (Some(system), Some(rules)) =
-                (request.str_of("system"), request.str_of("rules"))
-            else {
-                stream.send(&error_response(
-                    "",
-                    "bad-request",
-                    "gate needs `system` and `rules`",
-                ));
-                return;
-            };
-            let fail_mode = match request.str_of("fail_mode").unwrap_or("closed").parse::<FailMode>() {
-                Ok(m) => m,
-                Err(e) => {
-                    stream.send(&error_response("", "bad-request", &e));
+            let (id, tenant, system, rules, fail_mode) = match gate_fields(&request) {
+                Ok(fields) => fields,
+                Err(reply) => {
+                    stream.send(&reply);
                     return;
                 }
             };
-            if let Some(id) = request.str_of("job_id") {
-                if id.len() > MAX_JOB_ID_LEN {
-                    stream.send(&job_id_too_long(id.len()));
-                    return;
-                }
-            }
             *next_job += 1;
-            let id = request
-                .str_of("job_id")
-                .map(str::to_string)
-                .unwrap_or_else(|| format!("job-{next_job}"));
+            let id = id.map(str::to_string).unwrap_or_else(|| format!("job-{next_job}"));
             // From here the stream travels with the job; on admission
             // the reply comes when the job settles, on shed it comes
             // right back with the retry hint.
@@ -2557,27 +2559,22 @@ fn dispatch_request(
 /// and wait for the one-line reply. The wire protocol (and every reply
 /// byte) is identical to the unix-socket path.
 pub fn request_tcp(addr: &str, line: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
+    let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(600)))?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut out = String::new();
-    reader.read_line(&mut out)?;
-    Ok(out.trim_end().to_string())
+    round_trip(stream, line)
 }
 
 /// Client side: send one NDJSON request and wait for the one-line reply.
 pub fn request(socket: &Path, line: &str) -> std::io::Result<String> {
-    let mut stream = UnixStream::connect(socket)?;
+    let stream = UnixStream::connect(socket)?;
     stream.set_read_timeout(Some(Duration::from_secs(600)))?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
+    round_trip(stream, line)
+}
+
+fn round_trip(mut stream: impl Read + Write, line: &str) -> std::io::Result<String> {
+    write_reply(&mut stream, line)?;
     let mut out = String::new();
-    reader.read_line(&mut out)?;
+    BufReader::new(stream).read_line(&mut out)?;
     Ok(out.trim_end().to_string())
 }
 
@@ -2767,6 +2764,22 @@ mod tests {
         assert_eq!(beats.load(Ordering::SeqCst), 2, "one heartbeat per fresh rule");
         gate_durable(&reg, &v, &config(), &gate, &durable).expect("rerun");
         assert_eq!(beats.load(Ordering::SeqCst), 4, "reused rules heartbeat too");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn durable_deadline_is_one_whole_run_deadline() {
+        let dir = tmpdir("deadline");
+        let gate = GateOptions { deadline: Some(Duration::ZERO), ..GateOptions::default() };
+        let durable = DurableOptions { state_dir: dir.clone(), ..DurableOptions::default() };
+        let report =
+            gate_durable(&registry(), &version(false), &config(), &gate, &durable).expect("run");
+        assert_eq!(report.fresh, 2);
+        assert!(report.outcomes.iter().all(|o| o.degraded), "every rule degrades");
+        let expired: Vec<&String> =
+            report.warnings.iter().filter(|w| w.contains("gate deadline expired")).collect();
+        assert_eq!(expired.len(), 1, "one deadline for the run: {:?}", report.warnings);
+        assert!(expired[0].contains("2 rule(s)"), "{expired:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

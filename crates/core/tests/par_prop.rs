@@ -3,8 +3,10 @@
 //! The scheduler's contract is that worker count is invisible in every
 //! artifact: a seeded, randomized registry gated at width 1 and width 8
 //! must render byte-identical reports, emit byte-identical JSON (modulo
-//! wall-clock fields), and journal byte-identical WAL records — with the
-//! version-scoped cache on *and* off, and under seeded fault injection.
+//! wall-clock fields), and journal byte-identical WAL records (widths
+//! 1/2/4/8: fresh, resumed, cross-version and checkpointed runs) — with
+//! the version-scoped cache on *and* off, and under seeded fault
+//! injection.
 
 use std::sync::Arc;
 
@@ -14,8 +16,11 @@ use lisa::{
     PipelineConfig, RuleRegistry, TestSelection,
 };
 use lisa_analysis::TargetSpec;
+use lisa_concolic::SystemVersion;
 use lisa_corpus::{all_cases, case};
+use lisa_lang::Program;
 use lisa_oracle::{infer_rules, rescope, Scope, SemanticRule};
+use lisa_store::{scan, GateEvent};
 use lisa_util::RetryPolicy;
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -116,35 +121,119 @@ fn seeded_registries_are_width_invariant_cache_on_and_off() {
     }
 }
 
+/// How a durable width-invariance case prepares its state dir.
+#[derive(Clone, Copy, Debug)]
+enum DurableCase {
+    /// A fresh state dir.
+    Fresh,
+    /// A journal cut right after its first `RuleCheckFinished`: the run
+    /// resumes, reusing that verdict.
+    Resume,
+    /// A previous version gated first in the same state dir, cache on:
+    /// the regressed run reuses every rule whose dependency hash held.
+    CrossVersion,
+    /// A checkpoint after every fresh verdict: `state.snap` is written and
+    /// the journal is truncated repeatedly.
+    Checkpoint,
+}
+
+/// The regressed ZooKeeper version with one statement added to the body
+/// of `prep_request_create`: a previous version whose dependency hashes
+/// move only for the rules that function reaches.
+fn previous_version(regressed: &SystemVersion) -> SystemVersion {
+    let sources: Vec<(String, String)> = regressed
+        .program
+        .modules
+        .iter()
+        .map(|m| {
+            let mut src = m.source.clone();
+            if let Some(at) = src.find("fn prep_request_create(") {
+                let body = at + src[at..].find('{').expect("function body");
+                src.insert_str(body + 1, " let probe: int = 0;");
+            }
+            (m.name.clone(), src)
+        })
+        .collect();
+    let refs: Vec<(&str, &str)> = sources.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
+    let program = Program::parse(&refs).expect("previous version parses");
+    SystemVersion::new("v3-previous", program, regressed.tests.clone())
+}
+
 #[test]
 fn durable_wal_bytes_are_width_invariant() {
+    use DurableCase::*;
     let pool = rule_pool();
     let zk = case("zk-ephemeral").expect("case");
+    let previous = previous_version(&zk.versions.regressed);
     for seed in [7, 23] {
         let reg = seeded_registry(&pool, seed);
-        let run = |workers: usize, tag: &str| {
-            let dir = std::env::temp_dir()
-                .join(format!("lisa-par-prop-{seed}-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("mkdir");
+        let gate = |dir: &std::path::Path, workers: usize, checkpoint_every: usize, prev: bool| {
             let durable = DurableOptions {
-                state_dir: dir.clone(),
+                state_dir: dir.to_path_buf(),
                 workers,
+                checkpoint_every,
                 cache: Some(Arc::new(GateCache::new())),
                 ..DurableOptions::default()
             };
-            let report =
-                gate_durable(&reg, &zk.versions.regressed, &config(), &GateOptions::default(), &durable)
-                    .expect("durable gate run");
-            let wal = std::fs::read(dir.join("wal.log")).expect("wal");
-            let _ = std::fs::remove_dir_all(&dir);
-            (report.verdicts_text(), report.render(), wal)
+            let version = if prev { &previous } else { &zk.versions.regressed };
+            gate_durable(&reg, version, &config(), &GateOptions::default(), &durable)
+                .expect("durable gate run")
         };
-        let (verdicts1, render1, wal1) = run(1, "w1");
-        let (verdicts8, render8, wal8) = run(8, "w8");
-        assert_eq!(verdicts8, verdicts1, "seed {seed}: verdict text drifted across widths");
-        assert_eq!(render8, render1, "seed {seed}: durable summary drifted across widths");
-        assert_eq!(wal8, wal1, "seed {seed}: wal.log bytes drifted across widths");
+        let run = |case: DurableCase, workers: usize, resume_from: &[u8]| {
+            let dir = std::env::temp_dir()
+                .join(format!("lisa-par-prop-{seed}-{case:?}-w{workers}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let checkpoint_every = match case {
+                Resume => {
+                    std::fs::write(dir.join("wal.log"), resume_from).expect("cut journal");
+                    0
+                }
+                CrossVersion => {
+                    gate(&dir, workers, 0, true);
+                    0
+                }
+                Checkpoint => 1,
+                Fresh => 0,
+            };
+            let report = gate(&dir, workers, checkpoint_every, false);
+            let wal = std::fs::read(dir.join("wal.log")).expect("wal");
+            let snap = std::fs::read(dir.join("state.snap")).ok();
+            let _ = std::fs::remove_dir_all(&dir);
+            let counts = (report.reused, report.fresh, report.cross_version);
+            (report.verdicts_text(), report.render(), wal, snap, counts)
+        };
+
+        // The resume case starts from the width-1 journal, cut after the
+        // record that settles its first rule.
+        let (_, _, full_wal, _, _) = run(Fresh, 1, &[]);
+        let scanned = scan(&full_wal);
+        let first_finished = scanned
+            .records
+            .iter()
+            .position(|r| matches!(GateEvent::decode(r), Ok(GateEvent::RuleCheckFinished { .. })))
+            .expect("a finished rule");
+        let cut = &full_wal[..scanned.boundaries[first_finished] as usize];
+
+        for case in [Fresh, Resume, CrossVersion, Checkpoint] {
+            let base = run(case, 1, cut);
+            let (reused, _, cross_version) = base.4;
+            match case {
+                Resume => assert_eq!(reused, 1, "seed {seed}: resume reuses one verdict"),
+                CrossVersion => assert!(cross_version > 0, "seed {seed}: no cross-version reuse"),
+                Checkpoint => assert!(base.3.is_some(), "seed {seed}: no snapshot written"),
+                Fresh => {}
+            }
+            for workers in [2, 4, 8] {
+                let (verdicts, render, wal, snap, counts) = run(case, workers, cut);
+                let at = format!("seed {seed}, {case:?} @ width {workers}");
+                assert_eq!(verdicts, base.0, "{at}: verdict text drifted across widths");
+                assert_eq!(render, base.1, "{at}: durable summary drifted across widths");
+                assert_eq!(wal, base.2, "{at}: wal.log bytes drifted across widths");
+                assert_eq!(snap, base.3, "{at}: state.snap bytes drifted across widths");
+                assert_eq!(counts, base.4, "{at}: reuse counts drifted across widths");
+            }
+        }
     }
 }
 

@@ -84,6 +84,16 @@ grep -q '2 reused from journal, 0 fresh' "$SMOKE/d2.out"
 grep -Eq '"service\.verdicts_reused":2' "$SMOKE/m2.json"
 echo "cache smoke: ok"
 
+# Durable width smoke: a durable run is one engine call whose journal is
+# written at the registry-order merge frontier, so the journal must not
+# depend on the worker count.
+"$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --state "$SMOKE/state-w1" \
+    --workers 1 > /dev/null
+"$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --state "$SMOKE/state-w8" \
+    --workers 8 > /dev/null
+cmp "$SMOKE/state-w1/wal.log" "$SMOKE/state-w8/wal.log"
+echo "durable width smoke: ok"
+
 # Repeated-version cache bench: asserts the warm repeat of an unchanged
 # version is >= 2x faster and writes BENCH_cache.json. The same bench
 # measures solver-session clause reuse on the multi-check-per-rule

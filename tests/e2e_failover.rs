@@ -564,3 +564,49 @@ fn sigkilled_leader_is_replaced_by_its_promoted_follower() {
     let (code, _) = fx.run(&["submit", "--socket", &follower.socket, "--op", "shutdown"]);
     assert_eq!(code, 0);
 }
+
+#[test]
+fn follower_bounds_oversized_job_ids_on_every_op() {
+    let fx = CliFixture::new("jobid");
+    let repl = format!("127.0.0.1:{}", free_port());
+    let _leader = Daemon::start(
+        &fx,
+        "leader.sock",
+        "lstate",
+        &["--repl-listen", &repl, "--heartbeat-ms", "100"],
+    );
+    let follow = format!("tcp:{repl}");
+    let follower = Daemon::start(
+        &fx,
+        "follower.sock",
+        "fstate",
+        &["--follow", &follow, "--heartbeat-ms", "100", "--heartbeat-timeout-ms", "5000"],
+    );
+    poll_until(&fx, &follower.socket, &["--op", "stats"], "initial sync", |o| {
+        o.contains("\"synced\":true")
+    });
+
+    // A 10 KiB id gets the leader's structured bad-request on both
+    // follower ops, and the reply never echoes it.
+    let long_id = "x".repeat(10 * 1024);
+    let socket = std::path::Path::new(&follower.socket);
+    for op in ["verdict", "gate"] {
+        let line = format!(
+            "{{\"v\":1,\"op\":\"{op}\",\"job_id\":\"{long_id}\",\"system\":\"{}\",\
+             \"rules\":\"{}\"}}",
+            fx.path("sys"),
+            fx.path("strict.txt"),
+        );
+        let reply = lisa::request(socket, &line).expect("follower reply");
+        assert!(reply.len() < 256, "{op}: reply must stay bounded, got {} bytes", reply.len());
+        let json = lisa::Json::parse(&reply).expect("reply parses");
+        assert_eq!(json.str_of("status"), Some("bad-request"), "{op}: {reply}");
+        assert_eq!(json.str_of("job_id"), Some(""), "{op}: {reply}");
+        assert!(
+            json.str_of("error").unwrap_or("").contains("128-byte bound"),
+            "{op}: error names the bound: {reply}"
+        );
+    }
+    let (code, _) = fx.run(&["submit", "--socket", &follower.socket, "--op", "shutdown"]);
+    assert_eq!(code, 0);
+}

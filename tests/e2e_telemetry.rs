@@ -179,3 +179,39 @@ fn telemetry_never_perturbs_the_verdict_artifact() {
     let wal_on = std::fs::read(fx.dir.join("state-on/wal.log")).expect("on journal");
     assert_eq!(wal_off, wal_on, "journaled verdicts must be byte-identical");
 }
+
+#[test]
+fn durable_gate_is_one_engine_run() {
+    // A durable run is one call into the gate engine, not one per rule:
+    // the two-rule fixture counts one gate run and one `gate.enforce`
+    // span.
+    let fx = Fixture::new("one-run");
+    let trace = fx.path("trace.json");
+    let metrics = fx.path("metrics.json");
+    let (code, _) = fx.run(&[
+        "gate",
+        "--system",
+        &fx.path("sys"),
+        "--rules",
+        &fx.path("rules.txt"),
+        "--state",
+        &fx.path("state"),
+        "--trace-out",
+        &trace,
+        "--metrics-out",
+        &metrics,
+    ]);
+    assert_eq!(code, 1, "the regressed version must block");
+    let metrics_text = std::fs::read_to_string(&metrics).expect("metrics file");
+    assert!(metrics_text.contains("\"gate.runs\":1"), "{metrics_text}");
+    let parsed = Json::parse(&std::fs::read_to_string(&trace).expect("trace file"))
+        .expect("trace is valid JSON");
+    let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
+        panic!("no traceEvents array")
+    };
+    let enforce_spans =
+        events.iter().filter(|e| e.str_of("name") == Some("gate.enforce")).count();
+    assert_eq!(enforce_spans, 1, "one gate.enforce span per durable run");
+    let rule_spans = events.iter().filter(|e| e.str_of("name") == Some("pipeline.rule")).count();
+    assert_eq!(rule_spans, 2, "both rules are checked inside that one run");
+}
