@@ -10,8 +10,6 @@
 //! module global); at each call site the argument expression's syntactic
 //! path names the caller-side alias, and so on up to the entry function.
 
-use std::collections::HashMap;
-
 use crate::callgraph::CallGraph;
 use crate::tree::CallChain;
 use lisa_lang::symbolic::path_root;
@@ -23,11 +21,16 @@ use lisa_lang::Program;
 /// object instantiates. Longest-prefix matching applies: with alias
 /// `(touch, "s") -> "s"`, the guard variable `s.isClosing` in `touch`
 /// renames to `s.isClosing` of the rule.
+///
+/// A map holds a handful of entries, kept sorted, so every probe the
+/// concolic tracer makes (per branch, assignment and hit) is a binary
+/// search over `&str` pairs that allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct AliasMap {
-    /// (function, path) -> placeholder. The function "*" means "any
-    /// function" (used for globals).
-    entries: HashMap<(String, String), String>,
+    /// `(function, path, placeholder)`, sorted by the unique
+    /// `(function, path)`. The function "*" means "any function" (used
+    /// for globals).
+    entries: Vec<(String, String, String)>,
 }
 
 impl AliasMap {
@@ -35,33 +38,47 @@ impl AliasMap {
         self.entries.is_empty()
     }
 
-    pub fn insert(&mut self, function: &str, path: &str, placeholder: &str) {
+    fn find(&self, function: &str, path: &str) -> Result<usize, usize> {
         self.entries
-            .insert((function.to_string(), path.to_string()), placeholder.to_string());
+            .binary_search_by(|(f, p, _)| (f.as_str(), p.as_str()).cmp(&(function, path)))
+    }
+
+    pub fn insert(&mut self, function: &str, path: &str, placeholder: &str) {
+        match self.find(function, path) {
+            Ok(i) => self.entries[i].2 = placeholder.to_string(),
+            Err(i) => self.entries.insert(
+                i,
+                (function.to_string(), path.to_string(), placeholder.to_string()),
+            ),
+        }
+    }
+
+    /// The longest prefix of `var_path` (observed in `function`) that
+    /// aliases a placeholder, with that placeholder.
+    fn longest_alias<'s>(&'s self, function: &str, var_path: &str) -> Option<(usize, &'s str)> {
+        let mut prefix = var_path;
+        loop {
+            for scope in [function, "*"] {
+                if let Ok(i) = self.find(scope, prefix) {
+                    return Some((prefix.len(), &self.entries[i].2));
+                }
+            }
+            prefix = &prefix[..prefix.rfind('.')?];
+        }
     }
 
     /// Rename a guard variable path observed in `function` to rule
     /// vocabulary, if it aliases a placeholder.
     pub fn rename(&self, function: &str, var_path: &str) -> Option<String> {
-        // Longest prefix wins; try the full path then trim components.
-        let mut prefix = var_path.to_string();
-        loop {
-            for key_fn in [function, "*"] {
-                if let Some(ph) = self.entries.get(&(key_fn.to_string(), prefix.clone())) {
-                    let suffix = &var_path[prefix.len()..];
-                    return Some(format!("{ph}{suffix}"));
-                }
-            }
-            match prefix.rfind('.') {
-                Some(i) => prefix.truncate(i),
-                None => return None,
-            }
-        }
+        let (len, ph) = self.longest_alias(function, var_path)?;
+        Some(format!("{ph}{}", &var_path[len..]))
     }
 
-    /// Is any variable of `paths` (observed in `function`) relevant?
-    pub fn any_relevant(&self, function: &str, paths: &[String]) -> bool {
-        paths.iter().any(|p| self.rename(function, p).is_some())
+    /// Does the variable path observed in `function` alias a placeholder?
+    /// The same question as `rename(..).is_some()`, without building the
+    /// renamed string.
+    pub fn is_relevant(&self, function: &str, var_path: &str) -> bool {
+        self.longest_alias(function, var_path).is_some()
     }
 
     /// Number of alias entries (for reports).
@@ -69,15 +86,16 @@ impl AliasMap {
         self.entries.len()
     }
 
-    /// Iterate `((function, path), placeholder)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&(String, String), &String)> {
-        self.entries.iter()
+    /// Iterate `(function, path, placeholder)` entries in `(function,
+    /// path)` order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str, &str)> {
+        self.entries.iter().map(|(f, p, ph)| (f.as_str(), p.as_str(), ph.as_str()))
     }
 
     /// Absorb another alias map (union across chains).
     pub fn merge(&mut self, other: &AliasMap) {
-        for ((f, p), ph) in other.iter() {
-            self.entries.insert((f.clone(), p.clone()), ph.clone());
+        for (f, p, ph) in other.iter() {
+            self.insert(f, p, ph);
         }
     }
 }
@@ -252,7 +270,7 @@ mod tests {
         );
         let chain = tree.chains.iter().find(|c| c.entry == "handle").expect("chain");
         let aliases = chain_aliases(&p, &g, chain, "create_node", &["s".to_string()]);
-        assert!(aliases.any_relevant("prep", &["session.closing".to_string()]));
-        assert!(!aliases.any_relevant("prep", &["reqCount".to_string()]));
+        assert!(aliases.is_relevant("prep", "session.closing"));
+        assert!(!aliases.is_relevant("prep", "reqCount"));
     }
 }

@@ -77,7 +77,7 @@ fn bench_tracer_overhead() {
     });
     bench("concolic/policy_overhead/relevant_only", || {
         let mut interp = Interp::new(&p);
-        let mut tr = ConcolicTracer::new(target.clone(), aliases.clone(), Policy::RelevantOnly);
+        let mut tr = ConcolicTracer::new(&target, &aliases, Policy::RelevantOnly);
         interp.call("seed", vec![], &mut tr).expect("seed");
         interp
             .call("drive", vec![Value::Int(1), Value::Str("t".into())], &mut tr)
@@ -86,7 +86,7 @@ fn bench_tracer_overhead() {
     });
     bench("concolic/policy_overhead/record_all", || {
         let mut interp = Interp::new(&p);
-        let mut tr = ConcolicTracer::new(target.clone(), aliases.clone(), Policy::RecordAll);
+        let mut tr = ConcolicTracer::new(&target, &aliases, Policy::RecordAll);
         interp.call("seed", vec![], &mut tr).expect("seed");
         interp
             .call("drive", vec![Value::Int(1), Value::Str("t".into())], &mut tr)
@@ -107,8 +107,7 @@ fn bench_pruning_scaling() {
         {
             bench(&format!("concolic/pruning_scaling/{name}/{guards}"), || {
                 let mut interp = Interp::new(&p);
-                let mut tr =
-                    ConcolicTracer::new(target.clone(), aliases.clone(), policy.clone());
+                let mut tr = ConcolicTracer::new(&target, &aliases, policy.clone());
                 interp.call("seed", vec![], &mut tr).expect("seed");
                 interp
                     .call("drive", vec![Value::Int(1), Value::Str("t".into())], &mut tr)

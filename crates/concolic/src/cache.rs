@@ -64,14 +64,11 @@ impl TraceCache {
             h.part(t.entry.as_bytes());
         }
         h.part_display(target);
-        // AliasMap iterates in hash order, which differs between
-        // instances; sort for a content-stable key.
-        let mut entries: Vec<_> = aliases.iter().collect();
-        entries.sort();
-        for ((f, placeholder), concrete) in entries {
+        // AliasMap iterates in sorted order, so equal maps hash equally.
+        for (f, path, placeholder) in aliases.iter() {
             h.part(f.as_bytes());
+            h.part(path.as_bytes());
             h.part(placeholder.as_bytes());
-            h.part(concrete.as_bytes());
         }
         h.part(match policy {
             Policy::RecordAll => b"record-all",

@@ -17,7 +17,7 @@
 
 use lisa_analysis::{AliasMap, TargetSpec};
 use lisa_lang::interp::{AssignEvent, BranchEvent, BuiltinEvent, CallEvent, Tracer};
-use lisa_lang::symbolic::{guard_term, term_paths};
+use lisa_lang::symbolic::guard_term;
 use lisa_lang::{Span, StmtId};
 use lisa_smt::term::{CmpOp, Term};
 
@@ -76,25 +76,31 @@ pub struct EngineStats {
     pub target_hits: u64,
 }
 
-/// The tracer. Create one per (rule, test execution).
-pub struct ConcolicTracer {
-    target: TargetSpec,
-    aliases: AliasMap,
+/// The tracer. Create one per (rule, test execution); it borrows the
+/// rule's target and alias map, which every test of the batch shares.
+pub struct ConcolicTracer<'a> {
+    target: &'a TargetSpec,
+    aliases: &'a AliasMap,
     policy: Policy,
     frames: Vec<Frame>,
-    locks: Vec<String>,
+    /// Depth of the `sync` nesting at the current point.
+    locks_held: usize,
     pub hits: Vec<TargetHit>,
     pub stats: EngineStats,
 }
 
-impl ConcolicTracer {
-    pub fn new(target: TargetSpec, aliases: AliasMap, policy: Policy) -> ConcolicTracer {
+impl<'a> ConcolicTracer<'a> {
+    pub fn new(
+        target: &'a TargetSpec,
+        aliases: &'a AliasMap,
+        policy: Policy,
+    ) -> ConcolicTracer<'a> {
         ConcolicTracer {
             target,
             aliases,
             policy,
             frames: vec![Frame { function: "<harness>".into(), constraints: Vec::new() }],
-            locks: Vec::new(),
+            locks_held: 0,
             hits: Vec::new(),
             stats: EngineStats::default(),
         }
@@ -110,14 +116,14 @@ impl ConcolicTracer {
         let mut raw = Vec::new();
         for frame in &self.frames {
             for c in &frame.constraints {
-                let renamed = rename_term(&c.term, &c.function, &self.aliases);
+                let renamed = rename_term(&c.term, &c.function, self.aliases);
                 if let Some(t) = renamed {
                     conjuncts.push(t);
                     raw.push(c.clone());
                 }
             }
         }
-        conjuncts.push(Term::int_cmp_c("$locks.held", CmpOp::Eq, self.locks.len() as i64));
+        conjuncts.push(Term::int_cmp_c("$locks.held", CmpOp::Eq, self.locks_held as i64));
         (Term::and(conjuncts), raw)
     }
 
@@ -131,7 +137,7 @@ impl ConcolicTracer {
             span,
             pi,
             chain,
-            locks_held: self.locks.len(),
+            locks_held: self.locks_held,
             raw,
         });
     }
@@ -144,13 +150,12 @@ impl ConcolicTracer {
 /// only constraints we can fully express in rule vocabulary — partial
 /// disjunctions would weaken or strengthen π unsoundly).
 fn rename_term(term: &Term, function: &str, aliases: &AliasMap) -> Option<Term> {
-    let paths = term_paths(term);
-    if paths.is_empty() || !aliases.any_relevant(function, &paths) {
+    if !is_relevant(term, function, aliases) {
         return None;
     }
-    // All mentioned paths must rename for exact translation.
-    let all_rename = paths.iter().all(|p| aliases.rename(function, p).is_some());
-    if all_rename && !term_has_opaque(term) {
+    // Exact translation needs every variable to rename, so none may be
+    // opaque.
+    if !term.any_var(&mut |v| is_opaque(v) || !aliases.is_relevant(function, v)) {
         return Some(term.rename_vars(&|v| {
             aliases.rename(function, v).unwrap_or_else(|| v.to_string())
         }));
@@ -171,21 +176,31 @@ fn rename_term(term: &Term, function: &str, aliases: &AliasMap) -> Option<Term> 
     None
 }
 
-fn term_has_opaque(term: &Term) -> bool {
-    term.vars().iter().any(|(v, _)| v.starts_with("$opaque"))
+fn is_opaque(var: &str) -> bool {
+    var.starts_with("$opaque")
 }
 
-impl Tracer for ConcolicTracer {
+/// Does `term` (observed in `function`) mention a rule-relevant path?
+fn is_relevant(term: &Term, function: &str, aliases: &AliasMap) -> bool {
+    term.any_var(&mut |v| !is_opaque(v) && aliases.is_relevant(function, v))
+}
+
+/// Does `term` mention `path` or a path below it (`path.f`, ...)?
+fn mentions_path(term: &Term, path: &str) -> bool {
+    term.any_var(&mut |v| {
+        !is_opaque(v)
+            && v.strip_prefix(path).is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
+    })
+}
+
+impl Tracer for ConcolicTracer<'_> {
     fn on_branch(&mut self, ev: &BranchEvent<'_>) {
         self.stats.branches_seen += 1;
         let base = guard_term(ev.guard);
         let term = if ev.taken { base } else { base.not() };
         let record = match self.policy {
             Policy::RecordAll => true,
-            Policy::RelevantOnly => {
-                let paths = term_paths(&term);
-                self.aliases.any_relevant(ev.function, &paths)
-            }
+            Policy::RelevantOnly => is_relevant(&term, ev.function, self.aliases),
         };
         if record {
             self.stats.branches_recorded += 1;
@@ -198,10 +213,8 @@ impl Tracer for ConcolicTracer {
     fn on_call(&mut self, ev: &CallEvent<'_>) {
         // Target check happens at the call boundary, before the callee
         // body executes — the state the rule constrains.
-        if matches!(&self.target, TargetSpec::Call { callee } if *callee == ev.callee) {
-            let caller = ev.caller.to_string();
-            let callee = ev.callee.to_string();
-            self.record_hit(&caller, &callee, ev.span);
+        if matches!(self.target, TargetSpec::Call { callee } if callee == ev.callee) {
+            self.record_hit(ev.caller, ev.callee, ev.span);
         }
         self.frames.push(Frame { function: ev.callee.to_string(), constraints: Vec::new() });
     }
@@ -217,17 +230,13 @@ impl Tracer for ConcolicTracer {
 
     fn on_assign(&mut self, ev: &AssignEvent<'_>) {
         let Some(path) = ev.path else { return };
-        let function = ev.function.to_string();
-        let prefix = format!("{path}.");
         let mut dropped = 0u64;
         for frame in &mut self.frames {
             frame.constraints.retain(|c| {
-                if c.function != function {
+                if c.function != ev.function {
                     return true;
                 }
-                let stale = term_paths(&c.term)
-                    .iter()
-                    .any(|p| p == path || p.starts_with(&prefix));
+                let stale = mentions_path(&c.term, path);
                 if stale {
                     dropped += 1;
                 }
@@ -237,16 +246,16 @@ impl Tracer for ConcolicTracer {
         self.stats.constraints_invalidated += dropped;
     }
 
-    fn on_sync_enter(&mut self, lock: &str, _function: &str, _span: Span, _depth: usize) {
-        self.locks.push(lock.to_string());
+    fn on_sync_enter(&mut self, _lock: &str, _function: &str, _span: Span, _depth: usize) {
+        self.locks_held += 1;
     }
 
     fn on_sync_exit(&mut self, _lock: &str, _depth: usize) {
-        self.locks.pop();
+        self.locks_held = self.locks_held.saturating_sub(1);
     }
 
     fn on_builtin(&mut self, ev: &BuiltinEvent<'_>) {
-        let matches = match &self.target {
+        let matches = match self.target {
             TargetSpec::Builtin { name } => *name == ev.name,
             TargetSpec::BuiltinInSync { name } => *name == ev.name && !ev.locks.is_empty(),
             TargetSpec::BuiltinInCaller { name, caller } => {
@@ -255,9 +264,7 @@ impl Tracer for ConcolicTracer {
             TargetSpec::Call { .. } => false,
         };
         if matches {
-            let function = ev.function.to_string();
-            let name = ev.name.to_string();
-            self.record_hit(&function, &name, ev.span);
+            self.record_hit(ev.function, ev.name, ev.span);
         }
     }
 }
@@ -307,30 +314,30 @@ mod tests {
         out
     }
 
-    fn run_test(entry: &str, args: Vec<Value>, policy: Policy) -> ConcolicTracer {
+    /// What a finished run recorded.
+    struct Traced {
+        hits: Vec<TargetHit>,
+        stats: EngineStats,
+    }
+
+    fn run_test(entry: &str, args: Vec<Value>, policy: Policy) -> Traced {
         let p = Program::parse_single("zk", ZK).expect("p");
         assert!(lisa_lang::check_program(&p).is_empty());
         let aliases = union_aliases(&p);
+        let target = TargetSpec::Call { callee: "create_ephemeral".into() };
         let mut interp = Interp::new(&p);
         // Seed a healthy session 1 and a closing session 2.
-        let mut t0 = ConcolicTracer::new(
-            TargetSpec::Call { callee: "create_ephemeral".into() },
-            AliasMap::default(),
-            Policy::RecordAll,
-        );
+        let no_aliases = AliasMap::default();
+        let mut t0 = ConcolicTracer::new(&target, &no_aliases, Policy::RecordAll);
         interp
             .call("setup", vec![Value::Int(1), Value::Bool(false), Value::Int(30)], &mut t0)
             .expect("setup");
         interp
             .call("setup", vec![Value::Int(2), Value::Bool(true), Value::Int(0)], &mut t0)
             .expect("setup");
-        let mut tracer = ConcolicTracer::new(
-            TargetSpec::Call { callee: "create_ephemeral".into() },
-            aliases,
-            policy,
-        );
+        let mut tracer = ConcolicTracer::new(&target, &aliases, policy);
         interp.call(entry, args, &mut tracer).expect("run");
-        tracer
+        Traced { hits: tracer.hits, stats: tracer.stats }
     }
 
     #[test]
@@ -416,20 +423,11 @@ mod tests {
         let mut aliases = AliasMap::default();
         aliases.insert("f", "s", "s");
         aliases.insert("target", "s", "s");
-        let mut setup = ConcolicTracer::new(
-            TargetSpec::Call { callee: "target".into() },
-            AliasMap::default(),
-            Policy::RecordAll,
-        );
         let mut fields = std::collections::BTreeMap::new();
         fields.insert("ttl".to_string(), Value::Int(5));
         let r = interp.heap.alloc(lisa_lang::HeapObj::Struct { ty: "S".into(), fields });
-        let _ = &mut setup;
-        let mut tracer = ConcolicTracer::new(
-            TargetSpec::Call { callee: "target".into() },
-            aliases,
-            Policy::RelevantOnly,
-        );
+        let target = TargetSpec::Call { callee: "target".into() };
+        let mut tracer = ConcolicTracer::new(&target, &aliases, Policy::RelevantOnly);
         interp.call("f", vec![Value::Ref(r)], &mut tracer).expect("run");
         assert_eq!(tracer.hits.len(), 1);
         let pi = tracer.hits[0].pi.to_string();
@@ -444,11 +442,9 @@ mod tests {
                    fn free_io() { blocking_io(\"free\"); }";
         let p = Program::parse_single("t", src).expect("p");
         let mut interp = Interp::new(&p);
-        let mut tracer = ConcolicTracer::new(
-            TargetSpec::Builtin { name: "blocking_io".into() },
-            AliasMap::default(),
-            Policy::RecordAll,
-        );
+        let target = TargetSpec::Builtin { name: "blocking_io".into() };
+        let aliases = AliasMap::default();
+        let mut tracer = ConcolicTracer::new(&target, &aliases, Policy::RecordAll);
         interp.call("serialize", vec![], &mut tracer).expect("run");
         interp.call("free_io", vec![], &mut tracer).expect("run");
         assert_eq!(tracer.hits.len(), 2);
@@ -472,11 +468,8 @@ mod tests {
         let mut fields = std::collections::BTreeMap::new();
         fields.insert("ok".to_string(), Value::Bool(true));
         let r = interp.heap.alloc(lisa_lang::HeapObj::Struct { ty: "S".into(), fields });
-        let mut tracer = ConcolicTracer::new(
-            TargetSpec::Call { callee: "target".into() },
-            aliases,
-            Policy::RelevantOnly,
-        );
+        let target = TargetSpec::Call { callee: "target".into() };
+        let mut tracer = ConcolicTracer::new(&target, &aliases, Policy::RelevantOnly);
         interp.call("f", vec![Value::Ref(r)], &mut tracer).expect("run");
         assert_eq!(tracer.hits.len(), 1);
         let pi = &tracer.hits[0].pi;

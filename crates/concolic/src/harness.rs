@@ -151,7 +151,7 @@ pub fn run_tests_budgeted(
             );
             break;
         }
-        let mut test_span = lisa_telemetry::span_with("concolic.test", t.name.clone());
+        let mut test_span = lisa_telemetry::span_with("concolic.test", t.name.as_str());
         let test_started = Instant::now();
         let mut interp = match budget.max_steps_per_test {
             Some(max_steps) => {
@@ -159,7 +159,7 @@ pub fn run_tests_budgeted(
             }
             None => Interp::new(program),
         };
-        let mut tracer = ConcolicTracer::new(target.clone(), aliases.clone(), policy.clone());
+        let mut tracer = ConcolicTracer::new(target, aliases, policy.clone());
         let result = interp.call(&t.entry, Vec::<Value>::new(), &mut tracer);
         let stats = tracer.stats;
         test_span.arg("steps", interp.stats.steps);

@@ -141,9 +141,10 @@ fn run(s: &Scenario) -> (Vec<lisa_concolic::TargetHit>, bool) {
     let mut aliases = AliasMap::default();
     aliases.insert("drive", "e", "e");
     aliases.insert("act", "e", "e");
+    let target = TargetSpec::Call { callee: "act".into() };
     let mut tracer = ConcolicTracer::new(
-        TargetSpec::Call { callee: "act".into() },
-        aliases,
+        &target,
+        &aliases,
         if s.policy_all { Policy::RecordAll } else { Policy::RelevantOnly },
     );
     interp

@@ -211,7 +211,7 @@ pub(crate) fn enforce_impl(
     hook: Option<&dyn SlotHook>,
 ) -> EnforcementReport {
     let started = Instant::now();
-    let mut gate_span = lisa_telemetry::span_with("gate.enforce", version.label.clone());
+    let mut gate_span = lisa_telemetry::span_with("gate.enforce", version.label.as_str());
     let workers = crate::sched::resolve_workers(workers);
     let total_retries = AtomicU64::new(0);
     let degrade = DegradeSignal::new(started, options.deadline);

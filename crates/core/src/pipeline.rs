@@ -196,7 +196,7 @@ impl Pipeline {
         ctx: GateCtx<'_, 'env>,
     ) -> RuleReport {
         let started = Instant::now();
-        let mut rule_span = lisa_telemetry::span_with("pipeline.rule", rule.id.clone());
+        let mut rule_span = lisa_telemetry::span_with("pipeline.rule", rule.id.as_str());
         rule_span.arg("degraded_mode", u64::from(degraded_mode));
         let metrics_on = lisa_telemetry::metrics_enabled();
         let budgets = if degraded_mode {

@@ -105,14 +105,12 @@ fn buggy_versions_actually_exhibit_the_failure() {
         // Drive the buggy version's own tests; at least one arrival must
         // exist (tests exercise the feature).
         let v = &case.versions.buggy;
+        let target = TargetSpec::Call { callee: callee.clone() };
+        let aliases = Default::default();
         let mut total_hits = 0;
         for t in &v.tests {
             let mut interp = Interp::new(&v.program);
-            let mut tracer = ConcolicTracer::new(
-                TargetSpec::Call { callee: callee.clone() },
-                Default::default(),
-                Policy::RecordAll,
-            );
+            let mut tracer = ConcolicTracer::new(&target, &aliases, Policy::RecordAll);
             let _ = interp.call(&t.entry, Vec::<Value>::new(), &mut tracer);
             total_hits += tracer.hits.len();
         }

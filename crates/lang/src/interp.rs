@@ -86,12 +86,23 @@ pub struct BranchEvent<'a> {
 pub struct CallEvent<'a> {
     pub caller: &'a str,
     pub callee: &'a str,
-    pub stmt: Option<StmtId>,
     pub span: Span,
     pub args: &'a [Value],
-    /// Syntactic path of each argument expression, when path-shaped.
-    pub arg_paths: &'a [Option<String>],
+    /// The argument expressions at the call site; empty for a harness
+    /// entry call, which has no call site.
+    pub arg_exprs: &'a [Expr],
     pub depth: usize,
+}
+
+impl CallEvent<'_> {
+    /// Syntactic path of each argument expression, when path-shaped.
+    /// Derived on request: most tracers never ask, so calls do not pay
+    /// for the strings.
+    pub fn arg_paths(&self) -> Vec<Option<String>> {
+        (0..self.args.len())
+            .map(|i| self.arg_exprs.get(i).and_then(crate::symbolic::expr_path))
+            .collect()
+    }
 }
 
 /// An assignment event (used to invalidate stale path constraints).
@@ -163,6 +174,10 @@ enum Flow {
     Normal,
     Return(Value),
 }
+
+/// A frame's local variables. Names borrow from the program's AST, so
+/// binding a parameter or a `let` copies no string.
+type Env<'p> = HashMap<&'p str, Value>;
 
 /// The zero value of a type (Java primitive defaults; refs are null).
 fn zero_value(ty: &Type) -> Value {
@@ -263,21 +278,24 @@ impl<'p> Interp<'p> {
         args: Vec<Value>,
         tracer: &mut dyn Tracer,
     ) -> Result<Value, RuntimeError> {
-        self.call_at_depth(fn_name, args, tracer, 0, None, Span::default(), "<harness>")
+        self.call_fn(fn_name, args, &[], tracer, 0, Span::default(), "<harness>")
     }
 
+    /// Invoke `fn_name`. The callee's declaration is borrowed from the
+    /// program for the whole call, never copied.
     #[allow(clippy::too_many_arguments)] // the full call-site context, threaded once
-    fn call_at_depth(
+    fn call_fn(
         &mut self,
         fn_name: &str,
         args: Vec<Value>,
+        arg_exprs: &[Expr],
         tracer: &mut dyn Tracer,
         depth: usize,
-        stmt: Option<StmtId>,
         span: Span,
         caller: &str,
     ) -> Result<Value, RuntimeError> {
-        let Some(decl) = self.program.function(fn_name) else {
+        let program = self.program;
+        let Some(decl) = program.function(fn_name) else {
             return Err(RuntimeError {
                 kind: ErrorKind::UnknownFunction { name: fn_name.to_string() },
                 function: caller.to_string(),
@@ -293,22 +311,19 @@ impl<'p> Interp<'p> {
         }
         self.stats.calls += 1;
         self.stats.max_depth_seen = self.stats.max_depth_seen.max(depth);
-        let arg_paths: Vec<Option<String>> = vec![None; args.len()];
         tracer.on_call(&CallEvent {
             caller,
             callee: fn_name,
-            stmt,
             span,
             args: &args,
-            arg_paths: &arg_paths,
+            arg_exprs,
             depth,
         });
-        let mut env: HashMap<String, Value> = HashMap::new();
+        let mut env = Env::new();
         for ((pname, _), v) in decl.params.iter().zip(args) {
-            env.insert(pname.clone(), v);
+            env.insert(pname, v);
         }
-        let decl = decl.clone();
-        let out = self.exec_block(&decl.body, &mut env, &decl, tracer, depth)?;
+        let out = self.exec_block(&decl.body, &mut env, decl, tracer, depth)?;
         tracer.on_return(fn_name, depth);
         Ok(match out {
             Flow::Return(v) => v,
@@ -335,21 +350,21 @@ impl<'p> Interp<'p> {
 
     fn exec_block(
         &mut self,
-        stmts: &[Stmt],
-        env: &mut HashMap<String, Value>,
-        f: &FnDecl,
+        stmts: &'p [Stmt],
+        env: &mut Env<'p>,
+        f: &'p FnDecl,
         tracer: &mut dyn Tracer,
         depth: usize,
     ) -> Result<Flow, RuntimeError> {
         // `let`s are block-scoped: remember what each one shadowed so the
         // outer binding (or absence) is restored on exit, while plain
         // assignments to outer variables persist.
-        let mut shadows: Vec<(String, Option<Value>)> = Vec::new();
+        let mut shadows: Vec<(&'p str, Option<Value>)> = Vec::new();
         let mut flow = Flow::Normal;
         let mut error = None;
         for s in stmts {
             if let StmtKind::Let { name, .. } = &s.kind {
-                shadows.push((name.clone(), env.get(name).cloned()));
+                shadows.push((name, env.get(name.as_str()).cloned()));
             }
             match self.exec_stmt(s, env, f, tracer, depth) {
                 Ok(Flow::Normal) => {}
@@ -369,7 +384,7 @@ impl<'p> Interp<'p> {
                     env.insert(name, v);
                 }
                 None => {
-                    env.remove(&name);
+                    env.remove(name);
                 }
             }
         }
@@ -381,9 +396,9 @@ impl<'p> Interp<'p> {
 
     fn exec_stmt(
         &mut self,
-        s: &Stmt,
-        env: &mut HashMap<String, Value>,
-        f: &FnDecl,
+        s: &'p Stmt,
+        env: &mut Env<'p>,
+        f: &'p FnDecl,
         tracer: &mut dyn Tracer,
         depth: usize,
     ) -> Result<Flow, RuntimeError> {
@@ -392,7 +407,7 @@ impl<'p> Interp<'p> {
             StmtKind::Let { name, init, .. } => {
                 let v = self.eval(init, env, f, tracer, depth)?;
                 tracer.on_assign(&AssignEvent { function: &f.name, path: Some(name), depth });
-                env.insert(name.clone(), v);
+                env.insert(name, v);
                 Ok(Flow::Normal)
             }
             StmtKind::Assign { target, value } => {
@@ -404,10 +419,10 @@ impl<'p> Interp<'p> {
                             path: Some(name),
                             depth,
                         });
-                        if env.contains_key(name) {
-                            env.insert(name.clone(), v);
-                        } else if self.globals.contains_key(name) {
-                            self.globals.insert(name.clone(), v);
+                        if let Some(slot) = env.get_mut(name.as_str()) {
+                            *slot = v;
+                        } else if let Some(slot) = self.globals.get_mut(name) {
+                            *slot = v;
                         } else {
                             return Err(self.err(
                                 ErrorKind::TypeMismatch {
@@ -537,11 +552,11 @@ impl<'p> Interp<'p> {
                         ))
                     }
                 };
-                let prior = env.get(var).cloned();
+                let prior = env.get(var.as_str()).cloned();
                 let mut out = Flow::Normal;
                 for item in items {
                     self.tick(&f.name, s.span)?;
-                    env.insert(var.clone(), item);
+                    env.insert(var, item);
                     tracer.on_assign(&AssignEvent { function: &f.name, path: Some(var), depth });
                     if let Flow::Return(v) = self.exec_block(body, env, f, tracer, depth)? {
                         out = Flow::Return(v);
@@ -550,10 +565,10 @@ impl<'p> Interp<'p> {
                 }
                 match prior {
                     Some(v) => {
-                        env.insert(var.clone(), v);
+                        env.insert(var, v);
                     }
                     None => {
-                        env.remove(var);
+                        env.remove(var.as_str());
                     }
                 }
                 Ok(out)
@@ -600,9 +615,9 @@ impl<'p> Interp<'p> {
 
     fn eval_bool(
         &mut self,
-        e: &Expr,
-        env: &mut HashMap<String, Value>,
-        f: &FnDecl,
+        e: &'p Expr,
+        env: &mut Env<'p>,
+        f: &'p FnDecl,
         tracer: &mut dyn Tracer,
         depth: usize,
     ) -> Result<bool, RuntimeError> {
@@ -618,9 +633,9 @@ impl<'p> Interp<'p> {
 
     fn eval(
         &mut self,
-        e: &Expr,
-        env: &mut HashMap<String, Value>,
-        f: &FnDecl,
+        e: &'p Expr,
+        env: &mut Env<'p>,
+        f: &'p FnDecl,
         tracer: &mut dyn Tracer,
         depth: usize,
     ) -> Result<Value, RuntimeError> {
@@ -631,7 +646,7 @@ impl<'p> Interp<'p> {
             ExprKind::Str(s) => Ok(Value::Str(s.clone())),
             ExprKind::Null => Ok(Value::Null),
             ExprKind::Var(name) => {
-                if let Some(v) = env.get(name) {
+                if let Some(v) = env.get(name.as_str()) {
                     Ok(v.clone())
                 } else if let Some(v) = self.globals.get(name) {
                     Ok(v.clone())
@@ -754,24 +769,17 @@ impl<'p> Interp<'p> {
                     vals.push(self.eval(a, env, f, tracer, depth)?);
                 }
                 if crate::types::builtin_signature(name).is_some() {
-                    let locks = self.locks.clone();
                     tracer.on_builtin(&BuiltinEvent {
                         function: &f.name,
                         name,
                         args: &vals,
                         span: e.span,
-                        locks: &locks,
+                        locks: &self.locks,
                         depth,
                     });
                     return self.eval_builtin(name, vals, f, e.span);
                 }
-                // User call: emit arg paths for the varmap layer.
-                let arg_paths: Vec<Option<String>> =
-                    args.iter().map(crate::symbolic::expr_path).collect();
-                let callee = name.clone();
-                // Re-emit a call event with paths (the generic one in
-                // call_at_depth lacks them), then invoke.
-                self.call_with_paths(&callee, vals, arg_paths, tracer, depth + 1, Some(e), f)
+                self.call_fn(name, vals, args, tracer, depth + 1, e.span, &f.name)
             }
             ExprKind::MethodCall(recv, method, args) => {
                 let r = self.eval(recv, env, f, tracer, depth)?;
@@ -782,17 +790,17 @@ impl<'p> Interp<'p> {
                 self.eval_method(r, method, vals, f, e.span)
             }
             ExprKind::New(name, fields) => {
-                let Some(decl) = self.program.struct_decl(name) else {
+                let program = self.program;
+                let Some(decl) = program.struct_decl(name) else {
                     return Err(self.err(
                         ErrorKind::TypeMismatch { expected: "struct type", found: name.clone() },
                         f,
                         e.span,
                     ));
                 };
-                let decl_fields = decl.fields.clone();
                 let mut map = BTreeMap::new();
                 // Defaults first, then explicit initializers.
-                for (fname, fty) in &decl_fields {
+                for (fname, fty) in &decl.fields {
                     let v = match fty {
                         Type::Int => Value::Int(0),
                         Type::Bool => Value::Bool(false),
@@ -818,57 +826,11 @@ impl<'p> Interp<'p> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // the full call-site context, threaded once
-    fn call_with_paths(
-        &mut self,
-        callee: &str,
-        args: Vec<Value>,
-        arg_paths: Vec<Option<String>>,
-        tracer: &mut dyn Tracer,
-        depth: usize,
-        call_expr: Option<&Expr>,
-        caller: &FnDecl,
-    ) -> Result<Value, RuntimeError> {
-        let span = call_expr.map(|e| e.span).unwrap_or_default();
-        let Some(decl) = self.program.function(callee) else {
-            return Err(self.err(
-                ErrorKind::UnknownFunction { name: callee.to_string() },
-                caller,
-                span,
-            ));
-        };
-        if depth >= self.config.max_depth {
-            return Err(self.err(ErrorKind::StackOverflow, caller, span));
-        }
-        self.stats.calls += 1;
-        self.stats.max_depth_seen = self.stats.max_depth_seen.max(depth);
-        tracer.on_call(&CallEvent {
-            caller: &caller.name,
-            callee,
-            stmt: None,
-            span,
-            args: &args,
-            arg_paths: &arg_paths,
-            depth,
-        });
-        let decl = decl.clone();
-        let mut env: HashMap<String, Value> = HashMap::new();
-        for ((pname, _), v) in decl.params.iter().zip(args) {
-            env.insert(pname.clone(), v);
-        }
-        let out = self.exec_block(&decl.body, &mut env, &decl, tracer, depth)?;
-        tracer.on_return(callee, depth);
-        Ok(match out {
-            Flow::Return(v) => v,
-            Flow::Normal => Value::Unit,
-        })
-    }
-
     fn eval_int(
         &mut self,
-        e: &Expr,
-        env: &mut HashMap<String, Value>,
-        f: &FnDecl,
+        e: &'p Expr,
+        env: &mut Env<'p>,
+        f: &'p FnDecl,
         tracer: &mut dyn Tracer,
         depth: usize,
     ) -> Result<i64, RuntimeError> {
@@ -1055,11 +1017,11 @@ impl<'p> Interp<'p> {
                 ))
             }
         };
-        match self.heap.get(r).clone() {
+        match self.heap.get(r) {
             HeapObj::Map { .. } => self.eval_map_method(r, method, args, f, span),
             HeapObj::List { .. } => self.eval_list_method(r, method, args, f, span),
             HeapObj::Struct { ty, .. } => Err(self.err(
-                ErrorKind::TypeMismatch { expected: "collection", found: ty },
+                ErrorKind::TypeMismatch { expected: "collection", found: ty.clone() },
                 f,
                 span,
             )),
@@ -1408,7 +1370,7 @@ mod tests {
         impl Tracer for Paths {
             fn on_call(&mut self, ev: &CallEvent<'_>) {
                 if ev.callee == "target" {
-                    self.0 = ev.arg_paths.to_vec();
+                    self.0 = ev.arg_paths();
                 }
             }
         }

@@ -152,15 +152,6 @@ fn cmp_term(cmp: CmpOp, l: &Expr, r: &Expr) -> Option<Term> {
     Some(Term::Atom(Atom::IntCmp(IntOperand::Var(lp), cmp, IntOperand::Var(rp))))
 }
 
-/// All name paths mentioned by a guard term (excluding opaque variables).
-pub fn term_paths(t: &Term) -> Vec<String> {
-    t.vars()
-        .into_iter()
-        .map(|(v, _)| v)
-        .filter(|v| !v.starts_with("$opaque"))
-        .collect()
-}
-
 /// The root variable of a dotted path (`s.ttl` → `s`).
 pub fn path_root(path: &str) -> &str {
     path.split('.').next().unwrap_or(path)
@@ -228,12 +219,6 @@ mod tests {
     fn opaque_for_arithmetic_on_calls() {
         let t = guard_of("f(x) + 1 > 2");
         assert!(t.to_string().starts_with("$opaque@"));
-    }
-
-    #[test]
-    fn term_paths_skip_opaque() {
-        let t = guard_of("check(s) && s.ttl > 0");
-        assert_eq!(term_paths(&t), vec!["s.ttl".to_string()]);
     }
 
     #[test]

@@ -71,6 +71,22 @@ fn list_set_out_of_bounds() {
 }
 
 #[test]
+fn method_call_on_struct_reference() {
+    // The checker sees a list; the harness hands in a struct object.
+    let p = program("fn f(xs: list<int>) { xs.push(1); }");
+    let mut interp = Interp::new(&p);
+    let s = interp.heap.alloc(lisa_lang::HeapObj::Struct {
+        ty: "Session".into(),
+        fields: Default::default(),
+    });
+    let k = interp.call("f", vec![Value::Ref(s)], &mut NullTracer).expect_err("struct").kind;
+    assert_eq!(
+        k,
+        ErrorKind::TypeMismatch { expected: "collection", found: "Session".to_string() }
+    );
+}
+
+#[test]
 fn stack_overflow_on_unbounded_recursion() {
     let k = run_err("fn f(n: int) -> int { return f(n + 1); }", "f", vec![Value::Int(0)]);
     assert!(matches!(k, ErrorKind::StackOverflow));

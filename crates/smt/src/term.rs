@@ -193,6 +193,23 @@ impl Atom {
             }
         }
     }
+
+    /// Does `pred` hold for any variable of this atom? Visits in the
+    /// order [`Atom::vars`] lists them and allocates nothing.
+    pub fn any_var(&self, pred: &mut dyn FnMut(&str) -> bool) -> bool {
+        match self {
+            Atom::BoolVar(v) => pred(v),
+            Atom::IntCmp(a, _, b) => {
+                [a, b].into_iter().any(|o| matches!(o, IntOperand::Var(v) if pred(v)))
+            }
+            Atom::RefEq(a, b) => {
+                [a, b].into_iter().any(|o| matches!(o, RefOperand::Var(v) if pred(v)))
+            }
+            Atom::StrEq(a, b) => {
+                [a, b].into_iter().any(|o| matches!(o, StrOperand::Var(v) if pred(v)))
+            }
+        }
+    }
 }
 
 impl fmt::Display for Atom {
@@ -339,6 +356,18 @@ impl Term {
                 a.collect_vars(out);
                 b.collect_vars(out);
             }
+        }
+    }
+
+    /// Does `pred` hold for any variable occurrence of the term? The
+    /// allocation-free counterpart of [`Term::vars`] for yes/no questions.
+    pub fn any_var(&self, pred: &mut dyn FnMut(&str) -> bool) -> bool {
+        match self {
+            Term::True | Term::False => false,
+            Term::Atom(a) => a.any_var(pred),
+            Term::Not(t) => t.any_var(pred),
+            Term::And(ts) | Term::Or(ts) => ts.iter().any(|t| t.any_var(pred)),
+            Term::Implies(a, b) | Term::Iff(a, b) => a.any_var(pred) || b.any_var(pred),
         }
     }
 

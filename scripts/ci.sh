@@ -16,12 +16,15 @@ echo "deny-deprecated check: ok"
 
 # Benchmark crate: `lisabench/` is a workspace of its own, so the root
 # `cargo test` never builds it, and an API change in the crates it uses
-# would break it silently. Build it, run its tests, and run a short
-# gate-warm smoke, which exits 1 on any verdict that disagrees with the
-# corpus ground truth.
+# would break it silently. Build it, run its tests, and run short
+# gate-warm and gate-cold smokes; each exits 1 on any verdict that
+# disagrees with the corpus ground truth. gate-cold is the one that runs
+# the interpreter and the concolic tracer on every request.
 cargo build --release --offline --manifest-path lisabench/Cargo.toml
 cargo test -q --release --offline --manifest-path lisabench/Cargo.toml
 lisabench/target/release/lisabench --workload gate-warm --seed 1 --seconds 2 --trace 0 \
+    > /dev/null
+lisabench/target/release/lisabench --workload gate-cold --seed 1 --seconds 2 --trace 0 \
     > /dev/null
 echo "benchmark smoke: ok"
 
