@@ -30,7 +30,8 @@
 //! - [`tenant`] — multi-tenant admission control, weighted-fair
 //!   queueing, and per-tenant availability-tactic state for the daemon,
 //! - [`netloop`] — the std-only `poll(2)` readiness loop multiplexing
-//!   the daemon's `--listen` TCP connections without threads.
+//!   every listener of the daemon (unix socket, `--listen`,
+//!   `--repl-listen`) without threads.
 //!
 //! ```
 //! use lisa::{Pipeline, PipelineConfig, TestSelection};

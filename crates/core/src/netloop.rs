@@ -1,12 +1,18 @@
 //! A hand-rolled nonblocking readiness loop over `poll(2)`.
 //!
-//! The serve daemon's TCP front end multiplexes every pending client
-//! connection onto the supervisor thread: nonblocking sockets are
-//! registered in a [`PollSet`], one `poll` call per supervision tick
-//! reports which are readable, and [`TcpGate`] advances each readable
-//! connection's line buffer. Thousands of idle clients therefore cost a
-//! few bytes of buffer each and **zero threads** — worker threads are
-//! reserved for gate jobs, never for waiting on sockets.
+//! Every listener of the serve daemon — the local unix socket, the
+//! `--listen` TCP gate and the `--repl-listen` replication port — is
+//! multiplexed onto the supervisor thread by one `LineGate`. Each
+//! tick, one `poll` call covers every nonblocking listener and every
+//! parked connection; the gate accepts what is pending and advances each
+//! readable connection's line buffer. A connection leaves the gate when
+//! its first line completes, tagged with the `Port` it arrived on, so
+//! the caller can apply that port's op policy. The rules are the same on
+//! every port: one `max_conns` cap over all parked connections, one
+//! request-line bound, one idle reap, one UTF-8 decode. Thousands of idle
+//! clients therefore cost a few bytes of buffer each and **zero
+//! threads**, and no client — silent, slow or spraying bytes — can make
+//! the supervisor wait on it.
 //!
 //! The build is std-only, so the two syscalls this needs (`poll`,
 //! `get/setrlimit`) are declared directly against the platform libc the
@@ -16,10 +22,11 @@
 //! with the argument invariants stated at the call site.
 #![allow(unsafe_code)]
 
-use std::io::{ErrorKind, Read};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::raw::{c_int, c_ulong};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::{Duration, Instant};
 
 /// `struct pollfd` from `<poll.h>`.
@@ -72,59 +79,16 @@ pub fn raise_fd_limit(want: u64) -> u64 {
     }
 }
 
-/// One `poll(2)` call's worth of registered descriptors. Rebuilt every
-/// supervision tick — registration is an append into a reused Vec, far
-/// cheaper than the syscall itself.
-pub struct PollSet {
-    fds: Vec<PollFd>,
-}
-
-impl Default for PollSet {
-    fn default() -> Self {
-        PollSet::new()
-    }
-}
-
-impl PollSet {
-    pub fn new() -> PollSet {
-        PollSet { fds: Vec::new() }
+impl PollFd {
+    fn readable(fd: RawFd) -> PollFd {
+        PollFd { fd, events: POLLIN, revents: 0 }
     }
 
-    pub fn clear(&mut self) {
-        self.fds.clear();
-    }
-
-    /// Register a descriptor for readability; returns its slot index.
-    pub fn push(&mut self, fd: RawFd) -> usize {
-        self.fds.push(PollFd { fd, events: POLLIN, revents: 0 });
-        self.fds.len() - 1
-    }
-
-    /// Block until something is readable or `timeout` passes. Returns
-    /// the number of ready descriptors (0 on timeout or EINTR — both
-    /// simply mean "run the supervision tick and poll again").
-    pub fn wait(&mut self, timeout: Duration) -> usize {
-        if self.fds.is_empty() {
-            std::thread::sleep(timeout);
-            return 0;
-        }
-        let ms = timeout.as_millis().min(i32::MAX as u128) as c_int;
-        // SAFETY: fds points at a live, correctly sized pollfd array.
-        let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as c_ulong, ms) };
-        if n < 0 {
-            0
-        } else {
-            n as usize
-        }
-    }
-
-    /// Whether slot `idx` is readable (or in an error/hangup state the
-    /// caller should discover by reading — a read returns 0 or an error
-    /// and the connection is torn down).
-    pub fn ready(&self, idx: usize) -> bool {
-        self.fds
-            .get(idx)
-            .is_some_and(|p| p.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0)
+    /// Readable, or in an error/hangup state the caller discovers by
+    /// reading — a read returns 0 or an error and the connection is torn
+    /// down.
+    fn ready(&self) -> bool {
+        self.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0
     }
 }
 
@@ -137,86 +101,193 @@ pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 /// dropped after this long; its fd slot is reclaimed.
 pub const CONN_IDLE_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// One multiplexed client connection: the nonblocking stream and the
-/// bytes received so far (a partial request line).
+/// How long a reply write may block once a stream has left the gate, so
+/// a client that stops reading cannot wedge whoever replies to it.
+const REPLY_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The port a listener serves. The gate treats every port alike; the
+/// dispatcher applies each port's op policy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Port {
+    /// The local unix socket: every op.
+    Local,
+    /// `--listen`: every op except the replication stream.
+    Listen,
+    /// `--repl-listen`: `ping` and `follow` only.
+    Repl,
+}
+
+/// `match` over the `Unix`/`Tcp` arms of [`Listener`] or [`Stream`] with
+/// one body for both: the std socket types share method names, not a
+/// trait.
+macro_rules! either {
+    ($kind:ident, $value:expr, $s:ident => $body:expr) => {
+        match $value {
+            $kind::Unix($s) => $body,
+            $kind::Tcp($s) => $body,
+        }
+    };
+}
+
+/// A listener the gate accepts from.
+pub(crate) enum Listener {
+    Unix(UnixListener),
+    Tcp(TcpListener),
+}
+
+impl Listener {
+    /// Bind a TCP listener on `addr`.
+    pub fn tcp(addr: &str) -> Result<Listener, String> {
+        TcpListener::bind(addr).map(Listener::Tcp).map_err(|e| format!("bind {addr}: {e}"))
+    }
+
+    fn accept(&self) -> io::Result<Stream> {
+        match self {
+            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+        }
+    }
+}
+
+/// One client connection on either transport. Requests, replies, job
+/// results and replication frames all travel over this one type, so
+/// every byte the daemon writes is the same on unix and TCP.
+pub(crate) enum Stream {
+    Unix(UnixStream),
+    Tcp(TcpStream),
+}
+
+impl Stream {
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        either!(Stream, self, s => s.set_read_timeout(timeout))
+    }
+
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        either!(Stream, self, s => s.set_nonblocking(on))
+    }
+
+    /// Back to blocking mode with a bounded write, for the reply path.
+    fn hand_back(self) -> Stream {
+        let _ = self.set_nonblocking(false);
+        let _ = either!(Stream, &self, s => s.set_write_timeout(Some(REPLY_WRITE_TIMEOUT)));
+        self
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        either!(Stream, self, s => s.read(buf))
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        either!(Stream, self, s => s.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        either!(Stream, self, s => s.flush())
+    }
+}
+
+impl AsRawFd for Stream {
+    fn as_raw_fd(&self) -> RawFd {
+        either!(Stream, self, s => s.as_raw_fd())
+    }
+}
+
+/// One parked client connection: the nonblocking stream, the port it
+/// arrived on, and the bytes received so far (a partial request line).
 struct Conn {
-    stream: TcpStream,
+    port: Port,
+    stream: Stream,
     buf: Vec<u8>,
     opened: Instant,
 }
 
-/// What one pump produced for the dispatcher.
+/// What one poll produced for the dispatcher. Every stream in it is back
+/// in blocking mode with a write timeout.
 #[derive(Default)]
-pub struct Pumped {
-    /// Complete request lines, each with its stream restored to blocking
-    /// mode (with a write timeout) for the reply path.
-    pub requests: Vec<(TcpStream, String)>,
+pub(crate) struct Pumped {
+    /// Complete request lines with the port each arrived on.
+    pub requests: Vec<(Port, Stream, String)>,
     /// Accepted past `max_conns`: the caller replies with a structured
     /// shed and closes.
-    pub over_capacity: Vec<TcpStream>,
+    pub over_capacity: Vec<Stream>,
     /// Exceeded [`MAX_REQUEST_LINE`]: the caller replies bad-request and
     /// closes.
-    pub over_length: Vec<TcpStream>,
+    pub over_length: Vec<Stream>,
     /// Connections dropped without producing a request (EOF, transport
     /// error, idle expiry).
     pub dropped: usize,
 }
 
-/// The nonblocking TCP front end: listener plus multiplexed connections.
-pub struct TcpGate {
-    listener: TcpListener,
+/// The nonblocking front end of every port: listeners plus the
+/// connections parked on them until their request line completes.
+pub(crate) struct LineGate {
+    listeners: Vec<(Port, Listener)>,
     conns: Vec<Conn>,
     max_conns: usize,
-    /// Base index of this gate's fds within the current [`PollSet`]
-    /// (listener first, then conns in order). Set by [`TcpGate::register`].
-    base: usize,
-    /// How many conns were registered this tick; accepts that land
-    /// mid-pump wait for the next tick's poll.
-    registered: usize,
+    /// One `poll(2)` call's descriptors: listeners first, then conns.
+    /// Rebuilt every tick — an append into a reused Vec, far cheaper
+    /// than the syscall itself.
+    fds: Vec<PollFd>,
 }
 
-impl TcpGate {
-    /// Bind the listener (nonblocking) on `addr`.
-    pub fn bind(addr: &str, max_conns: usize) -> Result<TcpGate, String> {
-        let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        listener.set_nonblocking(true).map_err(|e| format!("nonblocking {addr}: {e}"))?;
-        Ok(TcpGate {
-            listener,
+impl LineGate {
+    /// An empty gate that parks at most `max_conns` connections across
+    /// all its listeners.
+    pub fn new(max_conns: usize) -> LineGate {
+        LineGate {
+            listeners: Vec::new(),
             conns: Vec::new(),
             max_conns: max_conns.max(1),
-            base: 0,
-            registered: 0,
-        })
+            fds: Vec::new(),
+        }
     }
 
-    /// The address actually bound (resolves `:0` ephemeral ports).
-    pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
-        self.listener.local_addr().ok()
+    /// Serve `port` on `listener`, switched to nonblocking accept.
+    pub fn listen(&mut self, port: Port, listener: Listener) -> Result<(), String> {
+        either!(Listener, &listener, l => l.set_nonblocking(true))
+            .map_err(|e| format!("nonblocking listener: {e}"))?;
+        self.listeners.push((port, listener));
+        Ok(())
     }
 
+    /// Connections parked on every listener, waiting for a request line.
     pub fn open_conns(&self) -> usize {
         self.conns.len()
     }
 
-    /// Register the listener and every connection in `set`.
-    pub fn register(&mut self, set: &mut PollSet) {
-        self.base = set.push(self.listener.as_raw_fd());
-        for conn in &self.conns {
-            set.push(conn.stream.as_raw_fd());
+    /// Wait up to `timeout` for any listener or parked connection to
+    /// become readable, then accept what is pending and advance every
+    /// readable connection.
+    pub fn poll(&mut self, timeout: Duration) -> Pumped {
+        self.fds.clear();
+        for (_, listener) in &self.listeners {
+            self.fds.push(PollFd::readable(either!(Listener, listener, l => l.as_raw_fd())));
         }
-        self.registered = self.conns.len();
-    }
+        for conn in &self.conns {
+            self.fds.push(PollFd::readable(conn.stream.as_raw_fd()));
+        }
+        // Accepts that land below wait for the next tick's poll.
+        let registered = self.conns.len();
+        let ms = timeout.as_millis().min(i32::MAX as u128) as c_int;
+        // SAFETY: fds points at a live, correctly sized pollfd array. A
+        // timeout or EINTR simply means "run the supervision tick and
+        // poll again", so the result needs no check.
+        unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as c_ulong, ms) };
 
-    /// Accept new connections and advance every readable one. `set`
-    /// must be the [`PollSet`] this gate registered into for this tick.
-    pub fn pump(&mut self, set: &PollSet) -> Pumped {
         let mut out = Pumped::default();
-        if set.ready(self.base) {
+        for (idx, (port, listener)) in self.listeners.iter().enumerate() {
+            if !self.fds[idx].ready() {
+                continue;
+            }
             loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
+                match listener.accept() {
+                    Ok(stream) => {
                         if self.conns.len() >= self.max_conns {
-                            out.over_capacity.push(stream);
+                            out.over_capacity.push(stream.hand_back());
                             continue;
                         }
                         if stream.set_nonblocking(true).is_err() {
@@ -224,6 +295,7 @@ impl TcpGate {
                             continue;
                         }
                         self.conns.push(Conn {
+                            port: *port,
                             stream,
                             buf: Vec::new(),
                             opened: Instant::now(),
@@ -240,10 +312,10 @@ impl TcpGate {
         // still to be visited (fds registered this tick cover only the
         // prefix that existed at registration; fresh accepts above are
         // past `registered` and get their first read next tick).
-        let registered = self.registered;
+        let base = self.listeners.len();
         for i in (0..self.conns.len()).rev() {
             let expired = self.conns[i].opened.elapsed() > CONN_IDLE_TIMEOUT;
-            let readable = i < registered && set.ready(self.base + 1 + i);
+            let readable = i < registered && self.fds[base + i].ready();
             if expired && !readable {
                 self.conns.swap_remove(i);
                 out.dropped += 1;
@@ -260,16 +332,11 @@ impl TcpGate {
                 }
                 ConnStep::OverLength => {
                     let conn = self.conns.swap_remove(i);
-                    out.over_length.push(conn.stream);
+                    out.over_length.push(conn.stream.hand_back());
                 }
                 ConnStep::Request(line) => {
                     let conn = self.conns.swap_remove(i);
-                    // Back to blocking for the reply path; bounded write
-                    // so a dead client cannot wedge whoever replies.
-                    let _ = conn.stream.set_nonblocking(false);
-                    let _ = conn.stream.set_read_timeout(Some(Duration::from_secs(2)));
-                    let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(5)));
-                    out.requests.push((conn.stream, line));
+                    out.requests.push((conn.port, conn.stream.hand_back(), line));
                 }
             }
         }
@@ -286,17 +353,19 @@ enum ConnStep {
 
 /// Read whatever the socket has. A complete line (everything up to the
 /// first newline; the protocol is one request per connection) finishes
-/// the connection's readiness phase.
+/// the connection's readiness phase. The line is decoded lossily, so a
+/// request with invalid UTF-8 gets the same reply on every port.
 fn advance(conn: &mut Conn) -> ConnStep {
     let mut chunk = [0u8; 4096];
     loop {
         match conn.stream.read(&mut chunk) {
             Ok(0) => return ConnStep::Drop,
             Ok(n) => {
+                let scanned = conn.buf.len();
                 conn.buf.extend_from_slice(&chunk[..n]);
-                if let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') {
-                    let line = String::from_utf8_lossy(&conn.buf[..pos]).into_owned();
-                    return ConnStep::Request(line);
+                if let Some(pos) = conn.buf[scanned..].iter().position(|&b| b == b'\n') {
+                    let line = &conn.buf[..scanned + pos];
+                    return ConnStep::Request(String::from_utf8_lossy(line).into_owned());
                 }
                 if conn.buf.len() > MAX_REQUEST_LINE {
                     return ConnStep::OverLength;
@@ -312,71 +381,156 @@ fn advance(conn: &mut Conn) -> ConnStep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::path::PathBuf;
+
+    /// The two listener kinds every gate test runs over.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Unix,
+        Tcp,
+    }
+
+    const KINDS: [Kind; 2] = [Kind::Unix, Kind::Tcp];
+
+    /// Where a client reaches a listener the test bound.
+    enum Peer {
+        Unix(PathBuf),
+        Tcp(std::net::SocketAddr),
+    }
+
+    impl Drop for Peer {
+        fn drop(&mut self) {
+            if let Peer::Unix(path) = self {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+    }
+
+    impl Peer {
+        fn connect(&self) -> Stream {
+            match self {
+                Peer::Unix(path) => Stream::Unix(UnixStream::connect(path).expect("connect")),
+                Peer::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr).expect("connect")),
+            }
+        }
+    }
+
+    /// A fresh listener of `kind`; unix sockets get a path unique to the
+    /// test `tag`.
+    fn bind(kind: Kind, tag: &str) -> (Listener, Peer) {
+        match kind {
+            Kind::Unix => {
+                let path = std::env::temp_dir()
+                    .join(format!("lisa-netloop-{tag}-{}.sock", std::process::id()));
+                let _ = std::fs::remove_file(&path);
+                let listener = UnixListener::bind(&path).expect("bind unix");
+                (Listener::Unix(listener), Peer::Unix(path))
+            }
+            Kind::Tcp => {
+                let listener = TcpListener::bind("127.0.0.1:0").expect("bind tcp");
+                let addr = listener.local_addr().expect("addr");
+                (Listener::Tcp(listener), Peer::Tcp(addr))
+            }
+        }
+    }
+
+    /// A gate over one listener of `kind`, serving `port`.
+    fn gate_over(kind: Kind, port: Port, max_conns: usize, tag: &str) -> (LineGate, Peer) {
+        let (listener, peer) = bind(kind, &format!("{tag}-{kind:?}"));
+        let mut gate = LineGate::new(max_conns);
+        gate.listen(port, listener).expect("listen");
+        (gate, peer)
+    }
+
+    /// Poll until `done` says the pumped output is what the test waits
+    /// for, failing after a few seconds.
+    fn poll_until(gate: &mut LineGate, what: &str, mut done: impl FnMut(Pumped) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done(gate.poll(Duration::from_millis(50))) {
+            assert!(Instant::now() < deadline, "{what} never surfaced");
+        }
+    }
 
     #[test]
     fn poll_reports_readiness_and_timeouts() {
-        let mut gate = TcpGate::bind("127.0.0.1:0", 8).expect("bind");
-        let addr = gate.local_addr().expect("addr");
-        let mut set = PollSet::new();
-        gate.register(&mut set);
-        assert_eq!(set.wait(Duration::from_millis(10)), 0, "nothing connected yet");
+        for (kind, port) in [(Kind::Unix, Port::Local), (Kind::Tcp, Port::Listen)] {
+            readiness_and_timeouts(kind, port);
+        }
+    }
 
-        let mut client = TcpStream::connect(addr).expect("connect");
-        set.clear();
-        gate.register(&mut set);
-        assert!(set.wait(Duration::from_millis(500)) > 0, "pending accept is readable");
-        let pumped = gate.pump(&set);
+    fn readiness_and_timeouts(kind: Kind, port: Port) {
+        let (mut gate, peer) = gate_over(kind, port, 8, "ready");
+        let idle = Instant::now();
+        let pumped = gate.poll(Duration::from_millis(20));
+        assert!(pumped.requests.is_empty(), "{kind:?}: nothing connected yet");
+        assert!(idle.elapsed() >= Duration::from_millis(10), "{kind:?}: idle poll times out");
+
+        let mut client = peer.connect();
+        let woke = Instant::now();
+        let pumped = gate.poll(Duration::from_secs(5));
+        assert!(woke.elapsed() < Duration::from_secs(2), "{kind:?}: pending accept is readable");
         assert!(pumped.requests.is_empty());
-        assert_eq!(gate.open_conns(), 1, "idle connection parked, no thread");
+        assert_eq!(gate.open_conns(), 1, "{kind:?}: idle connection parked, no thread");
 
         client.write_all(b"{\"op\":\"ping\"}\n").expect("write");
-        set.clear();
-        gate.register(&mut set);
-        assert!(set.wait(Duration::from_millis(500)) > 0);
-        let pumped = gate.pump(&set);
-        assert_eq!(pumped.requests.len(), 1);
-        assert_eq!(pumped.requests[0].1, "{\"op\":\"ping\"}");
-        assert_eq!(gate.open_conns(), 0, "request hands the stream to the dispatcher");
+        let woke = Instant::now();
+        let pumped = gate.poll(Duration::from_secs(5));
+        assert!(woke.elapsed() < Duration::from_secs(2), "{kind:?}: request line is readable");
+        assert_eq!(pumped.requests.len(), 1, "{kind:?}");
+        let (tag, _, line) = &pumped.requests[0];
+        assert_eq!(*tag, port, "{kind:?}: the request carries its port");
+        assert_eq!(line, "{\"op\":\"ping\"}");
+        assert_eq!(gate.open_conns(), 0, "{kind:?}: request hands the stream to the dispatcher");
     }
 
     #[test]
     fn request_lines_are_bounded() {
-        let mut gate = TcpGate::bind("127.0.0.1:0", 8).expect("bind");
-        let addr = gate.local_addr().expect("addr");
-        let mut client = TcpStream::connect(addr).expect("connect");
-        let blob = vec![b'x'; MAX_REQUEST_LINE + 4096];
-        client.write_all(&blob).expect("write");
-        client.flush().expect("flush");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let mut set = PollSet::new();
-            gate.register(&mut set);
-            set.wait(Duration::from_millis(50));
-            let pumped = gate.pump(&set);
-            if !pumped.over_length.is_empty() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "overlong line never detected");
+        for kind in KINDS {
+            let (mut gate, peer) = gate_over(kind, Port::Local, 8, "bounded");
+            let mut client = peer.connect();
+            // Written from a second thread: the gate reads the blob on
+            // this one, so a full socket buffer cannot deadlock the test.
+            let writer = std::thread::spawn(move || {
+                let _ = client.write_all(&vec![b'x'; MAX_REQUEST_LINE + 4096]);
+                client
+            });
+            poll_until(&mut gate, &format!("{kind:?}: overlong line"), |p| {
+                !p.over_length.is_empty()
+            });
+            assert_eq!(gate.open_conns(), 0, "{kind:?}");
+            drop(writer.join());
         }
     }
 
     #[test]
     fn connections_beyond_the_cap_are_handed_back() {
-        let mut gate = TcpGate::bind("127.0.0.1:0", 1).expect("bind");
-        let addr = gate.local_addr().expect("addr");
-        let _c1 = TcpStream::connect(addr).expect("first");
-        let _c2 = TcpStream::connect(addr).expect("second");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut over = 0;
-        while over == 0 {
-            let mut set = PollSet::new();
-            gate.register(&mut set);
-            set.wait(Duration::from_millis(50));
-            over += gate.pump(&set).over_capacity.len();
-            assert!(Instant::now() < deadline, "cap overflow never surfaced");
+        for kind in KINDS {
+            let (mut gate, peer) = gate_over(kind, Port::Local, 1, "cap");
+            let _c1 = peer.connect();
+            let _c2 = peer.connect();
+            poll_until(&mut gate, &format!("{kind:?}: cap overflow"), |p| {
+                !p.over_capacity.is_empty()
+            });
+            assert_eq!(gate.open_conns(), 1, "{kind:?}");
         }
-        assert_eq!(gate.open_conns(), 1);
+    }
+
+    #[test]
+    fn unix_and_tcp_listeners_share_one_cap() {
+        let (unix, unix_peer) = bind(Kind::Unix, "shared-cap");
+        let (tcp, tcp_peer) = bind(Kind::Tcp, "shared-cap");
+        let mut gate = LineGate::new(1);
+        gate.listen(Port::Local, unix).expect("listen unix");
+        gate.listen(Port::Listen, tcp).expect("listen tcp");
+        let _u = unix_peer.connect();
+        let _t = tcp_peer.connect();
+        let mut shed = 0;
+        poll_until(&mut gate, "shared cap overflow", |p| {
+            shed += p.over_capacity.len();
+            shed > 0
+        });
+        assert_eq!(gate.open_conns(), 1, "one connection parked across both listeners");
+        assert_eq!(shed, 1, "the other is shed");
     }
 
     #[test]

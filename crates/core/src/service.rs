@@ -12,11 +12,11 @@
 //!   a run killed at *any* journal-record boundary and resumed produces
 //!   a byte-identical final verdict artifact ([`DurableGateReport::verdicts_text`]).
 //! - [`serve`] — a daemon accepting gate jobs as newline-delimited JSON
-//!   over a unix socket and (with `--listen`) a multiplexed TCP
-//!   listener, processed by a supervised worker pool: panicked workers
-//!   are reaped and respawned, stalled workers (no heartbeat for the
-//!   tenant's `job_timeout`) abandoned, their jobs retried with backoff
-//!   and dead-lettered after `max_attempts`, with bounded-queue
+//!   over a unix socket and (with `--listen`) a TCP listener, processed
+//!   by a supervised worker pool: panicked workers are reaped and
+//!   respawned, stalled workers (no heartbeat for the tenant's
+//!   `job_timeout`) abandoned, their jobs retried with backoff and
+//!   dead-lettered after `max_attempts`, with bounded-queue
 //!   backpressure and graceful drain on shutdown. Two isolation rules
 //!   keep recovery honest: every respawned worker gets a **fresh slot**
 //!   (an abandoned thread can never take — or answer — a job it does
@@ -29,9 +29,15 @@
 //! over `--tenants` weights via [`crate::tenant::FairQueues`]), and
 //! admission control sheds explicitly — a saturated tenant or global
 //! queue answers `{"status":"shed","retry_after_ms":...}` immediately
-//! instead of blocking or dropping the connection. The TCP front end is
-//! a hand-rolled `poll(2)` readiness loop ([`crate::netloop`]): idle
-//! clients cost no threads.
+//! instead of blocking or dropping the connection.
+//!
+//! Every listener — the unix socket, `--listen` and `--repl-listen`, on
+//! a leader or a follower — is multiplexed by one hand-rolled `poll(2)`
+//! readiness loop ([`crate::netloop`]) on the supervisor thread. A
+//! request reaches a dispatcher only once its line is complete, so idle
+//! clients cost no threads and no client can stall supervision. Each
+//! port keeps its op policy: the unix socket serves every op, `--listen`
+//! refuses `follow`, and `--repl-listen` speaks only `ping` and `follow`.
 //!
 //! Parallel throughput comes from the worker pool across jobs and, with
 //! `DurableOptions::workers`, from the engine's fan-out within a job.
@@ -39,8 +45,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::TcpStream;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,7 +75,7 @@ use crate::enforce::{
 use crate::faults::FAULT_PANIC_PREFIX;
 use crate::gate::GateCache;
 use crate::json::{escape, Json};
-use crate::netloop::{raise_fd_limit, PollSet, TcpGate};
+use crate::netloop::{raise_fd_limit, LineGate, Listener, Port, Pumped, Stream};
 use crate::pipeline::{PipelineConfig, TestSelection};
 use crate::tenant::{
     valid_tenant, Admitted, FairQueues, TenantSpec, MAX_JOB_ID_LEN,
@@ -712,9 +717,9 @@ pub struct ServeConfig {
     /// the failover fault sweep).
     pub stream_faults: Option<Arc<dyn StreamFaults>>,
     /// Additionally accept gate submissions over TCP at this
-    /// `host:port`, multiplexed onto the supervisor thread by a
-    /// nonblocking `poll(2)` readiness loop — thousands of idle clients
-    /// cost no threads.
+    /// `host:port`. Like every listener, it is multiplexed onto the
+    /// supervisor thread by the nonblocking `poll(2)` readiness loop —
+    /// thousands of idle clients cost no threads.
     pub listen: Option<String>,
     /// Tenant roster: fairness weight and optional per-tenant job
     /// timeout per name. Tenants not listed here auto-register at
@@ -723,8 +728,10 @@ pub struct ServeConfig {
     /// Explicit per-tenant queue bound; 0 means each tenant's bound is
     /// its weight-proportional share of `queue_cap`.
     pub tenant_cap: usize,
-    /// Maximum concurrently parked TCP connections on `listen`; accepts
-    /// past it are answered with a structured shed and closed.
+    /// Maximum concurrently parked connections (accepted, request line
+    /// not yet complete) across every listener: the unix socket,
+    /// `listen` and `repl_listen`. Accepts past it are answered with a
+    /// structured shed and closed.
     pub max_conns: usize,
 }
 
@@ -786,35 +793,6 @@ pub struct ServeStats {
     pub promotions: u64,
 }
 
-/// The response channel a job (or transient request) travels with: a
-/// unix-socket peer or a TCP peer from the `--listen` readiness loop.
-/// Both transports speak the same one-line NDJSON protocol, so replies
-/// are byte-identical across them.
-enum Responder {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Responder {
-    /// Write one reply line. A failed write is counted in
-    /// `serve.reply_errors` and the connection is torn down cleanly —
-    /// a dead client must cost a counter bump, never a wedged worker.
-    fn send(&mut self, line: &str) {
-        let res = match self {
-            Responder::Unix(s) => write_reply(s, line),
-            Responder::Tcp(s) => write_reply(s, line),
-        };
-        if let Err(e) = res {
-            lisa_telemetry::counter_add("serve.reply_errors", 1);
-            lisa_telemetry::note("serve", || format!("reply failed: {e}"));
-            match self {
-                Responder::Unix(s) => drop(s.shutdown(std::net::Shutdown::Both)),
-                Responder::Tcp(s) => drop(s.shutdown(std::net::Shutdown::Both)),
-            }
-        }
-    }
-}
-
 /// One queued gate job. The response stream travels with the job so
 /// whoever settles it — worker, or supervisor on dead-letter — can reply.
 struct Job {
@@ -827,7 +805,7 @@ struct Job {
     /// only), `stall` (sleep past the job timeout).
     chaos: Option<String>,
     attempts: u32,
-    stream: Responder,
+    stream: Stream,
 }
 
 /// A worker's in-flight job: parked here while processing so the
@@ -882,8 +860,9 @@ struct Shared {
     /// Isolation, not just bookkeeping: one tenant's cached verdicts
     /// and parsed rules are invisible to every other tenant's jobs.
     runtimes: Mutex<HashMap<String, Arc<TenantRuntime>>>,
-    /// Currently parked TCP connections on the `--listen` gate,
-    /// refreshed each supervision tick for the `stats` op.
+    /// Connections currently parked in the readiness loop across every
+    /// listener (the `stats` key keeps its historical `listen_conns`
+    /// name), refreshed each supervision tick.
     listen_conns: AtomicU64,
 }
 
@@ -955,10 +934,12 @@ fn write_reply(stream: &mut impl Write, line: &str) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// Reply on a transient (non-job) connection. The client may have gone
-/// away; a failed reply must not take the daemon down with it — but it
-/// is counted, and the connection closes when the stream drops.
-fn respond(stream: &mut impl Write, line: &str) {
+/// Write one reply line to a client. The client may have gone away; a
+/// failed write is counted in `serve.reply_errors` and the connection
+/// closes when the stream drops. The readiness loop hands every stream
+/// out with a write timeout, so a dead client costs a counter bump,
+/// never a wedged supervisor or worker.
+fn send(stream: &mut Stream, line: &str) {
     if let Err(e) = write_reply(stream, line) {
         lisa_telemetry::counter_add("serve.reply_errors", 1);
         lisa_telemetry::note("serve", || format!("reply failed: {e}"));
@@ -1191,7 +1172,7 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
             Ok(report) => done_response(&job.id, report),
             Err(e) => error_response(&job.id, "error", e),
         };
-        job.stream.send(&line);
+        send(&mut job.stream, &line);
         shared.jobs_done.fetch_add(1, Ordering::Relaxed);
         let elapsed_us = job_started.elapsed().as_micros() as u64;
         // Settle the tenant's accounting: active count, done count, one
@@ -1239,15 +1220,10 @@ fn parse_repl_addr(spec: &str) -> ReplAddr {
     }
 }
 
-/// A replication transport: the unix socket and the TCP listener both
-/// carry the same handshake line followed by binary frames.
-trait ReplStream: Read + Write + Send {}
-impl<T: Read + Write + Send> ReplStream for T {}
-
 /// Stream the leader's state to one follower: full sync first, then
 /// live frames off the bus, with heartbeats in idle gaps. Runs on its
 /// own thread until the follower drops or the daemon shuts down.
-fn ship_to_follower(mut stream: Box<dyn ReplStream>, shared: &Arc<Shared>, interval: Duration) {
+fn ship_to_follower(mut stream: Stream, shared: &Arc<Shared>, interval: Duration) {
     shared.followers.fetch_add(1, Ordering::SeqCst);
     if let Err(e) = ship_loop(&mut stream, shared, interval) {
         lisa_telemetry::note("repl", || format!("follower detached: {e}"));
@@ -1255,18 +1231,14 @@ fn ship_to_follower(mut stream: Box<dyn ReplStream>, shared: &Arc<Shared>, inter
     shared.followers.fetch_sub(1, Ordering::SeqCst);
 }
 
-fn ship_frame(stream: &mut Box<dyn ReplStream>, payload: &[u8]) -> std::io::Result<()> {
+fn ship_frame(stream: &mut Stream, payload: &[u8]) -> std::io::Result<()> {
     stream.write_all(&frame(payload))?;
     lisa_telemetry::counter_add("repl.frames_shipped", 1);
     lisa_telemetry::counter_add("repl.bytes_shipped", (FRAME_HEADER + payload.len()) as u64);
     Ok(())
 }
 
-fn ship_loop(
-    stream: &mut Box<dyn ReplStream>,
-    shared: &Arc<Shared>,
-    interval: Duration,
-) -> std::io::Result<()> {
+fn ship_loop(stream: &mut Stream, shared: &Arc<Shared>, interval: Duration) -> std::io::Result<()> {
     let bus = &shared.repl;
     let (payloads, mut pos) = bus.sync_payloads();
     for p in &payloads {
@@ -1309,10 +1281,12 @@ fn ship_loop(
 }
 
 /// Acknowledge a `follow` handshake and hand the stream to a shipper
-/// thread that owns it for the rest of the daemon's life.
-fn start_shipper(mut stream: Box<dyn ReplStream>, shared: &Arc<Shared>, config: &ServeConfig) {
+/// thread that owns it for the rest of the daemon's life. The stream's
+/// write timeout keeps a follower that stops reading from wedging its
+/// shipper (and with it, daemon shutdown) forever.
+fn start_shipper(mut stream: Stream, shared: &Arc<Shared>, config: &ServeConfig) {
     let (seq, _) = shared.repl.position();
-    respond(&mut stream, &format!("{{\"status\":\"ok\",\"repl\":{REPL_VERSION},\"seq\":{seq}}}"));
+    send(&mut stream, &format!("{{\"status\":\"ok\",\"repl\":{REPL_VERSION},\"seq\":{seq}}}"));
     lisa_telemetry::counter_add("repl.followers_attached", 1);
     let handle = {
         let shared = Arc::clone(shared);
@@ -1424,21 +1398,15 @@ enum FollowerExit {
     Promoted,
 }
 
-fn follower_connect(addr: &ReplAddr) -> std::io::Result<Box<dyn ReplStream>> {
+fn follower_connect(addr: &ReplAddr) -> std::io::Result<Stream> {
+    let stream = match addr {
+        ReplAddr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+        ReplAddr::Tcp(hostport) => Stream::Tcp(TcpStream::connect(hostport.as_str())?),
+    };
     // Short read timeouts keep the client loop responsive to `stop` and
     // let it notice staleness without a dedicated timer thread.
-    match addr {
-        ReplAddr::Unix(path) => {
-            let s = UnixStream::connect(path)?;
-            s.set_read_timeout(Some(Duration::from_millis(200)))?;
-            Ok(Box::new(s))
-        }
-        ReplAddr::Tcp(hostport) => {
-            let s = TcpStream::connect(hostport.as_str())?;
-            s.set_read_timeout(Some(Duration::from_millis(200)))?;
-            Ok(Box::new(s))
-        }
-    }
+    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+    Ok(stream)
 }
 
 /// The follower's stream client: connect, follow, reconnect with
@@ -1486,7 +1454,7 @@ fn follower_client(
 /// Run one connected session: handshake, then decode-and-apply until
 /// EOF, corruption, or shutdown.
 fn follow_stream(
-    mut stream: Box<dyn ReplStream>,
+    mut stream: Stream,
     state: &FollowState,
     applier: &Applier,
     stop: &AtomicBool,
@@ -1650,14 +1618,16 @@ fn apply_wire(
     }
 }
 
-/// Run follower mode on the already-bound unix socket: mirror the
-/// leader into the state root, answer read-only ops, and decide
-/// promotion. Returns whether we drained or should take over.
+/// Run follower mode on the gate's unix socket: mirror the leader into
+/// the state root, answer read-only ops, and decide promotion. Returns
+/// whether we drained or should take over; on promotion the caller keeps
+/// the gate, parked connections included, for the leader loop.
 fn run_follower(
-    listener: &UnixListener,
+    gate: &mut LineGate,
     config: &ServeConfig,
     addr: ReplAddr,
     metrics_journal: &mut Option<Journal>,
+    stats: &mut ServeStats,
 ) -> FollowerExit {
     let state = Arc::new(FollowState::new());
     let applier = match Applier::new(&config.state_root) {
@@ -1682,10 +1652,9 @@ fn run_follower(
     let mut last_snapshot = Instant::now();
     let mut drained = false;
     let exit = loop {
-        accept_pending(
-            || listener.accept(),
-            |stream| handle_follower_connection(stream, config, &state, &mut drained),
-        );
+        for (_, stream, line) in answer_refused(gate.poll(SUPERVISION_TICK), stats) {
+            handle_follower_request(&line, stream, config, &state, &mut drained);
+        }
         if drained {
             break FollowerExit::Drained;
         }
@@ -1702,43 +1671,26 @@ fn run_follower(
             snapshot_metrics(metrics_journal);
             last_snapshot = Instant::now();
         }
-        std::thread::sleep(Duration::from_millis(10));
     };
     stop.store(true, Ordering::SeqCst);
     let _ = client.join();
     exit
 }
 
-/// Hand every connection pending on a nonblocking listener to `handle`.
-fn accept_pending<S, A>(
-    accept: impl Fn() -> std::io::Result<(S, A)>,
-    mut handle: impl FnMut(S),
-) {
-    loop {
-        match accept() {
-            Ok((stream, _)) => handle(stream),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-            Err(e) => {
-                lisa_telemetry::note("serve", || format!("accept failed: {e}"));
-                return;
-            }
-        }
-    }
-}
-
-/// One NDJSON request in follower mode: read-only ops plus `shutdown`.
-/// Writes are refused with a structured `read-only` reply (Degradation:
-/// the follower keeps serving what it can, never what it can't).
-fn handle_follower_connection(
-    mut stream: UnixStream,
+/// One NDJSON request line in follower mode: read-only ops plus
+/// `shutdown`. Writes are refused with a structured `read-only` reply
+/// (Degradation: the follower keeps serving what it can, never what it
+/// can't).
+fn handle_follower_request(
+    line: &str,
+    mut stream: Stream,
     config: &ServeConfig,
-    state: &Arc<FollowState>,
+    state: &FollowState,
     drained: &mut bool,
 ) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let request = match read_line(&stream).and_then(|line| parse_request(&line)) {
+    let request = match parse_request(line) {
         Ok(request) => request,
-        Err(reply) => return respond(&mut stream, &reply),
+        Err(reply) => return send(&mut stream, &reply),
     };
     let reply = match request.str_of("op").unwrap_or("gate") {
         "ping" => "{\"status\":\"ok\"}".to_string(),
@@ -1760,7 +1712,7 @@ fn handle_follower_connection(
         ),
         other => error_response("", "bad-request", &format!("unknown op {other:?}")),
     };
-    respond(&mut stream, &reply);
+    send(&mut stream, &reply);
 }
 
 /// The follower's `stats` reply: role, replication progress, and the
@@ -1825,24 +1777,18 @@ fn verdict_response(state_root: &Path, request: &Json) -> String {
     )
 }
 
-/// One connection on the TCP replication listener. Only `ping` and
-/// `follow` are spoken here — gate submissions stay on the unix socket,
+/// One request line on the `--repl-listen` port. Only `ping` and
+/// `follow` are spoken here — gate submissions stay on the other ports,
 /// so exposing the replication port never exposes the write path.
-fn handle_repl_tcp(mut stream: TcpStream, config: &ServeConfig, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let request = match read_line(&stream).and_then(|line| parse_request(&line)) {
+fn handle_repl_request(line: &str, mut stream: Stream, config: &ServeConfig, shared: &Arc<Shared>) {
+    let request = match parse_request(line) {
         Ok(request) => request,
-        Err(reply) => return respond(&mut stream, &reply),
+        Err(reply) => return send(&mut stream, &reply),
     };
     match request.str_of("op").unwrap_or("") {
-        "ping" => respond(&mut stream, "{\"status\":\"ok\"}"),
-        "follow" => {
-            // A follower that stops reading must not wedge its shipper
-            // (and with it, daemon shutdown) forever.
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-            start_shipper(Box::new(stream), shared, config);
-        }
-        other => respond(
+        "ping" => send(&mut stream, "{\"status\":\"ok\"}"),
+        "follow" => start_shipper(stream, shared, config),
+        other => send(
             &mut stream,
             &error_response(
                 "",
@@ -1852,6 +1798,32 @@ fn handle_repl_tcp(mut stream: TcpStream, config: &ServeConfig, shared: &Arc<Sha
         ),
     }
 }
+
+/// Answer the connections the readiness loop handed back without a
+/// request — past `max_conns` a structured shed, past the line bound a
+/// bad-request — and return the complete request lines to dispatch.
+fn answer_refused(pumped: Pumped, stats: &mut ServeStats) -> Vec<(Port, Stream, String)> {
+    for mut stream in pumped.over_capacity {
+        stats.rejected_overload += 1;
+        lisa_telemetry::counter_add("serve.shed", 1);
+        send(&mut stream, &shed_response("", "", 1000, "connection limit reached"));
+    }
+    for mut stream in pumped.over_length {
+        send(
+            &mut stream,
+            &error_response("", "bad-request", "request line exceeds the 64KiB bound"),
+        );
+    }
+    if pumped.dropped > 0 {
+        lisa_telemetry::counter_add("serve.conns_dropped", pumped.dropped as u64);
+    }
+    pumped.requests
+}
+
+/// The supervisor's longest wait: one `poll(2)` tick. It keeps
+/// supervision (reaping, retries, snapshots, promotion) ticking with no
+/// I/O; readiness wakes the loop at once.
+const SUPERVISION_TICK: Duration = Duration::from_millis(10);
 
 /// How often the daemon journals a metrics snapshot while running.
 const METRICS_SNAPSHOT_INTERVAL: Duration = Duration::from_secs(2);
@@ -1927,9 +1899,12 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
     let _ = std::fs::remove_file(&config.socket);
     let listener = UnixListener::bind(&config.socket)
         .map_err(|e| format!("bind {}: {e}", config.socket.display()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking listener: {e}"))?;
+    // Every port goes through this one readiness loop on the supervisor
+    // thread. Thousands of parked sockets need headroom past the default
+    // 1024 soft fd limit.
+    raise_fd_limit(config.max_conns as u64 + 512);
+    let mut gate = LineGate::new(config.max_conns);
+    gate.listen(Port::Local, Listener::Unix(listener))?;
     std::fs::create_dir_all(&config.state_root)
         .map_err(|e| format!("mkdir {}: {e}", config.state_root.display()))?;
 
@@ -1946,10 +1921,11 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
 
     // Follower mode: mirror the leader until a shutdown drains us or
     // the leader goes silent. Promotion falls through into the leader
-    // path below on the already-bound socket, so the address clients
-    // know keeps working across the role change.
+    // path below on the same gate, so the address clients know keeps
+    // working across the role change and parked clients stay parked.
     if let Some(spec) = &config.follow {
-        match run_follower(&listener, config, parse_repl_addr(spec), &mut metrics_journal) {
+        let addr = parse_repl_addr(spec);
+        match run_follower(&mut gate, config, addr, &mut metrics_journal, &mut stats) {
             FollowerExit::Drained => {
                 snapshot_metrics(&mut metrics_journal);
                 let _ = std::fs::remove_file(&config.socket);
@@ -1966,28 +1942,13 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
         }
     }
 
-    let repl_listener = match &config.repl_listen {
-        Some(addr) => {
-            let l = TcpListener::bind(addr.as_str()).map_err(|e| format!("bind {addr}: {e}"))?;
-            l.set_nonblocking(true).map_err(|e| format!("nonblocking repl listener: {e}"))?;
-            Some(l)
-        }
-        None => None,
-    };
-
-    // The TCP gate front end: nonblocking accept plus poll(2)-driven
-    // readiness over parked connections, all on this thread.
-    let mut tcp_gate = match &config.listen {
-        Some(addr) => {
-            // Thousands of parked sockets need headroom past the
-            // default 1024 soft fd limit.
-            raise_fd_limit(config.max_conns as u64 + 512);
-            let gate = TcpGate::bind(addr, config.max_conns)?;
-            lisa_telemetry::note("serve", || format!("gate listening on tcp {addr}"));
-            Some(gate)
-        }
-        None => None,
-    };
+    if let Some(addr) = &config.repl_listen {
+        gate.listen(Port::Repl, Listener::tcp(addr)?)?;
+    }
+    if let Some(addr) = &config.listen {
+        gate.listen(Port::Listen, Listener::tcp(addr)?)?;
+        lisa_telemetry::note("serve", || format!("gate listening on tcp {addr}"));
+    }
 
     // 0 = auto-size the pool to the machine, like the gate scheduler.
     let workers = crate::sched::resolve_workers(config.workers);
@@ -2023,74 +1984,27 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
         listen_conns: AtomicU64::new(0),
     });
     let mut pool: Vec<Worker> = (0..workers).map(|i| spawn_worker(&shared, i)).collect();
-    let mut poll = PollSet::new();
 
     let mut pending_retries: Vec<(Job, Instant)> = Vec::new();
     let mut next_job = 0u64;
     let mut draining = false;
 
     loop {
-        // 0. One poll(2) over everything: the unix listener, the repl
-        // listener, and every parked TCP connection. The 10ms cap keeps
-        // supervision (reaping, retries, snapshots) ticking with no I/O;
-        // readiness wakes the loop immediately.
-        poll.clear();
-        poll.push(listener.as_raw_fd());
-        if let Some(l) = &repl_listener {
-            poll.push(l.as_raw_fd());
+        // 1. One poll(2) over every listener and parked connection, then
+        // dispatch each completed request line under its port's policy.
+        for (port, stream, line) in answer_refused(gate.poll(SUPERVISION_TICK), &mut stats) {
+            dispatch_request(
+                port,
+                &line,
+                stream,
+                config,
+                &shared,
+                &mut stats,
+                &mut next_job,
+                &mut draining,
+            );
         }
-        if let Some(gate) = &mut tcp_gate {
-            gate.register(&mut poll);
-        }
-        poll.wait(Duration::from_millis(10));
-
-        // 1. Accept one round of connections.
-        accept_pending(
-            || listener.accept(),
-            |stream| {
-                handle_connection(stream, config, &shared, &mut stats, &mut next_job, &mut draining)
-            },
-        );
-        if let Some(l) = &repl_listener {
-            accept_pending(|| l.accept(), |stream| handle_repl_tcp(stream, config, &shared));
-        }
-
-        // 1b. Pump the TCP gate: accept new connections, advance every
-        // readable parked one, dispatch each completed request line.
-        if let Some(gate) = &mut tcp_gate {
-            let pumped = gate.pump(&poll);
-            for s in pumped.over_capacity {
-                let _ = s.set_nonblocking(false);
-                let _ = s.set_write_timeout(Some(Duration::from_secs(5)));
-                stats.rejected_overload += 1;
-                lisa_telemetry::counter_add("serve.shed", 1);
-                Responder::Tcp(s).send(&shed_response("", "", 1000, "connection limit reached"));
-            }
-            for s in pumped.over_length {
-                let _ = s.set_nonblocking(false);
-                let _ = s.set_write_timeout(Some(Duration::from_secs(5)));
-                Responder::Tcp(s).send(&error_response(
-                    "",
-                    "bad-request",
-                    "request line exceeds the 64KiB bound",
-                ));
-            }
-            if pumped.dropped > 0 {
-                lisa_telemetry::counter_add("serve.conns_dropped", pumped.dropped as u64);
-            }
-            for (s, line) in pumped.requests {
-                dispatch_request(
-                    &line,
-                    Responder::Tcp(s),
-                    config,
-                    &shared,
-                    &mut stats,
-                    &mut next_job,
-                    &mut draining,
-                );
-            }
-            shared.listen_conns.store(gate.open_conns() as u64, Ordering::Relaxed);
-        }
+        shared.listen_conns.store(gate.open_conns() as u64, Ordering::Relaxed);
 
         // 2. Reap panicked workers, abandon stalled ones; recover jobs.
         // Stall detection honors per-tenant job timeouts; the roster is
@@ -2137,11 +2051,14 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
                 };
                 if job.attempts >= config.max_attempts {
                     let why = if stalled { "stalled" } else { "worker panicked" };
-                    job.stream.send(&error_response(
-                        &job.id,
-                        "dead-letter",
-                        &format!("{why}; gave up after {} attempt(s)", job.attempts),
-                    ));
+                    send(
+                        &mut job.stream,
+                        &error_response(
+                            &job.id,
+                            "dead-letter",
+                            &format!("{why}; gave up after {} attempt(s)", job.attempts),
+                        ),
+                    );
                     stats.dead_letters += 1;
                     shared
                         .queue
@@ -2154,11 +2071,14 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
                     // — dead-letter now, fast-fail its submissions for
                     // the cooldown instead of feeding workers jobs that
                     // keep failing.
-                    job.stream.send(&error_response(
-                        &job.id,
-                        "dead-letter",
-                        "tenant retry budget exhausted; tenant degraded",
-                    ));
+                    send(
+                        &mut job.stream,
+                        &error_response(
+                            &job.id,
+                            "dead-letter",
+                            "tenant retry budget exhausted; tenant degraded",
+                        ),
+                    );
                     stats.dead_letters += 1;
                     lisa_telemetry::counter_add("serve.tenant_degraded", 1);
                     shared
@@ -2238,7 +2158,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
                 break;
             }
         }
-        // No sleep here: step 0's poll(2) is the loop's wait.
+        // No sleep here: step 1's poll(2) is the loop's wait.
     }
 
     shared.shutdown.store(true, Ordering::SeqCst);
@@ -2408,17 +2328,6 @@ fn stats_response(shared: &Arc<Shared>, stats: &ServeStats) -> String {
     )
 }
 
-/// Read one request line from a blocking connection. Requests are one
-/// short line; the caller's read timeout cuts off a slow or silent
-/// client rather than letting it wedge the caller. `Err` is the reply.
-fn read_line(stream: impl Read) -> Result<String, String> {
-    let mut line = String::new();
-    match BufReader::new(stream).read_line(&mut line) {
-        Ok(_) => Ok(line),
-        Err(_) => Err(error_response("", "bad-request", "could not read request line")),
-    }
-}
-
 /// Parse one NDJSON request line, shared by every listener. Protocol
 /// versioning: absent `v` means v1 (pre-versioning clients); a
 /// non-numeric or mismatched `v` is a structured bad-request rather than
@@ -2435,81 +2344,57 @@ fn parse_request(line: &str) -> Result<Json, String> {
     }
 }
 
-/// Read one NDJSON request from a fresh unix-socket connection and
-/// dispatch it.
-fn handle_connection(
-    mut stream: UnixStream,
-    config: &ServeConfig,
-    shared: &Arc<Shared>,
-    stats: &mut ServeStats,
-    next_job: &mut u64,
-    draining: &mut bool,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    match read_line(&stream) {
-        Ok(line) => {
-            let stream = Responder::Unix(stream);
-            dispatch_request(&line, stream, config, shared, stats, next_job, draining)
-        }
-        Err(reply) => respond(&mut stream, &reply),
-    }
-}
-
-/// Dispatch one complete NDJSON request line. Shared by the unix-socket
-/// accept path and the TCP readiness loop: both transports speak exactly
-/// the same protocol, so per-job replies are byte-identical across them.
+/// Dispatch one complete NDJSON request line from the readiness loop.
+/// The unix socket and `--listen` speak exactly the same protocol, so
+/// per-job replies are byte-identical across them; `--repl-listen` lines
+/// go to [`handle_repl_request`].
+#[allow(clippy::too_many_arguments)] // the supervisor's loop state, threaded once
 fn dispatch_request(
+    port: Port,
     line: &str,
-    mut stream: Responder,
+    mut stream: Stream,
     config: &ServeConfig,
     shared: &Arc<Shared>,
     stats: &mut ServeStats,
     next_job: &mut u64,
     draining: &mut bool,
 ) {
+    if port == Port::Repl {
+        return handle_repl_request(line, stream, config, shared);
+    }
     let request = match parse_request(line) {
         Ok(request) => request,
-        Err(reply) => {
-            stream.send(&reply);
-            return;
-        }
+        Err(reply) => return send(&mut stream, &reply),
     };
     match request.str_of("op").unwrap_or("gate") {
-        "ping" => stream.send("{\"status\":\"ok\"}"),
-        "stats" => stream.send(&stats_response(shared, stats)),
-        "verdict" => stream.send(&verdict_response(&shared.state_root, &request)),
-        "follow" => match stream {
-            Responder::Unix(s) => {
-                // A follower that stops reading must not wedge its
-                // shipper (and with it, daemon shutdown) forever.
-                let _ = s.set_write_timeout(Some(Duration::from_secs(5)));
-                start_shipper(Box::new(s), shared, config);
-            }
-            mut tcp => {
-                // The gate listener never exposes the replication
-                // stream; that stays on --repl-listen.
-                tcp.send(&error_response(
-                    "",
-                    "bad-request",
-                    "`follow` is not served on the gate listener; use --repl-listen",
-                ));
-            }
-        },
+        "ping" => send(&mut stream, "{\"status\":\"ok\"}"),
+        "stats" => send(&mut stream, &stats_response(shared, stats)),
+        "verdict" => send(&mut stream, &verdict_response(&shared.state_root, &request)),
+        "follow" if port == Port::Local => start_shipper(stream, shared, config),
+        // The gate listener never exposes the replication stream; that
+        // stays on --repl-listen.
+        "follow" => send(
+            &mut stream,
+            &error_response(
+                "",
+                "bad-request",
+                "`follow` is not served on the gate listener; use --repl-listen",
+            ),
+        ),
         "shutdown" => {
             *draining = true;
-            stream.send("{\"status\":\"draining\"}");
+            send(&mut stream, "{\"status\":\"draining\"}");
         }
         "gate" => {
             if *draining {
-                stream.send(&error_response("", "shutting-down", "daemon is draining"));
-                return;
+                return send(
+                    &mut stream,
+                    &error_response("", "shutting-down", "daemon is draining"),
+                );
             }
             let (id, tenant, system, rules, fail_mode) = match gate_fields(&request) {
                 Ok(fields) => fields,
-                Err(reply) => {
-                    stream.send(&reply);
-                    return;
-                }
+                Err(reply) => return send(&mut stream, &reply),
             };
             *next_job += 1;
             let id = id.map(str::to_string).unwrap_or_else(|| format!("job-{next_job}"));
@@ -2537,20 +2422,17 @@ fn dispatch_request(
                 Admitted::Shed { mut job, retry_after_ms, reason } => {
                     stats.rejected_overload += 1;
                     lisa_telemetry::counter_add("serve.shed", 1);
-                    job.stream.send(&shed_response(
-                        &job.id,
-                        tenant,
-                        retry_after_ms,
-                        reason.as_str(),
-                    ));
+                    let reply = shed_response(&job.id, tenant, retry_after_ms, reason.as_str());
+                    send(&mut job.stream, &reply);
                 }
                 Admitted::Refused { mut job, error } => {
-                    job.stream.send(&error_response(&job.id, "bad-request", &error));
+                    let reply = error_response(&job.id, "bad-request", &error);
+                    send(&mut job.stream, &reply);
                 }
             }
         }
         other => {
-            stream.send(&error_response("", "bad-request", &format!("unknown op {other:?}")));
+            send(&mut stream, &error_response("", "bad-request", &format!("unknown op {other:?}")))
         }
     }
 }
@@ -2573,9 +2455,8 @@ pub fn request(socket: &Path, line: &str) -> std::io::Result<String> {
 
 fn round_trip(mut stream: impl Read + Write, line: &str) -> std::io::Result<String> {
     write_reply(&mut stream, line)?;
-    let mut out = String::new();
-    BufReader::new(stream).read_line(&mut out)?;
-    Ok(out.trim_end().to_string())
+    let reply = BufReader::new(stream).lines().next().transpose()?.unwrap_or_default();
+    Ok(reply.trim_end().to_string())
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # No call sites may depend on deprecated APIs: the old free-function
 # entry points are gone, and nothing new may rot behind a deprecation

@@ -6,7 +6,8 @@
 //! the follower quarantines corrupt frames (re-requesting a full sync)
 //! instead of applying them, and a process-level test runs the real
 //! `lisa serve --follow` pair over TCP, SIGKILLs the leader, and
-//! watches the follower take over.
+//! watches the follower take over. A silent client on a follower's
+//! socket never delays the follower's other replies.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -607,6 +608,42 @@ fn follower_bounds_oversized_job_ids_on_every_op() {
             "{op}: error names the bound: {reply}"
         );
     }
+    let (code, _) = fx.run(&["submit", "--socket", &follower.socket, "--op", "shutdown"]);
+    assert_eq!(code, 0);
+}
+
+#[test]
+fn silent_client_never_stalls_a_follower() {
+    let fx = CliFixture::new("silent");
+    let repl = format!("127.0.0.1:{}", free_port());
+    let _leader = Daemon::start(
+        &fx,
+        "leader.sock",
+        "lstate",
+        &["--repl-listen", &repl, "--heartbeat-ms", "100"],
+    );
+    let follow = format!("tcp:{repl}");
+    let follower = Daemon::start(
+        &fx,
+        "follower.sock",
+        "fstate",
+        &["--follow", &follow, "--heartbeat-ms", "100", "--heartbeat-timeout-ms", "5000"],
+    );
+    poll_until(&fx, &follower.socket, &["--op", "stats"], "initial sync", |o| {
+        o.contains("\"synced\":true")
+    });
+
+    // Connected, never a byte written. A short pause lets the follower
+    // accept it before the timed request.
+    let _silent = std::os::unix::net::UnixStream::connect(&follower.socket).expect("silent");
+    std::thread::sleep(Duration::from_millis(100));
+    let started = Instant::now();
+    let (code, out) = fx.run(&["submit", "--socket", &follower.socket, "--op", "stats"]);
+    let took = started.elapsed();
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("\"role\":\"follower\""), "{out}");
+    assert!(took < Duration::from_secs(1), "stats took {took:?} beside a silent client");
+
     let (code, _) = fx.run(&["submit", "--socket", &follower.socket, "--op", "shutdown"]);
     assert_eq!(code, 0);
 }

@@ -1,11 +1,13 @@
 //! End-to-end tests for the multi-tenant `lisa serve --listen` TCP gate:
-//! verdict replies are byte-identical across the unix and TCP
-//! transports, weighted-fair dequeue keeps a noisy tenant from starving
-//! a quiet one, saturation is answered with structured sheds (never
-//! silence), oversized job ids get a structured bad-request, and the
-//! `stats` op exposes per-tenant depth and tail latency.
+//! verdict replies — and the replies to malformed input — are
+//! byte-identical across the unix and TCP transports, silent clients on
+//! one port never stall another, weighted-fair dequeue keeps a noisy
+//! tenant from starving a quiet one, saturation is answered with
+//! structured sheds (never silence), oversized job ids get a structured
+//! bad-request, and the `stats` op exposes per-tenant depth and tail
+//! latency.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -166,6 +168,16 @@ fn exchange<R: std::io::Read, W: Write>(r: R, mut w: W, line: &str) -> Option<St
     }
 }
 
+/// Send raw request bytes (no newline added) and read the one-line reply.
+fn exchange_raw<S: Read + Write>(mut stream: S, bytes: &[u8]) -> String {
+    // The daemon may answer an over-long line and close before it has
+    // read every byte; the reply is still there to read.
+    let _ = stream.write_all(bytes);
+    let mut reply = String::new();
+    let _ = BufReader::new(stream).read_line(&mut reply);
+    reply
+}
+
 fn gate_line(job_id: &str, tenant: &str, system: &str, rules: &str) -> String {
     format!(
         "{{\"v\":1,\"op\":\"gate\",\"job_id\":\"{job_id}\",\"tenant\":\"{tenant}\",\
@@ -202,6 +214,52 @@ fn tcp_and_unix_replies_are_byte_identical_modulo_job_id() {
     let v_tcp = daemon.tcp("{\"v\":1,\"op\":\"verdict\",\"job_id\":\"par-tcp\"}");
     let v_unix = daemon.unix("{\"v\":1,\"op\":\"verdict\",\"job_id\":\"par-unix\"}");
     assert_eq!(v_tcp.replace("par-tcp", "par-unix"), v_unix);
+
+    // Malformed input gets the same reply bytes on both transports too:
+    // one readiness loop reads, bounds and decodes every port's lines.
+    let overlong = vec![b'x'; 68 * 1024];
+    let malformed: [(&str, &[u8]); 5] = [
+        ("a 68 KiB line with no newline", &overlong[..]),
+        ("invalid UTF-8", b"{\"v\":1,\"op\":\"\xff\xfe\"}\n"),
+        ("bad JSON", b"{\"v\":1,\"op\":\n"),
+        ("protocol v2", b"{\"v\":2,\"op\":\"ping\"}\n"),
+        ("an unknown op", b"{\"v\":1,\"op\":\"frobnicate\"}\n"),
+    ];
+    for (what, bytes) in malformed {
+        let via_tcp = exchange_raw(TcpStream::connect(&daemon.addr).expect("tcp connect"), bytes);
+        let via_unix =
+            exchange_raw(UnixStream::connect(&daemon.socket).expect("unix connect"), bytes);
+        assert!(via_tcp.contains("\"status\":\"bad-request\""), "{what} over tcp: {via_tcp}");
+        assert_eq!(via_tcp, via_unix, "{what}: reply bytes must be transport-independent");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Silent clients: no port waits on another port's client
+// ---------------------------------------------------------------------------
+
+#[test]
+fn silent_clients_never_stall_other_ports() {
+    let fx = Fixture::new("silent");
+    let repl = format!("127.0.0.1:{}", free_port());
+    let daemon = Daemon::start(&fx, "silent", &["--workers", "1", "--repl-listen", &repl]);
+    let ping = "{\"v\":1,\"op\":\"ping\"}";
+    for transport in ["tcp", "unix"] {
+        // Connected, never a byte written: one on the unix socket, one
+        // on the replication port. A short pause lets the daemon accept
+        // both before the timed ping.
+        let _silent_unix = UnixStream::connect(&daemon.socket).expect("silent unix client");
+        let _silent_repl = TcpStream::connect(&repl).expect("silent repl client");
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        let reply = if transport == "tcp" { daemon.tcp(ping) } else { daemon.unix(ping) };
+        let took = started.elapsed();
+        assert!(reply.contains("\"ok\""), "{transport} ping: {reply}");
+        assert!(
+            took < Duration::from_secs(1),
+            "{transport} ping took {took:?} beside silent clients"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
