@@ -1,7 +1,7 @@
-//! Work-stealing gate scaling: the full corpus rule set gated cold at
+//! Rule-parallel gate scaling: the full corpus rule set gated cold at
 //! widths 1/2/4/8, plus a stall-overlap workload whose per-rule injected
 //! stalls can only be hidden by running rules concurrently. Writes
-//! `BENCH_parallel.json` (per-width wall clock, speedups, scheduler and
+//! `BENCH_parallel.json` (per-width wall clock, speedups, task and
 //! cache-lock counters) at the workspace root.
 //!
 //! Two scaling gates:
@@ -9,7 +9,7 @@
 //! - the stall-overlap workload asserts >= 2x at width 4 and >= 3x at
 //!   width 8 *unconditionally* — stalls are `thread::sleep`, so they
 //!   overlap even on a single hardware thread, making this a pure
-//!   scheduler-correctness check that is machine-independent;
+//!   worker-pool correctness check that is machine-independent;
 //! - the cold corpus workload asserts the same thresholds only when the
 //!   machine actually has that many hardware threads, since compute-bound
 //!   speedup is physically capped by the core count.
@@ -61,8 +61,8 @@ fn time_cold(registry: &RuleRegistry, version: &lisa_concolic::SystemVersion, wo
     let mut best_ms = f64::INFINITY;
     let mut render = String::new();
     for _ in 0..SAMPLES {
-        // A fresh cache per run: this is the cold path, where the
-        // concolic and solver leaves dominate and parallelism pays.
+        // A fresh cache per run: this is the cold path, where concolic
+        // runs and solver queries dominate and parallelism pays.
         let cache = Arc::new(GateCache::new());
         let gate = Gate::new(registry).config(config()).workers(workers).cache(&cache);
         let t0 = Instant::now();
@@ -145,7 +145,7 @@ fn main() {
     println!("parallel/cold/speedup_4w  {cold4:>9.2} x   speedup_8w {cold8:>9.2} x");
     println!("parallel/stall/speedup_4w {stall4:>9.2} x   speedup_8w {stall8:>9.2} x");
 
-    // Scheduler-overlap gate: machine-independent, always enforced.
+    // Rule-overlap gate: machine-independent, always enforced.
     assert!(
         stall4 >= 2.0,
         "4 workers must overlap stalled rules at least 2x (got {stall4:.2}x)"
@@ -172,19 +172,17 @@ fn main() {
         );
     }
 
-    // One instrumented 8-wide cold run for the scheduler/lock counters.
+    // One instrumented 8-wide cold run for the task/lock counters.
     let spawned0 = lisa_telemetry::counter_value("sched.tasks_spawned");
-    let stolen0 = lisa_telemetry::counter_value("sched.tasks_stolen");
     let cache = Arc::new(GateCache::new());
     let report = Gate::new(&registry).config(config()).workers(8).cache(&cache).run(version);
     assert_eq!(render_enforcement(&report), cold_render[0]);
     let spawned = lisa_telemetry::counter_value("sched.tasks_spawned") - spawned0;
-    let stolen = lisa_telemetry::counter_value("sched.tasks_stolen") - stolen0;
     let tiers = cache.tier_stats();
     let lock_acquires: u64 = tiers.iter().map(|(_, s)| s.lock_acquires).sum();
     let lock_contended: u64 = tiers.iter().map(|(_, s)| s.lock_contended).sum();
     println!(
-        "parallel/sched: {spawned} tasks spawned, {stolen} stolen; \
+        "parallel/sched: {spawned} tasks spawned; \
          {lock_acquires} cache lock acquires, {lock_contended} contended"
     );
 
@@ -207,7 +205,7 @@ fn main() {
         "],\"widths\":[1,2,4,8],\
          \"cold_speedup_4w\":{cold4:.2},\"cold_speedup_8w\":{cold8:.2},\
          \"stall_speedup_4w\":{stall4:.2},\"stall_speedup_8w\":{stall8:.2},\
-         \"sched_tasks_spawned\":{spawned},\"sched_tasks_stolen\":{stolen},\
+         \"sched_tasks_spawned\":{spawned},\
          \"cache_lock_acquires\":{lock_acquires},\"cache_lock_contended\":{lock_contended}"
     );
     json.push('}');

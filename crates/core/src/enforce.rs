@@ -5,8 +5,10 @@
 //! repeating the same mistake … enforced in CI/CD pipelines." The
 //! [`RuleRegistry`] is that contract store: rules accumulate as tickets
 //! are processed, and every new system version is gated on the full set.
-//! Rule checks are independent, so the gate fans them out across worker
-//! threads (std scoped threads).
+//! Rule checks are independent, so the rule is the gate's one unit of
+//! parallel work: a small pool of scoped threads pulls rule indices off
+//! one counter, and reports fold from index-addressed slots in registry
+//! order, so the output never depends on the worker count.
 //!
 //! The gate is built to *always return a decision*: each rule check runs
 //! under `catch_unwind` with bounded retry, a panicking or malformed rule
@@ -17,9 +19,9 @@
 //! (fail-open).
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use lisa_concolic::SystemVersion;
@@ -29,7 +31,6 @@ use lisa_util::{retry_with_backoff, RetryPolicy};
 use crate::error::LisaError;
 use crate::faults::{FaultInjector, FaultKind, TRANSIENT_MARKER};
 use crate::pipeline::{Pipeline, PipelineConfig, ResourceBudgets};
-use crate::sched::{DegradeSignal, GateCtx, Sched};
 use crate::verdict::RuleReport;
 
 /// The persistent set of enforced rules.
@@ -155,8 +156,9 @@ pub struct EnforcementReport {
     pub retries: u64,
     /// Human-readable warnings (fail-open engine errors, deadline hits).
     pub warnings: Vec<String>,
-    /// Resolved scheduler width the gate ran at (after `0` → auto
-    /// expansion). Introspection only: deliberately kept out of the
+    /// Resolved worker width the gate ran at (after `0` → auto
+    /// expansion), even when it had fewer rules than workers and started
+    /// fewer threads. Introspection only: deliberately kept out of the
     /// rendered report and its JSON so gate output stays byte-identical
     /// across worker counts.
     pub workers: usize,
@@ -186,12 +188,107 @@ pub(crate) fn decide(
 /// itself, and what it does as each checked rule settles. The durable
 /// gate uses it to resume a journal and to journal the merge.
 pub(crate) trait SlotHook: Sync {
-    /// Asked as rule `i`'s task dequeues; `true` skips the check and
-    /// leaves the slot out of the report (settled before the run, or the
-    /// run was cancelled).
+    /// Asked before the run and again as rule `i` dequeues; `true` skips
+    /// the check and leaves the slot out of the report (settled before
+    /// the run, or the run was cancelled).
     fn skip(&self, i: usize) -> bool;
     /// Rule `i` was checked; called on the worker that checked it.
     fn settled(&self, i: usize, report: &RuleReport);
+}
+
+/// Resolve a requested worker count: `0` means "auto" — one worker per
+/// available hardware thread.
+pub fn resolve_workers(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    } else {
+        requested
+    }
+}
+
+/// Shared deadline-degradation flag: once the gate deadline expires,
+/// rules that start later run degraded, and test runs and solver queries
+/// of rules already running drop to degraded budgets. The flag latches,
+/// so "expired" can never flicker back to false within a run. With no
+/// deadline it never fires, keeping deadline-free runs deterministic.
+#[derive(Debug)]
+pub(crate) struct DegradeSignal {
+    started: Instant,
+    deadline: Option<Duration>,
+    hit: AtomicBool,
+    noticed: AtomicBool,
+}
+
+impl DegradeSignal {
+    pub fn new(started: Instant, deadline: Option<Duration>) -> DegradeSignal {
+        DegradeSignal {
+            started,
+            deadline,
+            hit: AtomicBool::new(false),
+            noticed: AtomicBool::new(false),
+        }
+    }
+
+    /// Latching deadline check.
+    pub fn expired(&self) -> bool {
+        if self.hit.load(Ordering::Relaxed) {
+            return true;
+        }
+        match self.deadline {
+            None => false,
+            Some(d) if self.started.elapsed() >= d => {
+                self.hit.store(true, Ordering::Relaxed);
+                true
+            }
+            Some(_) => false,
+        }
+    }
+
+    /// True exactly once — for the "deadline expired" telemetry event.
+    pub fn first_notice(&self) -> bool {
+        !self.noticed.swap(true, Ordering::Relaxed)
+    }
+
+    /// Whether the deadline fired at any point during the run.
+    pub fn was_hit(&self) -> bool {
+        self.hit.load(Ordering::Relaxed)
+    }
+}
+
+/// Run `task(0)`..`task(n - 1)` on `min(width, n)` workers that pull
+/// indices off one counter; the calling thread is one of them, so width 1
+/// runs inline in index order. Returns each worker's busy time. A task
+/// that panics does not stop the others: the first payload is re-raised
+/// once every index has run.
+fn run_pool(width: usize, n: usize, task: impl Fn(usize) + Sync) -> Vec<Duration> {
+    let next = AtomicUsize::new(0);
+    let panicked = Mutex::new(None);
+    let worker = || {
+        let t0 = Instant::now();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return t0.elapsed();
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
+                panicked.lock().unwrap_or_else(|p| p.into_inner()).get_or_insert(payload);
+            }
+        }
+    };
+    let busy = match width.min(n) {
+        0 => Vec::new(),
+        1 => vec![worker()],
+        threads => std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            let mut busy = vec![worker()];
+            busy.extend(helpers.into_iter().map(|h| h.join().expect("tasks are caught")));
+            busy
+        }),
+    };
+    if let Some(payload) = panicked.into_inner().unwrap_or_else(|p| p.into_inner()) {
+        resume_unwind(payload);
+    }
+    busy
 }
 
 /// The gate engine behind [`crate::Gate`] and the durable gate. The gate
@@ -212,8 +309,7 @@ pub(crate) fn enforce_impl(
 ) -> EnforcementReport {
     let started = Instant::now();
     let mut gate_span = lisa_telemetry::span_with("gate.enforce", version.label.as_str());
-    let workers = crate::sched::resolve_workers(workers);
-    let total_retries = AtomicU64::new(0);
+    let workers = resolve_workers(workers);
     let degrade = DegradeSignal::new(started, options.deadline);
 
     // Layer the gate budgets over the pipeline config (gate wins where set).
@@ -227,59 +323,51 @@ pub(crate) fn enforce_impl(
     if options.budgets.rule_wall.is_some() {
         gate_config.budgets.rule_wall = options.budgets.rule_wall;
     }
+    // One pipeline for the run; every worker checks its rules with it.
+    let pipeline = match cache {
+        Some(c) => Pipeline::with_cache(gate_config, Arc::clone(c)),
+        None => Pipeline::new(gate_config),
+    };
 
-    // One slot per rule: tasks finish in any order, reports fold in
-    // registry order. Declared before the scheduler so tasks may borrow it.
-    let slots: Vec<Mutex<Option<RuleReport>>> =
-        registry.rules().iter().map(|_| Mutex::new(None)).collect();
-    let sched = Sched::new(workers);
-    for (i, rule) in registry.rules().iter().enumerate() {
-        let gate_config = &gate_config;
-        let slots = &slots;
-        let total_retries = &total_retries;
-        let degrade = &degrade;
-        sched.spawn_rule(move |exec| {
-            if hook.is_some_and(|h| h.skip(i)) {
-                return;
-            }
-            let pipeline = match cache {
-                Some(c) => Pipeline::with_cache(gate_config.clone(), Arc::clone(c)),
-                None => Pipeline::new(gate_config.clone()),
-            };
-            let past_deadline = degrade.expired();
-            if past_deadline && degrade.first_notice() {
-                lisa_telemetry::event(
-                    "gate.deadline_expired",
-                    format!(
-                        "degrading remaining rules to fixed-path sanity checks \
-                         (from rule {})",
-                        rule.id
-                    ),
-                );
-            }
-            let ctx = GateCtx { exec: Some(exec), degrade: Some(degrade) };
-            let (report, retries) =
-                check_one_rule(&pipeline, version, rule, options, past_deadline, ctx);
-            total_retries.fetch_add(retries as u64, Ordering::Relaxed);
-            if let Some(h) = hook {
-                h.settled(i, &report);
-            }
-            // Recover from a poisoned lock: a panicking sibling worker
-            // must not cost us this rule's report.
-            *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(report);
-        });
+    // One slot per rule: rules settle in any order, reports fold in
+    // registry order. Only rules the hook leaves to run become tasks.
+    let rules = registry.rules();
+    let skip = |i: usize| hook.is_some_and(|h| h.skip(i));
+    let todo: Vec<usize> = (0..rules.len()).filter(|&i| !skip(i)).collect();
+    let slots: Vec<OnceLock<RuleReport>> = rules.iter().map(|_| OnceLock::new()).collect();
+    let busy = run_pool(workers, todo.len(), |k| {
+        let i = todo[k];
+        if skip(i) {
+            return;
+        }
+        let rule = &rules[i];
+        let past_deadline = degrade.expired();
+        if past_deadline && degrade.first_notice() {
+            lisa_telemetry::event(
+                "gate.deadline_expired",
+                format!(
+                    "degrading remaining rules to fixed-path sanity checks (from rule {})",
+                    rule.id
+                ),
+            );
+        }
+        let report = check_one_rule(&pipeline, version, rule, options, past_deadline, &degrade);
+        if let Some(h) = hook {
+            h.settled(i, &report);
+        }
+        let _ = slots[i].set(report);
+    });
+    if lisa_telemetry::metrics_enabled() {
+        lisa_telemetry::counter_add("sched.tasks_spawned", todo.len() as u64);
+        for d in busy {
+            lisa_telemetry::histogram_record("sched.worker_busy_us", d.as_micros() as u64);
+        }
     }
-    sched.run();
-    sched.publish_metrics();
-    // The scheduler's queues borrow `slots`; release them before folding.
-    drop(sched);
 
-    // Every rule task writes its slot unless the hook skipped it.
-    let reports: Vec<RuleReport> = slots
-        .into_iter()
-        .filter_map(|s| s.into_inner().unwrap_or_else(|p| p.into_inner()))
-        .collect();
+    // Every rule task fills its slot unless the hook skipped it.
+    let reports: Vec<RuleReport> = slots.into_iter().filter_map(OnceLock::into_inner).collect();
 
+    let retries: u64 = reports.iter().map(|r| u64::from(r.retries)).sum();
     let engine_errors = reports.iter().filter(|r| r.has_engine_error()).count();
     let degraded_rules = reports.iter().filter(|r| r.degraded).count();
     let mut warnings = Vec::new();
@@ -315,7 +403,7 @@ pub(crate) fn enforce_impl(
     gate_span.arg("workers", workers as u64);
     gate_span.arg("engine_errors", engine_errors as u64);
     gate_span.arg("degraded_rules", degraded_rules as u64);
-    gate_span.arg("retries", total_retries.load(Ordering::Relaxed));
+    gate_span.arg("retries", retries);
     gate_span.set_detail(format!("{} -> {decision}", version.label));
     if lisa_telemetry::metrics_enabled() {
         lisa_telemetry::counter_add("gate.runs", 1);
@@ -324,7 +412,7 @@ pub(crate) fn enforce_impl(
         }
         lisa_telemetry::counter_add("gate.engine_errors", engine_errors as u64);
         lisa_telemetry::counter_add("gate.degraded_rules", degraded_rules as u64);
-        lisa_telemetry::counter_add("gate.retries", total_retries.load(Ordering::Relaxed));
+        lisa_telemetry::counter_add("gate.retries", retries);
     }
     if let Some(c) = cache {
         c.publish_metrics();
@@ -337,7 +425,7 @@ pub(crate) fn enforce_impl(
         fail_mode: options.fail_mode,
         engine_errors,
         degraded_rules,
-        retries: total_retries.load(Ordering::Relaxed),
+        retries,
         warnings,
         workers,
     }
@@ -350,18 +438,18 @@ pub(crate) fn count_decision(decision: GateDecision) {
 }
 
 /// Check one rule with panic isolation, fault arming, and bounded retry.
-/// Never panics; always returns a report.
-fn check_one_rule<'env>(
+/// Never panics; always returns a report, its retries counted in it.
+fn check_one_rule(
     pipeline: &Pipeline,
-    version: &'env SystemVersion,
+    version: &SystemVersion,
     rule: &SemanticRule,
     options: &GateOptions,
     degraded: bool,
-    ctx: GateCtx<'_, 'env>,
-) -> (RuleReport, u32) {
+    degrade: &DegradeSignal,
+) -> RuleReport {
     let (result, retries) = retry_with_backoff(
         &options.retry,
-        |_attempt| run_attempt(pipeline, version, rule, options, degraded, ctx),
+        |_attempt| run_attempt(pipeline, version, rule, options, degraded, degrade),
         |e: &LisaError| e.is_transient(),
     );
     let mut report = match result {
@@ -375,18 +463,18 @@ fn check_one_rule<'env>(
         ),
     };
     report.retries = retries;
-    (report, retries)
+    report
 }
 
 /// One attempt: arm any injected fault, then run the (possibly degraded)
 /// rule check under `catch_unwind`, classifying the unwind payload.
-fn run_attempt<'env>(
+fn run_attempt(
     pipeline: &Pipeline,
-    version: &'env SystemVersion,
+    version: &SystemVersion,
     rule: &SemanticRule,
     options: &GateOptions,
     degraded: bool,
-    ctx: GateCtx<'_, 'env>,
+    degrade: &DegradeSignal,
 ) -> Result<RuleReport, LisaError> {
     let fault = options.faults.as_ref().and_then(|inj| inj.arm(&rule.id));
     // Faults that rewrite the input are applied to a clone; the caller's
@@ -431,9 +519,9 @@ fn run_attempt<'env>(
                     rule_id: rule.id.clone(),
                     detail: format!("condition {:?}: {e}", rule.condition_src),
                 })
-                .map(|_| pipeline.check_rule_degraded_ctx(version, rule, ctx))
+                .map(|_| pipeline.check_rule_degraded_ctx(version, rule, Some(degrade)))
         } else {
-            pipeline.try_check_rule_ctx(version, rule, ctx)
+            pipeline.try_check_rule_ctx(version, rule, Some(degrade))
         }
     })?
 }
@@ -502,6 +590,67 @@ mod tests {
 
     fn config() -> PipelineConfig {
         PipelineConfig { selection: TestSelection::All, ..PipelineConfig::default() }
+    }
+
+    #[test]
+    fn resolve_workers_zero_means_available_parallelism() {
+        assert!(resolve_workers(0) >= 1);
+        assert_eq!(resolve_workers(3), 3);
+        assert_eq!(resolve_workers(1), 1);
+    }
+
+    #[test]
+    fn degrade_signal_latches() {
+        let sig = DegradeSignal::new(Instant::now(), Some(Duration::ZERO));
+        assert!(sig.expired());
+        assert!(sig.expired(), "stays expired");
+        assert!(sig.first_notice());
+        assert!(!sig.first_notice(), "notice fires once");
+        let never = DegradeSignal::new(Instant::now(), None);
+        assert!(!never.expired());
+        assert!(!never.was_hit());
+    }
+
+    #[test]
+    fn pool_runs_every_index_exactly_once() {
+        for width in [1, 2, 4, 8] {
+            for n in [0, 1, 3, 8, 32] {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let busy = run_pool(width, n, |i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "width {width}, {n} rules"
+                );
+                assert_eq!(busy.len(), width.min(n), "one worker per rule at most");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_runs_in_registry_order_at_width_one() {
+        let order = Mutex::new(Vec::new());
+        run_pool(1, 8, |i| order.lock().unwrap().push(i));
+        assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pool_resurfaces_a_task_panic_after_running_the_rest() {
+        for width in [1, 4] {
+            let ran = AtomicUsize::new(0);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                run_pool(width, 6, |i| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if i == 2 {
+                        panic!("rule task blew up");
+                    }
+                })
+            }));
+            let payload = r.expect_err("the panic must surface from the run");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"rule task blew up"));
+            assert_eq!(ran.load(Ordering::Relaxed), 6, "width {width}: siblings still run");
+        }
     }
 
     #[test]

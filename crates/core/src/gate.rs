@@ -169,8 +169,9 @@ impl<'r> Gate<'r> {
         self
     }
 
-    /// Scheduler width for the rule/leaf fan-out. `0` means auto: one
-    /// worker per available hardware thread (see
+    /// Worker width: rules are checked in parallel, one task per rule,
+    /// on up to this many threads (never more than there are rules). `0`
+    /// means auto: one worker per available hardware thread (see
     /// [`crate::resolve_workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -243,8 +244,8 @@ impl GateConfig {
     ///
     /// - `--rag <k>` — RAG top-k test selection (default: all tests)
     /// - `--test-prefix <p>` — test entry-point prefix (default `test_`)
-    /// - `--workers <n|auto>` — scheduler width; `auto` (or `0`) sizes to
-    ///   the machine's available parallelism (default auto)
+    /// - `--workers <n|auto>` — rule-level worker width; `auto` (or `0`)
+    ///   sizes to the machine's available parallelism (default auto)
     /// - `--fail-mode closed|open`
     /// - `--deadline-ms <n>` — gate deadline
     /// - `--max-solver-conflicts <n>` — SAT conflict budget per query

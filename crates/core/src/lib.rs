@@ -10,12 +10,11 @@
 //!
 //! - [`pipeline`] — the §3.2 check loop (tree → aliases → test selection
 //!   → concolic assertion → verdicts),
-//! - [`sched`] — the work-stealing scheduler the gate fans rule and
-//!   leaf tasks across, with deterministic indexed merges,
 //! - [`verdict`] — Verified / Violated / NotCovered chain reports,
 //! - [`crosscheck`] — §5's test-grounding validation of mined rules,
 //! - [`mod@enforce`] — the rule registry and CI/CD gate (panic-isolated,
-//!   budgeted, with fail-open/fail-closed semantics),
+//!   budgeted, with fail-open/fail-closed semantics), which checks rules
+//!   in parallel, one task per rule, and folds reports in registry order,
 //! - [`error`] — the engine-error taxonomy the gate folds failures into,
 //! - [`faults`] — seeded fault injection for resilience testing,
 //! - [`baselines`] — regression-test replay and exhaustive-verification
@@ -95,14 +94,15 @@ pub mod json;
 pub mod netloop;
 pub mod pipeline;
 pub mod report;
-pub mod sched;
 pub mod service;
 pub mod tenant;
 pub mod verdict;
 
 pub use compose::{compose, CompositionResult, HighLevelProperty, Obligation};
 pub use crosscheck::{cross_check, CrossCheck};
-pub use enforce::{EnforcementReport, FailMode, GateDecision, GateOptions, RuleRegistry};
+pub use enforce::{
+    resolve_workers, EnforcementReport, FailMode, GateDecision, GateOptions, RuleRegistry,
+};
 pub use error::LisaError;
 pub use faults::{
     DiskFaultInjector, DiskFaultKind, FaultInjector, FaultKind, FaultPlan, StreamFaultInjector,
@@ -111,7 +111,6 @@ pub use faults::{
 pub use gate::{Gate, GateCache, GateConfig};
 pub use json::Json;
 pub use pipeline::{Pipeline, PipelineConfig, ResourceBudgets, TestSelection};
-pub use sched::resolve_workers;
 pub use service::{
     gate_durable, load_rules, load_system, request, request_tcp, run_key, serve,
     DurableGateReport, DurableOptions, ServeConfig, ServeStats,

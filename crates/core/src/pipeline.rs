@@ -14,7 +14,6 @@
 //! 6. fold arrivals onto static chains: Verified / Violated / NotCovered,
 //!    with the fixed path expected to verify (sanity check).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,9 +27,9 @@ use lisa_oracle::rag::{describe_path, TestIndex};
 use lisa_oracle::SemanticRule;
 use lisa_smt::ViolationOutcome;
 
+use crate::enforce::DegradeSignal;
 use crate::error::LisaError;
 use crate::gate::GateCache;
-use crate::sched::GateCtx;
 use crate::verdict::{ChainReport, ChainVerdict, PipelineStats, RuleReport, Violation};
 
 /// How tests are chosen as concolic inputs.
@@ -129,7 +128,7 @@ impl Pipeline {
 
     /// Assert `rule` over `version`.
     pub fn check_rule(&self, version: &SystemVersion, rule: &SemanticRule) -> RuleReport {
-        self.check_rule_mode(version, rule, false, GateCtx::inline())
+        self.check_rule_mode(version, rule, false, None)
     }
 
     /// Result-based stage boundary for the gate: validate the rule before
@@ -140,17 +139,17 @@ impl Pipeline {
         version: &SystemVersion,
         rule: &SemanticRule,
     ) -> Result<RuleReport, LisaError> {
-        self.try_check_rule_ctx(version, rule, GateCtx::inline())
+        self.try_check_rule_ctx(version, rule, None)
     }
 
-    /// [`Pipeline::try_check_rule`] with a scheduler context: the gate's
-    /// entry point, where per-test concolic runs, per-arrival SMT checks,
-    /// and per-chain alias work fan out as stealable leaf tasks.
-    pub(crate) fn try_check_rule_ctx<'env>(
+    /// [`Pipeline::try_check_rule`] under the gate's deadline: the gate's
+    /// entry point. Test runs and solver queries that start after the
+    /// deadline expired drop to degraded budgets.
+    pub(crate) fn try_check_rule_ctx(
         &self,
-        version: &'env SystemVersion,
+        version: &SystemVersion,
         rule: &SemanticRule,
-        ctx: GateCtx<'_, 'env>,
+        degrade: Option<&DegradeSignal>,
     ) -> Result<RuleReport, LisaError> {
         if let Err(e) = lisa_smt::parse_cond(&rule.condition_src) {
             return Err(LisaError::MalformedRule {
@@ -164,7 +163,7 @@ impl Pipeline {
                 detail: "empty target callee".to_string(),
             });
         }
-        Ok(self.check_rule_mode(version, rule, false, ctx))
+        Ok(self.check_rule_mode(version, rule, false, degrade))
     }
 
     /// Degraded check: the fixed-path sanity pass the gate falls back to
@@ -175,25 +174,25 @@ impl Pipeline {
         version: &SystemVersion,
         rule: &SemanticRule,
     ) -> RuleReport {
-        self.check_rule_mode(version, rule, true, GateCtx::inline())
+        self.check_rule_mode(version, rule, true, None)
     }
 
-    /// [`Pipeline::check_rule_degraded`] with a scheduler context.
-    pub(crate) fn check_rule_degraded_ctx<'env>(
+    /// [`Pipeline::check_rule_degraded`] under the gate's deadline.
+    pub(crate) fn check_rule_degraded_ctx(
         &self,
-        version: &'env SystemVersion,
+        version: &SystemVersion,
         rule: &SemanticRule,
-        ctx: GateCtx<'_, 'env>,
+        degrade: Option<&DegradeSignal>,
     ) -> RuleReport {
-        self.check_rule_mode(version, rule, true, ctx)
+        self.check_rule_mode(version, rule, true, degrade)
     }
 
-    fn check_rule_mode<'env>(
+    fn check_rule_mode(
         &self,
-        version: &'env SystemVersion,
+        version: &SystemVersion,
         rule: &SemanticRule,
         degraded_mode: bool,
-        ctx: GateCtx<'_, 'env>,
+        degrade: Option<&DegradeSignal>,
     ) -> RuleReport {
         let started = Instant::now();
         let mut rule_span = lisa_telemetry::span_with("pipeline.rule", rule.id.as_str());
@@ -234,26 +233,19 @@ impl Pipeline {
         stats.static_chains = tree.chains.len() as u64;
 
         // Placeholder aliases, unioned across chains (constraint renaming
-        // is (function, path)-keyed, so the union is chain-safe). Each
-        // chain's aliases are an independent leaf task; the merge runs in
-        // chain order no matter which worker computed what.
+        // is (function, path)-keyed, so the union is chain-safe).
         let t_aliases = Instant::now();
         let mut aliases = AliasMap::default();
         {
             let _s = lisa_telemetry::span("pipeline.aliases");
-            let callee: Arc<str> = Arc::from(rule.target.callee());
-            let roots: Arc<Vec<String>> = Arc::new(rule.placeholder_roots.clone());
-            let jobs: Vec<_> = (0..tree.chains.len())
-                .map(|ci| {
-                    let graph = Arc::clone(&graph);
-                    let tree = Arc::clone(&tree);
-                    let callee = Arc::clone(&callee);
-                    let roots = Arc::clone(&roots);
-                    move || chain_aliases(program, &graph, &tree.chains[ci], &callee, &roots)
-                })
-                .collect();
-            for part in ctx.fan_out(jobs) {
-                aliases.merge(&part);
+            for chain in &tree.chains {
+                aliases.merge(&chain_aliases(
+                    program,
+                    &graph,
+                    chain,
+                    rule.target.callee(),
+                    &rule.placeholder_roots,
+                ));
             }
             // Builtin rules have no parameter aliases; globals still resolve.
             for root in &rule.placeholder_roots {
@@ -275,81 +267,64 @@ impl Pipeline {
         }
         stats.tests_selected = selected.len() as u64;
 
-        // Concolic execution under the harness budget. Tests are
-        // independent (each gets a fresh interpreter), so with no wall
-        // budget every selected test is its own leaf task and the batch
-        // is reassembled in test order — the same runs, in the same
-        // order, at any worker count. A wall budget truncates on machine
-        // time, so it keeps the single sequential batch (mirroring the
-        // trace cache's uncacheable bypass). Queued leaves that observe
-        // the gate deadline drop to degraded step budgets and mark the
-        // report degraded.
+        // Once the gate deadline expires, every remaining test run and
+        // solver query drops to degraded budgets and marks the report
+        // degraded. The signal latches, so no check flickers back.
+        let mut deadline_hit = false;
+        let mut past_deadline = || {
+            let expired = degrade.is_some_and(|d| d.expired());
+            deadline_hit |= expired;
+            expired
+        };
+        let degraded_budgets = budgets.degraded();
+
+        // Concolic execution under the harness budget. With no wall
+        // budget every selected test runs as its own batch (each gets a
+        // fresh interpreter, and its own trace-cache entry), checking the
+        // deadline before it starts. A wall budget truncates on machine
+        // time, so it keeps the single batch (mirroring the trace cache's
+        // uncacheable bypass).
         let t_concolic = Instant::now();
         let harness_budget = HarnessBudget {
             max_steps_per_test: budgets.max_steps_per_test,
             wall: budgets.rule_wall,
         };
-        let aliases = Arc::new(aliases);
-        let leaf_degraded = Arc::new(AtomicBool::new(false));
-        let degraded_budgets = budgets.degraded();
+        let run_batch = |tests: &[TestCase], budget: &HarnessBudget| match (cache, program_fp) {
+            (Some(c), Some(fp)) => c.traces().run_tests_budgeted(
+                fp,
+                program,
+                tests,
+                &rule.target,
+                &aliases,
+                &self.config.policy,
+                budget,
+            ),
+            _ => Arc::new(run_tests_budgeted(
+                program,
+                tests,
+                &rule.target,
+                &aliases,
+                &self.config.policy,
+                budget,
+            )),
+        };
         let outcomes: Vec<Arc<HarnessOutcome>> =
             if harness_budget.wall.is_some() || selected.len() <= 1 {
-                vec![match (cache, program_fp) {
-                    (Some(c), Some(fp)) => c.traces().run_tests_budgeted(
-                        fp,
-                        program,
-                        &selected,
-                        &rule.target,
-                        &aliases,
-                        &self.config.policy,
-                        &harness_budget,
-                    ),
-                    _ => Arc::new(run_tests_budgeted(
-                        program,
-                        &selected,
-                        &rule.target,
-                        &aliases,
-                        &self.config.policy,
-                        &harness_budget,
-                    )),
-                }]
+                vec![run_batch(&selected, &harness_budget)]
             } else {
-                let jobs: Vec<_> = selected
+                selected
                     .iter()
-                    .cloned()
                     .map(|test| {
-                        let cache = self.cache.clone();
-                        let aliases = Arc::clone(&aliases);
-                        let target = rule.target.clone();
-                        let policy = self.config.policy.clone();
-                        let degrade = ctx.degrade;
-                        let leaf_degraded = Arc::clone(&leaf_degraded);
-                        let full_steps = harness_budget.max_steps_per_test;
-                        let tight_steps = degraded_budgets.max_steps_per_test;
-                        move || {
-                            let steps = if degrade.is_some_and(|d| d.expired()) {
-                                leaf_degraded.store(true, Ordering::Relaxed);
-                                tight_steps
-                            } else {
-                                full_steps
-                            };
-                            let budget =
-                                HarnessBudget { max_steps_per_test: steps, wall: None };
-                            let tests = [test];
-                            match (&cache, program_fp) {
-                                (Some(c), Some(fp)) => c.traces().run_tests_budgeted(
-                                    fp, program, &tests, &target, &aliases, &policy, &budget,
-                                ),
-                                _ => Arc::new(run_tests_budgeted(
-                                    program, &tests, &target, &aliases, &policy, &budget,
-                                )),
-                            }
-                        }
+                        let max_steps_per_test = if past_deadline() {
+                            degraded_budgets.max_steps_per_test
+                        } else {
+                            harness_budget.max_steps_per_test
+                        };
+                        let budget = HarnessBudget { max_steps_per_test, wall: None };
+                        run_batch(std::slice::from_ref(test), &budget)
                     })
-                    .collect();
-                ctx.fan_out(jobs)
+                    .collect()
             };
-        let outcomes = Arc::new(outcomes);
         let runs: Vec<_> = outcomes.iter().flat_map(|o| o.runs.iter()).collect();
         let truncated = outcomes.iter().any(|o| o.truncated);
         stats.tests_executed = runs.len() as u64;
@@ -369,58 +344,11 @@ impl Pipeline {
             })
             .collect();
 
-        // Solver queries are pure functions of (π, condition, budget), so
-        // every arrival's violation check fans out as its own leaf task;
-        // the fold below then consumes the pre-solved outcomes in exactly
-        // the sequential order, keeping verdict folding (last-writer-wins
-        // on Violated, covering-test ordering) byte-identical.
-        //
         // All of a rule's arrivals share one incremental SolverSession:
         // the checker's refutation CNF is encoded once and clauses
         // learned on one π carry to the next. Session answers are
-        // byte-identical to fresh ones and query-pure (the session only
-        // decides Unsat incrementally; everything else re-derives on the
-        // fresh path), so sharing it across concurrently scheduled
-        // leaves cannot leak scheduling order into any verdict. Each job
-        // reads its π in place through the shared batch outcomes and the
-        // checker through the session; neither is cloned per arrival.
-        let session = Arc::new(lisa_smt::SolverSession::new(&rule.condition));
-        let arrivals = outcomes.iter().enumerate().flat_map(|(oi, o)| {
-            o.runs.iter().enumerate().flat_map(move |(ri, run)| {
-                (0..run.hits.len()).map(move |hi| (oi, ri, hi))
-            })
-        });
-        let solver_jobs: Vec<_> = arrivals
-            .map(|(oi, ri, hi)| {
-                let outcomes = Arc::clone(&outcomes);
-                let cache = self.cache.clone();
-                let session = Arc::clone(&session);
-                let degrade = ctx.degrade;
-                let leaf_degraded = Arc::clone(&leaf_degraded);
-                let full = budgets.max_solver_conflicts;
-                let tight = degraded_budgets.max_solver_conflicts;
-                move || {
-                    let conflicts = if degrade.is_some_and(|d| d.expired()) {
-                        leaf_degraded.store(true, Ordering::Relaxed);
-                        tight
-                    } else {
-                        full
-                    };
-                    let pi = &outcomes[oi].runs[ri].hits[hi].pi;
-                    match &cache {
-                        Some(c) => {
-                            c.queries().violates_with(pi, session.checker(), conflicts, || {
-                                session.violates_budgeted(pi, conflicts)
-                            })
-                        }
-                        None => session.violates_budgeted(pi, conflicts),
-                    }
-                }
-            })
-            .collect();
-        let mut solved = ctx.fan_out(solver_jobs).into_iter();
-        session.publish_metrics();
-
+        // byte-identical to fresh ones, and each π is read in place.
+        let session = lisa_smt::SolverSession::new(&rule.condition);
         let mut off_tree_violations = Vec::new();
         let mut unmatched_hits = 0u64;
         // Chains that saw an arrival the solver could not decide; they
@@ -433,34 +361,30 @@ impl Pipeline {
             stats.interp_steps += run.steps;
             for hit in &run.hits {
                 stats.solver_calls += 1;
-                let query_outcome = solved.next().expect("one pre-solved outcome per hit");
-                let violation = match query_outcome {
-                    ViolationOutcome::Violated(witness) => Some(witness),
-                    ViolationOutcome::Verified => None,
-                    ViolationOutcome::Unknown { .. } => {
-                        stats.solver_unknowns += 1;
-                        if let Some(idx) = match_chain(&chain_reports, hit) {
-                            uncertain[idx] = true;
-                            let report = &mut chain_reports[idx];
-                            if !report.covering_tests.contains(&run.test) {
-                                report.covering_tests.push(run.test.clone());
-                            }
-                        } else {
-                            unmatched_hits += 1;
-                        }
-                        continue;
-                    }
+                let conflicts = if past_deadline() {
+                    degraded_budgets.max_solver_conflicts
+                } else {
+                    budgets.max_solver_conflicts
                 };
-                let idx = match_chain(&chain_reports, hit);
-                let Some(idx) = idx else {
+                let outcome = match cache {
+                    Some(c) => c.queries().violates_with(&hit.pi, session.checker(), conflicts, || {
+                        session.violates_budgeted(&hit.pi, conflicts)
+                    }),
+                    None => session.violates_budgeted(&hit.pi, conflicts),
+                };
+                if matches!(outcome, ViolationOutcome::Unknown { .. }) {
+                    stats.solver_unknowns += 1;
+                }
+                let violation = |witness| Violation {
+                    pi: hit.pi.clone(),
+                    witness,
+                    test: run.test.clone(),
+                    chain: hit.chain.clone(),
+                };
+                let Some(idx) = match_chain(&chain_reports, hit) else {
                     unmatched_hits += 1;
-                    if let Some(witness) = violation {
-                        off_tree_violations.push(Violation {
-                            pi: hit.pi.clone(),
-                            witness,
-                            test: run.test.clone(),
-                            chain: hit.chain.clone(),
-                        });
+                    if let ViolationOutcome::Violated(witness) = outcome {
+                        off_tree_violations.push(violation(witness));
                     }
                     continue;
                 };
@@ -468,22 +392,21 @@ impl Pipeline {
                 if !report.covering_tests.contains(&run.test) {
                     report.covering_tests.push(run.test.clone());
                 }
-                match (violation, &report.verdict) {
-                    (Some(witness), _) => {
-                        report.verdict = ChainVerdict::Violated(Violation {
-                            pi: hit.pi.clone(),
-                            witness,
-                            test: run.test.clone(),
-                            chain: hit.chain.clone(),
-                        });
+                match outcome {
+                    ViolationOutcome::Violated(witness) => {
+                        report.verdict = ChainVerdict::Violated(violation(witness));
                     }
-                    (None, ChainVerdict::NotCovered) => {
-                        report.verdict = ChainVerdict::Verified;
+                    ViolationOutcome::Verified => {
+                        if matches!(report.verdict, ChainVerdict::NotCovered) {
+                            report.verdict = ChainVerdict::Verified;
+                        }
                     }
-                    (None, _) => {}
+                    ViolationOutcome::Unknown { .. } => uncertain[idx] = true,
                 }
             }
         }
+
+        session.publish_metrics();
 
         // An undecided arrival leaves its chain not-covered rather than
         // verified (a Violated verdict from another arrival still wins).
@@ -497,7 +420,7 @@ impl Pipeline {
         let sanity_ok = chain_reports
             .iter()
             .any(|c| matches!(c.verdict, ChainVerdict::Verified));
-        let degraded = degraded_mode || truncated || leaf_degraded.load(Ordering::Relaxed);
+        let degraded = degraded_mode || truncated || deadline_hit;
         stats.wall = started.elapsed();
         if metrics_on {
             let t_end = Instant::now();

@@ -3,7 +3,7 @@
 //! Two layers live here, both built on `lisa-store`:
 //!
 //! - [`gate_durable`] — a gate run whose progress is journaled. It is
-//!   one call into the work-stealing engine; settled verdicts are
+//!   one call into the gate engine; settled verdicts are
 //!   appended to the write-ahead journal in **registry order** at the
 //!   merge frontier (deterministic journal-record boundaries are what
 //!   make the E11 kill-matrix meaningful), and a resumed run reuses
@@ -40,7 +40,7 @@
 //! refuses `follow`, and `--repl-listen` speaks only `ping` and `follow`.
 //!
 //! Parallel throughput comes from the worker pool across jobs and, with
-//! `DurableOptions::workers`, from the engine's fan-out within a job.
+//! `DurableOptions::workers`, from checking a job's rules in parallel.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -322,10 +322,10 @@ impl DepHasher {
 pub struct DurableOptions {
     /// Directory holding the run's journal and snapshot.
     pub state_dir: PathBuf,
-    /// Scheduler width for the run (0 = auto): rules spread across this
-    /// many workers, and so do the concolic tests, SMT queries and alias
-    /// chains within each rule. The journal stays in registry order at
-    /// any width — a rule is appended once every earlier rule settled.
+    /// Worker width for the run (0 = auto): the rules left to check
+    /// spread across up to this many workers, one task per rule. The
+    /// journal stays in registry order at any width — a rule is appended
+    /// once every earlier rule settled.
     pub workers: usize,
     /// Disk fault injection at the store's I/O seams (E11, tests).
     pub disk_faults: Option<Arc<dyn IoFaults>>,
@@ -1950,8 +1950,8 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
         lisa_telemetry::note("serve", || format!("gate listening on tcp {addr}"));
     }
 
-    // 0 = auto-size the pool to the machine, like the gate scheduler.
-    let workers = crate::sched::resolve_workers(config.workers);
+    // 0 = auto-size the pool to the machine, like the gate engine.
+    let workers = crate::resolve_workers(config.workers);
     lisa_telemetry::note("serve", || {
         format!("worker pool width {workers} (configured {})", config.workers)
     });

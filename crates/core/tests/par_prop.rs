@@ -1,6 +1,6 @@
-//! Determinism property suite for the work-stealing gate.
+//! Determinism property suite for the rule-parallel gate.
 //!
-//! The scheduler's contract is that worker count is invisible in every
+//! The gate's contract is that worker count is invisible in every
 //! artifact: a seeded, randomized registry gated at width 1 and width 8
 //! must render byte-identical reports, emit byte-identical JSON (modulo
 //! wall-clock fields), and journal byte-identical WAL records (widths

@@ -10,8 +10,8 @@
 //! for the budget it was produced under.
 //!
 //! Large caches are lock-striped: the capacity is split across N
-//! independently locked LRU shards (selected by key hash), so parallel
-//! leaf checks on different queries never serialize on one mutex. Small
+//! independently locked LRU shards (selected by key hash), so rules
+//! checked in parallel never serialize their queries on one mutex. Small
 //! caches keep a single shard, preserving exact global-LRU eviction
 //! order. Striping trades that global order for concurrency — each shard
 //! evicts its own oldest entry — which changes *what* may be evicted but

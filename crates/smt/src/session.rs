@@ -128,10 +128,10 @@ impl Core {
 
 /// A persistent solver for one rule's violation queries: `¬checker` is
 /// encoded once, each π is activated by assumption, and learned clauses
-/// carry across queries. Thread-safe behind an internal mutex so one
-/// session can serve a rule's parallel leaf tasks; answers are
-/// query-pure (identical to a fresh solver's), so arrival order never
-/// shows in any verdict.
+/// carry across queries. Queries take `&self` and lock an internal
+/// mutex, so a session can be shared by reference, across threads too;
+/// answers are query-pure (identical to a fresh solver's), so query
+/// order never shows in any verdict.
 #[derive(Debug)]
 pub struct SolverSession {
     checker: Term,

@@ -1,8 +1,8 @@
 //! Lock-striped, single-flight memoization maps.
 //!
 //! The gate's caches started life as one `Mutex<HashMap>` each. That is
-//! correct but serializes every lookup once the enforcement engine fans
-//! rule *and* leaf tasks across workers: N threads all hashing into one
+//! correct but serializes every lookup once the enforcement engine spreads
+//! rule tasks across workers: N threads all hashing into one
 //! lock turn the cache from an accelerator into a convoy. [`ShardedMap`]
 //! stripes the map across independently locked shards (keyed by the
 //! entry hash), so concurrent lookups of different keys proceed in

@@ -122,6 +122,12 @@ cmp "$SMOKE/off.out" "$SMOKE/off-w8.out"
 "$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --cache on --workers 8 \
     > "$SMOKE/on-w8.out"
 cmp "$SMOKE/on.out" "$SMOKE/on-w8.out"
+# A gate starts no more workers than it has rules: a width far past the
+# 2-rule fixture must cost two workers, not thousands of thread spawns,
+# and still print the sequential bytes.
+"$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --cache off --workers 4096 \
+    > "$SMOKE/off-w4096.out"
+cmp "$SMOKE/off.out" "$SMOKE/off-w4096.out"
 cargo bench -q -p lisa-bench --bench parallel > /dev/null
 CORES="$(nproc)"
 if [ "$CORES" -ge 4 ]; then

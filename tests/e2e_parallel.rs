@@ -1,11 +1,12 @@
 //! End-to-end parallel-enforcement suite.
 //!
-//! The work-stealing scheduler's external contract: `--workers N` is a
-//! throughput knob, never an input. Gate stdout (human and JSON), exit
+//! The gate checks rules in parallel, one task per rule. Its external
+//! contract: `--workers N` is a throughput knob, never an input. Gate stdout (human and JSON), exit
 //! codes, and the durable journal must be byte-identical at widths 1, 2,
 //! 4, and 8 across the whole corpus; `--workers auto` resolves to the
 //! machine; the resolved width surfaces only on the verbose stderr
-//! channel; and a parallel run publishes `sched.*` telemetry.
+//! channel; a gate never starts more workers than it has rules; and a
+//! parallel run publishes `sched.*` telemetry.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -89,7 +90,7 @@ struct Fixture {
 impl Fixture {
     /// Dump the regressed ZooKeeper corpus version to `.sir` files plus
     /// two rules (the ground truth and a second target) so the gate has
-    /// real rule- and leaf-level fan-out to schedule.
+    /// more than one rule task to spread across workers.
     fn new(tag: &str) -> Fixture {
         let dir = std::env::temp_dir().join(format!("lisa-e2e-par-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -197,18 +198,34 @@ fn parallel_gate_publishes_sched_telemetry() {
     let metrics = fx.path("metrics.json");
     let (_, _, _) = fx.gate(&["--workers", "4", "--metrics-out", &metrics]);
     let snapshot = std::fs::read_to_string(&metrics).expect("metrics snapshot");
-    for counter in
-        ["sched.tasks_spawned", "sched.rule_tasks", "sched.leaf_tasks", "sched.tasks_stolen"]
-    {
-        assert!(snapshot.contains(counter), "metrics missing {counter}: {snapshot}");
-    }
     assert!(
-        snapshot.contains("sched.worker_busy_us") && snapshot.contains("sched.queue_depth_peak"),
-        "metrics missing sched histograms: {snapshot}"
+        snapshot.contains("\"sched.tasks_spawned\":2"),
+        "one task per rule: {snapshot}"
     );
+    assert!(snapshot.contains("sched.worker_busy_us"), "metrics missing sched histogram: {snapshot}");
     assert!(
         snapshot.contains("cache.analysis.lock_acquires")
             && snapshot.contains("cache.smt.lock_acquires"),
         "metrics missing cache lock counters: {snapshot}"
+    );
+}
+
+#[test]
+fn wide_gate_spawns_no_more_workers_than_rules() {
+    let fx = Fixture::new("wide");
+    let (code1, out1, _) = fx.gate(&["--workers", "1"]);
+    let metrics = fx.path("metrics.json");
+    let (code, out, stderr) =
+        fx.gate(&["--workers", "64", "--verbose", "--metrics-out", &metrics]);
+    assert_eq!(code, code1, "exit code drifted at width 64");
+    assert_eq!(out, out1, "stdout drifted from width 1 at width 64");
+    assert!(
+        stderr.contains("scheduler width 64 (--workers 64)"),
+        "the requested width is still reported: {stderr}"
+    );
+    let snapshot = std::fs::read_to_string(&metrics).expect("metrics snapshot");
+    assert!(
+        snapshot.contains("\"sched.worker_busy_us\":{\"count\":2,"),
+        "a 2-rule gate runs 2 workers, not 64: {snapshot}"
     );
 }
