@@ -73,14 +73,6 @@ impl AnalysisCache {
         self.trees.get_or_build(key, build)
     }
 
-    /// Drop every entry whose program fingerprint is not in `keep`. A
-    /// gate run calls this after switching versions so only the current
-    /// (and journaled previous) version's artifacts stay resident.
-    pub fn retain_versions(&self, keep: &[u64]) {
-        self.graphs.retain(|fp| keep.contains(fp));
-        self.trees.retain(|(fp, ..)| keep.contains(fp));
-    }
-
     /// Both maps' counters merged into one uniform snapshot.
     pub fn stats(&self) -> lisa_util::CacheStats {
         self.graphs.stats().merge(self.trees.stats())
@@ -161,22 +153,6 @@ mod tests {
             build(TreeLimits::default(), "test_")
         });
         assert_eq!(cache.stats().misses, 4);
-    }
-
-    #[test]
-    fn retain_versions_drops_stale_fingerprints() {
-        let p = program();
-        let cache = AnalysisCache::new();
-        cache.callgraph(1, || CallGraph::build(&p));
-        cache.callgraph(2, || CallGraph::build(&p));
-        let target = TargetSpec::Call { callee: "act".into() };
-        let graph = CallGraph::build(&p);
-        cache.tree(1, &target, TreeLimits::default(), "test_", || {
-            execution_tree_filtered(&graph, &target, TreeLimits::default(), &|_| false)
-        });
-        assert_eq!(cache.len(), 3);
-        cache.retain_versions(&[2]);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

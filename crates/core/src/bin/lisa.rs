@@ -2,13 +2,14 @@
 //!
 //! ```text
 //! lisa check   --system <dir> --rules <file> [--test-prefix test_] [--rag <k>] [--format json]
+//!              [--max-solver-conflicts N]
 //! lisa gate    --system <dir> --rules <file> [--workers N] [--format json]
 //!              [--test-prefix test_] [--rag <k>]
 //!              [--fail-mode closed|open] [--deadline-ms N] [--max-solver-conflicts N]
 //!              [--fault-seed N] [--fault-rate F] [--state <dir>]
-//!              [--cache on|off] [--cache-queries N]
+//!              [--cache on|off]
 //!              [--trace-out <file>] [--metrics-out <file>]
-//! lisa resume  --system <dir> --rules <file> --state <dir> [--fail-mode closed|open]
+//! lisa resume  --system <dir> --rules <file> --state <dir> [any gate flag]
 //! lisa serve   --socket <path> [--state-root <dir>] [--workers N] [--queue-cap N]
 //!              [--job-timeout-ms N] [--max-attempts N]
 //!              [--listen <host:port>] [--tenants name[:weight[:timeout_ms]],...]
@@ -27,7 +28,9 @@
 //! stdout artifacts stay machine-clean). `--trace-out <file>` writes a
 //! Chrome trace-event JSON of the whole run — load it at
 //! `ui.perfetto.dev` — and `--metrics-out <file>` writes a counters +
-//! latency-histogram snapshot; both work on any subcommand.
+//! latency-histogram snapshot; both work on any subcommand. Any other
+//! flag a subcommand does not read is a usage error (exit 2), so a
+//! misspelt knob never silently runs with its default.
 //!
 //! `--system` points at a directory of `.sir` modules (tests included,
 //! discovered by prefix). `--rules` is a text file of authoring-template
@@ -59,8 +62,6 @@
 //! `--cache on|off` (default on) controls the version-scoped analysis,
 //! trace, and SMT-query caches; caches are transparent — every stdout
 //! byte, JSON artifact, and journal entry is identical with caching off.
-//! `--cache-queries N` bounds the SMT query cache (LRU, default 4096
-//! entries; 0 disables just the query tier).
 //!
 //! Exit status: 0 = pass, 1 = violations found (gate blocks), 2 = a true
 //! engine error — usage/load failure, or (under fail-closed) a rule check
@@ -122,13 +123,14 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   lisa check   --system <dir> --rules <file> [--test-prefix test_] [--rag <k>] [--format json]
+               [--max-solver-conflicts N]
   lisa gate    --system <dir> --rules <file> [--workers N|auto] [--format json]
                [--test-prefix test_] [--rag <k>]
                [--fail-mode closed|open] [--deadline-ms N] [--max-solver-conflicts N]
                [--fault-seed N] [--fault-rate F] [--state <dir>]
-               [--cache on|off] [--cache-queries N]
+               [--cache on|off]
                [--trace-out <file>] [--metrics-out <file>]
-  lisa resume  --system <dir> --rules <file> --state <dir> [--fail-mode closed|open]
+  lisa resume  --system <dir> --rules <file> --state <dir> [any gate flag]
   lisa serve   --socket <path> [--state-root <dir>] [--workers N|auto] [--queue-cap N]
                [--job-timeout-ms N] [--max-attempts N]
                [--listen <host:port>] [--tenants name[:weight[:timeout_ms]],...]
@@ -150,7 +152,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
-    let flags = parse_flags(&args[1..])?;
+    let flags = parse_flags(cmd, &args[1..])?;
     // Telemetry is configured before any work starts: --trace-out needs
     // full spans, --metrics-out alone needs only counters/histograms.
     // Telemetry never feeds a verdict, so enabling it cannot change any
@@ -186,13 +188,46 @@ fn run(args: &[String]) -> Result<Outcome, String> {
     result
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Flags every subcommand accepts.
+const GLOBAL_FLAGS: &[&str] = &["verbose", "trace-out", "metrics-out"];
+
+/// The flags `cmd` reads, [`GLOBAL_FLAGS`] included; `None` for an
+/// unknown subcommand.
+fn command_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    let (own, config): (&[&str], &[&str]) = match cmd {
+        "check" => (&["system", "rules", "format"], GateConfig::PIPELINE_FLAGS),
+        "gate" | "resume" => (&["system", "rules", "format", "state"], GateConfig::FLAGS),
+        "serve" => (
+            &[
+                "socket", "state-root", "workers", "queue-cap", "job-timeout-ms", "max-attempts",
+                "follow", "repl-listen", "heartbeat-ms", "heartbeat-timeout-ms",
+                "repl-fault-seed", "listen", "tenants", "tenant-cap", "max-conns",
+            ],
+            &[],
+        ),
+        "submit" => (
+            &["socket", "addr", "op", "system", "rules", "fail-mode", "job-id", "tenant", "chaos"],
+            &[],
+        ),
+        "suggest" | "paths" => (&["system", "target"], &[]),
+        _ => return None,
+    };
+    Some([GLOBAL_FLAGS, own, config].concat())
+}
+
+/// `--name value` pairs (and the valueless `--verbose`). A flag `cmd`
+/// does not read is an error, reported in argument order.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let accepted = command_flags(cmd);
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected --flag, found {flag:?}"));
         };
+        if accepted.as_ref().is_some_and(|a| !a.contains(&name)) {
+            return Err(format!("unknown flag --{name} for `{cmd}`"));
+        }
         // The one valueless flag; everything else is a --name value pair.
         if name == "verbose" {
             flags.insert(name.to_string(), "true".to_string());

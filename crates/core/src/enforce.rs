@@ -30,7 +30,7 @@ use lisa_util::{retry_with_backoff, RetryPolicy};
 
 use crate::error::LisaError;
 use crate::faults::{FaultInjector, FaultKind, TRANSIENT_MARKER};
-use crate::pipeline::{Pipeline, PipelineConfig, ResourceBudgets};
+use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::verdict::RuleReport;
 
 /// The persistent set of enforced rules.
@@ -129,8 +129,6 @@ pub struct GateOptions {
     /// run in degraded mode (fixed-path sanity check) instead of full
     /// exploration. `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Per-rule resource budgets layered over the pipeline config's.
-    pub budgets: ResourceBudgets,
     /// Retry policy for transient failures.
     pub retry: RetryPolicy,
     /// Fault injection, for resilience tests and the E10 experiment.
@@ -312,21 +310,10 @@ pub(crate) fn enforce_impl(
     let workers = resolve_workers(workers);
     let degrade = DegradeSignal::new(started, options.deadline);
 
-    // Layer the gate budgets over the pipeline config (gate wins where set).
-    let mut gate_config = config.clone();
-    if options.budgets.max_solver_conflicts.is_some() {
-        gate_config.budgets.max_solver_conflicts = options.budgets.max_solver_conflicts;
-    }
-    if options.budgets.max_steps_per_test.is_some() {
-        gate_config.budgets.max_steps_per_test = options.budgets.max_steps_per_test;
-    }
-    if options.budgets.rule_wall.is_some() {
-        gate_config.budgets.rule_wall = options.budgets.rule_wall;
-    }
     // One pipeline for the run; every worker checks its rules with it.
     let pipeline = match cache {
-        Some(c) => Pipeline::with_cache(gate_config, Arc::clone(c)),
-        None => Pipeline::new(gate_config),
+        Some(c) => Pipeline::with_cache(config.clone(), Arc::clone(c)),
+        None => Pipeline::new(config.clone()),
     };
 
     // One slot per rule: rules settle in any order, reports fold in
@@ -633,6 +620,30 @@ mod tests {
         let order = Mutex::new(Vec::new());
         run_pool(1, 8, |i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pool_runs_width_tasks_at_once_and_never_more() {
+        // The first `width` tasks rendezvous: each waits until `width`
+        // tasks have arrived, which only happens if `width` of them run
+        // at once. Nothing is timed; the deadline only turns a pool that
+        // cannot overlap (a hang) into a failure.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        for width in [2, 4, 8] {
+            let (running, peak, arrived) =
+                (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+            run_pool(width, 3 * width, |_| {
+                peak.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                if arrived.fetch_add(1, Ordering::SeqCst) < width {
+                    while arrived.load(Ordering::SeqCst) < width {
+                        assert!(Instant::now() < deadline, "width {width}: tasks never overlapped");
+                        std::thread::yield_now();
+                    }
+                }
+                running.fetch_sub(1, Ordering::SeqCst);
+            });
+            assert_eq!(peak.into_inner(), width, "width {width}: peak concurrent tasks");
+        }
     }
 
     #[test]

@@ -68,15 +68,10 @@ impl Default for GateCache {
 
 impl GateCache {
     pub fn new() -> GateCache {
-        GateCache::with_query_capacity(DEFAULT_QUERY_CACHE_CAPACITY)
-    }
-
-    /// A cache whose SMT query LRU holds at most `capacity` verdicts.
-    pub fn with_query_capacity(capacity: usize) -> GateCache {
         GateCache {
             analysis: AnalysisCache::new(),
             traces: TraceCache::new(),
-            queries: QueryCache::new(capacity),
+            queries: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
             published: Mutex::new(BTreeMap::new()),
         }
     }
@@ -178,7 +173,7 @@ impl<'r> Gate<'r> {
         self
     }
 
-    /// Resilience options (fail mode, deadline, budgets, retry, faults).
+    /// Resilience options (fail mode, deadline, retry, faults).
     pub fn options(mut self, options: GateOptions) -> Self {
         self.options = options;
         self
@@ -218,8 +213,6 @@ pub struct GateConfig {
     pub fault_rate: f64,
     /// Whether the run gets a [`GateCache`].
     pub cache: bool,
-    /// SMT query LRU capacity when the cache is on.
-    pub cache_queries: usize,
 }
 
 impl Default for GateConfig {
@@ -233,12 +226,22 @@ impl Default for GateConfig {
             fault_seed: None,
             fault_rate: 1.0,
             cache: true,
-            cache_queries: DEFAULT_QUERY_CACHE_CAPACITY,
         }
     }
 }
 
 impl GateConfig {
+    /// The flags [`GateConfig::from_args`] reads into
+    /// [`GateConfig::pipeline`].
+    pub const PIPELINE_FLAGS: &'static [&'static str] =
+        &["rag", "test-prefix", "max-solver-conflicts"];
+
+    /// Every flag [`GateConfig::from_args`] reads.
+    pub const FLAGS: &'static [&'static str] = &[
+        "rag", "test-prefix", "max-solver-conflicts", "workers", "fail-mode", "deadline-ms",
+        "fault-seed", "fault-rate", "cache",
+    ];
+
     /// Parse the gate-relevant CLI flags (as produced by the `lisa`
     /// binary's flag parser: `--name value` pairs in a map). Flags:
     ///
@@ -251,7 +254,8 @@ impl GateConfig {
     /// - `--max-solver-conflicts <n>` — SAT conflict budget per query
     /// - `--fault-seed <n>` / `--fault-rate <f>` — chaos drill
     /// - `--cache on|off` — version-scoped caching (default on)
-    /// - `--cache-queries <n>` — SMT query LRU capacity
+    ///
+    /// These are exactly [`GateConfig::FLAGS`].
     pub fn from_args(flags: &HashMap<String, String>) -> Result<GateConfig, String> {
         fn num<T: std::str::FromStr>(
             flags: &HashMap<String, String>,
@@ -302,7 +306,6 @@ impl GateConfig {
             fault_seed: num(flags, "fault-seed")?,
             fault_rate: num::<f64>(flags, "fault-rate")?.unwrap_or(defaults.fault_rate),
             cache,
-            cache_queries: num(flags, "cache-queries")?.unwrap_or(defaults.cache_queries),
         })
     }
 
@@ -312,7 +315,6 @@ impl GateConfig {
         GateOptions {
             fail_mode: self.fail_mode,
             deadline: self.deadline,
-            budgets: self.pipeline.budgets,
             faults: self
                 .fault_seed
                 .map(|seed| FaultInjector::new(FaultPlan::random(seed, self.fault_rate, rule_ids))),
@@ -322,7 +324,7 @@ impl GateConfig {
 
     /// The cache this configuration implies (`None` when `--cache off`).
     pub fn gate_cache(&self) -> Option<Arc<GateCache>> {
-        self.cache.then(|| Arc::new(GateCache::with_query_capacity(self.cache_queries)))
+        self.cache.then(|| Arc::new(GateCache::new()))
     }
 }
 
@@ -342,13 +344,12 @@ mod tests {
         assert_eq!(cfg.fail_mode, FailMode::Closed);
         assert!(cfg.deadline.is_none());
         assert!(cfg.cache);
-        assert_eq!(cfg.cache_queries, DEFAULT_QUERY_CACHE_CAPACITY);
         assert!(cfg.gate_cache().is_some());
     }
 
     #[test]
     fn from_args_parses_every_knob() {
-        let cfg = GateConfig::from_args(&flags(&[
+        let knobs = [
             ("rag", "3"),
             ("test-prefix", "spec_"),
             ("workers", "8"),
@@ -358,9 +359,8 @@ mod tests {
             ("fault-seed", "7"),
             ("fault-rate", "0.5"),
             ("cache", "off"),
-            ("cache-queries", "16"),
-        ]))
-        .expect("parse");
+        ];
+        let cfg = GateConfig::from_args(&flags(&knobs)).expect("parse");
         assert!(matches!(cfg.pipeline.selection, TestSelection::Rag { k: 3 }));
         assert_eq!(cfg.pipeline.test_prefix, "spec_");
         assert_eq!(cfg.workers, 8);
@@ -372,7 +372,24 @@ mod tests {
         let opts = cfg.gate_options(&["R1".to_string()]);
         assert_eq!(opts.fail_mode, FailMode::Open);
         assert!(opts.faults.is_some());
-        assert_eq!(opts.budgets.max_solver_conflicts, Some(64));
+
+        // The flag lists name exactly these knobs, and each one alone
+        // moves the config (the pipeline part iff it is a pipeline flag).
+        let mut names = knobs.map(|(name, _)| name);
+        names.sort_unstable();
+        let mut listed = GateConfig::FLAGS.to_vec();
+        listed.sort_unstable();
+        assert_eq!(names.as_slice(), listed.as_slice());
+        let defaults = GateConfig::from_args(&HashMap::new()).expect("defaults");
+        for (name, value) in knobs {
+            let one = GateConfig::from_args(&flags(&[(name, value)])).expect(name);
+            assert_ne!(format!("{one:?}"), format!("{defaults:?}"), "--{name} is never read");
+            assert_eq!(
+                format!("{:?}", one.pipeline) != format!("{:?}", defaults.pipeline),
+                GateConfig::PIPELINE_FLAGS.contains(&name),
+                "--{name}"
+            );
+        }
     }
 
     #[test]

@@ -256,7 +256,6 @@ impl DepHasher {
         // Debug formatting is stable for a given binary; a format change
         // across releases costs one re-check, never a wrong reuse.
         base.part(format!("{config:?}").as_bytes());
-        base.part(format!("{:?}", gate.budgets).as_bytes());
         base.part(format!("{:?}", gate.retry).as_bytes());
 
         DepHasher {
@@ -574,7 +573,6 @@ pub fn gate_durable(
     let reuse_fingerprints = durable.cache.is_some()
         && gate.faults.is_none()
         && gate.deadline.is_none()
-        && gate.budgets.rule_wall.is_none()
         && config.budgets.rule_wall.is_none();
     // The previous run's fingerprints, and this run's hash per rule.
     let reuse: Option<(FingerprintFile, Vec<u64>)> = reuse_fingerprints.then(|| {

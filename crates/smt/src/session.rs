@@ -60,7 +60,7 @@ use crate::term::Term;
 use crate::theory::{self, TheoryLit, TheoryResult};
 
 /// Reuse counters for one session, surfaced as `smt.session.*`
-/// telemetry and asserted by the session-reuse bench gate.
+/// telemetry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionStats {
     /// Queries answered through this session (all paths).
@@ -375,6 +375,7 @@ fn solve_loop(core: &mut Core, assumptions: &[i32]) -> bool {
 mod tests {
     use super::*;
     use crate::parse::parse_cond;
+    use crate::term::CmpOp;
 
     fn t(s: &str) -> Term {
         parse_cond(s).expect("parse")
@@ -426,26 +427,42 @@ mod tests {
 
     #[test]
     fn clause_reuse_accumulates_across_queries() {
-        // A checker whose negation needs genuine search to refute: the
-        // pairwise-distinct clique in [0,1] is unsat, so the checker is
-        // valid and every query verifies — after the first, from
-        // retained clauses.
+        // Checkers whose negation needs genuine search to refute: a
+        // pairwise-distinct clique in too small a range is unsat, so the
+        // checker is valid and every query verifies — after the first,
+        // from retained clauses.
         let clique = t(
             "x >= 0 && x <= 1 && y >= 0 && y <= 1 && z >= 0 && z <= 1 \
              && x != y && y != z && x != z",
         );
-        let session = SolverSession::new(&clique.clone().not());
-        for name in ["a", "b", "c"] {
-            let outcome = session.violates_budgeted(&t(&format!("{name} > 0")), None);
-            assert!(matches!(outcome, ViolationOutcome::Verified), "{outcome:?}");
+        // Four ints pairwise distinct in [0,2] against 32 path conditions:
+        // the batch `lisa`'s `tests/speedups.rs` times fresh vs session.
+        let in_range = |v: &str| {
+            Term::and([Term::int_cmp_c(v, CmpOp::Ge, 0), Term::int_cmp_c(v, CmpOp::Le, 2)])
+        };
+        let vars = ["c0", "c1", "c2", "c3"];
+        let mut parts: Vec<Term> = vars.iter().map(|v| in_range(v)).collect();
+        for i in 0..vars.len() {
+            for j in (i + 1)..vars.len() {
+                parts.push(Term::int_cmp_v(vars[i], CmpOp::Ne, vars[j]));
+            }
         }
-        let stats = session.stats();
-        assert_eq!(stats.incremental, 3);
-        assert!(stats.learned_retained > 0, "refutation must learn clauses");
-        assert!(
-            stats.learned_reused > 0,
-            "queries after the first must start with retained clauses"
-        );
+        for (checker_negation, queries) in [(clique, 3), (Term::and(parts), 32)] {
+            let session = SolverSession::new(&checker_negation.not());
+            for i in 0..queries {
+                let pi = Term::int_cmp_c(format!("a{i}"), CmpOp::Gt, 0);
+                let outcome = session.violates_budgeted(&pi, None);
+                assert!(matches!(outcome, ViolationOutcome::Verified), "{outcome:?}");
+            }
+            let stats = session.stats();
+            assert_eq!(stats.queries, queries);
+            assert_eq!(stats.incremental, queries, "every query must reuse the session core");
+            assert!(stats.learned_retained > 0, "refutation must learn clauses");
+            assert!(
+                stats.learned_reused > 0,
+                "queries after the first must start with retained clauses"
+            );
+        }
     }
 
     #[test]

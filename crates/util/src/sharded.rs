@@ -185,16 +185,6 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
         }
     }
 
-    /// Keep only entries whose key satisfies `f`. In-flight builds are
-    /// left alone; a build whose entry was removed still completes for
-    /// its requesters but is not re-inserted.
-    pub fn retain(&self, mut f: impl FnMut(&K) -> bool) {
-        for shard in self.shards.iter() {
-            let mut shard = lock_counted(shard, &self.locks);
-            shard.retain(|k, slot| matches!(slot, Slot::Building(_)) || f(k));
-        }
-    }
-
     /// Live entries across all shards (ready + in-flight).
     pub fn len(&self) -> usize {
         self.shards
@@ -261,8 +251,6 @@ impl<K: Hash + Eq + Clone, V> AbandonOnUnwind<'_, K, V> {
             self.inflight.cv.notify_all();
         }
         let mut shard = lock_counted(self.map.shard(self.key), &self.map.locks);
-        // Only replace our own placeholder: a concurrent `retain` may
-        // have dropped it, in which case the value stays uncached.
         if let Some(slot) = shard.get_mut(self.key) {
             if matches!(slot, Slot::Building(b) if Arc::ptr_eq(b, self.inflight)) {
                 *slot = Slot::Ready(value);
@@ -349,16 +337,6 @@ mod tests {
         // The failed build left no entry; a retry builds cleanly.
         let v = map.get_or_build(1, || 9);
         assert_eq!(*v, 9);
-    }
-
-    #[test]
-    fn retain_drops_unmatched_keys() {
-        let map: ShardedMap<u64, u64> = ShardedMap::new(4);
-        for k in 0..10 {
-            map.get_or_build(k, || k);
-        }
-        map.retain(|k| *k % 2 == 0);
-        assert_eq!(map.len(), 5);
     }
 
     #[test]

@@ -97,23 +97,17 @@ echo "cache smoke: ok"
 cmp "$SMOKE/state-w1/wal.log" "$SMOKE/state-w8/wal.log"
 echo "durable width smoke: ok"
 
-# Repeated-version cache bench: asserts the warm repeat of an unchanged
-# version is >= 2x faster and writes BENCH_cache.json. The same bench
-# measures solver-session clause reuse on the multi-check-per-rule
-# workload; hold the session to >= 1.5x over fresh per-query solving.
-cargo bench -q -p lisa-bench --bench cache > /dev/null
-SESSION_SPEEDUP="$(grep -o '"session_speedup":[0-9.]*' BENCH_cache.json | cut -d: -f2)"
-awk -v s="$SESSION_SPEEDUP" 'BEGIN { exit !(s >= 1.5) }' \
-    || { echo "cache bench: session speedup $SESSION_SPEEDUP < 1.5x"; exit 1; }
-echo "cache bench: ok (session reuse speedup ${SESSION_SPEEDUP}x)"
+# Timed speedup gates, in release and one at a time: the warm repeat of
+# an unchanged version >= 2x faster than a cold gate, the solver session
+# >= 1.5x faster than fresh per-query solving, and the cold corpus gate
+# >= 2x faster at 4 workers (>= 3x at 8) where the machine has those
+# cores. Tier-1 `cargo test` skips them (`#[ignore]`).
+cargo test -q --release -p lisa --test speedups -- --ignored --test-threads 1
 
 # Parallel gate: worker count must be a throughput knob, never an input.
 # The width-1/2/4/8 byte-identity matrix (corpus, CLI, WAL) lives in the
 # e2e suite; here we re-gate the cache fixture at --workers 8 against the
-# sequential stdout, then run the scaling bench and hold the 4-worker
-# speedup to >= 2.0x — on the real cold-corpus workload when the machine
-# has >= 4 cores, else on the stall-overlap workload (sleeps overlap even
-# on one core, so it isolates scheduler correctness from core count).
+# sequential stdout. Pool overlap is a unit test of the rule pool.
 cargo test -q -p lisa --test e2e_parallel
 cargo test -q -p lisa --test par_prop
 "$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --cache off --workers 8 \
@@ -128,18 +122,7 @@ cmp "$SMOKE/on.out" "$SMOKE/on-w8.out"
 "$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --cache off --workers 4096 \
     > "$SMOKE/off-w4096.out"
 cmp "$SMOKE/off.out" "$SMOKE/off-w4096.out"
-cargo bench -q -p lisa-bench --bench parallel > /dev/null
-CORES="$(nproc)"
-if [ "$CORES" -ge 4 ]; then
-    SPEEDUP="$(grep -o '"cold_speedup_4w":[0-9.]*' BENCH_parallel.json | cut -d: -f2)"
-    WORKLOAD="cold corpus"
-else
-    SPEEDUP="$(grep -o '"stall_speedup_4w":[0-9.]*' BENCH_parallel.json | cut -d: -f2)"
-    WORKLOAD="stall overlap ($CORES core(s) < 4, cold-corpus scaling not measurable)"
-fi
-awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 2.0) }' \
-    || { echo "parallel gate: 4-worker speedup $SPEEDUP < 2.0x ($WORKLOAD)"; exit 1; }
-echo "parallel gate: ok (4-worker speedup ${SPEEDUP}x, $WORKLOAD)"
+echo "parallel gate: ok"
 
 # Failover e2e: kill-at-every-frame-boundary byte-identity (cache on and
 # off), full-sync bootstrap, seeded stream-fault quarantine sweep, and

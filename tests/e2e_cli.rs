@@ -130,6 +130,42 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn flags_a_subcommand_does_not_read_exit_2() {
+    let fx = Fixture::new("flags");
+    let (sys, rules) = (fx.system(), fx.rules());
+    // Misspelt knobs must not run the gate at their defaults; the first
+    // unknown flag, in argument order, is named.
+    let (code, out) = fx.run(&[
+        "gate", "--system", &sys, "--rules", &rules, "--failmode", "open", "--wokers", "8",
+    ]);
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains("unknown flag --failmode for `gate`"), "{out}");
+    assert!(!out.contains("decision:"), "the gate must not run: {out}");
+    let (code, out) =
+        fx.run(&["resume", "--system", &sys, "--rules", &rules, "--cache-queries", "3"]);
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains("unknown flag --cache-queries for `resume`"), "{out}");
+    // A real flag of one subcommand is unknown to another that ignores it.
+    let (code, out) =
+        fx.run(&["paths", "--system", &sys, "--target", "ship_order", "--cache", "off"]);
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains("unknown flag --cache for `paths`"), "{out}");
+    let (code, out) = fx.run(&["check", "--system", &sys, "--rules", &rules, "--workers", "2"]);
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains("unknown flag --workers for `check`"), "{out}");
+    // What a subcommand does read, and the flags every one accepts, pass.
+    let metrics = fx.dir.join("m.json").to_string_lossy().into_owned();
+    let (code, out) = fx.run(&[
+        "check", "--system", &sys, "--rules", &rules, "--rag", "1", "--verbose", "--metrics-out",
+        &metrics,
+    ]);
+    assert_eq!(code, 1, "{out}");
+    let (code, out) =
+        fx.run(&["paths", "--system", &sys, "--target", "ship_order", "--verbose"]);
+    assert_eq!(code, 0, "{out}");
+}
+
+#[test]
 fn bad_rules_file_reports_line() {
     let fx = Fixture::new("badrules");
     std::fs::write(fx.dir.join("bad.txt"), "please be correct\n").expect("write");

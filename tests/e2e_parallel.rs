@@ -10,9 +10,13 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::Arc;
 
 use lisa::report::render_enforcement;
-use lisa::{Gate, GateDecision, GateOptions, PipelineConfig, RuleRegistry, TestSelection};
+use lisa::{
+    FaultInjector, FaultKind, FaultPlan, Gate, GateCache, GateDecision, GateOptions,
+    PipelineConfig, RuleRegistry, TestSelection,
+};
 use lisa_analysis::TargetSpec;
 use lisa_corpus::{all_cases, case};
 use lisa_oracle::{infer_rules, rescope, Scope};
@@ -25,12 +29,22 @@ fn config() -> PipelineConfig {
 // Library level: every corpus case, every width, one report.
 // ---------------------------------------------------------------------------
 
+/// Assert `render(workers)` prints width 1's bytes at widths 2/4/8.
+fn assert_width_invariant(what: &str, render: impl Fn(usize) -> String) {
+    let baseline = render(1);
+    for workers in [2, 4, 8] {
+        assert_eq!(render(workers), baseline, "{what}: report drifted at width {workers}");
+    }
+}
+
 #[test]
 fn every_corpus_case_renders_identically_at_every_width() {
+    let mut merged = RuleRegistry::new();
     for case in all_cases() {
         let Ok(out) = infer_rules(case.original_ticket()) else { continue };
         let mut reg = RuleRegistry::new();
         for rule in out.rules {
+            merged.register(rule.clone());
             let rule = match &rule.target {
                 TargetSpec::Call { .. } => rule,
                 _ => rescope(&rule, Scope::Generalized).expect("rescope"),
@@ -38,20 +52,30 @@ fn every_corpus_case_renders_identically_at_every_width() {
             reg.register(rule);
         }
         for version in [&case.versions.regressed, &case.versions.fixed] {
-            let baseline =
-                render_enforcement(&Gate::new(&reg).config(config()).workers(1).run(version));
-            for workers in [2, 4, 8] {
-                let report = Gate::new(&reg).config(config()).workers(workers).run(version);
-                assert_eq!(
-                    render_enforcement(&report),
-                    baseline,
-                    "{}@{}: report drifted at width {workers}",
-                    case.meta.id,
-                    version.label
-                );
-            }
+            assert_width_invariant(&format!("{}@{}", case.meta.id, version.label), |w| {
+                render_enforcement(&Gate::new(&reg).config(config()).workers(w).run(version))
+            });
         }
     }
+
+    // Every mined rule in one registry against one version: cold (a
+    // fresh cache per run), and with every rule stalled so rules settle
+    // out of order at every width above 1.
+    let zk = case("zk-ephemeral").expect("case");
+    let version = &zk.versions.regressed;
+    let gate = |w: usize| Gate::new(&merged).config(config()).workers(w);
+    assert_width_invariant("merged, cold", |w| {
+        render_enforcement(&gate(w).cache(&Arc::new(GateCache::new())).run(version))
+    });
+    let mut plan = FaultPlan::new();
+    for rule in merged.rules() {
+        plan = plan.inject(rule.id.clone(), FaultKind::Stall);
+    }
+    assert_width_invariant("merged, stalled", |w| {
+        let options =
+            GateOptions { faults: Some(FaultInjector::new(plan.clone())), ..GateOptions::default() };
+        render_enforcement(&gate(w).options(options).run(version))
+    });
 }
 
 #[test]
