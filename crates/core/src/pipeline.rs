@@ -366,10 +366,15 @@ impl Pipeline {
                 } else {
                     budgets.max_solver_conflicts
                 };
+                // The cache keys the query by its canonical form, and a
+                // miss hands that form to the session to solve as it is.
                 let outcome = match cache {
-                    Some(c) => c.queries().violates_with(&hit.pi, session.checker(), conflicts, || {
-                        session.violates_budgeted(&hit.pi, conflicts)
-                    }),
+                    Some(c) => c.queries().violates_with(
+                        &hit.pi,
+                        session.negated_checker(),
+                        conflicts,
+                        |pi_nnf, query| session.violates_canonical(pi_nnf, query, conflicts),
+                    ),
                     None => session.violates_budgeted(&hit.pi, conflicts),
                 };
                 if matches!(outcome, ViolationOutcome::Unknown { .. }) {

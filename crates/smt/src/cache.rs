@@ -4,10 +4,12 @@
 //! across versions an unchanged function replays the exact same traces —
 //! so the solver sees the same `π ∧ ¬checker` query again and again. The
 //! cache keys queries by the FNV-1a hash of the *canonicalized* formula
-//! (NNF + simplification via [`crate::preprocess`]), so two textually
-//! different but canonically identical queries share an entry. The
-//! conflict budget is part of the key: an `Unknown` verdict is only valid
-//! for the budget it was produced under.
+//! (NNF + simplification, [`crate::nnf::violation_query`]), so two
+//! textually different but canonically identical queries share an entry.
+//! The conflict budget is part of the key: an `Unknown` verdict is only
+//! valid for the budget it was produced under. The canonical form is
+//! built once per query: a miss hands it to the solver, which checks it
+//! as it stands.
 //!
 //! Large caches are lock-striped: the capacity is split across N
 //! independently locked LRU shards (selected by key hash), so rules
@@ -27,8 +29,8 @@ use std::sync::Mutex;
 
 use lisa_util::{lock_counted, Fnv1a, LockStats};
 
-use crate::nnf::preprocess_violation;
-use crate::solver::{violates_budgeted, ViolationOutcome};
+use crate::nnf::{preprocess_violation, to_nnf, to_nnf_negated, violation_query};
+use crate::solver::{check_violation, ViolationOutcome};
 use crate::term::Term;
 
 /// Entries per shard before another stripe is worth its overhead. A
@@ -82,10 +84,14 @@ impl QueryCache {
 
     /// Cache key for a violation query: hash of the canonicalized
     /// `π ∧ ¬checker` plus the conflict budget it will run under.
-    fn key(pi: &Term, checker: &Term, max_conflicts: Option<u64>) -> Key {
-        let query = preprocess_violation(pi, checker);
+    pub fn key(pi: &Term, checker: &Term, max_conflicts: Option<u64>) -> (u64, Option<u64>) {
+        Self::key_of(&preprocess_violation(pi, checker), max_conflicts)
+    }
+
+    /// The key of a query already in canonical form.
+    fn key_of(query: &Term, max_conflicts: Option<u64>) -> Key {
         let mut h = Fnv1a::new();
-        h.part_display(&query);
+        h.part_display(query);
         (h.finish(), max_conflicts)
     }
 
@@ -105,28 +111,34 @@ impl QueryCache {
         checker: &Term,
         max_conflicts: Option<u64>,
     ) -> ViolationOutcome {
-        self.violates_with(pi, checker, max_conflicts, || {
-            violates_budgeted(pi, checker, max_conflicts)
+        self.violates_with(pi, &to_nnf_negated(checker), max_conflicts, |_, query| {
+            check_violation(query, max_conflicts)
         })
     }
 
     /// Memoized violation query with a caller-supplied solver — the hook
-    /// that lets a [`crate::SolverSession`] sit behind the cache. The key
-    /// stays `(canonical formula, budget)`, so a hit returns exactly what
-    /// any solving path would have produced (session answers are
-    /// byte-identical to fresh ones by construction); `solve` runs only
-    /// on a miss, outside every shard lock.
+    /// that lets a [`crate::SolverSession`] sit behind the cache.
+    /// `negated_checker` is the NNF of `¬checker`
+    /// ([`crate::SolverSession::negated_checker`]), normalized once by
+    /// the caller. The key stays `(canonical formula, budget)`, so a hit
+    /// returns exactly what any solving path would have produced (session
+    /// answers are byte-identical to fresh ones by construction). On a
+    /// miss, `solve` runs outside every shard lock and gets π's NNF and
+    /// the canonical query the key was built from, to solve as they
+    /// stand ([`crate::SolverSession::violates_canonical`]).
     pub fn violates_with(
         &self,
         pi: &Term,
-        checker: &Term,
+        negated_checker: &Term,
         max_conflicts: Option<u64>,
-        solve: impl FnOnce() -> ViolationOutcome,
+        solve: impl FnOnce(&Term, &Term) -> ViolationOutcome,
     ) -> ViolationOutcome {
+        let pi_nnf = to_nnf(pi);
+        let query = violation_query(&pi_nnf, negated_checker);
         if self.capacity == 0 {
-            return solve();
+            return solve(&pi_nnf, &query);
         }
-        let key = Self::key(pi, checker, max_conflicts);
+        let key = Self::key_of(&query, max_conflicts);
         {
             let mut lru = lock_counted(self.shard(&key), &self.locks);
             lru.tick += 1;
@@ -138,7 +150,7 @@ impl QueryCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let outcome = solve();
+        let outcome = solve(&pi_nnf, &query);
         let mut lru = lock_counted(self.shard(&key), &self.locks);
         if lru.map.len() >= self.shard_capacity && !lru.map.contains_key(&key) {
             if let Some(oldest) = lru.map.iter().min_by_key(|(_, (_, t))| *t).map(|(k, _)| *k) {
@@ -152,7 +164,9 @@ impl QueryCache {
         outcome
     }
 
-    /// The cache's counters as one uniform snapshot.
+    /// The cache's counters as one uniform snapshot. Counting the entries
+    /// does not count as lock acquisitions, so a snapshot never inflates
+    /// the `lock_acquires` it or the next one reports.
     pub fn stats(&self) -> lisa_util::CacheStats {
         lisa_util::CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -167,9 +181,14 @@ impl QueryCache {
         }
     }
 
-    /// Number of live entries (for tests and introspection).
+    /// Number of live entries (for tests and introspection). Its locks
+    /// are not counted in the lock statistics, which measure the
+    /// queries' own locking.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_counted(s, &self.locks).map.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len())
+            .sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -211,6 +230,33 @@ mod tests {
             (0xe2f60512fedad36c, Some(0)),
         ];
         assert_eq!(got, pinned, "{got:#x?}");
+    }
+
+    #[test]
+    fn stats_snapshots_do_not_count_their_own_locks() {
+        let cache = QueryCache::new(4096);
+        cache.violates_budgeted(&t("x > 0"), &t("x > 1"), None);
+        let first = cache.stats();
+        let second = cache.stats();
+        assert_eq!(first.entries, 1);
+        assert_eq!(first.lock_acquires, second.lock_acquires, "an idle cache's count moved");
+    }
+
+    #[test]
+    fn a_miss_solves_the_form_it_was_keyed_by() {
+        let cache = QueryCache::new(16);
+        let pi = t("s != null && 3 < x");
+        let checker = t("s != null && s.isClosing == false && x > 4");
+        let session = crate::SolverSession::new(&checker);
+        let solved = cache.violates_with(&pi, session.negated_checker(), None, |pi_nnf, query| {
+            assert_eq!(*pi_nnf, crate::to_nnf(&pi));
+            assert_eq!(*query, preprocess_violation(&pi, &checker));
+            session.violates_canonical(pi_nnf, query, None)
+        });
+        assert!(matches!(solved, ViolationOutcome::Violated(_)), "{solved:?}");
+        // A sessionless query of the same formula finds the entry.
+        cache.violates_budgeted(&pi, &checker, None);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! duplicate removal, complementary-literal detection) that keep the later
 //! CNF conversion small.
 
-use crate::term::{Atom, CmpOp, IntOperand, Term};
+use std::cmp::Ordering;
+
+use crate::term::{Atom, CmpOp, IntOperand, StrOperand, Term};
 
 /// A literal: an atom with a polarity.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -176,13 +178,37 @@ pub fn canonicalize_atom(atom: &Atom) -> (Atom, bool) {
         }
         Atom::StrEq(a, b) => {
             let (mut a, mut b) = (a.clone(), b.clone());
-            if format!("{a:?}") > format!("{b:?}") {
+            if str_operand_debug_cmp(&a, &b) == Ordering::Greater {
                 std::mem::swap(&mut a, &mut b);
             }
             (Atom::StrEq(a, b), false)
         }
         a => (a.clone(), false),
     }
+}
+
+/// The order of `format!("{a:?}")` and `format!("{b:?}")`, the order
+/// string atoms are canonicalized by, without formatting either. The
+/// `Debug` strings are `Lit("…")` or `Var("…")`, so a `Lit` sorts first,
+/// and within one variant the texts compare as if each were followed by
+/// its closing `"`: `"a!"` sorts before `"a"`, since `!` is below `"`.
+/// Only a text with a char that `{:?}` escapes is compared formatted.
+fn str_operand_debug_cmp(a: &StrOperand, b: &StrOperand) -> Ordering {
+    let (x, y) = match (a, b) {
+        (StrOperand::Lit(_), StrOperand::Var(_)) => return Ordering::Less,
+        (StrOperand::Var(_), StrOperand::Lit(_)) => return Ordering::Greater,
+        (StrOperand::Lit(x), StrOperand::Lit(y)) | (StrOperand::Var(x), StrOperand::Var(y)) => {
+            (x, y)
+        }
+    };
+    // `str`'s `Debug` escapes a char exactly when `char::escape_debug`
+    // does, except for `'`, which only a `char` literal escapes.
+    let escaped = |s: &str| s.chars().any(|c| c != '\'' && c.escape_debug().len() != 1);
+    if escaped(x) || escaped(y) {
+        return format!("{a:?}").cmp(&format!("{b:?}"));
+    }
+    let closing = std::iter::once(b'"');
+    x.bytes().chain(closing.clone()).cmp(y.bytes().chain(closing))
 }
 
 /// Fold atoms whose truth is decided syntactically (const-vs-const
@@ -226,48 +252,51 @@ pub fn simplify(term: &Term) -> Term {
             },
             _ => simplify(inner).not(),
         },
-        Term::And(ts) => {
-            let mut parts = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for t in ts {
-                let s = simplify(t);
-                match s {
-                    Term::True => {}
-                    Term::False => return Term::False,
-                    s => {
-                        if seen.insert(s.clone()) {
-                            // Complementary pair check.
-                            if seen.contains(&s.clone().not()) {
-                                return Term::False;
-                            }
-                            parts.push(s);
-                        }
-                    }
-                }
-            }
-            Term::and(parts)
-        }
-        Term::Or(ts) => {
-            let mut parts = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for t in ts {
-                let s = simplify(t);
-                match s {
-                    Term::False => {}
-                    Term::True => return Term::True,
-                    s => {
-                        if seen.insert(s.clone()) {
-                            if seen.contains(&s.clone().not()) {
-                                return Term::True;
-                            }
-                            parts.push(s);
-                        }
-                    }
-                }
-            }
-            Term::or(parts)
-        }
+        Term::And(ts) => simplify_junction(ts, true),
+        Term::Or(ts) => simplify_junction(ts, false),
         t => t.clone(),
+    }
+}
+
+/// Simplify the parts of a conjunction (`conjunction`) or disjunction:
+/// drop the neutral constant, short-circuit on the absorbing one, keep
+/// the first copy of each duplicate, and absorb when a part meets its
+/// complement. Parts are compared in place against the ones already
+/// kept, so nothing is cloned or hashed to find a duplicate or a
+/// complement; each kept part is built once, by `simplify`.
+fn simplify_junction<'a>(ts: impl IntoIterator<Item = &'a Term>, conjunction: bool) -> Term {
+    let absorbing = if conjunction { Term::False } else { Term::True };
+    let mut parts: Vec<Term> = Vec::new();
+    for t in ts {
+        let s = simplify(t);
+        match (&s, conjunction) {
+            (Term::True, true) | (Term::False, false) => continue,
+            (Term::False, true) | (Term::True, false) => return absorbing,
+            _ => {}
+        }
+        if parts.contains(&s) {
+            continue;
+        }
+        if parts.iter().any(|p| is_complement(p, &s)) {
+            return absorbing;
+        }
+        parts.push(s);
+    }
+    if conjunction {
+        Term::and(parts)
+    } else {
+        Term::or(parts)
+    }
+}
+
+/// `p == s.clone().not()`, decided without building `¬s`. `s` is never
+/// a constant here (the caller folds those first), so `¬s` is `s`'s
+/// operand when `s` is a negation and `Not(s)` otherwise.
+fn is_complement(p: &Term, s: &Term) -> bool {
+    match (p, s) {
+        (p, Term::Not(inner)) => p == inner.as_ref(),
+        (Term::Not(inner), s) => inner.as_ref() == s,
+        _ => false,
     }
 }
 
@@ -276,19 +305,43 @@ pub fn preprocess(term: &Term) -> Term {
     simplify(&to_nnf(term))
 }
 
-/// [`preprocess`] of `¬term`, without cloning `term` to negate it: the
-/// NNF of `¬t` is `t`'s NNF taken at negative polarity.
+/// The NNF of `¬term`, without cloning `term` to negate it: `term`'s
+/// NNF taken at negative polarity.
+pub fn to_nnf_negated(term: &Term) -> Term {
+    nnf(term, false)
+}
+
+/// [`preprocess`] of `¬term`, without cloning `term` to negate it.
 pub fn preprocess_negated(term: &Term) -> Term {
-    simplify(&nnf(term, false))
+    simplify(&to_nnf_negated(term))
 }
 
 /// [`preprocess`] of the violation query `π ∧ ¬checker`, without
-/// cloning either side into the conjunction: the NNF of a conjunction is
-/// the conjunction of its parts' NNFs, and `Term::and` flattens nested
-/// conjunctions the same way at either level. Equal, term for term, to
+/// cloning either side into the conjunction. Equal, term for term, to
 /// `preprocess(&Term::and([pi.clone(), checker.clone().not()]))`.
 pub fn preprocess_violation(pi: &Term, checker: &Term) -> Term {
-    simplify(&Term::and([nnf(pi, true), nnf(checker, false)]))
+    violation_query(&to_nnf(pi), &to_nnf_negated(checker))
+}
+
+/// The canonical violation query from its two halves in NNF: `pi_nnf`
+/// is [`to_nnf`] of π and `negated_nnf` is [`to_nnf_negated`] of the
+/// checker. The NNF of a conjunction is the conjunction of its parts'
+/// NNFs, and `Term::and` would splice each half's conjuncts into one
+/// flat list before simplifying it; this simplifies that list in place,
+/// so a caller that asks many queries of one checker normalizes `¬checker`
+/// once and builds no conjunction per query.
+pub fn violation_query(pi_nnf: &Term, negated_nnf: &Term) -> Term {
+    simplify_junction(conjuncts(pi_nnf).iter().chain(conjuncts(negated_nnf)), true)
+}
+
+/// The parts `Term::and` splices in for `t`: an `And`'s operands, or `t`
+/// itself. A constant passes through as itself, and `simplify_junction`
+/// drops `True` and absorbs on `False` exactly as `Term::and` does.
+fn conjuncts(t: &Term) -> &[Term] {
+    match t {
+        Term::And(ts) => ts,
+        t => std::slice::from_ref(t),
+    }
 }
 
 #[cfg(test)]
@@ -389,6 +442,30 @@ mod tests {
             }
             assert_eq!(preprocess_negated(pi), preprocess(&pi.clone().not()), "{pi}");
         }
+    }
+
+    #[test]
+    fn string_atom_order_matches_the_formatted_order() {
+        let texts = [
+            "", "a", "a!", "a ", "a\"", "a\\", "a\n", "a\u{7}", "ab", "a\u{7f}", "OPEN",
+            "OPENING", "open", "é", "e\u{301}", "\u{301}", "日本", "日", "'", "a'b", "\u{200b}",
+            "~", "\u{10ffff}",
+        ];
+        let operands: Vec<StrOperand> = texts
+            .iter()
+            .flat_map(|t| [StrOperand::Lit(t.to_string()), StrOperand::Var(t.to_string())])
+            .collect();
+        for a in &operands {
+            for b in &operands {
+                let formatted = format!("{a:?}").cmp(&format!("{b:?}"));
+                assert_eq!(str_operand_debug_cmp(a, b), formatted, "{a:?} vs {b:?}");
+            }
+        }
+        // The closing quote decides a shared prefix: `!` and ` ` sort
+        // below `"`, where a plain `str` comparison says the opposite.
+        let lit = |s: &str| StrOperand::Lit(s.to_string());
+        assert_eq!(str_operand_debug_cmp(&lit("a!"), &lit("a")), Ordering::Less);
+        assert_eq!("a!".cmp("a"), Ordering::Greater);
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! - A satisfiable query needs a witness model, and models *are* search-
 //!   order dependent. So when the session's SAT core finds the query
 //!   satisfiable it discards that assignment and delegates to the exact
-//!   stateless path ([`crate::violates_budgeted`]), which reproduces the
-//!   canonical witness the non-session gate would have produced.
+//!   stateless path ([`crate::solver::check_violation`] on the query's
+//!   canonical form), which reproduces the canonical witness the
+//!   non-session gate would have produced.
 //! - Budgeted queries (`max_conflicts = Some(..)`, the degraded-mode
 //!   path) are *isolated* on a throwaway fresh solver: an `Unknown` is
 //!   only meaningful relative to a fixed starting state, and isolation
@@ -44,6 +45,15 @@
 //! and are never resolved away, so every resolvent is implied by the
 //! clause database alone (see `solve_under_assumptions`).
 //!
+//! **One canonical form per query.** Opening a session normalizes `¬C`
+//! once ([`SolverSession::negated_checker`]). Each query's π is taken to
+//! NNF once; the incremental path simplifies that, and the joint
+//! `π ∧ ¬C` form is built from it and the session's `¬C` only when a
+//! fresh solve needs it. A [`crate::QueryCache`] in front of the session
+//! builds the joint form for its key and hands it over
+//! ([`SolverSession::violates_canonical`]), so a miss solves the very
+//! term it was keyed by.
+//!
 //! **Laziness.** Opening a session encodes nothing. The CNF of `¬C` is
 //! built by the first query that reaches the persistent solver, so a
 //! rule whose every query is answered elsewhere — a `QueryCache` hit, or
@@ -53,9 +63,9 @@
 use std::sync::Mutex;
 
 use crate::cnf::Cnf;
-use crate::nnf::{preprocess, preprocess_negated};
+use crate::nnf::{simplify, to_nnf, to_nnf_negated, violation_query};
 use crate::sat::{SatOutcome, SatSolver};
-use crate::solver::{violates_budgeted, ViolationOutcome};
+use crate::solver::{check_violation, ViolationOutcome};
 use crate::term::Term;
 use crate::theory::{self, TheoryLit, TheoryResult};
 
@@ -107,10 +117,11 @@ struct Core {
 
 impl Core {
     /// The Tseitin CNF of the canonicalized `¬checker` as the base
-    /// clause database, shared by every later query.
-    fn new(checker: &Term) -> Core {
+    /// clause database, shared by every later query. `negated` is the
+    /// session's NNF of `¬checker`.
+    fn new(negated: &Term) -> Core {
         let mut cnf = Cnf::new();
-        let checker_valid = cnf.assert_term(&preprocess_negated(checker)).is_err();
+        let checker_valid = cnf.assert_term(&simplify(negated)).is_err();
         let mut sat = SatSolver::new(cnf.num_vars());
         let mut synced = 0;
         while synced < cnf.clauses.len() {
@@ -134,21 +145,25 @@ impl Core {
 /// order never shows in any verdict.
 #[derive(Debug)]
 pub struct SolverSession {
-    checker: Term,
+    /// The NNF of `¬checker`, normalized once for every query.
+    negated: Term,
     inner: Mutex<Inner>,
 }
 
 impl SolverSession {
-    /// Open a session for `checker`. Nothing is encoded yet: the first
-    /// query that reaches the persistent solver builds the Tseitin CNF of
-    /// the canonicalized `¬checker` as the base clause database.
+    /// Open a session for `checker`. Only `¬checker`'s NNF is built now;
+    /// the first query that reaches the persistent solver builds the
+    /// Tseitin CNF of the canonicalized `¬checker` as the base clause
+    /// database.
     pub fn new(checker: &Term) -> SolverSession {
-        SolverSession { checker: checker.clone(), inner: Mutex::new(Inner::default()) }
+        SolverSession { negated: to_nnf_negated(checker), inner: Mutex::new(Inner::default()) }
     }
 
-    /// The checker this session refutes.
-    pub fn checker(&self) -> &Term {
-        &self.checker
+    /// The NNF of `¬checker` ([`crate::nnf::to_nnf_negated`]), the half
+    /// of every query's canonical form that this session's queries share
+    /// (see [`crate::nnf::violation_query`]).
+    pub fn negated_checker(&self) -> &Term {
+        &self.negated
     }
 
     /// The session's violation query: is `π ∧ ¬checker` satisfiable?
@@ -160,6 +175,35 @@ impl SolverSession {
         pi: &Term,
         max_conflicts: Option<u64>,
     ) -> ViolationOutcome {
+        self.violates_nnf(&to_nnf(pi), None, max_conflicts)
+    }
+
+    /// [`SolverSession::violates_budgeted`] for a query whose canonical
+    /// form the caller already built: `pi_nnf` is [`to_nnf`] of π and
+    /// `query` is [`violation_query`]`(pi_nnf, self.negated_checker())`.
+    /// A fresh solve checks `query` as it stands.
+    pub fn violates_canonical(
+        &self,
+        pi_nnf: &Term,
+        query: &Term,
+        max_conflicts: Option<u64>,
+    ) -> ViolationOutcome {
+        self.violates_nnf(pi_nnf, Some(query), max_conflicts)
+    }
+
+    /// The query for π in NNF; `query` is its canonical joint form when
+    /// the caller has one, and is built from `pi_nnf` and the session's
+    /// `¬checker` otherwise, only if a fresh solve needs it.
+    fn violates_nnf(
+        &self,
+        pi_nnf: &Term,
+        query: Option<&Term>,
+        max_conflicts: Option<u64>,
+    ) -> ViolationOutcome {
+        let fresh = |budget| match query {
+            Some(query) => check_violation(query, budget),
+            None => check_violation(&violation_query(pi_nnf, &self.negated), budget),
+        };
         if let Some(budget) = max_conflicts {
             // Budget isolation: solve on a throwaway fresh solver so an
             // exhausted (`Unknown`) query neither inherits conflicts
@@ -170,15 +214,15 @@ impl SolverSession {
                 inner.stats.queries += 1;
                 inner.stats.budget_isolated += 1;
             }
-            return violates_budgeted(pi, &self.checker, Some(budget));
+            return fresh(Some(budget));
         }
         let decided = {
             let mut guard = self.lock();
             let Inner { core, stats } = &mut *guard;
-            let core = core.get_or_insert_with(|| Core::new(&self.checker));
+            let core = core.get_or_insert_with(|| Core::new(&self.negated));
             stats.queries += 1;
             stats.learned_reused += core.sat.stats.learned_clauses;
-            let decided = incremental_verified(core, stats, pi);
+            let decided = incremental_verified(core, stats, pi_nnf);
             if decided {
                 stats.incremental += 1;
             } else {
@@ -193,7 +237,7 @@ impl SolverSession {
             // Satisfiable (or, theoretically, non-convergent): re-derive
             // on the stateless path so the witness model is the
             // canonical fresh-solver one.
-            violates_budgeted(pi, &self.checker, None)
+            fresh(None)
         }
     }
 
@@ -251,17 +295,17 @@ impl SolverSession {
 /// [`crate::Solver`]'s safety valve.
 const MAX_ROUNDS: u64 = 100_000;
 
-/// Run the incremental DPLL(T) loop for `π` against the persistent
-/// database. Returns `true` when the query is proved unsat (`Verified`);
-/// `false` means "delegate to the fresh solver" (satisfiable, or the
-/// refinement loop did not converge).
-fn incremental_verified(core: &mut Core, stats: &mut SessionStats, pi: &Term) -> bool {
+/// Run the incremental DPLL(T) loop for π (given in NNF) against the
+/// persistent database. Returns `true` when the query is proved unsat
+/// (`Verified`); `false` means "delegate to the fresh solver"
+/// (satisfiable, or the refinement loop did not converge).
+fn incremental_verified(core: &mut Core, stats: &mut SessionStats, pi_nnf: &Term) -> bool {
     if core.checker_valid {
         // ¬checker canonicalized to False: π ∧ False is unsat for every
         // π, exactly as the fresh path's joint preprocessing concludes.
         return true;
     }
-    let pre = preprocess(pi);
+    let pre = simplify(pi_nnf);
     let clauses_before = core.cnf.clauses.len();
     let assumptions: Vec<_> = match &pre {
         // π canonicalized to False: unsat regardless of the checker.
@@ -375,6 +419,7 @@ fn solve_loop(core: &mut Core, assumptions: &[i32]) -> bool {
 mod tests {
     use super::*;
     use crate::parse::parse_cond;
+    use crate::solver::violates_budgeted;
     use crate::term::CmpOp;
 
     fn t(s: &str) -> Term {

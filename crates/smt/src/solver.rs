@@ -4,7 +4,7 @@
 
 use crate::cnf::{Cnf, PLit};
 use crate::model::{Model, Value};
-use crate::nnf::preprocess;
+use crate::nnf::{preprocess, preprocess_violation};
 use crate::sat::{SatOutcome, SatSolver};
 use crate::term::{Sort, Term};
 use crate::theory::{self, TheoryLit, TheoryResult};
@@ -90,12 +90,21 @@ impl Solver {
     /// restarts, CNF size, outcome) is published through `lisa-telemetry`
     /// when collection is on; the verdict itself never depends on it.
     pub fn check(&mut self, term: &Term) -> SatResult {
+        self.check_canonical(&preprocess(term))
+    }
+
+    /// [`Solver::check`] for a term already in canonical form, i.e. one
+    /// [`preprocess`] returns (for a violation query,
+    /// [`crate::nnf::preprocess_violation`]'s). The same answer, witness
+    /// included, as `check` on any term that canonicalizes to `pre`,
+    /// without canonicalizing it again.
+    pub fn check_canonical(&mut self, pre: &Term) -> SatResult {
         if !lisa_telemetry::metrics_enabled() && !lisa_telemetry::spans_enabled() {
-            return self.check_inner(term);
+            return self.check_inner(pre);
         }
         let mut span = lisa_telemetry::span("smt.check");
         let start = std::time::Instant::now();
-        let result = self.check_inner(term);
+        let result = self.check_inner(pre);
         let outcome = match &result {
             SatResult::Sat(_) => "sat",
             SatResult::Unsat => "unsat",
@@ -128,10 +137,9 @@ impl Solver {
         result
     }
 
-    fn check_inner(&mut self, term: &Term) -> SatResult {
+    fn check_inner(&mut self, pre: &Term) -> SatResult {
         self.stats = SolverStats::default();
-        let pre = preprocess(term);
-        match &pre {
+        match pre {
             Term::True => {
                 let mut m = Model::new();
                 m.validated = true;
@@ -142,7 +150,7 @@ impl Solver {
         }
 
         let mut cnf = Cnf::new();
-        if cnf.assert_term(&pre).is_err() {
+        if cnf.assert_term(pre).is_err() {
             return SatResult::Unsat;
         }
         self.stats.cnf_clauses = cnf.clauses.len() as u64;
@@ -228,7 +236,7 @@ impl Solver {
                                     );
                                 }
                             }
-                            model.validated = model.eval(&pre);
+                            model.validated = model.eval(pre);
                             return SatResult::Sat(model);
                         }
                         TheoryResult::Conflict(indices) => {
@@ -295,8 +303,8 @@ pub fn equivalent(a: &Term, b: &Term) -> bool {
 /// Returns the witness model when violated (the concrete shape of the
 /// missing-check counterexample), `None` when the trace is verified.
 pub fn violates(pi: &Term, checker: &Term) -> Option<Model> {
-    match Solver::new().check(&Term::and([pi.clone(), checker.clone().not()])) {
-        SatResult::Sat(m) => Some(m),
+    match violates_budgeted(pi, checker, None) {
+        ViolationOutcome::Violated(m) => Some(m),
         _ => None,
     }
 }
@@ -323,9 +331,18 @@ pub fn violates_budgeted(
     checker: &Term,
     max_conflicts: Option<u64>,
 ) -> ViolationOutcome {
+    check_violation(&preprocess_violation(pi, checker), max_conflicts)
+}
+
+/// [`violates_budgeted`] for a query already in canonical form: `query`
+/// is [`preprocess_violation`]`(pi, checker)`, which equals the
+/// canonical form of `pi ∧ ¬checker`, so it is solved as it stands.
+/// The query cache and the solver session hand over the form they built
+/// for the cache key, and no query is canonicalized twice.
+pub fn check_violation(query: &Term, max_conflicts: Option<u64>) -> ViolationOutcome {
     let mut solver = Solver::new();
     solver.max_conflicts = max_conflicts;
-    match solver.check(&Term::and([pi.clone(), checker.clone().not()])) {
+    match solver.check_canonical(query) {
         SatResult::Sat(m) => ViolationOutcome::Violated(m),
         SatResult::Unsat => ViolationOutcome::Verified,
         SatResult::Unknown { reason } => ViolationOutcome::Unknown { reason },

@@ -323,3 +323,126 @@ fn generous_budget_agrees_with_unbudgeted_solver() {
         assert_eq!(r.is_sat(), unbudgeted, "case {case}: {t}");
     }
 }
+
+/// Test-only reference: the `HashSet`-based `simplify` the solver used
+/// before its allocation-free rewrite, kept verbatim so the rewrite can
+/// be checked term for term against it.
+fn reference_simplify(term: &Term) -> Term {
+    use lisa_smt::nnf::fold_const_atom;
+    match term {
+        Term::Atom(a) => match fold_const_atom(a) {
+            Some(true) => Term::True,
+            Some(false) => Term::False,
+            None => term.clone(),
+        },
+        Term::Not(inner) => match inner.as_ref() {
+            Term::Atom(a) => match fold_const_atom(a) {
+                Some(true) => Term::False,
+                Some(false) => Term::True,
+                None => term.clone(),
+            },
+            _ => reference_simplify(inner).not(),
+        },
+        Term::And(ts) => {
+            let mut parts = Vec::new();
+            let mut seen = std::collections::HashSet::new();
+            for t in ts {
+                let s = reference_simplify(t);
+                match s {
+                    Term::True => {}
+                    Term::False => return Term::False,
+                    s => {
+                        if seen.insert(s.clone()) {
+                            if seen.contains(&s.clone().not()) {
+                                return Term::False;
+                            }
+                            parts.push(s);
+                        }
+                    }
+                }
+            }
+            Term::and(parts)
+        }
+        Term::Or(ts) => {
+            let mut parts = Vec::new();
+            let mut seen = std::collections::HashSet::new();
+            for t in ts {
+                let s = reference_simplify(t);
+                match s {
+                    Term::False => {}
+                    Term::True => return Term::True,
+                    s => {
+                        if seen.insert(s.clone()) {
+                            if seen.contains(&s.clone().not()) {
+                                return Term::True;
+                            }
+                            parts.push(s);
+                        }
+                    }
+                }
+            }
+            Term::or(parts)
+        }
+        t => t.clone(),
+    }
+}
+
+/// A small pool of atoms, their negations and constant-folding atoms, so
+/// that lists drawn from it repeat entries and contain complementary
+/// pairs far more often than `gen_term` does.
+fn small_pool() -> Vec<Term> {
+    let atoms = [
+        Term::bool_var("p"),
+        Term::int_cmp_c("x", CmpOp::Le, 1),
+        Term::is_null("r"),
+        Term::str_eq_lit("s", "open"),
+        Term::int_cmp_v("x", CmpOp::Eq, "x"),
+    ];
+    let mut pool = Vec::new();
+    for a in atoms {
+        pool.push(a.clone().not());
+        pool.push(a);
+    }
+    pool.push(Term::True);
+    pool.push(Term::False);
+    pool
+}
+
+/// A raw `And`/`Or` list (not flattened by the builders) over the small
+/// pool, nested one level now and then.
+fn gen_pool_list(rng: &mut Prng, pool: &[Term], depth: usize) -> Term {
+    let n = rng.gen_index(6);
+    let parts: Vec<Term> = (0..n)
+        .map(|_| {
+            if depth > 0 && rng.gen_bool(0.2) {
+                gen_pool_list(rng, pool, depth - 1)
+            } else {
+                rng.pick(pool).clone()
+            }
+        })
+        .collect();
+    if rng.gen_bool(0.5) {
+        Term::And(parts)
+    } else {
+        Term::Or(parts)
+    }
+}
+
+#[test]
+fn simplify_matches_the_hashset_reference_term_for_term() {
+    use lisa_smt::nnf::{simplify, to_nnf};
+    let mut rng = Prng::seed_from_u64(0xabcd_0011);
+    for case in 0..4096 {
+        let t = gen_term(&mut rng, 3);
+        assert_eq!(simplify(&t), reference_simplify(&t), "case {case}: {t}");
+        let n = to_nnf(&t);
+        assert_eq!(simplify(&n), reference_simplify(&n), "case {case}: nnf {n}");
+    }
+    let pool = small_pool();
+    for case in 0..4096 {
+        let t = gen_pool_list(&mut rng, &pool, 2);
+        assert_eq!(simplify(&t), reference_simplify(&t), "pool case {case}: {t}");
+        let n = to_nnf(&t);
+        assert_eq!(simplify(&n), reference_simplify(&n), "pool case {case}: nnf {n}");
+    }
+}

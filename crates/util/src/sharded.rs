@@ -185,11 +185,13 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
         }
     }
 
-    /// Live entries across all shards (ready + in-flight).
+    /// Live entries across all shards (ready + in-flight). Its locks are
+    /// not counted in [`ShardedMap::lock_stats`], which measure the
+    /// lookups' own locking.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| lock_counted(s, &self.locks).len())
+            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).len())
             .sum()
     }
 
@@ -217,7 +219,9 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
 
     /// The map's counters as one uniform [`CacheStats`] snapshot. Note
     /// `entries` takes every shard lock, so this is an introspection
-    /// call, not a hot-path one.
+    /// call, not a hot-path one; those locks are not counted, so a
+    /// snapshot never inflates the `lock_acquires` it or the next one
+    /// reports.
     pub fn stats(&self) -> crate::CacheStats {
         crate::CacheStats {
             hits: self.hits(),
@@ -337,6 +341,16 @@ mod tests {
         // The failed build left no entry; a retry builds cleanly.
         let v = map.get_or_build(1, || 9);
         assert_eq!(*v, 9);
+    }
+
+    #[test]
+    fn stats_snapshots_do_not_count_their_own_locks() {
+        let map: ShardedMap<u64, u64> = ShardedMap::new(16);
+        map.get_or_build(1, || 1);
+        let first = map.stats();
+        let second = map.stats();
+        assert_eq!(first.entries, 1);
+        assert_eq!(first.lock_acquires, second.lock_acquires, "an idle map's count moved");
     }
 
     #[test]

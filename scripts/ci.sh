@@ -26,6 +26,12 @@ lisabench/target/release/lisabench --workload gate-warm --seed 1 --seconds 2 --t
     > /dev/null
 lisabench/target/release/lisabench --workload gate-cold --seed 1 --seconds 2 --trace 0 \
     > /dev/null
+# The traced path: span replay of every layer, which produces the
+# per-layer metrics (`smt.query_us_p50`, `sched.gate_self_us_p50`, ...)
+# and never runs at `--trace 0`. It also exits 1 on any wrong verdict;
+# its spans land in `.lisabench-out/`.
+lisabench/target/release/lisabench --workload gate-cold --seed 1 --seconds 2 --trace 1 \
+    > /dev/null
 echo "benchmark smoke: ok"
 
 # Crash-recovery e2e: kill-at-every-boundary matrix, seeded disk faults,
