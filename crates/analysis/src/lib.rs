@@ -37,14 +37,12 @@
 #![forbid(unsafe_code)]
 
 pub mod alias;
-pub mod cache;
 pub mod callgraph;
 pub mod paths;
 pub mod target;
 pub mod tree;
 
 pub use alias::{chain_aliases, AliasMap};
-pub use cache::AnalysisCache;
 pub use callgraph::{CallGraph, CallSite, SiteId};
 pub use paths::{paths_through_fn, paths_to_stmt};
 pub use target::TargetSpec;

@@ -13,12 +13,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod engine;
 pub mod harness;
 pub mod tracelog;
 
-pub use cache::TraceCache;
 pub use engine::{ConcolicTracer, Constraint, EngineStats, Policy, TargetHit};
 pub use harness::{
     discover_tests, run_tests, run_tests_budgeted, HarnessBudget, HarnessOutcome, SystemVersion,

@@ -59,8 +59,9 @@
 //!
 //! Every gate-relevant flag is parsed once by [`lisa::GateConfig`], the
 //! same struct the library's `Gate` builder and the serve daemon use.
-//! `--cache on|off` (default on) controls the version-scoped analysis,
-//! trace, and SMT-query caches; caches are transparent — every stdout
+//! `--cache on|off` (default on) controls the rule-report memo: each rule
+//! check's whole report, keyed by the program, tests, rule, pipeline
+//! budgets and configuration. The memo is transparent — every stdout
 //! byte, JSON artifact, and journal entry is identical with caching off.
 //!
 //! Exit status: 0 = pass, 1 = violations found (gate blocks), 2 = a true

@@ -292,8 +292,8 @@ fn run_pool(width: usize, n: usize, task: impl Fn(usize) + Sync) -> Vec<Duration
 /// The gate engine behind [`crate::Gate`] and the durable gate. The gate
 /// never propagates a panic: every rule yields a report, and the worst a
 /// faulty rule can do is mark itself as an engine error. When `cache` is
-/// given, workers share its memoized analysis/trace/query artifacts; its
-/// counters are published to telemetry on the way out. With a `hook`,
+/// given, workers share its memoized rule reports; its counters are
+/// published to telemetry on the way out. With a `hook`,
 /// skipped slots are missing from the report and the caller owns the
 /// run's decision counters.
 pub(crate) fn enforce_impl(
@@ -481,11 +481,11 @@ fn run_attempt(
             effective_rule = Some(bad);
         }
         Some(FaultKind::SolverExhaustion) => {
-            let mut config = pipeline.config.clone();
+            let mut config = pipeline.config().clone();
             config.budgets.max_solver_conflicts = Some(0);
-            // Keep the cache: queries are keyed by conflict budget, so a
-            // zero-budget attempt can never surface a cached full-budget
-            // verdict.
+            // Keep the cache: the memo key carries the budgets, so a
+            // zero-budget attempt can never surface a full-budget
+            // report, nor its report answer a full-budget check.
             effective_pipeline = Some(pipeline.reconfigured(config));
         }
         Some(FaultKind::Stall) => {

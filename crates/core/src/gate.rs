@@ -20,8 +20,7 @@
 //!
 //! This module also holds the two supporting pieces of the facade:
 //!
-//! - [`GateCache`] — the version-scoped cache bundle (static analysis,
-//!   concolic trace batches, SMT queries) a `Gate` can be handed. One
+//! - [`GateCache`] — the rule-report memo a `Gate` can be handed. One
 //!   `GateCache` shared across runs is what makes re-gating an unchanged
 //!   version cheap; dropping it is the only invalidation anyone needs.
 //! - [`GateConfig`] — the CLI-facing configuration: every knob the
@@ -30,31 +29,32 @@
 //!   `lisa serve`, and the durable gate alike.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use lisa_analysis::AnalysisCache;
-use lisa_concolic::{SystemVersion, TraceCache};
-use lisa_smt::QueryCache;
+use lisa_concolic::SystemVersion;
+use lisa_util::{lock_counted, CacheStats, LockStats};
 
 use crate::enforce::{enforce_impl, EnforcementReport, FailMode, GateOptions, RuleRegistry};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::pipeline::{PipelineConfig, ResourceBudgets, TestSelection};
+use crate::verdict::RuleReport;
 
-/// Default LRU capacity for the SMT query cache.
-pub const DEFAULT_QUERY_CACHE_CAPACITY: usize = 4096;
-
-/// The version-scoped cache bundle threaded through a gate run: static
-/// analysis artifacts, concolic trace batches, and SMT query verdicts,
-/// all keyed by content fingerprints. Share one instance (behind `Arc`)
-/// across runs to get cross-version reuse; every layer is transparent by
-/// construction, so a cached gate renders byte-identical output to an
+/// The rule-report memo a gate can be handed: one whole [`RuleReport`]
+/// per rule check, keyed by a content hash of everything the check reads
+/// (see [`crate::Pipeline::with_cache`]). Share one instance (behind
+/// `Arc`) across runs and re-gating an unchanged version answers every
+/// rule from the memo. A hit is a clone of the report the check
+/// produced, so a cached gate renders byte-identical output to an
 /// uncached one.
 #[derive(Debug)]
 pub struct GateCache {
-    analysis: AnalysisCache,
-    traces: TraceCache,
-    queries: QueryCache,
+    /// Locked for one get or one insert, never across a check.
+    reports: Mutex<HashMap<u64, Arc<RuleReport>>>,
+    locks: LockStats,
+    hits: AtomicU64,
+    misses: AtomicU64,
     /// Counter values already published to telemetry, so repeated
     /// publishes add deltas instead of re-adding totals.
     published: Mutex<BTreeMap<String, u64>>,
@@ -69,45 +69,53 @@ impl Default for GateCache {
 impl GateCache {
     pub fn new() -> GateCache {
         GateCache {
-            analysis: AnalysisCache::new(),
-            traces: TraceCache::new(),
-            queries: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
+            reports: Mutex::new(HashMap::new()),
+            locks: LockStats::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             published: Mutex::new(BTreeMap::new()),
         }
     }
 
-    pub fn analysis(&self) -> &AnalysisCache {
-        &self.analysis
+    /// The report memoized under `key`, counting the lookup as a hit or
+    /// a miss.
+    pub(crate) fn get(&self, key: u64) -> Option<Arc<RuleReport>> {
+        let found = lock_counted(&self.reports, &self.locks).get(&key).cloned();
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    pub fn traces(&self) -> &TraceCache {
-        &self.traces
+    pub(crate) fn insert(&self, key: u64, report: RuleReport) {
+        lock_counted(&self.reports, &self.locks).insert(key, Arc::new(report));
     }
 
-    pub fn queries(&self) -> &QueryCache {
-        &self.queries
+    /// Per-tier [`CacheStats`] snapshots, in telemetry tier order. The
+    /// memo is the only tier, named `rule`. Its `entries` lock is not
+    /// counted, so a snapshot never moves the lock counters it reports.
+    pub fn tier_stats(&self) -> [(&'static str, CacheStats); 1] {
+        let entries = self.reports.lock().unwrap_or_else(|p| p.into_inner()).len();
+        [(
+            "rule",
+            CacheStats {
+                hits: self.hits.load(Ordering::Relaxed),
+                misses: self.misses.load(Ordering::Relaxed),
+                lock_acquires: self.locks.acquires(),
+                lock_contended: self.locks.contended(),
+                lock_wait_ns: self.locks.wait_ns(),
+                entries: entries as u64,
+            },
+        )]
     }
 
-    /// Per-tier [`CacheStats`](lisa_util::CacheStats) snapshots, in the
-    /// telemetry tier order (`analysis`, `trace`, `smt`). One shape for
-    /// every tier is what keeps the publisher below — and any caller
-    /// poking at cache health — free of per-tier accessor sprawl.
-    pub fn tier_stats(&self) -> [(&'static str, lisa_util::CacheStats); 3] {
-        [
-            ("analysis", self.analysis.stats()),
-            ("trace", self.traces.stats()),
-            ("smt", self.queries.stats()),
-        ]
-    }
-
-    /// Total hits across all three layers (introspection / smoke tests).
+    /// Rule checks answered from the memo.
     pub fn hits(&self) -> u64 {
-        self.tier_stats().iter().map(|(_, s)| s.hits).sum()
+        self.hits.load(Ordering::Relaxed)
     }
 
-    /// Total misses across all three layers.
+    /// Memo lookups that ran the check.
     pub fn misses(&self) -> u64 {
-        self.tier_stats().iter().map(|(_, s)| s.misses).sum()
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// Push cache counters into the telemetry registry (no-op unless
@@ -115,8 +123,7 @@ impl GateCache {
     /// the telemetry counters track cumulative totals no matter how many
     /// gate runs share this cache. Counter names are
     /// `cache.<tier>.<suffix>` for every suffix in
-    /// [`CacheStats::counters`](lisa_util::CacheStats::counters);
-    /// zero-valued counters are elided.
+    /// [`CacheStats::counters`]; zero-valued counters are elided.
     pub fn publish_metrics(&self) {
         if !lisa_telemetry::metrics_enabled() {
             return;
@@ -180,7 +187,7 @@ impl<'r> Gate<'r> {
     }
 
     /// Attach a shared cache. The same `GateCache` can back many gates;
-    /// reuse across versions is keyed by content fingerprints.
+    /// its reports are keyed by content, never by version label.
     pub fn cache(mut self, cache: &Arc<GateCache>) -> Self {
         self.cache = Some(Arc::clone(cache));
         self
@@ -253,7 +260,7 @@ impl GateConfig {
     /// - `--deadline-ms <n>` — gate deadline
     /// - `--max-solver-conflicts <n>` — SAT conflict budget per query
     /// - `--fault-seed <n>` / `--fault-rate <f>` — chaos drill
-    /// - `--cache on|off` — version-scoped caching (default on)
+    /// - `--cache on|off` — the rule-report memo (default on)
     ///
     /// These are exactly [`GateConfig::FLAGS`].
     pub fn from_args(flags: &HashMap<String, String>) -> Result<GateConfig, String> {
@@ -334,6 +341,34 @@ mod tests {
 
     fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
         pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+    }
+
+    fn report() -> RuleReport {
+        RuleReport::engine_error("R", "d", "call f()", "x > 0", "reason")
+    }
+
+    #[test]
+    fn lock_counters_track_lookups() {
+        let cache = GateCache::new();
+        assert!(cache.get(7).is_none());
+        cache.insert(7, report());
+        assert_eq!(cache.get(7).expect("stored").rule_id, "R");
+        let [(tier, stats)] = cache.tier_stats();
+        assert_eq!(tier, "rule");
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(stats.lock_acquires, 3, "one per get and per insert");
+        assert_eq!(stats.lock_contended, 0, "uncontended single thread");
+    }
+
+    #[test]
+    fn stats_snapshots_do_not_count_their_own_locks() {
+        let cache = GateCache::new();
+        cache.insert(1, report());
+        let [(_, first)] = cache.tier_stats();
+        let [(_, second)] = cache.tier_stats();
+        assert_eq!(first.entries, 1);
+        assert_eq!(first.lock_acquires, second.lock_acquires, "an idle memo's count moved");
     }
 
     #[test]

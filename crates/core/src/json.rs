@@ -149,7 +149,7 @@ pub enum Json {
 impl Json {
     /// Parse one complete JSON document; trailing garbage is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = JsonParser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = JsonParser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -199,9 +199,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound one request line of
+/// `[`s overflows the stack; nothing this repository writes nests
+/// deeper than a handful of levels.
+const MAX_JSON_DEPTH: usize = 128;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -239,12 +247,22 @@ impl JsonParser<'_> {
             Some(b't') => self.eat_word("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.eat_word("false").map(|_| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => self.nested(),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(format!("unexpected {:?} at offset {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// An array or object, one level deeper than its parent.
+    fn nested(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!("nesting deeper than {MAX_JSON_DEPTH} at offset {}", self.pos));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -445,6 +463,25 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH + 1)).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_JSON_DEPTH + 1), "}".repeat(MAX_JSON_DEPTH + 1));
+        assert!(Json::parse(&objects).is_err());
+        // One unterminated request line that fits under the serve line cap,
+        // parsed on a small stack: an error, not a stack overflow.
+        let line = "[".repeat(65_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&line).map(|_| ()))
+            .expect("spawn")
+            .join()
+            .expect("parse must not overflow the stack");
+        assert!(parsed.unwrap_err().contains("nesting deeper than"));
     }
 
     #[test]

@@ -17,15 +17,14 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lisa_analysis::{
-    chain_aliases, execution_tree_filtered, AliasMap, CallGraph, ExecutionTree, TreeLimits,
-};
+use lisa_analysis::{chain_aliases, execution_tree_filtered, AliasMap, CallGraph, TreeLimits};
 use lisa_concolic::{
     run_tests_budgeted, HarnessBudget, HarnessOutcome, Policy, SystemVersion, TargetHit, TestCase,
 };
 use lisa_oracle::rag::{describe_path, TestIndex};
 use lisa_oracle::SemanticRule;
 use lisa_smt::ViolationOutcome;
+use lisa_util::Fnv1a;
 
 use crate::enforce::DegradeSignal;
 use crate::error::LisaError;
@@ -102,28 +101,44 @@ impl Default for PipelineConfig {
 /// The pipeline.
 #[derive(Debug, Default)]
 pub struct Pipeline {
-    pub config: PipelineConfig,
-    /// Version-scoped cache shared with other pipelines in the same gate
-    /// run (see [`GateCache`]); `None` = every artifact computed fresh.
-    cache: Option<Arc<GateCache>>,
+    config: PipelineConfig,
+    /// The rule-report memo shared with other pipelines, and the hash of
+    /// `config` that every key this pipeline builds carries; `None` =
+    /// every rule checked fresh.
+    memo: Option<(Arc<GateCache>, u64)>,
 }
 
 impl Pipeline {
     pub fn new(config: PipelineConfig) -> Pipeline {
-        Pipeline { config, cache: None }
+        Pipeline { config, memo: None }
     }
 
-    /// A pipeline whose analysis/trace/query artifacts are memoized in
-    /// `cache`. Caching is transparent: reports are identical to an
-    /// uncached pipeline's, field for field.
+    /// A pipeline whose rule reports are memoized in `cache`. A report
+    /// is keyed by an FNV-1a hash of everything the check reads: the
+    /// program's fingerprint, each test's name, entry and summary in
+    /// order, the rule's id, description, target and condition source,
+    /// this configuration, and whether the check is degraded. The
+    /// version label is not part of a report, so it is not part of the
+    /// key. Caching is transparent: reports are identical to an uncached
+    /// pipeline's, field for field, apart from `stats.wall`.
     pub fn with_cache(config: PipelineConfig, cache: Arc<GateCache>) -> Pipeline {
-        Pipeline { config, cache: Some(cache) }
+        let config_fp = lisa_util::fnv1a(format!("{config:?}").as_bytes());
+        Pipeline { config, memo: Some((cache, config_fp)) }
     }
 
     /// Same cache, different configuration (used by fault injection to
-    /// swap budgets without losing memoized artifacts).
+    /// swap budgets). The new configuration gets its own hash, so its
+    /// reports never answer a check under the old one.
     pub(crate) fn reconfigured(&self, config: PipelineConfig) -> Pipeline {
-        Pipeline { config, cache: self.cache.clone() }
+        match &self.memo {
+            Some((cache, _)) => Pipeline::with_cache(config, Arc::clone(cache)),
+            None => Pipeline::new(config),
+        }
+    }
+
+    /// The configuration every check of this pipeline runs under.
+    pub fn config(&self) -> &PipelineConfig {
+        &self.config
     }
 
     /// Assert `rule` over `version`.
@@ -187,7 +202,47 @@ impl Pipeline {
         self.check_rule_mode(version, rule, true, degrade)
     }
 
+    /// One rule check, answered from the memo when it may be. A check
+    /// under a wall budget, or started after the gate deadline expired,
+    /// depends on machine time, so it neither reads nor fills the memo;
+    /// a miss stores its report unless the report came out degraded.
     fn check_rule_mode(
+        &self,
+        version: &SystemVersion,
+        rule: &SemanticRule,
+        degraded_mode: bool,
+        degrade: Option<&DegradeSignal>,
+    ) -> RuleReport {
+        let memo = self.memo.as_ref().filter(|_| {
+            self.budgets(degraded_mode).rule_wall.is_none()
+                && !degrade.is_some_and(|d| d.expired())
+        });
+        let Some((cache, config_fp)) = memo else {
+            return self.check_uncached(version, rule, degraded_mode, degrade);
+        };
+        let started = Instant::now();
+        let key = memo_key(*config_fp, version, rule, degraded_mode);
+        if let Some(hit) = cache.get(key) {
+            let mut report = RuleReport::clone(&hit);
+            report.stats.wall = started.elapsed();
+            return report;
+        }
+        let report = self.check_uncached(version, rule, degraded_mode, degrade);
+        if !report.degraded {
+            cache.insert(key, report.clone());
+        }
+        report
+    }
+
+    fn budgets(&self, degraded_mode: bool) -> ResourceBudgets {
+        if degraded_mode {
+            self.config.budgets.degraded()
+        } else {
+            self.config.budgets
+        }
+    }
+
+    fn check_uncached(
         &self,
         version: &SystemVersion,
         rule: &SemanticRule,
@@ -198,38 +253,16 @@ impl Pipeline {
         let mut rule_span = lisa_telemetry::span_with("pipeline.rule", rule.id.as_str());
         rule_span.arg("degraded_mode", u64::from(degraded_mode));
         let metrics_on = lisa_telemetry::metrics_enabled();
-        let budgets = if degraded_mode {
-            self.config.budgets.degraded()
-        } else {
-            self.config.budgets
-        };
+        let budgets = self.budgets(degraded_mode);
         let mut stats = PipelineStats::default();
         let program = &version.program;
-        // Fingerprint once per rule check; every cache below keys on it.
-        let cache = self.cache.as_deref();
-        let program_fp = cache.map(|_| lisa_lang::fingerprint_program(program));
         let t_callgraph = Instant::now();
-        let graph: Arc<CallGraph> = match (cache, program_fp) {
-            (Some(c), Some(fp)) => c.analysis().callgraph(fp, || CallGraph::build(program)),
-            _ => Arc::new(CallGraph::build(program)),
-        };
+        let graph = CallGraph::build(program);
         let t_tree = Instant::now();
-        let prefix = self.config.test_prefix.clone();
-        let tree: Arc<ExecutionTree> = match (cache, program_fp) {
-            (Some(c), Some(fp)) => {
-                c.analysis().tree(fp, &rule.target, self.config.tree_limits, &prefix, || {
-                    execution_tree_filtered(&graph, &rule.target, self.config.tree_limits, &|f| {
-                        f.starts_with(&prefix)
-                    })
-                })
-            }
-            _ => Arc::new(execution_tree_filtered(
-                &graph,
-                &rule.target,
-                self.config.tree_limits,
-                &|f| f.starts_with(&prefix),
-            )),
-        };
+        let prefix = &self.config.test_prefix;
+        let tree = execution_tree_filtered(&graph, &rule.target, self.config.tree_limits, &|f| {
+            f.starts_with(prefix)
+        });
         stats.static_chains = tree.chains.len() as u64;
 
         // Placeholder aliases, unioned across chains (constraint renaming
@@ -279,36 +312,17 @@ impl Pipeline {
         let degraded_budgets = budgets.degraded();
 
         // Concolic execution under the harness budget. With no wall
-        // budget every selected test runs as its own batch (each gets a
-        // fresh interpreter, and its own trace-cache entry), checking the
-        // deadline before it starts. A wall budget truncates on machine
-        // time, so it keeps the single batch (mirroring the trace cache's
-        // uncacheable bypass).
+        // budget every selected test runs as its own batch, checking the
+        // deadline before it starts. A wall budget spans the whole batch.
         let t_concolic = Instant::now();
         let harness_budget = HarnessBudget {
             max_steps_per_test: budgets.max_steps_per_test,
             wall: budgets.rule_wall,
         };
-        let run_batch = |tests: &[TestCase], budget: &HarnessBudget| match (cache, program_fp) {
-            (Some(c), Some(fp)) => c.traces().run_tests_budgeted(
-                fp,
-                program,
-                tests,
-                &rule.target,
-                &aliases,
-                &self.config.policy,
-                budget,
-            ),
-            _ => Arc::new(run_tests_budgeted(
-                program,
-                tests,
-                &rule.target,
-                &aliases,
-                &self.config.policy,
-                budget,
-            )),
+        let run_batch = |tests: &[TestCase], budget: &HarnessBudget| {
+            run_tests_budgeted(program, tests, &rule.target, &aliases, &self.config.policy, budget)
         };
-        let outcomes: Vec<Arc<HarnessOutcome>> =
+        let outcomes: Vec<HarnessOutcome> =
             if harness_budget.wall.is_some() || selected.len() <= 1 {
                 vec![run_batch(&selected, &harness_budget)]
             } else {
@@ -366,17 +380,7 @@ impl Pipeline {
                 } else {
                     budgets.max_solver_conflicts
                 };
-                // The cache keys the query by its canonical form, and a
-                // miss hands that form to the session to solve as it is.
-                let outcome = match cache {
-                    Some(c) => c.queries().violates_with(
-                        &hit.pi,
-                        session.negated_checker(),
-                        conflicts,
-                        |pi_nnf, query| session.violates_canonical(pi_nnf, query, conflicts),
-                    ),
-                    None => session.violates_budgeted(&hit.pi, conflicts),
-                };
+                let outcome = session.violates_budgeted(&hit.pi, conflicts);
                 if matches!(outcome, ViolationOutcome::Unknown { .. }) {
                     stats.solver_unknowns += 1;
                 }
@@ -556,6 +560,29 @@ impl Pipeline {
             }
         }
     }
+}
+
+/// The memo key of one rule check (see [`Pipeline::with_cache`]). The
+/// rule's parsed condition and placeholder roots are not hashed: both
+/// are derived from its condition source.
+fn memo_key(
+    config_fp: u64,
+    version: &SystemVersion,
+    rule: &SemanticRule,
+    degraded_mode: bool,
+) -> u64 {
+    let mut h = Fnv1a::new();
+    h.part_u64(config_fp);
+    h.part_u64(u64::from(degraded_mode));
+    h.part_u64(lisa_lang::fingerprint_program(&version.program));
+    h.part_u64(version.tests.len() as u64);
+    for t in &version.tests {
+        h.part(t.name.as_bytes()).part(t.entry.as_bytes()).part(t.summary.as_bytes());
+    }
+    h.part(rule.id.as_bytes()).part(rule.description.as_bytes());
+    h.part_display(format_args!("{:?}", rule.target));
+    h.part(rule.condition_src.as_bytes());
+    h.finish()
 }
 
 /// Match a dynamic arrival to a static chain: the static chain's function

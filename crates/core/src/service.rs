@@ -569,7 +569,7 @@ pub fn gate_durable(
     // outcome journaled verbatim instead of being re-explored. Off
     // whenever faults, a deadline or a wall-clock budget could make a
     // verdict depend on anything but the hashed inputs (mirrors the
-    // trace cache's wall-budget bypass).
+    // rule-report memo's wall-budget bypass).
     let reuse_fingerprints = durable.cache.is_some()
         && gate.faults.is_none()
         && gate.deadline.is_none()

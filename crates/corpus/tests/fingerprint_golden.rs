@@ -2,8 +2,8 @@
 //! version.
 //!
 //! Program and function fingerprints are written to disk
-//! (`fingerprints.log` beside a durable run's journal) and key every
-//! cache tier, so their values are a format, not an implementation
+//! (`fingerprints.log` beside a durable run's journal) and key the
+//! rule-report memo, so their values are a format, not an implementation
 //! detail: a fingerprint written by one build must match the one a later
 //! build computes for the same source. Any change to the canonical
 //! rendering or to the hashing moves a value in the table below and

@@ -2,11 +2,11 @@
 //!
 //! For each case the rule mined from its original ticket is traced
 //! through every test of every version, under both recording policies,
-//! and every hit's violation query `π ∧ ¬checker` is folded in three
-//! forms: the text of its canonical form (`preprocess_violation`), its
-//! `QueryCache` key, and the outcome of a fresh `violates_budgeted`,
-//! witness model included. Any change to how a query is canonicalized,
-//! keyed or solved moves a value in the table below and fails this test.
+//! and every hit's violation query `π ∧ ¬checker` is folded in two
+//! forms: the text of its canonical form (`preprocess_violation`) and
+//! the outcome of a fresh `violates_budgeted`, witness model included.
+//! Any change to how a query is canonicalized or solved moves a value in
+//! the table below and fails this test.
 
 mod common;
 
@@ -15,7 +15,7 @@ use lisa_concolic::{run_tests_budgeted, HarnessBudget, Policy, SystemVersion};
 use lisa_corpus::all_cases;
 use lisa_oracle::SemanticRule;
 use lisa_smt::nnf::preprocess_violation;
-use lisa_smt::{violates_budgeted, QueryCache, ViolationOutcome};
+use lisa_smt::{violates_budgeted, ViolationOutcome};
 use lisa_util::Fnv1a;
 
 /// The outcome's `Debug` bytes with the witness rendered through the
@@ -46,9 +46,6 @@ fn fold(version: &SystemVersion, rule: &SemanticRule) -> u64 {
         );
         for hit in outcome.runs.iter().flat_map(|run| &run.hits) {
             h.part_display(preprocess_violation(&hit.pi, checker));
-            let (key, budget) = QueryCache::key(&hit.pi, checker, None);
-            h.part_u64(key);
-            h.part_u64(budget.map_or(u64::MAX, |b| b));
             part_outcome(&mut h, &violates_budgeted(&hit.pi, checker, None));
         }
     }
@@ -56,70 +53,70 @@ fn fold(version: &SystemVersion, rule: &SemanticRule) -> u64 {
 }
 
 const GOLDEN: &[(&str, &str, u64)] = &[
-    ("zk-ephemeral", "v1-buggy", 0x8ae4d1d24c5182d1),
-    ("zk-ephemeral", "v2-fixed", 0x8f47f7c2c0e56dad),
-    ("zk-ephemeral", "v3-regressed", 0xa43df17b2629a8c3),
-    ("zk-ephemeral", "v4-latest", 0xaf3b0f75bc3155fd),
-    ("zk-sync-serialize", "v1-buggy", 0x7cda481d043af99d),
+    ("zk-ephemeral", "v1-buggy", 0x1e434a04277b7b65),
+    ("zk-ephemeral", "v2-fixed", 0xd2940883a96d5d55),
+    ("zk-ephemeral", "v3-regressed", 0x02386329af46da65),
+    ("zk-ephemeral", "v4-latest", 0x7647407a6f88b065),
+    ("zk-sync-serialize", "v1-buggy", 0x3f2853c9144fd6c5),
     ("zk-sync-serialize", "v2-fixed", 0xcbf29ce484222325),
-    ("zk-sync-serialize", "v3-regressed", 0x7cda481d043af99d),
+    ("zk-sync-serialize", "v3-regressed", 0x3f2853c9144fd6c5),
     ("zk-sync-serialize", "v4-latest", 0xcbf29ce484222325),
-    ("hbase-snapshot-ttl", "v1-buggy", 0x5b0726bc5668d30d),
-    ("hbase-snapshot-ttl", "v2-fixed", 0xd022cb7347e88ded),
-    ("hbase-snapshot-ttl", "v3-regressed", 0x36cabdb486f3d583),
-    ("hbase-snapshot-ttl", "v4-latest", 0x526e552f03d7bb15),
-    ("hdfs-observer-read", "v1-buggy", 0x1c15b794765bbbd5),
-    ("hdfs-observer-read", "v2-fixed", 0xcb7f558d2b54d033),
-    ("hdfs-observer-read", "v3-regressed", 0x35894acc25d877f5),
-    ("hdfs-observer-read", "v4-latest", 0xcb1f04bc596ddf95),
-    ("zk-watch-trigger", "v1-buggy", 0xc3933c963bddb18d),
-    ("zk-watch-trigger", "v2-fixed", 0x237d87d9ba7a6815),
-    ("zk-watch-trigger", "v3-regressed", 0x51283bdd03068975),
-    ("zk-watch-trigger", "v4-latest", 0x2b1e7b71201315b5),
-    ("zk-acl-cache", "v1-buggy", 0xa89d2281a529ec5d),
-    ("zk-acl-cache", "v2-fixed", 0xe9f3ac1f12a26959),
-    ("zk-acl-cache", "v3-regressed", 0x4dd132af2ccbaf5d),
-    ("zk-acl-cache", "v4-latest", 0xe94c09d1f1e1e2bd),
-    ("zk-quota-check", "v1-buggy", 0x124012f2c0e2dc09),
-    ("zk-quota-check", "v2-fixed", 0x6f3b712e2b630cfd),
-    ("zk-quota-check", "v3-regressed", 0x606ec26be0c5ca6d),
-    ("zk-quota-check", "v4-latest", 0x8769ad0e4fbaad2d),
-    ("hbase-region-close", "v1-buggy", 0x5699b204e296f741),
-    ("hbase-region-close", "v2-fixed", 0xfb2de31439aecc35),
-    ("hbase-region-close", "v3-regressed", 0xeb8a744018b2cedd),
-    ("hbase-region-close", "v4-latest", 0xaf6c138e8d8e4945),
-    ("hbase-wal-roll", "v1-buggy", 0x33baf68f9c92e329),
-    ("hbase-wal-roll", "v2-fixed", 0xcc9e28f51173d0e1),
-    ("hbase-wal-roll", "v3-regressed", 0x92c843bc82b9c83d),
-    ("hbase-wal-roll", "v4-latest", 0x6dd44cb2d977499d),
-    ("hbase-meta-cache", "v1-buggy", 0xa9fd2ae6b6039875),
-    ("hbase-meta-cache", "v2-fixed", 0x5a19543600b8aae5),
-    ("hbase-meta-cache", "v3-regressed", 0x3d483a8f0e4a6bd1),
-    ("hbase-meta-cache", "v4-latest", 0xf9a02bef3e71c6a5),
-    ("hdfs-decommission", "v1-buggy", 0x43ec7a920cdfb95f),
-    ("hdfs-decommission", "v2-fixed", 0xcd78f1835946a11d),
-    ("hdfs-decommission", "v3-regressed", 0x2cd7c2bf1ebd6f73),
-    ("hdfs-decommission", "v4-latest", 0xbe3703f0b16765ad),
-    ("hdfs-lease-renew", "v1-buggy", 0xfcec826018eb1eb1),
-    ("hdfs-lease-renew", "v2-fixed", 0x9668d42f75a77279),
-    ("hdfs-lease-renew", "v3-regressed", 0x3b6304e7e0162745),
-    ("hdfs-lease-renew", "v4-latest", 0x07cb0dd6031b689d),
-    ("hdfs-safemode", "v1-buggy", 0xa5d0df3d8e126965),
-    ("hdfs-safemode", "v2-fixed", 0xd2bdfd45f69c6039),
-    ("hdfs-safemode", "v3-regressed", 0x196919e70ac86b25),
-    ("hdfs-safemode", "v4-latest", 0x5c509e3e46b1072d),
-    ("cass-tombstone", "v1-buggy", 0x8372d903a88924f3),
-    ("cass-tombstone", "v2-fixed", 0x330060b1f9ae2365),
-    ("cass-tombstone", "v3-regressed", 0x21404c67b408dc93),
-    ("cass-tombstone", "v4-latest", 0xaa601a450c44fee5),
-    ("cass-hint-ttl", "v1-buggy", 0xf57d1fcd7fd3cda7),
-    ("cass-hint-ttl", "v2-fixed", 0x5629da71a6ff0da5),
-    ("cass-hint-ttl", "v3-regressed", 0xafa4de98eb2d97ef),
-    ("cass-hint-ttl", "v4-latest", 0x507b23df491b7225),
-    ("cass-read-repair", "v1-buggy", 0xf7837fa3d92dc951),
-    ("cass-read-repair", "v2-fixed", 0x10e485ac2f190085),
-    ("cass-read-repair", "v3-regressed", 0x049616e8b75aa2c3),
-    ("cass-read-repair", "v4-latest", 0x0cd6574e4f79f1e5),
+    ("hbase-snapshot-ttl", "v1-buggy", 0x20f70a1392371391),
+    ("hbase-snapshot-ttl", "v2-fixed", 0x408f43a68e82214d),
+    ("hbase-snapshot-ttl", "v3-regressed", 0x64013782add5dc41),
+    ("hbase-snapshot-ttl", "v4-latest", 0x89ac4629452adb11),
+    ("hdfs-observer-read", "v1-buggy", 0x836bf7e8d155d259),
+    ("hdfs-observer-read", "v2-fixed", 0x833fe2f7cd8fd135),
+    ("hdfs-observer-read", "v3-regressed", 0xf93cd9a798f39753),
+    ("hdfs-observer-read", "v4-latest", 0xf07946702aa1d241),
+    ("zk-watch-trigger", "v1-buggy", 0x8894d97fc2abedb1),
+    ("zk-watch-trigger", "v2-fixed", 0x94c64a81534bcb1d),
+    ("zk-watch-trigger", "v3-regressed", 0xd439c2d4459c4bfd),
+    ("zk-watch-trigger", "v4-latest", 0xb008c475dc753e6d),
+    ("zk-acl-cache", "v1-buggy", 0x842cbcd9b2908149),
+    ("zk-acl-cache", "v2-fixed", 0xf70b8b5bf57a2e81),
+    ("zk-acl-cache", "v3-regressed", 0xd2455ad1a6b4cc8d),
+    ("zk-acl-cache", "v4-latest", 0x9e45a3d37d7832fd),
+    ("zk-quota-check", "v1-buggy", 0x371ff72b5cc499b5),
+    ("zk-quota-check", "v2-fixed", 0xa2b9899f7a46547d),
+    ("zk-quota-check", "v3-regressed", 0x17030617f7e13b15),
+    ("zk-quota-check", "v4-latest", 0x165463b684b4502d),
+    ("hbase-region-close", "v1-buggy", 0x9caabe50c3584c01),
+    ("hbase-region-close", "v2-fixed", 0x1e5598ae417acb89),
+    ("hbase-region-close", "v3-regressed", 0x2e7681f2796dcc91),
+    ("hbase-region-close", "v4-latest", 0x79d6725a78c4e5fd),
+    ("hbase-wal-roll", "v1-buggy", 0xd5d26d6e7230c82d),
+    ("hbase-wal-roll", "v2-fixed", 0x47bfa8b9dd4d6cdd),
+    ("hbase-wal-roll", "v3-regressed", 0xb63c5f98e85edddd),
+    ("hbase-wal-roll", "v4-latest", 0xb20a9cc5a3201835),
+    ("hbase-meta-cache", "v1-buggy", 0xb10266a6b18dd891),
+    ("hbase-meta-cache", "v2-fixed", 0x0b3fcdf5a40c3b5d),
+    ("hbase-meta-cache", "v3-regressed", 0x5fb2449fa4bd7689),
+    ("hbase-meta-cache", "v4-latest", 0x57f0f9777d786b35),
+    ("hdfs-decommission", "v1-buggy", 0xe3d2ebbdc9c50cf1),
+    ("hdfs-decommission", "v2-fixed", 0xbf69a3810c66aa5d),
+    ("hdfs-decommission", "v3-regressed", 0x935ca38decbdf20f),
+    ("hdfs-decommission", "v4-latest", 0xd37db8ad0d371ded),
+    ("hdfs-lease-renew", "v1-buggy", 0xbd6ca1d9262e9fa5),
+    ("hdfs-lease-renew", "v2-fixed", 0xb3355571c95dc8f5),
+    ("hdfs-lease-renew", "v3-regressed", 0x03fa4251ac395dd9),
+    ("hdfs-lease-renew", "v4-latest", 0xd60f938a5b4d1b05),
+    ("hdfs-safemode", "v1-buggy", 0xebd110d85fa3fe59),
+    ("hdfs-safemode", "v2-fixed", 0xa140d03b0673ddc5),
+    ("hdfs-safemode", "v3-regressed", 0x9bea6bdd22d159e5),
+    ("hdfs-safemode", "v4-latest", 0x73bd23c6b478ade5),
+    ("cass-tombstone", "v1-buggy", 0xe4ace07a8a47d6f7),
+    ("cass-tombstone", "v2-fixed", 0xb4ec8d24394a730d),
+    ("cass-tombstone", "v3-regressed", 0x8d85a0deeb1f2139),
+    ("cass-tombstone", "v4-latest", 0xad8d2f6c819ffd7d),
+    ("cass-hint-ttl", "v1-buggy", 0x6be47392339f4723),
+    ("cass-hint-ttl", "v2-fixed", 0x1066958e6e16c129),
+    ("cass-hint-ttl", "v3-regressed", 0xb8773ac83c32123d),
+    ("cass-hint-ttl", "v4-latest", 0x482ec6bd983b2abd),
+    ("cass-read-repair", "v1-buggy", 0x508c2f454e2b32c9),
+    ("cass-read-repair", "v2-fixed", 0x2c853c8eff44dfb5),
+    ("cass-read-repair", "v3-regressed", 0xae6ffb52316ff615),
+    ("cass-read-repair", "v4-latest", 0xbcfb86fd5f029445),
 ];
 
 #[test]

@@ -34,7 +34,7 @@ impl ParseError {
 /// Parse one module from source text.
 pub fn parse_module(name: &str, src: &str) -> Result<Module, ParseError> {
     let toks = lex(src).map_err(|e| ParseError::at(name, src, e.offset, e.message))?;
-    let mut p = Parser { toks, pos: 0, next_stmt: 0, name, src };
+    let mut p = Parser { toks, pos: 0, next_stmt: 0, name, src, depth: 0 };
     let mut module = Module {
         name: name.to_string(),
         structs: Vec::new(),
@@ -55,12 +55,22 @@ pub fn parse_module(name: &str, src: &str) -> Result<Module, ParseError> {
     Ok(module)
 }
 
+/// Deepest nesting of blocks, `else if` links, expressions, unary
+/// operators and type arguments a module may have. The parser recurses
+/// through about ten calls per expression level, as do the passes that
+/// walk the tree after it, so an unbounded input could overflow the
+/// stack; 64 levels fit a 2 MiB thread stack even in a debug build, and
+/// real code nests far less.
+const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     toks: Vec<(Tok, Span)>,
     pos: usize,
     next_stmt: u32,
     name: &'a str,
     src: &'a str,
+    /// Nesting levels currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -106,6 +116,21 @@ impl<'a> Parser<'a> {
             },
             other => Err(self.error(format!("expected identifier, found {other}"))),
         }
+    }
+
+    /// Run `parse` one nesting level deeper, or fail past
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING}")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn fresh_stmt_id(&mut self) -> StmtId {
@@ -189,16 +214,16 @@ impl<'a> Parser<'a> {
             Tok::TyMap => {
                 self.bump();
                 self.expect(Tok::Lt)?;
-                let k = self.parse_type()?;
+                let k = self.nested(Self::parse_type)?;
                 self.expect(Tok::Comma)?;
-                let v = self.parse_type()?;
+                let v = self.nested(Self::parse_type)?;
                 self.expect(Tok::Gt)?;
                 Ok(Type::Map(Box::new(k), Box::new(v)))
             }
             Tok::TyList => {
                 self.bump();
                 self.expect(Tok::Lt)?;
-                let t = self.parse_type()?;
+                let t = self.nested(Self::parse_type)?;
                 self.expect(Tok::Gt)?;
                 Ok(Type::List(Box::new(t)))
             }
@@ -213,7 +238,7 @@ impl<'a> Parser<'a> {
         self.expect(Tok::LBrace)?;
         let mut stmts = Vec::new();
         while self.peek() != &Tok::RBrace {
-            stmts.push(self.parse_stmt()?);
+            stmts.push(self.nested(Self::parse_stmt)?);
         }
         let end = self.expect(Tok::RBrace)?;
         Ok((stmts, end))
@@ -247,7 +272,7 @@ impl<'a> Parser<'a> {
                 if self.peek() == &Tok::Else {
                     self.bump();
                     if self.peek() == &Tok::If {
-                        let nested = self.parse_stmt()?;
+                        let nested = self.nested(Self::parse_stmt)?;
                         end = nested.span;
                         else_body.push(nested);
                     } else {
@@ -357,7 +382,7 @@ impl<'a> Parser<'a> {
     // ---- expressions ----------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
@@ -441,13 +466,13 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Tok::Bang => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 let span = start.to(e.span);
                 Ok(Expr { kind: ExprKind::Unary(UnOp::Not, Box::new(e)), span })
             }
             Tok::Minus => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 let span = start.to(e.span);
                 Ok(Expr { kind: ExprKind::Unary(UnOp::Neg, Box::new(e)), span })
             }
@@ -681,6 +706,33 @@ mod tests {
         assert_eq!(err.source, "bad.sir");
         assert_eq!(err.line, 1);
         assert!(err.message.contains("expected"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let parens = |n: usize| {
+            format!("fn f() -> int {{ return {}1{}; }}", "(".repeat(n), ")".repeat(n))
+        };
+        // The function body and the `return` take two levels.
+        assert!(parse_module("t", &parens(MAX_NESTING - 2)).is_ok());
+        for deep in [
+            parens(MAX_NESTING),
+            format!("fn f() {{ {}{} }}", "if (true) { ".repeat(MAX_NESTING), "}".repeat(MAX_NESTING)),
+            format!("fn f() -> bool {{ return {}true; }}", "!".repeat(MAX_NESTING)),
+            format!("global g: {}int{};", "list<".repeat(MAX_NESTING + 1), ">".repeat(MAX_NESTING + 1)),
+        ] {
+            let err = parse_module("t", &deep).expect_err("too deep");
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+        }
+        // Deep input on a small stack is an error, not a stack overflow.
+        let deep = parens(10_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_module("t", &deep).map(|_| ()))
+            .expect("spawn")
+            .join()
+            .expect("parse must not overflow the stack");
+        assert!(parsed.unwrap_err().message.contains("nesting deeper than"));
     }
 
     #[test]

@@ -41,7 +41,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod cnf;
 pub mod model;
 pub mod nnf;
@@ -52,7 +51,6 @@ pub mod solver;
 pub mod term;
 pub mod theory;
 
-pub use cache::QueryCache;
 pub use session::{SessionStats, SolverSession};
 pub use model::{Model, Value};
 pub use nnf::{preprocess, to_nnf, Literal};

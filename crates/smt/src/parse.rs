@@ -222,10 +222,18 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
     Ok(toks)
 }
 
+/// Deepest nesting of parentheses, `!` and `->` right operands a
+/// condition may have. The parser recurses once per level, as does every
+/// later pass over the term, so an unbounded condition could overflow
+/// the stack; real conditions nest a handful of levels.
+const MAX_COND_DEPTH: usize = 128;
+
 struct Parser<'a> {
     toks: &'a [(Tok, usize)],
     pos: usize,
     hints: &'a HashMap<String, Sort>,
+    /// Nesting levels currently open.
+    depth: usize,
 }
 
 /// Human-readable token name for error messages.
@@ -264,6 +272,21 @@ impl<'a> Parser<'a> {
         ParseError { offset: self.offset(), message }
     }
 
+    /// Run `parse` one nesting level deeper, or fail past
+    /// [`MAX_COND_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Term, ParseError>,
+    ) -> Result<Term, ParseError> {
+        if self.depth == MAX_COND_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_COND_DEPTH}")));
+        }
+        self.depth += 1;
+        let term = parse(self);
+        self.depth -= 1;
+        term
+    }
+
     fn parse_iff(&mut self) -> Result<Term, ParseError> {
         let mut lhs = self.parse_implies()?;
         while self.peek() == Some(&Tok::DArrow) {
@@ -278,7 +301,7 @@ impl<'a> Parser<'a> {
         let lhs = self.parse_or()?;
         if self.peek() == Some(&Tok::Arrow) {
             self.pos += 1;
-            let rhs = self.parse_implies()?; // right-assoc
+            let rhs = self.nested(Self::parse_implies)?; // right-assoc
             Ok(lhs.implies(rhs))
         } else {
             Ok(lhs)
@@ -314,7 +337,7 @@ impl<'a> Parser<'a> {
     fn parse_unary(&mut self) -> Result<Term, ParseError> {
         if self.peek() == Some(&Tok::Bang) {
             self.pos += 1;
-            Ok(self.parse_unary()?.not())
+            Ok(self.nested(Self::parse_unary)?.not())
         } else {
             self.parse_atom()
         }
@@ -324,7 +347,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let inner = self.parse_iff()?;
+                let inner = self.nested(Self::parse_iff)?;
                 self.expect(Tok::RParen)?;
                 Ok(inner)
             }
@@ -504,7 +527,7 @@ impl<'a> Parser<'a> {
 /// Parse a condition with explicit sort hints for `path == path` atoms.
 pub fn parse_cond_with(src: &str, hints: &HashMap<String, Sort>) -> Result<Term, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks: &toks, pos: 0, hints };
+    let mut p = Parser { toks: &toks, pos: 0, hints, depth: 0 };
     if p.toks.is_empty() {
         return Ok(Term::True);
     }
@@ -632,6 +655,25 @@ mod tests {
     fn error_messages_carry_offsets() {
         let e = parse_cond("abc @").expect_err("lex error");
         assert_eq!(e.offset, 4);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let parens = |n: usize| format!("{}x > 0{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_cond(&parens(MAX_COND_DEPTH)).is_ok());
+        assert!(parse_cond(&parens(MAX_COND_DEPTH + 1)).is_err());
+        assert!(parse_cond(&format!("{}b", "!".repeat(MAX_COND_DEPTH + 1))).is_err());
+        assert!(parse_cond(&vec!["b"; MAX_COND_DEPTH + 2].join(" -> ")).is_err());
+        // Deep input on a small stack is an error, not a stack overflow.
+        let deep = parens(10_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_cond(&deep).map(|_| ()))
+            .expect("spawn")
+            .join()
+            .expect("parse must not overflow the stack");
+        let err = parsed.unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

@@ -46,19 +46,16 @@
 //! clause database alone (see `solve_under_assumptions`).
 //!
 //! **One canonical form per query.** Opening a session normalizes `¬C`
-//! once ([`SolverSession::negated_checker`]). Each query's π is taken to
-//! NNF once; the incremental path simplifies that, and the joint
-//! `π ∧ ¬C` form is built from it and the session's `¬C` only when a
-//! fresh solve needs it. A [`crate::QueryCache`] in front of the session
-//! builds the joint form for its key and hands it over
-//! ([`SolverSession::violates_canonical`]), so a miss solves the very
-//! term it was keyed by.
+//! once. Each query's π is taken to NNF once; the incremental path
+//! simplifies that, and the joint `π ∧ ¬C` form is built from it and the
+//! session's `¬C` only when a fresh solve needs it.
 //!
 //! **Laziness.** Opening a session encodes nothing. The CNF of `¬C` is
 //! built by the first query that reaches the persistent solver, so a
-//! rule whose every query is answered elsewhere — a `QueryCache` hit, or
-//! a budget-isolated solve — never pays for the encoding. The
-//! `smt.session.opened` counter counts sessions whose solver was built.
+//! rule whose every query is budget-isolated never pays for the
+//! encoding. The `smt.session.opened` counter counts sessions whose
+//! solver was built. (A gate rule answered from the rule-report memo
+//! opens no session at all.)
 
 use std::sync::Mutex;
 
@@ -159,13 +156,6 @@ impl SolverSession {
         SolverSession { negated: to_nnf_negated(checker), inner: Mutex::new(Inner::default()) }
     }
 
-    /// The NNF of `¬checker` ([`crate::nnf::to_nnf_negated`]), the half
-    /// of every query's canonical form that this session's queries share
-    /// (see [`crate::nnf::violation_query`]).
-    pub fn negated_checker(&self) -> &Term {
-        &self.negated
-    }
-
     /// The session's violation query: is `π ∧ ¬checker` satisfiable?
     /// Same contract as [`crate::violates_budgeted`] — and, by the
     /// determinism argument in the module docs, the same answer, byte
@@ -175,35 +165,9 @@ impl SolverSession {
         pi: &Term,
         max_conflicts: Option<u64>,
     ) -> ViolationOutcome {
-        self.violates_nnf(&to_nnf(pi), None, max_conflicts)
-    }
-
-    /// [`SolverSession::violates_budgeted`] for a query whose canonical
-    /// form the caller already built: `pi_nnf` is [`to_nnf`] of π and
-    /// `query` is [`violation_query`]`(pi_nnf, self.negated_checker())`.
-    /// A fresh solve checks `query` as it stands.
-    pub fn violates_canonical(
-        &self,
-        pi_nnf: &Term,
-        query: &Term,
-        max_conflicts: Option<u64>,
-    ) -> ViolationOutcome {
-        self.violates_nnf(pi_nnf, Some(query), max_conflicts)
-    }
-
-    /// The query for π in NNF; `query` is its canonical joint form when
-    /// the caller has one, and is built from `pi_nnf` and the session's
-    /// `¬checker` otherwise, only if a fresh solve needs it.
-    fn violates_nnf(
-        &self,
-        pi_nnf: &Term,
-        query: Option<&Term>,
-        max_conflicts: Option<u64>,
-    ) -> ViolationOutcome {
-        let fresh = |budget| match query {
-            Some(query) => check_violation(query, budget),
-            None => check_violation(&violation_query(pi_nnf, &self.negated), budget),
-        };
+        let pi_nnf = to_nnf(pi);
+        // The joint canonical form, built only if a fresh solve needs it.
+        let fresh = |budget| check_violation(&violation_query(&pi_nnf, &self.negated), budget);
         if let Some(budget) = max_conflicts {
             // Budget isolation: solve on a throwaway fresh solver so an
             // exhausted (`Unknown`) query neither inherits conflicts
@@ -222,7 +186,7 @@ impl SolverSession {
             let core = core.get_or_insert_with(|| Core::new(&self.negated));
             stats.queries += 1;
             stats.learned_reused += core.sat.stats.learned_clauses;
-            let decided = incremental_verified(core, stats, pi_nnf);
+            let decided = incremental_verified(core, stats, &pi_nnf);
             if decided {
                 stats.incremental += 1;
             } else {

@@ -337,8 +337,8 @@ pub fn violates_budgeted(
 /// [`violates_budgeted`] for a query already in canonical form: `query`
 /// is [`preprocess_violation`]`(pi, checker)`, which equals the
 /// canonical form of `pi ∧ ¬checker`, so it is solved as it stands.
-/// The query cache and the solver session hand over the form they built
-/// for the cache key, and no query is canonicalized twice.
+/// The solver session hands over the form it built from π's NNF, so no
+/// query is canonicalized twice.
 pub fn check_violation(query: &Term, max_conflicts: Option<u64>) -> ViolationOutcome {
     let mut solver = Solver::new();
     solver.max_conflicts = max_conflicts;

@@ -10,11 +10,9 @@
 pub mod hash;
 pub mod prng;
 pub mod retry;
-pub mod sharded;
 pub mod stats;
 
 pub use hash::{fnv1a, Fnv1a};
 pub use prng::Prng;
 pub use retry::{retry_with_backoff, RetryPolicy};
-pub use sharded::{lock_counted, LockStats, ShardedMap};
-pub use stats::CacheStats;
+pub use stats::{lock_counted, CacheStats, LockStats};

@@ -49,11 +49,11 @@ echo "e11 recovery smoke: ok"
 cargo test -q -p lisa --test e2e_telemetry
 echo "telemetry smoke: ok"
 
-# Cache smoke: the version-scoped caches must be invisible in every
+# Cache smoke: the rule-report memo must be invisible in every
 # artifact and pay off on a repeat. Gate a fixture with the cache off and
-# on (stdout must be byte-identical, and the two same-target rules must
-# share one trace batch), then run the durable gate twice over one state
-# dir — the second run must reuse every journaled verdict.
+# on (stdout must be byte-identical, and the rule-report memo must be
+# consulted once per rule), then run the durable gate twice over one
+# state dir — the second run must reuse every journaled verdict.
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
 cat > "$SMOKE/orders.sir" <<'SIR'
@@ -84,7 +84,7 @@ LISA=target/release/lisa
 "$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --cache on \
     --metrics-out "$SMOKE/m1.json" > "$SMOKE/on.out"
 cmp "$SMOKE/off.out" "$SMOKE/on.out"
-grep -Eq '"cache\.trace\.hits":[1-9]' "$SMOKE/m1.json"
+grep -Eq '"cache\.rule\.misses":2[,}]' "$SMOKE/m1.json"
 grep -q '"smt\.session\.opened"' "$SMOKE/m1.json"
 "$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --state "$SMOKE/state" > /dev/null
 "$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --state "$SMOKE/state" \

@@ -11,11 +11,12 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use lisa::report::render_enforcement;
 use lisa::{
-    gate_durable, DurableGateReport, DurableOptions, Gate, GateCache, GateOptions,
-    PipelineConfig, RuleRegistry, TestSelection,
+    gate_durable, DurableGateReport, DurableOptions, FaultInjector, FaultKind, FaultPlan, Gate,
+    GateCache, GateOptions, PipelineConfig, ResourceBudgets, RuleRegistry, TestSelection,
 };
 use lisa_analysis::TargetSpec;
 use lisa_concolic::{discover_tests, SystemVersion};
@@ -31,9 +32,13 @@ use lisa_store::{scan, GateEvent};
 /// `audit_floor` is the knob: versions that differ only there leave the
 /// ephemeral-session subsystem (and the ZK rule's dependencies) intact.
 fn version(label: &str, guard_closing: bool, audit_floor: i64) -> SystemVersion {
+    parse_version(label, &version_src(guard_closing, audit_floor))
+}
+
+fn version_src(guard_closing: bool, audit_floor: i64) -> String {
     let guard =
         if guard_closing { "session == null || session.closing" } else { "session == null" };
-    let src = format!(
+    format!(
         "struct Session {{ id: int, closing: bool }}\n\
          global sessions: map<int, Session>;\n\
          fn create_ephemeral(s: Session, path: str) {{}}\n\
@@ -46,8 +51,11 @@ fn version(label: &str, guard_closing: bool, audit_floor: i64) -> SystemVersion 
          fn audit_all(n: int) {{ if (n > {audit_floor}) {{ audit(n); }} }}\n\
          fn test_prep() {{ sessions.put(1, new Session {{ id: 1 }}); prep_create(1, \"/a\"); }}\n\
          fn test_audit() {{ audit_all(3); }}"
-    );
-    let p = Program::parse_single("sys", &src).expect("fixture parses");
+    )
+}
+
+fn parse_version(label: &str, src: &str) -> SystemVersion {
+    let p = Program::parse_single("sys", src).expect("fixture parses");
     let tests = discover_tests(&p, "test_");
     SystemVersion::new(label, p, tests)
 }
@@ -117,11 +125,11 @@ fn cached_gate_report_is_byte_identical_to_uncached() {
     assert_eq!(render_enforcement(&second), baseline, "warm cache changed the report");
     assert_eq!(first.decision, uncached.decision);
 
-    // The second run must be served from the cache, not re-explored.
+    // The second run must be served from the cache, not re-explored:
+    // the memo answers every one of its rules.
     assert!(cache.hits() > 0, "warm run produced no cache hits");
-    assert!(cache.analysis().stats().hits > 0, "analysis layer never hit");
-    assert!(cache.traces().stats().hits > 0, "trace layer never hit");
-    assert!(cache.queries().stats().hits > 0, "SMT query layer never hit");
+    let rules = reg.len() as u64;
+    assert_eq!((cache.misses(), cache.hits()), (rules, rules), "memo missed a warm rule");
 }
 
 #[test]
@@ -297,6 +305,145 @@ fn fault_or_deadline_runs_never_reuse_fingerprints() {
         .expect("durable gate run");
     assert_eq!(r2.cross_version, 0, "deadline runs must not reuse recorded verdicts");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Memo soundness: what may never be stored, and what may never be shared.
+// ---------------------------------------------------------------------------
+
+fn memo_entries(cache: &GateCache) -> u64 {
+    cache.tier_stats().iter().map(|(_, s)| s.entries).sum()
+}
+
+/// `render_enforcement` of an uncached gate and of a gate on `cache`,
+/// same rules, config, options and version.
+fn renders(
+    reg: &RuleRegistry,
+    cfg: &PipelineConfig,
+    options: impl Fn() -> GateOptions,
+    cache: &Arc<GateCache>,
+    v: &SystemVersion,
+) -> (String, String) {
+    let uncached = Gate::new(reg).config(cfg.clone()).options(options()).run(v);
+    let cached = Gate::new(reg).config(cfg.clone()).options(options()).cache(cache).run(v);
+    (render_enforcement(&uncached), render_enforcement(&cached))
+}
+
+#[test]
+fn degraded_and_wall_budget_reports_are_never_memoized() {
+    let reg = registry();
+    let v = version("v1", false, 0);
+    let cache = Arc::new(GateCache::new());
+
+    // Deadline already expired: every rule runs its degraded sanity pass.
+    let expired = GateOptions { deadline: Some(Duration::ZERO), ..GateOptions::default() };
+    let report = Gate::new(&reg).config(config()).options(expired).cache(&cache).run(&v);
+    assert_eq!(report.degraded_rules, reg.len());
+
+    // A wall budget that never fires still keeps its checks out of the memo.
+    let walled = PipelineConfig {
+        budgets: ResourceBudgets { rule_wall: Some(Duration::from_secs(3600)), ..Default::default() },
+        ..config()
+    };
+    let report = Gate::new(&reg).config(walled).cache(&cache).run(&v);
+    assert_eq!(report.degraded_rules, 0);
+
+    // A deadline that expires during the check: the first test spins to
+    // its step limit, so the deadline passes before the second test runs
+    // and the report comes out degraded.
+    let mut spun = parse_version(
+        "v1",
+        &format!(
+            "{}\nfn test_spin() {{ let i: int = 0; while (true) {{ i = i + 1; }} }}",
+            version_src(false, 0)
+        ),
+    );
+    spun.tests.rotate_right(1);
+    assert_eq!(spun.tests[0].name, "test_spin");
+    let mid = || GateOptions { deadline: Some(Duration::from_millis(20)), ..Default::default() };
+    let report = Gate::new(&reg).config(config()).options(mid()).cache(&cache).run(&spun);
+    assert!(report.reports.iter().any(|r| r.degraded), "the deadline never fired");
+    assert_eq!(memo_entries(&cache), 0, "a degraded or wall-budget report was memoized");
+
+    // A plain gate on the same cache renders exactly like an uncached one.
+    for v in [&v, &spun] {
+        let (uncached, cached) = renders(&reg, &config(), GateOptions::default, &cache, v);
+        assert_eq!(cached, uncached);
+    }
+}
+
+#[test]
+fn a_solver_exhaustion_attempt_never_answers_a_full_budget_check() {
+    // Deciding this rule's queries takes real CDCL conflicts, so a
+    // zero-conflict budget leaves its chains not-covered.
+    let mut reg = RuleRegistry::new();
+    reg.register(
+        SemanticRule::new(
+            "R-clique",
+            "negated disequality clique",
+            TargetSpec::Call { callee: "create_ephemeral".into() },
+            "!(x >= 0 && x <= 1 && y >= 0 && y <= 1 && z >= 0 && z <= 1 \
+              && x != y && y != z && x != z)",
+        )
+        .expect("rule"),
+    );
+    let v = version("v1", false, 0);
+    let exhausted = || GateOptions {
+        faults: Some(FaultInjector::new(
+            FaultPlan::new().inject("R-clique", FaultKind::SolverExhaustion),
+        )),
+        ..GateOptions::default()
+    };
+    let plain = GateOptions::default;
+    let render = |options: GateOptions| {
+        render_enforcement(&Gate::new(&reg).config(config()).options(options).run(&v))
+    };
+    assert_ne!(render(exhausted()), render(plain()), "the fault must change the report");
+
+    // Fault first, then a full-budget check; and the other way round.
+    for order in [[exhausted, plain], [plain, exhausted]] {
+        let cache = Arc::new(GateCache::new());
+        for options in order {
+            let (uncached, cached) = renders(&reg, &config(), options, &cache, &v);
+            assert_eq!(cached, uncached);
+        }
+    }
+}
+
+#[test]
+fn versions_with_other_tests_never_share_an_entry() {
+    let reg = registry();
+    let cache = Arc::new(GateCache::new());
+
+    // One program, one test fewer.
+    let full = version("v1", false, 0);
+    let mut fewer = full.clone();
+    fewer.tests.retain(|t| t.name != "test_prep");
+    for v in [&full, &fewer] {
+        let (uncached, cached) = renders(&reg, &config(), GateOptions::default, &cache, v);
+        assert_eq!(cached, uncached);
+    }
+    let plain = |v| render_enforcement(&Gate::new(&reg).config(config()).run(v));
+    assert_ne!(plain(&full), plain(&fewer));
+
+    // One program and test list, other summaries: under RAG top-1 the
+    // summaries decide which test runs, and only one reaches the target.
+    let rag = PipelineConfig { selection: TestSelection::Rag { k: 1 }, ..config() };
+    let summaries = |reach: &str, idle: &str| {
+        let mut v = version("v1", false, 0);
+        for t in &mut v.tests {
+            t.summary = if t.name == "test_prep" { reach } else { idle }.to_string();
+        }
+        v
+    };
+    let on_path = summaries("prep create ephemeral session", "audit all");
+    let off_path = summaries("audit all", "prep create ephemeral session");
+    let rag_render = |v| render_enforcement(&Gate::new(&reg).config(rag.clone()).run(v));
+    assert_ne!(rag_render(&on_path), rag_render(&off_path), "summaries must steer RAG");
+    for v in [&on_path, &off_path] {
+        let (uncached, cached) = renders(&reg, &rag, GateOptions::default, &cache, v);
+        assert_eq!(cached, uncached);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -228,8 +228,7 @@ fn parallel_gate_publishes_sched_telemetry() {
     );
     assert!(snapshot.contains("sched.worker_busy_us"), "metrics missing sched histogram: {snapshot}");
     assert!(
-        snapshot.contains("cache.analysis.lock_acquires")
-            && snapshot.contains("cache.smt.lock_acquires"),
+        snapshot.contains("cache.rule.lock_acquires"),
         "metrics missing cache lock counters: {snapshot}"
     );
 }

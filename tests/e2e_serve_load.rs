@@ -416,6 +416,20 @@ fn oversized_job_id_gets_structured_bad_request() {
 }
 
 #[test]
+fn deeply_nested_request_gets_bad_request_and_the_daemon_keeps_serving() {
+    let fx = Fixture::new("nested");
+    let daemon = Daemon::start(&fx, "nested", &["--workers", "1"]);
+    // One line of 65,000 `[`: under the request-line cap, far past the
+    // nesting the JSON parser accepts.
+    let reply = daemon.tcp(&"[".repeat(65_000));
+    let json = Json::parse(reply.trim()).expect("reply parses");
+    assert_eq!(json.str_of("status"), Some("bad-request"), "{reply}");
+    // A new connection still gets an answer.
+    assert!(daemon.tcp("{\"v\":1,\"op\":\"ping\"}").contains("\"ok\""));
+    assert!(daemon.unix("{\"v\":1,\"op\":\"ping\"}").contains("\"ok\""));
+}
+
+#[test]
 fn stats_reports_per_tenant_depth_and_tail_latency() {
     let fx = Fixture::new("stats");
     let daemon = Daemon::start(&fx, "stats", &["--workers", "2", "--tenants", "acme:4,beta:1"]);
