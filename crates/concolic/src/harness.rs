@@ -51,13 +51,6 @@ impl SystemVersion {
         }
         h.finish()
     }
-
-    /// Per-function content fingerprints of the program (see
-    /// [`lisa_lang::fn_fingerprints`]); diffing two versions' maps yields
-    /// the set of dirty functions.
-    pub fn fn_fingerprints(&self) -> std::collections::BTreeMap<String, u64> {
-        lisa_lang::fn_fingerprints(&self.program)
-    }
 }
 
 /// A test case: an executable entry in the program plus the natural-
@@ -98,7 +91,9 @@ pub struct HarnessBudget {
     /// a step-limit runtime error but keeps the hits recorded so far.
     pub max_steps_per_test: Option<u64>,
     /// Wall-clock budget for the whole batch. When it expires, remaining
-    /// tests are skipped and [`HarnessOutcome::truncated`] is set.
+    /// tests are skipped and [`HarnessOutcome::truncated`] is set. The
+    /// gate pipeline never sets it: a rule check reads the wall clock
+    /// only through the gate deadline.
     pub wall: Option<Duration>,
 }
 

@@ -15,7 +15,7 @@
 //!    with the fixed path expected to verify (sanity check).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use lisa_analysis::{chain_aliases, execution_tree_filtered, AliasMap, CallGraph, TreeLimits};
 use lisa_concolic::{
@@ -53,10 +53,6 @@ pub struct ResourceBudgets {
     pub max_solver_conflicts: Option<u64>,
     /// Interpreter step ceiling per executed test.
     pub max_steps_per_test: Option<u64>,
-    /// Wall-clock allowance for the concolic batch of one rule; when it
-    /// expires, remaining tests are skipped and the report is marked
-    /// degraded.
-    pub rule_wall: Option<Duration>,
 }
 
 impl ResourceBudgets {
@@ -66,9 +62,6 @@ impl ResourceBudgets {
         ResourceBudgets {
             max_solver_conflicts: Some(self.max_solver_conflicts.unwrap_or(512).min(512)),
             max_steps_per_test: Some(self.max_steps_per_test.unwrap_or(100_000).min(100_000)),
-            rule_wall: Some(self.rule_wall.unwrap_or(Duration::from_millis(250)).min(
-                Duration::from_millis(250),
-            )),
         }
     }
 }
@@ -203,9 +196,9 @@ impl Pipeline {
     }
 
     /// One rule check, answered from the memo when it may be. A check
-    /// under a wall budget, or started after the gate deadline expired,
-    /// depends on machine time, so it neither reads nor fills the memo;
-    /// a miss stores its report unless the report came out degraded.
+    /// started after the gate deadline expired depends on machine time,
+    /// so it neither reads nor fills the memo; a miss stores its report
+    /// unless the report came out degraded.
     fn check_rule_mode(
         &self,
         version: &SystemVersion,
@@ -213,10 +206,7 @@ impl Pipeline {
         degraded_mode: bool,
         degrade: Option<&DegradeSignal>,
     ) -> RuleReport {
-        let memo = self.memo.as_ref().filter(|_| {
-            self.budgets(degraded_mode).rule_wall.is_none()
-                && !degrade.is_some_and(|d| d.expired())
-        });
+        let memo = self.memo.as_ref().filter(|_| !degrade.is_some_and(|d| d.expired()));
         let Some((cache, config_fp)) = memo else {
             return self.check_uncached(version, rule, degraded_mode, degrade);
         };
@@ -311,19 +301,17 @@ impl Pipeline {
         };
         let degraded_budgets = budgets.degraded();
 
-        // Concolic execution under the harness budget. With no wall
-        // budget every selected test runs as its own batch, checking the
-        // deadline before it starts. A wall budget spans the whole batch.
+        // Concolic execution under the step budget. With more than one
+        // selected test each runs as its own batch, checking the deadline
+        // before it starts.
         let t_concolic = Instant::now();
-        let harness_budget = HarnessBudget {
-            max_steps_per_test: budgets.max_steps_per_test,
-            wall: budgets.rule_wall,
-        };
+        let harness_budget =
+            HarnessBudget { max_steps_per_test: budgets.max_steps_per_test, wall: None };
         let run_batch = |tests: &[TestCase], budget: &HarnessBudget| {
             run_tests_budgeted(program, tests, &rule.target, &aliases, &self.config.policy, budget)
         };
         let outcomes: Vec<HarnessOutcome> =
-            if harness_budget.wall.is_some() || selected.len() <= 1 {
+            if selected.len() <= 1 {
                 vec![run_batch(&selected, &harness_budget)]
             } else {
                 selected
@@ -340,7 +328,6 @@ impl Pipeline {
                     .collect()
             };
         let runs: Vec<_> = outcomes.iter().flat_map(|o| o.runs.iter()).collect();
-        let truncated = outcomes.iter().any(|o| o.truncated);
         stats.tests_executed = runs.len() as u64;
 
         // Judge every arrival; fold onto static chains.
@@ -429,7 +416,7 @@ impl Pipeline {
         let sanity_ok = chain_reports
             .iter()
             .any(|c| matches!(c.verdict, ChainVerdict::Verified));
-        let degraded = degraded_mode || truncated || deadline_hit;
+        let degraded = degraded_mode || deadline_hit;
         stats.wall = started.elapsed();
         if metrics_on {
             let t_end = Instant::now();
@@ -482,11 +469,6 @@ impl Pipeline {
             lisa_telemetry::event(
                 "pipeline.degraded",
                 format!("rule {}: deadline-degraded sanity pass", rule.id),
-            );
-        } else if truncated {
-            lisa_telemetry::event(
-                "pipeline.degraded",
-                format!("rule {}: concolic wall budget truncated the test batch", rule.id),
             );
         }
         rule_span.arg("static_chains", stats.static_chains);
@@ -755,7 +737,6 @@ mod tests {
             budgets: ResourceBudgets {
                 max_solver_conflicts: Some(1_000_000),
                 max_steps_per_test: Some(100_000_000),
-                rule_wall: Some(Duration::from_secs(3600)),
             },
             ..PipelineConfig::default()
         });

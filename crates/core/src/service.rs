@@ -53,7 +53,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lisa_analysis::CallGraph;
 use lisa_concolic::{discover_tests, SystemVersion};
 use lisa_lang::Program;
 use lisa_oracle::{author_rule, SemanticRule};
@@ -63,8 +62,7 @@ use lisa_store::repl::{
     Wire, REPL_VERSION,
 };
 use lisa_store::{
-    read_atomic, scan, FingerprintFile, GateEvent, IoFaults, RuleOutcome, RunState, RunStore,
-    StoreError,
+    read_atomic, scan, GateEvent, IoFaults, RuleOutcome, RunState, RunStore, StoreError,
 };
 use lisa_util::RetryPolicy;
 
@@ -212,111 +210,6 @@ pub fn outcome_of(r: &RuleReport) -> RuleOutcome {
     }
 }
 
-/// Computes per-rule dependency hashes for cross-version reuse: the hash
-/// of exactly the inputs a rule's verdict is a function of. Sound
-/// over-approximation — a hash that moves only forces a re-check, but a
-/// hash that stays MUST imply an identical verdict, so the relevant set
-/// errs wide:
-///
-/// - the rule itself (id, description, target, condition text),
-/// - struct layouts and globals (interpreter semantics),
-/// - every test's name, summary, and entry (selection inputs),
-/// - the effective pipeline configuration and gate budgets,
-/// - the fingerprint of every *relevant* function, in program order:
-///   functions that can reach the target (they shape chains and
-///   aliases) plus everything executed by tests that can reach it
-///   (their whole trace feeds the recorded path conditions), with
-///   membership itself part of the hash — adding or removing a relevant
-///   function moves it.
-///
-/// Tests that cannot reach the target are deliberately NOT relevant
-/// beyond their hashed name/summary/entry: the journaled outcome is
-/// built from target arrivals and chain structure only (`fingerprint`
-/// above), and a run that never arrives contributes neither — its
-/// interior can change freely without moving any verdict.
-struct DepHasher {
-    graph: CallGraph,
-    fn_fps: std::collections::BTreeMap<String, u64>,
-    /// Hash of everything rule-independent: decls, tests, configuration.
-    base: u64,
-    /// Test entry points (candidates for the per-rule forward walk).
-    test_entries: Vec<String>,
-}
-
-impl DepHasher {
-    fn new(version: &SystemVersion, config: &PipelineConfig, gate: &GateOptions) -> DepHasher {
-        let graph = CallGraph::build(&version.program);
-        let mut base = lisa_util::Fnv1a::new();
-        base.part_u64(lisa_lang::fingerprint_decls(&version.program));
-        for t in &version.tests {
-            base.part(t.name.as_bytes());
-            base.part(t.summary.as_bytes());
-            base.part(t.entry.as_bytes());
-        }
-        // Debug formatting is stable for a given binary; a format change
-        // across releases costs one re-check, never a wrong reuse.
-        base.part(format!("{config:?}").as_bytes());
-        base.part(format!("{:?}", gate.retry).as_bytes());
-
-        DepHasher {
-            graph,
-            fn_fps: lisa_lang::fn_fingerprints(&version.program),
-            base: base.finish(),
-            test_entries: version.tests.iter().map(|t| t.entry.clone()).collect(),
-        }
-    }
-
-    fn dep_hash(&self, rule: &SemanticRule) -> u64 {
-        // Reverse closure: every function from which the target can be
-        // reached (the functions that form chains and donate aliases).
-        let mut to_target = HashSet::new();
-        let mut work: Vec<String> = rule
-            .target
-            .sites(&self.graph)
-            .into_iter()
-            .map(|sid| self.graph.site(sid).caller.clone())
-            .collect();
-        while let Some(f) = work.pop() {
-            if !to_target.insert(f.clone()) {
-                continue;
-            }
-            for &sid in self.graph.callers_of(&f) {
-                work.push(self.graph.site(sid).caller.clone());
-            }
-        }
-        // Forward closure from the tests that can reach the target: the
-        // whole trace of a reaching run feeds its recorded constraints,
-        // including detours through functions off the target paths.
-        let mut relevant = to_target.clone();
-        let mut work: Vec<String> =
-            self.test_entries.iter().filter(|e| to_target.contains(*e)).cloned().collect();
-        while let Some(f) = work.pop() {
-            for &sid in self.graph.sites_in(&f) {
-                let callee = self.graph.site(sid).callee.clone();
-                if relevant.insert(callee.clone()) {
-                    work.push(callee);
-                }
-            }
-        }
-        let mut h = lisa_util::Fnv1a::new();
-        h.part_u64(self.base);
-        h.part(rule.id.as_bytes());
-        h.part(rule.description.as_bytes());
-        h.part(rule.target.to_string().as_bytes());
-        h.part(rule.condition_src.as_bytes());
-        // Relevant functions in program order, names + fingerprints:
-        // relative order matters (it fixes chain and site enumeration
-        // order in reports).
-        for f in self.graph.functions() {
-            if relevant.contains(f) {
-                h.part(f.as_bytes());
-                h.part_u64(self.fn_fps.get(f).copied().unwrap_or(0));
-            }
-        }
-        h.finish()
-    }
-}
-
 /// Where and how a durable run persists its state.
 pub struct DurableOptions {
     /// Directory holding the run's journal and snapshot.
@@ -342,10 +235,9 @@ pub struct DurableOptions {
     /// the store further; the journal written so far stays valid for
     /// resume.
     pub cancel: Option<Arc<AtomicBool>>,
-    /// Version-scoped cache shared with the in-memory gate machinery.
-    /// Also enables cross-version reuse via the persisted fingerprint
-    /// file beside the journal (skipped whenever faults or a deadline
-    /// make verdicts non-reproducible).
+    /// Version-scoped cache shared with the in-memory gate machinery:
+    /// rule checks read and fill its rule-report memo. Nothing of it is
+    /// persisted beside the journal.
     pub cache: Option<Arc<GateCache>>,
     /// Replication publisher: when attached, every durable mutation of
     /// this run (append, snapshot, reset) is also shipped to subscribed
@@ -382,15 +274,9 @@ pub struct DurableGateReport {
     pub outcomes: Vec<RuleOutcome>,
     /// Verdicts reused from the journal (not re-executed).
     pub reused: usize,
-    /// Verdicts settled by this process (includes cross-version reuses —
-    /// they journal the same records a re-check would have).
+    /// Verdicts settled by this process: checked by the engine (possibly
+    /// answered by the rule-report memo) and journaled.
     pub fresh: usize,
-    /// Of `fresh`, how many were reused from the previous version's
-    /// fingerprint file instead of being re-explored. Deliberately not
-    /// part of [`DurableGateReport::render`] or the CLI JSON line: cached
-    /// and uncached runs must stay byte-identical on stdout. Telemetry
-    /// (`service.verdicts_cross_version`) carries it instead.
-    pub cross_version: usize,
     /// False if journaling was disabled mid-run (e.g. ENOSPC).
     pub durable: bool,
     /// Journal records replayed on open.
@@ -453,8 +339,7 @@ impl DurableGateReport {
 enum DurableSlot {
     /// Finished in the journal already (resume): nothing to append.
     Journaled,
-    /// Settled, not yet journaled: a cross-version reuse (its recorded
-    /// outcome, verbatim) or a rule the engine checked.
+    /// Checked by the engine ([`SlotHook::settled`]), not yet journaled.
     Settled(RuleOutcome),
     /// Being checked by the engine.
     Pending,
@@ -540,10 +425,9 @@ impl SlotHook for Frontier<'_> {
 /// that degrades instead of failing — an undecidable gate is worse than
 /// an unjournaled one.
 ///
-/// The run is one engine call over the whole registry. Journaled and
-/// fingerprint-reused rules are settled before scheduling and skipped by
-/// the engine; the [`Frontier`] journals the rest in registry order as
-/// they settle.
+/// The run is one engine call over the whole registry. Journaled rules
+/// are settled before scheduling and skipped by the engine; the
+/// [`Frontier`] journals the rest in registry order as they settle.
 pub fn gate_durable(
     registry: &RuleRegistry,
     version: &SystemVersion,
@@ -563,40 +447,15 @@ pub fn gate_durable(
     let mut warnings = std::mem::take(&mut store.warnings);
     let recovered_records = store.recovered_records;
 
-    // Cross-version reuse: a rule whose dependency hash matches the
-    // persisted fingerprint file (written by the previous run in this
-    // state dir, possibly for a *different* version) gets its recorded
-    // outcome journaled verbatim instead of being re-explored. Off
-    // whenever faults, a deadline or a wall-clock budget could make a
-    // verdict depend on anything but the hashed inputs (mirrors the
-    // rule-report memo's wall-budget bypass).
-    let reuse_fingerprints = durable.cache.is_some()
-        && gate.faults.is_none()
-        && gate.deadline.is_none()
-        && config.budgets.rule_wall.is_none();
-    // The previous run's fingerprints, and this run's hash per rule.
-    let reuse: Option<(FingerprintFile, Vec<u64>)> = reuse_fingerprints.then(|| {
-        let deps = DepHasher::new(version, config, gate);
-        let hashes = rules.iter().map(|r| deps.dep_hash(r)).collect();
-        (FingerprintFile::load(&durable.state_dir), hashes)
-    });
-
     let slots: Vec<DurableSlot> = rules
         .iter()
-        .enumerate()
-        .map(|(i, rule)| {
-            if store.state.finished_outcome(&rule.id).is_some() {
-                return DurableSlot::Journaled;
-            }
-            match reuse.as_ref().and_then(|(prior, hashes)| prior.reusable(&rule.id, hashes[i])) {
-                Some(outcome) => DurableSlot::Settled(outcome.clone()),
-                None => DurableSlot::Pending,
-            }
+        .map(|rule| match store.state.finished_outcome(&rule.id) {
+            Some(_) => DurableSlot::Journaled,
+            None => DurableSlot::Pending,
         })
         .collect();
     let pending: Vec<bool> = slots.iter().map(|s| matches!(s, DurableSlot::Pending)).collect();
     let reused = slots.iter().filter(|s| matches!(s, DurableSlot::Journaled)).count();
-    let cross_version = slots.iter().filter(|s| matches!(s, DurableSlot::Settled(_))).count();
 
     let frontier = Frontier {
         rules,
@@ -621,21 +480,6 @@ pub fn gate_durable(
         frontier.state.into_inner().unwrap_or_else(|p| p.into_inner());
     warnings.extend(report.warnings);
 
-    // Persist this run's fingerprints so the *next* version can reuse
-    // every rule whose dependencies it leaves untouched. Failures warn:
-    // the fingerprint file is an optimization, the journal is the truth.
-    if let Some((_, hashes)) = &reuse {
-        let mut next = FingerprintFile::default();
-        for (rule, &hash) in rules.iter().zip(hashes) {
-            if let Some(o) = store.state.finished_outcome(&rule.id) {
-                next.insert(hash, o.clone());
-            }
-        }
-        if let Err(e) = next.save(&durable.state_dir) {
-            warnings.push(format!("fingerprint file not saved ({e}); next run re-checks"));
-        }
-    }
-
     let outcomes: Vec<RuleOutcome> =
         rules.iter().filter_map(|r| store.state.finished_outcome(&r.id).cloned()).collect();
     let engine_errors = outcomes.iter().filter(|o| o.has_engine_error()).count();
@@ -648,12 +492,10 @@ pub fn gate_durable(
     run_span.arg("rules", rules.len() as u64);
     run_span.arg("reused", reused as u64);
     run_span.arg("fresh", fresh as u64);
-    run_span.arg("cross_version", cross_version as u64);
     run_span.arg("recovered_records", recovered_records as u64);
     if lisa_telemetry::metrics_enabled() {
         lisa_telemetry::counter_add("service.verdicts_reused", reused as u64);
         lisa_telemetry::counter_add("service.verdicts_fresh", fresh as u64);
-        lisa_telemetry::counter_add("service.verdicts_cross_version", cross_version as u64);
         lisa_telemetry::counter_add("service.durable_runs", 1);
     }
 
@@ -665,7 +507,6 @@ pub fn gate_durable(
         outcomes,
         reused,
         fresh,
-        cross_version,
         durable: store.durable(),
         recovered_records,
         warnings,

@@ -88,8 +88,9 @@ pub struct RuleReport {
     /// Arrivals that matched no static chain (violating or not).
     pub unmatched_hits: u64,
     /// True when the rule was checked in degraded mode (fixed-path
-    /// sanity check instead of full exploration), e.g. after the gate
-    /// deadline expired or the harness wall budget truncated the batch.
+    /// sanity check instead of full exploration), or when the gate
+    /// deadline expired during its check. The deadline is the only
+    /// wall-clock input to a rule check.
     pub degraded: bool,
     /// Retries the gate spent on this rule before it settled.
     pub retries: u32,

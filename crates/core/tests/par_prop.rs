@@ -130,7 +130,7 @@ enum DurableCase {
     /// resumes, reusing that verdict.
     Resume,
     /// A previous version gated first in the same state dir, cache on:
-    /// the regressed run reuses every rule whose dependency hash held.
+    /// the regressed run reuses nothing from it.
     CrossVersion,
     /// A checkpoint after every fresh verdict: `state.snap` is written and
     /// the journal is truncated repeatedly.
@@ -138,8 +138,8 @@ enum DurableCase {
 }
 
 /// The regressed ZooKeeper version with one statement added to the body
-/// of `prep_request_create`: a previous version whose dependency hashes
-/// move only for the rules that function reaches.
+/// of `prep_request_create`: a previous version that differs from it in
+/// one function only.
 fn previous_version(regressed: &SystemVersion) -> SystemVersion {
     let sources: Vec<(String, String)> = regressed
         .program
@@ -200,7 +200,7 @@ fn durable_wal_bytes_are_width_invariant() {
             let wal = std::fs::read(dir.join("wal.log")).expect("wal");
             let snap = std::fs::read(dir.join("state.snap")).ok();
             let _ = std::fs::remove_dir_all(&dir);
-            let counts = (report.reused, report.fresh, report.cross_version);
+            let counts = (report.reused, report.fresh);
             (report.verdicts_text(), report.render(), wal, snap, counts)
         };
 
@@ -217,10 +217,10 @@ fn durable_wal_bytes_are_width_invariant() {
 
         for case in [Fresh, Resume, CrossVersion, Checkpoint] {
             let base = run(case, 1, cut);
-            let (reused, _, cross_version) = base.4;
+            let (reused, _) = base.4;
             match case {
                 Resume => assert_eq!(reused, 1, "seed {seed}: resume reuses one verdict"),
-                CrossVersion => assert!(cross_version > 0, "seed {seed}: no cross-version reuse"),
+                CrossVersion => assert_eq!(reused, 0, "seed {seed}: a previous version donated"),
                 Checkpoint => assert!(base.3.is_some(), "seed {seed}: no snapshot written"),
                 Fresh => {}
             }

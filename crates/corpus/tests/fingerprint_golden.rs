@@ -1,13 +1,11 @@
-//! Golden fingerprints: the persisted-format pin for every corpus
-//! version.
+//! Golden fingerprints: a pin on the rule-report memo's key inputs for
+//! every corpus version.
 //!
-//! Program and function fingerprints are written to disk
-//! (`fingerprints.log` beside a durable run's journal) and key the
-//! rule-report memo, so their values are a format, not an implementation
-//! detail: a fingerprint written by one build must match the one a later
-//! build computes for the same source. Any change to the canonical
-//! rendering or to the hashing moves a value in the table below and
-//! fails this test.
+//! Program fingerprints key the rule-report memo. Nothing writes them to
+//! disk, but a value that moved without notice would silently split or
+//! merge memo keys, so the values below are pinned anyway: any change to
+//! the canonical rendering or to the hashing moves a value in the table
+//! and fails this test.
 
 use lisa_corpus::all_cases;
 use lisa_lang::pretty::print_module;

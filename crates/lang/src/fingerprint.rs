@@ -1,19 +1,19 @@
 //! Content-hash fingerprints over SIR declarations.
 //!
-//! The cache layer needs a cheap, stable answer to "is this the same
-//! code?" — per function (so a gate can tell which targets a new version
-//! dirtied) and per program (so analysis artifacts can be keyed to the
-//! exact source they were computed from). Fingerprints hash the
-//! *canonical pretty-printed* form, the same fixed point the parser
-//! property tests pin, so they are insensitive to spans, statement ids,
-//! and original formatting, but change whenever any semantics-bearing
-//! text changes.
+//! The rule-report memo needs a cheap, stable answer to "is this the
+//! same code?": its key carries the program's fingerprint, so a report
+//! is reused only for the exact source it was computed from.
+//! Fingerprints hash the *canonical pretty-printed* form, the same fixed
+//! point the parser property tests pin, so they are insensitive to
+//! spans, statement ids, and original formatting, but change whenever
+//! any semantics-bearing text changes.
 //!
 //! The printer streams straight into the hasher (FNV-1a consumes bytes
 //! one at a time, so hashing the pieces equals hashing the whole
-//! rendering). Fingerprint values are a persisted format —
-//! `fingerprints.log` stores them across runs — pinned per corpus
-//! version by `crates/corpus/tests/fingerprint_golden.rs`.
+//! rendering). Nothing persists fingerprint values; they live only in
+//! memory, as memo key inputs. `crates/corpus/tests/fingerprint_golden.rs`
+//! still pins them per corpus version, so a change to the rendering or
+//! the hashing is a deliberate, visible one.
 
 use std::collections::BTreeMap;
 

@@ -1,19 +1,15 @@
-//! Persisted per-rule dependency fingerprints for cross-version reuse.
+//! A per-rule outcome file beside a run's journal, keyed by an opaque
+//! hash the caller chooses.
 //!
-//! A durable gate run journals its verdicts under a `run_key` that
-//! fingerprints the *whole* `(version, rule set)` — one changed function
-//! anywhere and the journal is stale by design. This file is the finer
-//! sieve that lives beside it: for every rule it records the hash of
-//! exactly the inputs that rule's verdict depends on (the rule text plus
-//! the fingerprints of the functions that can reach its target or be
-//! executed by tests) together with the settled [`RuleOutcome`]. When
-//! the next version dirties one function, only rules whose dependency
-//! hash moved are re-explored; the rest reuse their recorded outcome.
+//! No gate path reads or writes it: durable runs reuse verdicts only
+//! through journal resume and the in-memory rule-report memo. The type
+//! is kept solely for the serve replay mirror in `lisabench`, which
+//! times a load, an insert per rule and a save, until lisabench v2
+//! (ROADMAP.md, item 2) retires that mirror.
 //!
 //! The file is a single atomically-replaced snapshot
 //! ([`crate::write_atomic`]): checksummed and framed, so a torn or
-//! corrupt file simply reads as absent and every rule re-runs — at worst
-//! slow, never wrong.
+//! corrupt file reads as absent.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -23,20 +19,19 @@ use crate::event::RuleOutcome;
 use crate::journal::{read_atomic, write_atomic};
 
 /// On-disk file name, beside `wal.log` in the run's state directory.
-pub const FINGERPRINTS: &str = "fingerprints.log";
+const FINGERPRINTS: &str = "fingerprints.log";
 
-/// One rule's recorded dependency hash and settled outcome.
+/// One rule's recorded hash and settled outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RuleFingerprint {
-    /// FNV-1a over everything the rule's verdict depends on.
-    pub dep_hash: u64,
-    pub outcome: RuleOutcome,
+struct RuleFingerprint {
+    dep_hash: u64,
+    outcome: RuleOutcome,
 }
 
 /// The persisted map, rule id → recorded fingerprint.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FingerprintFile {
-    pub entries: BTreeMap<String, RuleFingerprint>,
+    entries: BTreeMap<String, RuleFingerprint>,
 }
 
 impl FingerprintFile {
@@ -45,8 +40,7 @@ impl FingerprintFile {
     }
 
     /// Load the fingerprint file from `dir`. Absent, torn, or corrupt
-    /// files all yield the empty map — reuse is an optimization, never a
-    /// requirement.
+    /// files all yield the empty map.
     pub fn load(dir: &Path) -> FingerprintFile {
         let Some(payload) = read_atomic(&Self::path(dir)) else {
             return FingerprintFile::default();
@@ -58,11 +52,10 @@ impl FingerprintFile {
         let mut entries = BTreeMap::new();
         for line in text.lines() {
             let Ok(entry) = decode_entry(line.as_bytes()) else {
-                // One undecodable entry poisons nothing else; that rule
-                // simply re-runs.
+                // One undecodable entry poisons nothing else.
                 continue;
             };
-            entries.insert(entry.1.outcome.rule_id.clone(), entry.1);
+            entries.insert(entry.outcome.rule_id.clone(), entry);
         }
         FingerprintFile { entries }
     }
@@ -74,15 +67,6 @@ impl FingerprintFile {
             lines.push(String::from_utf8_lossy(&encode_entry(fp)).into_owned());
         }
         write_atomic(&Self::path(dir), lines.join("\n").as_bytes())
-    }
-
-    /// The recorded outcome for `rule_id`, but only when its dependency
-    /// hash still matches.
-    pub fn reusable(&self, rule_id: &str, dep_hash: u64) -> Option<&RuleOutcome> {
-        self.entries
-            .get(rule_id)
-            .filter(|fp| fp.dep_hash == dep_hash)
-            .map(|fp| &fp.outcome)
     }
 
     pub fn insert(&mut self, dep_hash: u64, outcome: RuleOutcome) {
@@ -107,7 +91,7 @@ fn encode_entry(fp: &RuleFingerprint) -> Vec<u8> {
     ])
 }
 
-fn decode_entry(payload: &[u8]) -> Result<(u64, RuleFingerprint), String> {
+fn decode_entry(payload: &[u8]) -> Result<RuleFingerprint, String> {
     let fields = decode(payload)?;
     let dep = field(&fields, "dep")?;
     let dep_hash =
@@ -123,7 +107,7 @@ fn decode_entry(payload: &[u8]) -> Result<(u64, RuleFingerprint), String> {
         sanity_ok: field(&fields, "sanity_ok")? == "1",
         retries: field_u64(&fields, "retries")?,
     };
-    Ok((dep_hash, RuleFingerprint { dep_hash, outcome }))
+    Ok(RuleFingerprint { dep_hash, outcome })
 }
 
 #[cfg(test)]
@@ -154,9 +138,6 @@ mod tests {
         file.save(&dir).unwrap();
         let loaded = FingerprintFile::load(&dir);
         assert_eq!(loaded, file);
-        assert!(loaded.reusable("R1", 0xabc).is_some());
-        assert!(loaded.reusable("R1", 0xabd).is_none(), "moved dep hash");
-        assert!(loaded.reusable("R3", 0xabc).is_none(), "unknown rule");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

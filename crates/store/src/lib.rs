@@ -39,7 +39,7 @@ pub mod run;
 pub mod rules;
 
 pub use event::{GateEvent, RuleOutcome};
-pub use fingerprints::{FingerprintFile, RuleFingerprint};
+pub use fingerprints::FingerprintFile;
 pub use journal::{
     read_atomic, scan, write_atomic, write_file_atomic, IoFault, IoFaults, Journal, OpenReport,
     Scan,

@@ -91,6 +91,17 @@ grep -q '"smt\.session\.opened"' "$SMOKE/m1.json"
     --metrics-out "$SMOKE/m2.json" > "$SMOKE/d2.out"
 grep -q '2 reused from journal, 0 fresh' "$SMOKE/d2.out"
 grep -Eq '"service\.verdicts_reused":2' "$SMOKE/m2.json"
+# Durable runs persist nothing beside the journal, and a state dir shared
+# across versions decides exactly like a fresh one: gate a second version
+# of the fixture into the used state dir and into a fresh one.
+test ! -e "$SMOKE/state/fingerprints.log"
+mkdir "$SMOKE/v2"
+sed 's/checkout_ship(1, 7)/checkout_ship(1, 9)/' "$SMOKE/orders.sir" > "$SMOKE/v2/orders.sir"
+if cmp -s "$SMOKE/orders.sir" "$SMOKE/v2/orders.sir"; then echo "v2 fixture unchanged" >&2; exit 1; fi
+"$LISA" gate --system "$SMOKE/v2" --rules "$SMOKE/rules.txt" --state "$SMOKE/state" > /dev/null
+"$LISA" gate --system "$SMOKE/v2" --rules "$SMOKE/rules.txt" --state "$SMOKE/state-v2" \
+    > /dev/null
+cmp "$SMOKE/state/wal.log" "$SMOKE/state-v2/wal.log"
 echo "cache smoke: ok"
 
 # Durable width smoke: a durable run is one engine call whose journal is
