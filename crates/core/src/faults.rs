@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use lisa_store::{IoFault, IoFaults, StreamFault, StreamFaults};
-use lisa_util::Prng;
+use lisa_util::{Fnv1a, Prng};
 
 /// Panic payloads carry this prefix so the gate can tell injected faults
 /// apart from genuine engine bugs when classifying the unwind payload.
@@ -93,6 +93,15 @@ impl FaultPlan {
     fn fault_for(&self, rule_id: &str) -> Option<FaultKind> {
         self.injections.iter().find(|(id, _)| id == rule_id).map(|&(_, k)| k)
     }
+
+    /// Feed each injection's rule id and kind, in order, into `h`: part
+    /// of a durable run's journal key, so a faulted run's verdicts never
+    /// answer a clean one. An empty plan feeds nothing.
+    pub(crate) fn hash_into(&self, h: &mut Fnv1a) {
+        for (id, kind) in &self.injections {
+            h.part(id.as_bytes()).part_display(format_args!("{kind:?}"));
+        }
+    }
 }
 
 /// Runtime side of a plan: tracks per-rule attempts so transient faults
@@ -122,6 +131,10 @@ impl FaultInjector {
             FaultKind::TransientPanic if attempt > 0 => None,
             k => Some(k),
         }
+    }
+
+    pub(crate) fn plan(&self) -> &FaultPlan {
+        &self.plan
     }
 
     /// Attempts recorded for `rule_id` so far.

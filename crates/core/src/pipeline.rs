@@ -108,14 +108,15 @@ impl Pipeline {
 
     /// A pipeline whose rule reports are memoized in `cache`. A report
     /// is keyed by an FNV-1a hash of everything the check reads: the
-    /// program's fingerprint, each test's name, entry and summary in
-    /// order, the rule's id, description, target and condition source,
-    /// this configuration, and whether the check is degraded. The
-    /// version label is not part of a report, so it is not part of the
-    /// key. Caching is transparent: reports are identical to an uncached
+    /// version's fingerprint ([`SystemVersion::fingerprint`]: the
+    /// program plus each test's name, summary and entry in order), the
+    /// rule's id, description, target and condition source, this
+    /// configuration, and whether the check is degraded. The version
+    /// label is not part of a report, so it is not part of the key.
+    /// Caching is transparent: reports are identical to an uncached
     /// pipeline's, field for field, apart from `stats.wall`.
     pub fn with_cache(config: PipelineConfig, cache: Arc<GateCache>) -> Pipeline {
-        let config_fp = lisa_util::fnv1a(format!("{config:?}").as_bytes());
+        let config_fp = config_hash(&config);
         Pipeline { config, memo: Some((cache, config_fp)) }
     }
 
@@ -544,6 +545,12 @@ impl Pipeline {
     }
 }
 
+/// The hash of a pipeline configuration: part of every memo key, and of
+/// a durable run's journal key (`service::gate_durable`).
+pub(crate) fn config_hash(config: &PipelineConfig) -> u64 {
+    lisa_util::fnv1a(format!("{config:?}").as_bytes())
+}
+
 /// The memo key of one rule check (see [`Pipeline::with_cache`]). The
 /// rule's parsed condition and placeholder roots are not hashed: both
 /// are derived from its condition source.
@@ -556,11 +563,7 @@ fn memo_key(
     let mut h = Fnv1a::new();
     h.part_u64(config_fp);
     h.part_u64(u64::from(degraded_mode));
-    h.part_u64(lisa_lang::fingerprint_program(&version.program));
-    h.part_u64(version.tests.len() as u64);
-    for t in &version.tests {
-        h.part(t.name.as_bytes()).part(t.entry.as_bytes()).part(t.summary.as_bytes());
-    }
+    h.part_u64(version.fingerprint());
     h.part(rule.id.as_bytes()).part(rule.description.as_bytes());
     h.part_display(format_args!("{:?}", rule.target));
     h.part(rule.condition_src.as_bytes());

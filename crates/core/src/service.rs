@@ -37,7 +37,8 @@
 //! request reaches a dispatcher only once its line is complete, so idle
 //! clients cost no threads and no client can stall supervision. Each
 //! port keeps its op policy: the unix socket serves every op, `--listen`
-//! refuses `follow`, and `--repl-listen` speaks only `ping` and `follow`.
+//! refuses `follow` and any gate request carrying a `chaos` drill, and
+//! `--repl-listen` speaks only `ping` and `follow`.
 //!
 //! Parallel throughput comes from the worker pool across jobs and, with
 //! `DurableOptions::workers`, from checking a job's rules in parallel.
@@ -61,10 +62,8 @@ use lisa_store::repl::{
     decode_wire, encode_wire, Applier, BusPoll, FrameDecoder, ReplBus, StreamFault, StreamFaults,
     Wire, REPL_VERSION,
 };
-use lisa_store::{
-    read_atomic, scan, GateEvent, IoFaults, RuleOutcome, RunState, RunStore, StoreError,
-};
-use lisa_util::RetryPolicy;
+use lisa_store::{scan, IoFaults, RuleOutcome, RunState, RunStore, StoreError};
+use lisa_util::{Fnv1a, RetryPolicy};
 
 use crate::enforce::{
     count_decision, decide, enforce_impl, FailMode, GateDecision, GateOptions, RuleRegistry,
@@ -74,7 +73,7 @@ use crate::faults::FAULT_PANIC_PREFIX;
 use crate::gate::GateCache;
 use crate::json::{escape, Json};
 use crate::netloop::{raise_fd_limit, LineGate, Listener, Port, Pumped, Stream};
-use crate::pipeline::{PipelineConfig, TestSelection};
+use crate::pipeline::{config_hash, PipelineConfig, TestSelection};
 use crate::tenant::{
     valid_tenant, Admitted, FairQueues, TenantSpec, MAX_JOB_ID_LEN,
 };
@@ -151,27 +150,37 @@ fn parse_rules_text(path: &str, text: &str) -> Result<Vec<SemanticRule>, String>
 // Durable gate runs
 // ---------------------------------------------------------------------------
 
-/// Fingerprint the `(version, rule set)` a journal belongs to. A stale
-/// journal — different program text, tests, or rules — must never donate
-/// verdicts to a run it does not describe.
+/// Fingerprint the `(version, rule set)` a journal belongs to: the
+/// version label, its whole-version fingerprint
+/// ([`SystemVersion::fingerprint`]: program, tests, summaries and
+/// entries) and each rule. A stale journal must never donate verdicts
+/// to a run it does not describe.
 pub fn run_key(version: &SystemVersion, rules: &[SemanticRule]) -> String {
-    let mut text = String::new();
-    text.push_str(&version.label);
-    text.push('\n');
-    for f in version.program.functions() {
-        text.push_str(&lisa_lang::pretty::print_fn(f));
-    }
-    for t in &version.tests {
-        text.push_str(&t.name);
-        text.push('\n');
-    }
+    let mut h = Fnv1a::new();
+    h.part_u64(version.fingerprint());
     for r in rules {
-        text.push_str(&format!(
-            "{}\u{1f}{}\u{1f}{}\u{1f}{}\n",
-            r.id, r.description, r.target, r.condition_src
-        ));
+        h.part(r.id.as_bytes()).part(r.description.as_bytes());
+        h.part_display(&r.target).part(r.condition_src.as_bytes());
     }
-    format!("{}-{:016x}", version.label, fnv1a(text.as_bytes()))
+    format!("{}-{:016x}", version.label, h.finish())
+}
+
+/// The key a durable run's journal is opened under: [`run_key`] plus the
+/// pipeline configuration's hash (the one the rule-report memo keys by)
+/// and the fault plan, so a run under another configuration or fault
+/// plan never resumes this one's verdicts.
+fn durable_key(
+    version: &SystemVersion,
+    rules: &[SemanticRule],
+    config: &PipelineConfig,
+    gate: &GateOptions,
+) -> String {
+    let mut h = Fnv1a::new();
+    h.part_u64(config_hash(config));
+    if let Some(faults) = &gate.faults {
+        faults.plan().hash_into(&mut h);
+    }
+    format!("{}-{:016x}", run_key(version, rules), h.finish())
 }
 
 /// Canonical verdict fingerprint for one rule report: chain verdicts and
@@ -212,7 +221,7 @@ pub fn outcome_of(r: &RuleReport) -> RuleOutcome {
 
 /// Where and how a durable run persists its state.
 pub struct DurableOptions {
-    /// Directory holding the run's journal and snapshot.
+    /// Directory holding the run's journal.
     pub state_dir: PathBuf,
     /// Worker width for the run (0 = auto): the rules left to check
     /// spread across up to this many workers, one task per rule. The
@@ -221,9 +230,6 @@ pub struct DurableOptions {
     pub workers: usize,
     /// Disk fault injection at the store's I/O seams (E11, tests).
     pub disk_faults: Option<Arc<dyn IoFaults>>,
-    /// Checkpoint (snapshot + journal truncate) after every N fresh
-    /// verdicts; 0 = never checkpoint.
-    pub checkpoint_every: usize,
     /// Liveness heartbeat: called once per rule (reused or fresh) as the
     /// journal frontier passes it, possibly on a worker thread. The serve
     /// supervisor uses it to tell a slow-but-progressing job from a
@@ -240,7 +246,7 @@ pub struct DurableOptions {
     /// persisted beside the journal.
     pub cache: Option<Arc<GateCache>>,
     /// Replication publisher: when attached, every durable mutation of
-    /// this run (append, snapshot, reset) is also shipped to subscribed
+    /// this run (append, reset) is also shipped to subscribed
     /// followers.
     pub repl: Option<Arc<ReplBus>>,
 }
@@ -254,7 +260,6 @@ impl Default for DurableOptions {
             // jobs. Callers opt into fan-out explicitly.
             workers: 1,
             disk_faults: None,
-            checkpoint_every: 0,
             progress: None,
             cancel: None,
             cache: None,
@@ -366,7 +371,7 @@ struct FrontierState {
     /// is already appended.
     next: usize,
     started: bool,
-    /// `RuleCheckFinished` appends so far (the checkpoint cadence).
+    /// `RuleCheckFinished` appends so far.
     fresh: usize,
 }
 
@@ -389,13 +394,6 @@ impl Frontier<'_> {
                 DurableSlot::Settled(outcome) => {
                     st.store.record_finished(outcome.clone());
                     st.fresh += 1;
-                    let every = self.durable.checkpoint_every;
-                    if every > 0 && st.fresh.is_multiple_of(every) {
-                        if let Err(e) = st.store.checkpoint() {
-                            let warning = format!("checkpoint failed ({e}); journal left as-is");
-                            st.store.warnings.push(warning);
-                        }
-                    }
                 }
             }
             if let Some(beat) = &self.durable.progress {
@@ -436,7 +434,7 @@ pub fn gate_durable(
     durable: &DurableOptions,
 ) -> Result<DurableGateReport, StoreError> {
     let rules = registry.rules();
-    let key = run_key(version, rules);
+    let key = durable_key(version, rules, config, gate);
     let mut run_span = lisa_telemetry::span_with("service.durable_run", key.clone());
     let mut store = RunStore::open_replicated(
         &durable.state_dir,
@@ -1586,17 +1584,8 @@ fn verdict_response(state_root: &Path, request: &Json) -> String {
     if !dir.is_dir() {
         return error_response(job_id, "not-found", "no durable state for this job id");
     }
-    let mut state = match read_atomic(&dir.join(RunStore::SNAPSHOT)) {
-        Some(bytes) => RunState::from_snapshot(&bytes),
-        None => RunState::default(),
-    };
-    if let Ok(bytes) = std::fs::read(dir.join(RunStore::JOURNAL)) {
-        for rec in &scan(&bytes).records {
-            if let Ok(event) = GateEvent::decode(rec) {
-                state.apply(&event);
-            }
-        }
-    }
+    let bytes = std::fs::read(dir.join(RunStore::JOURNAL)).unwrap_or_default();
+    let state = RunState::replay(scan(&bytes).records.iter().map(Vec::as_slice));
     // A compact, order-sensitive digest of the settled verdicts lets a
     // caller compare two nodes' views without shipping every report.
     let mut digest = String::new();
@@ -2231,6 +2220,14 @@ fn dispatch_request(
                     &error_response("", "shutting-down", "daemon is draining"),
                 );
             }
+            // A chaos drill wedges or panics a worker on purpose, so only
+            // the local unix socket may ask for one.
+            if port != Port::Local && request.get("chaos").is_some() {
+                return send(
+                    &mut stream,
+                    &error_response("", "bad-request", "`chaos` is served only on the unix socket"),
+                );
+            }
             let (id, tenant, system, rules, fail_mode) = match gate_fields(&request) {
                 Ok(fields) => fields,
                 Err(reply) => return send(&mut stream, &reply),
@@ -2368,6 +2365,27 @@ mod tests {
     }
 
     #[test]
+    fn run_key_covers_declarations_and_test_summaries() {
+        let reg = registry();
+        let base = version(false);
+        let key = run_key(&base, reg.rules());
+        // Function bodies and test names unchanged, declarations not.
+        let globals = "global sessions: map<int, Session>;";
+        for (from, to) in [
+            ("closing: bool }", "closing: bool, ttl: int }".to_string()),
+            (globals, format!("{globals}\nglobal ttl: int;")),
+        ] {
+            let src = base.program.modules[0].source.replace(from, &to);
+            let program = Program::parse_single("zk", &src).expect("parse");
+            let other = SystemVersion::new(base.label.clone(), program, base.tests.clone());
+            assert_ne!(key, run_key(&other, reg.rules()), "{to}");
+        }
+        let mut summarized = base.clone();
+        summarized.tests[0].summary = "creates a node for a closing session".to_string();
+        assert_ne!(key, run_key(&summarized, reg.rules()));
+    }
+
+    #[test]
     fn durable_run_resumes_and_reuses_verdicts() {
         let dir = tmpdir("resume");
         let reg = registry();
@@ -2403,30 +2421,6 @@ mod tests {
         assert_eq!(passed.reused, 0);
         assert_eq!(passed.fresh, 2);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpointing_preserves_the_verdict_artifact() {
-        let dir_a = tmpdir("ckpt-a");
-        let dir_b = tmpdir("ckpt-b");
-        let reg = registry();
-        let v = version(false);
-        let gate = GateOptions::default();
-        let plain = DurableOptions { state_dir: dir_a.clone(), ..DurableOptions::default() };
-        let ckpt = DurableOptions {
-            state_dir: dir_b.clone(),
-            checkpoint_every: 1,
-            ..DurableOptions::default()
-        };
-        let a = gate_durable(&reg, &v, &config(), &gate, &plain).expect("plain");
-        let b = gate_durable(&reg, &v, &config(), &gate, &ckpt).expect("checkpointed");
-        assert_eq!(a.verdicts_text(), b.verdicts_text());
-        // And a resume over the checkpointed state still reuses.
-        let resumed = gate_durable(&reg, &v, &config(), &gate, &ckpt).expect("resume");
-        assert_eq!(resumed.reused, 2);
-        assert_eq!(resumed.verdicts_text(), a.verdicts_text());
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
     }
 
     #[test]

@@ -255,10 +255,6 @@ impl<J> FairQueues<J> {
         self.tenants.iter().map(|(name, t)| (name.clone(), t.job_timeout)).collect()
     }
 
-    pub fn timeout_of(&self, tenant: &str) -> Duration {
-        self.tenants.get(tenant).map(|t| t.job_timeout).unwrap_or(self.default_timeout)
-    }
-
     fn total_weight(&self) -> u64 {
         self.tenants.values().map(|t| t.weight).sum::<u64>().max(1)
     }

@@ -26,10 +26,6 @@ impl ChainVerdict {
         matches!(self, ChainVerdict::Violated(_))
     }
 
-    pub fn is_engine_error(&self) -> bool {
-        matches!(self, ChainVerdict::EngineError { .. })
-    }
-
     pub fn label(&self) -> &'static str {
         match self {
             ChainVerdict::Verified => "verified",

@@ -4,7 +4,7 @@
 //! artifact: a seeded, randomized registry gated at width 1 and width 8
 //! must render byte-identical reports, emit byte-identical JSON (modulo
 //! wall-clock fields), and journal byte-identical WAL records (widths
-//! 1/2/4/8: fresh, resumed, cross-version and checkpointed runs) — with
+//! 1/2/4/8: fresh, resumed and cross-version runs) — with
 //! the version-scoped cache on *and* off, and under seeded fault
 //! injection.
 
@@ -132,9 +132,6 @@ enum DurableCase {
     /// A previous version gated first in the same state dir, cache on:
     /// the regressed run reuses nothing from it.
     CrossVersion,
-    /// A checkpoint after every fresh verdict: `state.snap` is written and
-    /// the journal is truncated repeatedly.
-    Checkpoint,
 }
 
 /// The regressed ZooKeeper version with one statement added to the body
@@ -167,11 +164,10 @@ fn durable_wal_bytes_are_width_invariant() {
     let previous = previous_version(&zk.versions.regressed);
     for seed in [7, 23] {
         let reg = seeded_registry(&pool, seed);
-        let gate = |dir: &std::path::Path, workers: usize, checkpoint_every: usize, prev: bool| {
+        let gate = |dir: &std::path::Path, workers: usize, prev: bool| {
             let durable = DurableOptions {
                 state_dir: dir.to_path_buf(),
                 workers,
-                checkpoint_every,
                 cache: Some(Arc::new(GateCache::new())),
                 ..DurableOptions::default()
             };
@@ -184,29 +180,25 @@ fn durable_wal_bytes_are_width_invariant() {
                 .join(format!("lisa-par-prop-{seed}-{case:?}-w{workers}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).expect("mkdir");
-            let checkpoint_every = match case {
+            match case {
                 Resume => {
-                    std::fs::write(dir.join("wal.log"), resume_from).expect("cut journal");
-                    0
+                    std::fs::write(dir.join("wal.log"), resume_from).expect("cut journal")
                 }
                 CrossVersion => {
-                    gate(&dir, workers, 0, true);
-                    0
+                    gate(&dir, workers, true);
                 }
-                Checkpoint => 1,
-                Fresh => 0,
-            };
-            let report = gate(&dir, workers, checkpoint_every, false);
+                Fresh => {}
+            }
+            let report = gate(&dir, workers, false);
             let wal = std::fs::read(dir.join("wal.log")).expect("wal");
-            let snap = std::fs::read(dir.join("state.snap")).ok();
             let _ = std::fs::remove_dir_all(&dir);
             let counts = (report.reused, report.fresh);
-            (report.verdicts_text(), report.render(), wal, snap, counts)
+            (report.verdicts_text(), report.render(), wal, counts)
         };
 
         // The resume case starts from the width-1 journal, cut after the
         // record that settles its first rule.
-        let (_, _, full_wal, _, _) = run(Fresh, 1, &[]);
+        let (_, _, full_wal, _) = run(Fresh, 1, &[]);
         let scanned = scan(&full_wal);
         let first_finished = scanned
             .records
@@ -215,23 +207,21 @@ fn durable_wal_bytes_are_width_invariant() {
             .expect("a finished rule");
         let cut = &full_wal[..scanned.boundaries[first_finished] as usize];
 
-        for case in [Fresh, Resume, CrossVersion, Checkpoint] {
+        for case in [Fresh, Resume, CrossVersion] {
             let base = run(case, 1, cut);
-            let (reused, _) = base.4;
+            let (reused, _) = base.3;
             match case {
                 Resume => assert_eq!(reused, 1, "seed {seed}: resume reuses one verdict"),
                 CrossVersion => assert_eq!(reused, 0, "seed {seed}: a previous version donated"),
-                Checkpoint => assert!(base.3.is_some(), "seed {seed}: no snapshot written"),
                 Fresh => {}
             }
             for workers in [2, 4, 8] {
-                let (verdicts, render, wal, snap, counts) = run(case, workers, cut);
+                let (verdicts, render, wal, counts) = run(case, workers, cut);
                 let at = format!("seed {seed}, {case:?} @ width {workers}");
                 assert_eq!(verdicts, base.0, "{at}: verdict text drifted across widths");
                 assert_eq!(render, base.1, "{at}: durable summary drifted across widths");
                 assert_eq!(wal, base.2, "{at}: wal.log bytes drifted across widths");
-                assert_eq!(snap, base.3, "{at}: state.snap bytes drifted across widths");
-                assert_eq!(counts, base.4, "{at}: reuse counts drifted across widths");
+                assert_eq!(counts, base.3, "{at}: reuse counts drifted across widths");
             }
         }
     }

@@ -251,11 +251,6 @@ impl<'p> Interp<'p> {
         self.globals.get(name)
     }
 
-    /// Set a global (for scenario setup).
-    pub fn set_global(&mut self, name: &str, v: Value) {
-        self.globals.insert(name.to_string(), v);
-    }
-
     /// Lines written via `log(..)` so far.
     pub fn log_lines(&self) -> &[String] {
         &self.log_lines
@@ -264,11 +259,6 @@ impl<'p> Interp<'p> {
     /// Current logical clock.
     pub fn clock(&self) -> i64 {
         self.clock
-    }
-
-    /// Advance the logical clock (tests use this to simulate timeouts).
-    pub fn advance_clock(&mut self, by: i64) {
-        self.clock += by;
     }
 
     /// Call a function by name with concrete arguments.

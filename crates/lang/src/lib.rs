@@ -62,5 +62,5 @@ pub use interp::{Interp, NullTracer, RunConfig, RuntimeError, Tracer};
 pub use parser::{parse_module, ParseError};
 pub use program::{Program, ProgramError};
 pub use span::{LineMap, Loc, Span};
-pub use types::{check_program, check_program_strict, TypeError};
+pub use types::{check_program, TypeError};
 pub use value::{Heap, HeapObj, MapKey, RefId, Value};

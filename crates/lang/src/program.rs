@@ -5,7 +5,6 @@ use std::collections::HashMap;
 
 use crate::ast::{FnDecl, GlobalDecl, Module, StructDecl};
 use crate::parser::{parse_module, ParseError};
-use crate::span::LineMap;
 
 /// A complete SIR program (one or more modules, flat namespace).
 #[derive(Debug, Clone, Default)]
@@ -115,11 +114,6 @@ impl Program {
 
     pub fn globals(&self) -> impl Iterator<Item = &GlobalDecl> {
         self.modules.iter().flat_map(|m| m.globals.iter())
-    }
-
-    /// Line map for the module declaring `fn_name` (for trace locations).
-    pub fn linemap_of_fn(&self, fn_name: &str) -> Option<LineMap> {
-        self.module_of_fn(fn_name).map(|m| LineMap::new(m.name.clone(), &m.source))
     }
 
     /// Total statement count across modules (size metric for reports).

@@ -87,14 +87,6 @@ pub fn check_program(program: &Program) -> Vec<TypeError> {
     errors
 }
 
-/// Convenience: check and convert the first error into `Err`.
-pub fn check_program_strict(program: &Program) -> Result<(), TypeError> {
-    match check_program(program).into_iter().next() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
 /// The local variables in scope: a stack searched from the end, so the
 /// latest binding of a name shadows earlier ones. A block records the
 /// stack height on entry and truncates back to it on exit, which drops

@@ -58,13 +58,6 @@ impl Value {
         }
     }
 
-    pub fn as_ref_id(&self) -> Option<RefId> {
-        match self {
-            Value::Ref(r) => Some(*r),
-            _ => None,
-        }
-    }
-
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }

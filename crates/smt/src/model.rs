@@ -145,15 +145,6 @@ impl fmt::Display for Model {
     }
 }
 
-/// Evaluate a term under concrete values (free function convenience).
-pub fn eval_with(term: &Term, values: &HashMap<String, Value>) -> bool {
-    let mut m = Model::new();
-    for (k, v) in values {
-        m.set(k.clone(), v.clone());
-    }
-    m.eval(term)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,15 +51,6 @@ pub enum GateEvent {
     RuleCheckFinished { outcome: RuleOutcome },
     /// The run completed with a final gate decision.
     RunFinished { decision: String },
-    /// A rule was registered (rule-store journal).
-    RuleRegistered {
-        id: String,
-        description: String,
-        target_kind: String,
-        callee: String,
-        caller: String,
-        condition_src: String,
-    },
 }
 
 impl GateEvent {
@@ -86,17 +77,6 @@ impl GateEvent {
             ]),
             GateEvent::RunFinished { decision } => {
                 encode(&[("kind", "run-finished"), ("decision", decision)])
-            }
-            GateEvent::RuleRegistered { id, description, target_kind, callee, caller, condition_src } => {
-                encode(&[
-                    ("kind", "rule-registered"),
-                    ("id", id),
-                    ("description", description),
-                    ("target_kind", target_kind),
-                    ("callee", callee),
-                    ("caller", caller),
-                    ("condition", condition_src),
-                ])
             }
         }
     }
@@ -126,14 +106,6 @@ impl GateEvent {
             "run-finished" => {
                 Ok(GateEvent::RunFinished { decision: field(&fields, "decision")?.to_string() })
             }
-            "rule-registered" => Ok(GateEvent::RuleRegistered {
-                id: field(&fields, "id")?.to_string(),
-                description: field(&fields, "description")?.to_string(),
-                target_kind: field(&fields, "target_kind")?.to_string(),
-                callee: field(&fields, "callee")?.to_string(),
-                caller: field(&fields, "caller")?.to_string(),
-                condition_src: field(&fields, "condition")?.to_string(),
-            }),
             other => Err(format!("unknown event kind {other:?}")),
         }
     }
@@ -164,14 +136,6 @@ mod tests {
             GateEvent::RuleCheckStarted { rule_id: "ZK-1208-r0".to_string() },
             GateEvent::RuleCheckFinished { outcome: sample_outcome("ZK-1208-r0", 1) },
             GateEvent::RunFinished { decision: "BLOCK".to_string() },
-            GateEvent::RuleRegistered {
-                id: "R1".to_string(),
-                description: "desc with\nnewline".to_string(),
-                target_kind: "builtin-in-caller".to_string(),
-                callee: "blocking_io".to_string(),
-                caller: "flush".to_string(),
-                condition_src: "$locks.held == 0".to_string(),
-            },
         ];
         for e in &events {
             let back = GateEvent::decode(&e.encode()).expect("decode");

@@ -7,9 +7,8 @@
 //! times a load, an insert per rule and a save, until lisabench v2
 //! (ROADMAP.md, item 2) retires that mirror.
 //!
-//! The file is a single atomically-replaced snapshot
-//! ([`crate::write_atomic`]): checksummed and framed, so a torn or
-//! corrupt file reads as absent.
+//! The file is replaced atomically as one checksummed frame
+//! (`journal::write_atomic`), so a torn or corrupt file reads as absent.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

@@ -1,4 +1,4 @@
-//! Checksummed append-only write-ahead journal + atomic snapshots.
+//! Checksummed append-only write-ahead journal.
 //!
 //! Frame layout per record: `len: u32 LE | crc: u64 LE | payload`, where
 //! `crc` is FNV-1a over the payload. Recovery semantics on open:
@@ -84,15 +84,6 @@ pub struct Scan {
     pub corrupt: Vec<Vec<u8>>,
     /// Trailing bytes that do not form a complete frame.
     pub torn_bytes: usize,
-}
-
-impl Scan {
-    /// Total bytes of intact + corrupt frames (everything before the torn
-    /// tail).
-    pub fn framed_len(&self) -> u64 {
-        self.boundaries.last().copied().unwrap_or(0)
-            + self.corrupt.iter().map(|c| c.len() as u64).sum::<u64>()
-    }
 }
 
 /// Scan `bytes` as a journal. Corrupt frames are collected (framing is
@@ -309,24 +300,7 @@ impl Journal {
         Ok(())
     }
 
-    /// Current journal length in bytes (end of the last good frame).
-    pub fn len_bytes(&self) -> u64 {
-        self.good_end
-    }
-
-    /// Truncate the file back to the last good frame boundary, discarding
-    /// any torn bytes a failed [`Journal::append`] left behind. Callers
-    /// that keep appending after a failed append must repair first:
-    /// records written after a torn frame are unreachable to `scan` (it
-    /// stops at the tear), so they would be acknowledged and then
-    /// silently lost on the next open.
-    pub fn repair_tail(&mut self) -> io::Result<()> {
-        self.file.set_len(self.good_end)?;
-        self.file.sync_data()?;
-        Ok(())
-    }
-
-    /// Discard all records (used after a checkpoint has absorbed them).
+    /// Discard all records (used when a run's stale journal is archived).
     pub fn reset(&mut self) -> io::Result<()> {
         self.file.set_len(0)?;
         self.file.sync_data()?;
@@ -337,36 +311,20 @@ impl Journal {
 
 /// Write `payload` to `path` atomically as one checksummed frame:
 /// write-temp + fsync + rename, so readers observe either the old
-/// snapshot or the new one, never a partial write.
-pub fn write_atomic(path: &Path, payload: &[u8]) -> io::Result<()> {
-    let mut span = lisa_telemetry::span_with(
-        "store.snapshot",
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string(),
-    );
-    span.arg("bytes", payload.len() as u64);
-    if lisa_telemetry::metrics_enabled() {
-        let start = std::time::Instant::now();
-        let result = write_file_atomic(path, &frame(payload));
-        lisa_telemetry::counter_add("store.snapshots", 1);
-        lisa_telemetry::histogram_record(
-            "store.snapshot_us",
-            start.elapsed().as_micros() as u64,
-        );
-        result
-    } else {
-        write_file_atomic(path, &frame(payload))
-    }
+/// file or the new one, never a partial write.
+pub(crate) fn write_atomic(path: &Path, payload: &[u8]) -> io::Result<()> {
+    write_file_atomic(path, &frame(payload))
 }
 
 /// Write raw `bytes` to `path` atomically (write-temp + fsync + rename),
 /// with no framing added. Used by compaction and by replication, where
-/// the bytes being installed are already a framed journal or snapshot
-/// and must land byte-identical to the leader's copy.
+/// the bytes being installed are already a framed journal and must land
+/// byte-identical to the leader's copy.
 pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    // Unique temp name per write: `rules.snap` and `rules.log` live in
-    // the same directory, and another process may be checkpointing the
-    // same store — a shared `.tmp` name would let one writer clobber the
-    // other's half-written frame and rename garbage into place.
+    // Unique temp name per write: two files of one directory, or two
+    // processes writing the same file, must never share a `.tmp` name —
+    // one writer would clobber the other's half-written frame and rename
+    // garbage into place.
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or("store");
     let tmp = path.with_file_name(format!(
@@ -394,10 +352,10 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Read an atomic snapshot written by [`write_atomic`]. Returns `None`
-/// when the file is absent *or* fails its checksum — a corrupt snapshot
-/// is ignored, never trusted.
-pub fn read_atomic(path: &Path) -> Option<Vec<u8>> {
+/// Read a file written by [`write_atomic`]. Returns `None` when the file
+/// is absent *or* fails its checksum — a corrupt file is ignored, never
+/// trusted.
+pub(crate) fn read_atomic(path: &Path) -> Option<Vec<u8>> {
     let mut bytes = Vec::new();
     File::open(path).ok()?.read_to_end(&mut bytes).ok()?;
     let scanned = scan(&bytes);
@@ -550,7 +508,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_and_corruption_rejection() {
         let dir = tmpdir("snap");
-        let path = dir.join("state.snap");
+        let path = dir.join("atomic.bin");
         write_atomic(&path, b"snapshot-state").expect("write");
         assert_eq!(read_atomic(&path).as_deref(), Some(b"snapshot-state".as_slice()));
         // Corrupt one byte: the snapshot must be ignored, not trusted.
@@ -568,36 +526,6 @@ mod tests {
         fn on_append(&self, len: usize) -> Option<IoFault> {
             Some(IoFault::Torn { keep: len / 2 })
         }
-    }
-
-    struct TornOnce(std::sync::atomic::AtomicUsize);
-    impl IoFaults for TornOnce {
-        fn on_append(&self, len: usize) -> Option<IoFault> {
-            if self.0.fetch_add(1, Ordering::Relaxed) == 0 {
-                Some(IoFault::Torn { keep: len / 2 })
-            } else {
-                None
-            }
-        }
-    }
-
-    #[test]
-    fn repair_tail_makes_post_failure_appends_reachable() {
-        let dir = tmpdir("repair");
-        let path = dir.join("wal");
-        {
-            let (mut j, _) = Journal::open(&path, Some(Arc::new(TornOnce(Default::default()))))
-                .expect("open");
-            assert!(j.append(b"torn").is_err());
-            // Without the repair, this record would sit behind the torn
-            // frame and be dropped by the next open's scan.
-            j.repair_tail().expect("repair");
-            j.append(b"kept").expect("append after repair");
-        }
-        let (_, report) = Journal::open(&path, None).expect("reopen");
-        assert_eq!(report.records, vec![b"kept".to_vec()]);
-        assert_eq!(report.truncated_bytes, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

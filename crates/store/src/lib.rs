@@ -1,23 +1,20 @@
 //! # lisa-store
 //!
 //! Durable state for the enforcement gate. The paper's end state is LISA
-//! as a *persistent* regression firewall — rules accumulate forever and
-//! every change is gated on the full set — which only works if the gate's
-//! own state survives crashes, partial writes, and restarts without
-//! silently dropping rules or redoing hours of concolic work.
+//! as a *persistent* regression firewall — every change is gated on the
+//! full rule set — which only works if a gate run's settled verdicts
+//! survive crashes, partial writes, and restarts without redoing hours
+//! of concolic work. A run's one durable artifact is its journal,
+//! `wal.log`; rules always come from a rules file, never from the store.
 //!
 //! - [`journal`] — a checksummed, append-only write-ahead journal with
-//!   torn-tail truncation, per-record quarantine of corrupt frames, and
-//!   atomic (write-temp + fsync + rename) snapshot checkpoints. I/O
-//!   faults are injectable at every seam via [`IoFaults`].
-//! - [`event`] — the gate event vocabulary (rule registered, check
-//!   started/finished, run verdict) and its self-describing text codec.
-//! - [`run`] — per-run recovery: replaying journal + snapshot yields the
-//!   set of already-settled rule verdicts, so a killed gate run resumes
-//!   without re-checking them.
-//! - [`rules`] — the persistent rule store backing `RuleRegistry`:
-//!   replace-in-place registration semantics hold across process
-//!   restarts.
+//!   torn-tail truncation and per-record quarantine of corrupt frames.
+//!   I/O faults are injectable at every seam via [`IoFaults`].
+//! - [`event`] — the run's event vocabulary (run started, check
+//!   started/finished, run finished) and its self-describing text codec.
+//! - [`run`] — per-run recovery: replaying the journal yields the set of
+//!   already-settled rule verdicts, so a killed gate run resumes without
+//!   re-checking them.
 //! - [`codec`] — the escaped `key=value` field codec all records share.
 //! - [`repl`] — leader→follower journal shipping: a publisher bus fed by
 //!   the store's mutation seams, a CRC'd wire frame codec (same envelope
@@ -36,20 +33,15 @@ pub mod fingerprints;
 pub mod journal;
 pub mod repl;
 pub mod run;
-pub mod rules;
 
 pub use event::{GateEvent, RuleOutcome};
 pub use fingerprints::FingerprintFile;
-pub use journal::{
-    read_atomic, scan, write_atomic, write_file_atomic, IoFault, IoFaults, Journal, OpenReport,
-    Scan,
-};
+pub use journal::{scan, write_file_atomic, IoFault, IoFaults, Journal, OpenReport, Scan};
 pub use repl::{
     decode_wire, encode_wire, Applier, BusPoll, FrameDecoder, ReplBus, ReplEvent, StreamFault,
     StreamFaults, Wire, MAX_WIRE_FRAME, REPL_VERSION,
 };
 pub use run::{RunState, RunStore};
-pub use rules::RuleStore;
 
 use std::fmt;
 

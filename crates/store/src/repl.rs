@@ -2,8 +2,8 @@
 //!
 //! The store layer is single-node; this module makes its *state*
 //! replicable. A leader publishes every durable mutation of its state
-//! root — journal record appends, atomic file (snapshot) writes, journal
-//! resets — onto a [`ReplBus`]; subscribers (followers) receive those
+//! root — journal record appends and journal resets — onto a
+//! [`ReplBus`]; subscribers (followers) receive those
 //! mutations as length-prefixed, CRC'd wire frames and apply them into
 //! their own state root with an [`Applier`]. Because the follower's root
 //! is maintained as a byte-faithful mirror of the leader's journals, a
@@ -48,7 +48,7 @@ use crate::journal::{fnv1a, frame, write_file_atomic, FRAME_HEADER, MAX_RECORD};
 /// any binary frame flows.
 pub const REPL_VERSION: u64 = 1;
 
-/// Upper bound on one wire frame payload: a full record or snapshot plus
+/// Upper bound on one wire frame payload: a full record or file plus
 /// headroom for the header and a path. A length above this is treated as
 /// corruption, never allocated.
 pub const MAX_WIRE_FRAME: u32 = MAX_RECORD + 4096;
@@ -64,11 +64,11 @@ const MAX_PATH: usize = 512;
 /// *relative* to the state root on both sides.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplEvent {
-    /// Replace the whole file atomically (initial sync, checkpoints).
+    /// Replace the whole file atomically (the initial full sync).
     FileSnapshot { path: String, data: Vec<u8> },
     /// Append one journal record (the payload, not the framed bytes).
     Append { path: String, record: Vec<u8> },
-    /// Truncate a journal to empty (checkpoint absorbed it).
+    /// Truncate a journal to empty (a stale run was archived).
     Reset { path: String },
 }
 
@@ -380,13 +380,6 @@ impl ReplBus {
         }
     }
 
-    /// Publish an atomic whole-file write (`data` is the on-disk bytes).
-    pub fn publish_file(&self, path: &Path, data: &[u8]) {
-        if let Some(path) = self.rel(path) {
-            self.publish(ReplEvent::FileSnapshot { path, data: data.to_vec() });
-        }
-    }
-
     /// Publish a journal truncation.
     pub fn publish_reset(&self, path: &Path) {
         if let Some(path) = self.rel(path) {
@@ -596,7 +589,7 @@ mod tests {
             Wire::Event {
                 seq: 7,
                 event: ReplEvent::FileSnapshot {
-                    path: "job/state.snap".into(),
+                    path: "job/wal.log".into(),
                     data: vec![0, 1, 2, 255],
                 },
             },
@@ -703,9 +696,9 @@ mod tests {
             assert!(applier.apply(&ev).is_err(), "{bad:?} must be refused");
         }
         // A normal nested path is fine.
-        let ev = ReplEvent::FileSnapshot { path: "job-1/state.snap".into(), data: vec![7] };
+        let ev = ReplEvent::FileSnapshot { path: "job-1/wal.log".into(), data: vec![7] };
         applier.apply(&ev).expect("safe path applies");
-        assert_eq!(std::fs::read(dir.join("job-1/state.snap")).expect("read"), vec![7]);
+        assert_eq!(std::fs::read(dir.join("job-1/wal.log")).expect("read"), vec![7]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

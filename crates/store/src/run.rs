@@ -1,5 +1,9 @@
-//! Per-run recovery state: journal + snapshot → the set of settled
-//! verdicts a resumed gate run does not need to recompute.
+//! Per-run recovery state: journal → the set of settled verdicts a
+//! resumed gate run does not need to recompute.
+//!
+//! A run's journal holds `run-started`, two records per checked rule and
+//! `run-finished`: it never grows past the rule set, so it is the run's
+//! one durable artifact and there is nothing to compact.
 //!
 //! Invariants (DESIGN.md §10):
 //!
@@ -9,16 +13,15 @@
 //!    which at worst re-checks a rule).
 //! 2. **Replay idempotence** — applying a journal twice yields the same
 //!    state as once (`RuleCheckFinished` replaces by rule id).
-//! 3. **Checkpoint equivalence** — snapshot + tail replay ≡ full-journal
-//!    replay (the snapshot *is* an encoded event sequence).
-//! 4. **Key isolation** — a journal written under a different
-//!    `run_key` (other version or rule set) is archived, never replayed.
+//! 3. **Key isolation** — a journal written under a different run key
+//!    (other version, rule set, configuration or fault plan) is
+//!    archived, never replayed.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::event::{GateEvent, RuleOutcome};
-use crate::journal::{read_atomic, scan, write_atomic, IoFaults, Journal};
+use crate::journal::{IoFaults, Journal};
 use crate::repl::ReplBus;
 use crate::StoreError;
 
@@ -61,8 +64,6 @@ impl RunState {
             GateEvent::RunFinished { decision } => {
                 self.decision = Some(decision.clone());
             }
-            // Rule registrations belong to the rule store, not a run.
-            GateEvent::RuleRegistered { .. } => {}
         }
     }
 
@@ -82,40 +83,10 @@ impl RunState {
     pub fn finished_outcome(&self, rule_id: &str) -> Option<&RuleOutcome> {
         self.finished.iter().find(|o| o.rule_id == rule_id)
     }
-
-    /// Encode the state as a snapshot payload: a framed event sequence,
-    /// so snapshot decoding *is* journal replay (invariant 3 by
-    /// construction).
-    pub fn to_snapshot(&self) -> Vec<u8> {
-        let mut events = Vec::new();
-        if let Some(key) = &self.run_key {
-            events.push(GateEvent::RunStarted { run_key: key.clone() });
-        }
-        for id in &self.started {
-            events.push(GateEvent::RuleCheckStarted { rule_id: id.clone() });
-        }
-        for o in &self.finished {
-            events.push(GateEvent::RuleCheckFinished { outcome: o.clone() });
-        }
-        if let Some(d) = &self.decision {
-            events.push(GateEvent::RunFinished { decision: d.clone() });
-        }
-        let mut bytes = Vec::new();
-        for e in &events {
-            bytes.extend_from_slice(&crate::journal::frame(&e.encode()));
-        }
-        bytes
-    }
-
-    /// Decode a snapshot payload produced by [`RunState::to_snapshot`].
-    pub fn from_snapshot(payload: &[u8]) -> RunState {
-        let scanned = scan(payload);
-        RunState::replay(scanned.records.iter().map(|r| r.as_slice()))
-    }
 }
 
-/// Durable store for one gate run: a write-ahead journal plus an atomic
-/// snapshot checkpoint, rooted at a directory.
+/// Durable store for one gate run: a write-ahead journal rooted at a
+/// directory.
 pub struct RunStore {
     dir: PathBuf,
     journal: Journal,
@@ -128,18 +99,15 @@ pub struct RunStore {
     repl: Option<Arc<ReplBus>>,
     pub state: RunState,
     pub warnings: Vec<String>,
-    /// Records recovered from disk on open (journal tail only, excluding
-    /// the snapshot).
+    /// Records recovered from the journal on open.
     pub recovered_records: usize,
 }
 
 impl RunStore {
-    /// Snapshot file name inside a run's state directory.
-    pub const SNAPSHOT: &'static str = "state.snap";
     /// Write-ahead journal file name inside a run's state directory.
     pub const JOURNAL: &'static str = "wal.log";
 
-    /// Open the store for `run_key`, replaying snapshot + journal. State
+    /// Open the store for `run_key`, replaying the journal. State
     /// journaled under a *different* key is archived (`*.stale`) and a
     /// fresh run is started.
     pub fn open(
@@ -150,8 +118,8 @@ impl RunStore {
         RunStore::open_replicated(dir, run_key, faults, None)
     }
 
-    /// [`RunStore::open`] with a replication bus attached: every append,
-    /// checkpoint, and reset is also published for follower shipping.
+    /// [`RunStore::open`] with a replication bus attached: every append
+    /// and reset is also published for follower shipping.
     pub fn open_replicated(
         dir: impl Into<PathBuf>,
         run_key: &str,
@@ -160,19 +128,8 @@ impl RunStore {
     ) -> Result<RunStore, StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let snap_path = dir.join(Self::SNAPSHOT);
-        let wal_path = dir.join(Self::JOURNAL);
-
-        let mut state = match read_atomic(&snap_path) {
-            Some(payload) => RunState::from_snapshot(&payload),
-            None => RunState::default(),
-        };
-        let (journal, report) = Journal::open(&wal_path, faults.clone())?;
-        for record in &report.records {
-            if let Ok(event) = GateEvent::decode(record) {
-                state.apply(&event);
-            }
-        }
+        let (journal, report) = Journal::open(dir.join(Self::JOURNAL), faults)?;
+        let state = RunState::replay(report.records.iter().map(Vec::as_slice));
         let mut store = RunStore {
             dir,
             journal,
@@ -197,7 +154,8 @@ impl RunStore {
             if store.state.run_key.is_some() {
                 store.archive_stale()?;
                 store.warnings.push(
-                    "journal belonged to a different (version, rules) run; archived as .stale"
+                    "journal belonged to a different run (version, rules, configuration or \
+                     fault plan); archived as .stale"
                         .to_string(),
                 );
             }
@@ -216,27 +174,17 @@ impl RunStore {
             }
         }
         self.journal.reset()?;
-        let snap = self.dir.join(Self::SNAPSHOT);
-        if snap.exists() {
-            let _ = std::fs::rename(&snap, self.dir.join("state.snap.stale"));
-        }
         if let Some(bus) = &self.repl {
-            // Mirror the archival on followers by emptying both files: an
-            // empty snapshot reads as absent, an empty journal replays
-            // nothing, and the RunStarted that follows starts the fresh
-            // run on both sides.
+            // Mirror the archival on followers by emptying the journal:
+            // an empty journal replays nothing, and the RunStarted that
+            // follows starts the fresh run on both sides.
             bus.publish_reset(&self.dir.join(Self::JOURNAL));
-            bus.publish_reset(&snap);
         }
         Ok(())
     }
 
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    pub fn journal_path(&self) -> PathBuf {
-        self.dir.join(Self::JOURNAL)
     }
 
     /// True while appends are still reaching disk.
@@ -276,27 +224,6 @@ impl RunStore {
 
     pub fn record_run_finished(&mut self, decision: &str) {
         self.append(&GateEvent::RunFinished { decision: decision.to_string() });
-    }
-
-    /// Checkpoint: write the current state as an atomic snapshot and
-    /// truncate the journal it absorbs. Crash-safe at every point — the
-    /// rename is atomic and the journal is only reset after the snapshot
-    /// is durable.
-    pub fn checkpoint(&mut self) -> Result<(), StoreError> {
-        let payload = self.state.to_snapshot();
-        let snap = self.dir.join(Self::SNAPSHOT);
-        write_atomic(&snap, &payload)?;
-        if let Some(bus) = &self.repl {
-            // Ship the on-disk bytes (the framed payload) so the
-            // follower's snapshot is byte-identical, then the reset in
-            // the same order the leader applied them.
-            bus.publish_file(&snap, &crate::journal::frame(&payload));
-        }
-        self.journal.reset()?;
-        if let Some(bus) = &self.repl {
-            bus.publish_reset(&self.dir.join(Self::JOURNAL));
-        }
-        Ok(())
     }
 }
 
@@ -358,14 +285,16 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_then_tail_equals_full_history() {
-        let dir = tmpdir("ckpt");
+    fn reopen_then_tail_equals_full_history() {
+        let dir = tmpdir("reopen");
         {
             let mut store = RunStore::open(&dir, "k", None).expect("open");
             store.record_finished(outcome("A", 0));
             store.record_finished(outcome("B", 1));
-            store.checkpoint().expect("checkpoint");
-            // Journal now empty; tail events follow the snapshot.
+        }
+        {
+            // A resumed process appends its tail to the same journal.
+            let mut store = RunStore::open(&dir, "k", None).expect("resume");
             store.record_finished(outcome("B", 0)); // replaced in place
             store.record_finished(outcome("C", 2));
             store.record_run_finished("BLOCK");
@@ -394,7 +323,6 @@ mod tests {
                 RunStore::open_replicated(&job_dir, "k", None, Some(bus.clone())).expect("open");
             store.record_started("A");
             store.record_finished(outcome("A", 0));
-            store.checkpoint().expect("checkpoint");
             store.record_started("B");
             store.record_finished(outcome("B", 1));
             store.record_run_finished("BLOCK");
@@ -411,12 +339,6 @@ mod tests {
             }
             other => panic!("expected frames, got {other:?}"),
         }
-        // Snapshot bytes must mirror exactly; the journal tails may
-        // differ only if the leader compacted (it did not here).
-        assert_eq!(
-            std::fs::read(job_dir.join("state.snap")).expect("leader snap"),
-            std::fs::read(follower_root.join("job-1/state.snap")).expect("follower snap"),
-        );
         assert_eq!(
             std::fs::read(job_dir.join("wal.log")).expect("leader wal"),
             std::fs::read(follower_root.join("job-1/wal.log")).expect("follower wal"),

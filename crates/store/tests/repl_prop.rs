@@ -4,10 +4,8 @@
 //! [`RunStore`] open path lands in exactly the state the leader held
 //! when that frame was published.
 //!
-//! This is the replication analogue of `prop.rs`'s "checkpoint + tail ≡
-//! full journal": here the claim is "shipped (snapshot + record tail) ≡
-//! leader's in-memory state", over randomized interleavings of appends,
-//! checkpoints, and kill points.
+//! The claim is "shipped record stream ≡ leader's in-memory state", over
+//! randomized sequences of appends and kill points.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -56,8 +54,7 @@ fn shipped_prefix_recovers_to_the_leaders_state_at_that_frame() {
         // Random op sequence. After every op, record the frames it
         // published and the leader's state once it settled — one shadow
         // entry per frame, because a kill can land between any two
-        // frames (including between a checkpoint's snapshot and reset,
-        // where the state is unchanged by construction).
+        // frames.
         let mut pos = 0u64;
         let mut frames: Vec<Vec<u8>> = Vec::new();
         let mut shadows: Vec<RunState> = Vec::new();
@@ -67,7 +64,7 @@ fn shipped_prefix_recovers_to_the_leaders_state_at_that_frame() {
         }
         let ops = 4 + rng.gen_index(12);
         for _ in 0..ops {
-            match rng.gen_index(4) {
+            match rng.gen_index(3) {
                 0 => store.record_started(&format!("R{}", rng.gen_index(5))),
                 1 => {
                     let violated = rng.gen_index(2) as u64;
@@ -83,8 +80,7 @@ fn shipped_prefix_recovers_to_the_leaders_state_at_that_frame() {
                         retries: rng.gen_index(3) as u64,
                     });
                 }
-                2 => store.record_run_finished(if rng.gen_bool(0.5) { "PASS" } else { "BLOCK" }),
-                _ => store.checkpoint().expect("checkpoint"),
+                _ => store.record_run_finished(if rng.gen_bool(0.5) { "PASS" } else { "BLOCK" }),
             }
             for f in drain(&bus, &mut pos) {
                 frames.push(f);

@@ -212,3 +212,46 @@ fn json_format_emits_machine_readable_gate() {
     // No human-readable noise in json mode.
     assert!(!out.contains("== LISA gate"), "{out}");
 }
+
+#[test]
+fn a_faulted_durable_run_never_answers_a_clean_one() {
+    // The CI cache-smoke fixture: no `admin_reship`, two rules, and the
+    // gate passes.
+    let fx = Fixture::new("fault-resume");
+    let reship = SYSTEM.find("fn admin_reship").expect("admin_reship");
+    let seed = SYSTEM.find("fn seed").expect("seed");
+    let system: String = format!("{}{}", &SYSTEM[..reship], &SYSTEM[seed..])
+        .lines()
+        .filter(|l| !l.starts_with("fn test_reship"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(!system.contains("reship"), "{system}");
+    std::fs::write(fx.dir.join("orders.sir"), system).expect("write");
+    std::fs::write(
+        fx.dir.join("rules.txt"),
+        "when calling ship_order, require o != null && o.paid == true && o.cancelled == false\n\
+         when calling ship_order, require o.cancelled == false\n",
+    )
+    .expect("write");
+    let (system, rules) = (fx.system(), fx.rules());
+    let gate = |state: &str, extra: &[&str]| {
+        let dir = fx.dir.join(state).to_string_lossy().into_owned();
+        let mut args = vec!["gate", "--system", &system, "--rules", &rules, "--state", &dir];
+        args.extend_from_slice(extra);
+        fx.run(&args)
+    };
+    let (_, out) = gate("state", &["--fault-seed", "3", "--fault-rate", "1.0"]);
+    assert!(out.contains("engine_errors=1"), "the drill must fault a rule: {out}");
+    // A clean run in the drill's state dir decides like one in a fresh
+    // dir: the faulted verdicts are archived, never resumed.
+    let (code, out) = gate("state", &[]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("PASS — 2 rule(s), 0 reused from journal, 2 fresh"), "{out}");
+    let (code, out) = gate("fresh", &[]);
+    assert_eq!(code, 0, "{out}");
+    assert_eq!(
+        std::fs::read(fx.dir.join("state/wal.log")).expect("wal"),
+        std::fs::read(fx.dir.join("fresh/wal.log")).expect("fresh wal"),
+        "a used state dir must journal what a fresh one does"
+    );
+}

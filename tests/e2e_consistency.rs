@@ -1,6 +1,6 @@
 //! Cross-cutting consistency properties over the full corpus:
 //! configuration choices that must not change *verdicts* (only cost),
-//! and the persistence layer round-tripping real pipeline evidence.
+//! and every reported violation standing when judged again.
 
 use lisa::{Pipeline, PipelineConfig, TestSelection};
 use lisa_concolic::Policy;
@@ -69,37 +69,24 @@ fn rag_selection_matches_exhaustive_on_regressed_versions() {
 }
 
 #[test]
-fn trace_logs_roundtrip_real_pipeline_evidence() {
-    // Persist every violation's π from the corpus sweep and re-judge
-    // offline: the same violations must reappear.
-    use lisa_concolic::tracelog::{decode, encode, rejudge, TraceRecord};
-    let mut records = Vec::new();
-    let mut rules: Vec<(usize, SemanticRule)> = Vec::new();
+fn every_corpus_violation_still_violates_when_judged_again() {
+    // Judge every violation's π from the corpus sweep again, straight
+    // through the solver: each must still violate its rule's condition.
+    let mut violations = 0;
     for case in all_cases() {
         let rule = mined_rule(&case);
         let report = pipeline(TestSelection::All, Policy::RelevantOnly)
             .check_rule(&case.versions.regressed, &rule);
         for v in report.violations() {
-            records.push(TraceRecord {
-                test: v.test.clone(),
-                caller: v.chain.last().cloned().unwrap_or_default(),
-                callee: rule.target.callee().to_string(),
-                pi: v.pi.clone(),
-                chain: v.chain.clone(),
-                locks_held: 0,
-            });
-            rules.push((records.len() - 1, rule.clone()));
+            violations += 1;
+            assert!(
+                lisa_smt::violates(&v.pi, &rule.condition).is_some(),
+                "{}: violation must re-judge as violating",
+                case.meta.id
+            );
         }
     }
-    assert!(records.len() >= 16, "one violation per case expected, got {}", records.len());
-    let blob = encode(&records);
-    let decoded = decode(blob).expect("decode");
-    assert_eq!(decoded.len(), records.len());
-    // Offline re-judging flags every persisted violation again.
-    for (idx, rule) in &rules {
-        let flagged = rejudge(&decoded[*idx..*idx + 1], &rule.condition);
-        assert_eq!(flagged.len(), 1, "persisted violation must re-judge as violating");
-    }
+    assert!(violations >= 16, "one violation per case expected, got {violations}");
 }
 
 #[test]

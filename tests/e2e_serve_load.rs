@@ -430,6 +430,27 @@ fn deeply_nested_request_gets_bad_request_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn chaos_drills_are_refused_on_the_tcp_listener() {
+    let fx = Fixture::new("chaos");
+    let daemon = Daemon::start(&fx, "chaos", &["--workers", "1"]);
+    let gate = gate_line("c-1", "default", &fx.path("sys"), &fx.path("rules.txt"));
+    for drill in ["stall", "panic"] {
+        let line = format!("{},\"chaos\":\"{drill}\"}}", gate.trim_end_matches('}'));
+        let stream = TcpStream::connect(&daemon.addr).expect("tcp connect");
+        stream.set_read_timeout(Some(Duration::from_secs(1))).expect("read timeout");
+        let started = Instant::now();
+        let reply = exchange(&stream, &stream, &line)
+            .unwrap_or_else(|| panic!("no reply to a {drill} drill within 1 s"));
+        assert!(started.elapsed() < Duration::from_secs(1), "{drill}: {reply}");
+        let json = Json::parse(reply.trim()).expect("reply parses");
+        assert_eq!(json.str_of("status"), Some("bad-request"), "{drill}: {reply}");
+    }
+    let stats = Json::parse(daemon.tcp("{\"v\":1,\"op\":\"stats\"}").trim()).expect("stats");
+    assert_eq!(stats.u64_of("respawned_workers"), Some(0));
+    assert_eq!(stats.u64_of("retries"), Some(0));
+}
+
+#[test]
 fn stats_reports_per_tenant_depth_and_tail_latency() {
     let fx = Fixture::new("stats");
     let daemon = Daemon::start(&fx, "stats", &["--workers", "2", "--tenants", "acme:4,beta:1"]);
