@@ -90,8 +90,11 @@ pub const PROTOCOL_VERSION: u64 = 1;
 // ---------------------------------------------------------------------------
 
 /// Load every `.sir` file under `dir` (sorted, non-recursive) into one
-/// program; discover tests by prefix.
+/// program; discover tests by prefix. Traced as `lang.load`, with the
+/// parse and the type check as its `lang.parse` and `lang.check`
+/// children; the rest of the span is reading the directory and files.
 pub fn load_system(dir: &str, test_prefix: &str) -> Result<SystemVersion, String> {
+    let _load = lisa_telemetry::span("lang.load");
     let dir = Path::new(dir);
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
@@ -111,8 +114,14 @@ pub fn load_system(dir: &str, test_prefix: &str) -> Result<SystemVersion, String
     }
     let refs: Vec<(&str, &str)> =
         sources.iter().map(|(n, t)| (n.as_str(), t.as_str())).collect();
-    let program = Program::parse(&refs).map_err(|e| e.to_string())?;
-    let errors = lisa_lang::check_program(&program);
+    let program = {
+        let _parse = lisa_telemetry::span("lang.parse");
+        Program::parse(&refs).map_err(|e| e.to_string())?
+    };
+    let errors = {
+        let _check = lisa_telemetry::span("lang.check");
+        lisa_lang::check_program(&program)
+    };
     if !errors.is_empty() {
         let msgs: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
         return Err(format!("type errors:\n  {}", msgs.join("\n  ")));
@@ -342,7 +351,8 @@ impl DurableGateReport {
 
 /// One rule's slot in a durable run.
 enum DurableSlot {
-    /// Finished in the journal already (resume): nothing to append.
+    /// Finished in full in the journal already (resume): nothing to
+    /// append.
     Journaled,
     /// Checked by the engine ([`SlotHook::settled`]), not yet journaled.
     Settled(RuleOutcome),
@@ -445,11 +455,15 @@ pub fn gate_durable(
     let mut warnings = std::mem::take(&mut store.warnings);
     let recovered_records = store.recovered_records;
 
+    // A degraded outcome is checked again: the deadline that cut it
+    // short is not part of the journal key, so this run may have none.
+    // Its new `RuleCheckFinished` replaces the old one by rule id, as the
+    // rule-report memo likewise never keeps a degraded report.
     let slots: Vec<DurableSlot> = rules
         .iter()
         .map(|rule| match store.state.finished_outcome(&rule.id) {
-            Some(_) => DurableSlot::Journaled,
-            None => DurableSlot::Pending,
+            Some(outcome) if !outcome.degraded => DurableSlot::Journaled,
+            _ => DurableSlot::Pending,
         })
         .collect();
     let pending: Vec<bool> = slots.iter().map(|s| matches!(s, DurableSlot::Pending)).collect();
@@ -2495,6 +2509,34 @@ mod tests {
         assert_eq!(expired.len(), 1, "one deadline for the run: {:?}", report.warnings);
         assert!(expired[0].contains("2 rule(s)"), "{expired:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn degraded_journaled_outcomes_are_checked_again_in_full() {
+        let run = |dir: &PathBuf, gate: &GateOptions| {
+            let durable = DurableOptions { state_dir: dir.clone(), ..DurableOptions::default() };
+            gate_durable(&registry(), &version(false), &config(), gate, &durable).expect("run")
+        };
+        let dir = tmpdir("deadline-then-full");
+        let expired = GateOptions { deadline: Some(Duration::ZERO), ..GateOptions::default() };
+        let cut = run(&dir, &expired);
+        assert!(cut.outcomes.iter().all(|o| o.degraded), "every rule degrades");
+
+        let full = run(&dir, &GateOptions::default());
+        assert_eq!((full.reused, full.fresh), (0, 2), "degraded outcomes are not reused");
+        assert!(full.outcomes.iter().all(|o| !o.degraded), "{:?}", full.outcomes);
+
+        // The same run in a fresh state dir decides identically, and a
+        // third run now reuses the full outcomes.
+        let fresh_dir = tmpdir("deadline-then-full-fresh");
+        let fresh = run(&fresh_dir, &GateOptions::default());
+        assert_eq!(full.decision, fresh.decision);
+        assert_eq!(full.outcomes, fresh.outcomes);
+        let again = run(&dir, &GateOptions::default());
+        assert_eq!((again.reused, again.fresh), (2, 0));
+        assert_eq!(again.outcomes, full.outcomes);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&fresh_dir);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Golden fingerprints: a pin on the rule-report memo's key inputs for
 //! every corpus version.
 //!
-//! Program fingerprints key the rule-report memo. Nothing writes them to
-//! disk, but a value that moved without notice would silently split or
-//! merge memo keys, so the values below are pinned anyway: any change to
-//! the canonical rendering or to the hashing moves a value in the table
-//! and fails this test.
+//! Program fingerprints key the rule-report memo, and they reach disk:
+//! a durable run's journal key (`wal.log`'s `run-started` record) hashes
+//! `SystemVersion::fingerprint`, which hashes the program fingerprint. A
+//! value that moved without notice would silently split or merge memo
+//! keys and make every journaled run re-check once, so the values below
+//! are pinned: any change to the canonical rendering or to the hashing
+//! moves a value in the table and fails this test.
 
 use lisa_corpus::all_cases;
 use lisa_lang::pretty::print_module;

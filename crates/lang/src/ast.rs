@@ -46,15 +46,7 @@ impl Type {
 
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Type::Int => write!(f, "int"),
-            Type::Bool => write!(f, "bool"),
-            Type::Str => write!(f, "str"),
-            Type::Struct(n) => write!(f, "{n}"),
-            Type::Map(k, v) => write!(f, "map<{k}, {v}>"),
-            Type::List(t) => write!(f, "list<{t}>"),
-            Type::Unit => write!(f, "unit"),
-        }
+        crate::pretty::write_type(f, self)
     }
 }
 
@@ -109,9 +101,10 @@ pub enum BinOp {
     Or,
 }
 
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl BinOp {
+    /// The operator as written in source.
+    pub fn symbol(self) -> &'static str {
+        match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
             BinOp::Mul => "*",
@@ -125,8 +118,13 @@ impl fmt::Display for BinOp {
             BinOp::Ge => ">=",
             BinOp::And => "&&",
             BinOp::Or => "||",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for BinOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.symbol())
     }
 }
 

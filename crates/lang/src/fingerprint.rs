@@ -10,17 +10,23 @@
 //!
 //! The printer streams straight into the hasher (FNV-1a consumes bytes
 //! one at a time, so hashing the pieces equals hashing the whole
-//! rendering). Nothing persists fingerprint values; they live only in
-//! memory, as memo key inputs. `crates/corpus/tests/fingerprint_golden.rs`
-//! still pins them per corpus version, so a change to the rendering or
-//! the hashing is a deliberate, visible one.
+//! rendering).
+//!
+//! Fingerprint values are persisted, indirectly: a durable run's journal
+//! key (the `run-started` record of `wal.log`) hashes
+//! `SystemVersion::fingerprint`, which hashes [`fingerprint_program`]. A
+//! change to the rendering or the hashing therefore makes every journaled
+//! run re-check once, its old journal archived as stale, besides
+//! splitting memo keys. `crates/corpus/tests/fingerprint_golden.rs` pins
+//! the values per corpus version, so such a change is a deliberate,
+//! visible one.
 
 use std::collections::BTreeMap;
 
 use lisa_util::Fnv1a;
 
 use crate::ast::FnDecl;
-use crate::pretty::{write_fn, write_struct};
+use crate::pretty::{write_fn, write_struct, write_type};
 use crate::program::Program;
 
 /// Fingerprint one function body (canonical form).
@@ -40,7 +46,7 @@ pub fn fingerprint_decls(p: &Program) -> u64 {
     }
     for g in p.globals() {
         h.part(g.name.as_bytes());
-        h.part_display(&g.ty);
+        h.part_with(|h| write_type(h, &g.ty));
     }
     h.finish()
 }

@@ -63,8 +63,33 @@ pub fn parse_module(name: &str, src: &str) -> Result<Module, ParseError> {
 /// real code nests far less.
 const MAX_NESTING: usize = 64;
 
+/// Binding strength of `||`, the loosest binary operator.
+const OR: u8 = 1;
+/// Binding strength of the comparisons, which do not chain.
+const CMP: u8 = 3;
+
+/// The binary operator a token starts, with its binding strength.
+fn binary_op(tok: &Tok) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        Tok::OrOr => (BinOp::Or, OR),
+        Tok::AndAnd => (BinOp::And, 2),
+        Tok::EqEq => (BinOp::Eq, CMP),
+        Tok::NotEq => (BinOp::Ne, CMP),
+        Tok::Lt => (BinOp::Lt, CMP),
+        Tok::Le => (BinOp::Le, CMP),
+        Tok::Gt => (BinOp::Gt, CMP),
+        Tok::Ge => (BinOp::Ge, CMP),
+        Tok::Plus => (BinOp::Add, 4),
+        Tok::Minus => (BinOp::Sub, 4),
+        Tok::Star => (BinOp::Mul, 5),
+        Tok::Slash => (BinOp::Div, 5),
+        Tok::Percent => (BinOp::Rem, 5),
+        _ => return None,
+    })
+}
+
 struct Parser<'a> {
-    toks: Vec<(Tok, Span)>,
+    toks: Vec<(Tok<'a>, Span)>,
     pos: usize,
     next_stmt: u32,
     name: &'a str,
@@ -74,7 +99,7 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> &Tok {
+    fn peek(&self) -> &Tok<'a> {
         &self.toks[self.pos].0
     }
 
@@ -85,7 +110,7 @@ impl<'a> Parser<'a> {
     /// Consume the current token, moving it out: the parser never looks
     /// back at a consumed token, only at its span. The trailing `Eof` is
     /// never consumed, so `peek` stays valid at the end of input.
-    fn bump(&mut self) -> Tok {
+    fn bump(&mut self) -> Tok<'a> {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
             std::mem::replace(&mut self.toks[self.pos - 1].0, Tok::Eof)
@@ -98,7 +123,7 @@ impl<'a> Parser<'a> {
         ParseError::at(self.name, self.src, self.span().lo, message)
     }
 
-    fn expect(&mut self, tok: Tok) -> Result<Span, ParseError> {
+    fn expect(&mut self, tok: Tok<'a>) -> Result<Span, ParseError> {
         if self.peek() == &tok {
             let s = self.span();
             self.bump();
@@ -108,13 +133,15 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consume an identifier, allocating it for the AST: the one copy
+    /// of its text the front end makes.
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek() {
-            Tok::Ident(_) => match self.bump() {
-                Tok::Ident(s) => Ok(s),
-                _ => unreachable!("peeked an identifier"),
-            },
-            other => Err(self.error(format!("expected identifier, found {other}"))),
+        match *self.peek() {
+            Tok::Ident(s) => {
+                self.bump();
+                Ok(s.to_string())
+            }
+            ref other => Err(self.error(format!("expected identifier, found {other}"))),
         }
     }
 
@@ -382,81 +409,28 @@ impl<'a> Parser<'a> {
     // ---- expressions ----------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.nested(Self::parse_or)
+        self.nested(|p| p.parse_binary(OR))
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_and()?;
-        while self.peek() == &Tok::OrOr {
-            self.bump();
-            let rhs = self.parse_and()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr { kind: ExprKind::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs)), span };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_cmp()?;
-        while self.peek() == &Tok::AndAnd {
-            self.bump();
-            let rhs = self.parse_cmp()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr { kind: ExprKind::Binary(BinOp::And, Box::new(lhs), Box::new(rhs)), span };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_cmp(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.parse_add()?;
-        let op = match self.peek() {
-            Tok::EqEq => Some(BinOp::Eq),
-            Tok::NotEq => Some(BinOp::Ne),
-            Tok::Lt => Some(BinOp::Lt),
-            Tok::Le => Some(BinOp::Le),
-            Tok::Gt => Some(BinOp::Gt),
-            Tok::Ge => Some(BinOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.parse_add()?;
-            let span = lhs.span.to(rhs.span);
-            Ok(Expr { kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span })
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn parse_add(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_mul()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr { kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_mul(&mut self) -> Result<Expr, ParseError> {
+    /// A chain of binary operators that bind at least as tightly as
+    /// `min`, by precedence climbing: `||` < `&&` < comparisons < `+ -`
+    /// < `* / %`, each left-associative, except that comparisons do not
+    /// chain. After a comparison, a second one is left unconsumed, and so
+    /// is any operator tighter than the last one this level took (only a
+    /// comparison a deeper level refused can be), which ends the
+    /// expression there.
+    fn parse_binary(&mut self, min: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Rem,
-                _ => break,
-            };
+        let mut last = u8::MAX;
+        while let Some((op, prec)) = binary_op(self.peek()) {
+            if prec < min || prec > last || (prec == last && prec == CMP) {
+                break;
+            }
             self.bump();
-            let rhs = self.parse_unary()?;
+            let rhs = self.parse_binary(prec + 1)?;
             let span = lhs.span.to(rhs.span);
             lhs = Expr { kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span };
+            last = prec;
         }
         Ok(lhs)
     }

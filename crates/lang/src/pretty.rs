@@ -5,6 +5,11 @@
 //! parser: `parse(print(ast))` equals `ast` up to spans and statement
 //! ids. Corpus tooling uses it to render patched modules and the oracle
 //! uses it in diagnostics.
+//!
+//! The `write_*` functions stream into any `fmt::Write`, and
+//! fingerprints hash what they write. Names, keywords, types and
+//! operators go out as plain `write_str` calls; only integers and
+//! string literals that need escaping go through `core::fmt`.
 
 use std::fmt::{self, Write};
 
@@ -45,7 +50,9 @@ pub fn write_module(out: &mut impl Write, m: &Module) -> fmt::Result {
         out.write_char('\n')?;
     }
     for g in &m.globals {
-        writeln!(out, "global {}: {};", g.name, g.ty)?;
+        out.write_str("global ")?;
+        write_typed(out, &g.name, &g.ty)?;
+        out.write_str(";\n")?;
     }
     if !m.globals.is_empty() {
         out.write_char('\n')?;
@@ -59,30 +66,79 @@ pub fn write_module(out: &mut impl Write, m: &Module) -> fmt::Result {
     Ok(())
 }
 
+/// A type as written in source: the same text as its `Display`.
+pub fn write_type(out: &mut impl Write, t: &Type) -> fmt::Result {
+    match t {
+        Type::Int => out.write_str("int"),
+        Type::Bool => out.write_str("bool"),
+        Type::Str => out.write_str("str"),
+        Type::Struct(n) => out.write_str(n),
+        Type::Map(k, v) => {
+            out.write_str("map<")?;
+            write_type(out, k)?;
+            out.write_str(", ")?;
+            write_type(out, v)?;
+            out.write_char('>')
+        }
+        Type::List(t) => {
+            out.write_str("list<")?;
+            write_type(out, t)?;
+            out.write_char('>')
+        }
+        Type::Unit => out.write_str("unit"),
+    }
+}
+
+/// `name: type`, as fields, parameters and globals declare it.
+fn write_typed(out: &mut impl Write, name: &str, t: &Type) -> fmt::Result {
+    out.write_str(name)?;
+    out.write_str(": ")?;
+    write_type(out, t)
+}
+
+/// A string literal: the text of `{s:?}`, quotes included. Text that
+/// needs no escape (printable ASCII other than `"` and `\`) is written
+/// as it is; anything else goes through `Debug`, whose escapes are the
+/// definition.
+fn write_str_lit(out: &mut impl Write, s: &str) -> fmt::Result {
+    if s.bytes().all(|b| matches!(b, b' '..=b'~') && b != b'"' && b != b'\\') {
+        out.write_char('"')?;
+        out.write_str(s)?;
+        out.write_char('"')
+    } else {
+        write!(out, "{s:?}")
+    }
+}
+
 /// [`print_struct`] into any writer.
 pub fn write_struct(out: &mut impl Write, s: &StructDecl) -> fmt::Result {
-    write!(out, "struct {} {{ ", s.name)?;
+    out.write_str("struct ")?;
+    out.write_str(&s.name)?;
+    out.write_str(" { ")?;
     for (i, (n, t)) in s.fields.iter().enumerate() {
         if i > 0 {
             out.write_str(", ")?;
         }
-        write!(out, "{n}: {t}")?;
+        write_typed(out, n, t)?;
     }
     out.write_str(" }\n")
 }
 
 /// [`print_fn`] into any writer.
 pub fn write_fn(out: &mut impl Write, f: &FnDecl) -> fmt::Result {
-    write!(out, "fn {}(", f.name)?;
+    out.write_str("fn ")?;
+    out.write_str(&f.name)?;
+    out.write_char('(')?;
     for (i, (n, t)) in f.params.iter().enumerate() {
         if i > 0 {
             out.write_str(", ")?;
         }
-        write!(out, "{n}: {t}")?;
+        write_typed(out, n, t)?;
     }
     out.write_char(')')?;
     if f.ret != Type::Unit {
-        write!(out, " -> {}", f.ret)?;
+        out.write_str(" -> ")?;
+        write_type(out, &f.ret)?;
     }
     out.write_str(" {\n")?;
     for s in &f.body {
@@ -111,9 +167,10 @@ fn write_stmt(out: &mut impl Write, s: &Stmt, depth: usize) -> fmt::Result {
     indent(out, depth)?;
     match &s.kind {
         StmtKind::Let { name, ty, init } => {
-            write!(out, "let {name}")?;
-            if let Some(t) = ty {
-                write!(out, ": {t}")?;
+            out.write_str("let ")?;
+            match ty {
+                Some(t) => write_typed(out, name, t)?,
+                None => out.write_str(name)?,
             }
             out.write_str(" = ")?;
             write_expr(out, init)?;
@@ -124,7 +181,8 @@ fn write_stmt(out: &mut impl Write, s: &Stmt, depth: usize) -> fmt::Result {
                 LValue::Var(v) => out.write_str(v)?,
                 LValue::Field(obj, field) => {
                     write_child(out, obj, 7, false)?;
-                    write!(out, ".{field}")?;
+                    out.write_char('.')?;
+                    out.write_str(field)?;
                 }
             }
             out.write_str(" = ")?;
@@ -156,7 +214,9 @@ fn write_stmt(out: &mut impl Write, s: &Stmt, depth: usize) -> fmt::Result {
             out.write_char('\n')
         }
         StmtKind::For { var, iter, body } => {
-            write!(out, "for {var} in ")?;
+            out.write_str("for ")?;
+            out.write_str(var)?;
+            out.write_str(" in ")?;
             write_expr(out, iter)?;
             out.write_char(' ')?;
             write_block(out, body, depth)?;
@@ -172,16 +232,23 @@ fn write_stmt(out: &mut impl Write, s: &Stmt, depth: usize) -> fmt::Result {
             out.write_str("assert(")?;
             write_expr(out, cond)?;
             if let Some(m) = message {
-                write!(out, ", {m:?}")?;
+                out.write_str(", ")?;
+                write_str_lit(out, m)?;
             }
             out.write_str(");\n")
         }
         StmtKind::Sync { lock, body } => {
-            write!(out, "sync ({lock}) ")?;
+            out.write_str("sync (")?;
+            out.write_str(lock)?;
+            out.write_str(") ")?;
             write_block(out, body, depth)?;
             out.write_char('\n')
         }
-        StmtKind::Throw(m) => writeln!(out, "throw {m:?};"),
+        StmtKind::Throw(m) => {
+            out.write_str("throw ")?;
+            write_str_lit(out, m)?;
+            out.write_str(";\n")
+        }
         StmtKind::Expr(e) => {
             write_expr(out, e)?;
             out.write_str(";\n")
@@ -233,32 +300,39 @@ fn write_child(out: &mut impl Write, e: &Expr, parent: u8, guard_equal: bool) ->
 pub fn write_expr(out: &mut impl Write, e: &Expr) -> fmt::Result {
     match &e.kind {
         ExprKind::Int(v) => write!(out, "{v}"),
-        ExprKind::Bool(b) => write!(out, "{b}"),
-        ExprKind::Str(s) => write!(out, "{s:?}"),
+        ExprKind::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+        ExprKind::Str(s) => write_str_lit(out, s),
         ExprKind::Null => out.write_str("null"),
         ExprKind::Var(v) => out.write_str(v),
         ExprKind::Field(obj, field) => {
             write_child(out, obj, 7, false)?;
-            write!(out, ".{field}")
+            out.write_char('.')?;
+            out.write_str(field)
         }
         ExprKind::MethodCall(recv, name, args) => {
             write_child(out, recv, 7, false)?;
-            write!(out, ".{name}(")?;
+            out.write_char('.')?;
+            out.write_str(name)?;
+            out.write_char('(')?;
             write_args(out, args)?;
             out.write_char(')')
         }
         ExprKind::Call(name, args) => {
-            write!(out, "{name}(")?;
+            out.write_str(name)?;
+            out.write_char('(')?;
             write_args(out, args)?;
             out.write_char(')')
         }
         ExprKind::New(name, fields) => {
-            write!(out, "new {name} {{ ")?;
+            out.write_str("new ")?;
+            out.write_str(name)?;
+            out.write_str(" { ")?;
             for (i, (n, v)) in fields.iter().enumerate() {
                 if i > 0 {
                     out.write_str(", ")?;
                 }
-                write!(out, "{n}: ")?;
+                out.write_str(n)?;
+                out.write_str(": ")?;
                 write_expr(out, v)?;
             }
             // `new S { }` and `new S { a: 1 }` both close with " }".
@@ -280,7 +354,9 @@ pub fn write_expr(out: &mut impl Write, e: &Expr) -> fmt::Result {
             // the right child needs parens at equal precedence.
             // Comparisons do not chain at all, so both children do.
             write_child(out, l, p, p == 3)?;
-            write!(out, " {op} ")?;
+            out.write_char(' ')?;
+            out.write_str(op.symbol())?;
+            out.write_char(' ')?;
             write_child(out, r, p, true)
         }
         ExprKind::Index(list, idx) => {
@@ -388,6 +464,21 @@ mod tests {
     fn assigned_field_object_keeps_its_parentheses() {
         // Not well-typed, but it parses, so it must print back to itself.
         roundtrip("fn f(a: int, b: int) { (a + b).v = 1; (-a).v = 2; }");
+    }
+
+    #[test]
+    fn string_literals_print_as_debug_does() {
+        let mut every_ascii: String = (0u8..128).map(char::from).collect();
+        every_ascii.push_str("é ✓ \u{301}");
+        let mut cases: Vec<String> = every_ascii.chars().map(String::from).collect();
+        let plain = ["", "plain text", "it's", "a\"b", "back\\slash", "tab\t", "café"];
+        cases.extend(plain.map(String::from));
+        cases.push(every_ascii);
+        for s in cases {
+            let mut out = String::new();
+            write_str_lit(&mut out, &s).expect("write");
+            assert_eq!(out, format!("{s:?}"), "literal {s:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Whole programs: a set of parsed modules with a flat declaration
 //! namespace, plus source versioning support used by the corpus.
 
-use std::collections::HashMap;
-
 use crate::ast::{FnDecl, GlobalDecl, Module, StructDecl};
 use crate::parser::{parse_module, ParseError};
 
@@ -10,9 +8,66 @@ use crate::parser::{parse_module, ParseError};
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     pub modules: Vec<Module>,
-    fn_index: HashMap<String, (usize, usize)>,
-    struct_index: HashMap<String, (usize, usize)>,
-    global_index: HashMap<String, (usize, usize)>,
+    fn_index: Vec<Pos>,
+    struct_index: Vec<Pos>,
+    global_index: Vec<Pos>,
+}
+
+/// Where a declaration sits: `(module, index within its kind)`. Each
+/// index lists every declaration of one kind sorted by name, so a lookup
+/// is a binary search over the declarations' own names and no name is
+/// copied into the index.
+type Pos = (usize, usize);
+
+/// A declaration with a name in the program's flat namespace.
+trait Named {
+    fn name(&self) -> &str;
+}
+
+impl Named for FnDecl {
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+impl Named for StructDecl {
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+impl Named for GlobalDecl {
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+/// Every declaration `decls` lists, sorted by name, and the first
+/// duplicate in declaration order: the earliest declaration whose name
+/// an earlier one already took.
+fn index<T: Named>(modules: &[Module], decls: impl Fn(&Module) -> &[T]) -> (Vec<Pos>, Option<Pos>) {
+    let name = |(m, i): Pos| decls(&modules[m])[i].name();
+    let mut index: Vec<Pos> = Vec::with_capacity(modules.iter().map(|m| decls(m).len()).sum());
+    for (m, module) in modules.iter().enumerate() {
+        index.extend((0..decls(module).len()).map(|i| (m, i)));
+    }
+    // Positions are distinct, so breaking name ties by position makes
+    // the order total and an unstable (allocation-free) sort exact.
+    index.sort_unstable_by(|&a, &b| name(a).cmp(name(b)).then(a.cmp(&b)));
+    let duplicate = index.windows(2).filter(|w| name(w[0]) == name(w[1])).map(|w| w[1]).min();
+    (index, duplicate)
+}
+
+/// The position of the declaration named `name` in a duplicate-free
+/// `index`.
+fn find<T: Named>(
+    modules: &[Module],
+    index: &[Pos],
+    decls: impl Fn(&Module) -> &[T],
+    name: &str,
+) -> Option<Pos> {
+    let at = index.binary_search_by(|&(m, i)| decls(&modules[m])[i].name().cmp(name)).ok()?;
+    Some(index[at])
 }
 
 /// Error constructing a program.
@@ -64,44 +119,49 @@ impl Program {
     }
 
     fn reindex(&mut self) -> Result<(), ProgramError> {
-        self.fn_index.clear();
-        self.struct_index.clear();
-        self.global_index.clear();
-        for (mi, m) in self.modules.iter().enumerate() {
-            for (i, f) in m.functions.iter().enumerate() {
-                if self.fn_index.insert(f.name.clone(), (mi, i)).is_some() {
-                    return Err(ProgramError::Duplicate { kind: "function", name: f.name.clone() });
-                }
-            }
-            for (i, s) in m.structs.iter().enumerate() {
-                if self.struct_index.insert(s.name.clone(), (mi, i)).is_some() {
-                    return Err(ProgramError::Duplicate { kind: "struct", name: s.name.clone() });
-                }
-            }
-            for (i, g) in m.globals.iter().enumerate() {
-                if self.global_index.insert(g.name.clone(), (mi, i)).is_some() {
-                    return Err(ProgramError::Duplicate { kind: "global", name: g.name.clone() });
-                }
-            }
+        let modules = &self.modules;
+        let (fns, dup_fn) = index(modules, |m| &m.functions);
+        let (structs, dup_struct) = index(modules, |m| &m.structs);
+        let (globals, dup_global) = index(modules, |m| &m.globals);
+        // Report the duplicate a walk of the modules in order meets
+        // first, taking each module's functions, then structs, then
+        // globals.
+        let first = [
+            dup_fn.map(|(m, i)| ((m, 0, i), "function", &modules[m].functions[i].name)),
+            dup_struct.map(|(m, i)| ((m, 1, i), "struct", &modules[m].structs[i].name)),
+            dup_global.map(|(m, i)| ((m, 2, i), "global", &modules[m].globals[i].name)),
+        ]
+        .into_iter()
+        .flatten()
+        .min_by_key(|&(at, _, _)| at);
+        if let Some((_, kind, name)) = first {
+            return Err(ProgramError::Duplicate { kind, name: name.clone() });
         }
+        self.fn_index = fns;
+        self.struct_index = structs;
+        self.global_index = globals;
         Ok(())
     }
 
     pub fn function(&self, name: &str) -> Option<&FnDecl> {
-        self.fn_index.get(name).map(|&(m, i)| &self.modules[m].functions[i])
+        let (m, i) = find(&self.modules, &self.fn_index, |m| &m.functions, name)?;
+        Some(&self.modules[m].functions[i])
     }
 
     pub fn struct_decl(&self, name: &str) -> Option<&StructDecl> {
-        self.struct_index.get(name).map(|&(m, i)| &self.modules[m].structs[i])
+        let (m, i) = find(&self.modules, &self.struct_index, |m| &m.structs, name)?;
+        Some(&self.modules[m].structs[i])
     }
 
     pub fn global(&self, name: &str) -> Option<&GlobalDecl> {
-        self.global_index.get(name).map(|&(m, i)| &self.modules[m].globals[i])
+        let (m, i) = find(&self.modules, &self.global_index, |m| &m.globals, name)?;
+        Some(&self.modules[m].globals[i])
     }
 
     /// Module that declares function `name`.
     pub fn module_of_fn(&self, name: &str) -> Option<&Module> {
-        self.fn_index.get(name).map(|&(m, _)| &self.modules[m])
+        let (m, _) = find(&self.modules, &self.fn_index, |m| &m.functions, name)?;
+        Some(&self.modules[m])
     }
 
     pub fn functions(&self) -> impl Iterator<Item = &FnDecl> {

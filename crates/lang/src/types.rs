@@ -5,6 +5,7 @@
 //! struct-reference type; maps and lists are invariant in their element
 //! types; orderings apply only to `int`.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::ast::*;
@@ -29,19 +30,60 @@ impl fmt::Display for TypeError {
 impl std::error::Error for TypeError {}
 
 /// Inferred type of an expression: a concrete type, or the type of the
-/// `null` literal (assignable to any struct reference).
+/// `null` literal (assignable to any struct reference). A type written
+/// in the program is borrowed from it; only types the checker builds
+/// itself (scalars, `keys()`/`values()` lists, `new` structs) are owned.
 #[derive(Debug, Clone, PartialEq)]
-enum Ty {
-    T(Type),
+enum Ty<'a> {
+    T(Cow<'a, Type>),
     Null,
 }
 
-impl Ty {
+impl<'a> Ty<'a> {
+    fn owned(t: Type) -> Ty<'a> {
+        Ty::T(Cow::Owned(t))
+    }
+
+    fn is(&self, t: &Type) -> bool {
+        matches!(self, Ty::T(c) if **c == *t)
+    }
+
+    fn as_type(&self) -> Option<&Type> {
+        match self {
+            Ty::T(t) => Some(t),
+            Ty::Null => None,
+        }
+    }
+
+    /// The part of this type `pick` selects: borrowed from the program
+    /// when this type is, cloned only out of a type the checker built.
+    fn part(&self, pick: impl Fn(&Type) -> Option<&Type>) -> Option<Cow<'a, Type>> {
+        match self {
+            Ty::T(Cow::Borrowed(t)) => pick(t).map(Cow::Borrowed),
+            Ty::T(Cow::Owned(t)) => pick(t).cloned().map(Cow::Owned),
+            Ty::Null => None,
+        }
+    }
+
     fn display(&self) -> String {
         match self {
             Ty::T(t) => t.to_string(),
             Ty::Null => "null".to_string(),
         }
+    }
+}
+
+fn list_elem(t: &Type) -> Option<&Type> {
+    match t {
+        Type::List(e) => Some(e),
+        _ => None,
+    }
+}
+
+fn map_value(t: &Type) -> Option<&Type> {
+    match t {
+        Type::Map(_, v) => Some(v),
+        _ => None,
     }
 }
 
@@ -69,6 +111,8 @@ pub fn builtin_signature(name: &str) -> Option<(&'static [Type], Type)> {
 /// Type-check a whole program; returns all errors found (empty = ok).
 pub fn check_program(program: &Program) -> Vec<TypeError> {
     let mut errors = Vec::new();
+    // One scope stack serves every function: each starts and ends empty.
+    let mut env = Scope::default();
     for module in &program.modules {
         let mut ck = Checker { program, module, lm: None, errors: &mut errors };
         // Struct field types must be well-formed.
@@ -81,7 +125,7 @@ pub fn check_program(program: &Program) -> Vec<TypeError> {
             ck.check_type_wf(&g.ty, g.span, &|| format!("global `{}`", g.name));
         }
         for f in &module.functions {
-            ck.check_fn(f);
+            ck.check_fn(f, &mut env);
         }
     }
     errors
@@ -94,28 +138,28 @@ pub fn check_program(program: &Program) -> Vec<TypeError> {
 /// shadowed.
 #[derive(Default)]
 struct Scope<'a> {
-    vars: Vec<(&'a str, Type)>,
+    vars: Vec<(&'a str, Cow<'a, Type>)>,
 }
 
 impl<'a> Scope<'a> {
-    fn get(&self, name: &str) -> Option<&Type> {
+    fn get(&self, name: &str) -> Option<&Cow<'a, Type>> {
         self.vars.iter().rev().find(|(n, _)| *n == name).map(|(_, t)| t)
     }
 
-    fn bind(&mut self, name: &'a str, ty: Type) {
+    fn bind(&mut self, name: &'a str, ty: Cow<'a, Type>) {
         self.vars.push((name, ty));
     }
 }
 
-struct Checker<'a> {
+struct Checker<'a, 'e> {
     program: &'a Program,
     module: &'a Module,
     /// Built on the first error: a clean module never needs one.
     lm: Option<LineMap>,
-    errors: &'a mut Vec<TypeError>,
+    errors: &'e mut Vec<TypeError>,
 }
 
-impl<'a> Checker<'a> {
+impl<'a> Checker<'a, '_> {
     fn error(&mut self, span: Span, message: String) {
         let module = self.module;
         let lm = self.lm.get_or_insert_with(|| LineMap::new(module.name.clone(), &module.source));
@@ -147,13 +191,13 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_fn(&mut self, f: &'a FnDecl) {
-        let mut env = Scope::default();
+    fn check_fn(&mut self, f: &'a FnDecl, env: &mut Scope<'a>) {
         for (p, ty) in &f.params {
             self.check_type_wf(ty, f.span, &|| format!("parameter `{p}` of `{}`", f.name));
-            env.bind(p, ty.clone());
+            env.bind(p, Cow::Borrowed(ty));
         }
-        let returned = self.check_block(&f.body, &mut env, f);
+        let returned = self.check_block(&f.body, env, f);
+        env.vars.clear();
         if f.ret != Type::Unit && !returned {
             self.error(
                 f.span,
@@ -181,34 +225,34 @@ impl<'a> Checker<'a> {
         match &s.kind {
             StmtKind::Let { name, ty, init } => {
                 let init_ty = self.infer(init, env);
-                let final_ty = match (ty, &init_ty) {
+                let final_ty = match (ty, init_ty) {
                     (Some(decl), Ty::Null) => {
                         if !decl.nullable() {
                             self.error(s.span, format!("cannot initialize `{name}: {decl}` with null"));
                         }
-                        decl.clone()
+                        Cow::Borrowed(decl)
                     }
                     (Some(decl), Ty::T(actual)) => {
-                        if decl != actual {
+                        if *decl != *actual {
                             self.error(
                                 s.span,
                                 format!("`{name}` declared {decl} but initialized with {actual}"),
                             );
                         }
-                        decl.clone()
+                        Cow::Borrowed(decl)
                     }
                     (None, Ty::T(actual)) => {
                         if *actual == Type::Unit {
                             self.error(s.span, format!("cannot infer a value type for `{name}`"));
                         }
-                        actual.clone()
+                        actual
                     }
                     (None, Ty::Null) => {
                         self.error(
                             s.span,
                             format!("`let {name} = null` needs a type annotation"),
                         );
-                        Type::Unit
+                        Cow::Owned(Type::Unit)
                     }
                 };
                 env.bind(name, final_ty);
@@ -218,13 +262,14 @@ impl<'a> Checker<'a> {
                 let vty = self.infer(value, env);
                 match target {
                     LValue::Var(name) => {
+                        let program = self.program;
                         let expected = env
                             .get(name)
-                            .cloned()
-                            .or_else(|| self.program.global(name).map(|g| g.ty.clone()));
+                            .map(|t| &**t)
+                            .or_else(|| program.global(name).map(|g| &g.ty));
                         match expected {
                             Some(expected) => {
-                                self.require_assignable(&expected, &vty, s.span, name)
+                                self.require_assignable(expected, &vty, s.span, name)
                             }
                             None => self.error(
                                 s.span,
@@ -234,24 +279,23 @@ impl<'a> Checker<'a> {
                     }
                     LValue::Field(obj, field) => {
                         let oty = self.infer(obj, env);
-                        match &oty {
-                            Ty::T(Type::Struct(sn)) => {
-                                match self
-                                    .program
-                                    .struct_decl(sn)
-                                    .and_then(|d| d.field_type(field))
-                                    .cloned()
-                                {
-                                    Some(ft) => self.require_assignable(&ft, &vty, s.span, field),
+                        match oty.as_type() {
+                            Some(Type::Struct(sn)) => {
+                                let program = self.program;
+                                match program.struct_decl(sn).and_then(|d| d.field_type(field)) {
+                                    Some(ft) => self.require_assignable(ft, &vty, s.span, field),
                                     None => self.error(
                                         s.span,
                                         format!("struct `{sn}` has no field `{field}`"),
                                     ),
                                 }
                             }
-                            other => self.error(
+                            _ => self.error(
                                 s.span,
-                                format!("field assignment on non-struct value of type {}", other.display()),
+                                format!(
+                                    "field assignment on non-struct value of type {}",
+                                    oty.display()
+                                ),
                             ),
                         }
                     }
@@ -271,11 +315,12 @@ impl<'a> Checker<'a> {
             }
             StmtKind::For { var, iter, body } => {
                 let ity = self.infer(iter, env);
-                let elem = match &ity {
-                    Ty::T(Type::List(e)) => (**e).clone(),
-                    other => {
-                        self.error(s.span, format!("for-in requires a list, found {}", other.display()));
-                        Type::Unit
+                let elem = match ity.part(list_elem) {
+                    Some(elem) => elem,
+                    None => {
+                        let found = ity.display();
+                        self.error(s.span, format!("for-in requires a list, found {found}"));
+                        Cow::Owned(Type::Unit)
                     }
                 };
                 let mark = env.vars.len();
@@ -323,84 +368,85 @@ impl<'a> Checker<'a> {
                 }
             }
             Ty::T(t) => {
-                if t != expected {
+                if **t != *expected {
                     self.error(span, format!("`{what}` expects {expected}, found {t}"));
                 }
             }
         }
     }
 
-    fn require_bool(&mut self, e: &Expr, env: &Scope) {
+    fn require_bool(&mut self, e: &'a Expr, env: &Scope<'a>) {
         let ty = self.infer(e, env);
-        if ty != Ty::T(Type::Bool) {
+        if !ty.is(&Type::Bool) {
             self.error(e.span, format!("condition must be bool, found {}", ty.display()));
         }
     }
 
-    fn infer(&mut self, e: &Expr, env: &Scope) -> Ty {
+    fn infer(&mut self, e: &'a Expr, env: &Scope<'a>) -> Ty<'a> {
         match &e.kind {
-            ExprKind::Int(_) => Ty::T(Type::Int),
-            ExprKind::Bool(_) => Ty::T(Type::Bool),
-            ExprKind::Str(_) => Ty::T(Type::Str),
+            ExprKind::Int(_) => Ty::owned(Type::Int),
+            ExprKind::Bool(_) => Ty::owned(Type::Bool),
+            ExprKind::Str(_) => Ty::owned(Type::Str),
             ExprKind::Null => Ty::Null,
             ExprKind::Var(name) => match env.get(name) {
                 Some(t) => Ty::T(t.clone()),
                 None => match self.program.global(name) {
-                    Some(g) => Ty::T(g.ty.clone()),
+                    Some(g) => Ty::T(Cow::Borrowed(&g.ty)),
                     None => {
                         self.error(e.span, format!("unknown variable `{name}`"));
-                        Ty::T(Type::Unit)
+                        Ty::owned(Type::Unit)
                     }
                 },
             },
             ExprKind::Field(obj, field) => {
                 let oty = self.infer(obj, env);
-                match &oty {
-                    Ty::T(Type::Struct(sn)) => {
-                        match self.program.struct_decl(sn).and_then(|d| d.field_type(field)) {
-                            Some(ft) => Ty::T(ft.clone()),
+                match oty.as_type() {
+                    Some(Type::Struct(sn)) => {
+                        let program = self.program;
+                        match program.struct_decl(sn).and_then(|d| d.field_type(field)) {
+                            Some(ft) => Ty::T(Cow::Borrowed(ft)),
                             None => {
                                 self.error(e.span, format!("struct `{sn}` has no field `{field}`"));
-                                Ty::T(Type::Unit)
+                                Ty::owned(Type::Unit)
                             }
                         }
                     }
-                    other => {
+                    _ => {
                         self.error(
                             e.span,
-                            format!("field access `.{field}` on non-struct type {}", other.display()),
+                            format!("field access `.{field}` on non-struct type {}", oty.display()),
                         );
-                        Ty::T(Type::Unit)
+                        Ty::owned(Type::Unit)
                     }
                 }
             }
             ExprKind::Index(list, idx) => {
                 let lty = self.infer(list, env);
                 let ity = self.infer(idx, env);
-                if ity != Ty::T(Type::Int) {
+                if !ity.is(&Type::Int) {
                     self.error(e.span, "index must be int".to_string());
                 }
-                match lty {
-                    Ty::T(Type::List(elem)) => Ty::T(*elem),
-                    other => {
-                        self.error(e.span, format!("indexing non-list type {}", other.display()));
-                        Ty::T(Type::Unit)
+                match lty.part(list_elem) {
+                    Some(elem) => Ty::T(elem),
+                    None => {
+                        self.error(e.span, format!("indexing non-list type {}", lty.display()));
+                        Ty::owned(Type::Unit)
                     }
                 }
             }
             ExprKind::Unary(UnOp::Neg, inner) => {
                 let t = self.infer(inner, env);
-                if t != Ty::T(Type::Int) {
+                if !t.is(&Type::Int) {
                     self.error(e.span, format!("negation requires int, found {}", t.display()));
                 }
-                Ty::T(Type::Int)
+                Ty::owned(Type::Int)
             }
             ExprKind::Unary(UnOp::Not, inner) => {
                 let t = self.infer(inner, env);
-                if t != Ty::T(Type::Bool) {
+                if !t.is(&Type::Bool) {
                     self.error(e.span, format!("`!` requires bool, found {}", t.display()));
                 }
-                Ty::T(Type::Bool)
+                Ty::owned(Type::Bool)
             }
             ExprKind::Binary(op, l, r) => self.infer_binary(*op, l, r, e.span, env),
             ExprKind::Call(name, args) => self.infer_call(name, args, e.span, env),
@@ -411,7 +457,7 @@ impl<'a> Checker<'a> {
                 let program = self.program;
                 let Some(decl) = program.struct_decl(name) else {
                     self.error(e.span, format!("unknown struct `{name}`"));
-                    return Ty::T(Type::Unit);
+                    return Ty::owned(Type::Unit);
                 };
                 for (fname, fexpr) in fields {
                     match decl.field_type(fname) {
@@ -426,7 +472,7 @@ impl<'a> Checker<'a> {
                 }
                 // Omitted fields take their zero value (0 / false / "" /
                 // null / empty collection), mirroring Java field defaults.
-                Ty::T(Type::Struct(name.clone()))
+                Ty::owned(Type::Struct(name.clone()))
             }
         }
     }
@@ -434,37 +480,37 @@ impl<'a> Checker<'a> {
     fn infer_binary(
         &mut self,
         op: BinOp,
-        l: &Expr,
-        r: &Expr,
+        l: &'a Expr,
+        r: &'a Expr,
         span: Span,
-        env: &Scope,
-    ) -> Ty {
+        env: &Scope<'a>,
+    ) -> Ty<'a> {
         let lt = self.infer(l, env);
         let rt = self.infer(r, env);
         match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
-                if lt != Ty::T(Type::Int) || rt != Ty::T(Type::Int) {
+                if !lt.is(&Type::Int) || !rt.is(&Type::Int) {
                     self.error(
                         span,
                         format!("`{op}` requires int operands, found {} and {}", lt.display(), rt.display()),
                     );
                 }
-                Ty::T(Type::Int)
+                Ty::owned(Type::Int)
             }
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                if lt != Ty::T(Type::Int) || rt != Ty::T(Type::Int) {
+                if !lt.is(&Type::Int) || !rt.is(&Type::Int) {
                     self.error(
                         span,
                         format!("`{op}` requires int operands, found {} and {}", lt.display(), rt.display()),
                     );
                 }
-                Ty::T(Type::Bool)
+                Ty::owned(Type::Bool)
             }
             BinOp::Eq | BinOp::Ne => {
                 let ok = match (&lt, &rt) {
                     (Ty::Null, Ty::Null) => true,
                     (Ty::Null, Ty::T(t)) | (Ty::T(t), Ty::Null) => t.nullable(),
-                    (Ty::T(a), Ty::T(b)) => a == b && *a != Type::Unit,
+                    (Ty::T(a), Ty::T(b)) => a == b && **a != Type::Unit,
                 };
                 if !ok {
                     self.error(
@@ -472,16 +518,16 @@ impl<'a> Checker<'a> {
                         format!("cannot compare {} with {}", lt.display(), rt.display()),
                     );
                 }
-                Ty::T(Type::Bool)
+                Ty::owned(Type::Bool)
             }
             BinOp::And | BinOp::Or => {
-                if lt != Ty::T(Type::Bool) || rt != Ty::T(Type::Bool) {
+                if !lt.is(&Type::Bool) || !rt.is(&Type::Bool) {
                     self.error(
                         span,
                         format!("`{op}` requires bool operands, found {} and {}", lt.display(), rt.display()),
                     );
                 }
-                Ty::T(Type::Bool)
+                Ty::owned(Type::Bool)
             }
         }
     }
@@ -489,10 +535,10 @@ impl<'a> Checker<'a> {
     fn infer_call(
         &mut self,
         name: &str,
-        args: &[Expr],
+        args: &'a [Expr],
         span: Span,
-        env: &Scope,
-    ) -> Ty {
+        env: &Scope<'a>,
+    ) -> Ty<'a> {
         if let Some((params, ret)) = builtin_signature(name) {
             if args.len() != params.len() {
                 self.error(
@@ -504,7 +550,7 @@ impl<'a> Checker<'a> {
                 let at = self.infer(a, env);
                 self.require_assignable(p, &at, a.span, name);
             }
-            return Ty::T(ret);
+            return Ty::owned(ret);
         }
         let program = self.program;
         let Some(decl) = program.function(name) else {
@@ -512,7 +558,7 @@ impl<'a> Checker<'a> {
             for a in args {
                 self.infer(a, env);
             }
-            return Ty::T(Type::Unit);
+            return Ty::owned(Type::Unit);
         };
         if args.len() != decl.params.len() {
             self.error(
@@ -528,124 +574,132 @@ impl<'a> Checker<'a> {
             let at = self.infer(a, env);
             self.require_assignable(pty, &at, a.span, pname);
         }
-        Ty::T(decl.ret.clone())
+        Ty::T(Cow::Borrowed(&decl.ret))
     }
 
     fn infer_method(
         &mut self,
-        recv: &Expr,
+        recv: &'a Expr,
         method: &str,
-        args: &[Expr],
+        args: &'a [Expr],
         span: Span,
-        env: &Scope,
-    ) -> Ty {
+        env: &Scope<'a>,
+    ) -> Ty<'a> {
         let rty = self.infer(recv, env);
-        let arg_tys: Vec<Ty> = args.iter().map(|a| self.infer(a, env)).collect();
+        // Every argument is inferred (and its errors reported) first; no
+        // method takes more than two, so only two types are kept.
+        let mut arg_tys: [Option<Ty>; 2] = [None, None];
+        for (i, a) in args.iter().enumerate() {
+            let t = self.infer(a, env);
+            if let Some(slot) = arg_tys.get_mut(i) {
+                *slot = Some(t);
+            }
+        }
         let arity = |this: &mut Self, n: usize| {
             if args.len() != n {
                 this.error(span, format!("`{method}` takes {n} argument(s), got {}", args.len()));
             }
         };
-        match (&rty, method) {
-            (Ty::T(Type::Map(k, v)), "get") => {
+        match (rty.as_type(), method) {
+            (Some(Type::Map(k, _)), "get") => {
                 arity(self, 1);
-                if let Some(at) = arg_tys.first() {
+                if let Some(at) = &arg_tys[0] {
                     self.require_assignable(k, at, span, "map key");
                 }
                 // get returns the value or null for struct values; for
                 // scalar values it returns the zero value when missing —
                 // `contains` is the idiomatic existence check.
-                Ty::T((**v).clone())
+                Ty::T(rty.part(map_value).expect("a map has a value type"))
             }
-            (Ty::T(Type::Map(k, v)), "put") => {
+            (Some(Type::Map(k, v)), "put") => {
                 arity(self, 2);
-                if let Some(at) = arg_tys.first() {
+                if let Some(at) = &arg_tys[0] {
                     self.require_assignable(k, at, span, "map key");
                 }
-                if let Some(at) = arg_tys.get(1) {
+                if let Some(at) = &arg_tys[1] {
                     self.require_assignable(v, at, span, "map value");
                 }
-                Ty::T(Type::Unit)
+                Ty::owned(Type::Unit)
             }
-            (Ty::T(Type::Map(k, _)), "remove") => {
+            (Some(Type::Map(k, _)), "remove") => {
                 arity(self, 1);
-                if let Some(at) = arg_tys.first() {
+                if let Some(at) = &arg_tys[0] {
                     self.require_assignable(k, at, span, "map key");
                 }
-                Ty::T(Type::Unit)
+                Ty::owned(Type::Unit)
             }
-            (Ty::T(Type::Map(k, _)), "contains") => {
+            (Some(Type::Map(k, _)), "contains") => {
                 arity(self, 1);
-                if let Some(at) = arg_tys.first() {
+                if let Some(at) = &arg_tys[0] {
                     self.require_assignable(k, at, span, "map key");
                 }
-                Ty::T(Type::Bool)
+                Ty::owned(Type::Bool)
             }
-            (Ty::T(Type::Map(_, _)), "size") => {
+            (Some(Type::Map(_, _)), "size") => {
                 arity(self, 0);
-                Ty::T(Type::Int)
+                Ty::owned(Type::Int)
             }
-            (Ty::T(Type::Map(k, _)), "keys") => {
+            (Some(Type::Map(k, _)), "keys") => {
                 arity(self, 0);
-                Ty::T(Type::List(k.clone()))
+                Ty::owned(Type::List(k.clone()))
             }
-            (Ty::T(Type::Map(_, v)), "values") => {
+            (Some(Type::Map(_, v)), "values") => {
                 arity(self, 0);
-                Ty::T(Type::List(v.clone()))
+                Ty::owned(Type::List(v.clone()))
             }
-            (Ty::T(Type::Map(_, _)), "clear") => {
+            (Some(Type::Map(_, _)), "clear") => {
                 arity(self, 0);
-                Ty::T(Type::Unit)
+                Ty::owned(Type::Unit)
             }
-            (Ty::T(Type::List(elem)), "push") => {
+            (Some(Type::List(elem)), "push") => {
                 arity(self, 1);
-                if let Some(at) = arg_tys.first() {
+                if let Some(at) = &arg_tys[0] {
                     self.require_assignable(elem, at, span, "list element");
                 }
-                Ty::T(Type::Unit)
+                Ty::owned(Type::Unit)
             }
-            (Ty::T(Type::List(_)), "len") => {
+            (Some(Type::List(_)), "len") => {
                 arity(self, 0);
-                Ty::T(Type::Int)
+                Ty::owned(Type::Int)
             }
-            (Ty::T(Type::List(elem)), "get") => {
+            (Some(Type::List(_)), "get") => {
                 arity(self, 1);
-                if let Some(at) = arg_tys.first() {
+                if let Some(at) = &arg_tys[0] {
                     self.require_assignable(&Type::Int, at, span, "list index");
                 }
-                Ty::T((**elem).clone())
+                Ty::T(rty.part(list_elem).expect("a list has an element type"))
             }
-            (Ty::T(Type::List(elem)), "set") => {
+            (Some(Type::List(elem)), "set") => {
                 arity(self, 2);
-                if let Some(at) = arg_tys.first() {
+                if let Some(at) = &arg_tys[0] {
                     self.require_assignable(&Type::Int, at, span, "list index");
                 }
-                if let Some(at) = arg_tys.get(1) {
+                if let Some(at) = &arg_tys[1] {
                     self.require_assignable(elem, at, span, "list element");
                 }
-                Ty::T(Type::Unit)
+                Ty::owned(Type::Unit)
             }
-            (Ty::T(Type::List(elem)), "contains") => {
+            (Some(Type::List(elem)), "contains") => {
                 arity(self, 1);
-                if let Some(at) = arg_tys.first() {
+                if let Some(at) = &arg_tys[0] {
                     self.require_assignable(elem, at, span, "list element");
                 }
-                Ty::T(Type::Bool)
+                Ty::owned(Type::Bool)
             }
-            (Ty::T(Type::List(_)), "clear") => {
+            (Some(Type::List(_)), "clear") => {
                 arity(self, 0);
-                Ty::T(Type::Unit)
+                Ty::owned(Type::Unit)
             }
-            (Ty::T(Type::Str), "len") => {
+            (Some(Type::Str), "len") => {
                 arity(self, 0);
-                Ty::T(Type::Int)
+                Ty::owned(Type::Int)
             }
-            (other, _) => {
+            _ => {
                 self.error(
                     span,
-                    format!("no method `{method}` on type {}", other.display()),
+                    format!("no method `{method}` on type {}", rty.display()),
                 );
-                Ty::T(Type::Unit)
+                Ty::owned(Type::Unit)
             }
         }
     }

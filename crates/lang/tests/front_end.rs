@@ -154,3 +154,103 @@ fn stray_non_ascii_character_is_named_at_its_column() {
     assert_eq!(err.message, "unexpected character 'ü'");
     assert_eq!((err.line, err.col), (1, 21));
 }
+
+fn program_error(sources: &[(&str, &str)]) -> String {
+    Program::parse(sources).expect_err("must not build").to_string()
+}
+
+/// The duplicate reported is the first second-occurrence met walking
+/// modules in order and, within a module, functions, then structs, then
+/// globals, each in declaration order; not the first by name.
+#[test]
+fn duplicate_declaration_reported_is_the_first_met_in_declaration_order() {
+    // All three kinds duplicated across two modules: module `b` is
+    // walked functions first.
+    assert_eq!(
+        program_error(&[
+            ("a", "struct S { v: int } global g: int; fn f() {}"),
+            ("b", "global g: int; struct S { v: int } fn f() {}"),
+        ]),
+        "duplicate function declaration `f`"
+    );
+    // Structs before globals, whatever the source order.
+    assert_eq!(
+        program_error(&[
+            ("a", "struct S { v: int } global g: int;"),
+            ("b", "global g: int; struct S { v: int }"),
+        ]),
+        "duplicate struct declaration `S`"
+    );
+    assert_eq!(
+        program_error(&[("a", "global g: int;"), ("b", "fn h() {} global g: int;")]),
+        "duplicate global declaration `g`"
+    );
+    // Several duplicate names: declaration order wins, not name order.
+    assert_eq!(
+        program_error(&[("a", "fn zz() {} fn aa() {}"), ("b", "fn zz() {} fn aa() {}")]),
+        "duplicate function declaration `zz`"
+    );
+    assert_eq!(
+        program_error(&[
+            ("a", "struct Zed { v: int } struct Abe { v: int }"),
+            ("b", "struct Abe { v: int } struct Zed { v: int }"),
+        ]),
+        "duplicate struct declaration `Abe`"
+    );
+    // A duplicate inside the first module beats one across modules.
+    assert_eq!(
+        program_error(&[
+            ("a", "global y: int; global x: int; global x: bool;"),
+            ("b", "global y: int;"),
+        ]),
+        "duplicate global declaration `x`"
+    );
+    // The same name may be a function, a struct and a global at once.
+    let p = Program::parse(&[("a", "struct n { v: int } global n: int;"), ("b", "fn n() {}")])
+        .expect("one name per kind");
+    assert!(p.function("n").is_some() && p.struct_decl("n").is_some() && p.global("n").is_some());
+}
+
+#[test]
+fn lex_error_wins_over_an_earlier_parse_error() {
+    let err = parse_module("m.sir", "fn f( { }\nfn g() { let x = 1 $ 2; }").expect_err("bad");
+    assert_eq!(err.to_string(), "m.sir:2:20: unexpected character '$'");
+    let err = parse_module("m.sir", "struct { }\n\"open").expect_err("bad");
+    assert_eq!(err.to_string(), "m.sir:2:1: unterminated string literal");
+}
+
+/// One error from each of the checker's type paths that yields a
+/// derived type: for-in, indexing, field access, method call, and an
+/// untyped `null` binding.
+#[test]
+fn derived_type_errors_keep_their_text() {
+    let src = "struct S { v: int }\n\
+               global m: map<int, S>;\n\
+               fn f(n: int, s: S) {\n\
+               for x in n { log(x); }\n\
+               let a = n[0];\n\
+               let b = n.v;\n\
+               let c = s.missing;\n\
+               let d = m.nope(1);\n\
+               let e = null;\n\
+               let k = m.get(1).v + m.keys()[0] + m.values().len();\n\
+               for t in m.keys() { e = t; }\n\
+               }\n";
+    let p = Program::parse_single("d.sir", src).expect("parse");
+    let got: Vec<String> = check_program(&p).iter().map(|e| e.to_string()).collect();
+    let expected = [
+        "d.sir:4:1: for-in requires a list, found int",
+        "d.sir:4:18: `log` expects str, found unit",
+        "d.sir:5:9: indexing non-list type int",
+        "d.sir:5:1: cannot infer a value type for `a`",
+        "d.sir:6:9: field access `.v` on non-struct type int",
+        "d.sir:6:1: cannot infer a value type for `b`",
+        "d.sir:7:9: struct `S` has no field `missing`",
+        "d.sir:7:1: cannot infer a value type for `c`",
+        "d.sir:8:9: no method `nope` on type map<int, S>",
+        "d.sir:8:1: cannot infer a value type for `d`",
+        "d.sir:9:1: `let e = null` needs a type annotation",
+        "d.sir:11:21: `e` expects unit, found int",
+    ];
+    assert_eq!(got, expected);
+}

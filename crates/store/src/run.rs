@@ -2,8 +2,11 @@
 //! resumed gate run does not need to recompute.
 //!
 //! A run's journal holds `run-started`, two records per checked rule and
-//! `run-finished`: it never grows past the rule set, so it is the run's
-//! one durable artifact and there is nothing to compact.
+//! `run-finished`, so it is the run's one durable artifact and there is
+//! nothing to compact. A rule checked in degraded mode (under a gate
+//! deadline) is checked again by the next run over the journal, which
+//! appends its two records once more; the new `RuleCheckFinished`
+//! replaces the degraded one.
 //!
 //! Invariants (DESIGN.md §10):
 //!

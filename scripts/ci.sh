@@ -102,6 +102,18 @@ if cmp -s "$SMOKE/orders.sir" "$SMOKE/v2/orders.sir"; then echo "v2 fixture unch
 "$LISA" gate --system "$SMOKE/v2" --rules "$SMOKE/rules.txt" --state "$SMOKE/state-v2" \
     > /dev/null
 cmp "$SMOKE/state/wal.log" "$SMOKE/state-v2/wal.log"
+# A deadline run journals degraded outcomes. The deadline is not part of
+# the journal key, so the next run over that state dir without one must
+# check every rule again in full and print what a fresh state dir prints.
+"$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --state "$SMOKE/state-dl" \
+    --deadline-ms 0 > "$SMOKE/dl1.out"
+grep -q '(degraded)' "$SMOKE/dl1.out"
+"$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --state "$SMOKE/state-dl" \
+    > "$SMOKE/dl2.out"
+grep -q '0 reused from journal' "$SMOKE/dl2.out"
+"$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --state "$SMOKE/state-dl-fresh" \
+    > "$SMOKE/dl-fresh.out"
+cmp "$SMOKE/dl2.out" "$SMOKE/dl-fresh.out"
 echo "cache smoke: ok"
 
 # Durable width smoke: a durable run is one engine call whose journal is

@@ -91,6 +91,9 @@ fn gate_trace_covers_every_pipeline_stage() {
     assert!(!events.is_empty(), "trace must not be empty");
     let names: Vec<&str> = events.iter().filter_map(|e| e.str_of("name")).collect();
     for expected in [
+        "lang.load",
+        "lang.parse",
+        "lang.check",
         "service.durable_run",
         "gate.enforce",
         "pipeline.rule",
@@ -102,6 +105,22 @@ fn gate_trace_covers_every_pipeline_stage() {
         "store.recover",
     ] {
         assert!(names.contains(&expected), "missing span `{expected}` in {names:?}");
+    }
+    // The parse and the type check are children of the load, and the
+    // front-end spans carry no detail string.
+    let span_args = |name: &str| {
+        events
+            .iter()
+            .find(|e| e.str_of("name") == Some(name))
+            .and_then(|e| e.get("args"))
+            .unwrap_or_else(|| panic!("{name} span args"))
+    };
+    let load_id = span_args("lang.load").u64_of("id").expect("lang.load id");
+    for child in ["lang.parse", "lang.check"] {
+        assert_eq!(span_args(child).u64_of("parent"), Some(load_id), "{child} parent");
+    }
+    for name in ["lang.load", "lang.parse", "lang.check"] {
+        assert!(span_args(name).get("detail").is_none(), "{name} has a detail string");
     }
     // Span events carry timing and argument payloads Perfetto can render.
     let smt = events
