@@ -321,6 +321,9 @@ pub(crate) fn enforce_impl(
     let rules = registry.rules();
     let skip = |i: usize| hook.is_some_and(|h| h.skip(i));
     let todo: Vec<usize> = (0..rules.len()).filter(|&i| !skip(i)).collect();
+    // With a memo, every rule's key carries the version's fingerprint,
+    // so it is computed once here rather than once per rule.
+    let version_fp = cache.filter(|_| !todo.is_empty()).map(|_| version.fingerprint());
     let slots: Vec<OnceLock<RuleReport>> = rules.iter().map(|_| OnceLock::new()).collect();
     let busy = run_pool(workers, todo.len(), |k| {
         let i = todo[k];
@@ -338,7 +341,8 @@ pub(crate) fn enforce_impl(
                 ),
             );
         }
-        let report = check_one_rule(&pipeline, version, rule, options, past_deadline, &degrade);
+        let report =
+            check_one_rule(&pipeline, version, version_fp, rule, options, past_deadline, &degrade);
         if let Some(h) = hook {
             h.settled(i, &report);
         }
@@ -429,6 +433,7 @@ pub(crate) fn count_decision(decision: GateDecision) {
 fn check_one_rule(
     pipeline: &Pipeline,
     version: &SystemVersion,
+    version_fp: Option<u64>,
     rule: &SemanticRule,
     options: &GateOptions,
     degraded: bool,
@@ -436,7 +441,7 @@ fn check_one_rule(
 ) -> RuleReport {
     let (result, retries) = retry_with_backoff(
         &options.retry,
-        |_attempt| run_attempt(pipeline, version, rule, options, degraded, degrade),
+        |_attempt| run_attempt(pipeline, version, version_fp, rule, options, degraded, degrade),
         |e: &LisaError| e.is_transient(),
     );
     let mut report = match result {
@@ -458,6 +463,7 @@ fn check_one_rule(
 fn run_attempt(
     pipeline: &Pipeline,
     version: &SystemVersion,
+    version_fp: Option<u64>,
     rule: &SemanticRule,
     options: &GateOptions,
     degraded: bool,
@@ -506,9 +512,11 @@ fn run_attempt(
                     rule_id: rule.id.clone(),
                     detail: format!("condition {:?}: {e}", rule.condition_src),
                 })
-                .map(|_| pipeline.check_rule_degraded_ctx(version, rule, Some(degrade)))
+                .map(|_| {
+                    pipeline.check_rule_degraded_ctx(version, version_fp, rule, Some(degrade))
+                })
         } else {
-            pipeline.try_check_rule_ctx(version, rule, Some(degrade))
+            pipeline.try_check_rule_ctx(version, version_fp, rule, Some(degrade))
         }
     })?
 }

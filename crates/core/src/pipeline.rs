@@ -137,7 +137,7 @@ impl Pipeline {
 
     /// Assert `rule` over `version`.
     pub fn check_rule(&self, version: &SystemVersion, rule: &SemanticRule) -> RuleReport {
-        self.check_rule_mode(version, rule, false, None)
+        self.check_rule_mode(version, None, rule, false, None)
     }
 
     /// Result-based stage boundary for the gate: validate the rule before
@@ -148,15 +148,17 @@ impl Pipeline {
         version: &SystemVersion,
         rule: &SemanticRule,
     ) -> Result<RuleReport, LisaError> {
-        self.try_check_rule_ctx(version, rule, None)
+        self.try_check_rule_ctx(version, None, rule, None)
     }
 
     /// [`Pipeline::try_check_rule`] under the gate's deadline: the gate's
     /// entry point. Test runs and solver queries that start after the
-    /// deadline expired drop to degraded budgets.
+    /// deadline expired drop to degraded budgets. `version_fp`, when
+    /// given, is `version.fingerprint()`, computed once for a whole gate.
     pub(crate) fn try_check_rule_ctx(
         &self,
         version: &SystemVersion,
+        version_fp: Option<u64>,
         rule: &SemanticRule,
         degrade: Option<&DegradeSignal>,
     ) -> Result<RuleReport, LisaError> {
@@ -172,7 +174,7 @@ impl Pipeline {
                 detail: "empty target callee".to_string(),
             });
         }
-        Ok(self.check_rule_mode(version, rule, false, degrade))
+        Ok(self.check_rule_mode(version, version_fp, rule, false, degrade))
     }
 
     /// Degraded check: the fixed-path sanity pass the gate falls back to
@@ -183,26 +185,29 @@ impl Pipeline {
         version: &SystemVersion,
         rule: &SemanticRule,
     ) -> RuleReport {
-        self.check_rule_mode(version, rule, true, None)
+        self.check_rule_mode(version, None, rule, true, None)
     }
 
     /// [`Pipeline::check_rule_degraded`] under the gate's deadline.
     pub(crate) fn check_rule_degraded_ctx(
         &self,
         version: &SystemVersion,
+        version_fp: Option<u64>,
         rule: &SemanticRule,
         degrade: Option<&DegradeSignal>,
     ) -> RuleReport {
-        self.check_rule_mode(version, rule, true, degrade)
+        self.check_rule_mode(version, version_fp, rule, true, degrade)
     }
 
     /// One rule check, answered from the memo when it may be. A check
     /// started after the gate deadline expired depends on machine time,
     /// so it neither reads nor fills the memo; a miss stores its report
-    /// unless the report came out degraded.
+    /// unless the report came out degraded. The version's fingerprint is
+    /// computed here only when the caller did not pass it in.
     fn check_rule_mode(
         &self,
         version: &SystemVersion,
+        version_fp: Option<u64>,
         rule: &SemanticRule,
         degraded_mode: bool,
         degrade: Option<&DegradeSignal>,
@@ -212,7 +217,8 @@ impl Pipeline {
             return self.check_uncached(version, rule, degraded_mode, degrade);
         };
         let started = Instant::now();
-        let key = memo_key(*config_fp, version, rule, degraded_mode);
+        let version_fp = version_fp.unwrap_or_else(|| version.fingerprint());
+        let key = memo_key(*config_fp, version_fp, rule, degraded_mode);
         if let Some(hit) = cache.get(key) {
             let mut report = RuleReport::clone(&hit);
             report.stats.wall = started.elapsed();
@@ -346,10 +352,9 @@ impl Pipeline {
             })
             .collect();
 
-        // All of a rule's arrivals share one incremental SolverSession:
-        // the checker's refutation CNF is encoded once and clauses
-        // learned on one π carry to the next. Session answers are
-        // byte-identical to fresh ones, and each π is read in place.
+        // All of a rule's arrivals share one SolverSession: ¬checker is
+        // normalized once, and each π, read in place, is solved on its
+        // own fresh solver.
         let session = lisa_smt::SolverSession::new(&rule.condition);
         let mut off_tree_violations = Vec::new();
         let mut unmatched_hits = 0u64;
@@ -402,8 +407,6 @@ impl Pipeline {
                 }
             }
         }
-
-        session.publish_metrics();
 
         // An undecided arrival leaves its chain not-covered rather than
         // verified (a Violated verdict from another arrival still wins).
@@ -548,22 +551,21 @@ impl Pipeline {
 /// The hash of a pipeline configuration: part of every memo key, and of
 /// a durable run's journal key (`service::gate_durable`).
 pub(crate) fn config_hash(config: &PipelineConfig) -> u64 {
-    lisa_util::fnv1a(format!("{config:?}").as_bytes())
+    use std::fmt::Write as _;
+    // The same value as `fnv1a` over the rendered text: no delimiter.
+    let mut h = Fnv1a::new();
+    let _ = write!(h, "{config:?}");
+    h.finish()
 }
 
 /// The memo key of one rule check (see [`Pipeline::with_cache`]). The
 /// rule's parsed condition and placeholder roots are not hashed: both
 /// are derived from its condition source.
-fn memo_key(
-    config_fp: u64,
-    version: &SystemVersion,
-    rule: &SemanticRule,
-    degraded_mode: bool,
-) -> u64 {
+fn memo_key(config_fp: u64, version_fp: u64, rule: &SemanticRule, degraded_mode: bool) -> u64 {
     let mut h = Fnv1a::new();
     h.part_u64(config_fp);
     h.part_u64(u64::from(degraded_mode));
-    h.part_u64(version.fingerprint());
+    h.part_u64(version_fp);
     h.part(rule.id.as_bytes()).part(rule.description.as_bytes());
     h.part_display(format_args!("{:?}", rule.target));
     h.part(rule.condition_src.as_bytes());
@@ -781,6 +783,26 @@ mod tests {
         // A well-formed rule passes through the boundary unchanged.
         let ok = pipeline.try_check_rule(&version(), &rule()).expect("ok");
         assert!(ok.has_violation());
+    }
+
+    #[test]
+    fn config_hash_is_pinned() {
+        // Durable journal keys carry this hash (`service::durable_key`),
+        // so a changed value would split every journaled run's key.
+        let tuned = PipelineConfig {
+            selection: TestSelection::All,
+            budgets: ResourceBudgets {
+                max_solver_conflicts: Some(64),
+                max_steps_per_test: Some(10_000),
+            },
+            ..PipelineConfig::default()
+        };
+        for (config, expected) in
+            [(PipelineConfig::default(), 0x743c_8e11_d271_3a8a), (tuned, 0x20b3_d540_f843_a715)]
+        {
+            assert_eq!(config_hash(&config), expected, "{config:?}");
+            assert_eq!(config_hash(&config), lisa_util::fnv1a(format!("{config:?}").as_bytes()));
+        }
     }
 
     #[test]

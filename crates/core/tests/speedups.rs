@@ -1,6 +1,5 @@
-//! Timed speedup gates: the warm repeat of an unchanged version, cold
-//! rule-parallel scaling, and solver-session clause reuse, each held to
-//! a minimum ratio over its baseline.
+//! Timed speedup gates: the warm repeat of an unchanged version and cold
+//! rule-parallel scaling, each held to a minimum ratio over its baseline.
 //!
 //! Every test here compares wall clocks, so each is `#[ignore]`d and
 //! tier-1 `cargo test` stays free of timing asserts. `scripts/ci.sh`
@@ -12,9 +11,8 @@
 //!
 //! Each variant is timed `SAMPLES` times and the minimum is compared,
 //! the noise-resistant statistic on a shared machine. The deterministic
-//! halves of these checks run in tier-1: report byte-identity across
-//! widths in `e2e_parallel`, session reuse counters in `lisa-smt`'s
-//! session tests.
+//! half of these checks runs in tier-1: report byte-identity across
+//! widths in `e2e_parallel`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,7 +22,6 @@ use lisa::{Gate, GateCache, PipelineConfig, RuleRegistry, TestSelection};
 use lisa_concolic::SystemVersion;
 use lisa_corpus::{all_cases, case};
 use lisa_oracle::infer_rules;
-use lisa_smt::{CmpOp, SolverSession, Term, ViolationOutcome};
 
 /// Timed repetitions per variant; the minimum is compared.
 const SAMPLES: usize = 5;
@@ -122,49 +119,4 @@ fn cold_gate_scales_with_the_cores_it_has() {
              {min_speedup}x faster (width 1 {base_ms:.2} ms, width {workers} {ms:.2} ms)"
         );
     }
-}
-
-#[test]
-#[ignore = "timed; scripts/ci.sh runs it in release"]
-fn solver_session_is_at_least_1_5x_faster_than_fresh_queries() {
-    // One rule condition, many distinct path conditions: no query
-    // repeats, so what a session reuses is the refutation of ¬checker.
-    // Four ints pairwise distinct in [0,2] is unsatisfiable, but only
-    // after the Eq/Ne splitting explores the assignment space.
-    let in_range =
-        |v: &str| Term::and([Term::int_cmp_c(v, CmpOp::Ge, 0), Term::int_cmp_c(v, CmpOp::Le, 2)]);
-    let vars = ["c0", "c1", "c2", "c3"];
-    let mut parts: Vec<Term> = vars.iter().map(|v| in_range(v)).collect();
-    for i in 0..vars.len() {
-        for j in (i + 1)..vars.len() {
-            parts.push(Term::int_cmp_v(vars[i], CmpOp::Ne, vars[j]));
-        }
-    }
-    let checker = Term::and(parts).not();
-    let pis: Vec<Term> = (0..32).map(|i| Term::int_cmp_c(format!("a{i}"), CmpOp::Gt, 0)).collect();
-    let verified = |outcome: ViolationOutcome| {
-        assert!(matches!(outcome, ViolationOutcome::Verified), "{outcome:?}");
-    };
-
-    let (fresh_ms, _) = time_min(|| {
-        for pi in &pis {
-            verified(lisa_smt::violates_budgeted(pi, &checker, None));
-        }
-    });
-    // One session for the whole batch, as the pipeline dispatches it.
-    // Opening it encodes nothing; its first query pays for ¬checker.
-    let (session_ms, _) = time_min(|| {
-        let session = SolverSession::new(&checker);
-        for pi in &pis {
-            verified(session.violates_budgeted(pi, None));
-        }
-    });
-
-    let speedup = fresh_ms / session_ms;
-    println!("solver session: fresh {fresh_ms:.2} ms, session {session_ms:.2} ms, {speedup:.2}x");
-    assert!(
-        speedup >= 1.5,
-        "session must amortize the refutation across the batch \
-         (fresh {fresh_ms:.2} ms, session {session_ms:.2} ms)"
-    );
 }

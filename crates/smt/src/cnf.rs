@@ -78,16 +78,6 @@ impl Cnf {
         }
     }
 
-    /// Tseitin-encode `term` *without* asserting it, returning the
-    /// literal that represents it. The emitted clauses are definitional
-    /// (full equivalences over fresh auxiliaries), so adding them never
-    /// constrains previously encoded terms — which is what lets an
-    /// incremental session encode many terms into one clause database
-    /// and activate each via its root literal as an assumption.
-    pub fn encode_term(&mut self, term: &Term) -> PLit {
-        self.encode(term)
-    }
-
     /// Tseitin-encode a (sub)term, returning the literal representing it.
     fn encode(&mut self, term: &Term) -> PLit {
         match term {

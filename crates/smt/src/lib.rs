@@ -16,10 +16,9 @@
 //! - [`sat`] — a CDCL SAT core (watched literals, 1UIP, restarts),
 //! - [`theory`] — equality (union-find with explanations) + integer
 //!   difference bounds (negative-cycle detection),
-//! - [`solver`] — the DPLL(T) loop and entailment queries,
-//! - [`session`] — incremental [`SolverSession`]s: one persistent clause
-//!   database per checker, each path condition activated by assumption,
-//!   learned clauses retained across a gate rule's queries,
+//! - [`solver`] — the DPLL(T) loop, entailment queries, and the
+//!   [`SolverSession`] that asks one checker's violation queries, each
+//!   on a fresh solver,
 //! - [`model`] — witness assignments and evaluation.
 //!
 //! The query LISA cares about most is [`solver::violates`]: a path
@@ -46,17 +45,15 @@ pub mod model;
 pub mod nnf;
 pub mod parse;
 pub mod sat;
-pub mod session;
 pub mod solver;
 pub mod term;
 pub mod theory;
 
-pub use session::{SessionStats, SolverSession};
 pub use model::{Model, Value};
 pub use nnf::{preprocess, to_nnf, Literal};
 pub use parse::{parse_cond, parse_cond_with, ParseError};
 pub use solver::{
-    equivalent, implies, is_sat, is_valid, violates, violates_budgeted, SatResult, Solver,
-    ViolationOutcome,
+    equivalent, implies, is_sat, is_valid, violates, violates_budgeted, SatResult, SessionStats,
+    Solver, SolverSession, ViolationOutcome,
 };
 pub use term::{Atom, CmpOp, IntOperand, RefOperand, Sort, StrOperand, Term};

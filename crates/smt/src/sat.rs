@@ -41,9 +41,9 @@ pub enum SatOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ClauseRef(usize);
 
-/// The CDCL solver. Clauses may be added between `solve` calls; learned
-/// clauses persist, which makes the lazy DPLL(T) loop in
-/// [`crate::solver`] incremental.
+/// The CDCL solver. Clauses may be added between `solve` calls and
+/// learned clauses persist, so the lazy DPLL(T) loop in
+/// [`crate::solver`] adds each theory blocking clause to one solver.
 #[derive(Debug)]
 pub struct SatSolver {
     num_vars: usize,
@@ -65,8 +65,8 @@ pub struct SatSolver {
     /// sticky so later `solve` calls agree with the `add_clause` verdict.
     unsat: bool,
     /// Resource budget: total conflicts (cumulative across `solve` calls,
-    /// so an incremental DPLL(T) session shares one budget). `None` means
-    /// unbounded. Exhaustion yields [`SatOutcome::Unknown`].
+    /// so the refinement rounds of one DPLL(T) query share one budget).
+    /// `None` means unbounded. Exhaustion yields [`SatOutcome::Unknown`].
     pub max_conflicts: Option<u64>,
     /// Resource budget on decisions, same semantics as `max_conflicts`.
     pub max_decisions: Option<u64>,
@@ -343,31 +343,12 @@ impl SatSolver {
             })
     }
 
-    /// Solve the current clause set.
+    /// Solve the current clause set. Clauses added since the last call
+    /// join the search, and learned clauses carry over: each is a 1UIP
+    /// resolvent of clauses in the database, so it stays implied by it.
     pub fn solve(&mut self) -> SatOutcome {
-        self.solve_under_assumptions(&[])
-    }
-
-    /// Solve the current clause set under `assumptions`: each literal is
-    /// forced true as a decision below all search decisions (the MiniSat
-    /// incremental interface). `Unsat` then means "unsatisfiable *under
-    /// these assumptions*" — the clause database itself may still be
-    /// satisfiable, and the solver stays usable for further queries.
-    ///
-    /// Soundness of reuse: learned clauses are 1UIP resolvents of
-    /// database clauses only — assumptions enter the search as decisions,
-    /// so they can appear negated *inside* a learned clause but are never
-    /// resolved away as reasons. Every learned clause is therefore
-    /// implied by the clause database alone and remains valid for later
-    /// calls made under different assumptions.
-    pub fn solve_under_assumptions(&mut self, assumptions: &[PLit]) -> SatOutcome {
         // Restart from scratch at level 0 each call (learned clauses kept).
         self.backtrack(0);
-        for &a in assumptions {
-            // An assumption may mention a variable no clause constrains
-            // yet (e.g. a lone atom root with no Tseitin structure).
-            self.ensure_var(plit_var(a));
-        }
         if self.unsat {
             return SatOutcome::Unsat;
         }
@@ -412,34 +393,6 @@ impl SatSolver {
                     self.backtrack(0);
                 }
             } else {
-                // Everything propagated: force pending assumptions (one
-                // decision level each) before any free search decision.
-                // A restart or a deep backjump pops assumption levels;
-                // this loop re-establishes them on the way back down.
-                let mut enqueued = false;
-                while self.trail_lim.len() < assumptions.len() {
-                    let a = assumptions[self.trail_lim.len()];
-                    match self.value(a) {
-                        // Already implied: open an empty level so the
-                        // level index keeps matching the assumption index.
-                        VarVal::True => self.trail_lim.push(self.trail.len()),
-                        // The database (plus earlier assumptions) forces
-                        // the assumption false: unsat under assumptions.
-                        VarVal::False => {
-                            self.backtrack(0);
-                            return SatOutcome::Unsat;
-                        }
-                        VarVal::Undef => {
-                            self.trail_lim.push(self.trail.len());
-                            self.enqueue(a, None);
-                            enqueued = true;
-                            break;
-                        }
-                    }
-                }
-                if enqueued {
-                    continue; // propagate the assumption before branching
-                }
                 match self.pick_branch_var() {
                     None => {
                         let model = (0..=self.num_vars)
@@ -601,69 +554,49 @@ mod tests {
     }
 
     #[test]
-    fn assumptions_scope_one_call_only() {
-        let mut s = SatSolver::new(2);
-        assert!(s.add_clause(vec![1, 2]));
-        match s.solve_under_assumptions(&[-1]) {
-            SatOutcome::Sat(m) => assert!(!m[1] && m[2]),
-            other => panic!("expected SAT under -1, got {other:?}"),
+    fn learned_clauses_stay_valid_across_repeated_solves() {
+        // The DPLL(T) loop's shape: solve, block the model, solve again,
+        // on one solver. Three pigeons in three holes (p_ij = 3i + j + 1)
+        // have exactly the 6 permutations as models; enumerating them
+        // must find each once and then Unsat, although clauses learned
+        // while blocking earlier models stay in the database.
+        let mut clauses: Vec<Vec<PLit>> = Vec::new();
+        for i in 0..3 {
+            clauses.push((0..3).map(|j| 3 * i + j + 1).collect());
         }
-        // Unsat under both assumptions, but only under them:
-        assert_eq!(s.solve_under_assumptions(&[-1, -2]), SatOutcome::Unsat);
-        // the database itself is untouched and still satisfiable.
-        assert!(matches!(s.solve(), SatOutcome::Sat(_)));
-        assert!(matches!(s.solve_under_assumptions(&[-2]), SatOutcome::Sat(_)));
-    }
-
-    #[test]
-    fn assumption_conflicting_with_unit_is_unsat_under_assumptions() {
-        let mut s = SatSolver::new(1);
-        assert!(s.add_clause(vec![1]));
-        assert_eq!(s.solve_under_assumptions(&[-1]), SatOutcome::Unsat);
-        assert!(matches!(s.solve(), SatOutcome::Sat(_)));
-    }
-
-    #[test]
-    fn assumption_on_unconstrained_fresh_var_is_grown() {
-        let mut s = SatSolver::new(1);
-        assert!(s.add_clause(vec![1]));
-        match s.solve_under_assumptions(&[5]) {
-            SatOutcome::Sat(m) => assert!(m[1] && m[5]),
-            other => panic!("expected SAT, got {other:?}"),
+        for j in 0..3 {
+            for a in 0..3 {
+                for b in (a + 1)..3 {
+                    clauses.push(vec![-(3 * a + j + 1), -(3 * b + j + 1)]);
+                }
+            }
         }
-    }
-
-    #[test]
-    fn learned_clauses_stay_valid_across_assumption_queries() {
-        // Pigeonhole guarded by assumption literal 7: clauses (-7 v c)
-        // are inert until 7 is assumed. The first query refutes it with
-        // real search; the answer must be identical on the repeat, with
-        // the database still satisfiable when 7 is not assumed.
-        let php: Vec<Vec<PLit>> = vec![
-            vec![1, 2],
-            vec![3, 4],
-            vec![5, 6],
-            vec![-1, -3],
-            vec![-1, -5],
-            vec![-3, -5],
-            vec![-2, -4],
-            vec![-2, -6],
-            vec![-4, -6],
-        ];
-        let mut s = SatSolver::new(7);
-        for c in &php {
-            let mut guarded = vec![-7];
-            guarded.extend_from_slice(c);
-            assert!(s.add_clause(guarded));
+        let mut s = SatSolver::new(9);
+        for c in &clauses {
+            assert!(s.add_clause(c.clone()));
         }
-        assert_eq!(s.solve_under_assumptions(&[7]), SatOutcome::Unsat);
-        let learned_after_first = s.stats.learned_clauses;
-        assert_eq!(s.solve_under_assumptions(&[7]), SatOutcome::Unsat);
-        assert!(matches!(s.solve_under_assumptions(&[-7]), SatOutcome::Sat(_)));
-        assert!(
-            s.stats.learned_clauses >= learned_after_first,
-            "learned clauses are retained, never discarded"
-        );
+        let mut models: Vec<Vec<bool>> = Vec::new();
+        loop {
+            match s.solve() {
+                SatOutcome::Sat(m) => {
+                    let refs: Vec<&[PLit]> = clauses.iter().map(Vec::as_slice).collect();
+                    check_model(&refs, &m);
+                    assert!(!models.contains(&m), "model {m:?} found twice");
+                    let block: Vec<PLit> =
+                        (1..=9).map(|v| if m[v as usize] { -v } else { v }).collect();
+                    models.push(m);
+                    clauses.push(block.clone());
+                    if !s.add_clause(block) {
+                        break;
+                    }
+                }
+                SatOutcome::Unsat => break,
+                SatOutcome::Unknown => panic!("no budget is set"),
+            }
+        }
+        assert_eq!(models.len(), 6, "{models:?}");
+        assert!(s.stats.learned_clauses > 0, "enumeration must learn clauses");
+        assert_eq!(s.solve(), SatOutcome::Unsat, "a refuted database stays refuted");
     }
 
     #[test]

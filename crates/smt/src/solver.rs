@@ -2,9 +2,11 @@
 //! high-level entailment queries LISA uses (implication, equivalence, and
 //! the paper's complement-of-the-checker violation test).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::cnf::{Cnf, PLit};
 use crate::model::{Model, Value};
-use crate::nnf::{preprocess, preprocess_violation};
+use crate::nnf::{preprocess, preprocess_violation, to_nnf, to_nnf_negated, violation_query};
 use crate::sat::{SatOutcome, SatSolver};
 use crate::term::{Sort, Term};
 use crate::theory::{self, TheoryLit, TheoryResult};
@@ -336,16 +338,54 @@ pub fn violates_budgeted(
 
 /// [`violates_budgeted`] for a query already in canonical form: `query`
 /// is [`preprocess_violation`]`(pi, checker)`, which equals the
-/// canonical form of `pi ∧ ¬checker`, so it is solved as it stands.
-/// The solver session hands over the form it built from π's NNF, so no
-/// query is canonicalized twice.
-pub fn check_violation(query: &Term, max_conflicts: Option<u64>) -> ViolationOutcome {
+/// canonical form of `pi ∧ ¬checker`, so it is solved as it stands on
+/// one fresh solver.
+fn check_violation(query: &Term, max_conflicts: Option<u64>) -> ViolationOutcome {
     let mut solver = Solver::new();
     solver.max_conflicts = max_conflicts;
     match solver.check_canonical(query) {
         SatResult::Sat(m) => ViolationOutcome::Violated(m),
         SatResult::Unsat => ViolationOutcome::Verified,
         SatResult::Unknown { reason } => ViolationOutcome::Unknown { reason },
+    }
+}
+
+/// Counters of one [`SolverSession`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SessionStats {
+    /// Queries answered through the session.
+    pub queries: u64,
+    /// Always 0: every query runs on a fresh solver. Kept only until
+    /// lisabench retires `smt.incremental_ratio`, which reads it
+    /// (ROADMAP item 2).
+    pub incremental: u64,
+}
+
+/// One checker's violation queries: `¬checker` is taken to NNF once,
+/// and each path condition π is solved on a fresh solver, exactly as
+/// [`violates_budgeted`]`(π, checker, ..)` solves it.
+#[derive(Debug)]
+pub struct SolverSession {
+    /// The NNF of `¬checker`, normalized once for every query.
+    negated: Term,
+    queries: AtomicU64,
+}
+
+impl SolverSession {
+    pub fn new(checker: &Term) -> SolverSession {
+        SolverSession { negated: to_nnf_negated(checker), queries: AtomicU64::new(0) }
+    }
+
+    /// Is `π ∧ ¬checker` satisfiable? The same answer, witness and
+    /// `Unknown` reason included, as [`violates_budgeted`].
+    pub fn violates_budgeted(&self, pi: &Term, max_conflicts: Option<u64>) -> ViolationOutcome {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        check_violation(&violation_query(&to_nnf(pi), &self.negated), max_conflicts)
+    }
+
+    /// A snapshot of the session's counters.
+    pub fn stats(&self) -> SessionStats {
+        SessionStats { queries: self.queries.load(Ordering::Relaxed), incremental: 0 }
     }
 }
 
@@ -556,5 +596,93 @@ mod tests {
         let r = Solver::new().check(&t);
         let m = r.model().expect("sat");
         assert!(m.validated, "{m}");
+    }
+}
+
+#[cfg(test)]
+mod session_tests {
+    use super::*;
+    use crate::parse::parse_cond;
+
+    fn t(s: &str) -> Term {
+        parse_cond(s).expect("parse")
+    }
+
+    fn zk_checker() -> Term {
+        t("s != null && s.isClosing == false && s.ttl > 0")
+    }
+
+    // Compare outcomes by their canonical rendering: `Model`'s `Display`
+    // sorts keys, whereas Debug exposes HashMap iteration order, which
+    // differs even between two *fresh* solves of the same query.
+    fn same_outcome(a: &ViolationOutcome, b: &ViolationOutcome) -> bool {
+        match (a, b) {
+            (ViolationOutcome::Violated(ma), ViolationOutcome::Violated(mb)) => {
+                format!("{ma}") == format!("{mb}") && ma.validated == mb.validated
+            }
+            (ViolationOutcome::Verified, ViolationOutcome::Verified) => true,
+            (
+                ViolationOutcome::Unknown { reason: ra },
+                ViolationOutcome::Unknown { reason: rb },
+            ) => ra == rb,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn session_answers_match_fresh_solver_exactly() {
+        let checker = zk_checker();
+        let session = SolverSession::new(&checker);
+        for pi in [
+            t("s != null && s.isClosing == false"), // violated: missing ttl
+            checker.clone(),                        // verified
+            t("s == null"),                         // violated
+            t("s != null && s.isClosing == false && s.ttl > 5"), // verified
+        ] {
+            let fresh = violates_budgeted(&pi, &checker, None);
+            let via_session = session.violates_budgeted(&pi, None);
+            assert!(
+                same_outcome(&fresh, &via_session),
+                "session diverged on {pi}: fresh {fresh:?} vs session {via_session:?}"
+            );
+        }
+        assert_eq!(session.stats().queries, 4);
+    }
+
+    #[test]
+    fn budgeted_queries_are_isolated_and_do_not_poison_the_session() {
+        let clique = t(
+            "x >= 0 && x <= 1 && y >= 0 && y <= 1 && z >= 0 && z <= 1 \
+             && x != y && y != z && x != z",
+        );
+        let checker = clique.clone().not();
+        let session = SolverSession::new(&checker);
+        // Zero budget on a query that needs search: Unknown.
+        let starved = session.violates_budgeted(&t("w > 0"), Some(0));
+        assert!(matches!(starved, ViolationOutcome::Unknown { .. }), "{starved:?}");
+        // The same query unbudgeted still gets the fresh-identical answer.
+        let after = session.violates_budgeted(&t("w > 0"), None);
+        let fresh = violates_budgeted(&t("w > 0"), &checker, None);
+        assert!(same_outcome(&after, &fresh), "{after:?} vs {fresh:?}");
+    }
+
+    #[test]
+    fn trivially_valid_checker_short_circuits() {
+        let session = SolverSession::new(&t("x > 0 || x <= 0"));
+        let outcome = session.violates_budgeted(&t("p == true"), None);
+        assert!(matches!(outcome, ViolationOutcome::Verified));
+        let fresh = violates_budgeted(&t("p == true"), &t("x > 0 || x <= 0"), None);
+        assert!(same_outcome(&outcome, &fresh));
+    }
+
+    #[test]
+    fn constant_path_conditions_match_fresh() {
+        let checker = zk_checker();
+        let session = SolverSession::new(&checker);
+        for pi in [t("x > 0 && x <= 0"), t("x > 0 || x <= 0")] {
+            let fresh = violates_budgeted(&pi, &checker, None);
+            let via_session = session.violates_budgeted(&pi, None);
+            assert!(same_outcome(&fresh, &via_session), "{pi}");
+        }
     }
 }

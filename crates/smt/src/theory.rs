@@ -485,7 +485,7 @@ pub fn check(literals: &[TheoryLit]) -> TheoryResult {
     // Sorted by variable name: class ids are assigned in first-use
     // order, so the witness must not depend on HashMap iteration order —
     // the same query must yield the same model on every solve (the
-    // byte-identity invariant caches and sessions are held to).
+    // byte-identity invariant the memo is held to).
     let mut ref_vars: Vec<(String, usize)> = refs
         .node_of
         .iter()

@@ -229,10 +229,9 @@ fn outcomes_agree(a: &lisa_smt::ViolationOutcome, b: &lisa_smt::ViolationOutcome
 
 #[test]
 fn session_agrees_with_fresh_solver_over_random_sequences() {
-    // The tentpole invariant: a whole sequence of queries through one
-    // SolverSession — clauses learned on earlier π carried into later
-    // ones — answers every query exactly as a fresh solver does,
-    // witness models included.
+    // A whole sequence of queries through one SolverSession — one
+    // normalized ¬checker shared by every π — answers every query
+    // exactly as a fresh solver does, witness models included.
     let mut rng = Prng::seed_from_u64(0xabcd_0008);
     for case in 0..64 {
         let checker = gen_term(&mut rng, 3);
@@ -255,8 +254,7 @@ fn budget_exhausted_query_never_poisons_later_session_answers() {
     // Session robustness: a budget-starved (`Unknown`) query in the
     // middle of a session must leave every subsequent query answering
     // exactly as a fresh solver would — exhaustion is an answer about
-    // one query's budget, never contagion into the shared clause
-    // database.
+    // one query's budget, never contagion into later queries.
     let mut rng = Prng::seed_from_u64(0xabcd_0009);
     for case in 0..64 {
         let checker = gen_term(&mut rng, 3);
@@ -279,8 +277,6 @@ fn budget_exhausted_query_never_poisons_later_session_answers() {
                  (after interleaved budget-exhausted queries)"
             );
         }
-        let stats = session.stats();
-        assert_eq!(stats.budget_isolated, 4, "case {case}: every odd step isolated");
     }
 }
 

@@ -139,10 +139,12 @@ fn gate_trace_covers_every_pipeline_stage() {
     assert!(counters.u64_of("smt.queries").unwrap_or(0) > 0, "{metrics_text}");
     assert!(counters.u64_of("smt.decisions").unwrap_or(0) > 0, "{metrics_text}");
     assert!(counters.u64_of("smt.clauses").unwrap_or(0) > 0, "{metrics_text}");
-    // The session layer reports its reuse economics: one session per
-    // (rule, batch) dispatch, every query accounted for.
-    assert!(counters.u64_of("smt.session.opened").unwrap_or(0) > 0, "{metrics_text}");
-    assert!(counters.u64_of("smt.session.queries").unwrap_or(0) > 0, "{metrics_text}");
+    // Every query is counted exactly once, under exactly one outcome.
+    let outcomes: u64 = ["smt.outcome.sat", "smt.outcome.unsat", "smt.outcome.unknown"]
+        .iter()
+        .map(|name| counters.u64_of(name).unwrap_or(0))
+        .sum();
+    assert_eq!(Some(outcomes), counters.u64_of("smt.queries"), "{metrics_text}");
     assert!(counters.u64_of("concolic.steps").unwrap_or(0) > 0, "{metrics_text}");
     assert!(counters.u64_of("analysis.chains").unwrap_or(0) > 0, "{metrics_text}");
     assert!(counters.u64_of("store.appends").unwrap_or(0) > 0, "{metrics_text}");
