@@ -10,6 +10,8 @@
 //! module global); at each call site the argument expression's syntactic
 //! path names the caller-side alias, and so on up to the entry function.
 
+use std::borrow::Cow;
+
 use crate::callgraph::CallGraph;
 use crate::tree::CallChain;
 use lisa_lang::symbolic::path_root;
@@ -24,32 +26,37 @@ use lisa_lang::Program;
 ///
 /// A map holds a handful of entries, kept sorted, so every probe the
 /// concolic tracer makes (per branch, assignment and hit) is a binary
-/// search over `&str` pairs that allocates nothing.
+/// search over `&str` pairs that allocates nothing. Function names and
+/// placeholders borrow from the program and the rule (`'a`), and so does
+/// a path that is a plain variable; only a field path (`req.session`)
+/// is owned.
 #[derive(Debug, Clone, Default)]
-pub struct AliasMap {
+pub struct AliasMap<'a> {
     /// `(function, path, placeholder)`, sorted by the unique
     /// `(function, path)`. The function "*" means "any function" (used
     /// for globals).
-    entries: Vec<(String, String, String)>,
+    entries: Vec<(&'a str, Cow<'a, str>, &'a str)>,
 }
 
-impl AliasMap {
+impl<'a> AliasMap<'a> {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     fn find(&self, function: &str, path: &str) -> Result<usize, usize> {
-        self.entries
-            .binary_search_by(|(f, p, _)| (f.as_str(), p.as_str()).cmp(&(function, path)))
+        self.entries.binary_search_by(|(f, p, _)| (*f, &**p).cmp(&(function, path)))
     }
 
-    pub fn insert(&mut self, function: &str, path: &str, placeholder: &str) {
-        match self.find(function, path) {
-            Ok(i) => self.entries[i].2 = placeholder.to_string(),
-            Err(i) => self.entries.insert(
-                i,
-                (function.to_string(), path.to_string(), placeholder.to_string()),
-            ),
+    pub fn insert(
+        &mut self,
+        function: &'a str,
+        path: impl Into<Cow<'a, str>>,
+        placeholder: &'a str,
+    ) {
+        let path = path.into();
+        match self.find(function, &path) {
+            Ok(i) => self.entries[i].2 = placeholder,
+            Err(i) => self.entries.insert(i, (function, path, placeholder)),
         }
     }
 
@@ -60,7 +67,7 @@ impl AliasMap {
         loop {
             for scope in [function, "*"] {
                 if let Ok(i) = self.find(scope, prefix) {
-                    return Some((prefix.len(), &self.entries[i].2));
+                    return Some((prefix.len(), self.entries[i].2));
                 }
             }
             prefix = &prefix[..prefix.rfind('.')?];
@@ -89,13 +96,13 @@ impl AliasMap {
     /// Iterate `(function, path, placeholder)` entries in `(function,
     /// path)` order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, &str)> {
-        self.entries.iter().map(|(f, p, ph)| (f.as_str(), p.as_str(), ph.as_str()))
+        self.entries.iter().map(|(f, p, ph)| (*f, &**p, *ph))
     }
 
     /// Absorb another alias map (union across chains).
-    pub fn merge(&mut self, other: &AliasMap) {
-        for (f, p, ph) in other.iter() {
-            self.insert(f, p, ph);
+    pub fn merge(&mut self, other: &AliasMap<'a>) {
+        for (f, p, ph) in &other.entries {
+            self.insert(f, p.clone(), ph);
         }
     }
 }
@@ -105,88 +112,69 @@ impl AliasMap {
 /// - the same-named parameter of the target function (then propagates to
 ///   caller argument paths up the chain), or
 /// - a module global of that name (relevant in every function).
-pub fn chain_aliases(
-    program: &Program,
-    graph: &CallGraph,
-    chain: &CallChain,
-    target_fn: &str,
-    placeholder_roots: &[String],
-) -> AliasMap {
+pub fn chain_aliases<'a>(
+    program: &'a Program,
+    graph: &CallGraph<'a>,
+    chain: &CallChain<'a>,
+    target_fn: &'a str,
+    placeholder_roots: &'a [String],
+) -> AliasMap<'a> {
     let mut map = AliasMap::default();
-    // Functions on the chain from entry to the holder of the target site.
-    let fns = chain.functions(graph);
+    // The index of `name` among the parameters of function `f`.
+    let param_of = |f: &str, name: &str| {
+        program.function(f).and_then(|d| d.params.iter().position(|(p, _)| p == name))
+    };
+    // The parameter of `f` that `path` names as a whole, if any.
+    let whole_param = |path: &str, f: &str| {
+        if path_root(path) == path {
+            param_of(f, path)
+        } else {
+            None
+        }
+    };
     for ph in placeholder_roots {
         if program.global(ph).is_some() {
             map.insert("*", ph, ph);
             continue;
         }
         // Seed at the target function parameter.
-        let Some(decl) = program.function(target_fn) else { continue };
-        let Some(param_idx) = decl.params.iter().position(|(p, _)| p == ph) else {
-            continue;
-        };
+        let Some(param_idx) = param_of(target_fn, ph) else { continue };
         map.insert(target_fn, ph, ph);
         // Walk the chain bottom-up. The last site in `chain.sites` calls
         // the function containing the target site; the target site itself
         // calls `target_fn` — handle that hop first.
-        let mut cur_fn: String;
-        let mut cur_idx = param_idx;
-        // Hop 1: from target_fn to the function containing the target call.
         let tsite = graph.site(chain.target_site);
-        if tsite.callee == target_fn {
-            match tsite.arg_paths.get(cur_idx).cloned().flatten() {
-                Some(arg_path) => {
-                    map.insert(&tsite.caller, &arg_path, ph);
-                    cur_fn = tsite.caller.clone();
-                    // The alias flows further up only when it is itself a
-                    // whole parameter of the caller; a field path like
-                    // `req.session` still renames locally but stops here.
-                    let root = path_root(&arg_path).to_string();
-                    cur_idx = match program
-                        .function(&cur_fn)
-                        .and_then(|d| d.params.iter().position(|(p, _)| *p == root))
-                    {
-                        Some(i) if root == arg_path => i,
-                        _ => {
-                            continue;
-                        }
-                    };
-                }
-                None => continue,
-            }
-        } else {
+        if tsite.callee != target_fn {
             // Target is the site's own function (builtin target):
             // placeholders must be globals for builtin targets.
             continue;
         }
+        // Hop 1: from target_fn to the function containing the target call.
+        // The alias flows further up only when it is itself a whole
+        // parameter of the caller; a field path like `req.session` still
+        // renames locally but stops here.
+        let Some(arg_path) = tsite.arg_path(param_idx) else { continue };
+        let up = whole_param(&arg_path, tsite.caller);
+        map.insert(tsite.caller, arg_path, ph);
+        let Some(mut cur_idx) = up else { continue };
+        let mut cur_fn = tsite.caller;
         // Remaining hops: walk chain sites from innermost to entry.
         for &sid in chain.sites.iter().rev() {
             let site = graph.site(sid);
             if site.callee != cur_fn {
                 break;
             }
-            match site.arg_paths.get(cur_idx).cloned().flatten() {
-                Some(arg_path) => {
-                    map.insert(&site.caller, &arg_path, ph);
-                    let root = path_root(&arg_path).to_string();
-                    if root != arg_path {
-                        break;
-                    }
-                    match program
-                        .function(&site.caller)
-                        .and_then(|d| d.params.iter().position(|(p, _)| *p == root))
-                    {
-                        Some(i) => {
-                            cur_fn = site.caller.clone();
-                            cur_idx = i;
-                        }
-                        None => break,
-                    }
+            let Some(arg_path) = site.arg_path(cur_idx) else { break };
+            let up = whole_param(&arg_path, site.caller);
+            map.insert(site.caller, arg_path, ph);
+            match up {
+                Some(i) => {
+                    cur_fn = site.caller;
+                    cur_idx = i;
                 }
                 None => break,
             }
         }
-        let _ = fns;
     }
     map
 }
@@ -204,15 +192,14 @@ mod tests {
          fn handle(req: Session) { prep(req); }\n\
          fn direct(x: Session) { create_node(x, \"/b\"); }";
 
-    fn setup() -> (Program, CallGraph) {
-        let p = Program::parse_single("t", SRC).expect("p");
-        let g = CallGraph::build(&p);
-        (p, g)
+    fn program() -> Program {
+        Program::parse_single("t", SRC).expect("p")
     }
 
     #[test]
     fn aliases_flow_up_the_chain() {
-        let (p, g) = setup();
+        let p = program();
+        let g = CallGraph::build(&p);
         let tree = execution_tree(
             &g,
             &TargetSpec::Call { callee: "create_node".into() },
@@ -223,7 +210,8 @@ mod tests {
             .iter()
             .find(|c| c.entry == "handle")
             .expect("handle chain");
-        let aliases = chain_aliases(&p, &g, chain, "create_node", &["s".to_string()]);
+        let roots = ["s".to_string()];
+        let aliases = chain_aliases(&p, &g, chain, "create_node", &roots);
         assert_eq!(aliases.rename("create_node", "s"), Some("s".to_string()));
         assert_eq!(aliases.rename("prep", "session"), Some("s".to_string()));
         assert_eq!(aliases.rename("prep", "session.closing"), Some("s.closing".to_string()));
@@ -235,41 +223,47 @@ mod tests {
 
     #[test]
     fn direct_chain_uses_its_own_names() {
-        let (p, g) = setup();
+        let p = program();
+        let g = CallGraph::build(&p);
         let tree = execution_tree(
             &g,
             &TargetSpec::Call { callee: "create_node".into() },
             TreeLimits::default(),
         );
         let chain = tree.chains.iter().find(|c| c.entry == "direct").expect("chain");
-        let aliases = chain_aliases(&p, &g, chain, "create_node", &["s".to_string()]);
+        let roots = ["s".to_string()];
+        let aliases = chain_aliases(&p, &g, chain, "create_node", &roots);
         assert_eq!(aliases.rename("direct", "x.closing"), Some("s.closing".to_string()));
         assert_eq!(aliases.rename("prep", "session"), None);
     }
 
     #[test]
     fn globals_are_relevant_everywhere() {
-        let (p, g) = setup();
+        let p = program();
+        let g = CallGraph::build(&p);
         let tree = execution_tree(
             &g,
             &TargetSpec::Call { callee: "create_node".into() },
             TreeLimits::default(),
         );
         let chain = &tree.chains[0];
-        let aliases = chain_aliases(&p, &g, chain, "create_node", &["safemode".to_string()]);
+        let roots = ["safemode".to_string()];
+        let aliases = chain_aliases(&p, &g, chain, "create_node", &roots);
         assert_eq!(aliases.rename("anything", "safemode"), Some("safemode".to_string()));
     }
 
     #[test]
     fn relevance_check() {
-        let (p, g) = setup();
+        let p = program();
+        let g = CallGraph::build(&p);
         let tree = execution_tree(
             &g,
             &TargetSpec::Call { callee: "create_node".into() },
             TreeLimits::default(),
         );
         let chain = tree.chains.iter().find(|c| c.entry == "handle").expect("chain");
-        let aliases = chain_aliases(&p, &g, chain, "create_node", &["s".to_string()]);
+        let roots = ["s".to_string()];
+        let aliases = chain_aliases(&p, &g, chain, "create_node", &roots);
         assert!(aliases.is_relevant("prep", "session.closing"));
         assert!(!aliases.is_relevant("prep", "reqCount"));
     }

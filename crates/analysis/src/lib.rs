@@ -3,8 +3,9 @@
 //! Static analysis over SIR programs — the role Soot plays in the paper's
 //! prototype:
 //!
-//! - [`callgraph`] — exact call graph with per-site argument paths and
-//!   lexical lock context,
+//! - [`callgraph`] — exact call graph whose sites borrow their caller,
+//!   callee, argument expressions and lexical lock context from the
+//!   program (argument paths are derived on demand),
 //! - [`target`] — target-statement specifications (the `s` in the paper's
 //!   safety contracts `{P} s {Q}`),
 //! - [`tree`] — execution trees: all acyclic entry→target call chains,
@@ -12,6 +13,12 @@
 //!   deterministic stand-in for the paper's LLM variable mapper),
 //! - [`paths`] — intraprocedural path-space estimators used by the
 //!   pruning experiments.
+//!
+//! Graphs, trees, chains and alias maps borrow their names from the
+//! [`Program`] they were built over and the rule they serve; an alias map
+//! owns only the field paths it builds (`req.session`).
+//!
+//! [`Program`]: lisa_lang::Program
 //!
 //! ```
 //! use lisa_analysis::{execution_tree, CallGraph, TargetSpec, TreeLimits};

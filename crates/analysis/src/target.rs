@@ -74,8 +74,8 @@ mod tests {
     use super::*;
     use lisa_lang::Program;
 
-    fn graph() -> CallGraph {
-        let p = Program::parse_single(
+    fn program() -> Program {
+        Program::parse_single(
             "t",
             "struct S { v: int }\n\
              fn create_node(s: S) {}\n\
@@ -83,27 +83,29 @@ mod tests {
              fn b(s: S) { create_node(s); blocking_io(\"free\"); }\n\
              fn c() { sync (l) { blocking_io(\"locked\"); } }",
         )
-        .expect("p");
-        CallGraph::build(&p)
+        .expect("p")
     }
 
     #[test]
     fn call_target_matches_user_calls() {
-        let g = graph();
+        let p = program();
+        let g = CallGraph::build(&p);
         let t = TargetSpec::Call { callee: "create_node".into() };
         assert_eq!(t.sites(&g).len(), 2);
     }
 
     #[test]
     fn builtin_target_matches_all_invocations() {
-        let g = graph();
+        let p = program();
+        let g = CallGraph::build(&p);
         let t = TargetSpec::Builtin { name: "blocking_io".into() };
         assert_eq!(t.sites(&g).len(), 2);
     }
 
     #[test]
     fn builtin_in_sync_only_matches_locked_sites() {
-        let g = graph();
+        let p = program();
+        let g = CallGraph::build(&p);
         let t = TargetSpec::BuiltinInSync { name: "blocking_io".into() };
         let sites = t.sites(&g);
         assert_eq!(sites.len(), 1);

@@ -16,7 +16,7 @@ use crate::target::TargetSpec;
 
 /// One path from an entry function to a target site.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CallChain {
+pub struct CallChain<'p> {
     /// The matched target site (innermost).
     pub target_site: SiteId,
     /// Call sites from the entry function (first) down to the caller of
@@ -24,33 +24,36 @@ pub struct CallChain {
     /// target site sits directly in an entry function.
     pub sites: Vec<SiteId>,
     /// The entry function this chain starts at.
-    pub entry: String,
+    pub entry: &'p str,
 }
 
-impl CallChain {
+impl<'p> CallChain<'p> {
     /// Functions on this chain, entry first, ending with the function
     /// containing the target site.
-    pub fn functions(&self, graph: &CallGraph) -> Vec<String> {
-        let mut fns = vec![self.entry.clone()];
-        for &sid in &self.sites {
-            fns.push(graph.site(sid).callee.clone());
-        }
-        fns
+    pub fn functions<'g>(&'g self, graph: &'g CallGraph<'p>) -> impl Iterator<Item = &'p str> + 'g {
+        std::iter::once(self.entry).chain(self.sites.iter().map(|&sid| graph.site(sid).callee))
     }
 
     /// Human-readable rendering `entry -> f -> g [target]`.
-    pub fn render(&self, graph: &CallGraph) -> String {
-        let mut out = self.functions(graph).join(" -> ");
-        out.push_str(&format!(" [{}]", graph.site(self.target_site).callee));
+    pub fn render(&self, graph: &CallGraph<'p>) -> String {
+        let mut out = String::new();
+        for (i, f) in self.functions(graph).enumerate() {
+            if i > 0 {
+                out.push_str(" -> ");
+            }
+            out.push_str(f);
+        }
+        out.push_str(" [");
+        out.push_str(graph.site(self.target_site).callee);
+        out.push(']');
         out
     }
 }
 
 /// The execution tree for one target spec.
 #[derive(Debug, Clone)]
-pub struct ExecutionTree {
-    pub target: TargetSpec,
-    pub chains: Vec<CallChain>,
+pub struct ExecutionTree<'p> {
+    pub chains: Vec<CallChain<'p>>,
     /// True when enumeration hit the cap and chains were dropped.
     pub truncated: bool,
 }
@@ -69,51 +72,55 @@ impl Default for TreeLimits {
 }
 
 /// Build the execution tree for `target` over `graph`.
-pub fn execution_tree(graph: &CallGraph, target: &TargetSpec, limits: TreeLimits) -> ExecutionTree {
+pub fn execution_tree<'p>(
+    graph: &CallGraph<'p>,
+    target: &TargetSpec,
+    limits: TreeLimits,
+) -> ExecutionTree<'p> {
     execution_tree_filtered(graph, target, limits, &|_| false)
 }
 
 /// Like [`execution_tree`], but callers matching `exclude` are not walked
 /// into — used to keep *test* functions out of the system's execution
 /// tree (tests are inputs, not request paths).
-pub fn execution_tree_filtered(
-    graph: &CallGraph,
+pub fn execution_tree_filtered<'p>(
+    graph: &CallGraph<'p>,
     target: &TargetSpec,
     limits: TreeLimits,
     exclude: &dyn Fn(&str) -> bool,
-) -> ExecutionTree {
+) -> ExecutionTree<'p> {
     let mut span = lisa_telemetry::span("analysis.tree");
     let mut chains = Vec::new();
     let mut truncated = false;
     for site_id in target.sites(graph) {
-        let holder = graph.site(site_id).caller.clone();
+        let holder = graph.site(site_id).caller;
         // Sites inside excluded functions (tests) are not system paths.
-        if exclude(&holder) {
+        if exclude(holder) {
             continue;
         }
         // DFS upward from the function containing the target site.
-        let mut stack: Vec<(String, Vec<SiteId>)> = vec![(holder, Vec::new())];
+        let mut stack: Vec<(&'p str, Vec<SiteId>)> = vec![(holder, Vec::new())];
         while let Some((f, below)) = stack.pop() {
             if chains.len() >= limits.max_chains {
                 truncated = true;
                 break;
             }
-            let callers = graph.callers_of(&f);
+            let callers = graph.callers_of(f);
             // Filter callers that would revisit a function already on the
             // chain (cycle) or exceed depth.
             let mut extended = false;
             if below.len() < limits.max_depth {
                 for &caller_site in callers {
-                    let caller_fn = &graph.site(caller_site).caller;
-                    let on_chain = *caller_fn == f
-                        || below.iter().any(|&s| &graph.site(s).caller == caller_fn);
+                    let caller_fn = graph.site(caller_site).caller;
+                    let on_chain =
+                        caller_fn == f || below.iter().any(|&s| graph.site(s).caller == caller_fn);
                     if on_chain || exclude(caller_fn) {
                         continue;
                     }
                     let mut next = Vec::with_capacity(below.len() + 1);
                     next.push(caller_site);
                     next.extend(below.iter().copied());
-                    stack.push((caller_fn.clone(), next));
+                    stack.push((caller_fn, next));
                     extended = true;
                 }
             }
@@ -137,7 +144,7 @@ pub fn execution_tree_filtered(
             limits.max_chains, limits.max_depth
         ));
     }
-    ExecutionTree { target: target.clone(), chains, truncated }
+    ExecutionTree { chains, truncated }
 }
 
 #[cfg(test)]
@@ -145,9 +152,12 @@ mod tests {
     use super::*;
     use lisa_lang::Program;
 
-    fn tree_for(src: &str, target: TargetSpec) -> (CallGraph, ExecutionTree) {
-        let p = Program::parse_single("t", src).expect("p");
-        let g = CallGraph::build(&p);
+    fn parse(src: &str) -> Program {
+        Program::parse_single("t", src).expect("p")
+    }
+
+    fn tree_for(p: &Program, target: TargetSpec) -> (CallGraph<'_>, ExecutionTree<'_>) {
+        let g = CallGraph::build(p);
         let t = execution_tree(&g, &target, TreeLimits::default());
         (g, t)
     }
@@ -161,7 +171,8 @@ mod tests {
 
     #[test]
     fn enumerates_all_chains() {
-        let (g, t) = tree_for(DIAMOND, TargetSpec::Call { callee: "target".into() });
+        let p = parse(DIAMOND);
+        let (g, t) = tree_for(&p, TargetSpec::Call { callee: "target".into() });
         assert!(!t.truncated);
         let rendered: Vec<String> = t.chains.iter().map(|c| c.render(&g)).collect();
         assert_eq!(t.chains.len(), 3, "{rendered:?}");
@@ -172,19 +183,20 @@ mod tests {
 
     #[test]
     fn leaves_are_entry_functions() {
-        let (_, t) = tree_for(DIAMOND, TargetSpec::Call { callee: "target".into() });
-        let mut entries: Vec<&str> = t.chains.iter().map(|c| c.entry.as_str()).collect();
+        let p = parse(DIAMOND);
+        let (_, t) = tree_for(&p, TargetSpec::Call { callee: "target".into() });
+        let mut entries: Vec<&str> = t.chains.iter().map(|c| c.entry).collect();
         entries.sort_unstable();
         assert_eq!(entries, vec!["entry_a", "entry_b", "entry_c"]);
     }
 
     #[test]
     fn recursion_is_cut_not_looped() {
-        let (_, t) = tree_for(
+        let p = parse(
             "fn target() {}\n\
              fn r(n: int) { if (n > 0) { r(n - 1); } target(); }",
-            TargetSpec::Call { callee: "target".into() },
         );
+        let (_, t) = tree_for(&p, TargetSpec::Call { callee: "target".into() });
         // r is self-recursive; the chain should cut at r once.
         assert_eq!(t.chains.len(), 1);
         assert_eq!(t.chains[0].entry, "r");
@@ -192,12 +204,12 @@ mod tests {
 
     #[test]
     fn multiple_target_sites_fan_out() {
-        let (_, t) = tree_for(
+        let p = parse(
             "struct S { v: int }\n\
              fn target(s: S) {}\n\
              fn a(s: S) { target(s); target(s); }",
-            TargetSpec::Call { callee: "target".into() },
         );
+        let (_, t) = tree_for(&p, TargetSpec::Call { callee: "target".into() });
         assert_eq!(t.chains.len(), 2);
     }
 
@@ -222,8 +234,9 @@ mod tests {
 
     #[test]
     fn chain_functions_order() {
-        let (g, t) = tree_for(DIAMOND, TargetSpec::Call { callee: "target".into() });
+        let p = parse(DIAMOND);
+        let (g, t) = tree_for(&p, TargetSpec::Call { callee: "target".into() });
         let chain = t.chains.iter().find(|c| c.entry == "entry_a").expect("chain");
-        assert_eq!(chain.functions(&g), vec!["entry_a", "helper"]);
+        assert_eq!(chain.functions(&g).collect::<Vec<_>>(), vec!["entry_a", "helper"]);
     }
 }

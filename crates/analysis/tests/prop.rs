@@ -112,7 +112,7 @@ fn chains_are_acyclic() {
             TreeLimits { max_chains: 100_000, max_depth: 64 },
         );
         for chain in &tree.chains {
-            let fns = chain.functions(&g);
+            let fns: Vec<&str> = chain.functions(&g).collect();
             let mut dedup = fns.clone();
             dedup.sort();
             dedup.dedup();

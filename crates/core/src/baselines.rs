@@ -72,7 +72,7 @@ pub fn verification_cost(version: &SystemVersion, target: &TargetSpec) -> u64 {
         // Paths to each call site along the chain.
         for &sid in &chain.sites {
             let site = graph.site(sid);
-            if let Some(f) = version.program.function(&site.caller) {
+            if let Some(f) = version.program.function(site.caller) {
                 if let Some(p) = paths_to_stmt(f, site.stmt) {
                     product = product.saturating_mul(p.max(1));
                 }
@@ -80,7 +80,7 @@ pub fn verification_cost(version: &SystemVersion, target: &TargetSpec) -> u64 {
         }
         // Paths to the target site in its holder.
         let tsite = graph.site(chain.target_site);
-        if let Some(f) = version.program.function(&tsite.caller) {
+        if let Some(f) = version.program.function(tsite.caller) {
             if let Some(p) = paths_to_stmt(f, tsite.stmt) {
                 product = product.saturating_mul(p.max(1));
             }

@@ -14,10 +14,13 @@
 //! 6. fold arrivals onto static chains: Verified / Violated / NotCovered,
 //!    with the fixed path expected to verify (sanity check).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use lisa_analysis::{chain_aliases, execution_tree_filtered, AliasMap, CallGraph, TreeLimits};
+use lisa_analysis::{
+    chain_aliases, execution_tree_filtered, AliasMap, CallGraph, TargetSpec, TreeLimits,
+};
 use lisa_concolic::{
     run_tests_budgeted, HarnessBudget, HarnessOutcome, Policy, SystemVersion, TargetHit, TestCase,
 };
@@ -288,13 +291,11 @@ impl Pipeline {
         // Test selection; degraded mode keeps only the best-ranked test
         // (the fixed-path sanity check).
         let t_select = Instant::now();
-        let mut selected = {
+        let selected = {
             let _s = lisa_telemetry::span("pipeline.select");
             self.select_tests(version, &tree, &graph, rule)
         };
-        if degraded_mode {
-            selected.truncate(1);
-        }
+        let selected = if degraded_mode { &selected[..selected.len().min(1)] } else { &selected };
         stats.tests_selected = selected.len() as u64;
 
         // Once the gate deadline expires, every remaining test run and
@@ -319,7 +320,7 @@ impl Pipeline {
         };
         let outcomes: Vec<HarnessOutcome> =
             if selected.len() <= 1 {
-                vec![run_batch(&selected, &harness_budget)]
+                vec![run_batch(selected, &harness_budget)]
             } else {
                 selected
                     .iter()
@@ -345,8 +346,8 @@ impl Pipeline {
             .iter()
             .map(|c| ChainReport {
                 rendered: c.render(&graph),
-                entry: c.entry.clone(),
-                functions: c.functions(&graph),
+                entry: c.entry.to_string(),
+                functions: c.functions(&graph).map(str::to_string).collect(),
                 verdict: ChainVerdict::NotCovered,
                 covering_tests: Vec::new(),
             })
@@ -498,15 +499,17 @@ impl Pipeline {
         }
     }
 
-    fn select_tests(
+    /// The tests to run: the version's own list when every test is
+    /// selected, a picked copy otherwise.
+    fn select_tests<'v>(
         &self,
-        version: &SystemVersion,
-        tree: &lisa_analysis::ExecutionTree,
-        graph: &CallGraph,
+        version: &'v SystemVersion,
+        tree: &lisa_analysis::ExecutionTree<'_>,
+        graph: &CallGraph<'_>,
         rule: &SemanticRule,
-    ) -> Vec<TestCase> {
+    ) -> Cow<'v, [TestCase]> {
         match &self.config.selection {
-            TestSelection::All => version.tests.clone(),
+            TestSelection::All => Cow::Borrowed(&version.tests),
             TestSelection::Random { k, seed } => {
                 // Deterministic pseudo-random pick: stable shuffle by
                 // hash(seed, name).
@@ -519,15 +522,15 @@ impl Pipeline {
                     h
                 });
                 tests.truncate((*k).max(1) * tree.chains.len().max(1));
-                tests
+                Cow::Owned(tests)
             }
             TestSelection::Rag { k } => {
                 let index = TestIndex::build(&version.test_summaries());
                 let mut chosen: Vec<String> = Vec::new();
                 for chain in &tree.chains {
                     let desc = describe_path(
-                        &chain.entry,
-                        &chain.functions(graph),
+                        chain.entry,
+                        &chain.functions(graph).collect::<Vec<_>>(),
                         rule.target.callee(),
                         &rule.condition_src,
                     );
@@ -537,12 +540,9 @@ impl Pipeline {
                         }
                     }
                 }
-                version
-                    .tests
-                    .iter()
-                    .filter(|t| chosen.contains(&t.name))
-                    .cloned()
-                    .collect()
+                Cow::Owned(
+                    version.tests.iter().filter(|t| chosen.contains(&t.name)).cloned().collect(),
+                )
             }
         }
     }
@@ -567,9 +567,22 @@ fn memo_key(config_fp: u64, version_fp: u64, rule: &SemanticRule, degraded_mode:
     h.part_u64(u64::from(degraded_mode));
     h.part_u64(version_fp);
     h.part(rule.id.as_bytes()).part(rule.description.as_bytes());
-    h.part_display(format_args!("{:?}", rule.target));
+    part_target(&mut h, &rule.target);
     h.part(rule.condition_src.as_bytes());
     h.finish()
+}
+
+/// Feed a rule target into a key: its variant's tag, then each name as a
+/// part of its own, so no formatting change can split or merge keys.
+fn part_target(h: &mut Fnv1a, target: &TargetSpec) {
+    match target {
+        TargetSpec::Call { callee } => h.part_u64(0).part(callee.as_bytes()),
+        TargetSpec::Builtin { name } => h.part_u64(1).part(name.as_bytes()),
+        TargetSpec::BuiltinInSync { name } => h.part_u64(2).part(name.as_bytes()),
+        TargetSpec::BuiltinInCaller { name, caller } => {
+            h.part_u64(3).part(name.as_bytes()).part(caller.as_bytes())
+        }
+    };
 }
 
 /// Match a dynamic arrival to a static chain: the static chain's function
@@ -803,6 +816,49 @@ mod tests {
             assert_eq!(config_hash(&config), expected, "{config:?}");
             assert_eq!(config_hash(&config), lisa_util::fnv1a(format!("{config:?}").as_bytes()));
         }
+    }
+
+    #[test]
+    fn memo_key_is_pinned() {
+        // Memo keys live only in memory, but a formatting change must not
+        // split or merge them: the target is fed as its variant's tag and
+        // its names, one part each. `(full, degraded)` keys per target.
+        let pinned = [
+            (
+                TargetSpec::Call { callee: "create_ephemeral".into() },
+                [0xf87e_6888_66cc_fc54, 0x06d5_b374_1fbf_7449],
+            ),
+            (
+                TargetSpec::Builtin { name: "blocking_io".into() },
+                [0x32bc_d06b_2043_2399, 0xa8ba_9358_217e_0092],
+            ),
+            (
+                TargetSpec::BuiltinInSync { name: "blocking_io".into() },
+                [0xbba0_306a_9496_05d0, 0xdf34_0e3a_b0c8_07cf],
+            ),
+            (
+                TargetSpec::BuiltinInCaller { name: "blocking_io".into(), caller: "sync".into() },
+                [0xf2ba_74a6_541f_4c79, 0x2b7f_14e3_22a0_2130],
+            ),
+        ];
+        for (target, expected) in pinned {
+            let mut r = rule();
+            r.target = target;
+            assert_eq!(
+                [memo_key(7, 11, &r, false), memo_key(7, 11, &r, true)],
+                expected,
+                "{:?}",
+                r.target
+            );
+        }
+        // Names are parts of their own: moving a byte from one name to
+        // the next changes the key.
+        let split = |name: &str, caller: &str| {
+            let mut r = rule();
+            r.target = TargetSpec::BuiltinInCaller { name: name.into(), caller: caller.into() };
+            memo_key(7, 11, &r, false)
+        };
+        assert_ne!(split("ab", "c"), split("a", "bc"));
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub fn mined_rule(case: &Case) -> SemanticRule {
 
 /// The rule's placeholder aliases, unioned across the static chains the
 /// way the pipeline builds them.
-pub fn rule_aliases(version: &SystemVersion, rule: &SemanticRule) -> AliasMap {
+pub fn rule_aliases<'a>(version: &'a SystemVersion, rule: &'a SemanticRule) -> AliasMap<'a> {
     let program = &version.program;
     let graph = CallGraph::build(program);
     let tree = execution_tree_filtered(&graph, &rule.target, Default::default(), &|f| {

@@ -16,8 +16,10 @@ use common::{mined_rule, rule_aliases};
 use lisa_concolic::{run_tests_budgeted, HarnessBudget, Policy};
 use lisa_corpus::all_cases;
 
-/// Average allocations allowed per test run.
-const CEILING: u64 = 100;
+/// Average allocations allowed per test run: the 41.4 measured once the
+/// interpreter kept globals by slot and the tracer borrowed its function
+/// names from the program, plus 5%. It was 50.6 before.
+const CEILING: f64 = 43.5;
 
 struct Counting;
 
@@ -84,7 +86,7 @@ fn corpus_test_runs_stay_under_the_allocation_ceiling() {
     let avg = total as f64 / runs as f64;
     println!("{runs} test runs, {total} allocations, {avg:.1} per run");
     assert!(
-        avg <= CEILING as f64,
+        avg <= CEILING,
         "concolic test runs average {avg:.1} allocations, ceiling {CEILING}"
     );
 }

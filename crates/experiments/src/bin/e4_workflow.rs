@@ -47,8 +47,8 @@ fn main() {
         let index = TestIndex::build(&version.test_summaries());
         for chain in &tree.chains {
             let desc = lisa_oracle::describe_path(
-                &chain.entry,
-                &chain.functions(&graph),
+                chain.entry,
+                &chain.functions(&graph).collect::<Vec<_>>(),
                 rule.target.callee(),
                 &rule.condition_src,
             );

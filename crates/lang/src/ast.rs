@@ -299,24 +299,22 @@ pub fn visit_exprs<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
 }
 
 /// All expressions appearing directly in a statement (not descending into
-/// nested statements).
-pub fn stmt_exprs(stmt: &Stmt) -> Vec<&Expr> {
-    match &stmt.kind {
-        StmtKind::Let { init, .. } => vec![init],
-        StmtKind::Assign { target, value } => {
-            let mut v = vec![value];
-            if let LValue::Field(obj, _) = target {
-                v.push(obj);
-            }
-            v
-        }
-        StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => vec![cond],
-        StmtKind::For { iter, .. } => vec![iter],
-        StmtKind::Return(Some(e)) => vec![e],
-        StmtKind::Return(None) | StmtKind::Sync { .. } | StmtKind::Throw(_) => vec![],
-        StmtKind::Assert { cond, .. } => vec![cond],
-        StmtKind::Expr(e) => vec![e],
-    }
+/// nested statements), in source order. Allocates nothing.
+pub fn stmt_exprs(stmt: &Stmt) -> impl Iterator<Item = &Expr> {
+    let (first, second) = match &stmt.kind {
+        StmtKind::Let { init, .. } => (Some(init), None),
+        StmtKind::Assign { target, value } => match target {
+            LValue::Field(obj, _) => (Some(value), Some(&**obj)),
+            LValue::Var(_) => (Some(value), None),
+        },
+        StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => (Some(cond), None),
+        StmtKind::For { iter, .. } => (Some(iter), None),
+        StmtKind::Return(Some(e)) => (Some(e), None),
+        StmtKind::Return(None) | StmtKind::Sync { .. } | StmtKind::Throw(_) => (None, None),
+        StmtKind::Assert { cond, .. } => (Some(cond), None),
+        StmtKind::Expr(e) => (Some(e), None),
+    };
+    first.into_iter().chain(second)
 }
 
 #[cfg(test)]

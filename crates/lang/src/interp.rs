@@ -71,7 +71,8 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// A branch event: guard expression plus the direction taken.
+/// A branch event: guard expression plus the direction taken. The
+/// function name and guard borrow from the program.
 pub struct BranchEvent<'a> {
     pub function: &'a str,
     pub stmt: StmtId,
@@ -82,19 +83,21 @@ pub struct BranchEvent<'a> {
     pub depth: usize,
 }
 
-/// A call event, emitted before the callee body runs.
-pub struct CallEvent<'a> {
-    pub caller: &'a str,
-    pub callee: &'a str,
+/// A call event, emitted before the callee body runs. The names and
+/// argument expressions borrow from the program (`'p`); the argument
+/// values live only for the event (`'a`).
+pub struct CallEvent<'a, 'p> {
+    pub caller: &'p str,
+    pub callee: &'p str,
     pub span: Span,
     pub args: &'a [Value],
     /// The argument expressions at the call site; empty for a harness
     /// entry call, which has no call site.
-    pub arg_exprs: &'a [Expr],
+    pub arg_exprs: &'p [Expr],
     pub depth: usize,
 }
 
-impl CallEvent<'_> {
+impl CallEvent<'_, '_> {
     /// Syntactic path of each argument expression, when path-shaped.
     /// Derived on request: most tracers never ask, so calls do not pay
     /// for the strings.
@@ -121,14 +124,17 @@ pub struct BuiltinEvent<'a> {
     pub args: &'a [Value],
     pub span: Span,
     /// Locks held at the moment of the call (innermost last).
-    pub locks: &'a [String],
+    pub locks: &'a [&'a str],
     pub depth: usize,
 }
 
-/// Execution observer. All methods default to no-ops.
-pub trait Tracer {
-    fn on_branch(&mut self, _ev: &BranchEvent<'_>) {}
-    fn on_call(&mut self, _ev: &CallEvent<'_>) {}
+/// Execution observer over a program that lives for `'p`. All methods
+/// default to no-ops. Branch and call events name functions with
+/// `&'p str`s borrowed from the program, so a tracer may keep those
+/// names for the whole run without copying them.
+pub trait Tracer<'p> {
+    fn on_branch(&mut self, _ev: &BranchEvent<'p>) {}
+    fn on_call(&mut self, _ev: &CallEvent<'_, 'p>) {}
     fn on_return(&mut self, _callee: &str, _depth: usize) {}
     fn on_assign(&mut self, _ev: &AssignEvent<'_>) {}
     fn on_sync_enter(&mut self, _lock: &str, _function: &str, _span: Span, _depth: usize) {}
@@ -139,7 +145,7 @@ pub trait Tracer {
 /// A tracer that records nothing.
 pub struct NullTracer;
 
-impl Tracer for NullTracer {}
+impl Tracer<'_> for NullTracer {}
 
 /// Interpreter configuration.
 #[derive(Debug, Clone)]
@@ -197,12 +203,14 @@ fn zero_value(ty: &Type) -> Value {
 pub struct Interp<'p> {
     program: &'p Program,
     pub heap: Heap,
-    globals: HashMap<String, Value>,
+    /// Global values by [`Program::global_slot`]; no name is copied.
+    globals: Vec<Value>,
     pub config: RunConfig,
     pub stats: RunStats,
     clock: i64,
     steps_left: u64,
-    locks: Vec<String>,
+    /// Locks held, innermost last; the names borrow from the program.
+    locks: Vec<&'p str>,
     log_lines: Vec<String>,
 }
 
@@ -215,7 +223,9 @@ impl<'p> Interp<'p> {
     /// Create with explicit configuration.
     pub fn with_config(program: &'p Program, config: RunConfig) -> Interp<'p> {
         let mut heap = Heap::new();
-        let mut globals = HashMap::new();
+        let mut globals = vec![Value::Unit; program.global_count()];
+        // Declaration order fixes the heap ids the global maps and lists
+        // get; the slot only says where each value is kept.
         for g in program.globals() {
             let v = match &g.ty {
                 Type::Map(_, v) => Value::Ref(heap.alloc(HeapObj::Map {
@@ -229,7 +239,8 @@ impl<'p> Interp<'p> {
                 Type::Struct(_) => Value::Null,
                 Type::Unit => Value::Unit,
             };
-            globals.insert(g.name.clone(), v);
+            let slot = program.global_slot(&g.name).expect("every global is indexed");
+            globals[slot] = v;
         }
         let clock = config.clock_start;
         let steps_left = config.max_steps;
@@ -248,7 +259,7 @@ impl<'p> Interp<'p> {
 
     /// Read a global (for test assertions).
     pub fn global(&self, name: &str) -> Option<&Value> {
-        self.globals.get(name)
+        self.program.global_slot(name).map(|slot| &self.globals[slot])
     }
 
     /// Lines written via `log(..)` so far.
@@ -266,7 +277,7 @@ impl<'p> Interp<'p> {
         &mut self,
         fn_name: &str,
         args: Vec<Value>,
-        tracer: &mut dyn Tracer,
+        tracer: &mut dyn Tracer<'p>,
     ) -> Result<Value, RuntimeError> {
         self.call_fn(fn_name, args, &[], tracer, 0, Span::default(), "<harness>")
     }
@@ -278,11 +289,11 @@ impl<'p> Interp<'p> {
         &mut self,
         fn_name: &str,
         args: Vec<Value>,
-        arg_exprs: &[Expr],
-        tracer: &mut dyn Tracer,
+        arg_exprs: &'p [Expr],
+        tracer: &mut dyn Tracer<'p>,
         depth: usize,
         span: Span,
-        caller: &str,
+        caller: &'p str,
     ) -> Result<Value, RuntimeError> {
         let program = self.program;
         let Some(decl) = program.function(fn_name) else {
@@ -303,7 +314,7 @@ impl<'p> Interp<'p> {
         self.stats.max_depth_seen = self.stats.max_depth_seen.max(depth);
         tracer.on_call(&CallEvent {
             caller,
-            callee: fn_name,
+            callee: &decl.name,
             span,
             args: &args,
             arg_exprs,
@@ -343,7 +354,7 @@ impl<'p> Interp<'p> {
         stmts: &'p [Stmt],
         env: &mut Env<'p>,
         f: &'p FnDecl,
-        tracer: &mut dyn Tracer,
+        tracer: &mut dyn Tracer<'p>,
         depth: usize,
     ) -> Result<Flow, RuntimeError> {
         // `let`s are block-scoped: remember what each one shadowed so the
@@ -389,7 +400,7 @@ impl<'p> Interp<'p> {
         s: &'p Stmt,
         env: &mut Env<'p>,
         f: &'p FnDecl,
-        tracer: &mut dyn Tracer,
+        tracer: &mut dyn Tracer<'p>,
         depth: usize,
     ) -> Result<Flow, RuntimeError> {
         self.tick(&f.name, s.span)?;
@@ -411,8 +422,8 @@ impl<'p> Interp<'p> {
                         });
                         if let Some(slot) = env.get_mut(name.as_str()) {
                             *slot = v;
-                        } else if let Some(slot) = self.globals.get_mut(name) {
-                            *slot = v;
+                        } else if let Some(slot) = self.program.global_slot(name) {
+                            self.globals[slot] = v;
                         } else {
                             return Err(self.err(
                                 ErrorKind::TypeMismatch {
@@ -586,7 +597,7 @@ impl<'p> Interp<'p> {
                         s.span,
                     ));
                 }
-                self.locks.push(lock.clone());
+                self.locks.push(lock);
                 tracer.on_sync_enter(lock, &f.name, s.span, depth);
                 let flow = self.exec_block(body, env, f, tracer, depth);
                 tracer.on_sync_exit(lock, depth);
@@ -608,7 +619,7 @@ impl<'p> Interp<'p> {
         e: &'p Expr,
         env: &mut Env<'p>,
         f: &'p FnDecl,
-        tracer: &mut dyn Tracer,
+        tracer: &mut dyn Tracer<'p>,
         depth: usize,
     ) -> Result<bool, RuntimeError> {
         match self.eval(e, env, f, tracer, depth)? {
@@ -626,7 +637,7 @@ impl<'p> Interp<'p> {
         e: &'p Expr,
         env: &mut Env<'p>,
         f: &'p FnDecl,
-        tracer: &mut dyn Tracer,
+        tracer: &mut dyn Tracer<'p>,
         depth: usize,
     ) -> Result<Value, RuntimeError> {
         self.tick(&f.name, e.span)?;
@@ -638,8 +649,8 @@ impl<'p> Interp<'p> {
             ExprKind::Var(name) => {
                 if let Some(v) = env.get(name.as_str()) {
                     Ok(v.clone())
-                } else if let Some(v) = self.globals.get(name) {
-                    Ok(v.clone())
+                } else if let Some(slot) = self.program.global_slot(name) {
+                    Ok(self.globals[slot].clone())
                 } else {
                     Err(self.err(
                         ErrorKind::TypeMismatch { expected: "variable", found: name.clone() },
@@ -821,7 +832,7 @@ impl<'p> Interp<'p> {
         e: &'p Expr,
         env: &mut Env<'p>,
         f: &'p FnDecl,
-        tracer: &mut dyn Tracer,
+        tracer: &mut dyn Tracer<'p>,
         depth: usize,
     ) -> Result<i64, RuntimeError> {
         match self.eval(e, env, f, tracer, depth)? {
@@ -1337,7 +1348,7 @@ mod tests {
     #[test]
     fn branch_events_fire_with_guards() {
         struct Count(u64, Vec<bool>);
-        impl Tracer for Count {
+        impl Tracer<'_> for Count {
             fn on_branch(&mut self, ev: &BranchEvent<'_>) {
                 self.0 += 1;
                 self.1.push(ev.taken);
@@ -1357,8 +1368,8 @@ mod tests {
     #[test]
     fn call_events_carry_arg_paths() {
         struct Paths(Vec<Option<String>>);
-        impl Tracer for Paths {
-            fn on_call(&mut self, ev: &CallEvent<'_>) {
+        impl Tracer<'_> for Paths {
+            fn on_call(&mut self, ev: &CallEvent<'_, '_>) {
                 if ev.callee == "target" {
                     self.0 = ev.arg_paths();
                 }
@@ -1383,10 +1394,10 @@ mod tests {
     #[test]
     fn sync_events_and_lock_stack() {
         struct Locks(Vec<String>);
-        impl Tracer for Locks {
+        impl Tracer<'_> for Locks {
             fn on_builtin(&mut self, ev: &BuiltinEvent<'_>) {
                 if ev.name == "blocking_io" {
-                    self.0 = ev.locks.to_vec();
+                    self.0 = ev.locks.iter().map(|l| l.to_string()).collect();
                 }
             }
         }

@@ -58,16 +58,14 @@ fn index<T: Named>(modules: &[Module], decls: impl Fn(&Module) -> &[T]) -> (Vec<
     (index, duplicate)
 }
 
-/// The position of the declaration named `name` in a duplicate-free
-/// `index`.
+/// Where the declaration named `name` sits in a duplicate-free `index`.
 fn find<T: Named>(
     modules: &[Module],
     index: &[Pos],
     decls: impl Fn(&Module) -> &[T],
     name: &str,
-) -> Option<Pos> {
-    let at = index.binary_search_by(|&(m, i)| decls(&modules[m])[i].name().cmp(name)).ok()?;
-    Some(index[at])
+) -> Option<usize> {
+    index.binary_search_by(|&(m, i)| decls(&modules[m])[i].name().cmp(name)).ok()
 }
 
 /// Error constructing a program.
@@ -144,23 +142,37 @@ impl Program {
     }
 
     pub fn function(&self, name: &str) -> Option<&FnDecl> {
-        let (m, i) = find(&self.modules, &self.fn_index, |m| &m.functions, name)?;
+        let (m, i) = self.fn_index[find(&self.modules, &self.fn_index, |m| &m.functions, name)?];
         Some(&self.modules[m].functions[i])
     }
 
     pub fn struct_decl(&self, name: &str) -> Option<&StructDecl> {
-        let (m, i) = find(&self.modules, &self.struct_index, |m| &m.structs, name)?;
+        let at = find(&self.modules, &self.struct_index, |m| &m.structs, name)?;
+        let (m, i) = self.struct_index[at];
         Some(&self.modules[m].structs[i])
     }
 
     pub fn global(&self, name: &str) -> Option<&GlobalDecl> {
-        let (m, i) = find(&self.modules, &self.global_index, |m| &m.globals, name)?;
+        let (m, i) = self.global_index[self.global_slot(name)?];
         Some(&self.modules[m].globals[i])
+    }
+
+    /// The slot of global `name`: its rank among the program's globals
+    /// sorted by name, below [`Program::global_count`]. An interpreter
+    /// keeps global values in a vector by slot instead of a map keyed by
+    /// copies of the names.
+    pub fn global_slot(&self, name: &str) -> Option<usize> {
+        find(&self.modules, &self.global_index, |m| &m.globals, name)
+    }
+
+    /// Number of globals across all modules.
+    pub fn global_count(&self) -> usize {
+        self.global_index.len()
     }
 
     /// Module that declares function `name`.
     pub fn module_of_fn(&self, name: &str) -> Option<&Module> {
-        let (m, _) = find(&self.modules, &self.fn_index, |m| &m.functions, name)?;
+        let (m, _) = self.fn_index[find(&self.modules, &self.fn_index, |m| &m.functions, name)?];
         Some(&self.modules[m])
     }
 
@@ -201,6 +213,9 @@ mod tests {
         assert!(p.function("fb").is_some());
         assert!(p.struct_decl("S").is_some());
         assert!(p.global("g").is_some());
+        assert_eq!(p.global_slot("g"), Some(0));
+        assert_eq!(p.global_slot("fa"), None);
+        assert_eq!(p.global_count(), 1);
         assert_eq!(p.module_of_fn("fb").expect("m").name, "b");
     }
 

@@ -120,13 +120,14 @@ pub fn suggest_conditions(program: &Program, callee: &str) -> Vec<Suggestion> {
     let mut counts: HashMap<String, usize> = HashMap::new();
     for &sid in graph.callers_of(callee) {
         let site = graph.site(sid);
-        let Some(caller) = program.function(&site.caller) else { continue };
+        let Some(caller) = program.function(site.caller) else { continue };
         // Parameter renaming: caller arg path root -> callee param name.
         let mut rename: HashMap<String, String> = HashMap::new();
-        for (idx, arg) in site.arg_paths.iter().enumerate() {
-            if let (Some(path), Some((pname, _))) = (arg, decl.params.get(idx)) {
+        for (idx, arg) in site.args.iter().enumerate() {
+            let path = lisa_lang::symbolic::expr_path(arg);
+            if let (Some(path), Some((pname, _))) = (path, decl.params.get(idx)) {
                 rename.insert(
-                    lisa_lang::symbolic::path_root(path).to_string(),
+                    lisa_lang::symbolic::path_root(&path).to_string(),
                     pname.clone(),
                 );
             }

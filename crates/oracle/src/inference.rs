@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use lisa_analysis::{CallGraph, TargetSpec};
-use lisa_lang::symbolic::path_root;
+use lisa_lang::symbolic::{expr_path, path_root};
 use lisa_lang::{LineMap, Program};
 use lisa_smt::{parse_cond, Term};
 
@@ -142,7 +142,7 @@ pub fn infer_rules(ticket: &FailureTicket) -> Result<InferenceResult, InferError
                     (
                         TargetSpec::BuiltinInCaller {
                             name: "blocking_io".into(),
-                            caller: site.caller.clone(),
+                            caller: site.caller.to_string(),
                         },
                         vec![parse_cond("$locks.held == 0").expect("static condition")],
                         vec!["$locks.held == 0".to_string()],
@@ -289,13 +289,13 @@ fn bind_to_target(
         .map(|&i| graph.site(i))
         .filter(|s| !s.builtin)
         .filter(|s| {
-            s.arg_paths.iter().flatten().any(|p| roots.contains(&path_root(p).to_string()))
+            s.args.iter().filter_map(expr_path).any(|p| roots.iter().any(|r| r == path_root(&p)))
         })
         .map(|s| (s, lm.line_of(s.span.lo)))
         .collect();
     candidates.sort_by_key(|&(_, line)| (line < guard_line, line));
     let (site, _) = candidates.first()?;
-    let callee = fixed.function(&site.callee)?;
+    let callee = fixed.function(site.callee)?;
     // root -> parameter name of the callee (global roots pass through).
     let mut rename: std::collections::HashMap<String, String> = std::collections::HashMap::new();
     for root in roots {
@@ -304,9 +304,9 @@ fn bind_to_target(
             continue;
         }
         let idx = site
-            .arg_paths
+            .args
             .iter()
-            .position(|p| p.as_deref().map(path_root) == Some(root.as_str()))?;
+            .position(|a| expr_path(a).as_deref().map(path_root) == Some(root.as_str()))?;
         let (pname, _) = callee.params.get(idx)?;
         rename.insert(root.clone(), pname.clone());
     }
@@ -317,7 +317,7 @@ fn bind_to_target(
             None => v.to_string(),
         }
     });
-    Some((site.callee.clone(), renamed))
+    Some((site.callee.to_string(), renamed))
 }
 
 #[cfg(test)]

@@ -77,7 +77,7 @@ impl TestIndex {
 /// functions on the chain plus the rule vocabulary, mirroring how the
 /// paper's LLM "identifies the features involved by this execution
 /// path".
-pub fn describe_path(entry: &str, chain_fns: &[String], target: &str, condition: &str) -> String {
+pub fn describe_path(entry: &str, chain_fns: &[&str], target: &str, condition: &str) -> String {
     let mut parts: Vec<String> = Vec::new();
     parts.push(entry.replace('_', " "));
     for f in chain_fns {
@@ -118,7 +118,7 @@ mod tests {
         let idx = index();
         let desc = describe_path(
             "prep_create",
-            &["prep_create".into(), "create_ephemeral".into()],
+            &["prep_create", "create_ephemeral"],
             "create_ephemeral",
             "s != null && s.closing == false",
         );
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn describe_path_mentions_all_parts() {
-        let d = describe_path("entry_fn", &["helper_fn".into()], "target_fn", "s.ttl > 0");
+        let d = describe_path("entry_fn", &["helper_fn"], "target_fn", "s.ttl > 0");
         for w in ["entry fn", "helper fn", "target fn", "s ttl"] {
             assert!(d.contains(w), "{d}");
         }

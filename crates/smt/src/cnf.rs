@@ -1,6 +1,8 @@
 //! Tseitin conversion from NNF terms to CNF.
 //!
-//! Every distinct (canonicalized) atom gets a propositional variable;
+//! Every distinct (canonicalized) atom gets a propositional variable; the
+//! atom table borrows each atom from the encoded term, so an atom is
+//! stored once per query, in the term;
 //! internal `And`/`Or` nodes get fresh auxiliary variables. Because the
 //! input is already in NNF we only need the implications in one direction
 //! plus the converse for equisatisfiability (we emit full equivalences —
@@ -23,16 +25,17 @@ pub fn plit_var(l: PLit) -> usize {
 pub type Clause = Vec<PLit>;
 
 /// CNF instance plus the atom table mapping SAT variables back to theory
-/// atoms (`None` for Tseitin auxiliaries).
+/// atoms (`None` for Tseitin auxiliaries). The atoms borrow from the
+/// encoded term (`'t`).
 #[derive(Debug, Clone, Default)]
-pub struct Cnf {
+pub struct Cnf<'t> {
     pub clauses: Vec<Clause>,
     /// `atom_of[v]` is the atom for variable `v` (index 0 unused).
-    pub atom_of: Vec<Option<Atom>>,
-    var_of_atom: HashMap<Atom, usize>,
+    pub atom_of: Vec<Option<&'t Atom>>,
+    var_of_atom: HashMap<&'t Atom, usize>,
 }
 
-impl Cnf {
+impl<'t> Cnf<'t> {
     pub fn new() -> Self {
         Cnf { clauses: Vec::new(), atom_of: vec![None], var_of_atom: HashMap::new() }
     }
@@ -42,13 +45,12 @@ impl Cnf {
     }
 
     /// SAT variable for `atom`, allocating one if new.
-    pub fn var_for_atom(&mut self, atom: &Atom) -> usize {
-        if let Some(&v) = self.var_of_atom.get(atom) {
-            return v;
+    pub fn var_for_atom(&mut self, atom: &'t Atom) -> usize {
+        let next = self.atom_of.len();
+        let v = *self.var_of_atom.entry(atom).or_insert(next);
+        if v == next {
+            self.atom_of.push(Some(atom));
         }
-        let v = self.atom_of.len();
-        self.atom_of.push(Some(atom.clone()));
-        self.var_of_atom.insert(atom.clone(), v);
         v
     }
 
@@ -66,7 +68,7 @@ impl Cnf {
     ///
     /// Returns `Ok(())`, or `Err(false)` when the term is trivially
     /// unsatisfiable (`False`), to let callers skip SAT entirely.
-    pub fn assert_term(&mut self, term: &Term) -> Result<(), bool> {
+    pub fn assert_term(&mut self, term: &'t Term) -> Result<(), bool> {
         match term {
             Term::True => Ok(()),
             Term::False => Err(false),
@@ -79,7 +81,7 @@ impl Cnf {
     }
 
     /// Tseitin-encode a (sub)term, returning the literal representing it.
-    fn encode(&mut self, term: &Term) -> PLit {
+    fn encode(&mut self, term: &'t Term) -> PLit {
         match term {
             Term::True | Term::False => {
                 // Represent constants with a dedicated always-true aux var.
@@ -99,27 +101,39 @@ impl Cnf {
                 other => -self.encode(other),
             },
             Term::And(ts) => {
-                let lits: Vec<PLit> = ts.iter().map(|t| self.encode(t)).collect();
+                // The closing clause (¬l1 | ¬l2 | ... | g) collects the
+                // children's literals as they are encoded.
+                let mut back: Clause = Vec::with_capacity(ts.len() + 1);
+                for t in ts {
+                    let l = self.encode(t);
+                    back.push(-l);
+                }
                 let g = self.fresh_aux() as PLit;
                 // g -> each lit
-                for &l in &lits {
-                    self.add_clause(vec![-g, l]);
+                for &l in &back {
+                    self.add_clause(vec![-g, -l]);
                 }
                 // all lits -> g
-                let mut back: Clause = lits.iter().map(|&l| -l).collect();
                 back.push(g);
                 self.add_clause(back);
                 g
             }
             Term::Or(ts) => {
-                let lits: Vec<PLit> = ts.iter().map(|t| self.encode(t)).collect();
+                // The opening clause (¬g | l1 | l2 | ...) collects the
+                // children's literals as they are encoded.
+                let mut fwd: Clause = Vec::with_capacity(ts.len() + 1);
+                fwd.push(0);
+                for t in ts {
+                    let l = self.encode(t);
+                    fwd.push(l);
+                }
                 let g = self.fresh_aux() as PLit;
-                // g -> (l1 | l2 | ...)
-                let mut fwd: Clause = lits.clone();
-                fwd.insert(0, -g);
+                fwd[0] = -g;
+                let at = self.clauses.len();
                 self.add_clause(fwd);
                 // each lit -> g
-                for &l in &lits {
+                for i in 1..self.clauses[at].len() {
+                    let l = self.clauses[at][i];
                     self.add_clause(vec![-l, g]);
                 }
                 g
@@ -137,10 +151,11 @@ mod tests {
     use crate::nnf::preprocess;
     use crate::term::Term;
 
-    fn assert_cnf(term: &Term) -> Cnf {
+    fn assert_cnf(term: &Term) -> (usize, Vec<Clause>) {
+        let pre = preprocess(term);
         let mut cnf = Cnf::new();
-        cnf.assert_term(&preprocess(term)).expect("satisfiable-shaped input");
-        cnf
+        cnf.assert_term(&pre).expect("satisfiable-shaped input");
+        (cnf.num_vars(), cnf.clauses)
     }
 
     #[test]
@@ -150,16 +165,25 @@ mod tests {
         let v1 = cnf.var_for_atom(&a);
         let v2 = cnf.var_for_atom(&a);
         assert_eq!(v1, v2);
-        assert_eq!(cnf.atom_of[v1].as_ref(), Some(&a));
+        assert_eq!(cnf.atom_of[v1], Some(&a));
     }
 
     #[test]
     fn and_produces_definitional_clauses() {
         let t = Term::and([Term::bool_var("a"), Term::bool_var("b")]);
-        let cnf = assert_cnf(&t);
+        let (vars, clauses) = assert_cnf(&t);
         // 2 atom vars + 1 aux; clauses: g->a, g->b, (a&b)->g, unit g.
-        assert_eq!(cnf.num_vars(), 3);
-        assert_eq!(cnf.clauses.len(), 4);
+        assert_eq!(vars, 3);
+        assert_eq!(clauses, vec![vec![-3, 1], vec![-3, 2], vec![-1, -2, 3], vec![3]]);
+    }
+
+    #[test]
+    fn or_produces_definitional_clauses() {
+        let t = Term::or([Term::bool_var("a"), Term::bool_var("b")]);
+        let (vars, clauses) = assert_cnf(&t);
+        // g -> (a | b), a -> g, b -> g, unit g.
+        assert_eq!(vars, 3);
+        assert_eq!(clauses, vec![vec![-3, 1, 2], vec![-1, 3], vec![-2, 3], vec![3]]);
     }
 
     #[test]
@@ -170,7 +194,7 @@ mod tests {
 
     #[test]
     fn single_atom_is_one_unit_clause() {
-        let cnf = assert_cnf(&Term::bool_var("a"));
-        assert_eq!(cnf.clauses, vec![vec![1]]);
+        let (_, clauses) = assert_cnf(&Term::bool_var("a"));
+        assert_eq!(clauses, vec![vec![1]]);
     }
 }

@@ -279,8 +279,8 @@ impl SatSolver {
         let mut asserting_lit: PLit = 0;
 
         loop {
-            let clause_lits: Vec<PLit> = self.clauses[cref.0].clone();
-            for l in clause_lits {
+            for k in 0..self.clauses[cref.0].len() {
+                let l = self.clauses[cref.0][k];
                 if l == asserting_lit {
                     continue;
                 }

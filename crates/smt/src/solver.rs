@@ -8,7 +8,7 @@ use crate::cnf::{Cnf, PLit};
 use crate::model::{Model, Value};
 use crate::nnf::{preprocess, preprocess_violation, to_nnf, to_nnf_negated, violation_query};
 use crate::sat::{SatOutcome, SatSolver};
-use crate::term::{Sort, Term};
+use crate::term::{Atom, Sort, Term};
 use crate::theory::{self, TheoryLit, TheoryResult};
 
 /// Result of a satisfiability check.
@@ -160,11 +160,17 @@ impl Solver {
         let mut sat = SatSolver::new(cnf.num_vars());
         sat.max_conflicts = self.max_conflicts;
         sat.max_decisions = self.max_decisions;
-        for clause in &cnf.clauses {
-            if !sat.add_clause(clause.clone()) {
+        // The clauses move into the SAT core; the atom table stays.
+        for clause in std::mem::take(&mut cnf.clauses) {
+            if !sat.add_clause(clause) {
                 return SatResult::Unsat;
             }
         }
+        // The theory atoms with their SAT variables, and the literals of
+        // the current round: each round re-reads only the polarities.
+        let atoms: Vec<(usize, &Atom)> =
+            cnf.atom_of.iter().enumerate().filter_map(|(v, a)| Some((v, (*a)?))).collect();
+        let mut lits: Vec<TheoryLit<'_>> = Vec::with_capacity(atoms.len());
 
         loop {
             self.stats.theory_rounds += 1;
@@ -196,22 +202,15 @@ impl Solver {
                 }
                 SatOutcome::Sat(assignment) => {
                     // Extract theory literals from the boolean assignment.
-                    let mut lits: Vec<TheoryLit> = Vec::new();
-                    let mut lit_vars: Vec<usize> = Vec::new();
-                    for (v, atom) in cnf.atom_of.iter().enumerate() {
-                        if let Some(atom) = atom {
-                            lits.push((atom.clone(), assignment[v]));
-                            lit_vars.push(v);
-                        }
-                    }
+                    lits.clear();
+                    lits.extend(atoms.iter().map(|&(v, atom)| (atom, assignment[v])));
                     match theory::check(&lits) {
                         TheoryResult::Consistent(tm) => {
                             self.capture_stats(&sat);
                             let mut model = Model::new();
-                            for (i, (atom, positive)) in lits.iter().enumerate() {
-                                let _ = (i, positive);
-                                if let crate::term::Atom::BoolVar(v) = atom {
-                                    model.set(v.clone(), Value::Bool(lits[i].1));
+                            for &(atom, value) in &lits {
+                                if let Atom::BoolVar(v) = atom {
+                                    model.set(v.as_str(), Value::Bool(value));
                                 }
                             }
                             for (k, v) in tm.ints {
@@ -224,19 +223,23 @@ impl Solver {
                                 model.set(k, Value::Str(v));
                             }
                             // Fill sorts for vars never mentioned in any
-                            // asserted literal polarity that the theory saw.
-                            for (var, sort) in pre.vars() {
-                                if model.get(&var).is_none() {
-                                    model.set(
-                                        var,
-                                        match sort {
-                                            Sort::Bool => Value::Bool(false),
-                                            Sort::Int => Value::Int(0),
-                                            Sort::Ref => Value::Ref(None),
-                                            Sort::Str => Value::Str(String::new()),
-                                        },
-                                    );
-                                }
+                            // asserted literal polarity that the theory saw:
+                            // the first occurrence decides, in the order
+                            // the atoms were numbered (the term's own).
+                            for &(_, atom) in &atoms {
+                                atom.each_var(&mut |var, sort| {
+                                    if model.get(var).is_none() {
+                                        model.set(
+                                            var,
+                                            match sort {
+                                                Sort::Bool => Value::Bool(false),
+                                                Sort::Int => Value::Int(0),
+                                                Sort::Ref => Value::Ref(None),
+                                                Sort::Str => Value::Str(String::new()),
+                                            },
+                                        );
+                                    }
+                                });
                             }
                             model.validated = model.eval(pre);
                             return SatResult::Sat(model);
@@ -247,7 +250,7 @@ impl Solver {
                             let clause: Vec<PLit> = indices
                                 .iter()
                                 .map(|&i| {
-                                    let v = lit_vars[i] as PLit;
+                                    let v = atoms[i].0 as PLit;
                                     if lits[i].1 {
                                         -v
                                     } else {

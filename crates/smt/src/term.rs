@@ -166,28 +166,29 @@ pub enum Atom {
 }
 
 impl Atom {
-    /// Variables mentioned by this atom together with their sorts.
-    pub fn vars(&self, out: &mut Vec<(String, Sort)>) {
+    /// Call `f` on each variable occurrence of this atom, left to right,
+    /// with its sort.
+    pub fn each_var<'a>(&'a self, f: &mut dyn FnMut(&'a str, Sort)) {
         match self {
-            Atom::BoolVar(v) => out.push((v.clone(), Sort::Bool)),
+            Atom::BoolVar(v) => f(v, Sort::Bool),
             Atom::IntCmp(a, _, b) => {
                 for op in [a, b] {
                     if let IntOperand::Var(v) = op {
-                        out.push((v.clone(), Sort::Int));
+                        f(v, Sort::Int);
                     }
                 }
             }
             Atom::RefEq(a, b) => {
                 for op in [a, b] {
                     if let RefOperand::Var(v) = op {
-                        out.push((v.clone(), Sort::Ref));
+                        f(v, Sort::Ref);
                     }
                 }
             }
             Atom::StrEq(a, b) => {
                 for op in [a, b] {
                     if let StrOperand::Var(v) = op {
-                        out.push((v.clone(), Sort::Str));
+                        f(v, Sort::Str);
                     }
                 }
             }
@@ -345,7 +346,7 @@ impl Term {
     fn collect_vars(&self, out: &mut Vec<(String, Sort)>) {
         match self {
             Term::True | Term::False => {}
-            Term::Atom(a) => a.vars(out),
+            Term::Atom(a) => a.each_var(&mut |v, sort| out.push((v.to_string(), sort))),
             Term::Not(t) => t.collect_vars(out),
             Term::And(ts) | Term::Or(ts) => {
                 for t in ts {

@@ -15,13 +15,16 @@
 //!
 //! On conflict the solver returns the *indices* of the literals involved
 //! (a theory lemma), which the DPLL(T) driver turns into a blocking clause.
+//!
+//! Literals borrow their atoms from the query, and the solver's nodes are
+//! keyed by the atoms' own names: only the witness model owns strings.
 
 use std::collections::HashMap;
 
 use crate::term::{Atom, CmpOp, IntOperand, RefOperand, StrOperand};
 
-/// A theory literal: an atom asserted with a polarity.
-pub type TheoryLit = (Atom, bool);
+/// A theory literal: an atom of the query asserted with a polarity.
+pub type TheoryLit<'a> = (&'a Atom, bool);
 
 /// Result of a theory check.
 #[derive(Debug)]
@@ -46,10 +49,35 @@ pub struct TheoryModel {
 // Equality graph (refs and strings share the machinery)
 // ---------------------------------------------------------------------------
 
+/// A node of an equality graph: `null`, a variable or a string literal,
+/// named by the query's own strings. Ordered by kind, then name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum EqKey<'a> {
+    Null,
+    Var(&'a str),
+    Lit(&'a str),
+}
+
+impl EqKey<'_> {
+    fn of_ref(o: &RefOperand) -> EqKey<'_> {
+        match o {
+            RefOperand::Null => EqKey::Null,
+            RefOperand::Var(v) => EqKey::Var(v),
+        }
+    }
+
+    fn of_str(o: &StrOperand) -> EqKey<'_> {
+        match o {
+            StrOperand::Lit(s) => EqKey::Lit(s),
+            StrOperand::Var(v) => EqKey::Var(v),
+        }
+    }
+}
+
 /// Union-find with an explanation graph: every union records the literal
 /// index that justified it, so conflicts can cite exactly the merge path.
-struct EqGraph {
-    node_of: HashMap<String, usize>,
+struct EqGraph<'a> {
+    node_of: HashMap<EqKey<'a>, usize>,
     parent: Vec<usize>,
     rank: Vec<u8>,
     /// Undirected explanation edges: (a, b, literal index).
@@ -58,7 +86,7 @@ struct EqGraph {
     diseqs: Vec<(usize, usize, usize)>,
 }
 
-impl EqGraph {
+impl<'a> EqGraph<'a> {
     fn new() -> Self {
         EqGraph {
             node_of: HashMap::new(),
@@ -69,15 +97,30 @@ impl EqGraph {
         }
     }
 
-    fn node(&mut self, key: &str) -> usize {
-        if let Some(&n) = self.node_of.get(key) {
-            return n;
-        }
-        let n = self.parent.len();
-        self.node_of.insert(key.to_string(), n);
-        self.parent.push(n);
-        self.rank.push(0);
-        n
+    fn node(&mut self, key: EqKey<'a>) -> usize {
+        let (parent, rank) = (&mut self.parent, &mut self.rank);
+        *self.node_of.entry(key).or_insert_with(|| {
+            let n = parent.len();
+            parent.push(n);
+            rank.push(0);
+            n
+        })
+    }
+
+    /// The `(name, node)` pairs of the variable nodes, or of the literal
+    /// nodes, sorted: ids and fresh values are handed out in this order,
+    /// so it must not depend on `HashMap` iteration order.
+    fn sorted(&self, literals: bool) -> Vec<(&'a str, usize)> {
+        let mut out: Vec<(&'a str, usize)> = self
+            .node_of
+            .iter()
+            .filter_map(|(k, &n)| match (*k, literals) {
+                (EqKey::Var(v), false) | (EqKey::Lit(v), true) => Some((v, n)),
+                _ => None,
+            })
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     fn find(&mut self, mut x: usize) -> usize {
@@ -172,9 +215,17 @@ struct DiffEdge {
     lit: usize,
 }
 
-struct IntSolver {
-    node_of: HashMap<String, usize>,
-    names: Vec<String>,
+/// A node of the difference graph, named by the query's own strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum IntKey<'a> {
+    /// The zero the constants are pinned against.
+    Zero,
+    Var(&'a str),
+    Const(i64),
+}
+
+struct IntSolver<'a> {
+    node_of: HashMap<IntKey<'a>, usize>,
     edges: Vec<DiffEdge>,
     /// Disequalities: (operand a, operand b, literal index).
     diseqs: Vec<(usize, usize, usize)>,
@@ -183,36 +234,35 @@ struct IntSolver {
     pins: Vec<(usize, i64)>,
 }
 
-impl IntSolver {
+impl<'a> IntSolver<'a> {
     fn new() -> Self {
         let mut s = IntSolver {
             node_of: HashMap::new(),
-            names: Vec::new(),
             edges: Vec::new(),
             diseqs: Vec::new(),
             zero: 0,
             pins: Vec::new(),
         };
-        s.zero = s.node("$zero");
+        s.zero = s.node(IntKey::Zero);
         s
     }
 
-    fn node(&mut self, key: &str) -> usize {
-        if let Some(&n) = self.node_of.get(key) {
-            return n;
-        }
-        let n = self.names.len();
-        self.node_of.insert(key.to_string(), n);
-        self.names.push(key.to_string());
-        n
+    /// Number of nodes.
+    fn len(&self) -> usize {
+        self.node_of.len()
+    }
+
+    fn node(&mut self, key: IntKey<'a>) -> usize {
+        let n = self.node_of.len();
+        *self.node_of.entry(key).or_insert(n)
     }
 
     /// Node for an operand; constants become pinned nodes.
-    fn operand(&mut self, op: &IntOperand) -> usize {
+    fn operand(&mut self, op: &'a IntOperand) -> usize {
         match op {
-            IntOperand::Var(v) => self.node(&format!("v:{v}")),
+            IntOperand::Var(v) => self.node(IntKey::Var(v)),
             IntOperand::Const(c) => {
-                let n = self.node(&format!("c:{c}"));
+                let n = self.node(IntKey::Const(*c));
                 if !self.pins.iter().any(|&(p, _)| p == n) {
                     self.pins.push((n, *c));
                     let zero = self.zero;
@@ -226,7 +276,7 @@ impl IntSolver {
     }
 
     /// Assert `a op b` (after polarity resolution), justified by `lit`.
-    fn assert_cmp(&mut self, a: &IntOperand, op: CmpOp, b: &IntOperand, lit: usize) {
+    fn assert_cmp(&mut self, a: &'a IntOperand, op: CmpOp, b: &'a IntOperand, lit: usize) {
         let na = self.operand(a);
         let nb = self.operand(b);
         match op {
@@ -245,7 +295,7 @@ impl IntSolver {
     /// Bellman-Ford from a virtual source. Returns either feasible
     /// potentials (node values) or the literals of a negative cycle.
     fn feasible(&self) -> Result<Vec<i64>, Vec<usize>> {
-        let n = self.names.len();
+        let n = self.len();
         // Difference constraint a - b <= c  =>  graph edge b -> a, weight c;
         // dist(a) <= dist(b) + c.
         let mut dist = vec![0i64; n];
@@ -274,7 +324,7 @@ impl IntSolver {
     fn cycle_lits(&self, start: usize, pred: &[Option<usize>]) -> Vec<usize> {
         // Walk back n steps to land inside the cycle, then collect it.
         let mut node = start;
-        for _ in 0..self.names.len() {
+        for _ in 0..self.len() {
             let ei = pred[node].expect("predecessor exists on relaxation path");
             node = self.edges[ei].b;
         }
@@ -299,7 +349,7 @@ impl IntSolver {
     /// Tightest upper bound on `a - b` (shortest path b -> a), or None if
     /// unconstrained. Floyd-Warshall; graphs here are small.
     fn all_pairs(&self) -> Vec<Vec<Option<i64>>> {
-        let n = self.names.len();
+        let n = self.len();
         let mut d: Vec<Vec<Option<i64>>> = vec![vec![None; n]; n];
         for (i, row) in d.iter_mut().enumerate() {
             row[i] = Some(0);
@@ -373,8 +423,8 @@ impl IntSolver {
                 }
             }
         }
-        for (name, &node) in &self.node_of {
-            if let Some(var) = name.strip_prefix("v:") {
+        for (key, &node) in &self.node_of {
+            if let IntKey::Var(var) = key {
                 vals.insert(var.to_string(), value[node]);
             }
         }
@@ -387,51 +437,43 @@ impl IntSolver {
 // ---------------------------------------------------------------------------
 
 /// Decide consistency of a conjunction of theory literals.
-pub fn check(literals: &[TheoryLit]) -> TheoryResult {
+pub fn check(literals: &[TheoryLit<'_>]) -> TheoryResult {
     let mut refs = EqGraph::new();
     let mut strs = EqGraph::new();
     let mut ints = IntSolver::new();
-    let mut bools: HashMap<String, (bool, usize)> = HashMap::new();
+    let mut bools: HashMap<&str, (bool, usize)> = HashMap::new();
 
-    let null_node = refs.node("$null");
+    let null_node = refs.node(EqKey::Null);
     let _ = null_node;
 
-    for (idx, (atom, positive)) in literals.iter().enumerate() {
+    for (idx, &(atom, positive)) in literals.iter().enumerate() {
         match atom {
             Atom::BoolVar(v) => {
-                if let Some(&(prev, prev_idx)) = bools.get(v) {
-                    if prev != *positive {
+                if let Some(&(prev, prev_idx)) = bools.get(v.as_str()) {
+                    if prev != positive {
                         return TheoryResult::Conflict(vec![prev_idx, idx]);
                     }
                 } else {
-                    bools.insert(v.clone(), (*positive, idx));
+                    bools.insert(v, (positive, idx));
                 }
             }
             Atom::IntCmp(a, op, b) => {
-                let eff = if *positive { *op } else { op.negate() };
+                let eff = if positive { *op } else { op.negate() };
                 ints.assert_cmp(a, eff, b, idx);
             }
             Atom::RefEq(a, b) => {
-                let key = |o: &RefOperand| match o {
-                    RefOperand::Null => "$null".to_string(),
-                    RefOperand::Var(v) => format!("v:{v}"),
-                };
-                let na = refs.node(&key(a));
-                let nb = refs.node(&key(b));
-                if *positive {
+                let na = refs.node(EqKey::of_ref(a));
+                let nb = refs.node(EqKey::of_ref(b));
+                if positive {
                     refs.union(na, nb, idx);
                 } else {
                     refs.diseqs.push((na, nb, idx));
                 }
             }
             Atom::StrEq(a, b) => {
-                let key = |o: &StrOperand| match o {
-                    StrOperand::Lit(s) => format!("l:{s}"),
-                    StrOperand::Var(v) => format!("v:{v}"),
-                };
-                let na = strs.node(&key(a));
-                let nb = strs.node(&key(b));
-                if *positive {
+                let na = strs.node(EqKey::of_str(a));
+                let nb = strs.node(EqKey::of_str(b));
+                if positive {
                     strs.union(na, nb, idx);
                 } else {
                     strs.diseqs.push((na, nb, idx));
@@ -445,13 +487,7 @@ pub fn check(literals: &[TheoryLit]) -> TheoryResult {
     // so the *same* conflict (and hence the same blocking clause) is
     // reported on every solve of the same query — HashMap iteration
     // order must never pick which lemma the SAT core learns.
-    let mut lit_nodes: Vec<(String, usize)> = strs
-        .node_of
-        .iter()
-        .filter(|(k, _)| k.starts_with("l:"))
-        .map(|(k, &n)| (k.clone(), n))
-        .collect();
-    lit_nodes.sort();
+    let lit_nodes = strs.sorted(true);
     for i in 0..lit_nodes.len() {
         for j in (i + 1)..lit_nodes.len() {
             let (a, b) = (lit_nodes[i].1, lit_nodes[j].1);
@@ -477,7 +513,7 @@ pub fn check(literals: &[TheoryLit]) -> TheoryResult {
 
     // Reference classes: class containing $null is null; others distinct.
     let null_root = {
-        let n = refs.node("$null");
+        let n = refs.node(EqKey::Null);
         refs.find(n)
     };
     let mut class_ids: HashMap<usize, u64> = HashMap::new();
@@ -486,14 +522,7 @@ pub fn check(literals: &[TheoryLit]) -> TheoryResult {
     // order, so the witness must not depend on HashMap iteration order —
     // the same query must yield the same model on every solve (the
     // byte-identity invariant the memo is held to).
-    let mut ref_vars: Vec<(String, usize)> = refs
-        .node_of
-        .iter()
-        .filter(|(k, _)| k.starts_with("v:"))
-        .map(|(k, &n)| (k[2..].to_string(), n))
-        .collect();
-    ref_vars.sort();
-    for (var, node) in ref_vars {
+    for (var, node) in refs.sorted(false) {
         let root = refs.find(node);
         let val = if root == null_root {
             None
@@ -504,29 +533,21 @@ pub fn check(literals: &[TheoryLit]) -> TheoryResult {
                 id
             }))
         };
-        model.refs.insert(var, val);
+        model.refs.insert(var.to_string(), val);
     }
 
-    // String classes: a class with a literal takes the literal value;
-    // otherwise a fresh value distinct from all literals.
+    // String classes: a class with a literal takes the literal value (no
+    // class holds two: that was a conflict above); otherwise a fresh
+    // value distinct from all literals.
     let mut class_str: HashMap<usize, String> = HashMap::new();
-    for (key, &node) in strs.node_of.clone().iter() {
-        if let Some(lit) = key.strip_prefix("l:") {
-            let root = strs.find(node);
-            class_str.insert(root, lit.to_string());
-        }
+    for &(lit, node) in &lit_nodes {
+        let root = strs.find(node);
+        class_str.insert(root, lit.to_string());
     }
     let mut fresh = 0u64;
-    // Sorted for the same reason as `ref_vars`: `$fresh-N` numbering is
-    // first-use order and must be reproducible across solves.
-    let mut str_vars: Vec<(String, usize)> = strs
-        .node_of
-        .iter()
-        .filter(|(k, _)| k.starts_with("v:"))
-        .map(|(k, &n)| (k[2..].to_string(), n))
-        .collect();
-    str_vars.sort();
-    for (var, node) in str_vars {
+    // Sorted for the same reason as the reference variables: `$fresh-N`
+    // numbering is first-use order and must be reproducible across solves.
+    for (var, node) in strs.sorted(false) {
         let root = strs.find(node);
         let val = class_str
             .entry(root)
@@ -535,7 +556,7 @@ pub fn check(literals: &[TheoryLit]) -> TheoryResult {
                 format!("$fresh-{fresh}")
             })
             .clone();
-        model.strs.insert(var, val);
+        model.strs.insert(var.to_string(), val);
     }
 
     // Booleans (kept for completeness; the SAT layer already fixed them).
@@ -549,6 +570,12 @@ mod tests {
     use super::*;
     use crate::term::{Atom, CmpOp, IntOperand, RefOperand, StrOperand};
 
+    /// [`check`] over literals that own their atoms.
+    fn check_owned(lits: &[(Atom, bool)]) -> TheoryResult {
+        let borrowed: Vec<TheoryLit<'_>> = lits.iter().map(|(a, p)| (a, *p)).collect();
+        check(&borrowed)
+    }
+
     fn int_cmp(a: &str, op: CmpOp, c: i64) -> Atom {
         Atom::IntCmp(IntOperand::Var(a.into()), op, IntOperand::Const(c))
     }
@@ -560,7 +587,7 @@ mod tests {
     #[test]
     fn bounds_conflict_detected() {
         let lits = vec![(int_cmp("x", CmpOp::Gt, 5), true), (int_cmp("x", CmpOp::Lt, 3), true)];
-        match check(&lits) {
+        match check_owned(&lits) {
             TheoryResult::Conflict(c) => {
                 assert!(c.contains(&0) && c.contains(&1));
             }
@@ -571,7 +598,7 @@ mod tests {
     #[test]
     fn bounds_consistent_with_model() {
         let lits = vec![(int_cmp("x", CmpOp::Ge, 3), true), (int_cmp("x", CmpOp::Le, 3), true)];
-        match check(&lits) {
+        match check_owned(&lits) {
             TheoryResult::Consistent(m) => assert_eq!(m.ints["x"], 3),
             TheoryResult::Conflict(_) => panic!("expected consistent"),
         }
@@ -585,7 +612,7 @@ mod tests {
             (int_vv("y", CmpOp::Lt, "z"), true),
             (int_vv("z", CmpOp::Lt, "x"), true),
         ];
-        match check(&lits) {
+        match check_owned(&lits) {
             TheoryResult::Conflict(c) => assert_eq!(c, vec![0, 1, 2]),
             TheoryResult::Consistent(_) => panic!("expected conflict"),
         }
@@ -599,14 +626,14 @@ mod tests {
             (int_cmp("x", CmpOp::Ge, 3), true),
             (int_cmp("x", CmpOp::Ne, 3), true),
         ];
-        assert!(matches!(check(&lits), TheoryResult::Conflict(_)));
+        assert!(matches!(check_owned(&lits), TheoryResult::Conflict(_)));
     }
 
     #[test]
     fn negated_literal_flips_operator() {
         // !(x > 0) && x >= 1 is a conflict.
         let lits = vec![(int_cmp("x", CmpOp::Gt, 0), false), (int_cmp("x", CmpOp::Ge, 1), true)];
-        assert!(matches!(check(&lits), TheoryResult::Conflict(_)));
+        assert!(matches!(check_owned(&lits), TheoryResult::Conflict(_)));
     }
 
     #[test]
@@ -618,7 +645,7 @@ mod tests {
             eq("b", RefOperand::Null),
             (Atom::RefEq(RefOperand::Var("a".into()), RefOperand::Null), false),
         ];
-        match check(&lits) {
+        match check_owned(&lits) {
             TheoryResult::Conflict(c) => {
                 assert!(c.contains(&2), "conflict must cite the disequality");
             }
@@ -632,7 +659,7 @@ mod tests {
             (Atom::RefEq(RefOperand::Var("a".into()), RefOperand::Null), true),
             (Atom::RefEq(RefOperand::Var("b".into()), RefOperand::Null), false),
         ];
-        match check(&lits) {
+        match check_owned(&lits) {
             TheoryResult::Consistent(m) => {
                 assert_eq!(m.refs["a"], None);
                 assert!(m.refs["b"].is_some());
@@ -653,7 +680,7 @@ mod tests {
                 true,
             ),
         ];
-        assert!(matches!(check(&lits), TheoryResult::Conflict(_)));
+        assert!(matches!(check_owned(&lits), TheoryResult::Conflict(_)));
     }
 
     #[test]
@@ -662,7 +689,7 @@ mod tests {
             Atom::StrEq(StrOperand::Var("s".into()), StrOperand::Lit("open".into())),
             true,
         )];
-        match check(&lits) {
+        match check_owned(&lits) {
             TheoryResult::Consistent(m) => assert_eq!(m.strs["s"], "open"),
             TheoryResult::Conflict(_) => panic!("expected consistent"),
         }
@@ -672,7 +699,7 @@ mod tests {
     fn bool_same_var_conflicting_polarity() {
         let lits =
             vec![(Atom::BoolVar("f".into()), true), (Atom::BoolVar("f".into()), false)];
-        match check(&lits) {
+        match check_owned(&lits) {
             TheoryResult::Conflict(c) => assert_eq!(c, vec![0, 1]),
             TheoryResult::Consistent(_) => panic!("expected conflict"),
         }
@@ -681,7 +708,7 @@ mod tests {
     #[test]
     fn var_var_disequality_repaired_in_model() {
         let lits = vec![(int_vv("x", CmpOp::Ne, "y"), true)];
-        match check(&lits) {
+        match check_owned(&lits) {
             TheoryResult::Consistent(m) => assert_ne!(m.ints["x"], m.ints["y"]),
             TheoryResult::Conflict(_) => panic!("expected consistent"),
         }
@@ -690,7 +717,7 @@ mod tests {
     #[test]
     fn constants_are_pinned() {
         let lits = vec![(int_cmp("x", CmpOp::Eq, 42), true)];
-        match check(&lits) {
+        match check_owned(&lits) {
             TheoryResult::Consistent(m) => assert_eq!(m.ints["x"], 42),
             TheoryResult::Conflict(_) => panic!("expected consistent"),
         }

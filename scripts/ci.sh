@@ -29,9 +29,17 @@ lisabench/target/release/lisabench --workload gate-cold --seed 1 --seconds 2 --t
 # The traced path: span replay of every layer, which produces the
 # per-layer metrics (`smt.query_us_p50`, `sched.gate_self_us_p50`, ...)
 # and never runs at `--trace 0`. It also exits 1 on any wrong verdict;
-# its spans land in `.lisabench-out/`.
+# its spans land in `.lisabench-out/`. The layers a cold rule check
+# spends its time in must stay measured: its result line (the last one)
+# must report a nonzero p50 for each.
+TRACED=$(mktemp)
 lisabench/target/release/lisabench --workload gate-cold --seed 1 --seconds 2 --trace 1 \
-    > /dev/null
+    > "$TRACED"
+for m in analysis.callgraph_us_p50 smt.query_us_p50 pipeline.rule_us_p50; do
+    tail -n 1 "$TRACED" | grep -qE "\"${m//./\\.}\":\{\"value\":[0-9.]*[1-9]" \
+        || { echo "traced gate-cold reports no nonzero $m" >&2; exit 1; }
+done
+rm -f "$TRACED"
 echo "benchmark smoke: ok"
 
 # Crash-recovery e2e: kill-at-every-boundary matrix, seeded disk faults,
