@@ -14,8 +14,6 @@
 //!              [--job-timeout-ms N] [--max-attempts N]
 //!              [--listen <host:port>] [--tenants name[:weight[:timeout_ms]],...]
 //!              [--tenant-cap N] [--max-conns N]
-//!              [--follow <addr>] [--repl-listen <host:port>]
-//!              [--heartbeat-ms N] [--heartbeat-timeout-ms N]
 //! lisa submit  (--socket <path> | --addr <host:port>)
 //!              [--op gate|ping|stats|verdict|shutdown] [--system <dir>]
 //!              [--rules <file>] [--fail-mode closed|open] [--job-id <id>]
@@ -51,11 +49,10 @@
 //! `poll(2)` readiness loop, with multi-tenant fairness (`--tenants`
 //! weights), per-tenant bounded queues, and explicit load shedding —
 //! saturated submissions get `{"status":"shed","retry_after_ms":...}`
-//! immediately instead of a hung or dropped connection. `lisa serve --follow
-//! <addr>` runs a warm standby instead: it mirrors the leader's state
-//! root over a replication stream, answers read-only ops (`stats`,
-//! `verdict`), and promotes itself to leader when the leader's
-//! heartbeats go silent.
+//! immediately instead of a hung or dropped connection. A daemon
+//! restarted on the same `--state-root` resumes each job from its
+//! journal, so a client that resubmits a job after a crash gets the
+//! settled verdicts back without re-checking them.
 //!
 //! Every gate-relevant flag is parsed once by [`lisa::GateConfig`], the
 //! same struct the library's `Gate` builder and the serve daemon use.
@@ -71,7 +68,6 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use lisa::faults::FAULT_PANIC_PREFIX;
@@ -79,7 +75,7 @@ use lisa::report::{render_enforcement, render_rule_report};
 use lisa::service::{exit_code_of, request};
 use lisa::{
     gate_durable, load_rules, load_system, serve, DurableOptions, Gate, GateConfig, Json, Pipeline,
-    RuleRegistry, ServeConfig, StreamFaultInjector,
+    RuleRegistry, ServeConfig,
 };
 use lisa_analysis::{execution_tree_filtered, CallGraph, TargetSpec, TreeLimits};
 use lisa_oracle::suggest_conditions;
@@ -136,8 +132,6 @@ const USAGE: &str = "usage:
                [--job-timeout-ms N] [--max-attempts N]
                [--listen <host:port>] [--tenants name[:weight[:timeout_ms]],...]
                [--tenant-cap N] [--max-conns N]
-               [--follow <addr>] [--repl-listen <host:port>]
-               [--heartbeat-ms N] [--heartbeat-timeout-ms N]
   lisa submit  (--socket <path> | --addr <host:port>)
                [--op gate|ping|stats|verdict|shutdown] [--system <dir>]
                [--rules <file>] [--fail-mode closed|open] [--job-id <id>]
@@ -201,8 +195,7 @@ fn command_flags(cmd: &str) -> Option<Vec<&'static str>> {
         "serve" => (
             &[
                 "socket", "state-root", "workers", "queue-cap", "job-timeout-ms", "max-attempts",
-                "follow", "repl-listen", "heartbeat-ms", "heartbeat-timeout-ms",
-                "repl-fault-seed", "listen", "tenants", "tenant-cap", "max-conns",
+                "listen", "tenants", "tenant-cap", "max-conns",
             ],
             &[],
         ),
@@ -370,18 +363,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<Outcome, String> {
         ),
         max_attempts: parse_num(flags, "max-attempts")?.unwrap_or(3),
         retry: RetryPolicy::default(),
-        follow: flags.get("follow").cloned(),
-        repl_listen: flags.get("repl-listen").cloned(),
-        heartbeat_interval: Duration::from_millis(
-            parse_num::<u64>(flags, "heartbeat-ms")?.unwrap_or(500),
-        ),
-        heartbeat_timeout: Duration::from_millis(
-            parse_num::<u64>(flags, "heartbeat-timeout-ms")?.unwrap_or(2500),
-        ),
-        // Test hook: seed a fault plan at the replication receive seam
-        // (torn frames, short reads, bit flips, stalled heartbeats).
-        stream_faults: parse_num::<u64>(flags, "repl-fault-seed")?
-            .map(|seed| Arc::new(StreamFaultInjector::random(seed)) as _),
         listen: flags.get("listen").cloned(),
         tenants: match flags.get("tenants") {
             Some(spec) => lisa::parse_tenant_specs(spec)?,
@@ -408,12 +389,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<Outcome, String> {
     let stats = serve(&config)?;
     lisa_telemetry::note("serve", || {
         format!(
-            "drained — {} job(s) done, {} retried, {} dead-lettered, {} worker(s) respawned{}",
+            "drained — {} job(s) done, {} retried, {} dead-lettered, {} worker(s) respawned",
             stats.jobs_done,
             stats.retries,
             stats.dead_letters,
             stats.respawned_workers,
-            if stats.promotions > 0 { ", promoted from follower" } else { "" },
         )
     });
     Ok(Outcome::Clean)

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use lisa_store::{IoFault, IoFaults, StreamFault, StreamFaults};
+use lisa_store::{IoFault, IoFaults};
 use lisa_util::{Fnv1a, Prng};
 
 /// Panic payloads carry this prefix so the gate can tell injected faults
@@ -247,116 +247,6 @@ impl DiskFaultInjector {
     }
 }
 
-/// Which replication-stream fault to inject at the follower's receive
-/// seam. The stream analogue of [`DiskFaultKind`]: the journal is
-/// network-facing now, so the same torn/short/corrupt failure modes need
-/// the same seeded, reproducible treatment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamFaultKind {
-    /// The connection dies mid-frame: a prefix of the chunk arrives,
-    /// then EOF (the checksum never sees a complete frame).
-    TornFrame,
-    /// Bytes silently vanish from the middle of the stream; the decoder
-    /// desynchronizes at the next frame boundary.
-    ShortRead,
-    /// One byte of the chunk is corrupted in flight; the frame checksum
-    /// must catch it before anything is applied.
-    BitFlip,
-    /// Heartbeat frames stop being delivered, as if stalled in flight —
-    /// the follower must not mistake a chatty-but-heartbeatless leader
-    /// for a dead one, nor a dead one for alive.
-    StalledHeartbeat,
-}
-
-pub const ALL_STREAM_KINDS: [StreamFaultKind; 4] = [
-    StreamFaultKind::TornFrame,
-    StreamFaultKind::ShortRead,
-    StreamFaultKind::BitFlip,
-    StreamFaultKind::StalledHeartbeat,
-];
-
-#[derive(Debug)]
-struct StreamFaultState {
-    rng: Prng,
-    budget: u32,
-    fired: Vec<StreamFaultKind>,
-}
-
-/// Seeded, budgeted injector implementing `lisa-store`'s
-/// [`StreamFaults`] seam, mirroring [`DiskFaultInjector`]: each received
-/// chunk independently draws a fault with probability `rate` until
-/// `budget` faults have fired, so a faulted follower still converges —
-/// the property under test is recovery, not permanent denial.
-#[derive(Debug)]
-pub struct StreamFaultInjector {
-    kinds: Vec<StreamFaultKind>,
-    rate: f64,
-    state: Mutex<StreamFaultState>,
-}
-
-impl StreamFaultInjector {
-    pub fn new(
-        seed: u64,
-        rate: f64,
-        kinds: &[StreamFaultKind],
-        budget: u32,
-    ) -> StreamFaultInjector {
-        StreamFaultInjector {
-            kinds: kinds.to_vec(),
-            rate,
-            state: Mutex::new(StreamFaultState {
-                rng: Prng::seed_from_u64(seed),
-                budget,
-                fired: Vec::new(),
-            }),
-        }
-    }
-
-    /// A whole fault plan derived from one seed, shaped exactly like
-    /// [`DiskFaultInjector::random`]: random non-empty kind subset, rate
-    /// in [0.1, 0.5], budget in [1, 4]. The failover fault sweep runs
-    /// twenty of these.
-    pub fn random(seed: u64) -> StreamFaultInjector {
-        let mut rng = Prng::seed_from_u64(seed);
-        let mut kinds: Vec<StreamFaultKind> =
-            ALL_STREAM_KINDS.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
-        if kinds.is_empty() {
-            kinds.push(*rng.pick(&ALL_STREAM_KINDS));
-        }
-        let rate = 0.1 + 0.4 * rng.gen_f64();
-        let budget = 1 + rng.gen_index(4) as u32;
-        let state_seed = rng.next_u64();
-        StreamFaultInjector::new(state_seed, rate, &kinds, budget)
-    }
-
-    /// Kinds that actually fired so far, in order.
-    pub fn fired(&self) -> Vec<StreamFaultKind> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner()).fired.clone()
-    }
-}
-
-impl StreamFaults for StreamFaultInjector {
-    fn on_chunk(&self, len: usize) -> Option<StreamFault> {
-        if self.kinds.is_empty() {
-            return None;
-        }
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if st.budget == 0 || !st.rng.gen_bool(self.rate) {
-            return None;
-        }
-        st.budget -= 1;
-        let kind = *st.rng.pick(&self.kinds);
-        let aux = st.rng.next_u64() as usize;
-        st.fired.push(kind);
-        Some(match kind {
-            StreamFaultKind::TornFrame => StreamFault::Torn { keep: aux % len.max(1) },
-            StreamFaultKind::ShortRead => StreamFault::Short { keep: aux % len.max(1) },
-            StreamFaultKind::BitFlip => StreamFault::Flip { at: aux % len.max(1) },
-            StreamFaultKind::StalledHeartbeat => StreamFault::DropHeartbeat,
-        })
-    }
-}
-
 impl IoFaults for DiskFaultInjector {
     fn on_append(&self, len: usize) -> Option<IoFault> {
         let (kind, aux) = self.draw(&[DiskFaultKind::TornWrite, DiskFaultKind::Enospc])?;
@@ -426,42 +316,6 @@ mod tests {
         assert!(inj.on_append(64).is_some());
         assert!(inj.on_append(64).is_none(), "budget of 2 exhausted");
         assert_eq!(inj.fired().len(), 2);
-    }
-
-    #[test]
-    fn stream_injector_respects_budget_and_bounds() {
-        let inj = StreamFaultInjector::new(3, 1.0, &ALL_STREAM_KINDS, 2);
-        let mut fired = 0;
-        for _ in 0..10 {
-            if let Some(fault) = inj.on_chunk(64) {
-                fired += 1;
-                match fault {
-                    StreamFault::Torn { keep } | StreamFault::Short { keep } => {
-                        assert!(keep < 64)
-                    }
-                    StreamFault::Flip { at } => assert!(at < 64),
-                    StreamFault::DropHeartbeat => {}
-                }
-            }
-        }
-        assert_eq!(fired, 2, "budget bounds the faults");
-        assert_eq!(inj.fired().len(), 2);
-    }
-
-    #[test]
-    fn stream_plan_is_deterministic_in_the_seed() {
-        for seed in 0..20 {
-            let a = StreamFaultInjector::random(seed);
-            let b = StreamFaultInjector::random(seed);
-            for _ in 0..10 {
-                assert_eq!(
-                    format!("{:?}", a.on_chunk(128)),
-                    format!("{:?}", b.on_chunk(128)),
-                    "seed {seed}"
-                );
-            }
-            assert_eq!(a.fired(), b.fired());
-        }
     }
 
     #[test]

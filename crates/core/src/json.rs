@@ -358,12 +358,16 @@ impl JsonParser<'_> {
 
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.pos + 4;
-        let chunk = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or("truncated \\u escape")
-            .and_then(|c| std::str::from_utf8(c).map_err(|_| "bad \\u escape"))?;
-        let code = u32::from_str_radix(chunk, 16).map_err(|_| format!("bad \\u{chunk}"))?;
+        let chunk = self.bytes.get(self.pos..end).ok_or("truncated \\u escape")?;
+        // Exactly four ASCII hex digits: `from_str_radix` would also take
+        // a leading `+`.
+        let mut code = 0;
+        for &b in chunk {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| format!("bad \\u{}", String::from_utf8_lossy(chunk)))?;
+            code = code * 16 + digit;
+        }
         self.pos = end;
         Ok(code)
     }
@@ -463,6 +467,14 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#, r#""\ud83d\u+e00""#] {
+            assert!(Json::parse(bad).is_err(), "{bad} should not parse");
+        }
+        assert_eq!(Json::parse(r#""\u004a\u004A""#).expect("hex"), Json::Str("JJ".into()));
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! - [`tenant`] — multi-tenant admission control, weighted-fair
 //!   queueing, and per-tenant availability-tactic state for the daemon,
 //! - [`netloop`] — the std-only `poll(2)` readiness loop multiplexing
-//!   every listener of the daemon (unix socket, `--listen`,
-//!   `--repl-listen`) without threads.
+//!   both listeners of the daemon (unix socket and `--listen`) without
+//!   threads.
 //!
 //! ```
 //! use lisa::{Pipeline, PipelineConfig, TestSelection};
@@ -104,10 +104,7 @@ pub use enforce::{
     resolve_workers, EnforcementReport, FailMode, GateDecision, GateOptions, RuleRegistry,
 };
 pub use error::LisaError;
-pub use faults::{
-    DiskFaultInjector, DiskFaultKind, FaultInjector, FaultKind, FaultPlan, StreamFaultInjector,
-    StreamFaultKind,
-};
+pub use faults::{DiskFaultInjector, DiskFaultKind, FaultInjector, FaultKind, FaultPlan};
 pub use gate::{Gate, GateCache, GateConfig};
 pub use json::Json;
 pub use pipeline::{Pipeline, PipelineConfig, ResourceBudgets, TestSelection};

@@ -1,8 +1,8 @@
 //! A hand-rolled nonblocking readiness loop over `poll(2)`.
 //!
-//! Every listener of the serve daemon — the local unix socket, the
-//! `--listen` TCP gate and the `--repl-listen` replication port — is
-//! multiplexed onto the supervisor thread by one `LineGate`. Each
+//! Both listeners of the serve daemon — the local unix socket and the
+//! `--listen` TCP gate — are multiplexed onto the supervisor thread by
+//! one `LineGate`. Each
 //! tick, one `poll` call covers every nonblocking listener and every
 //! parked connection; the gate accepts what is pending and advances each
 //! readable connection's line buffer. A connection leaves the gate when
@@ -111,10 +111,8 @@ const REPLY_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 pub(crate) enum Port {
     /// The local unix socket: every op.
     Local,
-    /// `--listen`: every op except the replication stream.
+    /// `--listen`: every op, but a gate request may not carry `chaos`.
     Listen,
-    /// `--repl-listen`: `ping` and `follow` only.
-    Repl,
 }
 
 /// `match` over the `Unix`/`Tcp` arms of [`Listener`] or [`Stream`] with
@@ -149,19 +147,15 @@ impl Listener {
     }
 }
 
-/// One client connection on either transport. Requests, replies, job
-/// results and replication frames all travel over this one type, so
-/// every byte the daemon writes is the same on unix and TCP.
+/// One client connection on either transport. Requests, replies and job
+/// results all travel over this one type, so every byte the daemon
+/// writes is the same on unix and TCP.
 pub(crate) enum Stream {
     Unix(UnixStream),
     Tcp(TcpStream),
 }
 
 impl Stream {
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        either!(Stream, self, s => s.set_read_timeout(timeout))
-    }
-
     fn set_nonblocking(&self, on: bool) -> io::Result<()> {
         either!(Stream, self, s => s.set_nonblocking(on))
     }

@@ -31,21 +31,23 @@
 //! queue answers `{"status":"shed","retry_after_ms":...}` immediately
 //! instead of blocking or dropping the connection.
 //!
-//! Every listener — the unix socket, `--listen` and `--repl-listen`, on
-//! a leader or a follower — is multiplexed by one hand-rolled `poll(2)`
-//! readiness loop ([`crate::netloop`]) on the supervisor thread. A
-//! request reaches a dispatcher only once its line is complete, so idle
-//! clients cost no threads and no client can stall supervision. Each
-//! port keeps its op policy: the unix socket serves every op, `--listen`
-//! refuses `follow` and any gate request carrying a `chaos` drill, and
-//! `--repl-listen` speaks only `ping` and `follow`.
+//! Both listeners — the unix socket and `--listen` — are multiplexed by
+//! one hand-rolled `poll(2)` readiness loop ([`crate::netloop`]) on the
+//! supervisor thread. A request reaches a dispatcher only once its line
+//! is complete, so idle clients cost no threads and no client can stall
+//! supervision. The unix socket serves every op; `--listen` refuses any
+//! gate request carrying a `chaos` drill.
+//!
+//! The daemon runs on one node. Its availability rests on two tactics:
+//! a daemon restarted on the same state root resumes every job from its
+//! journal, so no acknowledged verdict is lost, and a client whose gate
+//! failed simply submits it again (Retry).
 //!
 //! Parallel throughput comes from the worker pool across jobs and, with
 //! `DurableOptions::workers`, from checking a job's rules in parallel.
 
 use std::collections::{HashMap, HashSet};
-use std::fmt;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -57,11 +59,8 @@ use std::time::{Duration, Instant};
 use lisa_concolic::{discover_tests, SystemVersion};
 use lisa_lang::Program;
 use lisa_oracle::{author_rule, SemanticRule};
-use lisa_store::journal::{fnv1a, frame, Journal, FRAME_HEADER};
-use lisa_store::repl::{
-    decode_wire, encode_wire, Applier, BusPoll, FrameDecoder, ReplBus, StreamFault, StreamFaults,
-    Wire, REPL_VERSION,
-};
+use lisa_store::journal::{fnv1a, Journal};
+use lisa_store::repl::ReplBus;
 use lisa_store::{scan, IoFaults, RuleOutcome, RunState, RunStore, StoreError};
 use lisa_util::{Fnv1a, RetryPolicy};
 
@@ -254,9 +253,8 @@ pub struct DurableOptions {
     /// rule checks read and fill its rule-report memo. Nothing of it is
     /// persisted beside the journal.
     pub cache: Option<Arc<GateCache>>,
-    /// Replication publisher: when attached, every durable mutation of
-    /// this run (append, reset) is also shipped to subscribed
-    /// followers.
+    /// Counts this run's journal appends and resets. Only lisabench's
+    /// serve replay sets it; the daemon never does.
     pub repl: Option<Arc<ReplBus>>,
 }
 
@@ -530,7 +528,7 @@ pub fn gate_durable(
 // ---------------------------------------------------------------------------
 
 /// Configuration for [`serve`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Unix socket path to listen on (created; removed on clean exit).
     pub socket: PathBuf,
@@ -548,25 +546,8 @@ pub struct ServeConfig {
     pub job_timeout: Duration,
     /// Attempts per job before it is dead-lettered.
     pub max_attempts: u32,
-    /// Backoff schedule between attempts (also paces follower
-    /// reconnects in `--follow` mode — the Retry tactic in both roles).
+    /// Backoff schedule between attempts.
     pub retry: RetryPolicy,
-    /// Follow a leader at this address instead of accepting writes:
-    /// mirror its state root, answer read-only ops, and promote to
-    /// leader when it goes silent. Accepts `unix:<path>`,
-    /// `tcp:<host:port>`, a bare socket path, or a bare `host:port`.
-    pub follow: Option<String>,
-    /// Additionally accept replication subscribers over TCP at this
-    /// `host:port` (the unix socket always accepts the `follow` op).
-    pub repl_listen: Option<String>,
-    /// How often the leader ships a heartbeat frame to each follower.
-    pub heartbeat_interval: Duration,
-    /// A synced follower that receives nothing — no frame, no heartbeat
-    /// — for this long declares its leader dead and promotes itself.
-    pub heartbeat_timeout: Duration,
-    /// Seeded fault injection at the follower's receive seam (tests and
-    /// the failover fault sweep).
-    pub stream_faults: Option<Arc<dyn StreamFaults>>,
     /// Additionally accept gate submissions over TCP at this
     /// `host:port`. Like every listener, it is multiplexed onto the
     /// supervisor thread by the nonblocking `poll(2)` readiness loop —
@@ -580,9 +561,9 @@ pub struct ServeConfig {
     /// its weight-proportional share of `queue_cap`.
     pub tenant_cap: usize,
     /// Maximum concurrently parked connections (accepted, request line
-    /// not yet complete) across every listener: the unix socket,
-    /// `listen` and `repl_listen`. Accepts past it are answered with a
-    /// structured shed and closed.
+    /// not yet complete) across both listeners: the unix socket and
+    /// `listen`. Accepts past it are answered with a structured shed and
+    /// closed.
     pub max_conns: usize,
 }
 
@@ -596,39 +577,11 @@ impl Default for ServeConfig {
             job_timeout: Duration::from_secs(30),
             max_attempts: 3,
             retry: RetryPolicy::default(),
-            follow: None,
-            repl_listen: None,
-            heartbeat_interval: Duration::from_millis(500),
-            heartbeat_timeout: Duration::from_millis(2500),
-            stream_faults: None,
             listen: None,
             tenants: Vec::new(),
             tenant_cap: 0,
             max_conns: 4096,
         }
-    }
-}
-
-impl fmt::Debug for ServeConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServeConfig")
-            .field("socket", &self.socket)
-            .field("state_root", &self.state_root)
-            .field("workers", &self.workers)
-            .field("queue_cap", &self.queue_cap)
-            .field("job_timeout", &self.job_timeout)
-            .field("max_attempts", &self.max_attempts)
-            .field("retry", &self.retry)
-            .field("follow", &self.follow)
-            .field("repl_listen", &self.repl_listen)
-            .field("heartbeat_interval", &self.heartbeat_interval)
-            .field("heartbeat_timeout", &self.heartbeat_timeout)
-            .field("stream_faults", &self.stream_faults.is_some())
-            .field("listen", &self.listen)
-            .field("tenants", &self.tenants)
-            .field("tenant_cap", &self.tenant_cap)
-            .field("max_conns", &self.max_conns)
-            .finish()
     }
 }
 
@@ -640,8 +593,6 @@ pub struct ServeStats {
     pub dead_letters: u64,
     pub respawned_workers: u64,
     pub rejected_overload: u64,
-    /// 1 if this process started as a follower and took over as leader.
-    pub promotions: u64,
 }
 
 /// One queued gate job. The response stream travels with the job so
@@ -699,14 +650,6 @@ struct Shared {
     /// the view always reflects the live pool — an abandoned thread's
     /// stale slot is unreachable from here.
     worker_slots: Mutex<Vec<Slot>>,
-    /// Replication publisher over the state root; every durable run the
-    /// workers execute feeds it, and each subscribed follower drains it
-    /// through a shipper thread.
-    repl: Arc<ReplBus>,
-    /// Followers currently attached (live shipper threads).
-    followers: AtomicU64,
-    /// Shipper thread handles, joined on shutdown.
-    shippers: Mutex<Vec<JoinHandle<()>>>,
     /// Per-tenant execution state (rule registries, verdict cache).
     /// Isolation, not just bookkeeping: one tenant's cached verdicts
     /// and parsed rules are invisible to every other tenant's jobs.
@@ -920,7 +863,6 @@ fn process_job(
         progress: Some(progress),
         cancel: Some(cancel),
         cache: Some(Arc::clone(&runtime.cache)),
-        repl: Some(Arc::clone(&shared.repl)),
         ..DurableOptions::default()
     };
     gate_durable(&registry, &version, &config, &gate, &durable).map_err(|e| e.to_string())
@@ -1046,548 +988,10 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Replication: leader-side shipping
-// ---------------------------------------------------------------------------
-
-/// Where a follower finds its leader's replication endpoint.
-#[derive(Debug, PartialEq, Eq)]
-enum ReplAddr {
-    Unix(PathBuf),
-    Tcp(String),
-}
-
-/// Parse a leader address: `unix:<path>`, `tcp:<host:port>`, a bare
-/// path (anything containing `/`), or a bare `host:port`.
-fn parse_repl_addr(spec: &str) -> ReplAddr {
-    if let Some(path) = spec.strip_prefix("unix:") {
-        ReplAddr::Unix(PathBuf::from(path))
-    } else if let Some(hostport) = spec.strip_prefix("tcp:") {
-        ReplAddr::Tcp(hostport.to_string())
-    } else if spec.contains('/') {
-        ReplAddr::Unix(PathBuf::from(spec))
-    } else {
-        ReplAddr::Tcp(spec.to_string())
-    }
-}
-
-/// Stream the leader's state to one follower: full sync first, then
-/// live frames off the bus, with heartbeats in idle gaps. Runs on its
-/// own thread until the follower drops or the daemon shuts down.
-fn ship_to_follower(mut stream: Stream, shared: &Arc<Shared>, interval: Duration) {
-    shared.followers.fetch_add(1, Ordering::SeqCst);
-    if let Err(e) = ship_loop(&mut stream, shared, interval) {
-        lisa_telemetry::note("repl", || format!("follower detached: {e}"));
-    }
-    shared.followers.fetch_sub(1, Ordering::SeqCst);
-}
-
-fn ship_frame(stream: &mut Stream, payload: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&frame(payload))?;
-    lisa_telemetry::counter_add("repl.frames_shipped", 1);
-    lisa_telemetry::counter_add("repl.bytes_shipped", (FRAME_HEADER + payload.len()) as u64);
-    Ok(())
-}
-
-fn ship_loop(stream: &mut Stream, shared: &Arc<Shared>, interval: Duration) -> std::io::Result<()> {
-    let bus = &shared.repl;
-    let (payloads, mut pos) = bus.sync_payloads();
-    for p in &payloads {
-        ship_frame(stream, p)?;
-    }
-    stream.flush()?;
-    let mut last_heartbeat = Instant::now();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match bus.poll_after(pos, Duration::from_millis(100)) {
-            BusPoll::Frames(frames) => {
-                for (seq, payload) in frames {
-                    ship_frame(stream, &payload)?;
-                    pos = seq;
-                }
-                stream.flush()?;
-            }
-            BusPoll::Idle { .. } => {}
-            BusPoll::Gap => {
-                // This subscriber fell out of bus retention; the only
-                // honest recovery is a fresh full sync on the same
-                // stream (frame application is idempotent).
-                lisa_telemetry::counter_add("repl.resyncs", 1);
-                let (payloads, new_pos) = bus.sync_payloads();
-                for p in &payloads {
-                    ship_frame(stream, p)?;
-                }
-                stream.flush()?;
-                pos = new_pos;
-            }
-        }
-        if last_heartbeat.elapsed() >= interval {
-            let (seq, bytes) = bus.position();
-            ship_frame(stream, &encode_wire(&Wire::Heartbeat { seq, bytes }))?;
-            stream.flush()?;
-            lisa_telemetry::counter_add("repl.heartbeats_shipped", 1);
-            last_heartbeat = Instant::now();
-        }
-    }
-    Ok(())
-}
-
-/// Acknowledge a `follow` handshake and hand the stream to a shipper
-/// thread that owns it for the rest of the daemon's life. The stream's
-/// write timeout keeps a follower that stops reading from wedging its
-/// shipper (and with it, daemon shutdown) forever.
-fn start_shipper(mut stream: Stream, shared: &Arc<Shared>, config: &ServeConfig) {
-    let (seq, _) = shared.repl.position();
-    send(&mut stream, &format!("{{\"status\":\"ok\",\"repl\":{REPL_VERSION},\"seq\":{seq}}}"));
-    lisa_telemetry::counter_add("repl.followers_attached", 1);
-    let handle = {
-        let shared = Arc::clone(shared);
-        let interval = config.heartbeat_interval;
-        std::thread::spawn(move || ship_to_follower(stream, &shared, interval))
-    };
-    shared.shippers.lock().unwrap_or_else(|p| p.into_inner()).push(handle);
-}
-
-// ---------------------------------------------------------------------------
-// Replication: the follower
-// ---------------------------------------------------------------------------
-
-/// Live view of a follower's replication progress, shared between the
-/// stream client thread and the read-only op handlers. Times are
-/// milliseconds since `start` so they fit in atomics.
-struct FollowState {
-    start: Instant,
-    connected: AtomicBool,
-    /// Sticky once set: this root has held a complete mirror of the
-    /// leader at least once (a `SyncDone` arrived). A disconnect does
-    /// not clear it — applied frames are atomic, so the mirror stays a
-    /// valid prefix of the leader's history, which is exactly what
-    /// promotion needs.
-    synced: AtomicBool,
-    last_activity_ms: AtomicU64,
-    last_heartbeat_ms: AtomicU64,
-    leader_seq: AtomicU64,
-    leader_bytes: AtomicU64,
-    applied_seq: AtomicU64,
-    applied_bytes: AtomicU64,
-}
-
-impl FollowState {
-    fn new() -> FollowState {
-        FollowState {
-            start: Instant::now(),
-            connected: AtomicBool::new(false),
-            synced: AtomicBool::new(false),
-            last_activity_ms: AtomicU64::new(0),
-            last_heartbeat_ms: AtomicU64::new(0),
-            leader_seq: AtomicU64::new(0),
-            leader_bytes: AtomicU64::new(0),
-            applied_seq: AtomicU64::new(0),
-            applied_bytes: AtomicU64::new(0),
-        }
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-
-    fn touch_activity(&self) {
-        self.last_activity_ms.store(self.now_ms(), Ordering::SeqCst);
-    }
-
-    fn touch_heartbeat(&self) {
-        let now = self.now_ms();
-        let prev = self.last_heartbeat_ms.swap(now, Ordering::SeqCst);
-        if prev > 0 {
-            lisa_telemetry::histogram_record("repl.heartbeat_gap_ms", now.saturating_sub(prev));
-        }
-    }
-
-    /// How long since *anything* arrived from the leader — frame,
-    /// heartbeat, or sync marker. This, not heartbeat age alone, drives
-    /// promotion: a leader busy shipping big frames is clearly alive
-    /// even if its heartbeats queue behind them.
-    fn activity_age(&self) -> Duration {
-        Duration::from_millis(
-            self.now_ms().saturating_sub(self.last_activity_ms.load(Ordering::SeqCst)),
-        )
-    }
-
-    fn heartbeat_age_ms(&self) -> u64 {
-        self.now_ms().saturating_sub(self.last_heartbeat_ms.load(Ordering::SeqCst))
-    }
-
-    fn lag_frames(&self) -> u64 {
-        self.leader_seq
-            .load(Ordering::SeqCst)
-            .saturating_sub(self.applied_seq.load(Ordering::SeqCst))
-    }
-
-    fn lag_bytes(&self) -> u64 {
-        self.leader_bytes
-            .load(Ordering::SeqCst)
-            .saturating_sub(self.applied_bytes.load(Ordering::SeqCst))
-    }
-}
-
-/// Why a follower's stream session ended.
-enum StreamEnd {
-    /// Clean EOF or transport error: reconnect with backoff.
-    Disconnected,
-    /// The stream desynchronized — corrupt frame, undecodable payload,
-    /// or a partial frame that stalled. Nothing past that point can be
-    /// trusted, so the session drops and the reconnect's full sync
-    /// re-establishes a known-good mirror.
-    Desync,
-}
-
-/// Why follower mode returned control to [`serve`].
-enum FollowerExit {
-    /// A `shutdown` op drained us; exit cleanly.
-    Drained,
-    /// The leader went silent past the heartbeat timeout with a complete
-    /// mirror on disk: take over as leader.
-    Promoted,
-}
-
-fn follower_connect(addr: &ReplAddr) -> std::io::Result<Stream> {
-    let stream = match addr {
-        ReplAddr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
-        ReplAddr::Tcp(hostport) => Stream::Tcp(TcpStream::connect(hostport.as_str())?),
-    };
-    // Short read timeouts keep the client loop responsive to `stop` and
-    // let it notice staleness without a dedicated timer thread.
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    Ok(stream)
-}
-
-/// The follower's stream client: connect, follow, reconnect with
-/// [`RetryPolicy`] backoff — forever, until `stop`. The policy shapes
-/// the backoff curve; it is *not* an attempt cap, because the exit from
-/// a dead leader is promotion (decided by the supervisor from
-/// [`FollowState`] staleness), not giving up.
-fn follower_client(
-    addr: ReplAddr,
-    state: Arc<FollowState>,
-    applier: Arc<Applier>,
-    retry: RetryPolicy,
-    stop: Arc<AtomicBool>,
-    faults: Option<Arc<dyn StreamFaults>>,
-    stale_after: Duration,
-) {
-    let mut failures: u32 = 0;
-    while !stop.load(Ordering::SeqCst) {
-        match follower_connect(&addr) {
-            Ok(stream) => {
-                state.connected.store(true, Ordering::SeqCst);
-                lisa_telemetry::counter_add("repl.connects", 1);
-                let end =
-                    follow_stream(stream, &state, &applier, &stop, faults.as_deref(), stale_after);
-                state.connected.store(false, Ordering::SeqCst);
-                match end {
-                    StreamEnd::Disconnected => {
-                        lisa_telemetry::counter_add("repl.disconnects", 1);
-                    }
-                    StreamEnd::Desync => {
-                        lisa_telemetry::counter_add("repl.resyncs_requested", 1);
-                    }
-                }
-                failures = 0;
-            }
-            Err(_) => failures = failures.saturating_add(1),
-        }
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        std::thread::sleep(retry.backoff(failures.clamp(1, retry.max_attempts)));
-    }
-}
-
-/// Run one connected session: handshake, then decode-and-apply until
-/// EOF, corruption, or shutdown.
-fn follow_stream(
-    mut stream: Stream,
-    state: &FollowState,
-    applier: &Applier,
-    stop: &AtomicBool,
-    faults: Option<&dyn StreamFaults>,
-    stale_after: Duration,
-) -> StreamEnd {
-    let hello = format!("{{\"v\":{PROTOCOL_VERSION},\"op\":\"follow\"}}\n");
-    if stream.write_all(hello.as_bytes()).is_err() || stream.flush().is_err() {
-        return StreamEnd::Disconnected;
-    }
-    // Read the one-line ack byte-at-a-time: everything after the newline
-    // is binary frame data that buffered reading would swallow.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let mut ack = Vec::new();
-    loop {
-        let mut b = [0u8; 1];
-        match stream.read(&mut b) {
-            Ok(0) => return StreamEnd::Disconnected,
-            Ok(_) if b[0] == b'\n' => break,
-            Ok(_) => {
-                ack.push(b[0]);
-                if ack.len() > 4096 {
-                    return StreamEnd::Desync;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if Instant::now() >= deadline || stop.load(Ordering::SeqCst) {
-                    return StreamEnd::Disconnected;
-                }
-            }
-            Err(_) => return StreamEnd::Disconnected,
-        }
-    }
-    let acked = std::str::from_utf8(&ack)
-        .ok()
-        .and_then(|s| Json::parse(s.trim()).ok())
-        .is_some_and(|a| {
-            a.str_of("status") == Some("ok") && a.u64_of("repl") == Some(REPL_VERSION)
-        });
-    if !acked {
-        lisa_telemetry::note("repl", || "leader rejected the follow handshake".to_string());
-        return StreamEnd::Disconnected;
-    }
-    state.touch_activity();
-
-    let mut dec = FrameDecoder::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut drop_heartbeats = false;
-    let mut last_progress = Instant::now();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return StreamEnd::Disconnected;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return StreamEnd::Disconnected,
-            Ok(n) => {
-                let mut chunk = buf[..n].to_vec();
-                let mut tear_after = false;
-                if let Some(fault) = faults.and_then(|f| f.on_chunk(n)) {
-                    lisa_telemetry::counter_add("repl.stream_faults_injected", 1);
-                    match fault {
-                        StreamFault::Torn { keep } => {
-                            chunk.truncate(keep.min(n));
-                            tear_after = true;
-                        }
-                        StreamFault::Flip { at } => chunk[at % n] ^= 0x20,
-                        StreamFault::Short { keep } => chunk.truncate(keep.min(n)),
-                        StreamFault::DropHeartbeat => drop_heartbeats = true,
-                    }
-                }
-                dec.feed(&chunk);
-                loop {
-                    match dec.next_frame() {
-                        Ok(Some(payload)) => {
-                            last_progress = Instant::now();
-                            if let Some(end) =
-                                apply_wire(&payload, state, applier, drop_heartbeats)
-                            {
-                                return end;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            lisa_telemetry::note("repl", || format!("stream corrupt: {e}"));
-                            return StreamEnd::Desync;
-                        }
-                    }
-                }
-                if tear_after {
-                    return StreamEnd::Disconnected;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => return StreamEnd::Disconnected,
-        }
-        // A silently desynchronized stream — a short read the checksum
-        // cannot catch until the *next* frame boundary — shows up as a
-        // partial frame that never completes while bytes keep arriving.
-        // Surface it as desync rather than letting a stale stream
-        // masquerade as a dead leader and trigger a false promotion.
-        if dec.pending() > 0 && last_progress.elapsed() > stale_after {
-            lisa_telemetry::note("repl", || "partial frame stalled; resyncing".to_string());
-            return StreamEnd::Desync;
-        }
-    }
-}
-
-/// Apply one decoded payload to the mirror and the progress view.
-/// Returns `Some(end)` when the session must end: an event the applier
-/// refused (hostile path, I/O failure) means this stream can no longer
-/// be trusted to produce a faithful mirror.
-fn apply_wire(
-    payload: &[u8],
-    state: &FollowState,
-    applier: &Applier,
-    drop_heartbeats: bool,
-) -> Option<StreamEnd> {
-    match decode_wire(payload) {
-        Ok(Wire::Event { seq, event }) => {
-            if let Err(e) = applier.apply(&event) {
-                lisa_telemetry::counter_add("repl.frames_quarantined", 1);
-                lisa_telemetry::note("repl", || format!("refused replicated event: {e}"));
-                return Some(StreamEnd::Desync);
-            }
-            state.applied_seq.store(seq, Ordering::SeqCst);
-            state
-                .applied_bytes
-                .fetch_add((FRAME_HEADER + payload.len()) as u64, Ordering::SeqCst);
-            state.leader_seq.fetch_max(seq, Ordering::SeqCst);
-            state.touch_activity();
-            None
-        }
-        Ok(Wire::Heartbeat { seq, bytes }) => {
-            if drop_heartbeats {
-                lisa_telemetry::counter_add("repl.heartbeats_dropped", 1);
-                return None;
-            }
-            state.leader_seq.store(seq, Ordering::SeqCst);
-            state.leader_bytes.store(bytes, Ordering::SeqCst);
-            state.touch_heartbeat();
-            state.touch_activity();
-            lisa_telemetry::counter_add("repl.heartbeats_seen", 1);
-            None
-        }
-        Ok(Wire::SyncDone { seq, bytes }) => {
-            state.applied_seq.store(seq, Ordering::SeqCst);
-            state.applied_bytes.store(bytes, Ordering::SeqCst);
-            state.leader_seq.store(seq, Ordering::SeqCst);
-            state.leader_bytes.store(bytes, Ordering::SeqCst);
-            state.synced.store(true, Ordering::SeqCst);
-            state.touch_heartbeat();
-            state.touch_activity();
-            lisa_telemetry::counter_add("repl.syncs_completed", 1);
-            None
-        }
-        Err(e) => {
-            lisa_telemetry::counter_add("repl.frames_rejected", 1);
-            lisa_telemetry::note("repl", || format!("undecodable frame: {e}"));
-            Some(StreamEnd::Desync)
-        }
-    }
-}
-
-/// Run follower mode on the gate's unix socket: mirror the leader into
-/// the state root, answer read-only ops, and decide promotion. Returns
-/// whether we drained or should take over; on promotion the caller keeps
-/// the gate, parked connections included, for the leader loop.
-fn run_follower(
-    gate: &mut LineGate,
-    config: &ServeConfig,
-    addr: ReplAddr,
-    metrics_journal: &mut Option<Journal>,
-    stats: &mut ServeStats,
-) -> FollowerExit {
-    let state = Arc::new(FollowState::new());
-    let applier = match Applier::new(&config.state_root) {
-        Ok(a) => Arc::new(a),
-        Err(e) => {
-            lisa_telemetry::note("repl", || format!("follower state root unusable: {e}"));
-            return FollowerExit::Drained;
-        }
-    };
-    let stop = Arc::new(AtomicBool::new(false));
-    let client = {
-        let state = Arc::clone(&state);
-        let applier = Arc::clone(&applier);
-        let stop = Arc::clone(&stop);
-        let retry = config.retry;
-        let faults = config.stream_faults.clone();
-        let stale_after = config.heartbeat_timeout;
-        std::thread::spawn(move || {
-            follower_client(addr, state, applier, retry, stop, faults, stale_after)
-        })
-    };
-    let mut last_snapshot = Instant::now();
-    let mut drained = false;
-    let exit = loop {
-        for (_, stream, line) in answer_refused(gate.poll(SUPERVISION_TICK), stats) {
-            handle_follower_request(&line, stream, config, &state, &mut drained);
-        }
-        if drained {
-            break FollowerExit::Drained;
-        }
-        if state.synced.load(Ordering::SeqCst) && state.activity_age() > config.heartbeat_timeout
-        {
-            break FollowerExit::Promoted;
-        }
-        if last_snapshot.elapsed() >= METRICS_SNAPSHOT_INTERVAL {
-            // Record replication gauges alongside the regular snapshot
-            // so lag and heartbeat age are visible post-mortem in the
-            // metrics journal, not just in live `stats` replies.
-            lisa_telemetry::histogram_record("repl.heartbeat_age_ms", state.heartbeat_age_ms());
-            lisa_telemetry::histogram_record("repl.lag_frames", state.lag_frames());
-            snapshot_metrics(metrics_journal);
-            last_snapshot = Instant::now();
-        }
-    };
-    stop.store(true, Ordering::SeqCst);
-    let _ = client.join();
-    exit
-}
-
-/// One NDJSON request line in follower mode: read-only ops plus
-/// `shutdown`. Writes are refused with a structured `read-only` reply
-/// (Degradation: the follower keeps serving what it can, never what it
-/// can't).
-fn handle_follower_request(
-    line: &str,
-    mut stream: Stream,
-    config: &ServeConfig,
-    state: &FollowState,
-    drained: &mut bool,
-) {
-    let request = match parse_request(line) {
-        Ok(request) => request,
-        Err(reply) => return send(&mut stream, &reply),
-    };
-    let reply = match request.str_of("op").unwrap_or("gate") {
-        "ping" => "{\"status\":\"ok\"}".to_string(),
-        "stats" => follower_stats_response(state),
-        "verdict" => verdict_response(&config.state_root, &request),
-        "shutdown" => {
-            *drained = true;
-            "{\"status\":\"draining\"}".to_string()
-        }
-        "gate" => bounded_job_id(&request).map_or_else(
-            |reply| reply,
-            |id| {
-                error_response(
-                    id.unwrap_or(""),
-                    "read-only",
-                    "follower is read-only while its leader is alive; submit to the leader",
-                )
-            },
-        ),
-        other => error_response("", "bad-request", &format!("unknown op {other:?}")),
-    };
-    send(&mut stream, &reply);
-}
-
-/// The follower's `stats` reply: role, replication progress, and the
-/// same cumulative counters/timings a leader reports.
-fn follower_stats_response(state: &FollowState) -> String {
-    format!(
-        "{{\"status\":\"ok\",\"role\":\"follower\",\"connected\":{},\"synced\":{},\"leader_seq\":{},\"applied_seq\":{},\"lag_frames\":{},\"lag_bytes\":{},\"heartbeat_age_ms\":{},\"counters\":{},\"timings\":{}}}",
-        state.connected.load(Ordering::SeqCst),
-        state.synced.load(Ordering::SeqCst),
-        state.leader_seq.load(Ordering::SeqCst),
-        state.applied_seq.load(Ordering::SeqCst),
-        state.lag_frames(),
-        state.lag_bytes(),
-        state.heartbeat_age_ms(),
-        counters_json(),
-        timings_json(),
-    )
-}
-
 /// Answer a `verdict` query purely from on-disk run state, without
-/// opening a [`RunStore`] — recovery repairs (truncation, quarantine)
-/// would *mutate* the journals this node is busy mirroring. Corrupt or
-/// torn tails simply aren't counted; the leader's copy is authoritative
-/// until promotion.
+/// opening a [`RunStore`]: recovery repairs (truncation, quarantine)
+/// would *mutate* a journal that a worker may be appending to. Corrupt or
+/// torn tails simply aren't counted; the job's next run repairs them.
 fn verdict_response(state_root: &Path, request: &Json) -> String {
     let job_id = match bounded_job_id(request) {
         Ok(Some(id)) if !id.is_empty() => id,
@@ -1601,7 +1005,8 @@ fn verdict_response(state_root: &Path, request: &Json) -> String {
     let bytes = std::fs::read(dir.join(RunStore::JOURNAL)).unwrap_or_default();
     let state = RunState::replay(scan(&bytes).records.iter().map(Vec::as_slice));
     // A compact, order-sensitive digest of the settled verdicts lets a
-    // caller compare two nodes' views without shipping every report.
+    // caller compare the state before and after a restart without
+    // shipping every report.
     let mut digest = String::new();
     for o in &state.finished {
         digest.push_str(&format!("rule {}\n{}\n", o.rule_id, o.fingerprint));
@@ -1617,28 +1022,6 @@ fn verdict_response(state_root: &Path, request: &Json) -> String {
         state.finished.len(),
         fnv1a(digest.as_bytes()),
     )
-}
-
-/// One request line on the `--repl-listen` port. Only `ping` and
-/// `follow` are spoken here — gate submissions stay on the other ports,
-/// so exposing the replication port never exposes the write path.
-fn handle_repl_request(line: &str, mut stream: Stream, config: &ServeConfig, shared: &Arc<Shared>) {
-    let request = match parse_request(line) {
-        Ok(request) => request,
-        Err(reply) => return send(&mut stream, &reply),
-    };
-    match request.str_of("op").unwrap_or("") {
-        "ping" => send(&mut stream, "{\"status\":\"ok\"}"),
-        "follow" => start_shipper(stream, shared, config),
-        other => send(
-            &mut stream,
-            &error_response(
-                "",
-                "bad-request",
-                &format!("unsupported op {other:?} on the replication listener"),
-            ),
-        ),
-    }
 }
 
 /// Answer the connections the readiness loop handed back without a
@@ -1663,7 +1046,7 @@ fn answer_refused(pumped: Pumped, stats: &mut ServeStats) -> Vec<(Port, Stream, 
 }
 
 /// The supervisor's longest wait: one `poll(2)` tick. It keeps
-/// supervision (reaping, retries, snapshots, promotion) ticking with no
+/// supervision (reaping, retries, snapshots) ticking with no
 /// I/O; readiness wakes the loop at once.
 const SUPERVISION_TICK: Duration = Duration::from_millis(10);
 
@@ -1761,32 +1144,6 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
     let mut last_snapshot = Instant::now();
     let mut stats = ServeStats::default();
 
-    // Follower mode: mirror the leader until a shutdown drains us or
-    // the leader goes silent. Promotion falls through into the leader
-    // path below on the same gate, so the address clients know keeps
-    // working across the role change and parked clients stay parked.
-    if let Some(spec) = &config.follow {
-        let addr = parse_repl_addr(spec);
-        match run_follower(&mut gate, config, addr, &mut metrics_journal, &mut stats) {
-            FollowerExit::Drained => {
-                snapshot_metrics(&mut metrics_journal);
-                let _ = std::fs::remove_file(&config.socket);
-                return Ok(stats);
-            }
-            FollowerExit::Promoted => {
-                stats.promotions = 1;
-                lisa_telemetry::counter_add("repl.promotions", 1);
-                lisa_telemetry::event(
-                    "repl.promoted",
-                    "leader silent past heartbeat timeout; follower taking over",
-                );
-            }
-        }
-    }
-
-    if let Some(addr) = &config.repl_listen {
-        gate.listen(Port::Repl, Listener::tcp(addr)?)?;
-    }
     if let Some(addr) = &config.listen {
         gate.listen(Port::Listen, Listener::tcp(addr)?)?;
         lisa_telemetry::note("serve", || format!("gate listening on tcp {addr}"));
@@ -1819,9 +1176,6 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
         jobs_done: AtomicU64::new(0),
         state_root: config.state_root.clone(),
         worker_slots: Mutex::new(Vec::new()),
-        repl: ReplBus::new(&config.state_root),
-        followers: AtomicU64::new(0),
-        shippers: Mutex::new(Vec::new()),
         runtimes: Mutex::new(HashMap::new()),
         listen_conns: AtomicU64::new(0),
     });
@@ -1839,7 +1193,6 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
                 port,
                 &line,
                 stream,
-                config,
                 &shared,
                 &mut stats,
                 &mut next_job,
@@ -2010,9 +1363,6 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
             let _ = h.join();
         }
     }
-    for shipper in shared.shippers.lock().unwrap_or_else(|p| p.into_inner()).drain(..) {
-        let _ = shipper.join();
-    }
     stats.jobs_done = shared.jobs_done.load(Ordering::Relaxed);
     snapshot_metrics(&mut metrics_journal);
     let _ = std::fs::remove_file(&config.socket);
@@ -2051,8 +1401,7 @@ const STATS_TIMINGS: [&str; 8] = [
     "smt.query_us",
 ];
 
-/// The cumulative telemetry counters as one JSON object (shared by the
-/// leader and follower `stats` replies).
+/// The cumulative telemetry counters as one JSON object.
 fn counters_json() -> String {
     let mut counters = String::from("{");
     for (i, (name, value)) in lisa_telemetry::counters_snapshot().iter().enumerate() {
@@ -2126,10 +1475,9 @@ fn tenants_json(shared: &Arc<Shared>) -> String {
     out
 }
 
-/// Build the one-line `stats` reply: role, queue depth, per-worker
-/// states, per-tenant summaries, replication position and attached
-/// followers, cumulative telemetry counters (restored across restarts
-/// via the metrics journal), and per-stage timing summaries.
+/// Build the one-line `stats` reply: queue depth, per-worker states,
+/// per-tenant summaries, cumulative telemetry counters (restored across
+/// restarts via the metrics journal), and per-stage timing summaries.
 fn stats_response(shared: &Arc<Shared>, stats: &ServeStats) -> String {
     let queued = shared.queue.lock().unwrap_or_else(|p| p.into_inner()).queues.queued_total();
     let resolved_workers;
@@ -2153,16 +1501,13 @@ fn stats_response(shared: &Arc<Shared>, stats: &ServeStats) -> String {
         }
     }
     workers.push(']');
-    let (repl_seq, repl_bytes) = shared.repl.position();
     format!(
-        "{{\"status\":\"ok\",\"role\":\"leader\",\"jobs_done\":{},\"retries\":{},\"dead_letters\":{},\"respawned_workers\":{},\"rejected_overload\":{},\"promotions\":{},\"followers\":{},\"repl_seq\":{repl_seq},\"repl_bytes\":{repl_bytes},\"queued\":{queued},\"listen_conns\":{},\"tenants\":{},\"resolved_workers\":{resolved_workers},\"workers\":{workers},\"counters\":{},\"timings\":{}}}",
+        "{{\"status\":\"ok\",\"jobs_done\":{},\"retries\":{},\"dead_letters\":{},\"respawned_workers\":{},\"rejected_overload\":{},\"queued\":{queued},\"listen_conns\":{},\"tenants\":{},\"resolved_workers\":{resolved_workers},\"workers\":{workers},\"counters\":{},\"timings\":{}}}",
         shared.jobs_done.load(Ordering::Relaxed),
         stats.retries,
         stats.dead_letters,
         stats.respawned_workers,
         stats.rejected_overload,
-        stats.promotions,
-        shared.followers.load(Ordering::SeqCst),
         shared.listen_conns.load(Ordering::Relaxed),
         tenants_json(shared),
         counters_json(),
@@ -2188,22 +1533,16 @@ fn parse_request(line: &str) -> Result<Json, String> {
 
 /// Dispatch one complete NDJSON request line from the readiness loop.
 /// The unix socket and `--listen` speak exactly the same protocol, so
-/// per-job replies are byte-identical across them; `--repl-listen` lines
-/// go to [`handle_repl_request`].
-#[allow(clippy::too_many_arguments)] // the supervisor's loop state, threaded once
+/// per-job replies are byte-identical across them.
 fn dispatch_request(
     port: Port,
     line: &str,
     mut stream: Stream,
-    config: &ServeConfig,
     shared: &Arc<Shared>,
     stats: &mut ServeStats,
     next_job: &mut u64,
     draining: &mut bool,
 ) {
-    if port == Port::Repl {
-        return handle_repl_request(line, stream, config, shared);
-    }
     let request = match parse_request(line) {
         Ok(request) => request,
         Err(reply) => return send(&mut stream, &reply),
@@ -2212,17 +1551,6 @@ fn dispatch_request(
         "ping" => send(&mut stream, "{\"status\":\"ok\"}"),
         "stats" => send(&mut stream, &stats_response(shared, stats)),
         "verdict" => send(&mut stream, &verdict_response(&shared.state_root, &request)),
-        "follow" if port == Port::Local => start_shipper(stream, shared, config),
-        // The gate listener never exposes the replication stream; that
-        // stays on --repl-listen.
-        "follow" => send(
-            &mut stream,
-            &error_response(
-                "",
-                "bad-request",
-                "`follow` is not served on the gate listener; use --repl-listen",
-            ),
-        ),
         "shutdown" => {
             *draining = true;
             send(&mut stream, "{\"status\":\"draining\"}");
@@ -2550,49 +1878,5 @@ mod tests {
         assert!(!sanitize("").is_empty());
         // Deterministic: retries land in the same dir.
         assert_eq!(sanitize("a/b"), sanitize("a/b"));
-    }
-
-    #[test]
-    fn parse_repl_addr_schemes_win_over_shape() {
-        // Explicit schemes are taken at face value, even when the
-        // remainder looks like the other transport (or is empty).
-        assert_eq!(
-            parse_repl_addr("unix:/tmp/lisa.sock"),
-            ReplAddr::Unix(PathBuf::from("/tmp/lisa.sock"))
-        );
-        assert_eq!(parse_repl_addr("unix:"), ReplAddr::Unix(PathBuf::new()));
-        assert_eq!(
-            parse_repl_addr("unix:localhost:7001"),
-            ReplAddr::Unix(PathBuf::from("localhost:7001"))
-        );
-        assert_eq!(
-            parse_repl_addr("tcp:127.0.0.1:7001"),
-            ReplAddr::Tcp("127.0.0.1:7001".to_string())
-        );
-        assert_eq!(parse_repl_addr("tcp:"), ReplAddr::Tcp(String::new()));
-    }
-
-    #[test]
-    fn parse_repl_addr_bare_specs_split_on_slash() {
-        // A '/' anywhere marks a filesystem path — colons in the path
-        // (legal on unix) do not flip it back to host:port.
-        assert_eq!(
-            parse_repl_addr("/var/run/lisa:1.sock"),
-            ReplAddr::Unix(PathBuf::from("/var/run/lisa:1.sock"))
-        );
-        assert_eq!(parse_repl_addr("./lisa.sock"), ReplAddr::Unix(PathBuf::from("./lisa.sock")));
-        // No '/': host:port territory.
-        assert_eq!(parse_repl_addr("localhost:7001"), ReplAddr::Tcp("localhost:7001".to_string()));
-    }
-
-    #[test]
-    fn parse_repl_addr_degenerate_specs_fall_to_tcp() {
-        // The ambiguous leftovers — empty spec, bare host with a missing
-        // port, a slashless socket filename — all parse as TCP and fail
-        // loudly at connect() rather than being guessed at. Callers who
-        // mean a relative socket path write `unix:` explicitly.
-        assert_eq!(parse_repl_addr(""), ReplAddr::Tcp(String::new()));
-        assert_eq!(parse_repl_addr("localhost"), ReplAddr::Tcp("localhost".to_string()));
-        assert_eq!(parse_repl_addr("lisa.sock"), ReplAddr::Tcp("lisa.sock".to_string()));
     }
 }

@@ -317,9 +317,8 @@ pub(crate) fn write_atomic(path: &Path, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Write raw `bytes` to `path` atomically (write-temp + fsync + rename),
-/// with no framing added. Used by compaction and by replication, where
-/// the bytes being installed are already a framed journal and must land
-/// byte-identical to the leader's copy.
+/// with no framing added. Used by compaction, where the bytes being
+/// installed are already a framed journal.
 pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     // Unique temp name per write: two files of one directory, or two
     // processes writing the same file, must never share a `.tmp` name —
@@ -450,8 +449,8 @@ mod tests {
 
     #[test]
     fn hostile_length_prefix_is_a_torn_tail_not_an_allocation() {
-        // This codepath is network-facing via replication: a corrupt or
-        // hostile u32 length must be rejected before any allocation.
+        // Bytes read from disk may be corrupt: a damaged u32 length must
+        // be rejected before any allocation.
         let mut bytes = frame(b"good");
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes());

@@ -16,10 +16,11 @@
 //!   already-settled rule verdicts, so a killed gate run resumes without
 //!   re-checking them.
 //! - [`codec`] — the escaped `key=value` field codec all records share.
-//! - [`repl`] — leader→follower journal shipping: a publisher bus fed by
-//!   the store's mutation seams, a CRC'd wire frame codec (same envelope
-//!   as the on-disk journal), and a path-confined applier that mirrors
-//!   the leader's state root byte-for-byte onto a warm spare.
+//! - [`repl`] — [`ReplBus`], a counter of journal appends and resets
+//!   that lisabench's serve replay reads; the product never creates one.
+//!
+//! The store is single-node. A restarted process resumes each run from
+//! its journal, and a client whose gate failed submits it again.
 //!
 //! The crate is deliberately independent of the pipeline: it stores
 //! opaque verdict fingerprints, not reports, so corruption in the store
@@ -36,11 +37,8 @@ pub mod run;
 
 pub use event::{GateEvent, RuleOutcome};
 pub use fingerprints::FingerprintFile;
-pub use journal::{scan, write_file_atomic, IoFault, IoFaults, Journal, OpenReport, Scan};
-pub use repl::{
-    decode_wire, encode_wire, Applier, BusPoll, FrameDecoder, ReplBus, ReplEvent, StreamFault,
-    StreamFaults, Wire, MAX_WIRE_FRAME, REPL_VERSION,
-};
+pub use journal::{scan, IoFault, IoFaults, Journal, OpenReport, Scan};
+pub use repl::ReplBus;
 pub use run::{RunState, RunStore};
 
 use std::fmt;

@@ -96,9 +96,7 @@ pub struct RunStore {
     /// Set false after the first append failure: the run continues in
     /// memory (availability over durability) and the caller is warned.
     journaling: bool,
-    /// When attached, every durable mutation is also published for
-    /// follower shipping. Publishing mirrors the *in-memory* state, so a
-    /// leader degraded to memory-only still keeps its followers current.
+    /// When attached, counts every append and reset (lisabench only).
     repl: Option<Arc<ReplBus>>,
     pub state: RunState,
     pub warnings: Vec<String>,
@@ -121,8 +119,8 @@ impl RunStore {
         RunStore::open_replicated(dir, run_key, faults, None)
     }
 
-    /// [`RunStore::open`] with a replication bus attached: every append
-    /// and reset is also published for follower shipping.
+    /// [`RunStore::open`] with a [`ReplBus`] attached that counts every
+    /// append and reset.
     pub fn open_replicated(
         dir: impl Into<PathBuf>,
         run_key: &str,
@@ -178,9 +176,6 @@ impl RunStore {
         }
         self.journal.reset()?;
         if let Some(bus) = &self.repl {
-            // Mirror the archival on followers by emptying the journal:
-            // an empty journal replays nothing, and the RunStarted that
-            // follows starts the fresh run on both sides.
             bus.publish_reset(&self.dir.join(Self::JOURNAL));
         }
         Ok(())
@@ -209,9 +204,6 @@ impl RunStore {
                 ));
             }
         }
-        // Published even when the local disk failed: the bus mirrors the
-        // in-memory state, and a follower with a healthy disk is exactly
-        // the durability the degraded leader lost.
         if let Some(bus) = &self.repl {
             bus.publish_append(&self.dir.join(Self::JOURNAL), &encoded);
         }
@@ -313,47 +305,31 @@ mod tests {
     }
 
     #[test]
-    fn replicated_store_mirrors_state_onto_a_follower_root() {
-        use crate::repl::{decode_wire, Applier, BusPoll, ReplBus, Wire};
-        use std::time::Duration;
-
-        let leader_root = tmpdir("repl-leader");
-        let follower_root = tmpdir("repl-follower");
-        let job_dir = leader_root.join("job-1");
-        let bus = ReplBus::new(&leader_root);
+    fn repl_bus_counts_appends_and_resets_under_its_root() {
+        let root = tmpdir("bus");
+        let bus = ReplBus::new(&root);
         {
             let mut store =
-                RunStore::open_replicated(&job_dir, "k", None, Some(bus.clone())).expect("open");
+                RunStore::open_replicated(root.join("job-1"), "k", None, Some(bus.clone()))
+                    .expect("open");
             store.record_started("A");
             store.record_finished(outcome("A", 0));
-            store.record_started("B");
-            store.record_finished(outcome("B", 1));
-            store.record_run_finished("BLOCK");
+            store.record_run_finished("PASS");
         }
-        // Drain the bus and apply every event onto the follower root.
-        let applier = Applier::new(&follower_root).expect("applier");
-        match bus.poll_after(0, Duration::from_millis(1)) {
-            BusPoll::Frames(frames) => {
-                for (_, payload) in frames {
-                    if let Wire::Event { event, .. } = decode_wire(&payload).expect("decode") {
-                        applier.apply(&event).expect("apply");
-                    }
-                }
-            }
-            other => panic!("expected frames, got {other:?}"),
-        }
-        assert_eq!(
-            std::fs::read(job_dir.join("wal.log")).expect("leader wal"),
-            std::fs::read(follower_root.join("job-1/wal.log")).expect("follower wal"),
-        );
-        // Recovery on the follower sees the same settled verdicts.
-        let leader = RunStore::open(&job_dir, "k", None).expect("leader reopen");
-        let follower =
-            RunStore::open(follower_root.join("job-1"), "k", None).expect("follower open");
-        assert_eq!(leader.state, follower.state);
-        assert_eq!(follower.state.decision.as_deref(), Some("BLOCK"));
-        let _ = std::fs::remove_dir_all(&leader_root);
-        let _ = std::fs::remove_dir_all(&follower_root);
+        assert_eq!(bus.position().0, 4, "open, started, finished, run-finished");
+
+        // A stale key archives the old journal: one reset, then the new
+        // run's RunStarted.
+        RunStore::open_replicated(root.join("job-1"), "k2", None, Some(bus.clone()))
+            .expect("reopen");
+        assert_eq!(bus.position().0, 6);
+
+        // A store outside the root is not counted.
+        let outside = tmpdir("bus-outside");
+        RunStore::open_replicated(&outside, "k", None, Some(bus.clone())).expect("outside");
+        assert_eq!(bus.position().0, 6);
+        let _ = std::fs::remove_dir_all(&root);
+        let _ = std::fs::remove_dir_all(&outside);
     }
 
     #[test]

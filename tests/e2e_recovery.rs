@@ -3,7 +3,8 @@
 //! byte-identical verdicts without re-executing settled checks, and the
 //! `lisa serve` daemon survives panicking/stalling workers while keeping
 //! the CLI exit-code contract (0 = pass, 1 = violations, 2 = engine
-//! errors / dead-letter).
+//! errors / dead-letter). A daemon SIGKILLed and restarted on the same
+//! state root answers a resubmitted job from its journal.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -549,6 +550,56 @@ fn serve_metrics_snapshots_survive_restart() {
         counters.u64_of("serve.jobs_done").unwrap_or(0) >= 1,
         "cumulative counters restored from the metrics journal: {out}"
     );
+
+    let (code, _) = fx.run(&["submit", "--socket", &daemon.socket, "--op", "shutdown"]);
+    assert_eq!(code, 0);
+    let status = daemon.child.wait().expect("daemon exit");
+    assert_eq!(status.code(), Some(0));
+}
+
+#[test]
+fn sigkilled_daemon_restarted_on_its_state_root_reuses_every_verdict() {
+    let fx = CliFixture::new("restart");
+    let sys = fx.path("sys");
+    let rules = fx.path("both.txt");
+    std::fs::write(&rules, format!("{STRICT_RULES}{LAX_RULES}")).expect("rules");
+    let verdict_fnv = |socket: &str| {
+        let (code, out) =
+            fx.run(&["submit", "--socket", socket, "--op", "verdict", "--job-id", "fo1"]);
+        assert_eq!(code, 0, "{out}");
+        let line = out.lines().find(|l| l.trim_start().starts_with('{')).expect("verdict line");
+        let parsed = lisa::Json::parse(line.trim()).expect("verdict is valid JSON");
+        assert_eq!(parsed.u64_of("finished"), Some(2), "{out}");
+        parsed.str_of("verdicts_fnv").expect("verdicts_fnv").to_string()
+    };
+
+    let mut daemon = Daemon::start(&fx);
+    let (code, first) = fx.run(&[
+        "submit", "--socket", &daemon.socket, "--system", &sys, "--rules", &rules,
+        "--job-id", "fo1",
+    ]);
+    assert_eq!(code, 1, "the strict rule blocks: {first}");
+    assert!(first.contains("\"fresh\":2"), "{first}");
+    let settled = verdict_fnv(&daemon.socket);
+
+    // SIGKILL: no drain, no cleanup; the socket file is left behind.
+    daemon.child.kill().expect("kill");
+    daemon.child.wait().expect("reap");
+    let _ = std::fs::remove_file(&daemon.socket);
+
+    // The same state root on a new process: the acknowledged verdicts
+    // are all there, and resubmitting the job reuses every one of them.
+    let mut daemon = Daemon::start(&fx);
+    assert_eq!(verdict_fnv(&daemon.socket), settled, "journal survived the kill");
+    let (code, again) = fx.run(&[
+        "submit", "--socket", &daemon.socket, "--system", &sys, "--rules", &rules,
+        "--job-id", "fo1",
+    ]);
+    assert_eq!(code, 1, "same decision after restart: {again}");
+    assert!(again.contains("\"decision\":\"BLOCK\""), "{again}");
+    assert!(again.contains("\"reused\":2"), "{again}");
+    assert!(again.contains("\"fresh\":0"), "{again}");
+    assert_eq!(verdict_fnv(&daemon.socket), settled, "same verdicts after the resubmit");
 
     let (code, _) = fx.run(&["submit", "--socket", &daemon.socket, "--op", "shutdown"]);
     assert_eq!(code, 0);

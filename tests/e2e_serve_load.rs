@@ -241,15 +241,14 @@ fn tcp_and_unix_replies_are_byte_identical_modulo_job_id() {
 #[test]
 fn silent_clients_never_stall_other_ports() {
     let fx = Fixture::new("silent");
-    let repl = format!("127.0.0.1:{}", free_port());
-    let daemon = Daemon::start(&fx, "silent", &["--workers", "1", "--repl-listen", &repl]);
+    let daemon = Daemon::start(&fx, "silent", &["--workers", "1"]);
     let ping = "{\"v\":1,\"op\":\"ping\"}";
     for transport in ["tcp", "unix"] {
         // Connected, never a byte written: one on the unix socket, one
-        // on the replication port. A short pause lets the daemon accept
-        // both before the timed ping.
+        // on the `--listen` TCP port. A short pause lets the daemon
+        // accept both before the timed ping.
         let _silent_unix = UnixStream::connect(&daemon.socket).expect("silent unix client");
-        let _silent_repl = TcpStream::connect(&repl).expect("silent repl client");
+        let _silent_tcp = TcpStream::connect(&daemon.addr).expect("silent tcp client");
         std::thread::sleep(Duration::from_millis(100));
         let started = Instant::now();
         let reply = if transport == "tcp" { daemon.tcp(ping) } else { daemon.unix(ping) };
