@@ -198,7 +198,7 @@ pub fn discover_tests(program: &Program, prefix: &str) -> Vec<TestCase> {
     program
         .functions()
         .filter(|f| f.name.starts_with(prefix) && f.params.is_empty())
-        .map(|f| TestCase::new(f.name.clone(), f.name.replace('_', " ")))
+        .map(|f| TestCase::new(f.name.as_str(), f.name.replace('_', " ")))
         .collect()
 }
 

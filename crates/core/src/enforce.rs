@@ -395,7 +395,9 @@ pub(crate) fn enforce_impl(
     gate_span.arg("engine_errors", engine_errors as u64);
     gate_span.arg("degraded_rules", degraded_rules as u64);
     gate_span.arg("retries", retries);
-    gate_span.set_detail(format!("{} -> {decision}", version.label));
+    if lisa_telemetry::spans_enabled() {
+        gate_span.set_detail(format!("{} -> {decision}", version.label));
+    }
     if lisa_telemetry::metrics_enabled() {
         lisa_telemetry::counter_add("gate.runs", 1);
         if hook.is_none() {

@@ -138,7 +138,9 @@ impl Pipeline {
         &self.config
     }
 
-    /// Assert `rule` over `version`.
+    /// Assert `rule` over `version`. The rule is not validated: a rule
+    /// whose condition source does not parse is checked by its parsed
+    /// condition, and its report is not memoized.
     pub fn check_rule(&self, version: &SystemVersion, rule: &SemanticRule) -> RuleReport {
         self.check_rule_mode(version, None, rule, false, None)
     }
@@ -165,19 +167,7 @@ impl Pipeline {
         rule: &SemanticRule,
         degrade: Option<&DegradeSignal>,
     ) -> Result<RuleReport, LisaError> {
-        if let Err(e) = lisa_smt::parse_cond(&rule.condition_src) {
-            return Err(LisaError::MalformedRule {
-                rule_id: rule.id.clone(),
-                detail: format!("condition {:?}: {e}", rule.condition_src),
-            });
-        }
-        if rule.target.callee().is_empty() {
-            return Err(LisaError::MalformedRule {
-                rule_id: rule.id.clone(),
-                detail: "empty target callee".to_string(),
-            });
-        }
-        Ok(self.check_rule_mode(version, version_fp, rule, false, degrade))
+        self.check_memoized(version, version_fp, rule, false, degrade, true)
     }
 
     /// Degraded check: the fixed-path sanity pass the gate falls back to
@@ -202,11 +192,7 @@ impl Pipeline {
         self.check_rule_mode(version, version_fp, rule, true, degrade)
     }
 
-    /// One rule check, answered from the memo when it may be. A check
-    /// started after the gate deadline expired depends on machine time,
-    /// so it neither reads nor fills the memo; a miss stores its report
-    /// unless the report came out degraded. The version's fingerprint is
-    /// computed here only when the caller did not pass it in.
+    /// [`Pipeline::check_memoized`] without validating `rule`.
     fn check_rule_mode(
         &self,
         version: &SystemVersion,
@@ -215,9 +201,37 @@ impl Pipeline {
         degraded_mode: bool,
         degrade: Option<&DegradeSignal>,
     ) -> RuleReport {
+        self.check_memoized(version, version_fp, rule, degraded_mode, degrade, false)
+            .expect("an unvalidated check never rejects its rule")
+    }
+
+    /// One rule check, answered from the memo when it may be. A check
+    /// started after the gate deadline expired depends on machine time,
+    /// so it neither reads nor fills the memo; a miss stores its report
+    /// unless the report came out degraded or the rule fails
+    /// [`validate`]. The version's fingerprint is computed here only when
+    /// the caller did not pass it in.
+    ///
+    /// Every memoized report therefore belongs to a valid rule, and the
+    /// key covers all that validation reads, so a hit skips validation.
+    /// Otherwise a `validated` check returns the rule's validation error
+    /// instead of checking it. A hit shares the memoized report's chains,
+    /// tests and violations; only its header strings are copied.
+    fn check_memoized(
+        &self,
+        version: &SystemVersion,
+        version_fp: Option<u64>,
+        rule: &SemanticRule,
+        degraded_mode: bool,
+        degrade: Option<&DegradeSignal>,
+        validated: bool,
+    ) -> Result<RuleReport, LisaError> {
         let memo = self.memo.as_ref().filter(|_| !degrade.is_some_and(|d| d.expired()));
         let Some((cache, config_fp)) = memo else {
-            return self.check_uncached(version, rule, degraded_mode, degrade);
+            if validated {
+                validate(rule)?;
+            }
+            return Ok(self.check_uncached(version, rule, degraded_mode, degrade));
         };
         let started = Instant::now();
         let version_fp = version_fp.unwrap_or_else(|| version.fingerprint());
@@ -225,13 +239,17 @@ impl Pipeline {
         if let Some(hit) = cache.get(key) {
             let mut report = RuleReport::clone(&hit);
             report.stats.wall = started.elapsed();
-            return report;
+            return Ok(report);
         }
+        let valid = match validate(rule) {
+            Err(e) if validated => return Err(e),
+            valid => valid.is_ok(),
+        };
         let report = self.check_uncached(version, rule, degraded_mode, degrade);
-        if !report.degraded {
+        if valid && !report.degraded {
             cache.insert(key, report.clone());
         }
-        report
+        Ok(report)
     }
 
     fn budgets(&self, degraded_mode: bool) -> ResourceBudgets {
@@ -488,10 +506,10 @@ impl Pipeline {
             rule_description: rule.description.clone(),
             target: rule.target.to_string(),
             condition: rule.condition_src.clone(),
-            chains: chain_reports,
+            chains: chain_reports.into(),
             tests_selected: selected.iter().map(|t| t.name.clone()).collect(),
             sanity_ok,
-            off_tree_violations,
+            off_tree_violations: off_tree_violations.into(),
             unmatched_hits,
             degraded,
             retries: 0,
@@ -546,6 +564,24 @@ impl Pipeline {
             }
         }
     }
+}
+
+/// The gate's malformed-rule boundary: a rule may be checked only if its
+/// condition source parses and its target names a callee.
+fn validate(rule: &SemanticRule) -> Result<(), LisaError> {
+    if let Err(e) = lisa_smt::parse_cond(&rule.condition_src) {
+        return Err(LisaError::MalformedRule {
+            rule_id: rule.id.clone(),
+            detail: format!("condition {:?}: {e}", rule.condition_src),
+        });
+    }
+    if rule.target.callee().is_empty() {
+        return Err(LisaError::MalformedRule {
+            rule_id: rule.id.clone(),
+            detail: "empty target callee".to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// The hash of a pipeline configuration: part of every memo key, and of
@@ -796,6 +832,53 @@ mod tests {
         // A well-formed rule passes through the boundary unchanged.
         let ok = pipeline.try_check_rule(&version(), &rule()).expect("ok");
         assert!(ok.has_violation());
+    }
+
+    /// A memo hit skips validating its rule, which is sound only while
+    /// every memoized report belongs to a valid rule. `check_rule` does
+    /// not validate, so it must not seed the memo with a rule the gate
+    /// rejects: a rule whose condition source does not parse (its parsed
+    /// condition is well formed) gets the same malformed-rule report from
+    /// the gate on a cold cache, on a warm one, and after `check_rule`
+    /// checked it under the gate's memo key.
+    #[test]
+    fn a_malformed_rule_gets_the_same_report_whatever_the_memo_holds() {
+        use crate::{Gate, RuleRegistry};
+        let version = version();
+        let config = PipelineConfig { selection: TestSelection::All, ..PipelineConfig::default() };
+        let mut bad = rule();
+        bad.condition_src = "s != null &&".to_string();
+        let gate = |rule: &SemanticRule, cache: &Arc<GateCache>| {
+            let mut registry = RuleRegistry::new();
+            registry.register(rule.clone());
+            let mut reports =
+                Gate::new(&registry).config(config.clone()).cache(cache).run(&version).reports;
+            assert_eq!(reports.len(), 1);
+            reports.remove(0)
+        };
+        let render = |r: &RuleReport| format!("{r:?}");
+
+        let cache = Arc::new(GateCache::new());
+        let cold = gate(&bad, &cache);
+        let [chain] = &*cold.chains else { panic!("one chain: {:?}", cold.chains) };
+        let ChainVerdict::EngineError { reason } = &chain.verdict else {
+            panic!("engine error: {:?}", chain.verdict)
+        };
+        assert!(reason.contains("malformed rule: condition \"s != null &&\""), "{reason}");
+        assert_eq!(render(&gate(&bad, &cache)), render(&cold), "warm cache");
+        assert_eq!(cache.hits(), 0);
+
+        // `check_rule` under the gate's configuration fills the key the
+        // gate looks up: a valid rule seeded this way is a gate's hit.
+        let seeded = Arc::new(GateCache::new());
+        let pipeline = Pipeline::with_cache(config.clone(), Arc::clone(&seeded));
+        pipeline.check_rule(&version, &rule());
+        assert!(gate(&rule(), &seeded).has_violation());
+        assert_eq!(seeded.hits(), 1, "check_rule seeded the gate's key");
+        // The malformed rule, checked the same way, is not memoized.
+        assert!(pipeline.check_rule(&version, &bad).has_violation(), "checked by its term");
+        assert_eq!(render(&gate(&bad, &seeded)), render(&cold), "after check_rule");
+        assert_eq!(seeded.hits(), 1, "the gate found no report of the malformed rule");
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub fn render_rule_report(r: &RuleReport) -> String {
     if r.retries > 0 {
         let _ = writeln!(out, "  note: {} retr{} before settling", r.retries, if r.retries == 1 { "y" } else { "ies" });
     }
-    for c in &r.chains {
+    for c in r.chains.iter() {
         let _ = writeln!(out, "    [{}] {}", c.verdict.label(), c.rendered);
         match &c.verdict {
             ChainVerdict::Violated(v) => {
@@ -43,7 +43,7 @@ pub fn render_rule_report(r: &RuleReport) -> String {
             _ => {}
         }
     }
-    for v in &r.off_tree_violations {
+    for v in r.off_tree_violations.iter() {
         let _ = writeln!(out, "    [VIOLATED off-tree] via {:?}", v.chain);
         let _ = writeln!(out, "        test:    {}", v.test);
         let _ = writeln!(out, "        pi:      {}", v.pi);

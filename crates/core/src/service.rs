@@ -104,15 +104,16 @@ pub fn load_system(dir: &str, test_prefix: &str) -> Result<SystemVersion, String
     if files.is_empty() {
         return Err(format!("no .sir files in {}", dir.display()));
     }
-    let mut sources = Vec::new();
+    let mut texts = Vec::with_capacity(files.len());
     for f in &files {
-        let text =
-            std::fs::read_to_string(f).map_err(|e| format!("read {}: {e}", f.display()))?;
-        let name = f.file_stem().and_then(|s| s.to_str()).unwrap_or("module").to_string();
-        sources.push((name, text));
+        texts.push(std::fs::read_to_string(f).map_err(|e| format!("read {}: {e}", f.display()))?);
     }
-    let refs: Vec<(&str, &str)> =
-        sources.iter().map(|(n, t)| (n.as_str(), t.as_str())).collect();
+    // Module names borrow the file stems; the parser copies each once.
+    let refs: Vec<(&str, &str)> = files
+        .iter()
+        .zip(&texts)
+        .map(|(f, t)| (f.file_stem().and_then(|s| s.to_str()).unwrap_or("module"), t.as_str()))
+        .collect();
     let program = {
         let _parse = lisa_telemetry::span("lang.parse");
         Program::parse(&refs).map_err(|e| e.to_string())?
@@ -197,7 +198,7 @@ fn durable_key(
 /// crash-recovery invariant is stated over.
 pub fn fingerprint(r: &RuleReport) -> String {
     let mut s = String::new();
-    for c in &r.chains {
+    for c in r.chains.iter() {
         s.push_str(&format!("[{}] {}\n", c.verdict.label(), c.rendered));
     }
     s.push_str(&format!(

@@ -1,5 +1,7 @@
 //! Verdicts: the output of asserting one rule over one system version.
 
+use std::sync::Arc;
+
 use lisa_smt::{Model, Term};
 
 /// Verdict for one static execution chain (paper §3.2: "the result of
@@ -64,15 +66,20 @@ pub struct ChainReport {
 }
 
 /// Full report for one rule on one version.
+///
+/// The chains, test list and off-tree violations are immutable once the
+/// check has produced them and are shared, not copied, by a clone: the
+/// rule-report memo answers a hit with a clone of the memoized report,
+/// which copies only the four header strings.
 #[derive(Debug, Clone)]
 pub struct RuleReport {
     pub rule_id: String,
     pub rule_description: String,
     pub target: String,
     pub condition: String,
-    pub chains: Vec<ChainReport>,
+    pub chains: Arc<[ChainReport]>,
     /// Tests selected as concrete inputs.
-    pub tests_selected: Vec<String>,
+    pub tests_selected: Arc<[String]>,
     /// Sanity check (§3.2): the fixed path must verify — at least one
     /// chain Verified. A rule with hits but no verified chain is suspect.
     pub sanity_ok: bool,
@@ -80,7 +87,7 @@ pub struct RuleReport {
     /// static chain (e.g. a test invoking the protected statement
     /// directly). They still block the gate — a violation is a violation
     /// wherever it was observed.
-    pub off_tree_violations: Vec<Violation>,
+    pub off_tree_violations: Arc<[Violation]>,
     /// Arrivals that matched no static chain (violating or not).
     pub unmatched_hits: u64,
     /// True when the rule was checked in degraded mode (fixed-path
@@ -150,16 +157,16 @@ impl RuleReport {
             rule_description: rule_description.into(),
             target: target.into(),
             condition: condition.into(),
-            chains: vec![ChainReport {
+            chains: Arc::new([ChainReport {
                 rendered: "<engine error>".to_string(),
                 entry: String::new(),
                 functions: Vec::new(),
                 verdict: ChainVerdict::EngineError { reason },
                 covering_tests: Vec::new(),
-            }],
-            tests_selected: Vec::new(),
+            }]),
+            tests_selected: Arc::new([]),
             sanity_ok: false,
-            off_tree_violations: Vec::new(),
+            off_tree_violations: Arc::new([]),
             unmatched_hits: 0,
             degraded: false,
             retries: 0,

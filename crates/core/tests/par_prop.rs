@@ -143,7 +143,7 @@ fn previous_version(regressed: &SystemVersion) -> SystemVersion {
         .modules
         .iter()
         .map(|m| {
-            let mut src = m.source.clone();
+            let mut src = m.source.to_string();
             if let Some(at) = src.find("fn prep_request_create(") {
                 let body = at + src[at..].find('{').expect("function body");
                 src.insert_str(body + 1, " let probe: int = 0;");

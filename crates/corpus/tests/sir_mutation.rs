@@ -102,8 +102,8 @@ fn mutated_sources_never_panic_and_accepted_ones_print_to_a_fixed_point() {
     for case in all_cases() {
         for v in case.versions.all() {
             for m in &v.program.modules {
-                if !sources.contains(&m.source) {
-                    sources.push(m.source.clone());
+                if !sources.iter().any(|s| *s == m.source) {
+                    sources.push(m.source.to_string());
                 }
             }
         }

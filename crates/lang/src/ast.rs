@@ -8,8 +8,11 @@
 //! maps, lists, a logical clock).
 //!
 //! Every statement carries a [`StmtId`] unique within its module, which
-//! the analysis and trace layers use to name program points.
+//! the analysis and trace layers use to name program points. Identifiers
+//! and string literals are [`Name`]s: they share the module's source
+//! text instead of each owning a copy.
 
+use crate::name::Name;
 use crate::span::Span;
 use std::fmt;
 
@@ -30,7 +33,7 @@ pub enum Type {
     Bool,
     Str,
     /// Reference to a named struct; nullable.
-    Struct(String),
+    Struct(Name),
     Map(Box<Type>, Box<Type>),
     List(Box<Type>),
     /// The type of `null` before unification, and of `return;`.
@@ -53,8 +56,8 @@ impl fmt::Display for Type {
 /// A struct declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructDecl {
-    pub name: String,
-    pub fields: Vec<(String, Type)>,
+    pub name: Name,
+    pub fields: Vec<(Name, Type)>,
     pub span: Span,
 }
 
@@ -68,7 +71,7 @@ impl StructDecl {
 /// at their zero value; struct refs start null).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalDecl {
-    pub name: String,
+    pub name: Name,
     pub ty: Type,
     pub span: Span,
 }
@@ -76,8 +79,8 @@ pub struct GlobalDecl {
 /// A function declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FnDecl {
-    pub name: String,
-    pub params: Vec<(String, Type)>,
+    pub name: Name,
+    pub params: Vec<(Name, Type)>,
     pub ret: Type,
     pub body: Vec<Stmt>,
     pub span: Span,
@@ -147,17 +150,17 @@ pub struct Expr {
 pub enum ExprKind {
     Int(i64),
     Bool(bool),
-    Str(String),
+    Str(Name),
     Null,
-    Var(String),
+    Var(Name),
     /// `obj.field`
-    Field(Box<Expr>, String),
+    Field(Box<Expr>, Name),
     /// `recv.method(args)` — builtin collection/string methods.
-    MethodCall(Box<Expr>, String, Vec<Expr>),
+    MethodCall(Box<Expr>, Name, Vec<Expr>),
     /// `f(args)` — user function or free builtin.
-    Call(String, Vec<Expr>),
+    Call(Name, Vec<Expr>),
     /// `new Struct { field: expr, ... }`
-    New(String, Vec<(String, Expr)>),
+    New(Name, Vec<(Name, Expr)>),
     Unary(UnOp, Box<Expr>),
     Binary(BinOp, Box<Expr>, Box<Expr>),
     /// `list[i]` — sugar for `list.get(i)`.
@@ -167,9 +170,9 @@ pub enum ExprKind {
 /// Assignment targets.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
-    Var(String),
+    Var(Name),
     /// `obj.field = ...`
-    Field(Box<Expr>, String),
+    Field(Box<Expr>, Name),
 }
 
 /// A statement.
@@ -184,7 +187,7 @@ pub struct Stmt {
 #[derive(Debug, Clone, PartialEq)]
 pub enum StmtKind {
     /// `let x: T = e;`
-    Let { name: String, ty: Option<Type>, init: Expr },
+    Let { name: Name, ty: Option<Type>, init: Expr },
     /// `lv = e;`
     Assign { target: LValue, value: Expr },
     /// `if (c) { .. } else { .. }`
@@ -192,15 +195,15 @@ pub enum StmtKind {
     /// `while (c) { .. }`
     While { cond: Expr, body: Vec<Stmt> },
     /// `for x in e { .. }` — iterate a list value.
-    For { var: String, iter: Expr, body: Vec<Stmt> },
+    For { var: Name, iter: Expr, body: Vec<Stmt> },
     /// `return e?;`
     Return(Option<Expr>),
     /// `assert(c, "msg");`
-    Assert { cond: Expr, message: Option<String> },
+    Assert { cond: Expr, message: Option<Name> },
     /// `sync (lockName) { .. }` — a synchronized section on a named lock.
-    Sync { lock: String, body: Vec<Stmt> },
+    Sync { lock: Name, body: Vec<Stmt> },
     /// `throw "msg";` — abort execution with an error.
-    Throw(String),
+    Throw(Name),
     /// Bare expression statement (calls).
     Expr(Expr),
 }
@@ -213,8 +216,9 @@ pub struct Module {
     pub structs: Vec<StructDecl>,
     pub globals: Vec<GlobalDecl>,
     pub functions: Vec<FnDecl>,
-    /// Original source (kept for diffs and diagnostics).
-    pub source: String,
+    /// Original source (kept for diffs and diagnostics): the text every
+    /// [`Name`] in this module shares.
+    pub source: Name,
 }
 
 impl Module {

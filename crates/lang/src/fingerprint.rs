@@ -67,7 +67,7 @@ pub fn fingerprint_program(p: &Program) -> u64 {
 /// Per-function fingerprints, keyed by function name (sorted). The diff
 /// of two of these maps is the set of dirty functions between versions.
 pub fn fn_fingerprints(p: &Program) -> BTreeMap<String, u64> {
-    p.functions().map(|f| (f.name.clone(), fingerprint_fn(f))).collect()
+    p.functions().map(|f| (f.name.to_string(), fingerprint_fn(f))).collect()
 }
 
 #[cfg(test)]

@@ -346,7 +346,7 @@ impl<'p> Interp<'p> {
     }
 
     fn err(&self, kind: ErrorKind, f: &FnDecl, span: Span) -> RuntimeError {
-        RuntimeError { kind, function: f.name.clone(), span }
+        RuntimeError { kind, function: f.name.to_string(), span }
     }
 
     fn exec_block(
@@ -428,7 +428,7 @@ impl<'p> Interp<'p> {
                             return Err(self.err(
                                 ErrorKind::TypeMismatch {
                                     expected: "assignable variable",
-                                    found: name.clone(),
+                                    found: name.to_string(),
                                 },
                                 f,
                                 s.span,
@@ -466,7 +466,7 @@ impl<'p> Interp<'p> {
                         };
                         match self.heap.get_mut(r) {
                             HeapObj::Struct { fields, .. } => {
-                                fields.insert(field.clone(), v);
+                                fields.insert(field.to_string(), v);
                             }
                             other => {
                                 let found = other.kind().to_string();
@@ -584,7 +584,7 @@ impl<'p> Interp<'p> {
             StmtKind::Assert { cond, message } => {
                 let c = self.eval_bool(cond, env, f, tracer, depth)?;
                 if !c {
-                    let message = message.clone().unwrap_or_else(|| "assert".to_string());
+                    let message = message.as_deref().unwrap_or("assert").to_string();
                     return Err(self.err(ErrorKind::AssertFailed { message }, f, s.span));
                 }
                 Ok(Flow::Normal)
@@ -592,7 +592,7 @@ impl<'p> Interp<'p> {
             StmtKind::Sync { lock, body } => {
                 if self.locks.iter().any(|l| l == lock) {
                     return Err(self.err(
-                        ErrorKind::DeadlockSelfLock { lock: lock.clone() },
+                        ErrorKind::DeadlockSelfLock { lock: lock.to_string() },
                         f,
                         s.span,
                     ));
@@ -605,7 +605,7 @@ impl<'p> Interp<'p> {
                 flow
             }
             StmtKind::Throw(message) => {
-                Err(self.err(ErrorKind::Thrown { message: message.clone() }, f, s.span))
+                Err(self.err(ErrorKind::Thrown { message: message.to_string() }, f, s.span))
             }
             StmtKind::Expr(e) => {
                 self.eval(e, env, f, tracer, depth)?;
@@ -644,7 +644,7 @@ impl<'p> Interp<'p> {
         match &e.kind {
             ExprKind::Int(v) => Ok(Value::Int(*v)),
             ExprKind::Bool(b) => Ok(Value::Bool(*b)),
-            ExprKind::Str(s) => Ok(Value::Str(s.clone())),
+            ExprKind::Str(s) => Ok(Value::Str(s.to_string())),
             ExprKind::Null => Ok(Value::Null),
             ExprKind::Var(name) => {
                 if let Some(v) = env.get(name.as_str()) {
@@ -653,7 +653,7 @@ impl<'p> Interp<'p> {
                     Ok(self.globals[slot].clone())
                 } else {
                     Err(self.err(
-                        ErrorKind::TypeMismatch { expected: "variable", found: name.clone() },
+                        ErrorKind::TypeMismatch { expected: "variable", found: name.to_string() },
                         f,
                         e.span,
                     ))
@@ -663,12 +663,12 @@ impl<'p> Interp<'p> {
                 let o = self.eval(obj, env, f, tracer, depth)?;
                 match o {
                     Value::Ref(r) => match self.heap.get(r) {
-                        HeapObj::Struct { ty, fields } => match fields.get(field) {
+                        HeapObj::Struct { ty, fields } => match fields.get(field.as_str()) {
                             Some(v) => Ok(v.clone()),
                             None => Err(self.err(
                                 ErrorKind::MissingField {
                                     struct_name: ty.clone(),
-                                    field: field.clone(),
+                                    field: field.to_string(),
                                 },
                                 f,
                                 e.span,
@@ -794,7 +794,7 @@ impl<'p> Interp<'p> {
                 let program = self.program;
                 let Some(decl) = program.struct_decl(name) else {
                     return Err(self.err(
-                        ErrorKind::TypeMismatch { expected: "struct type", found: name.clone() },
+                        ErrorKind::TypeMismatch { expected: "struct type", found: name.to_string() },
                         f,
                         e.span,
                     ));
@@ -816,13 +816,20 @@ impl<'p> Interp<'p> {
                         }
                         Type::Unit => Value::Unit,
                     };
-                    map.insert(fname.clone(), v);
+                    map.insert(fname.to_string(), v);
                 }
                 for (fname, fexpr) in fields {
                     let v = self.eval(fexpr, env, f, tracer, depth)?;
-                    map.insert(fname.clone(), v);
+                    // A declared field already has its key from the
+                    // defaults; only an undeclared one needs a copy.
+                    match map.get_mut(fname.as_str()) {
+                        Some(slot) => *slot = v,
+                        None => {
+                            map.insert(fname.to_string(), v);
+                        }
+                    }
                 }
-                Ok(Value::Ref(self.heap.alloc(HeapObj::Struct { ty: name.clone(), fields: map })))
+                Ok(Value::Ref(self.heap.alloc(HeapObj::Struct { ty: name.to_string(), fields: map })))
             }
         }
     }

@@ -6,7 +6,8 @@
 //! analyses and concolic execution run over it.
 //!
 //! Components:
-//! - [`token`] / [`parser`] / [`ast`] — front-end,
+//! - [`token`] / [`parser`] / [`ast`] — front-end; [`name`] — the
+//!   identifiers and literals that share their module's source text,
 //! - [`types`] — static type checker,
 //! - [`value`] / [`interp`] — heap, values, and the tracing interpreter
 //!   (the concolic engine hooks its [`interp::Tracer`] events),
@@ -47,6 +48,7 @@ pub mod ast;
 pub mod diff;
 pub mod fingerprint;
 pub mod interp;
+pub mod name;
 pub mod parser;
 pub mod pretty;
 pub mod program;
@@ -59,6 +61,7 @@ pub mod value;
 pub use fingerprint::{fingerprint_decls, fingerprint_fn, fingerprint_program, fn_fingerprints};
 pub use ast::{BinOp, Expr, ExprKind, FnDecl, LValue, Module, Stmt, StmtId, StmtKind, Type, UnOp};
 pub use interp::{Interp, NullTracer, RunConfig, RuntimeError, Tracer};
+pub use name::Name;
 pub use parser::{parse_module, ParseError};
 pub use program::{Program, ProgramError};
 pub use span::{LineMap, Loc, Span};

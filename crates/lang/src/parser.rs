@@ -1,8 +1,10 @@
 //! Recursive-descent parser for SIR.
 
 use crate::ast::*;
+use crate::name::{Name, MAX_TEXT_LEN};
 use crate::span::{LineMap, Span};
 use crate::token::{lex, Tok};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parse error with resolved location.
@@ -31,16 +33,22 @@ impl ParseError {
     }
 }
 
-/// Parse one module from source text.
+/// Parse one module from source text. The module copies `src` once,
+/// into the text its [`Name`]s share.
 pub fn parse_module(name: &str, src: &str) -> Result<Module, ParseError> {
+    if src.len() > MAX_TEXT_LEN {
+        let message = format!("source longer than {MAX_TEXT_LEN} bytes");
+        return Err(ParseError::at(name, src, 0, message));
+    }
     let toks = lex(src).map_err(|e| ParseError::at(name, src, e.offset, e.message))?;
-    let mut p = Parser { toks, pos: 0, next_stmt: 0, name, src, depth: 0 };
+    let source = Name::from(src);
+    let mut p = Parser { toks, pos: 0, next_stmt: 0, name, source: source.clone(), depth: 0 };
     let mut module = Module {
         name: name.to_string(),
         structs: Vec::new(),
         globals: Vec::new(),
         functions: Vec::new(),
-        source: src.to_string(),
+        source,
     };
     while p.peek() != &Tok::Eof {
         match p.peek() {
@@ -93,7 +101,8 @@ struct Parser<'a> {
     pos: usize,
     next_stmt: u32,
     name: &'a str,
-    src: &'a str,
+    /// The source text, which the tree's names slice.
+    source: Name,
     /// Nesting levels currently open.
     depth: usize,
 }
@@ -120,7 +129,7 @@ impl<'a> Parser<'a> {
     }
 
     fn error(&self, message: String) -> ParseError {
-        ParseError::at(self.name, self.src, self.span().lo, message)
+        ParseError::at(self.name, &self.source, self.span().lo, message)
     }
 
     fn expect(&mut self, tok: Tok<'a>) -> Result<Span, ParseError> {
@@ -133,15 +142,28 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Consume an identifier, allocating it for the AST: the one copy
-    /// of its text the front end makes.
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match *self.peek() {
-            Tok::Ident(s) => {
+    /// Consume an identifier: a name for its span of the source.
+    fn ident(&mut self) -> Result<Name, ParseError> {
+        match self.peek() {
+            Tok::Ident(_) => {
+                let span = self.span();
                 self.bump();
-                Ok(s.to_string())
+                Ok(self.source.slice(span.lo..span.hi))
             }
-            ref other => Err(self.error(format!("expected identifier, found {other}"))),
+            other => Err(self.error(format!("expected identifier, found {other}"))),
+        }
+    }
+
+    /// The name of the string literal just consumed, whose text the
+    /// lexer gave as `text`: the source between its quotes, or the
+    /// unescaped text of a literal with escapes.
+    fn literal(&self, text: Cow<'_, str>) -> Name {
+        match text {
+            Cow::Borrowed(_) => {
+                let span = self.toks[self.pos - 1].1;
+                self.source.slice(span.lo + 1..span.hi - 1)
+            }
+            Cow::Owned(text) => Name::from(text),
         }
     }
 
@@ -348,7 +370,7 @@ impl<'a> Parser<'a> {
                 let message = if self.peek() == &Tok::Comma {
                     self.bump();
                     match self.bump() {
-                        Tok::Str(s) => Some(s),
+                        Tok::Str(s) => Some(self.literal(s)),
                         other => {
                             return Err(
                                 self.error(format!("assert message must be a string, found {other}"))
@@ -373,7 +395,7 @@ impl<'a> Parser<'a> {
             Tok::Throw => {
                 self.bump();
                 let msg = match self.bump() {
-                    Tok::Str(s) => s,
+                    Tok::Str(s) => self.literal(s),
                     other => {
                         return Err(self.error(format!("throw takes a string, found {other}")))
                     }
@@ -509,7 +531,7 @@ impl<'a> Parser<'a> {
                 Ok(Expr { kind: ExprKind::Int(v), span: start })
             }
             Tok::Str(_) => match self.bump() {
-                Tok::Str(s) => Ok(Expr { kind: ExprKind::Str(s), span: start }),
+                Tok::Str(s) => Ok(Expr { kind: ExprKind::Str(self.literal(s)), span: start }),
                 _ => unreachable!("peeked a string"),
             },
             Tok::True => {

@@ -133,7 +133,7 @@ impl Program {
         .flatten()
         .min_by_key(|&(at, _, _)| at);
         if let Some((_, kind, name)) = first {
-            return Err(ProgramError::Duplicate { kind, name: name.clone() });
+            return Err(ProgramError::Duplicate { kind, name: name.to_string() });
         }
         self.fn_index = fns;
         self.struct_index = structs;

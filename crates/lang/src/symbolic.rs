@@ -23,7 +23,7 @@ use lisa_smt::term::{Atom, CmpOp, IntOperand, Term};
 /// Extract the dotted name path of an expression (`s`, `s.f.g`), if any.
 pub fn expr_path(e: &Expr) -> Option<String> {
     match &e.kind {
-        ExprKind::Var(v) => Some(v.clone()),
+        ExprKind::Var(v) => Some(v.to_string()),
         ExprKind::Field(obj, field) => Some(format!("{}.{}", expr_path(obj)?, field)),
         _ => None,
     }
@@ -122,7 +122,7 @@ fn cmp_term(cmp: CmpOp, l: &Expr, r: &Expr) -> Option<Term> {
     // path vs str literal
     if let Str(s) = &r.kind {
         let p = expr_path(l)?;
-        let eq = Term::str_eq_lit(p, s.clone());
+        let eq = Term::str_eq_lit(p, s.as_str());
         return match cmp {
             CmpOp::Eq => Some(eq),
             CmpOp::Ne => Some(eq.not()),
@@ -131,7 +131,7 @@ fn cmp_term(cmp: CmpOp, l: &Expr, r: &Expr) -> Option<Term> {
     }
     if let Str(s) = &l.kind {
         let p = expr_path(r)?;
-        let eq = Term::str_eq_lit(p, s.clone());
+        let eq = Term::str_eq_lit(p, s.as_str());
         return match cmp {
             CmpOp::Eq => Some(eq),
             CmpOp::Ne => Some(eq.not()),

@@ -1,16 +1,18 @@
 //! Tokens and the lexer for SIR source text.
 
 use crate::span::Span;
+use std::borrow::Cow;
 use std::fmt;
 
-/// A lexical token. Identifiers borrow their text from the source; the
-/// parser allocates each one once, where the AST takes it.
+/// A lexical token. Identifiers, and string literals without escapes,
+/// borrow their text from the source; only a literal with escapes owns
+/// its unescaped text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok<'a> {
     // literals / identifiers
     Ident(&'a str),
     Int(i64),
-    Str(String),
+    Str(Cow<'a, str>),
     // keywords
     Struct,
     Global,
@@ -220,19 +222,28 @@ pub fn lex(src: &str) -> Result<Vec<(Tok<'_>, Span)>, LexError> {
             '|' if bytes.get(i + 1) == Some(&b'|') => push2!(Tok::OrOr),
             '"' => {
                 i += 1;
-                let mut s = String::new();
-                // Unescaped text is copied from the source a run at a
-                // time: the delimiters are ASCII, so every run boundary is
-                // a char boundary and multi-byte UTF-8 survives intact.
+                // A literal without escapes borrows its text from the
+                // source; the first escape starts an owned copy, which
+                // takes the unescaped text a run at a time: the
+                // delimiters are ASCII, so every run boundary is a char
+                // boundary and multi-byte UTF-8 survives intact.
+                let mut owned: Option<String> = None;
                 let mut run = i;
-                loop {
+                let text = loop {
                     match bytes.get(i) {
                         Some(b'"') => {
-                            s.push_str(&src[run..i]);
+                            let tail = &src[run..i];
                             i += 1;
-                            break;
+                            break match owned {
+                                None => Cow::Borrowed(tail),
+                                Some(mut s) => {
+                                    s.push_str(tail);
+                                    Cow::Owned(s)
+                                }
+                            };
                         }
                         Some(b'\\') => {
+                            let s = owned.get_or_insert_with(String::new);
                             s.push_str(&src[run..i]);
                             match bytes.get(i + 1) {
                                 Some(b'n') => s.push('\n'),
@@ -257,8 +268,8 @@ pub fn lex(src: &str) -> Result<Vec<(Tok<'_>, Span)>, LexError> {
                             })
                         }
                     }
-                }
-                out.push((Tok::Str(s), Span::new(start, i)));
+                };
+                out.push((Tok::Str(text), Span::new(start, i)));
             }
             '0'..='9' => {
                 while i < bytes.len() && bytes[i].is_ascii_digit() {

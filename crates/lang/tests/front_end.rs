@@ -1,5 +1,5 @@
 //! Front-end regression tests: type-checker scoping, error reporting
-//! order, and UTF-8 in string literals.
+//! order, UTF-8 in string literals, and a pinned corpus module.
 
 use lisa_lang::pretty::print_module;
 use lisa_lang::{check_program, fingerprint_program, parse_module, Program};
@@ -253,4 +253,17 @@ fn derived_type_errors_keep_their_text() {
         "d.sir:11:21: `e` expects unit, found int",
     ];
     assert_eq!(got, expected);
+}
+
+/// A corpus module (the `mini-hbase/wal_rolling` module of case
+/// `hbase-wal-roll`, fixed version) parses to the same tree and prints
+/// the same text as it did when identifiers were owned strings: the
+/// `{:?}` of the module, spans and source text included, and its
+/// canonical print are pinned byte for byte.
+#[test]
+fn corpus_module_debug_and_print_are_pinned() {
+    let src = include_str!("golden/wal_rolling.sir");
+    let m = parse_module("mini-hbase/wal_rolling", src).expect("parse");
+    assert_eq!(format!("{m:?}"), include_str!("golden/wal_rolling.debug"));
+    assert_eq!(print_module(&m), include_str!("golden/wal_rolling.printed"));
 }

@@ -128,7 +128,7 @@ pub fn suggest_conditions(program: &Program, callee: &str) -> Vec<Suggestion> {
             if let (Some(path), Some((pname, _))) = (path, decl.params.get(idx)) {
                 rename.insert(
                     lisa_lang::symbolic::path_root(&path).to_string(),
-                    pname.clone(),
+                    pname.to_string(),
                 );
             }
         }

@@ -267,7 +267,7 @@ fn enclosing_function(
             let hi = lm.line_of(f.span.hi.saturating_sub(1).max(f.span.lo));
             lo <= line_no && line_no <= hi
         })
-        .map(|f| f.name.clone())
+        .map(|f| f.name.to_string())
 }
 
 /// Find the protected call: a user-function call inside `enclosing` whose
@@ -308,7 +308,7 @@ fn bind_to_target(
             .iter()
             .position(|a| expr_path(a).as_deref().map(path_root) == Some(root.as_str()))?;
         let (pname, _) = callee.params.get(idx)?;
-        rename.insert(root.clone(), pname.clone());
+        rename.insert(root.clone(), pname.to_string());
     }
     let renamed = safe.rename_vars(&|v| {
         let root = path_root(v);

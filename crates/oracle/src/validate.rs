@@ -90,7 +90,7 @@ pub fn validate_rule(program: &Program, rule: &SemanticRule) -> Vec<ValidationEr
                         None => {
                             errors.push(ValidationError::UnknownFieldPath {
                                 path: var.clone(),
-                                on_type: sname.clone(),
+                                on_type: sname.to_string(),
                             });
                             break;
                         }

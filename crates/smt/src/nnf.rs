@@ -6,6 +6,7 @@
 //! duplicate removal, complementary-literal detection) that keep the later
 //! CNF conversion small.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use crate::term::{Atom, CmpOp, IntOperand, StrOperand, Term};
@@ -239,22 +240,55 @@ pub fn fold_const_atom(atom: &Atom) -> Option<bool> {
 /// disjuncts, and detect complementary literal pairs.
 pub fn simplify(term: &Term) -> Term {
     match term {
-        Term::Atom(a) => match fold_const_atom(a) {
-            Some(true) => Term::True,
-            Some(false) => Term::False,
-            None => term.clone(),
+        Term::And(ts) => simplify_junction(ts.iter().map(Cow::Borrowed), true),
+        Term::Or(ts) => simplify_junction(ts.iter().map(Cow::Borrowed), false),
+        Term::Not(inner) if !matches!(**inner, Term::Atom(_)) => simplify(inner).not(),
+        t => match fold_literal(t) {
+            Some(value) => constant(value),
+            None => t.clone(),
         },
+    }
+}
+
+/// [`simplify`] of a term the caller gives up: every part it keeps
+/// moves into the result instead of being cloned.
+fn simplify_owned(term: Term) -> Term {
+    match term {
+        Term::And(ts) => simplify_junction(ts.into_iter().map(Cow::Owned), true),
+        Term::Or(ts) => simplify_junction(ts.into_iter().map(Cow::Owned), false),
+        Term::Not(inner) if !matches!(*inner, Term::Atom(_)) => simplify_owned(*inner).not(),
+        t => match fold_literal(&t) {
+            Some(value) => constant(value),
+            None => t,
+        },
+    }
+}
+
+/// The constant a literal (an atom or a negated atom) folds to, if any.
+fn fold_literal(t: &Term) -> Option<bool> {
+    match t {
+        Term::Atom(a) => fold_const_atom(a),
         Term::Not(inner) => match inner.as_ref() {
-            Term::Atom(a) => match fold_const_atom(a) {
-                Some(true) => Term::False,
-                Some(false) => Term::True,
-                None => term.clone(),
-            },
-            _ => simplify(inner).not(),
+            Term::Atom(a) => fold_const_atom(a).map(|v| !v),
+            _ => None,
         },
-        Term::And(ts) => simplify_junction(ts, true),
-        Term::Or(ts) => simplify_junction(ts, false),
-        t => t.clone(),
+        _ => None,
+    }
+}
+
+fn constant(value: bool) -> Term {
+    if value {
+        Term::True
+    } else {
+        Term::False
+    }
+}
+
+/// Simplify one part of a junction, by moving it if it is owned.
+fn simplify_part(t: Cow<'_, Term>) -> Term {
+    match t {
+        Cow::Borrowed(t) => simplify(t),
+        Cow::Owned(t) => simplify_owned(t),
     }
 }
 
@@ -263,12 +297,16 @@ pub fn simplify(term: &Term) -> Term {
 /// the first copy of each duplicate, and absorb when a part meets its
 /// complement. Parts are compared in place against the ones already
 /// kept, so nothing is cloned or hashed to find a duplicate or a
-/// complement; each kept part is built once, by `simplify`.
-fn simplify_junction<'a>(ts: impl IntoIterator<Item = &'a Term>, conjunction: bool) -> Term {
+/// complement; each kept part is built once, by `simplify`, or moved
+/// in by `simplify_owned` when the caller gave it up.
+fn simplify_junction<'a>(
+    ts: impl IntoIterator<Item = Cow<'a, Term>>,
+    conjunction: bool,
+) -> Term {
     let absorbing = if conjunction { Term::False } else { Term::True };
     let mut parts: Vec<Term> = Vec::new();
     for t in ts {
-        let s = simplify(t);
+        let s = simplify_part(t);
         match (&s, conjunction) {
             (Term::True, true) | (Term::False, false) => continue,
             (Term::False, true) | (Term::True, false) => return absorbing,
@@ -302,7 +340,7 @@ fn is_complement(p: &Term, s: &Term) -> bool {
 
 /// Full preprocessing: NNF + simplification.
 pub fn preprocess(term: &Term) -> Term {
-    simplify(&to_nnf(term))
+    simplify_owned(to_nnf(term))
 }
 
 /// The NNF of `¬term`, without cloning `term` to negate it: `term`'s
@@ -313,14 +351,14 @@ pub fn to_nnf_negated(term: &Term) -> Term {
 
 /// [`preprocess`] of `¬term`, without cloning `term` to negate it.
 pub fn preprocess_negated(term: &Term) -> Term {
-    simplify(&to_nnf_negated(term))
+    simplify_owned(to_nnf_negated(term))
 }
 
 /// [`preprocess`] of the violation query `π ∧ ¬checker`, without
 /// cloning either side into the conjunction. Equal, term for term, to
 /// `preprocess(&Term::and([pi.clone(), checker.clone().not()]))`.
 pub fn preprocess_violation(pi: &Term, checker: &Term) -> Term {
-    violation_query(&to_nnf(pi), &to_nnf_negated(checker))
+    violation_query(to_nnf(pi), &to_nnf_negated(checker))
 }
 
 /// The canonical violation query from its two halves in NNF: `pi_nnf`
@@ -329,19 +367,24 @@ pub fn preprocess_violation(pi: &Term, checker: &Term) -> Term {
 /// NNFs, and `Term::and` would splice each half's conjuncts into one
 /// flat list before simplifying it; this simplifies that list in place,
 /// so a caller that asks many queries of one checker normalizes `¬checker`
-/// once and builds no conjunction per query.
-pub fn violation_query(pi_nnf: &Term, negated_nnf: &Term) -> Term {
-    simplify_junction(conjuncts(pi_nnf).iter().chain(conjuncts(negated_nnf)), true)
-}
-
-/// The parts `Term::and` splices in for `t`: an `And`'s operands, or `t`
-/// itself. A constant passes through as itself, and `simplify_junction`
-/// drops `True` and absorbs on `False` exactly as `Term::and` does.
-fn conjuncts(t: &Term) -> &[Term] {
-    match t {
-        Term::And(ts) => ts,
+/// once and builds no conjunction per query. `pi_nnf` is consumed: the
+/// parts of π the query keeps move into it, and only the parts of
+/// `¬checker`, which the caller keeps for its next query, are cloned.
+pub fn violation_query(pi_nnf: Term, negated_nnf: &Term) -> Term {
+    // The parts `Term::and` splices in for a term: an `And`'s operands,
+    // or the term itself. A constant passes through as itself, and
+    // `simplify_junction` drops `True` and absorbs on `False` exactly as
+    // `Term::and` does.
+    let (pi_parts, pi_whole) = match pi_nnf {
+        Term::And(ts) => (ts, None),
+        t => (Vec::new(), Some(t)),
+    };
+    let negated_parts = match negated_nnf {
+        Term::And(ts) => ts.as_slice(),
         t => std::slice::from_ref(t),
-    }
+    };
+    let pi = pi_parts.into_iter().chain(pi_whole).map(Cow::Owned);
+    simplify_junction(pi.chain(negated_parts.iter().map(Cow::Borrowed)), true)
 }
 
 #[cfg(test)]

@@ -64,7 +64,9 @@ enum Tok {
 
 fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
     let bytes = src.as_bytes();
-    let mut toks = Vec::new();
+    // Conditions run at more than two bytes a token, so one reservation
+    // holds every token and the vector never grows while lexing.
+    let mut toks = Vec::with_capacity(src.len() / 2 + 1);
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -185,7 +187,7 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
                         break;
                     }
                 }
-                let mut word = src[start..i].to_string();
+                let word = &src[start..i];
                 // Allow `path()` call spelling: swallow an immediately
                 // following empty parens pair into the variable name.
                 if bytes.get(i) == Some(&b'(') && bytes.get(i + 1) == Some(&b')') {
@@ -199,14 +201,14 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
                         message: format!("dangling '.' in path {word:?}"),
                     });
                 }
-                let tok = match word.as_str() {
+                let tok = match word {
                     "true" => Tok::True,
                     "false" => Tok::False,
                     "null" => Tok::Null,
                     _ => {
                         // Normalize Java-style negated getters later; here
                         // just keep the path.
-                        Tok::Ident(std::mem::take(&mut word))
+                        Tok::Ident(word.to_string())
                     }
                 };
                 toks.push((tok, start));
@@ -229,7 +231,7 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
 const MAX_COND_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    toks: &'a [(Tok, usize)],
+    toks: Vec<(Tok, usize)>,
     pos: usize,
     hints: &'a HashMap<String, Sort>,
     /// Nesting levels currently open.
@@ -253,8 +255,10 @@ impl<'a> Parser<'a> {
         self.toks.get(self.pos).map(|&(_, o)| o).unwrap_or(usize::MAX)
     }
 
+    /// Consume the current token, moving it out: the parser never looks
+    /// back at a consumed token, only at its offset.
     fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
+        let t = self.toks.get_mut(self.pos).map(|(t, _)| std::mem::replace(t, Tok::Null));
         self.pos += 1;
         t
     }
@@ -527,7 +531,7 @@ impl<'a> Parser<'a> {
 /// Parse a condition with explicit sort hints for `path == path` atoms.
 pub fn parse_cond_with(src: &str, hints: &HashMap<String, Sort>) -> Result<Term, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks: &toks, pos: 0, hints, depth: 0 };
+    let mut p = Parser { toks, pos: 0, hints, depth: 0 };
     if p.toks.is_empty() {
         return Ok(Term::True);
     }

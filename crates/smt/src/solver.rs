@@ -383,7 +383,7 @@ impl SolverSession {
     /// `Unknown` reason included, as [`violates_budgeted`].
     pub fn violates_budgeted(&self, pi: &Term, max_conflicts: Option<u64>) -> ViolationOutcome {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        check_violation(&violation_query(&to_nnf(pi), &self.negated), max_conflicts)
+        check_violation(&violation_query(to_nnf(pi), &self.negated), max_conflicts)
     }
 
     /// A snapshot of the session's counters.

@@ -39,6 +39,12 @@ for m in analysis.callgraph_us_p50 smt.query_us_p50 pipeline.rule_us_p50; do
     tail -n 1 "$TRACED" | grep -qE "\"${m//./\\.}\":\{\"value\":[0-9.]*[1-9]" \
         || { echo "traced gate-cold reports no nonzero $m" >&2; exit 1; }
 done
+# A warm re-gate is almost all SIR load (parse and type check): the
+# layer a warm-gate speedup claims must stay measured too.
+lisabench/target/release/lisabench --workload gate-warm --seed 1 --seconds 2 --trace 1 \
+    > "$TRACED"
+tail -n 1 "$TRACED" | grep -qE '"lang\.load_us_p50":\{"value":[0-9.]*[1-9]' \
+    || { echo "traced gate-warm reports no nonzero lang.load_us_p50" >&2; exit 1; }
 rm -f "$TRACED"
 echo "benchmark smoke: ok"
 

@@ -87,7 +87,7 @@ fn config() -> PipelineConfig {
 /// times, which legitimately vary run to run.
 fn fingerprint(r: &RuleReport) -> String {
     let mut s = String::new();
-    for c in &r.chains {
+    for c in r.chains.iter() {
         s.push_str(&format!("[{}] {}\n", c.verdict.label(), c.rendered));
     }
     s.push_str(&format!(
