@@ -11,7 +11,7 @@
 //!              [--trace-out <file>] [--metrics-out <file>]
 //! lisa resume  --system <dir> --rules <file> --state <dir> [any gate flag]
 //! lisa serve   --socket <path> [--state-root <dir>] [--workers N] [--queue-cap N]
-//!              [--job-timeout-ms N] [--max-attempts N]
+//!              [--job-timeout-ms N]
 //!              [--listen <host:port>] [--tenants name[:weight[:timeout_ms]],...]
 //!              [--tenant-cap N] [--max-conns N]
 //! lisa submit  (--socket <path> | --addr <host:port>)
@@ -79,7 +79,6 @@ use lisa::{
 };
 use lisa_analysis::{execution_tree_filtered, CallGraph, TargetSpec, TreeLimits};
 use lisa_oracle::suggest_conditions;
-use lisa_util::RetryPolicy;
 
 /// How a successful run (no usage/load error) ended.
 enum Outcome {
@@ -129,7 +128,7 @@ const USAGE: &str = "usage:
                [--trace-out <file>] [--metrics-out <file>]
   lisa resume  --system <dir> --rules <file> --state <dir> [any gate flag]
   lisa serve   --socket <path> [--state-root <dir>] [--workers N|auto] [--queue-cap N]
-               [--job-timeout-ms N] [--max-attempts N]
+               [--job-timeout-ms N]
                [--listen <host:port>] [--tenants name[:weight[:timeout_ms]],...]
                [--tenant-cap N] [--max-conns N]
   lisa submit  (--socket <path> | --addr <host:port>)
@@ -194,8 +193,8 @@ fn command_flags(cmd: &str) -> Option<Vec<&'static str>> {
         "gate" | "resume" => (&["system", "rules", "format", "state"], GateConfig::FLAGS),
         "serve" => (
             &[
-                "socket", "state-root", "workers", "queue-cap", "job-timeout-ms", "max-attempts",
-                "listen", "tenants", "tenant-cap", "max-conns",
+                "socket", "state-root", "workers", "queue-cap", "job-timeout-ms", "listen",
+                "tenants", "tenant-cap", "max-conns",
             ],
             &[],
         ),
@@ -361,8 +360,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<Outcome, String> {
         job_timeout: Duration::from_millis(
             parse_num::<u64>(flags, "job-timeout-ms")?.unwrap_or(30_000),
         ),
-        max_attempts: parse_num(flags, "max-attempts")?.unwrap_or(3),
-        retry: RetryPolicy::default(),
         listen: flags.get("listen").cloned(),
         tenants: match flags.get("tenants") {
             Some(spec) => lisa::parse_tenant_specs(spec)?,
@@ -389,9 +386,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<Outcome, String> {
     let stats = serve(&config)?;
     lisa_telemetry::note("serve", || {
         format!(
-            "drained — {} job(s) done, {} retried, {} dead-lettered, {} worker(s) respawned",
+            "drained — {} job(s) done, {} dead-lettered, {} worker(s) respawned",
             stats.jobs_done,
-            stats.retries,
             stats.dead_letters,
             stats.respawned_workers,
         )

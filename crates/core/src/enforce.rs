@@ -11,8 +11,8 @@
 //! order, so the output never depends on the worker count.
 //!
 //! The gate is built to *always return a decision*: each rule check runs
-//! under `catch_unwind` with bounded retry, a panicking or malformed rule
-//! folds into an engine-error report instead of killing the scope, and a
+//! once under `catch_unwind`, a panicking or malformed rule folds into an
+//! engine-error report instead of killing the scope, and a
 //! gate deadline downgrades remaining rules to a fast fixed-path sanity
 //! check rather than abandoning them. The [`FailMode`] decides whether
 //! engine errors block (fail-closed, the default) or pass with warnings
@@ -26,10 +26,9 @@ use std::time::{Duration, Instant};
 
 use lisa_concolic::SystemVersion;
 use lisa_oracle::SemanticRule;
-use lisa_util::{retry_with_backoff, RetryPolicy};
 
 use crate::error::LisaError;
-use crate::faults::{FaultInjector, FaultKind, TRANSIENT_MARKER};
+use crate::faults::{FaultInjector, FaultKind};
 use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::verdict::RuleReport;
 
@@ -129,8 +128,6 @@ pub struct GateOptions {
     /// run in degraded mode (fixed-path sanity check) instead of full
     /// exploration. `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
     /// Fault injection, for resilience tests and the E10 experiment.
     pub faults: Option<FaultInjector>,
 }
@@ -150,8 +147,6 @@ pub struct EnforcementReport {
     pub engine_errors: usize,
     /// Rules checked in degraded (fixed-path sanity) mode.
     pub degraded_rules: usize,
-    /// Total retries spent across all rules.
-    pub retries: u64,
     /// Human-readable warnings (fail-open engine errors, deadline hits).
     pub warnings: Vec<String>,
     /// Resolved worker width the gate ran at (after `0` → auto
@@ -358,7 +353,6 @@ pub(crate) fn enforce_impl(
     // Every rule task fills its slot unless the hook skipped it.
     let reports: Vec<RuleReport> = slots.into_iter().filter_map(OnceLock::into_inner).collect();
 
-    let retries: u64 = reports.iter().map(|r| u64::from(r.retries)).sum();
     let engine_errors = reports.iter().filter(|r| r.has_engine_error()).count();
     let degraded_rules = reports.iter().filter(|r| r.degraded).count();
     let mut warnings = Vec::new();
@@ -394,7 +388,6 @@ pub(crate) fn enforce_impl(
     gate_span.arg("workers", workers as u64);
     gate_span.arg("engine_errors", engine_errors as u64);
     gate_span.arg("degraded_rules", degraded_rules as u64);
-    gate_span.arg("retries", retries);
     if lisa_telemetry::spans_enabled() {
         gate_span.set_detail(format!("{} -> {decision}", version.label));
     }
@@ -405,7 +398,6 @@ pub(crate) fn enforce_impl(
         }
         lisa_telemetry::counter_add("gate.engine_errors", engine_errors as u64);
         lisa_telemetry::counter_add("gate.degraded_rules", degraded_rules as u64);
-        lisa_telemetry::counter_add("gate.retries", retries);
     }
     if let Some(c) = cache {
         c.publish_metrics();
@@ -418,7 +410,6 @@ pub(crate) fn enforce_impl(
         fail_mode: options.fail_mode,
         engine_errors,
         degraded_rules,
-        retries,
         warnings,
         workers,
     }
@@ -430,8 +421,8 @@ pub(crate) fn count_decision(decision: GateDecision) {
     lisa_telemetry::counter_add(name, 1);
 }
 
-/// Check one rule with panic isolation, fault arming, and bounded retry.
-/// Never panics; always returns a report, its retries counted in it.
+/// Check one rule with panic isolation and fault arming. Never panics;
+/// a failed check becomes the rule's engine-error report.
 fn check_one_rule(
     pipeline: &Pipeline,
     version: &SystemVersion,
@@ -441,28 +432,21 @@ fn check_one_rule(
     degraded: bool,
     degrade: &DegradeSignal,
 ) -> RuleReport {
-    let (result, retries) = retry_with_backoff(
-        &options.retry,
-        |_attempt| run_attempt(pipeline, version, version_fp, rule, options, degraded, degrade),
-        |e: &LisaError| e.is_transient(),
-    );
-    let mut report = match result {
-        Ok(report) => report,
-        Err(e) => RuleReport::engine_error(
-            rule.id.clone(),
-            rule.description.clone(),
-            rule.target.to_string(),
-            rule.condition_src.clone(),
-            e.to_string(),
-        ),
-    };
-    report.retries = retries;
-    report
+    try_check_one_rule(pipeline, version, version_fp, rule, options, degraded, degrade)
+        .unwrap_or_else(|e| {
+            RuleReport::engine_error(
+                rule.id.clone(),
+                rule.description.clone(),
+                rule.target.to_string(),
+                rule.condition_src.clone(),
+                e.to_string(),
+            )
+        })
 }
 
-/// One attempt: arm any injected fault, then run the (possibly degraded)
-/// rule check under `catch_unwind`, classifying the unwind payload.
-fn run_attempt(
+/// Arm any injected fault, then run the (possibly degraded) rule check
+/// under `catch_unwind`.
+fn try_check_one_rule(
     pipeline: &Pipeline,
     version: &SystemVersion,
     version_fp: Option<u64>,
@@ -478,10 +462,7 @@ fn run_attempt(
     let mut effective_pipeline = None;
     match fault {
         Some(FaultKind::Panic) => {
-            panic_isolated(|| panic!("lisa-fault: injected panic for rule {}", rule.id))?;
-        }
-        Some(FaultKind::TransientPanic) => {
-            panic_isolated(|| panic!("{TRANSIENT_MARKER} injected blip for rule {}", rule.id))?;
+            panic_isolated(&rule.id, || panic!("lisa-fault: injected panic for rule {}", rule.id))?;
         }
         Some(FaultKind::MalformedCondition) => {
             let mut bad = rule.clone();
@@ -492,7 +473,7 @@ fn run_attempt(
             let mut config = pipeline.config().clone();
             config.budgets.max_solver_conflicts = Some(0);
             // Keep the cache: the memo key carries the budgets, so a
-            // zero-budget attempt can never surface a full-budget
+            // zero-budget check can never surface a full-budget
             // report, nor its report answer a full-budget check.
             effective_pipeline = Some(pipeline.reconfigured(config));
         }
@@ -505,7 +486,7 @@ fn run_attempt(
     }
     let rule = effective_rule.as_ref().unwrap_or(rule);
     let pipeline = effective_pipeline.as_ref().unwrap_or(pipeline);
-    panic_isolated(|| {
+    panic_isolated(&rule.id, || {
         if degraded {
             // Past the gate deadline: cheap fixed-path sanity check. The
             // malformed-rule boundary still applies.
@@ -523,21 +504,16 @@ fn run_attempt(
     })?
 }
 
-/// Run `f` under `catch_unwind`, converting an unwind into a
-/// [`LisaError`]. Injected transient faults (recognized by their payload
-/// marker) map to `Transient` so the retry layer picks them up.
-fn panic_isolated<T>(f: impl FnOnce() -> T) -> Result<T, LisaError> {
+/// Run `f` under `catch_unwind`, converting an unwind into
+/// [`LisaError::RulePanicked`] for `rule_id`.
+fn panic_isolated<T>(rule_id: &str, f: impl FnOnce() -> T) -> Result<T, LisaError> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         let reason = payload
             .downcast_ref::<&'static str>()
             .map(|s| s.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_string());
-        if reason.starts_with(TRANSIENT_MARKER) {
-            LisaError::Transient { rule_id: String::new(), detail: reason }
-        } else {
-            LisaError::RulePanicked { rule_id: String::new(), reason }
-        }
+        LisaError::RulePanicked { rule_id: rule_id.to_string(), reason }
     })
 }
 
@@ -680,7 +656,6 @@ mod tests {
         assert_eq!(report.decision, GateDecision::Pass);
         assert!(report.violated_rules().is_empty());
         assert_eq!(report.engine_errors, 0);
-        assert_eq!(report.retries, 0);
     }
 
     #[test]
@@ -767,7 +742,6 @@ mod tests {
             faults: Some(FaultInjector::new(
                 FaultPlan::new().inject("ZK-1208-r0", FaultKind::Panic),
             )),
-            retry: RetryPolicy::none(),
             ..GateOptions::default()
         };
         let report = Gate::new(&registry()).config(config()).workers(2).options(options).run(&version(true));
@@ -784,7 +758,6 @@ mod tests {
             faults: Some(FaultInjector::new(
                 FaultPlan::new().inject("ZK-1208-r0", FaultKind::Panic),
             )),
-            retry: RetryPolicy::none(),
             ..GateOptions::default()
         };
         let report = Gate::new(&registry()).config(config()).workers(2).options(options).run(&version(true));
@@ -794,31 +767,11 @@ mod tests {
     }
 
     #[test]
-    fn transient_panic_is_retried_and_recovers() {
-        let options = GateOptions {
-            faults: Some(FaultInjector::new(
-                FaultPlan::new().inject("ZK-1208-r0", FaultKind::TransientPanic),
-            )),
-            retry: RetryPolicy {
-                max_attempts: 3,
-                initial_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(2),
-            },
-            ..GateOptions::default()
-        };
-        let report = Gate::new(&registry()).config(config()).workers(1).options(options).run(&version(true));
-        assert_eq!(report.decision, GateDecision::Pass, "{:?}", report.warnings);
-        assert_eq!(report.engine_errors, 0);
-        assert_eq!(report.retries, 1, "one retry should clear the blip");
-    }
-
-    #[test]
     fn malformed_condition_fault_is_a_per_rule_error() {
         let options = GateOptions {
             faults: Some(FaultInjector::new(
                 FaultPlan::new().inject("ZK-1208-r0", FaultKind::MalformedCondition),
             )),
-            retry: RetryPolicy::none(),
             ..GateOptions::default()
         };
         let report = Gate::new(&registry()).config(config()).workers(1).options(options).run(&version(true));
@@ -858,7 +811,6 @@ mod tests {
             faults: Some(FaultInjector::new(
                 FaultPlan::new().inject("EXTRA-r0", FaultKind::Panic),
             )),
-            retry: RetryPolicy::none(),
             ..GateOptions::default()
         };
         let faulted = Gate::new(&reg).config(config()).workers(2).options(options).run(&version(false));

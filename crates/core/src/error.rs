@@ -1,13 +1,14 @@
 //! Engine-side error taxonomy for the enforcement gate.
 //!
 //! The gate's contract is that it *always returns a decision*: a rule
-//! whose check panics, exhausts a budget, or arrives malformed must not
-//! kill the whole enforcement run. Stage boundaries return
-//! `Result<_, LisaError>` and the gate folds failures into per-rule
-//! engine-error reports, with the fail-mode deciding whether they block.
+//! whose check panics or arrives malformed must not kill the whole
+//! enforcement run. Stage boundaries return `Result<_, LisaError>` and
+//! the gate folds failures into per-rule engine-error reports, with the
+//! fail-mode deciding whether they block. A rule check is a pure
+//! function of its inputs, so a failed check is never retried in
+//! process: running it again would fail the same way.
 
 use std::fmt;
-use std::time::Duration;
 
 /// A failure of the gate machinery itself, as opposed to a semantic-rule
 /// violation in the system under check.
@@ -16,32 +17,18 @@ pub enum LisaError {
     /// The rule check panicked (a bug in the engine or a pathological
     /// input); the payload is preserved for the report.
     RulePanicked { rule_id: String, reason: String },
-    /// A solver resource budget ran out and no decision was reached.
-    SolverBudgetExhausted { rule_id: String, detail: String },
     /// The rule itself is unusable — e.g. the oracle emitted a condition
     /// that does not parse. A per-rule error, never a process abort.
     MalformedRule { rule_id: String, detail: String },
-    /// A pipeline stage exceeded its wall-clock allowance.
-    StageTimeout { rule_id: String, stage: &'static str, elapsed: Duration },
-    /// A transient failure worth retrying (injected or environmental).
-    Transient { rule_id: String, detail: String },
 }
 
 impl LisaError {
-    /// Transient errors are retried with backoff; everything else fails
-    /// the attempt immediately.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, LisaError::Transient { .. })
-    }
-
     /// The rule the error is attributed to.
     pub fn rule_id(&self) -> &str {
         match self {
-            LisaError::RulePanicked { rule_id, .. }
-            | LisaError::SolverBudgetExhausted { rule_id, .. }
-            | LisaError::MalformedRule { rule_id, .. }
-            | LisaError::StageTimeout { rule_id, .. }
-            | LisaError::Transient { rule_id, .. } => rule_id,
+            LisaError::RulePanicked { rule_id, .. } | LisaError::MalformedRule { rule_id, .. } => {
+                rule_id
+            }
         }
     }
 }
@@ -52,17 +39,8 @@ impl fmt::Display for LisaError {
             LisaError::RulePanicked { rule_id, reason } => {
                 write!(f, "rule {rule_id}: check panicked: {reason}")
             }
-            LisaError::SolverBudgetExhausted { rule_id, detail } => {
-                write!(f, "rule {rule_id}: solver budget exhausted: {detail}")
-            }
             LisaError::MalformedRule { rule_id, detail } => {
                 write!(f, "rule {rule_id}: malformed rule: {detail}")
-            }
-            LisaError::StageTimeout { rule_id, stage, elapsed } => {
-                write!(f, "rule {rule_id}: stage {stage} timed out after {elapsed:?}")
-            }
-            LisaError::Transient { rule_id, detail } => {
-                write!(f, "rule {rule_id}: transient failure: {detail}")
             }
         }
     }
@@ -75,18 +53,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transiency_classification() {
-        let t = LisaError::Transient { rule_id: "R".into(), detail: "blip".into() };
-        let p = LisaError::RulePanicked { rule_id: "R".into(), reason: "boom".into() };
-        assert!(t.is_transient());
-        assert!(!p.is_transient());
-        assert_eq!(t.rule_id(), "R");
-    }
-
-    #[test]
     fn display_includes_rule_and_detail() {
         let e = LisaError::MalformedRule { rule_id: "ZK-1".into(), detail: "bad token".into() };
         let s = e.to_string();
         assert!(s.contains("ZK-1") && s.contains("bad token"));
+        let p = LisaError::RulePanicked { rule_id: "R".into(), reason: "boom".into() };
+        assert_eq!(p.to_string(), "rule R: check panicked: boom");
+        assert_eq!(p.rule_id(), "R");
     }
 }

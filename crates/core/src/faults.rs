@@ -11,7 +11,6 @@
 //! experiment. Plans are seeded and deterministic so every failure
 //! reproduces.
 
-use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -21,17 +20,12 @@ use lisa_util::{Fnv1a, Prng};
 /// Panic payloads carry this prefix so the gate can tell injected faults
 /// apart from genuine engine bugs when classifying the unwind payload.
 pub const FAULT_PANIC_PREFIX: &str = "lisa-fault:";
-/// Payload marker for faults that should be retried.
-pub const TRANSIENT_MARKER: &str = "lisa-fault: transient";
 
 /// What to break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic the rule check on every attempt.
+    /// Panic the rule check.
     Panic,
-    /// Panic the first attempt only; retries succeed. Exercises the
-    /// retry-with-backoff path.
-    TransientPanic,
     /// Force the solver conflict budget to zero for this rule, so every
     /// violation query returns Unknown and chains degrade to not-covered.
     SolverExhaustion,
@@ -43,9 +37,8 @@ pub enum FaultKind {
     Stall,
 }
 
-const ALL_KINDS: [FaultKind; 5] = [
+const ALL_KINDS: [FaultKind; 4] = [
     FaultKind::Panic,
-    FaultKind::TransientPanic,
     FaultKind::SolverExhaustion,
     FaultKind::MalformedCondition,
     FaultKind::Stall,
@@ -104,47 +97,26 @@ impl FaultPlan {
     }
 }
 
-/// Runtime side of a plan: tracks per-rule attempts so transient faults
-/// clear on retry. Shared across gate worker threads.
+/// Runtime side of a plan, shared across gate worker threads.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     plan: FaultPlan,
     /// How long a [`FaultKind::Stall`] sleeps.
     pub stall: Duration,
-    attempts: Mutex<HashMap<String, u32>>,
 }
 
 impl FaultInjector {
     pub fn new(plan: FaultPlan) -> FaultInjector {
-        FaultInjector { plan, stall: Duration::from_millis(25), attempts: Mutex::new(HashMap::new()) }
+        FaultInjector { plan, stall: Duration::from_millis(25) }
     }
 
-    /// Record an attempt at `rule_id` and return the fault to apply, if
-    /// any. Transient faults fire on the first attempt only.
+    /// The fault to apply when the gate checks `rule_id`, if any.
     pub fn arm(&self, rule_id: &str) -> Option<FaultKind> {
-        let kind = self.plan.fault_for(rule_id)?;
-        let mut attempts = self.attempts.lock().unwrap_or_else(|p| p.into_inner());
-        let n = attempts.entry(rule_id.to_string()).or_insert(0);
-        let attempt = *n;
-        *n += 1;
-        match kind {
-            FaultKind::TransientPanic if attempt > 0 => None,
-            k => Some(k),
-        }
+        self.plan.fault_for(rule_id)
     }
 
     pub(crate) fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// Attempts recorded for `rule_id` so far.
-    pub fn attempts(&self, rule_id: &str) -> u32 {
-        self.attempts
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(rule_id)
-            .copied()
-            .unwrap_or(0)
     }
 }
 
@@ -275,17 +247,8 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::new().inject("R1", FaultKind::Panic));
         assert_eq!(inj.arm("R1"), Some(FaultKind::Panic));
         assert_eq!(inj.arm("R2"), None);
-        // Non-transient faults fire every attempt.
+        // Arming is a plan lookup: the fault fires on every check.
         assert_eq!(inj.arm("R1"), Some(FaultKind::Panic));
-        assert_eq!(inj.attempts("R1"), 2);
-    }
-
-    #[test]
-    fn transient_fault_clears_on_second_attempt() {
-        let inj = FaultInjector::new(FaultPlan::new().inject("R", FaultKind::TransientPanic));
-        assert_eq!(inj.arm("R"), Some(FaultKind::TransientPanic));
-        assert_eq!(inj.arm("R"), None);
-        assert_eq!(inj.arm("R"), None);
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl<'r> Gate<'r> {
         self
     }
 
-    /// Resilience options (fail mode, deadline, retry, faults).
+    /// Resilience options (fail mode, deadline, faults).
     pub fn options(mut self, options: GateOptions) -> Self {
         self.options = options;
         self
@@ -325,7 +325,6 @@ impl GateConfig {
             faults: self
                 .fault_seed
                 .map(|seed| FaultInjector::new(FaultPlan::random(seed, self.fault_rate, rule_ids))),
-            ..GateOptions::default()
         }
     }
 

@@ -14,7 +14,7 @@ use crate::verdict::{ChainVerdict, RuleReport};
 /// Version of the machine-readable gate report schema. Bumped whenever a
 /// field is removed or its meaning changes; additive fields do not bump
 /// it. CI consumers should pin on this, not on incidental key order.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Escape a string per RFC 8259.
 pub fn escape(s: &str) -> String {
@@ -55,7 +55,6 @@ pub fn rule_report_json(r: &RuleReport) -> String {
     num_field(&mut out, "not_covered", r.not_covered_count() as u64, true);
     num_field(&mut out, "engine_errors", r.engine_error_count() as u64, true);
     let _ = write!(out, "\"degraded\":{},", r.degraded);
-    num_field(&mut out, "retries", r.retries as u64, true);
     let _ = write!(out, "\"sanity_ok\":{},", r.sanity_ok);
     out.push_str("\"chains\":[");
     for (i, c) in r.chains.iter().enumerate() {
@@ -114,7 +113,6 @@ pub fn enforcement_json(e: &EnforcementReport) -> String {
     num_field(&mut out, "review_needed", e.review_needed as u64, true);
     num_field(&mut out, "engine_errors", e.engine_errors as u64, true);
     num_field(&mut out, "degraded_rules", e.degraded_rules as u64, true);
-    num_field(&mut out, "retries", e.retries, true);
     out.push_str("\"warnings\":[");
     for (i, w) in e.warnings.iter().enumerate() {
         if i > 0 {

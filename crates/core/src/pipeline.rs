@@ -327,32 +327,28 @@ impl Pipeline {
         };
         let degraded_budgets = budgets.degraded();
 
-        // Concolic execution under the step budget. With more than one
-        // selected test each runs as its own batch, checking the deadline
-        // before it starts.
+        // Concolic execution under the step budget: each selected test
+        // runs as its own batch, checking the deadline before it starts.
         let t_concolic = Instant::now();
-        let harness_budget =
-            HarnessBudget { max_steps_per_test: budgets.max_steps_per_test, wall: None };
-        let run_batch = |tests: &[TestCase], budget: &HarnessBudget| {
-            run_tests_budgeted(program, tests, &rule.target, &aliases, &self.config.policy, budget)
-        };
-        let outcomes: Vec<HarnessOutcome> =
-            if selected.len() <= 1 {
-                vec![run_batch(selected, &harness_budget)]
-            } else {
-                selected
-                    .iter()
-                    .map(|test| {
-                        let max_steps_per_test = if past_deadline() {
-                            degraded_budgets.max_steps_per_test
-                        } else {
-                            harness_budget.max_steps_per_test
-                        };
-                        let budget = HarnessBudget { max_steps_per_test, wall: None };
-                        run_batch(std::slice::from_ref(test), &budget)
-                    })
-                    .collect()
-            };
+        let outcomes: Vec<HarnessOutcome> = selected
+            .iter()
+            .map(|test| {
+                let max_steps_per_test = if past_deadline() {
+                    degraded_budgets.max_steps_per_test
+                } else {
+                    budgets.max_steps_per_test
+                };
+                let budget = HarnessBudget { max_steps_per_test, wall: None };
+                run_tests_budgeted(
+                    program,
+                    std::slice::from_ref(test),
+                    &rule.target,
+                    &aliases,
+                    &self.config.policy,
+                    &budget,
+                )
+            })
+            .collect();
         let runs: Vec<_> = outcomes.iter().flat_map(|o| o.runs.iter()).collect();
         stats.tests_executed = runs.len() as u64;
 
@@ -512,7 +508,6 @@ impl Pipeline {
             off_tree_violations: off_tree_violations.into(),
             unmatched_hits,
             degraded,
-            retries: 0,
             stats,
         }
     }

@@ -26,9 +26,6 @@ pub fn render_rule_report(r: &RuleReport) -> String {
             "  note: checked in degraded mode (fixed-path sanity check only)"
         );
     }
-    if r.retries > 0 {
-        let _ = writeln!(out, "  note: {} retr{} before settling", r.retries, if r.retries == 1 { "y" } else { "ies" });
-    }
     for c in r.chains.iter() {
         let _ = writeln!(out, "    [{}] {}", c.verdict.label(), c.rendered);
         match &c.verdict {
@@ -68,15 +65,11 @@ pub fn render_enforcement(e: &EnforcementReport) -> String {
     for w in &e.warnings {
         let _ = writeln!(out, "warning: {w}");
     }
-    if e.engine_errors > 0 || e.degraded_rules > 0 || e.retries > 0 {
+    if e.engine_errors > 0 || e.degraded_rules > 0 {
         let _ = writeln!(
             out,
-            "resilience: {} engine error(s), {} degraded rule(s), {} retr{} (fail-{})",
-            e.engine_errors,
-            e.degraded_rules,
-            e.retries,
-            if e.retries == 1 { "y" } else { "ies" },
-            e.fail_mode
+            "resilience: {} engine error(s), {} degraded rule(s) (fail-{})",
+            e.engine_errors, e.degraded_rules, e.fail_mode
         );
     }
     let _ = writeln!(out, "decision: {} ({} chain(s) need developer review)", e.decision, e.review_needed);

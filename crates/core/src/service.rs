@@ -15,13 +15,13 @@
 //!   over a unix socket and (with `--listen`) a TCP listener, processed
 //!   by a supervised worker pool: panicked workers are reaped and
 //!   respawned, stalled workers (no heartbeat for the tenant's
-//!   `job_timeout`) abandoned, their jobs retried with backoff and
-//!   dead-lettered after `max_attempts`, with bounded-queue
-//!   backpressure and graceful drain on shutdown. Two isolation rules
-//!   keep recovery honest: every respawned worker gets a **fresh slot**
-//!   (an abandoned thread can never take — or answer — a job it does
-//!   not own), and jobs sharing a state directory are **serialized** (a
-//!   retry never races its abandoned predecessor on the same journal).
+//!   `job_timeout`) abandoned, and their jobs dead-lettered at once,
+//!   with bounded-queue backpressure and graceful drain on shutdown.
+//!   Two isolation rules keep recovery honest: every respawned worker
+//!   gets a **fresh slot** (an abandoned thread can never take — or
+//!   answer — a job it does not own), and jobs sharing a state
+//!   directory are **serialized** (a resubmitted job never races its
+//!   abandoned predecessor on the same journal).
 //!
 //! The daemon is **multi-tenant**: a gate request may carry a `tenant`
 //! field routing it to that tenant's bounded queue, rule registry, and
@@ -41,7 +41,9 @@
 //! The daemon runs on one node. Its availability rests on two tactics:
 //! a daemon restarted on the same state root resumes every job from its
 //! journal, so no acknowledged verdict is lost, and a client whose gate
-//! failed simply submits it again (Retry).
+//! failed simply submits it again (Retry). The client is the one retry
+//! layer: a rule check is a pure function of its inputs, so the daemon
+//! never re-runs a job that failed in process.
 //!
 //! Parallel throughput comes from the worker pool across jobs and, with
 //! `DurableOptions::workers`, from checking a job's rules in parallel.
@@ -62,7 +64,7 @@ use lisa_oracle::{author_rule, SemanticRule};
 use lisa_store::journal::{fnv1a, Journal};
 use lisa_store::repl::ReplBus;
 use lisa_store::{scan, IoFaults, RuleOutcome, RunState, RunStore, StoreError};
-use lisa_util::{Fnv1a, RetryPolicy};
+use lisa_util::Fnv1a;
 
 use crate::enforce::{
     count_decision, decide, enforce_impl, FailMode, GateDecision, GateOptions, RuleRegistry,
@@ -224,7 +226,6 @@ pub fn outcome_of(r: &RuleReport) -> RuleOutcome {
         engine_errors: r.engine_error_count() as u64,
         degraded: r.degraded,
         sanity_ok: r.sanity_ok,
-        retries: r.retries as u64,
     }
 }
 
@@ -540,15 +541,11 @@ pub struct ServeConfig {
     /// Queue capacity; submissions beyond it get an `overloaded` reply.
     pub queue_cap: usize,
     /// A worker making no progress on its job for this long is
-    /// considered stalled: abandoned, its job recovered and retried.
-    /// Progress is a per-rule heartbeat from the durable run, so this
-    /// bounds one rule check, not the whole job — a slow but advancing
-    /// gate is left alone.
+    /// considered stalled: abandoned, its job dead-lettered. Progress is
+    /// a per-rule heartbeat from the durable run, so this bounds one
+    /// rule check, not the whole job — a slow but advancing gate is left
+    /// alone.
     pub job_timeout: Duration,
-    /// Attempts per job before it is dead-lettered.
-    pub max_attempts: u32,
-    /// Backoff schedule between attempts.
-    pub retry: RetryPolicy,
     /// Additionally accept gate submissions over TCP at this
     /// `host:port`. Like every listener, it is multiplexed onto the
     /// supervisor thread by the nonblocking `poll(2)` readiness loop —
@@ -576,8 +573,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_cap: 64,
             job_timeout: Duration::from_secs(30),
-            max_attempts: 3,
-            retry: RetryPolicy::default(),
             listen: None,
             tenants: Vec::new(),
             tenant_cap: 0,
@@ -590,7 +585,6 @@ impl Default for ServeConfig {
 #[derive(Debug, Default, Clone)]
 pub struct ServeStats {
     pub jobs_done: u64,
-    pub retries: u64,
     pub dead_letters: u64,
     pub respawned_workers: u64,
     pub rejected_overload: u64,
@@ -604,11 +598,19 @@ struct Job {
     system: String,
     rules: String,
     fail_mode: FailMode,
-    /// Test hook: `panic` (every attempt), `panic-once` (first attempt
-    /// only), `stall` (sleep past the job timeout).
-    chaos: Option<String>,
-    attempts: u32,
+    /// Test hook: a drill that breaks the worker running this job.
+    chaos: Option<Chaos>,
     stream: Stream,
+}
+
+/// A chaos drill a gate request on the unix socket may ask for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Chaos {
+    /// The worker panics.
+    Panic,
+    /// The worker wedges: it never heartbeats and outlives the job
+    /// timeout.
+    Stall,
 }
 
 /// A worker's in-flight job: parked here while processing so the
@@ -630,12 +632,11 @@ struct Worker {
 }
 
 struct QueueState {
-    /// Per-tenant bounded queues with weighted-fair (stride) dequeue
-    /// and per-tenant retry budgets / degradation state.
+    /// Per-tenant bounded queues with weighted-fair (stride) dequeue.
     queues: FairQueues<Job>,
-    /// State-dir keys currently owned by a live attempt (including an
+    /// State-dir keys currently owned by a live run (including an
     /// abandoned thread that has not yet reached a cancellation point).
-    /// Workers skip queued jobs whose key is busy, so two attempts can
+    /// Workers skip queued jobs whose key is busy, so two runs can
     /// never hold a `RunStore` on the same directory at once.
     busy_dirs: HashSet<String>,
 }
@@ -708,7 +709,7 @@ impl TenantRuntime {
 }
 
 /// Holds a job's state-dir key in `busy_dirs` for the duration of one
-/// attempt. Dropped on every exit path — normal completion, chaos panic
+/// run. Dropped on every exit path — normal completion, chaos panic
 /// unwind, or cancelled abandonment — so the key is always released.
 struct DirGuard {
     shared: Arc<Shared>,
@@ -801,9 +802,13 @@ fn bounded_job_id(request: &Json) -> Result<Option<&str>, String> {
     }
 }
 
-/// A gate request's checked fields — job id, tenant, system, rules and
-/// fail mode — or the bad-request reply that rejects it.
-fn gate_fields(request: &Json) -> Result<(Option<&str>, &str, &str, &str, FailMode), String> {
+/// A gate request's checked fields.
+type GateFields<'a> = (Option<&'a str>, &'a str, &'a str, &'a str, FailMode, Option<Chaos>);
+
+/// A gate request's checked fields — job id, tenant, system, rules, fail
+/// mode and chaos drill — or the bad-request reply that rejects it. An
+/// unknown drill is refused rather than run as a normal job.
+fn gate_fields(request: &Json) -> Result<GateFields<'_>, String> {
     let bad = |e: &str| error_response("", "bad-request", e);
     let tenant = request.str_of("tenant").unwrap_or("default");
     if !valid_tenant(tenant) {
@@ -814,7 +819,13 @@ fn gate_fields(request: &Json) -> Result<(Option<&str>, &str, &str, &str, FailMo
     };
     let fail_mode =
         request.str_of("fail_mode").unwrap_or("closed").parse().map_err(|e: String| bad(&e))?;
-    Ok((bounded_job_id(request)?, tenant, system, rules, fail_mode))
+    let chaos = match request.get("chaos").map(|_| request.str_of("chaos")) {
+        None => None,
+        Some(Some("panic")) => Some(Chaos::Panic),
+        Some(Some("stall")) => Some(Chaos::Stall),
+        Some(_) => return Err(bad("`chaos` must be \"panic\" or \"stall\"")),
+    };
+    Ok((bounded_job_id(request)?, tenant, system, rules, fail_mode, chaos))
 }
 
 /// Map a client-supplied job id to its state-directory name. Ids that
@@ -836,7 +847,7 @@ fn sanitize(id: &str) -> String {
 
 /// Process one gate job end to end (load, durable gate, response text).
 /// `cancel` stops the run at the next rule boundary once the supervisor
-/// abandons this attempt; `progress` is the per-rule liveness heartbeat.
+/// abandons this worker; `progress` is the per-rule liveness heartbeat.
 #[allow(clippy::too_many_arguments)] // the full job context, threaded once
 fn process_job(
     system: &str,
@@ -883,8 +894,8 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
                     break None;
                 }
                 // Weighted-fair pick across tenants, skipping jobs whose
-                // state dir another attempt still owns — a retry must
-                // never race its abandoned predecessor on the same
+                // state dir another run still owns — a resubmitted job
+                // must never race its abandoned predecessor on the same
                 // journal, and duplicate job ids serialize.
                 let QueueState { queues, busy_dirs } = &mut *q;
                 if let Some((_, job)) = queues.pop(|j| !busy_dirs.contains(&sanitize(&j.id))) {
@@ -906,31 +917,26 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
         // Released on every exit from this iteration — completion, chaos
         // panic unwind, or cancelled abandonment.
         let _dir = DirGuard { shared: Arc::clone(&shared), key };
-        let (id, tenant, system, rules, fail_mode, chaos, attempts) = (
+        let (id, tenant, system, rules, fail_mode, chaos) = (
             job.id.clone(),
             job.tenant.clone(),
             job.system.clone(),
             job.rules.clone(),
             job.fail_mode,
-            job.chaos.clone(),
-            job.attempts,
+            job.chaos,
         );
         let job_started = Instant::now();
         let mut job_span = lisa_telemetry::span_with("serve.job", id.clone());
-        job_span.arg("attempt", attempts as u64);
         // Park the job (with its response stream) in the slot FIRST: from
         // here on, a panic or stall loses nothing — the supervisor
         // recovers the job from the slot.
         *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some((job, Instant::now()));
-        match chaos.as_deref() {
-            Some("panic") => panic!("{FAULT_PANIC_PREFIX} chaos panic for job {id}"),
-            Some("panic-once") if attempts == 0 => {
-                panic!("{FAULT_PANIC_PREFIX} chaos first-attempt panic for job {id}")
-            }
-            Some("stall") => {
+        match chaos {
+            Some(Chaos::Panic) => panic!("{FAULT_PANIC_PREFIX} chaos panic for job {id}"),
+            Some(Chaos::Stall) => {
                 // A wedged job: never heartbeats, outlives any plausible
                 // job timeout. Cancellation-aware only so the abandoned
-                // attempt releases its state dir promptly for the retry.
+                // run releases its state dir promptly for a resubmission.
                 let wedged = Instant::now();
                 while !cancel.load(Ordering::SeqCst)
                     && wedged.elapsed() < Duration::from_secs(600)
@@ -938,7 +944,7 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
                     std::thread::sleep(Duration::from_millis(20));
                 }
             }
-            _ => {}
+            None => {}
         }
         let beat_slot = Arc::clone(&slot);
         let progress: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
@@ -969,8 +975,8 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
         send(&mut job.stream, &line);
         shared.jobs_done.fetch_add(1, Ordering::Relaxed);
         let elapsed_us = job_started.elapsed().as_micros() as u64;
-        // Settle the tenant's accounting: active count, done count, one
-        // retry token earned back, and the shed-hint duration EWMA.
+        // Settle the tenant's accounting: active count, done count, and
+        // the shed-hint duration EWMA.
         shared
             .queue
             .lock()
@@ -1047,7 +1053,7 @@ fn answer_refused(pumped: Pumped, stats: &mut ServeStats) -> Vec<(Port, Stream, 
 }
 
 /// The supervisor's longest wait: one `poll(2)` tick. It keeps
-/// supervision (reaping, retries, snapshots) ticking with no
+/// supervision (reaping, snapshots) ticking with no
 /// I/O; readiness wakes the loop at once.
 const SUPERVISION_TICK: Duration = Duration::from_millis(10);
 
@@ -1182,7 +1188,6 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
     });
     let mut pool: Vec<Worker> = (0..workers).map(|i| spawn_worker(&shared, i)).collect();
 
-    let mut pending_retries: Vec<(Job, Instant)> = Vec::new();
     let mut next_job = 0u64;
     let mut draining = false;
 
@@ -1233,61 +1238,20 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
             // Abandon first: a live thread stops at its next cancellation
             // point (rule boundary) and never pulls another job.
             worker.cancel.store(true, Ordering::SeqCst);
+            // The job is dead-lettered at once, naming the cause; the
+            // client decides whether to submit it again.
             let recovered = worker.slot.lock().unwrap_or_else(|p| p.into_inner()).take();
             if let Some((mut job, _)) = recovered {
-                job.attempts += 1;
-                // Spend from the tenant's retry budget (Retry tactic):
-                // a tenant whose jobs keep failing burns its own budget
-                // and degrades alone, nobody else's jobs pay for it.
-                let budget_ok = {
-                    let mut q = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-                    q.queues.recovered(&job.tenant);
-                    job.attempts < config.max_attempts
-                        && q.queues.try_retry(&job.tenant, Instant::now())
-                };
-                if job.attempts >= config.max_attempts {
-                    let why = if stalled { "stalled" } else { "worker panicked" };
-                    send(
-                        &mut job.stream,
-                        &error_response(
-                            &job.id,
-                            "dead-letter",
-                            &format!("{why}; gave up after {} attempt(s)", job.attempts),
-                        ),
-                    );
-                    stats.dead_letters += 1;
-                    shared
-                        .queue
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .queues
-                        .record_dead_letter(&job.tenant);
-                } else if !budget_ok {
-                    // Budget exhausted: Degradation mode for this tenant
-                    // — dead-letter now, fast-fail its submissions for
-                    // the cooldown instead of feeding workers jobs that
-                    // keep failing.
-                    send(
-                        &mut job.stream,
-                        &error_response(
-                            &job.id,
-                            "dead-letter",
-                            "tenant retry budget exhausted; tenant degraded",
-                        ),
-                    );
-                    stats.dead_letters += 1;
-                    lisa_telemetry::counter_add("serve.tenant_degraded", 1);
-                    shared
-                        .queue
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .queues
-                        .record_dead_letter(&job.tenant);
-                } else {
-                    let due = Instant::now() + config.retry.backoff(job.attempts);
-                    pending_retries.push((job, due));
-                    stats.retries += 1;
-                }
+                let why =
+                    if stalled { "worker stalled past the job timeout" } else { "worker panicked" };
+                send(&mut job.stream, &error_response(&job.id, "dead-letter", why));
+                stats.dead_letters += 1;
+                shared
+                    .queue
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .queues
+                    .dead_letter(&job.tenant);
             }
             if panicked {
                 // Collect the dead thread; a panic result is expected.
@@ -1312,33 +1276,14 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
             );
         }
 
-        // 3. Requeue retries that are due.
-        let now = Instant::now();
-        let mut i = 0;
-        while i < pending_retries.len() {
-            if pending_retries[i].1 <= now {
-                let (job, _) = pending_retries.swap_remove(i);
-                let tenant = job.tenant.clone();
-                shared
-                    .queue
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .queues
-                    .requeue_front(&tenant, job);
-                shared.available.notify_one();
-            } else {
-                i += 1;
-            }
-        }
-
-        // 4. Periodically journal a metrics snapshot so cumulative stats
+        // 3. Periodically journal a metrics snapshot so cumulative stats
         // survive a daemon restart.
         if last_snapshot.elapsed() >= METRICS_SNAPSHOT_INTERVAL {
             snapshot_metrics(&mut metrics_journal);
             last_snapshot = Instant::now();
         }
 
-        // 5. Drain: queue empty, no in-flight jobs, no pending retries.
+        // 4. Drain: queue empty, no in-flight jobs.
         if draining {
             let queue_empty = shared
                 .queue
@@ -1350,7 +1295,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
             let idle = pool
                 .iter()
                 .all(|w| w.slot.lock().unwrap_or_else(|p| p.into_inner()).is_none());
-            if queue_empty && idle && pending_retries.is_empty() {
+            if queue_empty && idle {
                 break;
             }
         }
@@ -1438,13 +1383,12 @@ fn timings_json() -> String {
     timings
 }
 
-/// Per-tenant queue, fairness, tactic, and latency summaries for the
-/// `stats` reply: the operator's view of who is queued, who is shedding,
-/// who is degraded, and each tenant's p50/p95/p99 job latency.
+/// Per-tenant queue, fairness, and latency summaries for the `stats`
+/// reply: the operator's view of who is queued, who is shedding, and
+/// each tenant's p50/p95/p99 job latency.
 fn tenants_json(shared: &Arc<Shared>) -> String {
     let hists = lisa_telemetry::histograms_snapshot();
     let q = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-    let now = Instant::now();
     let mut out = String::from("{");
     let mut first = true;
     for (name, t) in q.queues.iter() {
@@ -1459,17 +1403,14 @@ fn tenants_json(shared: &Arc<Shared>) -> String {
             None => (0, 0, 0, 0),
         };
         out.push_str(&format!(
-            "\"{}\":{{\"weight\":{},\"queued\":{},\"active\":{},\"done\":{},\"shed\":{},\"retries\":{},\"dead_letters\":{},\"retry_budget\":{},\"degraded\":{},\"jobs\":{jobs},\"p50_us\":{p50},\"p95_us\":{p95},\"p99_us\":{p99}}}",
+            "\"{}\":{{\"weight\":{},\"queued\":{},\"active\":{},\"done\":{},\"shed\":{},\"dead_letters\":{},\"jobs\":{jobs},\"p50_us\":{p50},\"p95_us\":{p95},\"p99_us\":{p99}}}",
             escape(name),
             t.weight,
             t.queued(),
             t.active,
             t.done,
             t.shed,
-            t.retries,
             t.dead_letters,
-            t.retry_budget,
-            t.degraded(now),
         ));
     }
     out.push('}');
@@ -1492,9 +1433,8 @@ fn stats_response(shared: &Arc<Shared>, stats: &ServeStats) -> String {
             }
             match slot.lock().unwrap_or_else(|p| p.into_inner()).as_ref() {
                 Some((job, beat)) => workers.push_str(&format!(
-                    "{{\"worker\":{i},\"state\":\"busy\",\"job_id\":\"{}\",\"attempt\":{},\"since_heartbeat_ms\":{}}}",
+                    "{{\"worker\":{i},\"state\":\"busy\",\"job_id\":\"{}\",\"since_heartbeat_ms\":{}}}",
                     escape(&job.id),
-                    job.attempts,
                     beat.elapsed().as_millis(),
                 )),
                 None => workers.push_str(&format!("{{\"worker\":{i},\"state\":\"idle\"}}")),
@@ -1503,9 +1443,8 @@ fn stats_response(shared: &Arc<Shared>, stats: &ServeStats) -> String {
     }
     workers.push(']');
     format!(
-        "{{\"status\":\"ok\",\"jobs_done\":{},\"retries\":{},\"dead_letters\":{},\"respawned_workers\":{},\"rejected_overload\":{},\"queued\":{queued},\"listen_conns\":{},\"tenants\":{},\"resolved_workers\":{resolved_workers},\"workers\":{workers},\"counters\":{},\"timings\":{}}}",
+        "{{\"status\":\"ok\",\"jobs_done\":{},\"dead_letters\":{},\"respawned_workers\":{},\"rejected_overload\":{},\"queued\":{queued},\"listen_conns\":{},\"tenants\":{},\"resolved_workers\":{resolved_workers},\"workers\":{workers},\"counters\":{},\"timings\":{}}}",
         shared.jobs_done.load(Ordering::Relaxed),
-        stats.retries,
         stats.dead_letters,
         stats.respawned_workers,
         stats.rejected_overload,
@@ -1571,7 +1510,7 @@ fn dispatch_request(
                     &error_response("", "bad-request", "`chaos` is served only on the unix socket"),
                 );
             }
-            let (id, tenant, system, rules, fail_mode) = match gate_fields(&request) {
+            let (id, tenant, system, rules, fail_mode, chaos) = match gate_fields(&request) {
                 Ok(fields) => fields,
                 Err(reply) => return send(&mut stream, &reply),
             };
@@ -1586,8 +1525,7 @@ fn dispatch_request(
                 system: system.to_string(),
                 rules: rules.to_string(),
                 fail_mode,
-                chaos: request.str_of("chaos").map(str::to_string),
-                attempts: 0,
+                chaos,
                 stream,
             };
             let admitted = shared
@@ -1595,7 +1533,7 @@ fn dispatch_request(
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .queues
-                .admit(tenant, job, Instant::now());
+                .admit(tenant, job);
             match admitted {
                 Admitted::Queued => shared.available.notify_one(),
                 Admitted::Shed { mut job, retry_after_ms, reason } => {
@@ -1748,6 +1686,38 @@ mod tests {
     }
 
     #[test]
+    fn journal_with_retired_retries_fields_is_reused() {
+        let dir = tmpdir("retries-field");
+        let reg = registry();
+        let v = version(false);
+        let gate = GateOptions::default();
+        let durable = DurableOptions { state_dir: dir.clone(), ..DurableOptions::default() };
+        let full = gate_durable(&reg, &v, &config(), &gate, &durable).expect("run");
+        // Rewrite the journal as schema 1 wrote it: every `check-finished`
+        // record carries a trailing `retries` field.
+        let wal = dir.join(RunStore::JOURNAL);
+        let mut old = Vec::new();
+        let mut rewritten = 0;
+        for record in scan(&std::fs::read(&wal).expect("journal")).records {
+            let mut fields = lisa_store::codec::decode(&record).expect("fields");
+            if fields.iter().any(|(k, v)| k == "kind" && v == "check-finished") {
+                fields.push(("retries".to_string(), "2".to_string()));
+                rewritten += 1;
+            }
+            let refs: Vec<(&str, &str)> =
+                fields.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+            old.extend(lisa_store::journal::frame(&lisa_store::codec::encode(&refs)));
+        }
+        assert_eq!(rewritten, 2);
+        std::fs::write(&wal, old).expect("write old journal");
+        let resumed = gate_durable(&reg, &v, &config(), &gate, &durable).expect("rerun");
+        assert_eq!((resumed.reused, resumed.fresh), (2, 0));
+        assert_eq!(resumed.verdicts_text(), full.verdicts_text());
+        assert_eq!(resumed.decision, full.decision);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn changed_inputs_do_not_reuse_stale_verdicts() {
         let dir = tmpdir("stale");
         let reg = registry();
@@ -1877,7 +1847,7 @@ mod tests {
         assert_ne!(sanitize("a/b"), sanitize("a.b"));
         // An empty id must not resolve to the state root itself.
         assert!(!sanitize("").is_empty());
-        // Deterministic: retries land in the same dir.
+        // Deterministic: a resubmitted job lands in the same dir.
         assert_eq!(sanitize("a/b"), sanitize("a/b"));
     }
 }

@@ -1,14 +1,11 @@
 //! Multi-tenant admission control and weighted-fair queueing for the
 //! serve daemon.
 //!
-//! Each tenant owns a bounded job queue plus per-tenant instances of the
-//! daemon's availability tactics: a **retry budget** (Retry — a tenant
-//! whose jobs keep panicking or stalling burns its own budget, nobody
-//! else's), a **degradation window** (Degradation / Ignore Faulty
-//! Behavior — a tenant that exhausts its budget is fast-failed with
-//! structured shed replies for a cooldown instead of burning workers),
-//! and a per-tenant **stall timeout** feeding the supervisor's
-//! heartbeat check. Dequeue order is stride scheduling over tenant
+//! Each tenant owns a bounded job queue and a per-tenant **stall
+//! timeout** feeding the supervisor's heartbeat check. Nothing here
+//! retries: a job whose worker panics or stalls is dead-lettered at
+//! once, and the client decides whether to submit it again. Dequeue
+//! order is stride scheduling over tenant
 //! weights, so a noisy tenant with a deep backlog cannot starve a quiet
 //! one: a freshly backlogged tenant re-enters at the scheduler's
 //! current virtual time and is served within ~one weighted turn.
@@ -16,10 +13,9 @@
 //! The container is generic over the job type so it stays free of the
 //! daemon's socket machinery and unit-testable in isolation.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Upper bound on client-supplied job ids. Past it the daemon answers a
 /// structured bad-request instead of letting `sanitize()` mint
@@ -34,15 +30,6 @@ pub const MAX_TENANT_LEN: usize = 32;
 /// past it is refused with a structured error — an attacker spraying
 /// tenant names must not grow unbounded per-tenant state.
 pub const MAX_TENANTS: usize = 64;
-
-/// Retry tokens a tenant starts with (and the ceiling replenishment
-/// can reach). Every supervised retry spends one; every completed job
-/// earns one back.
-pub const RETRY_BUDGET_MAX: u32 = 8;
-
-/// How long an exhausted tenant is degraded (fast-failed) before it is
-/// allowed to queue work again at half budget.
-pub const DEGRADED_COOLDOWN: Duration = Duration::from_secs(3);
 
 /// Stride-scheduling scale: `stride = STRIDE1 / weight`.
 const STRIDE1: u64 = 1 << 20;
@@ -111,7 +98,7 @@ pub fn parse_tenant_specs(spec: &str) -> Result<Vec<TenantSpec>, String> {
     Ok(out)
 }
 
-/// Per-tenant queue, scheduler position, quota, and tactic state.
+/// Per-tenant queue, scheduler position, quota, and counters.
 #[derive(Debug)]
 pub struct Tenant<J> {
     pub weight: u64,
@@ -123,16 +110,11 @@ pub struct Tenant<J> {
     /// global cap, recomputed as tenants register.
     pub cap: usize,
     pub job_timeout: Duration,
-    /// Jobs currently held by workers (or parked awaiting retry
-    /// supervision) on this tenant's behalf.
+    /// Jobs currently held by workers on this tenant's behalf.
     pub active: usize,
     pub done: u64,
     pub shed: u64,
-    pub retries: u64,
     pub dead_letters: u64,
-    pub retry_budget: u32,
-    pub degraded_events: u64,
-    degraded_until: Option<Instant>,
 }
 
 impl<J> Tenant<J> {
@@ -147,20 +129,12 @@ impl<J> Tenant<J> {
             active: 0,
             done: 0,
             shed: 0,
-            retries: 0,
             dead_letters: 0,
-            retry_budget: RETRY_BUDGET_MAX,
-            degraded_events: 0,
-            degraded_until: None,
         }
     }
 
     pub fn queued(&self) -> usize {
         self.queue.len()
-    }
-
-    pub fn degraded(&self, now: Instant) -> bool {
-        self.degraded_until.is_some_and(|until| now < until)
     }
 }
 
@@ -171,10 +145,6 @@ pub enum ShedReason {
     GlobalSaturated,
     /// This tenant's own bounded queue is at capacity.
     TenantSaturated,
-    /// The tenant exhausted its retry budget and is in its degradation
-    /// cooldown: fast-fail rather than feed workers jobs that keep
-    /// failing (Ignore Faulty Behavior).
-    Degraded,
 }
 
 impl ShedReason {
@@ -182,7 +152,6 @@ impl ShedReason {
         match self {
             ShedReason::GlobalSaturated => "global queue saturated",
             ShedReason::TenantSaturated => "tenant queue saturated",
-            ShedReason::Degraded => "tenant degraded (retry budget exhausted)",
         }
     }
 }
@@ -278,7 +247,7 @@ impl<J> FairQueues<J> {
 
     /// Admit a job for `tenant`, auto-registering unknown tenants at
     /// weight 1 (up to [`MAX_TENANTS`]).
-    pub fn admit(&mut self, tenant: &str, job: J, now: Instant) -> Admitted<J> {
+    pub fn admit(&mut self, tenant: &str, job: J) -> Admitted<J> {
         if !self.tenants.contains_key(tenant) {
             if self.tenants.len() >= MAX_TENANTS {
                 return Admitted::Refused {
@@ -300,21 +269,6 @@ impl<J> FairQueues<J> {
         let cap = self.effective_cap(&self.tenants[tenant]);
         let vt = self.virtual_time;
         let t = self.tenants.get_mut(tenant).expect("registered above");
-        if let Some(until) = t.degraded_until {
-            if now < until {
-                t.shed += 1;
-                let wait = until.saturating_duration_since(now).as_millis() as u64;
-                return Admitted::Shed {
-                    job,
-                    retry_after_ms: wait.max(50),
-                    reason: ShedReason::Degraded,
-                };
-            }
-            // Cooldown over: re-admit at half budget (Degradation ends,
-            // trust is rebuilt by finishing jobs, not by waiting).
-            t.degraded_until = None;
-            t.retry_budget = RETRY_BUDGET_MAX / 2;
-        }
         if t.queue.len() >= cap {
             t.shed += 1;
             let depth = t.queue.len();
@@ -354,64 +308,21 @@ impl<J> FairQueues<J> {
         Some((name, job))
     }
 
-    /// Return a recovered job to the front of its tenant's queue (a
-    /// supervised retry re-runs before newer submissions; its admission
-    /// was already paid). The job is no longer active until re-popped.
-    pub fn requeue_front(&mut self, tenant: &str, job: J) {
-        let vt = self.virtual_time;
-        let default = (self.tenant_cap, self.default_timeout);
-        let t = self
-            .tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| Tenant::new(1, default.0, default.1));
-        if t.queue.is_empty() {
-            t.pass = t.pass.max(vt);
-        }
-        t.queue.push_front(job);
-        self.queued_total += 1;
-    }
-
-    /// A worker settled a job for `tenant` (reply sent or attempt ended).
-    /// `elapsed_ms` feeds the shed-retry estimate; a completed job earns
-    /// one retry token back.
+    /// A worker settled a job for `tenant` (reply sent). `elapsed_ms`
+    /// feeds the shed-retry estimate.
     pub fn settle(&mut self, tenant: &str, elapsed_ms: u64) {
         self.mean_job_ms = (self.mean_job_ms * 7 + elapsed_ms.max(1)) / 8;
         if let Some(t) = self.tenants.get_mut(tenant) {
             t.active = t.active.saturating_sub(1);
             t.done += 1;
-            t.retry_budget = (t.retry_budget + 1).min(RETRY_BUDGET_MAX);
         }
     }
 
-    /// The supervisor recovered this tenant's in-flight job from an
-    /// abandoned worker; it is no longer active.
-    pub fn recovered(&mut self, tenant: &str) {
+    /// The supervisor dead-lettered this tenant's in-flight job, taken
+    /// from a panicked or stalled worker; it is no longer active.
+    pub fn dead_letter(&mut self, tenant: &str) {
         if let Some(t) = self.tenants.get_mut(tenant) {
             t.active = t.active.saturating_sub(1);
-        }
-    }
-
-    /// Spend one retry token. Returns false — and starts the tenant's
-    /// degradation cooldown — when the budget is exhausted, in which
-    /// case the caller dead-letters instead of retrying.
-    pub fn try_retry(&mut self, tenant: &str, now: Instant) -> bool {
-        let default = (self.tenant_cap, self.default_timeout);
-        let t = match self.tenants.entry(tenant.to_string()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => e.insert(Tenant::new(1, default.0, default.1)),
-        };
-        if t.retry_budget == 0 {
-            t.degraded_until = Some(now + DEGRADED_COOLDOWN);
-            t.degraded_events += 1;
-            return false;
-        }
-        t.retry_budget -= 1;
-        t.retries += 1;
-        true
-    }
-
-    pub fn record_dead_letter(&mut self, tenant: &str) {
-        if let Some(t) = self.tenants.get_mut(tenant) {
             t.dead_letters += 1;
         }
     }
@@ -457,10 +368,9 @@ mod tests {
     #[test]
     fn weighted_dequeue_tracks_weights() {
         let mut q = queues("heavy:3,light:1", 1000);
-        let now = Instant::now();
         for i in 0..80u32 {
-            assert!(matches!(q.admit("heavy", i, now), Admitted::Queued));
-            assert!(matches!(q.admit("light", 100 + i, now), Admitted::Queued));
+            assert!(matches!(q.admit("heavy", i), Admitted::Queued));
+            assert!(matches!(q.admit("light", 100 + i), Admitted::Queued));
         }
         let mut heavy = 0;
         let mut light = 0;
@@ -478,9 +388,8 @@ mod tests {
     #[test]
     fn backlogged_newcomer_is_not_starved() {
         let mut q = queues("noisy:1,quiet:1", 1000);
-        let now = Instant::now();
         for i in 0..50u32 {
-            assert!(matches!(q.admit("noisy", i, now), Admitted::Queued));
+            assert!(matches!(q.admit("noisy", i), Admitted::Queued));
         }
         // Drain a while: the noisy tenant's pass advances.
         for _ in 0..20 {
@@ -488,7 +397,7 @@ mod tests {
         }
         // A quiet job arriving now re-enters at virtual time and must be
         // served within two dequeues, not after the noisy backlog.
-        assert!(matches!(q.admit("quiet", 999, now), Admitted::Queued));
+        assert!(matches!(q.admit("quiet", 999), Admitted::Queued));
         let order: Vec<String> = (0..2).filter_map(|_| q.pop(|_| true)).map(|(t, _)| t).collect();
         assert!(order.contains(&"quiet".to_string()), "quiet starved: {order:?}");
     }
@@ -496,11 +405,10 @@ mod tests {
     #[test]
     fn caps_shed_with_retry_hint_and_count() {
         let mut q = queues("a:1,b:1", 4);
-        let now = Instant::now();
         // Per-tenant share of the global cap: 4 * 1/2 = 2 each.
-        assert!(matches!(q.admit("a", 1, now), Admitted::Queued));
-        assert!(matches!(q.admit("a", 2, now), Admitted::Queued));
-        match q.admit("a", 3, now) {
+        assert!(matches!(q.admit("a", 1), Admitted::Queued));
+        assert!(matches!(q.admit("a", 2), Admitted::Queued));
+        match q.admit("a", 3) {
             Admitted::Shed { job, retry_after_ms, reason } => {
                 assert_eq!(job, 3, "shed hands the job back");
                 assert!(retry_after_ms >= 50);
@@ -509,9 +417,9 @@ mod tests {
             _ => panic!("expected tenant-cap shed"),
         }
         // b can still queue: a's overflow never ate b's share.
-        assert!(matches!(q.admit("b", 4, now), Admitted::Queued));
-        assert!(matches!(q.admit("b", 5, now), Admitted::Queued));
-        match q.admit("b", 6, now) {
+        assert!(matches!(q.admit("b", 4), Admitted::Queued));
+        assert!(matches!(q.admit("b", 5), Admitted::Queued));
+        match q.admit("b", 6) {
             Admitted::Shed { reason, .. } => assert_eq!(reason, ShedReason::GlobalSaturated),
             _ => panic!("expected global shed at cap 4"),
         }
@@ -520,50 +428,27 @@ mod tests {
     }
 
     #[test]
-    fn retry_budget_exhaustion_degrades_then_recovers() {
-        let mut q = queues("flaky:1", 100);
-        let now = Instant::now();
-        for _ in 0..RETRY_BUDGET_MAX {
-            assert!(q.try_retry("flaky", now), "budget spends one per retry");
-        }
-        assert!(!q.try_retry("flaky", now), "exhausted budget refuses");
-        // Degraded: submissions shed immediately with the cooldown hint.
-        match q.admit("flaky", 1, now) {
-            Admitted::Shed { reason, retry_after_ms, .. } => {
-                assert_eq!(reason, ShedReason::Degraded);
-                assert!(retry_after_ms <= DEGRADED_COOLDOWN.as_millis() as u64);
-            }
-            _ => panic!("degraded tenant must shed"),
-        }
-        // After the cooldown, admission resumes at half budget.
-        let later = now + DEGRADED_COOLDOWN + Duration::from_millis(1);
-        assert!(matches!(q.admit("flaky", 2, later), Admitted::Queued));
-        let t = q.iter().find(|(n, _)| n.as_str() == "flaky").expect("tenant").1;
-        assert_eq!(t.retry_budget, RETRY_BUDGET_MAX / 2);
-        assert_eq!(t.degraded_events, 1);
-    }
-
-    #[test]
-    fn settle_replenishes_budget_and_tracks_active() {
+    fn settle_and_dead_letter_track_active() {
         let mut q = queues("t:1", 100);
-        let now = Instant::now();
-        assert!(matches!(q.admit("t", 1, now), Admitted::Queued));
+        for i in 0..2u32 {
+            assert!(matches!(q.admit("t", i), Admitted::Queued));
+        }
         let (tenant, _) = q.pop(|_| true).expect("job");
-        assert_eq!(q.iter().next().expect("t").1.active, 1);
-        assert!(q.try_retry(&tenant, now));
+        let _ = q.pop(|_| true).expect("job");
+        assert_eq!(q.iter().next().expect("t").1.active, 2);
         q.settle(&tenant, 120);
+        q.dead_letter(&tenant);
         let t = q.iter().next().expect("t").1;
         assert_eq!(t.active, 0);
         assert_eq!(t.done, 1);
-        assert_eq!(t.retry_budget, RETRY_BUDGET_MAX, "a finished job earns a token back");
+        assert_eq!(t.dead_letters, 1);
     }
 
     #[test]
     fn busy_jobs_are_skipped_in_place() {
         let mut q = queues("t:1", 100);
-        let now = Instant::now();
         for i in 0..3u32 {
-            assert!(matches!(q.admit("t", i, now), Admitted::Queued));
+            assert!(matches!(q.admit("t", i), Admitted::Queued));
         }
         // Job 0 is "busy" (its state dir is held): the pop takes job 1.
         let (_, job) = q.pop(|j| *j != 0).expect("job");
@@ -576,26 +461,12 @@ mod tests {
     #[test]
     fn unknown_tenants_auto_register_up_to_the_cap() {
         let mut q = queues("", 10_000);
-        let now = Instant::now();
         for i in 0..MAX_TENANTS {
-            assert!(matches!(q.admit(&format!("t{i}"), 0, now), Admitted::Queued));
+            assert!(matches!(q.admit(&format!("t{i}"), 0), Admitted::Queued));
         }
-        match q.admit("one-too-many", 0, now) {
+        match q.admit("one-too-many", 0) {
             Admitted::Refused { error, .. } => assert!(error.contains("too many tenants")),
             _ => panic!("tenant table must be bounded"),
         }
-    }
-
-    #[test]
-    fn requeue_front_runs_before_newer_work() {
-        let mut q = queues("t:1", 100);
-        let now = Instant::now();
-        for i in 0..3u32 {
-            assert!(matches!(q.admit("t", i, now), Admitted::Queued));
-        }
-        let (tenant, job) = q.pop(|_| true).expect("job");
-        assert_eq!(job, 0);
-        q.requeue_front(&tenant, job);
-        assert_eq!(q.pop(|_| true).expect("job").1, 0, "retry precedes newer jobs");
     }
 }

@@ -95,8 +95,6 @@ pub struct RuleReport {
     /// deadline expired during its check. The deadline is the only
     /// wall-clock input to a rule check.
     pub degraded: bool,
-    /// Retries the gate spent on this rule before it settled.
-    pub retries: u32,
     /// Aggregate engine statistics across test executions.
     pub stats: PipelineStats,
 }
@@ -169,7 +167,6 @@ impl RuleReport {
             off_tree_violations: Arc::new([]),
             unmatched_hits: 0,
             degraded: false,
-            retries: 0,
             stats: PipelineStats::default(),
         }
     }

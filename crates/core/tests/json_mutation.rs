@@ -23,7 +23,7 @@ const LINES: [&str; 9] = [
     r#"{"v":1,"op":"ping"}"#,
     r#"{"op":"ping"}"#,
     r#"{"v":1,"op":"gate","job_id":"fo1","tenant":"gold","system":"/tmp/sys dir","rules":"/tmp/rules.txt","fail_mode":"open"}"#,
-    r#"{"v":1,"op":"gate","job_id":"j-7","system":"café🦀","rules":"r\\s\"q\"","chaos":"panic-once"}"#,
+    r#"{"v":1,"op":"gate","job_id":"j-7","system":"café🦀","rules":"r\\s\"q\"","chaos":"stall"}"#,
     r#"{"v":1,"op":"stats"}"#,
     r#"{"v":1,"op":"verdict","job_id":"par-unix"}"#,
     r#"{"v":1,"op":"verdict","job_id":"\u0041\ud83d\ude00\n"}"#,

@@ -21,7 +21,6 @@ use lisa_corpus::{all_cases, case};
 use lisa_lang::Program;
 use lisa_oracle::{infer_rules, rescope, Scope, SemanticRule};
 use lisa_store::{scan, GateEvent};
-use lisa_util::RetryPolicy;
 
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
@@ -235,11 +234,8 @@ fn fault_injected_gates_are_width_invariant() {
         let reg = seeded_registry(&pool, seed);
         let ids: Vec<String> = reg.rules().iter().map(|r| r.id.clone()).collect();
         let run = |workers: usize| {
-            // No retries: a transient fault's engine error must land the
-            // same way at every width, not be timing-healed.
             let options = GateOptions {
                 faults: Some(FaultInjector::new(FaultPlan::random(seed, 0.5, &ids))),
-                retry: RetryPolicy::none(),
                 ..GateOptions::default()
             };
             let report =

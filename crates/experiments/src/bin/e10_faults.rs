@@ -1,8 +1,8 @@
 //! E10 — robustness: fault-injection sweep over the enforcement gate.
 //!
 //! Replay the full corpus through the gate while a seeded fault injector
-//! disrupts rule checks (panics, transient blips, solver-budget
-//! exhaustion, malformed conditions, stalls) at increasing rates, and
+//! disrupts rule checks (panics, solver-budget exhaustion, malformed
+//! conditions, stalls) at increasing rates, and
 //! measure:
 //!
 //! - **availability** — fraction of gate runs that returned a decision
@@ -12,8 +12,10 @@
 //! - **blocked (engine)** — fail-closed runs where a fault consumed the
 //!   check and the gate blocked rather than guessed,
 //! - **warned pass (open)** — the same faults under fail-open: the gate
-//!   stays available and flags the gap,
-//! - **retries** — transient faults absorbed by the bounded retry loop.
+//!   stays available and flags the gap.
+//!
+//! No fault is retried: a rule check is a pure function of its inputs,
+//! so a faulted check would fail the same way again.
 
 use lisa::report::Table;
 use lisa::{
@@ -29,7 +31,6 @@ struct Sweep {
     violation_blocks: usize,
     engine_blocks: usize,
     open_warned_passes: usize,
-    retries: u64,
 }
 
 fn run_sweep(rate: f64, seeds: &[u64]) -> Sweep {
@@ -41,7 +42,6 @@ fn run_sweep(rate: f64, seeds: &[u64]) -> Sweep {
         violation_blocks: 0,
         engine_blocks: 0,
         open_warned_passes: 0,
-        retries: 0,
     };
     for &seed in seeds {
         for (idx, case) in all_cases().into_iter().enumerate() {
@@ -71,7 +71,6 @@ fn run_sweep(rate: f64, seeds: &[u64]) -> Sweep {
                 if report.reports.len() == registry.len() {
                     out.decided += 1;
                 }
-                out.retries += report.retries;
                 let violated = report.reports.iter().any(|r| r.has_violation());
                 match fail_mode {
                     FailMode::Closed => {
@@ -124,7 +123,6 @@ fn main() {
         "blocked (violation)",
         "blocked (engine, closed)",
         "warned pass (open)",
-        "retries",
     ]);
     let mut baseline_violations = None;
     for rate in [0.0, 0.25, 0.5, 1.0] {
@@ -143,7 +141,6 @@ fn main() {
             format!("{}", s.violation_blocks),
             format!("{}", s.engine_blocks),
             format!("{}", s.open_warned_passes),
-            format!("{}", s.retries),
         ]);
         if let Some(base) = baseline_violations {
             assert!(
@@ -158,6 +155,6 @@ fn main() {
          exhausted budget, malformed condition, or stall ever aborts the gate. As the \
          rate climbs, completed-check detections decay and fail-closed converts the \
          consumed checks into engine blocks (safe), while fail-open converts them into \
-         warned passes (available); transient blips are absorbed by bounded retry."
+         warned passes (available)."
     );
 }

@@ -25,7 +25,6 @@ pub struct RuleOutcome {
     pub engine_errors: u64,
     pub degraded: bool,
     pub sanity_ok: bool,
-    pub retries: u64,
 }
 
 impl RuleOutcome {
@@ -73,7 +72,6 @@ impl GateEvent {
                 ("engine_errors", &o.engine_errors.to_string()),
                 ("degraded", if o.degraded { "1" } else { "0" }),
                 ("sanity_ok", if o.sanity_ok { "1" } else { "0" }),
-                ("retries", &o.retries.to_string()),
             ]),
             GateEvent::RunFinished { decision } => {
                 encode(&[("kind", "run-finished"), ("decision", decision)])
@@ -81,7 +79,9 @@ impl GateEvent {
         }
     }
 
-    /// Parse a journal record payload.
+    /// Parse a journal record payload. Fields a kind does not read are
+    /// ignored, so records written with fields since retired (the
+    /// `retries` count of `check-finished`) still decode.
     pub fn decode(payload: &[u8]) -> Result<GateEvent, String> {
         let fields = decode(payload)?;
         let kind = field(&fields, "kind")?;
@@ -100,7 +100,6 @@ impl GateEvent {
                     engine_errors: field_u64(&fields, "engine_errors")?,
                     degraded: field(&fields, "degraded")? == "1",
                     sanity_ok: field(&fields, "sanity_ok")? == "1",
-                    retries: field_u64(&fields, "retries")?,
                 },
             }),
             "run-finished" => {
@@ -125,7 +124,6 @@ mod tests {
             engine_errors: 0,
             degraded: false,
             sanity_ok: true,
-            retries: 2,
         }
     }
 
@@ -141,6 +139,29 @@ mod tests {
             let back = GateEvent::decode(&e.encode()).expect("decode");
             assert_eq!(&back, e);
         }
+    }
+
+    #[test]
+    fn check_finished_with_a_retired_retries_field_still_decodes() {
+        // A `check-finished` record as journals before schema 2 wrote it.
+        let o = sample_outcome("ZK-1208-r0", 1);
+        let old = encode(&[
+            ("kind", "check-finished"),
+            ("rule", &o.rule_id),
+            ("fp", &o.fingerprint),
+            ("verified", "1"),
+            ("violated", "1"),
+            ("not_covered", "0"),
+            ("engine_errors", "0"),
+            ("degraded", "0"),
+            ("sanity_ok", "1"),
+            ("retries", "2"),
+        ]);
+        let back = GateEvent::decode(&old).expect("old record decodes");
+        assert_eq!(back, GateEvent::RuleCheckFinished { outcome: o.clone() });
+        // Re-encoding writes no `retries` field.
+        let new = GateEvent::RuleCheckFinished { outcome: o }.encode();
+        assert!(!String::from_utf8_lossy(&new).contains("retries"));
     }
 
     #[test]

@@ -86,7 +86,6 @@ fn encode_entry(fp: &RuleFingerprint) -> Vec<u8> {
         ("engine_errors", &o.engine_errors.to_string()),
         ("degraded", if o.degraded { "1" } else { "0" }),
         ("sanity_ok", if o.sanity_ok { "1" } else { "0" }),
-        ("retries", &o.retries.to_string()),
     ])
 }
 
@@ -104,7 +103,6 @@ fn decode_entry(payload: &[u8]) -> Result<RuleFingerprint, String> {
         engine_errors: field_u64(&fields, "engine_errors")?,
         degraded: field(&fields, "degraded")? == "1",
         sanity_ok: field(&fields, "sanity_ok")? == "1",
-        retries: field_u64(&fields, "retries")?,
     };
     Ok(RuleFingerprint { dep_hash, outcome })
 }
@@ -123,7 +121,6 @@ mod tests {
             engine_errors: 0,
             degraded: false,
             sanity_ok: true,
-            retries: 0,
         }
     }
 

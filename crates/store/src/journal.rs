@@ -5,9 +5,10 @@
 //!
 //! - a **torn tail** (partial frame at EOF — the classic crash-mid-write
 //!   shape) is truncated away;
-//! - a **corrupt record** mid-file (checksum mismatch with framing
-//!   intact — a bit flip) is quarantined to `<journal>.quarantine` and
-//!   skipped; the records around it replay normally;
+//! - a **corrupt record** mid-file (a checksum mismatch — a bit flip in
+//!   its payload or its header) is quarantined to `<journal>.quarantine`
+//!   and skipped; the scan resynchronizes at the next intact frame, so
+//!   the records around it replay normally;
 //! - after any damage the journal is **compacted in place** (good records
 //!   rewritten via write-temp + fsync + rename), so a second open sees a
 //!   clean file and replay is idempotent.
@@ -86,40 +87,58 @@ pub struct Scan {
     pub torn_bytes: usize,
 }
 
-/// Scan `bytes` as a journal. Corrupt frames are collected (framing is
-/// intact, so the scan resynchronizes at the next frame); a partial frame
-/// at the tail stops the scan.
+/// Scan `bytes` as a journal. A damaged frame is collected as corrupt
+/// and the scan resynchronizes at the next intact frame, so a flipped
+/// length byte costs its own record, not every record after it. Damage
+/// that no intact frame follows is a torn tail, unless its header still
+/// frames a complete (corrupt) record.
 pub fn scan(bytes: &[u8]) -> Scan {
     let mut out = Scan::default();
     let mut off = 0usize;
     while off < bytes.len() {
-        let remaining = bytes.len() - off;
-        if remaining < FRAME_HEADER {
-            out.torn_bytes = remaining;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        if len > MAX_RECORD || (len as usize) > remaining - FRAME_HEADER {
-            // Garbage length or frame runs past EOF: treat everything
-            // from here as a torn tail.
-            out.torn_bytes = remaining;
-            break;
-        }
-        let crc = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap());
-        let payload = &bytes[off + FRAME_HEADER..off + FRAME_HEADER + len as usize];
-        let frame_end = off + FRAME_HEADER + len as usize;
-        if fnv1a(payload) == crc {
-            out.records.push(payload.to_vec());
+        if let Some(len) = intact_frame(bytes, off) {
+            let frame_end = off + FRAME_HEADER + len;
+            out.records.push(bytes[off + FRAME_HEADER..frame_end].to_vec());
             // Boundaries are offsets into the *compacted* stream of good
             // records, so they stay meaningful after quarantine rewrites.
             let prev = out.boundaries.last().copied().unwrap_or(0);
-            out.boundaries.push(prev + (FRAME_HEADER + len as usize) as u64);
-        } else {
-            out.corrupt.push(bytes[off..frame_end].to_vec());
+            out.boundaries.push(prev + (FRAME_HEADER + len) as u64);
+            off = frame_end;
+            continue;
         }
-        off = frame_end;
+        let resync = (off + 1..bytes.len()).find(|&at| intact_frame(bytes, at).is_some());
+        let end = resync.or_else(|| framed_end(bytes, off));
+        match end {
+            Some(end) => {
+                out.corrupt.push(bytes[off..end].to_vec());
+                off = end;
+            }
+            None => {
+                // Garbage length or frame runs past EOF: everything from
+                // here is a torn tail.
+                out.torn_bytes = bytes.len() - off;
+                break;
+            }
+        }
     }
     out
+}
+
+/// The end of the frame whose header starts at `off`, when the header
+/// holds a plausible length and the frame fits in `bytes`.
+fn framed_end(bytes: &[u8], off: usize) -> Option<usize> {
+    let header = bytes.get(off..off + FRAME_HEADER)?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+    let end = off + FRAME_HEADER + len as usize;
+    (len <= MAX_RECORD && end <= bytes.len()).then_some(end)
+}
+
+/// The payload length of the intact frame starting at `off`, if one does:
+/// it fits in `bytes` and its payload matches its checksum.
+fn intact_frame(bytes: &[u8], off: usize) -> Option<usize> {
+    let end = framed_end(bytes, off)?;
+    let crc = u64::from_le_bytes(bytes[off + 4..off + FRAME_HEADER].try_into().expect("8 bytes"));
+    (fnv1a(&bytes[off + FRAME_HEADER..end]) == crc).then_some(end - off - FRAME_HEADER)
 }
 
 /// Encode one frame.
@@ -491,6 +510,22 @@ mod tests {
         let (_, report) = Journal::open(&path, None).expect("reopen");
         assert_eq!(report.truncated_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flipped_length_byte_costs_only_its_own_record() {
+        let mut bytes = Vec::new();
+        for payload in [b"first".as_slice(), b"second-record", b"third", b"fourth"] {
+            bytes.extend_from_slice(&frame(payload));
+        }
+        // Grow the second record's length so its frame swallows the
+        // start of the third: the scan must not trust it.
+        let second = frame(b"first").len();
+        bytes[second] ^= 0x41;
+        let s = scan(&bytes);
+        assert_eq!(s.records, vec![b"first".to_vec(), b"third".to_vec(), b"fourth".to_vec()]);
+        assert_eq!(s.corrupt, vec![bytes[second..second + frame(b"second-record").len()].to_vec()]);
+        assert_eq!(s.torn_bytes, 0);
     }
 
     #[test]

@@ -243,7 +243,6 @@ mod tests {
             engine_errors: 0,
             degraded: false,
             sanity_ok: true,
-            retries: 0,
         }
     }
 

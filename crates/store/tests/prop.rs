@@ -45,7 +45,6 @@ fn arb_event(rng: &mut Prng) -> GateEvent {
                     engine_errors: rng.gen_index(2) as u64,
                     degraded: rng.gen_bool(0.2),
                     sanity_ok: rng.gen_bool(0.9),
-                    retries: rng.gen_index(4) as u64,
                 },
             }
         }
@@ -79,9 +78,9 @@ fn canon(s: &RunState) -> String {
     out.push_str(&format!("run_key={:?}\n", s.run_key));
     out.push_str(&format!("started={:?}\n", s.started));
     for o in &s.finished {
-        out.push_str(&format!("finished {} {:?} v={} x={} nc={} ee={} d={} s={} r={}\n",
+        out.push_str(&format!("finished {} {:?} v={} x={} nc={} ee={} d={} s={}\n",
             o.rule_id, o.fingerprint, o.verified, o.violated, o.not_covered,
-            o.engine_errors, o.degraded, o.sanity_ok, o.retries));
+            o.engine_errors, o.degraded, o.sanity_ok));
     }
     out.push_str(&format!("decision={:?}\n", s.decision));
     out

@@ -195,8 +195,9 @@ grep -q '"fresh":0' "$SMOKE/fo-restarted.out"
 "$LISA" submit --socket "$SMOKE/restart.sock" --op shutdown > /dev/null
 wait "$RESTARTED"
 RESTARTED=""
-# Replication is gone: its flags are refused like any unknown flag.
-for flag in follow repl-listen heartbeat-ms heartbeat-timeout-ms repl-fault-seed; do
+# Replication and in-process job retry are gone: their flags are refused
+# like any unknown flag.
+for flag in follow repl-listen heartbeat-ms heartbeat-timeout-ms repl-fault-seed max-attempts; do
     code=0
     "$LISA" serve --socket "$SMOKE/gone.sock" "--$flag" 1 2> "$SMOKE/gone.err" || code=$?
     test "$code" -eq 2
@@ -231,7 +232,6 @@ target/release/serve_load --addr "127.0.0.1:$SPORT" --clients 48 --window-ms 0 \
     > "$SMOKE/load.out"
 grep -Eq '"shed":[1-9]' "$SMOKE/load.out"
 grep -q '"alpha":{"weight":4,"queued":' "$SMOKE/load.out"
-grep -q '"retry_budget":' "$SMOKE/load.out"
 target/release/serve_load --addr "127.0.0.1:$SPORT" --clients 4 --window-ms 0 \
     --shutdown > /dev/null
 wait "$SERVE"

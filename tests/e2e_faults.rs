@@ -20,7 +20,6 @@ use lisa_analysis::TargetSpec;
 use lisa_concolic::{discover_tests, SystemVersion};
 use lisa_lang::Program;
 use lisa_oracle::SemanticRule;
-use lisa_util::RetryPolicy;
 
 /// A small multi-subsystem version: an ephemeral-session path (with or
 /// without the `closing` guard), a fully guarded checkout path, and a
@@ -105,18 +104,10 @@ fn fingerprints(reports: &[RuleReport]) -> HashMap<String, String> {
 }
 
 /// Which rules a plan will fault (probe a throwaway injector: `arm`
-/// answers `Some` on the first attempt for every injected kind).
+/// answers `Some` for every injected rule).
 fn faulted_rules(plan: &FaultPlan, ids: &[String]) -> HashSet<String> {
     let probe = FaultInjector::new(plan.clone());
     ids.iter().filter(|id| probe.arm(id).is_some()).cloned().collect()
-}
-
-fn quick_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 2,
-        initial_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(2),
-    }
 }
 
 #[test]
@@ -134,7 +125,6 @@ fn twenty_seeded_fault_plans_never_abort_and_spare_unaffected_rules() {
         let faulted = faulted_rules(&plan, &ids);
         let options = GateOptions {
             faults: Some(FaultInjector::new(plan)),
-            retry: quick_retry(),
             ..GateOptions::default()
         };
         let report = Gate::new(&reg).config(cfg.clone()).workers(2).options(options).run(&v);
@@ -173,14 +163,12 @@ fn each_fault_kind_is_contained_to_its_rule() {
 
     for kind in [
         FaultKind::Panic,
-        FaultKind::TransientPanic,
         FaultKind::SolverExhaustion,
         FaultKind::MalformedCondition,
         FaultKind::Stall,
     ] {
         let options = GateOptions {
             faults: Some(FaultInjector::new(FaultPlan::new().inject("SHOP-1", kind))),
-            retry: RetryPolicy::none(),
             ..GateOptions::default()
         };
         let report = Gate::new(&reg).config(cfg.clone()).workers(2).options(options).run(&v);
@@ -198,9 +186,7 @@ fn each_fault_kind_is_contained_to_its_rule() {
         }
         let shop = report.reports.iter().find(|r| r.rule_id == "SHOP-1").expect("SHOP-1");
         match kind {
-            FaultKind::Panic | FaultKind::TransientPanic | FaultKind::MalformedCondition => {
-                // No retries allowed, so even the transient blip becomes a
-                // contained engine error.
+            FaultKind::Panic | FaultKind::MalformedCondition => {
                 assert!(shop.has_engine_error(), "{kind:?} should be an engine error");
                 assert_eq!(report.engine_errors, 1, "{kind:?}");
             }
@@ -232,7 +218,6 @@ fn fail_closed_blocks_where_fail_open_passes_with_warning() {
         .workers(2)
         .options(GateOptions {
             faults: Some(FaultInjector::new(plan())),
-            retry: RetryPolicy::none(),
             ..GateOptions::default()
         })
         .run(&v);
@@ -246,7 +231,6 @@ fn fail_closed_blocks_where_fail_open_passes_with_warning() {
         .options(GateOptions {
             fail_mode: FailMode::Open,
             faults: Some(FaultInjector::new(plan())),
-            retry: RetryPolicy::none(),
             ..GateOptions::default()
         })
         .run(&v);
@@ -269,7 +253,6 @@ fn panic_isolation_is_deterministic_across_worker_counts() {
         let run = |workers: usize| {
             let options = GateOptions {
                 faults: Some(FaultInjector::new(FaultPlan::random(seed, 0.5, &ids))),
-                retry: RetryPolicy::none(),
                 ..GateOptions::default()
             };
             Gate::new(&reg).config(cfg.clone()).workers(workers).options(options).run(&v)
@@ -289,7 +272,6 @@ fn deadline_plus_faults_still_produce_a_complete_decision() {
     let options = GateOptions {
         deadline: Some(Duration::ZERO),
         faults: Some(FaultInjector::new(FaultPlan::new().inject("SHOP-2", FaultKind::Panic))),
-        retry: RetryPolicy::none(),
         ..GateOptions::default()
     };
     let report = Gate::new(&reg).config(config()).workers(1).options(options).run(&v);
@@ -404,6 +386,17 @@ fn cli_reserves_exit_two_for_true_engine_errors() {
     // gate may ask for review but must not claim the engine failed.
     let (code, out) = fx.gate(&["--max-solver-conflicts", "0"]);
     assert_ne!(code, 2, "budget exhaustion is not an engine error: {out}");
+}
+
+#[test]
+fn a_panicked_rule_is_named_in_its_reason_and_warning() {
+    let fx = Fixture::new("panic-id");
+    let seed = seed_for_kind("rule-2", FaultKind::Panic).to_string();
+    let (code, out) = fx.gate(&["--fault-seed", &seed, "--fault-rate", "1.0"]);
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains("        reason:  rule rule-2: check panicked: "), "{out}");
+    assert!(out.contains("warning: rule rule-2: engine error: check panicked: "), "{out}");
+    assert!(!out.contains("rule : "), "a panic report lost its rule id: {out}");
 }
 
 #[test]

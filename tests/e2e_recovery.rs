@@ -305,8 +305,6 @@ impl Daemon {
                 "2",
                 "--job-timeout-ms",
                 "1500",
-                "--max-attempts",
-                "2",
             ])
             .stdout(Stdio::null())
             .stderr(Stdio::null())
@@ -354,21 +352,29 @@ fn serve_daemon_keeps_exit_contract_and_survives_chaos() {
     assert_eq!(code, 1, "violations must block: {out}");
     assert!(out.contains("\"decision\":\"BLOCK\""), "{out}");
 
-    // A worker that panics once: the supervisor respawns it and the retry
-    // succeeds — same verdict as the undisturbed job.
+    // A worker that panics: the supervisor respawns it and dead-letters
+    // the job at once with exit 2 (the engine-error half of the
+    // contract), naming the cause.
     let (code, out) = submit(&[
-        "--system", &sys, "--rules", &strict, "--job-id", "flaky", "--chaos", "panic-once",
+        "--system", &sys, "--rules", &strict, "--job-id", "flaky", "--chaos", "panic",
     ]);
-    assert_eq!(code, 1, "retried job settles normally: {out}");
+    assert_eq!(code, 2, "panicked job must dead-letter: {out}");
+    assert!(out.contains("dead-letter") && out.contains("worker panicked"), "{out}");
+
+    // The client is the retry layer: resubmitting the same id without
+    // the drill settles with the undisturbed job's verdict.
+    let (code, out) = submit(&["--system", &sys, "--rules", &strict, "--job-id", "flaky"]);
+    assert_eq!(code, 1, "resubmitted job settles normally: {out}");
     assert!(out.contains("\"decision\":\"BLOCK\""), "{out}");
 
-    // A worker that panics every attempt: dead-lettered with exit 2 (the
-    // engine-error half of the contract).
+    // A drill the daemon does not know is refused, never run as a
+    // normal job.
     let (code, out) = submit(&[
-        "--system", &sys, "--rules", &strict, "--job-id", "poison", "--chaos", "panic",
+        "--system", &sys, "--rules", &strict, "--job-id", "odd", "--chaos", "panic-once",
     ]);
-    assert_eq!(code, 2, "poison job must dead-letter: {out}");
-    assert!(out.contains("dead-letter"), "{out}");
+    assert_eq!(code, 2, "unknown drill must be refused: {out}");
+    assert!(out.contains("bad-request"), "{out}");
+    assert!(!fx.dir.join("served/odd").exists(), "a refused drill ran a job");
 
     // Graceful drain: shutdown reply, then the daemon exits cleanly.
     let (code, out) = submit(&["--op", "shutdown"]);
@@ -392,14 +398,24 @@ fn serve_daemon_recovers_stalled_workers() {
     let sys = fx.path("sys");
     let strict = fx.path("strict.txt");
 
-    // Every attempt stalls past the 1.5s job timeout; the supervisor
-    // abandons each worker, retries, and dead-letters after max attempts.
+    // The job stalls past the 1.5s job timeout; the supervisor abandons
+    // the worker and dead-letters the job after that one run.
+    let started = Instant::now();
     let (code, out) = fx.run(&[
         "submit", "--socket", &daemon.socket, "--system", &sys, "--rules", &strict,
         "--job-id", "slow", "--chaos", "stall",
     ]);
+    let waited = started.elapsed();
     assert_eq!(code, 2, "stalled job dead-letters: {out}");
     assert!(out.contains("stalled"), "{out}");
+    let twice = Duration::from_millis(2 * 1500);
+    assert!(waited < twice, "dead-letter took {waited:?}, past 2x the job timeout");
+    let (code, out) = fx.run(&["submit", "--socket", &daemon.socket, "--op", "stats"]);
+    assert_eq!(code, 0, "{out}");
+    let line = out.lines().find(|l| l.starts_with('{')).expect("stats line");
+    let stats = lisa::Json::parse(line.trim()).expect("stats is valid JSON");
+    assert_eq!(stats.u64_of("respawned_workers"), Some(1), "one run, one respawn: {out}");
+    assert_eq!(stats.u64_of("dead_letters"), Some(1), "{out}");
 
     // The daemon is still healthy afterwards.
     let (code, out) =
