@@ -132,12 +132,12 @@ pub fn run_tests_budgeted(
     policy: &Policy,
     budget: &HarnessBudget,
 ) -> HarnessOutcome {
-    let mut batch_span = lisa_telemetry::span("concolic.run");
-    let started = Instant::now();
+    // A budget too large to add to the clock is no budget at all.
+    let deadline = budget.wall.and_then(|w| Instant::now().checked_add(w));
     let mut runs = Vec::with_capacity(tests.len());
     let mut truncated = false;
     for t in tests {
-        if budget.wall.is_some_and(|w| started.elapsed() >= w) {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             truncated = true;
             lisa_telemetry::counter_add("concolic.tests_truncated", (tests.len() - runs.len()) as u64);
             lisa_telemetry::event(
@@ -147,7 +147,6 @@ pub fn run_tests_budgeted(
             break;
         }
         let mut test_span = lisa_telemetry::span_with("concolic.test", t.name.as_str());
-        let test_started = Instant::now();
         let mut interp = match budget.max_steps_per_test {
             Some(max_steps) => {
                 Interp::with_config(program, RunConfig { max_steps, ..RunConfig::default() })
@@ -172,10 +171,6 @@ pub fn run_tests_budgeted(
                 stats.constraints_invalidated,
             );
             lisa_telemetry::counter_add("concolic.target_hits", tracer.hits.len() as u64);
-            lisa_telemetry::histogram_record(
-                "concolic.test_us",
-                test_started.elapsed().as_micros() as u64,
-            );
         }
         runs.push(TestRun {
             test: t.name.clone(),
@@ -185,9 +180,6 @@ pub fn run_tests_budgeted(
             steps: interp.stats.steps,
         });
     }
-    batch_span.arg("tests", tests.len() as u64);
-    batch_span.arg("executed", runs.len() as u64);
-    batch_span.arg("truncated", u64::from(truncated));
     HarnessOutcome { runs, truncated }
 }
 

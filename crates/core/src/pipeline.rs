@@ -270,13 +270,10 @@ impl Pipeline {
         let started = Instant::now();
         let mut rule_span = lisa_telemetry::span_with("pipeline.rule", rule.id.as_str());
         rule_span.arg("degraded_mode", u64::from(degraded_mode));
-        let metrics_on = lisa_telemetry::metrics_enabled();
         let budgets = self.budgets(degraded_mode);
         let mut stats = PipelineStats::default();
         let program = &version.program;
-        let t_callgraph = Instant::now();
         let graph = CallGraph::build(program);
-        let t_tree = Instant::now();
         let prefix = &self.config.test_prefix;
         let tree = execution_tree_filtered(&graph, &rule.target, self.config.tree_limits, &|f| {
             f.starts_with(prefix)
@@ -285,7 +282,6 @@ impl Pipeline {
 
         // Placeholder aliases, unioned across chains (constraint renaming
         // is (function, path)-keyed, so the union is chain-safe).
-        let t_aliases = Instant::now();
         let mut aliases = AliasMap::default();
         {
             let _s = lisa_telemetry::span("pipeline.aliases");
@@ -308,7 +304,6 @@ impl Pipeline {
 
         // Test selection; degraded mode keeps only the best-ranked test
         // (the fixed-path sanity check).
-        let t_select = Instant::now();
         let selected = {
             let _s = lisa_telemetry::span("pipeline.select");
             self.select_tests(version, &tree, &graph, rule)
@@ -329,7 +324,7 @@ impl Pipeline {
 
         // Concolic execution under the step budget: each selected test
         // runs as its own batch, checking the deadline before it starts.
-        let t_concolic = Instant::now();
+        let mut concolic_span = lisa_telemetry::span("concolic.run");
         let outcomes: Vec<HarnessOutcome> = selected
             .iter()
             .map(|test| {
@@ -351,9 +346,11 @@ impl Pipeline {
             .collect();
         let runs: Vec<_> = outcomes.iter().flat_map(|o| o.runs.iter()).collect();
         stats.tests_executed = runs.len() as u64;
+        concolic_span.arg("tests", stats.tests_selected);
+        concolic_span.arg("executed", stats.tests_executed);
+        drop(concolic_span);
 
         // Judge every arrival; fold onto static chains.
-        let t_judge = Instant::now();
         let judge_span = lisa_telemetry::span("pipeline.judge");
         let mut chain_reports: Vec<ChainReport> = tree
             .chains
@@ -437,33 +434,7 @@ impl Pipeline {
             .any(|c| matches!(c.verdict, ChainVerdict::Verified));
         let degraded = degraded_mode || deadline_hit;
         stats.wall = started.elapsed();
-        if metrics_on {
-            let t_end = Instant::now();
-            lisa_telemetry::histogram_record(
-                "stage.callgraph_us",
-                t_tree.duration_since(t_callgraph).as_micros() as u64,
-            );
-            lisa_telemetry::histogram_record(
-                "stage.tree_us",
-                t_aliases.duration_since(t_tree).as_micros() as u64,
-            );
-            lisa_telemetry::histogram_record(
-                "stage.aliases_us",
-                t_select.duration_since(t_aliases).as_micros() as u64,
-            );
-            lisa_telemetry::histogram_record(
-                "stage.select_us",
-                t_concolic.duration_since(t_select).as_micros() as u64,
-            );
-            lisa_telemetry::histogram_record(
-                "stage.concolic_us",
-                t_judge.duration_since(t_concolic).as_micros() as u64,
-            );
-            lisa_telemetry::histogram_record(
-                "stage.judge_us",
-                t_end.duration_since(t_judge).as_micros() as u64,
-            );
-            lisa_telemetry::histogram_record("pipeline.rule_us", stats.wall.as_micros() as u64);
+        if lisa_telemetry::metrics_enabled() {
             lisa_telemetry::counter_add("pipeline.rules_checked", 1);
             if degraded {
                 lisa_telemetry::counter_add("pipeline.rules_degraded", 1);

@@ -24,8 +24,8 @@
 //!   abandoned predecessor on the same journal).
 //!
 //! The daemon is **multi-tenant**: a gate request may carry a `tenant`
-//! field routing it to that tenant's bounded queue, rule registry, and
-//! version-scoped cache. Dequeue is weighted-fair (stride scheduling
+//! field routing it to that tenant's bounded queue and version-scoped
+//! cache. Dequeue is weighted-fair (stride scheduling
 //! over `--tenants` weights via [`crate::tenant::FairQueues`]), and
 //! admission control sheds explicitly — a saturated tenant or global
 //! queue answers `{"status":"shed","retry_after_ms":...}` immediately
@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 use lisa_concolic::{discover_tests, SystemVersion};
 use lisa_lang::Program;
 use lisa_oracle::{author_rule, SemanticRule};
-use lisa_store::journal::{fnv1a, Journal};
+use lisa_store::journal::{fnv1a, read_atomic, write_atomic};
 use lisa_store::repl::ReplBus;
 use lisa_store::{scan, IoFaults, RuleOutcome, RunState, RunStore, StoreError};
 use lisa_util::Fnv1a;
@@ -136,11 +136,6 @@ pub fn load_system(dir: &str, test_prefix: &str) -> Result<SystemVersion, String
 /// Parse a rules file of authoring-template sentences.
 pub fn load_rules(path: &str) -> Result<Vec<SemanticRule>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    parse_rules_text(path, &text)
-}
-
-/// Parse rules from already-read text (`path` labels errors only).
-fn parse_rules_text(path: &str, text: &str) -> Result<Vec<SemanticRule>, String> {
     let mut rules = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -445,7 +440,7 @@ pub fn gate_durable(
 ) -> Result<DurableGateReport, StoreError> {
     let rules = registry.rules();
     let key = durable_key(version, rules, config, gate);
-    let mut run_span = lisa_telemetry::span_with("service.durable_run", key.clone());
+    let mut run_span = lisa_telemetry::span_with("service.durable_run", key.as_str());
     let mut store = RunStore::open_replicated(
         &durable.state_dir,
         &key,
@@ -538,7 +533,8 @@ pub struct ServeConfig {
     pub state_root: PathBuf,
     /// Worker threads.
     pub workers: usize,
-    /// Queue capacity; submissions beyond it get an `overloaded` reply.
+    /// Queue capacity; submissions beyond it get a `shed` reply with a
+    /// `retry_after_ms` hint.
     pub queue_cap: usize,
     /// A worker making no progress on its job for this long is
     /// considered stalled: abandoned, its job dead-lettered. Progress is
@@ -601,6 +597,8 @@ struct Job {
     /// Test hook: a drill that breaks the worker running this job.
     chaos: Option<Chaos>,
     stream: Stream,
+    /// When the job was admitted: its queue wait ends at dequeue.
+    admitted: Instant,
 }
 
 /// A chaos drill a gate request on the unix socket may ask for.
@@ -615,13 +613,15 @@ enum Chaos {
 
 /// A worker's in-flight job: parked here while processing so the
 /// supervisor can recover it from a panicked or stalled thread. The
-/// `Instant` is the job's last heartbeat, refreshed per settled rule.
+/// `Instant` is the job's last heartbeat, refreshed per settled rule;
+/// the `Duration` is its tenant's stall timeout, read from the queue
+/// when the job was dequeued.
 ///
 /// A slot is owned by exactly one live worker: when the supervisor
 /// abandons a stalled worker it replaces the slot (and the worker) in
 /// the pool, so the abandoned thread's `take()` can only ever see its
 /// own job or `None` — never a job a replacement worker parked later.
-type Slot = Arc<Mutex<Option<(Job, Instant)>>>;
+type Slot = Arc<Mutex<Option<(Job, Instant, Duration)>>>;
 
 /// One pool entry: the worker thread, the slot it parks jobs in, and the
 /// cancellation flag the supervisor raises when abandoning it.
@@ -652,10 +652,10 @@ struct Shared {
     /// the view always reflects the live pool — an abandoned thread's
     /// stale slot is unreachable from here.
     worker_slots: Mutex<Vec<Slot>>,
-    /// Per-tenant execution state (rule registries, verdict cache).
-    /// Isolation, not just bookkeeping: one tenant's cached verdicts
-    /// and parsed rules are invisible to every other tenant's jobs.
-    runtimes: Mutex<HashMap<String, Arc<TenantRuntime>>>,
+    /// Each tenant's version-scoped verdict cache. Isolation, not just
+    /// bookkeeping: one tenant's cached verdicts are invisible to every
+    /// other tenant's jobs.
+    caches: Mutex<HashMap<String, Arc<GateCache>>>,
     /// Connections currently parked in the readiness loop across every
     /// listener (the `stats` key keeps its historical `listen_conns`
     /// name), refreshed each supervision tick.
@@ -663,48 +663,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn runtime(&self, tenant: &str) -> Arc<TenantRuntime> {
-        let mut map = self.runtimes.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(map.entry(tenant.to_string()).or_insert_with(|| {
-            Arc::new(TenantRuntime {
-                cache: Arc::new(GateCache::new()),
-                rules: Mutex::new(HashMap::new()),
-            })
-        }))
-    }
-}
-
-/// Distinct rule sets a tenant's registry memo holds before it is
-/// flushed wholesale (rule files are tiny; the bound exists so a tenant
-/// cycling file contents cannot grow daemon memory without limit).
-const RULES_MEMO_CAP: usize = 32;
-
-/// One tenant's runtime: the version-scoped verdict cache its jobs
-/// share, and parsed rule sets memoized by rules-file content hash.
-struct TenantRuntime {
-    cache: Arc<GateCache>,
-    rules: Mutex<HashMap<u64, Arc<Vec<SemanticRule>>>>,
-}
-
-impl TenantRuntime {
-    /// Load the rule set at `path`, reusing the parse when the file
-    /// content is unchanged.
-    fn load_rules(&self, path: &str) -> Result<Arc<Vec<SemanticRule>>, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        let key = fnv1a(text.as_bytes());
-        {
-            let memo = self.rules.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(rules) = memo.get(&key) {
-                return Ok(Arc::clone(rules));
-            }
-        }
-        let rules = Arc::new(parse_rules_text(path, &text)?);
-        let mut memo = self.rules.lock().unwrap_or_else(|p| p.into_inner());
-        if memo.len() >= RULES_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(key, Arc::clone(&rules));
-        Ok(rules)
+    fn cache(&self, tenant: &str) -> Arc<GateCache> {
+        let mut map = self.caches.lock().unwrap_or_else(|p| p.into_inner());
+        Arc::clone(map.entry(tenant.to_string()).or_default())
     }
 }
 
@@ -860,13 +821,9 @@ fn process_job(
     progress: Arc<dyn Fn() + Send + Sync>,
 ) -> Result<DurableGateReport, String> {
     let version = load_system(system, "test_")?;
-    // The tenant's own registry and cache: rule sets are memoized per
-    // tenant by file content, and verdict reuse never crosses tenants.
-    let runtime = shared.runtime(tenant);
-    let rules = runtime.load_rules(rules_path)?;
     let mut registry = RuleRegistry::new();
-    for r in rules.iter() {
-        registry.register(r.clone());
+    for r in load_rules(rules_path)? {
+        registry.register(r);
     }
     let config = PipelineConfig { selection: TestSelection::All, ..PipelineConfig::default() };
     let gate = GateOptions { fail_mode, ..GateOptions::default() };
@@ -874,7 +831,8 @@ fn process_job(
         state_dir: shared.state_root.join(sanitize(job_id)),
         progress: Some(progress),
         cancel: Some(cancel),
-        cache: Some(Arc::clone(&runtime.cache)),
+        // The tenant's own cache: verdict reuse never crosses tenants.
+        cache: Some(shared.cache(tenant)),
         ..DurableOptions::default()
     };
     gate_durable(&registry, &version, &config, &gate, &durable).map_err(|e| e.to_string())
@@ -898,10 +856,12 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
                 // must never race its abandoned predecessor on the same
                 // journal, and duplicate job ids serialize.
                 let QueueState { queues, busy_dirs } = &mut *q;
-                if let Some((_, job)) = queues.pop(|j| !busy_dirs.contains(&sanitize(&j.id))) {
+                if let Some((job, timeout)) =
+                    queues.pop(|j| !busy_dirs.contains(&sanitize(&j.id)))
+                {
                     let key = sanitize(&job.id);
                     busy_dirs.insert(key.clone());
-                    break Some((job, key));
+                    break Some((job, timeout, key));
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
@@ -913,7 +873,13 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
                 q = guard;
             }
         };
-        let Some((job, key)) = popped else { return };
+        let Some((job, timeout, key)) = popped else { return };
+        // A cross-thread interval no span can time: admission on the
+        // supervisor, dequeue here.
+        lisa_telemetry::histogram_record(
+            "serve.queue_wait_us",
+            job.admitted.elapsed().as_micros() as u64,
+        );
         // Released on every exit from this iteration — completion, chaos
         // panic unwind, or cancelled abandonment.
         let _dir = DirGuard { shared: Arc::clone(&shared), key };
@@ -925,12 +891,12 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
             job.fail_mode,
             job.chaos,
         );
+        let mut job_span = lisa_telemetry::span_with("serve.job", id.as_str());
         let job_started = Instant::now();
-        let mut job_span = lisa_telemetry::span_with("serve.job", id.clone());
         // Park the job (with its response stream) in the slot FIRST: from
         // here on, a panic or stall loses nothing — the supervisor
         // recovers the job from the slot.
-        *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some((job, Instant::now()));
+        *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some((job, job_started, timeout));
         match chaos {
             Some(Chaos::Panic) => panic!("{FAULT_PANIC_PREFIX} chaos panic for job {id}"),
             Some(Chaos::Stall) => {
@@ -948,7 +914,7 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
         }
         let beat_slot = Arc::clone(&slot);
         let progress: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-            if let Some((_, beat)) =
+            if let Some((_, beat, _)) =
                 beat_slot.lock().unwrap_or_else(|p| p.into_inner()).as_mut()
             {
                 *beat = Instant::now();
@@ -967,7 +933,7 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
         // Take the job back; if the supervisor already recovered it (it
         // judged us stalled), it owns the reply — do not double-respond.
         let taken = slot.lock().unwrap_or_else(|p| p.into_inner()).take();
-        let Some((mut job, _)) = taken else { continue };
+        let Some((mut job, _, _)) = taken else { continue };
         let line = match &result {
             Ok(report) => done_response(&job.id, report),
             Err(e) => error_response(&job.id, "error", e),
@@ -985,7 +951,6 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
             .settle(&job.tenant, elapsed_us / 1000);
         job_span.arg("failed", u64::from(result.is_err()));
         if lisa_telemetry::metrics_enabled() {
-            lisa_telemetry::histogram_record("serve.job_us", elapsed_us);
             lisa_telemetry::histogram_record(&format!("serve.job_us.{}", job.tenant), elapsed_us);
             lisa_telemetry::counter_add("serve.jobs_done", 1);
             if result.is_err() {
@@ -1057,35 +1022,25 @@ fn answer_refused(pumped: Pumped, stats: &mut ServeStats) -> Vec<(Port, Stream, 
 /// I/O; readiness wakes the loop at once.
 const SUPERVISION_TICK: Duration = Duration::from_millis(10);
 
-/// How often the daemon journals a metrics snapshot while running.
+/// How often the daemon persists a metrics snapshot while running.
 const METRICS_SNAPSHOT_INTERVAL: Duration = Duration::from_secs(2);
 
-/// Open the daemon's persisted-metrics journal under the state root and
-/// restore the last snapshot into the live telemetry registry, so
-/// cumulative `stats` counters and timings survive a restart. The journal
-/// holds one snapshot record, rewritten in place (reset + append); a
-/// crash between the two loses at most one snapshot interval.
-fn open_metrics_journal(state_root: &Path) -> Option<Journal> {
-    let path = state_root.join("metrics.journal");
-    match Journal::open(&path, None) {
-        Ok((journal, report)) => {
-            if let Some(last) = report.records.last() {
-                restore_metrics(last);
-            }
-            Some(journal)
-        }
-        Err(e) => {
-            lisa_telemetry::note("serve", || format!("metrics journal unavailable: {e}"));
-            None
-        }
-    }
+/// Where the daemon persists its metrics snapshot under the state root,
+/// so cumulative `stats` counters and timings survive a restart. The
+/// file holds one checksummed frame, replaced whole (temp + fsync +
+/// rename): a crash at any point leaves the previous snapshot or the
+/// next, so at most one snapshot interval is lost. A snapshot written
+/// by older daemons, a one-record journal, is the same single frame.
+fn metrics_path(state_root: &Path) -> PathBuf {
+    state_root.join("metrics.journal")
 }
 
-/// Replay one persisted metrics snapshot (the `metrics_json` format) into
-/// the live registry. Malformed snapshots are ignored — restoring metrics
-/// is never worth failing the daemon over.
-fn restore_metrics(bytes: &[u8]) {
-    let Ok(text) = std::str::from_utf8(bytes) else { return };
+/// Replay the persisted metrics snapshot (the `metrics_json` format)
+/// into the live registry. A missing, damaged or malformed snapshot is
+/// ignored — restoring metrics is never worth failing the daemon over.
+fn restore_metrics(path: &Path) {
+    let Some(bytes) = read_atomic(path) else { return };
+    let Ok(text) = std::str::from_utf8(&bytes) else { return };
     let Ok(snap) = Json::parse(text) else { return };
     if let Some(Json::Obj(counters)) = snap.get("counters") {
         for (name, value) in counters {
@@ -1108,15 +1063,16 @@ fn restore_metrics(bytes: &[u8]) {
     }
 }
 
-/// Journal the current metrics snapshot, replacing the previous one. On
-/// any I/O failure the journal is dropped for the rest of the run —
+/// Persist the current metrics snapshot, replacing the previous one. On
+/// any I/O failure persistence is dropped for the rest of the run —
 /// best-effort persistence must not wedge the supervisor.
-fn snapshot_metrics(journal: &mut Option<Journal>) {
-    let Some(j) = journal else { return };
-    let payload = lisa_telemetry::metrics_json();
-    if j.reset().is_err() || j.append(payload.as_bytes()).is_err() {
-        lisa_telemetry::note("serve", || "metrics snapshot failed; persistence disabled".into());
-        *journal = None;
+fn snapshot_metrics(path: &mut Option<PathBuf>) {
+    let Some(p) = path else { return };
+    if let Err(e) = write_atomic(p, lisa_telemetry::metrics_json().as_bytes()) {
+        lisa_telemetry::note("serve", || {
+            format!("metrics snapshot failed ({e}); persistence disabled")
+        });
+        *path = None;
     }
 }
 
@@ -1147,7 +1103,9 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
     if lisa_telemetry::config() == lisa_telemetry::TelemetryConfig::Off {
         lisa_telemetry::init(lisa_telemetry::TelemetryConfig::MetricsOnly);
     }
-    let mut metrics_journal = open_metrics_journal(&config.state_root);
+    let metrics_file = metrics_path(&config.state_root);
+    restore_metrics(&metrics_file);
+    let mut metrics_snapshot = Some(metrics_file);
     let mut last_snapshot = Instant::now();
     let mut stats = ServeStats::default();
 
@@ -1183,7 +1141,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
         jobs_done: AtomicU64::new(0),
         state_root: config.state_root.clone(),
         worker_slots: Mutex::new(Vec::new()),
-        runtimes: Mutex::new(HashMap::new()),
+        caches: Mutex::new(HashMap::new()),
         listen_conns: AtomicU64::new(0),
     });
     let mut pool: Vec<Worker> = (0..workers).map(|i| spawn_worker(&shared, i)).collect();
@@ -1208,15 +1166,9 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
         shared.listen_conns.store(gate.open_conns() as u64, Ordering::Relaxed);
 
         // 2. Reap panicked workers, abandon stalled ones; recover jobs.
-        // Stall detection honors per-tenant job timeouts; the roster is
-        // snapshotted first so the queue lock is never taken while a
+        // Stall detection honors per-tenant job timeouts, parked in the
+        // slot with the job, so the queue lock is never taken while a
         // slot lock is held (lock order stays one-way).
-        let tenant_timeouts = shared
-            .queue
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .queues
-            .timeouts();
         for (widx, worker) in pool.iter_mut().enumerate() {
             let panicked = worker.handle.as_ref().is_some_and(|h| h.is_finished())
                 && !shared.shutdown.load(Ordering::SeqCst);
@@ -1225,13 +1177,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .as_ref()
-                .is_some_and(|(job, beat)| {
-                    let limit = tenant_timeouts
-                        .get(&job.tenant)
-                        .copied()
-                        .unwrap_or(config.job_timeout);
-                    beat.elapsed() > limit
-                });
+                .is_some_and(|(_, beat, timeout)| beat.elapsed() > *timeout);
             if !panicked && !stalled {
                 continue;
             }
@@ -1241,7 +1187,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
             // The job is dead-lettered at once, naming the cause; the
             // client decides whether to submit it again.
             let recovered = worker.slot.lock().unwrap_or_else(|p| p.into_inner()).take();
-            if let Some((mut job, _)) = recovered {
+            if let Some((mut job, _, _)) = recovered {
                 let why =
                     if stalled { "worker stalled past the job timeout" } else { "worker panicked" };
                 send(&mut job.stream, &error_response(&job.id, "dead-letter", why));
@@ -1276,10 +1222,10 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
             );
         }
 
-        // 3. Periodically journal a metrics snapshot so cumulative stats
+        // 3. Periodically persist a metrics snapshot so cumulative stats
         // survive a daemon restart.
         if last_snapshot.elapsed() >= METRICS_SNAPSHOT_INTERVAL {
-            snapshot_metrics(&mut metrics_journal);
+            snapshot_metrics(&mut metrics_snapshot);
             last_snapshot = Instant::now();
         }
 
@@ -1310,7 +1256,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
         }
     }
     stats.jobs_done = shared.jobs_done.load(Ordering::Relaxed);
-    snapshot_metrics(&mut metrics_journal);
+    snapshot_metrics(&mut metrics_snapshot);
     let _ = std::fs::remove_file(&config.socket);
     Ok(stats)
 }
@@ -1334,17 +1280,22 @@ fn spawn_worker(shared: &Arc<Shared>, index: usize) -> Worker {
     Worker { handle: Some(handle), slot, cancel }
 }
 
-/// Timing histograms surfaced (as p50/p95 summaries) in the `stats`
-/// reply. Everything else is still in the full `counters` object.
-const STATS_TIMINGS: [&str; 8] = [
+/// Timing histograms surfaced (as p50/p95/p99 summaries) in the `stats`
+/// reply: the layers a served job passes through, in order. Each but
+/// the queue wait is a span's `<name>_us`.
+const STATS_TIMINGS: [&str; 12] = [
+    "serve.queue_wait_us",
     "serve.job_us",
+    "lang.load_us",
+    "service.durable_run_us",
+    "gate.enforce_us",
     "pipeline.rule_us",
-    "stage.callgraph_us",
-    "stage.tree_us",
-    "stage.select_us",
-    "stage.concolic_us",
-    "stage.judge_us",
-    "smt.query_us",
+    "analysis.callgraph_us",
+    "concolic.run_us",
+    "pipeline.judge_us",
+    "smt.check_us",
+    "store.append_us",
+    "store.fsync_us",
 ];
 
 /// The cumulative telemetry counters as one JSON object.
@@ -1360,7 +1311,7 @@ fn counters_json() -> String {
     counters
 }
 
-/// The per-stage timing summaries as one JSON object.
+/// The per-layer timing summaries as one JSON object.
 fn timings_json() -> String {
     let mut timings = String::from("{");
     let hists = lisa_telemetry::histograms_snapshot();
@@ -1419,7 +1370,7 @@ fn tenants_json(shared: &Arc<Shared>) -> String {
 
 /// Build the one-line `stats` reply: queue depth, per-worker states,
 /// per-tenant summaries, cumulative telemetry counters (restored across
-/// restarts via the metrics journal), and per-stage timing summaries.
+/// restarts via the metrics snapshot), and per-layer timing summaries.
 fn stats_response(shared: &Arc<Shared>, stats: &ServeStats) -> String {
     let queued = shared.queue.lock().unwrap_or_else(|p| p.into_inner()).queues.queued_total();
     let resolved_workers;
@@ -1432,7 +1383,7 @@ fn stats_response(shared: &Arc<Shared>, stats: &ServeStats) -> String {
                 workers.push(',');
             }
             match slot.lock().unwrap_or_else(|p| p.into_inner()).as_ref() {
-                Some((job, beat)) => workers.push_str(&format!(
+                Some((job, beat, _)) => workers.push_str(&format!(
                     "{{\"worker\":{i},\"state\":\"busy\",\"job_id\":\"{}\",\"since_heartbeat_ms\":{}}}",
                     escape(&job.id),
                     beat.elapsed().as_millis(),
@@ -1527,6 +1478,7 @@ fn dispatch_request(
                 fail_mode,
                 chaos,
                 stream,
+                admitted: Instant::now(),
             };
             let admitted = shared
                 .queue
@@ -1849,5 +1801,31 @@ mod tests {
         assert!(!sanitize("").is_empty());
         // Deterministic: a resubmitted job lands in the same dir.
         assert_eq!(sanitize("a/b"), sanitize("a/b"));
+    }
+
+    #[test]
+    fn metrics_snapshot_restores_whole_or_not_at_all() {
+        // Restoring adds the snapshot onto the live registry, so the
+        // marker counter reads its value twice after one good restore.
+        // Other tests in this binary may add counters meanwhile, but
+        // never this one.
+        let before = lisa_telemetry::config();
+        lisa_telemetry::init(lisa_telemetry::TelemetryConfig::MetricsOnly);
+        let marker = "test.metrics_snapshot.marker";
+        lisa_telemetry::counter_add(marker, 7);
+        let dir = tmpdir("metrics-snapshot");
+        let mut path = Some(metrics_path(&dir));
+        snapshot_metrics(&mut path);
+        let path = path.expect("the snapshot was written");
+        let whole = std::fs::read(&path).expect("snapshot file");
+        restore_metrics(&path);
+        assert_eq!(lisa_telemetry::counter_value(marker), 14, "restored once");
+        for len in 0..whole.len() {
+            std::fs::write(&path, &whole[..len]).expect("cut snapshot");
+            restore_metrics(&path);
+            assert_eq!(lisa_telemetry::counter_value(marker), 14, "cut to {len} bytes");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        lisa_telemetry::init(before);
     }
 }

@@ -217,13 +217,6 @@ impl<J> FairQueues<J> {
         self.tenants.iter()
     }
 
-    /// The stall timeout for each known tenant (snapshotted so the
-    /// supervisor can consult it without holding the queue lock while it
-    /// holds a worker-slot lock).
-    pub fn timeouts(&self) -> BTreeMap<String, Duration> {
-        self.tenants.iter().map(|(name, t)| (name.clone(), t.job_timeout)).collect()
-    }
-
     fn total_weight(&self) -> u64 {
         self.tenants.values().map(|t| t.weight).sum::<u64>().max(1)
     }
@@ -287,25 +280,26 @@ impl<J> FairQueues<J> {
     /// Dequeue the next job under weighted fairness: among tenants with
     /// at least one `dequeuable` job, pick the lowest stride pass, pop
     /// that tenant's first dequeuable job, and charge its pass. Jobs
-    /// failing `dequeuable` (busy state dirs) are skipped in place.
-    pub fn pop(&mut self, dequeuable: impl Fn(&J) -> bool) -> Option<(String, J)> {
-        let mut best: Option<(&String, usize, u64)> = None;
-        for (name, t) in &self.tenants {
+    /// failing `dequeuable` (busy state dirs) are skipped in place. The
+    /// job comes back with its tenant's stall timeout, so the supervisor
+    /// reads the timeout from the worker's slot, never from the queue.
+    pub fn pop(&mut self, dequeuable: impl Fn(&J) -> bool) -> Option<(J, Duration)> {
+        let mut best: Option<(&mut Tenant<J>, usize)> = None;
+        for t in self.tenants.values_mut() {
+            if best.as_ref().is_some_and(|(b, _)| b.pass <= t.pass) {
+                continue;
+            }
             if let Some(idx) = t.queue.iter().position(&dequeuable) {
-                if best.is_none_or(|(_, _, pass)| t.pass < pass) {
-                    best = Some((name, idx, t.pass));
-                }
+                best = Some((t, idx));
             }
         }
-        let (name, idx, _) = best?;
-        let name = name.clone();
-        let t = self.tenants.get_mut(&name).expect("picked above");
+        let (t, idx) = best?;
         let job = t.queue.remove(idx).expect("indexed job");
         self.virtual_time = t.pass;
         t.pass += t.stride;
         t.active += 1;
         self.queued_total -= 1;
-        Some((name, job))
+        Some((job, t.job_timeout))
     }
 
     /// A worker settled a job for `tenant` (reply sent). `elapsed_ms`
@@ -375,8 +369,9 @@ mod tests {
         let mut heavy = 0;
         let mut light = 0;
         for _ in 0..40 {
-            match q.pop(|_| true).expect("job").0.as_str() {
-                "heavy" => heavy += 1,
+            // Heavy jobs are numbered below 100, light ones from 100.
+            match q.pop(|_| true).expect("job").0 {
+                0..100 => heavy += 1,
                 _ => light += 1,
             }
         }
@@ -393,13 +388,13 @@ mod tests {
         }
         // Drain a while: the noisy tenant's pass advances.
         for _ in 0..20 {
-            assert_eq!(q.pop(|_| true).expect("job").0, "noisy");
+            assert!(q.pop(|_| true).expect("job").0 < 50, "a noisy job");
         }
         // A quiet job arriving now re-enters at virtual time and must be
         // served within two dequeues, not after the noisy backlog.
         assert!(matches!(q.admit("quiet", 999), Admitted::Queued));
-        let order: Vec<String> = (0..2).filter_map(|_| q.pop(|_| true)).map(|(t, _)| t).collect();
-        assert!(order.contains(&"quiet".to_string()), "quiet starved: {order:?}");
+        let order: Vec<u32> = (0..2).filter_map(|_| q.pop(|_| true)).map(|(j, _)| j).collect();
+        assert!(order.contains(&999), "quiet starved: {order:?}");
     }
 
     #[test]
@@ -433,15 +428,29 @@ mod tests {
         for i in 0..2u32 {
             assert!(matches!(q.admit("t", i), Admitted::Queued));
         }
-        let (tenant, _) = q.pop(|_| true).expect("job");
+        let _ = q.pop(|_| true).expect("job");
         let _ = q.pop(|_| true).expect("job");
         assert_eq!(q.iter().next().expect("t").1.active, 2);
-        q.settle(&tenant, 120);
-        q.dead_letter(&tenant);
+        q.settle("t", 120);
+        q.dead_letter("t");
         let t = q.iter().next().expect("t").1;
         assert_eq!(t.active, 0);
         assert_eq!(t.done, 1);
         assert_eq!(t.dead_letters, 1);
+    }
+
+    #[test]
+    fn a_popped_job_carries_its_tenant_stall_timeout() {
+        let mut q = queues("slow:1:60000", 100);
+        assert!(matches!(q.admit("slow", 1), Admitted::Queued));
+        assert!(matches!(q.admit("adhoc", 2), Admitted::Queued));
+        let mut popped: Vec<(u32, Duration)> = (0..2).filter_map(|_| q.pop(|_| true)).collect();
+        popped.sort();
+        assert_eq!(
+            popped,
+            [(1, Duration::from_millis(60_000)), (2, Duration::from_secs(30))],
+            "the roster's timeout, else the daemon default"
+        );
     }
 
     #[test]
@@ -451,10 +460,10 @@ mod tests {
             assert!(matches!(q.admit("t", i), Admitted::Queued));
         }
         // Job 0 is "busy" (its state dir is held): the pop takes job 1.
-        let (_, job) = q.pop(|j| *j != 0).expect("job");
+        let (job, _) = q.pop(|j| *j != 0).expect("job");
         assert_eq!(job, 1);
         // Released: job 0 dequeues next, order preserved.
-        let (_, job) = q.pop(|_| true).expect("job");
+        let (job, _) = q.pop(|_| true).expect("job");
         assert_eq!(job, 0);
     }
 

@@ -101,32 +101,16 @@ impl Solver {
     /// included, as `check` on any term that canonicalizes to `pre`,
     /// without canonicalizing it again.
     pub fn check_canonical(&mut self, pre: &Term) -> SatResult {
-        if !lisa_telemetry::metrics_enabled() && !lisa_telemetry::spans_enabled() {
+        if !lisa_telemetry::metrics_enabled() {
             return self.check_inner(pre);
         }
         let mut span = lisa_telemetry::span("smt.check");
-        let start = std::time::Instant::now();
         let result = self.check_inner(pre);
-        let outcome = match &result {
-            SatResult::Sat(_) => "sat",
-            SatResult::Unsat => "unsat",
-            SatResult::Unknown { .. } => "unknown",
+        let (outcome, counter) = match &result {
+            SatResult::Sat(_) => ("sat", "smt.outcome.sat"),
+            SatResult::Unsat => ("unsat", "smt.outcome.unsat"),
+            SatResult::Unknown { .. } => ("unknown", "smt.outcome.unknown"),
         };
-        lisa_telemetry::counter_add("smt.queries", 1);
-        lisa_telemetry::counter_add(
-            match &result {
-                SatResult::Sat(_) => "smt.outcome.sat",
-                SatResult::Unsat => "smt.outcome.unsat",
-                SatResult::Unknown { .. } => "smt.outcome.unknown",
-            },
-            1,
-        );
-        lisa_telemetry::counter_add("smt.conflicts", self.stats.sat_conflicts);
-        lisa_telemetry::counter_add("smt.decisions", self.stats.sat_decisions);
-        lisa_telemetry::counter_add("smt.propagations", self.stats.sat_propagations);
-        lisa_telemetry::counter_add("smt.restarts", self.stats.sat_restarts);
-        lisa_telemetry::counter_add("smt.clauses", self.stats.cnf_clauses);
-        lisa_telemetry::histogram_record("smt.query_us", start.elapsed().as_micros() as u64);
         span.set_detail(outcome);
         span.arg("rounds", self.stats.theory_rounds);
         span.arg("conflicts", self.stats.sat_conflicts);
@@ -136,6 +120,15 @@ impl Solver {
         span.arg("learned", self.stats.sat_learned);
         span.arg("clauses", self.stats.cnf_clauses);
         span.arg("vars", self.stats.cnf_vars);
+        // The query's time is the solve, not the bookkeeping below.
+        drop(span);
+        lisa_telemetry::counter_add("smt.queries", 1);
+        lisa_telemetry::counter_add(counter, 1);
+        lisa_telemetry::counter_add("smt.conflicts", self.stats.sat_conflicts);
+        lisa_telemetry::counter_add("smt.decisions", self.stats.sat_decisions);
+        lisa_telemetry::counter_add("smt.propagations", self.stats.sat_propagations);
+        lisa_telemetry::counter_add("smt.restarts", self.stats.sat_restarts);
+        lisa_telemetry::counter_add("smt.clauses", self.stats.cnf_clauses);
         result
     }
 

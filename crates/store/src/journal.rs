@@ -182,7 +182,7 @@ impl Journal {
         let path = path.into();
         let mut span = lisa_telemetry::span_with(
             "store.recover",
-            path.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string(),
+            path.file_name().and_then(|n| n.to_str()).unwrap_or(""),
         );
         let mut bytes = Vec::new();
         match File::open(&path) {
@@ -252,13 +252,10 @@ impl Journal {
     /// tries to restore itself to the last good frame boundary; if even
     /// that fails, the torn tail is repaired on the next open.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        if !lisa_telemetry::metrics_enabled() {
-            return self.append_inner(payload);
-        }
-        let start = std::time::Instant::now();
+        let span = lisa_telemetry::span("store.append");
         let result = self.append_inner(payload);
+        drop(span);
         lisa_telemetry::counter_add("store.appends", 1);
-        lisa_telemetry::histogram_record("store.append_us", start.elapsed().as_micros() as u64);
         match &result {
             Ok(()) => lisa_telemetry::counter_add(
                 "store.bytes_appended",
@@ -304,17 +301,11 @@ impl Journal {
                 return Err(io::Error::other("fsync failed (injected)"));
             }
         }
-        if lisa_telemetry::metrics_enabled() {
-            let sync_start = std::time::Instant::now();
-            self.file.sync_data()?;
-            lisa_telemetry::counter_add("store.fsyncs", 1);
-            lisa_telemetry::histogram_record(
-                "store.fsync_us",
-                sync_start.elapsed().as_micros() as u64,
-            );
-        } else {
+        {
+            let _fsync = lisa_telemetry::span("store.fsync");
             self.file.sync_data()?;
         }
+        lisa_telemetry::counter_add("store.fsyncs", 1);
         self.good_end += frame.len() as u64;
         Ok(())
     }
@@ -331,7 +322,7 @@ impl Journal {
 /// Write `payload` to `path` atomically as one checksummed frame:
 /// write-temp + fsync + rename, so readers observe either the old
 /// file or the new one, never a partial write.
-pub(crate) fn write_atomic(path: &Path, payload: &[u8]) -> io::Result<()> {
+pub fn write_atomic(path: &Path, payload: &[u8]) -> io::Result<()> {
     write_file_atomic(path, &frame(payload))
 }
 
@@ -373,7 +364,7 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// Read a file written by [`write_atomic`]. Returns `None` when the file
 /// is absent *or* fails its checksum — a corrupt file is ignored, never
 /// trusted.
-pub(crate) fn read_atomic(path: &Path) -> Option<Vec<u8>> {
+pub fn read_atomic(path: &Path) -> Option<Vec<u8>> {
     let mut bytes = Vec::new();
     File::open(path).ok()?.read_to_end(&mut bytes).ok()?;
     let scanned = scan(&bytes);

@@ -20,6 +20,11 @@
 //!   `DurableGateReport::verdicts_text()` stay byte-identical whether
 //!   telemetry is on or off. Timestamps appear only in telemetry output
 //!   files, never in verdict artifacts.
+//! - **One clock per layer.** A span is its layer's only timer: closing
+//!   a [`SpanGuard`] records its duration into the histogram
+//!   `<span name>_us` whenever metrics are on, so the per-layer latency
+//!   split is the same at [`TelemetryConfig::MetricsOnly`] as in a full
+//!   trace (DESIGN.md §11).
 //! - **Unwind-safe spans.** A [`SpanGuard`] pops the thread-local stack by
 //!   truncating at its *own* id rather than popping one frame, so a panic
 //!   caught by `catch_unwind` in a child frame cannot leave the stack
@@ -33,10 +38,11 @@
 //!     outer.arg("tests", 3);
 //!     let _inner = tel::span("smt.check");
 //!     tel::counter_add("smt.queries", 1);
-//!     tel::histogram_record("smt.query_us", 1500);
 //! }
 //! let trace = tel::chrome_trace_json();
 //! assert!(trace.contains("\"smt.check\""));
+//! // Each span also fed its layer's latency histogram.
+//! assert_eq!(tel::histograms_snapshot()["smt.check_us"].count, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,8 +65,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub enum TelemetryConfig {
     /// Collect nothing; every entry point is a relaxed atomic load + branch.
     Off,
-    /// Counters and histograms only — no spans, no events. Suitable for
-    /// long-running daemons where an unbounded span registry would leak.
+    /// Counters and histograms only — no span records, no events; a span
+    /// still times its layer into `<name>_us`. Suitable for long-running
+    /// daemons where an unbounded span registry would leak.
     MetricsOnly,
     /// Spans, events, counters, and histograms.
     Full,
@@ -182,6 +189,7 @@ mod tests {
         }
         assert_eq!(counter_value("only.counter"), 2);
         assert!(!ndjson().contains("no.span"));
+        assert_eq!(histograms_snapshot()["no.span_us"].count, 1, "the span still timed");
         init(TelemetryConfig::Off);
     }
 

@@ -146,6 +146,22 @@ pub fn histogram_record(name: &str, value: u64) {
     }
 }
 
+/// Record a closed span's duration into the histogram `<name>_us`. The
+/// key is spelled in a stack buffer, so recording into an existing
+/// histogram allocates nothing.
+pub(crate) fn record_span_us(name: &str, us: u64) {
+    const SUFFIX: &[u8] = b"_us";
+    let mut buf = [0u8; 64];
+    let len = name.len() + SUFFIX.len();
+    if len > buf.len() {
+        return histogram_record(&format!("{name}_us"), us);
+    }
+    buf[..name.len()].copy_from_slice(name.as_bytes());
+    buf[name.len()..len].copy_from_slice(SUFFIX);
+    // Two valid UTF-8 strings concatenate to valid UTF-8.
+    histogram_record(std::str::from_utf8(&buf[..len]).expect("utf-8"), us);
+}
+
 /// Merge a previously persisted histogram into the named histogram. Used
 /// when a daemon restores a journaled metrics snapshot on startup; the
 /// restored buckets accumulate under everything recorded since. No-op

@@ -89,100 +89,111 @@ fn tid() -> u64 {
     })
 }
 
-struct ActiveSpan {
+/// What a traced span adds to its clock: its place in the tree and its
+/// attributes. Only built when spans are on.
+struct Traced {
     id: u64,
     parent: u64,
-    name: &'static str,
     detail: String,
     tid: u64,
-    start: Instant,
     start_us: u64,
     args: Vec<(&'static str, u64)>,
 }
 
-/// RAII guard for an open span; the span is recorded when the guard drops.
+/// RAII guard for an open span: the one clock of its layer. Closing it
+/// records its duration into the histogram `<name>_us` when metrics are
+/// on, and the span itself when spans are on.
 ///
-/// When spans are disabled this is an empty shell: construction touches no
-/// thread-local state and allocates nothing.
-pub struct SpanGuard(Option<ActiveSpan>);
+/// When telemetry is off this is an empty shell. At
+/// [`crate::TelemetryConfig::MetricsOnly`] it holds only its name and
+/// start instant: no id, no stack frame, no detail string, no registry
+/// record, and no allocation once its histogram exists.
+pub struct SpanGuard {
+    name: &'static str,
+    start: Option<Instant>,
+    traced: Option<Traced>,
+}
 
 /// Open a span named `name` under the current thread's innermost span.
 pub fn span(name: &'static str) -> SpanGuard {
     span_with(name, String::new())
 }
 
-/// Open a span with a free-form detail string (rule id, path, ...).
+/// Open a span with a free-form detail string (rule id, path, ...). The
+/// detail is only converted when spans are on.
 pub fn span_with(name: &'static str, detail: impl Into<String>) -> SpanGuard {
-    if !crate::spans_enabled() {
-        return SpanGuard(None);
+    if !crate::metrics_enabled() {
+        return SpanGuard { name, start: None, traced: None };
     }
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let tid = tid();
-    let parent = STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        let parent = s.last().copied().unwrap_or(0);
-        s.push(id);
-        parent
-    });
     let start = Instant::now();
-    SpanGuard(Some(ActiveSpan {
-        id,
-        parent,
-        name,
-        detail: detail.into(),
-        tid,
-        start,
-        start_us: micros_since_epoch(start),
-        args: Vec::new(),
-    }))
+    let traced = crate::spans_enabled().then(|| {
+        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+        let parent = STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            let parent = s.last().copied().unwrap_or(0);
+            s.push(id);
+            parent
+        });
+        Traced {
+            id,
+            parent,
+            detail: detail.into(),
+            tid: tid(),
+            start_us: micros_since_epoch(start),
+            args: Vec::new(),
+        }
+    });
+    SpanGuard { name, start: Some(start), traced }
 }
 
 impl SpanGuard {
     /// Attach a numeric attribute; exported under `args` in both formats.
     pub fn arg(&mut self, key: &'static str, value: u64) {
-        if let Some(s) = &mut self.0 {
-            s.args.push((key, value));
+        if let Some(t) = &mut self.traced {
+            t.args.push((key, value));
         }
     }
 
     /// Replace the detail string (useful when it is only known at the end).
     pub fn set_detail(&mut self, detail: impl Into<String>) {
-        if let Some(s) = &mut self.0 {
-            s.detail = detail.into();
+        if let Some(t) = &mut self.traced {
+            t.detail = detail.into();
         }
     }
 
     /// This span's id, or 0 when spans are disabled.
     pub fn id(&self) -> u64 {
-        self.0.as_ref().map_or(0, |s| s.id)
+        self.traced.as_ref().map_or(0, |t| t.id)
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(s) = self.0.take() else { return };
+        let Some(start) = self.start else { return };
+        let dur_us = start.elapsed().as_micros() as u64;
+        crate::metrics::record_span_us(self.name, dur_us);
+        let Some(t) = self.traced.take() else { return };
         // Unbalance-proof pop: truncate at our own id instead of popping one
         // frame. If a child frame leaked (e.g. its guard was forgotten, or
         // drop order was disturbed by unwinding), this still restores the
         // stack to the state before this span opened.
         STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|&id| id == s.id) {
+            if let Some(pos) = stack.iter().rposition(|&id| id == t.id) {
                 stack.truncate(pos);
             }
         });
         let record = SpanRecord {
-            id: s.id,
-            parent: s.parent,
-            name: s.name,
-            detail: s.detail,
-            tid: s.tid,
-            start_us: s.start_us,
-            dur_us: s.start.elapsed().as_micros() as u64,
-            args: s.args,
+            id: t.id,
+            parent: t.parent,
+            name: self.name,
+            detail: t.detail,
+            tid: t.tid,
+            start_us: t.start_us,
+            dur_us,
+            args: t.args,
         };
-        let shard = (s.tid as usize) % SHARDS;
-        registry().spans[shard]
+        registry().spans[(t.tid as usize) % SHARDS]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(record);
@@ -286,6 +297,36 @@ mod tests {
         assert_eq!(inner.parent, outer.id);
         assert_eq!(outer.id, outer_id);
         assert!(outer.dur_us >= inner.dur_us);
+        crate::init(TelemetryConfig::Off);
+    }
+
+    #[test]
+    fn a_closed_span_feeds_its_histogram_with_its_own_duration() {
+        let _guard = crate::test_lock();
+        crate::init(TelemetryConfig::Full);
+        crate::reset();
+        {
+            let _outer = span("clock.outer");
+            let _inner = span("clock.inner");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let (spans, _) = snapshot();
+        let hists = crate::histograms_snapshot();
+        for name in ["clock.outer", "clock.inner"] {
+            let record = spans.iter().find(|s| s.name == name).expect("recorded");
+            let h = &hists[&format!("{name}_us")];
+            assert_eq!((h.count, h.sum), (1, record.dur_us), "{name}: one clock");
+        }
+        // Metrics alone: the histogram still fills, and no span is kept.
+        crate::init(TelemetryConfig::MetricsOnly);
+        crate::reset();
+        {
+            let mut s = span_with("clock.metrics", "detail");
+            s.arg("ignored", 1);
+            assert_eq!((s.id(), stack_depth()), (0, 0), "no id, no stack frame");
+        }
+        assert!(snapshot().0.is_empty());
+        assert_eq!(crate::histograms_snapshot()["clock.metrics_us"].count, 1);
         crate::init(TelemetryConfig::Off);
     }
 

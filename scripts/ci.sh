@@ -100,6 +100,12 @@ LISA=target/release/lisa
 cmp "$SMOKE/off.out" "$SMOKE/on.out"
 grep -Eq '"cache\.rule\.misses":2[,}]' "$SMOKE/m1.json"
 grep -Eq '"smt\.queries":[1-9]' "$SMOKE/m1.json"
+# Each span is its layer's one clock: the layers' histograms are the
+# spans' `<name>_us`, and no second `stage.*` timer is left.
+for h in pipeline.rule_us analysis.callgraph_us lang.load_us smt.check_us; do
+    grep -qF "\"$h\"" "$SMOKE/m1.json" || { echo "m1.json has no $h histogram" >&2; exit 1; }
+done
+if grep -q '"stage\.' "$SMOKE/m1.json"; then echo "m1.json has a stage.* key" >&2; exit 1; fi
 "$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --state "$SMOKE/state" > /dev/null
 "$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --state "$SMOKE/state" \
     --metrics-out "$SMOKE/m2.json" > "$SMOKE/d2.out"

@@ -528,6 +528,11 @@ fn serve_stats_reports_queue_workers_and_counters() {
     let timings = parsed.get("timings").expect("timings object");
     let job_us = timings.get("serve.job_us").expect("serve.job_us summary");
     assert!(job_us.u64_of("count").unwrap_or(0) >= 1, "{out}");
+    // The queue wait and the SIR load are timed too.
+    for layer in ["serve.queue_wait_us", "lang.load_us"] {
+        let summary = timings.get(layer).unwrap_or_else(|| panic!("{layer} summary: {out}"));
+        assert!(summary.u64_of("count").unwrap_or(0) >= 1, "{out}");
+    }
 
     let (code, _) = fx.run(&["submit", "--socket", &daemon.socket, "--op", "shutdown"]);
     assert_eq!(code, 0);

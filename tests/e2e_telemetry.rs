@@ -151,7 +151,7 @@ fn gate_trace_covers_every_pipeline_stage() {
     assert!(counters.u64_of("verdict.violated").unwrap_or(0) > 0, "{metrics_text}");
     // Per-stage latency histograms back the bench breakdowns.
     let hists = parsed.get("histograms").expect("histograms object");
-    for h in ["stage.callgraph_us", "stage.concolic_us", "stage.judge_us", "smt.query_us"] {
+    for h in ["analysis.callgraph_us", "concolic.run_us", "pipeline.judge_us", "smt.check_us"] {
         let entry = hists.get(h).unwrap_or_else(|| panic!("missing histogram {h}"));
         assert!(entry.u64_of("count").unwrap_or(0) > 0, "{h} must have observations");
     }
