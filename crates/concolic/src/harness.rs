@@ -92,8 +92,8 @@ pub struct HarnessBudget {
     pub max_steps_per_test: Option<u64>,
     /// Wall-clock budget for the whole batch. When it expires, remaining
     /// tests are skipped and [`HarnessOutcome::truncated`] is set. The
-    /// gate pipeline never sets it: a rule check reads the wall clock
-    /// only through the gate deadline.
+    /// gate pipeline never sets it: no rule check reads the wall clock,
+    /// and the gate deadline only decides which rules start.
     pub wall: Option<Duration>,
 }
 

@@ -30,6 +30,11 @@
 //! flag a subcommand does not read is a usage error (exit 2), so a
 //! misspelt knob never silently runs with its default.
 //!
+//! `--deadline-ms N` only decides which rules start: a rule not started
+//! within N ms of the gate's start is reported not checked, which
+//! fail-closed blocks (exit 2) and fail-open passes with a warning; a
+//! rule that started runs to its step and conflict budgets.
+//!
 //! `--system` points at a directory of `.sir` modules (tests included,
 //! discovered by prefix). `--rules` is a text file of authoring-template
 //! sentences (one per line, `#` comments):
@@ -137,6 +142,9 @@ const USAGE: &str = "usage:
                [--tenant <name>]
   lisa suggest --system <dir> --target <fn>
   lisa paths   --system <dir> --target <fn>
+--deadline-ms N: a rule not started within N ms of the gate's start is reported
+  not checked (fail-closed blocks with exit 2, fail-open passes with a warning);
+  a rule that started runs to its budgets
 flags accepted everywhere:
   --verbose                progress notes on stderr (stdout stays machine-clean)
   --trace-out <file>       write a Chrome trace (Perfetto-loadable) of the run

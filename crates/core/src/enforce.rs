@@ -12,15 +12,14 @@
 //!
 //! The gate is built to *always return a decision*: each rule check runs
 //! once under `catch_unwind`, a panicking or malformed rule folds into an
-//! engine-error report instead of killing the scope, and a
-//! gate deadline downgrades remaining rules to a fast fixed-path sanity
-//! check rather than abandoning them. The [`FailMode`] decides whether
-//! engine errors block (fail-closed, the default) or pass with warnings
-//! (fail-open).
+//! engine-error report instead of killing the scope, and a rule that
+//! would start after the gate deadline is reported not checked. The
+//! [`FailMode`] decides whether engine errors and unchecked rules block
+//! (fail-closed, the default) or pass with warnings (fail-open).
 
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -124,9 +123,11 @@ impl std::str::FromStr for FailMode {
 #[derive(Debug, Default)]
 pub struct GateOptions {
     pub fail_mode: FailMode,
-    /// Overall wall-clock deadline. Rules starting after it has expired
-    /// run in degraded mode (fixed-path sanity check) instead of full
-    /// exploration. `None` = no deadline.
+    /// Overall wall-clock deadline. It only decides which rules start: a
+    /// rule dequeued after it expired is reported not checked, and a rule
+    /// that started before it runs to its step and conflict budgets, so
+    /// a gate may overrun the deadline by one rule check per worker.
+    /// `None` = no deadline.
     pub deadline: Option<Duration>,
     /// Fault injection, for resilience tests and the E10 experiment.
     pub faults: Option<FaultInjector>,
@@ -143,11 +144,13 @@ pub struct EnforcementReport {
     pub review_needed: usize,
     /// Fail-mode the gate ran under.
     pub fail_mode: FailMode,
-    /// Rules whose check failed with an engine error.
+    /// Rules whose check failed with an engine error, or that were not
+    /// checked.
     pub engine_errors: usize,
-    /// Rules checked in degraded (fixed-path sanity) mode.
-    pub degraded_rules: usize,
-    /// Human-readable warnings (fail-open engine errors, deadline hits).
+    /// Rules not checked because the gate deadline expired before they
+    /// started.
+    pub unchecked_rules: usize,
+    /// Human-readable warnings (engine errors, deadline hits).
     pub warnings: Vec<String>,
     /// Resolved worker width the gate ran at (after `0` → auto
     /// expansion), even when it had fewer rules than workers and started
@@ -185,7 +188,8 @@ pub(crate) trait SlotHook: Sync {
     /// the check and leaves the slot out of the report (settled before
     /// the run, or the run was cancelled).
     fn skip(&self, i: usize) -> bool;
-    /// Rule `i` was checked; called on the worker that checked it.
+    /// Rule `i` settled, checked or reported not checked; called on the
+    /// worker that dequeued it.
     fn settled(&self, i: usize, report: &RuleReport);
 }
 
@@ -196,55 +200,6 @@ pub fn resolve_workers(requested: usize) -> usize {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
         requested
-    }
-}
-
-/// Shared deadline-degradation flag: once the gate deadline expires,
-/// rules that start later run degraded, and test runs and solver queries
-/// of rules already running drop to degraded budgets. The flag latches,
-/// so "expired" can never flicker back to false within a run. With no
-/// deadline it never fires, keeping deadline-free runs deterministic.
-#[derive(Debug)]
-pub(crate) struct DegradeSignal {
-    started: Instant,
-    deadline: Option<Duration>,
-    hit: AtomicBool,
-    noticed: AtomicBool,
-}
-
-impl DegradeSignal {
-    pub fn new(started: Instant, deadline: Option<Duration>) -> DegradeSignal {
-        DegradeSignal {
-            started,
-            deadline,
-            hit: AtomicBool::new(false),
-            noticed: AtomicBool::new(false),
-        }
-    }
-
-    /// Latching deadline check.
-    pub fn expired(&self) -> bool {
-        if self.hit.load(Ordering::Relaxed) {
-            return true;
-        }
-        match self.deadline {
-            None => false,
-            Some(d) if self.started.elapsed() >= d => {
-                self.hit.store(true, Ordering::Relaxed);
-                true
-            }
-            Some(_) => false,
-        }
-    }
-
-    /// True exactly once — for the "deadline expired" telemetry event.
-    pub fn first_notice(&self) -> bool {
-        !self.noticed.swap(true, Ordering::Relaxed)
-    }
-
-    /// Whether the deadline fired at any point during the run.
-    pub fn was_hit(&self) -> bool {
-        self.hit.load(Ordering::Relaxed)
     }
 }
 
@@ -303,7 +258,8 @@ pub(crate) fn enforce_impl(
     let started = Instant::now();
     let mut gate_span = lisa_telemetry::span_with("gate.enforce", version.label.as_str());
     let workers = resolve_workers(workers);
-    let degrade = DegradeSignal::new(started, options.deadline);
+    // A deadline too far off to add to the clock is no deadline at all.
+    let deadline = options.deadline.and_then(|d| started.checked_add(d));
 
     // One pipeline for the run; every worker checks its rules with it.
     let pipeline = match cache {
@@ -326,18 +282,11 @@ pub(crate) fn enforce_impl(
             return;
         }
         let rule = &rules[i];
-        let past_deadline = degrade.expired();
-        if past_deadline && degrade.first_notice() {
-            lisa_telemetry::event(
-                "gate.deadline_expired",
-                format!(
-                    "degrading remaining rules to fixed-path sanity checks (from rule {})",
-                    rule.id
-                ),
-            );
-        }
-        let report =
-            check_one_rule(&pipeline, version, version_fp, rule, options, past_deadline, &degrade);
+        let report = if deadline.is_some_and(|d| Instant::now() >= d) {
+            RuleReport::not_checked(rule, "gate deadline expired before this rule started")
+        } else {
+            check_one_rule(&pipeline, version, version_fp, rule, options)
+        };
         if let Some(h) = hook {
             h.settled(i, &report);
         }
@@ -354,14 +303,12 @@ pub(crate) fn enforce_impl(
     let reports: Vec<RuleReport> = slots.into_iter().filter_map(OnceLock::into_inner).collect();
 
     let engine_errors = reports.iter().filter(|r| r.has_engine_error()).count();
-    let degraded_rules = reports.iter().filter(|r| r.degraded).count();
+    let unchecked_rules = reports.iter().filter(|r| r.unchecked).count();
     let mut warnings = Vec::new();
-    if degrade.was_hit() {
-        warnings.push(format!(
-            "gate deadline expired; {degraded_rules} rule(s) checked in degraded mode"
-        ));
+    if unchecked_rules > 0 {
+        warnings.push(format!("gate deadline expired; {unchecked_rules} rule(s) not checked"));
     }
-    for r in reports.iter().filter(|r| r.has_engine_error()) {
+    for r in reports.iter().filter(|r| r.has_engine_error() && !r.unchecked) {
         let reason = r
             .chains
             .iter()
@@ -381,13 +328,13 @@ pub(crate) fn enforce_impl(
         decide(reports.iter().any(|r| r.has_violation()), engine_errors, options.fail_mode);
     let mut review_needed: usize = reports.iter().map(|r| r.not_covered_count()).sum();
     if options.fail_mode == FailMode::Closed {
-        // Engine-errored rules need a human verdict too.
+        // Engine-errored and unchecked rules need a human verdict too.
         review_needed += engine_errors;
     }
     gate_span.arg("rules", reports.len() as u64);
     gate_span.arg("workers", workers as u64);
     gate_span.arg("engine_errors", engine_errors as u64);
-    gate_span.arg("degraded_rules", degraded_rules as u64);
+    gate_span.arg("unchecked_rules", unchecked_rules as u64);
     if lisa_telemetry::spans_enabled() {
         gate_span.set_detail(format!("{} -> {decision}", version.label));
     }
@@ -397,7 +344,7 @@ pub(crate) fn enforce_impl(
             count_decision(decision);
         }
         lisa_telemetry::counter_add("gate.engine_errors", engine_errors as u64);
-        lisa_telemetry::counter_add("gate.degraded_rules", degraded_rules as u64);
+        lisa_telemetry::counter_add("gate.unchecked_rules", unchecked_rules as u64);
     }
     if let Some(c) = cache {
         c.publish_metrics();
@@ -409,7 +356,7 @@ pub(crate) fn enforce_impl(
         review_needed,
         fail_mode: options.fail_mode,
         engine_errors,
-        degraded_rules,
+        unchecked_rules,
         warnings,
         workers,
     }
@@ -429,31 +376,25 @@ fn check_one_rule(
     version_fp: Option<u64>,
     rule: &SemanticRule,
     options: &GateOptions,
-    degraded: bool,
-    degrade: &DegradeSignal,
 ) -> RuleReport {
-    try_check_one_rule(pipeline, version, version_fp, rule, options, degraded, degrade)
-        .unwrap_or_else(|e| {
-            RuleReport::engine_error(
-                rule.id.clone(),
-                rule.description.clone(),
-                rule.target.to_string(),
-                rule.condition_src.clone(),
-                e.to_string(),
-            )
-        })
+    try_check_one_rule(pipeline, version, version_fp, rule, options).unwrap_or_else(|e| {
+        RuleReport::engine_error(
+            rule.id.clone(),
+            rule.description.clone(),
+            rule.target.to_string(),
+            rule.condition_src.clone(),
+            e.to_string(),
+        )
+    })
 }
 
-/// Arm any injected fault, then run the (possibly degraded) rule check
-/// under `catch_unwind`.
+/// Arm any injected fault, then run the rule check under `catch_unwind`.
 fn try_check_one_rule(
     pipeline: &Pipeline,
     version: &SystemVersion,
     version_fp: Option<u64>,
     rule: &SemanticRule,
     options: &GateOptions,
-    degraded: bool,
-    degrade: &DegradeSignal,
 ) -> Result<RuleReport, LisaError> {
     let fault = options.faults.as_ref().and_then(|inj| inj.arm(&rule.id));
     // Faults that rewrite the input are applied to a clone; the caller's
@@ -486,22 +427,7 @@ fn try_check_one_rule(
     }
     let rule = effective_rule.as_ref().unwrap_or(rule);
     let pipeline = effective_pipeline.as_ref().unwrap_or(pipeline);
-    panic_isolated(&rule.id, || {
-        if degraded {
-            // Past the gate deadline: cheap fixed-path sanity check. The
-            // malformed-rule boundary still applies.
-            lisa_smt::parse_cond(&rule.condition_src)
-                .map_err(|e| LisaError::MalformedRule {
-                    rule_id: rule.id.clone(),
-                    detail: format!("condition {:?}: {e}", rule.condition_src),
-                })
-                .map(|_| {
-                    pipeline.check_rule_degraded_ctx(version, version_fp, rule, Some(degrade))
-                })
-        } else {
-            pipeline.try_check_rule_ctx(version, version_fp, rule, Some(degrade))
-        }
-    })?
+    panic_isolated(&rule.id, || pipeline.try_check_rule_ctx(version, version_fp, rule))?
 }
 
 /// Run `f` under `catch_unwind`, converting an unwind into
@@ -570,18 +496,6 @@ mod tests {
         assert!(resolve_workers(0) >= 1);
         assert_eq!(resolve_workers(3), 3);
         assert_eq!(resolve_workers(1), 1);
-    }
-
-    #[test]
-    fn degrade_signal_latches() {
-        let sig = DegradeSignal::new(Instant::now(), Some(Duration::ZERO));
-        assert!(sig.expired());
-        assert!(sig.expired(), "stays expired");
-        assert!(sig.first_notice());
-        assert!(!sig.first_notice(), "notice fires once");
-        let never = DegradeSignal::new(Instant::now(), None);
-        assert!(!never.expired());
-        assert!(!never.was_hit());
     }
 
     #[test]
@@ -780,18 +694,21 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_degrades_every_rule_but_still_decides() {
-        let options = GateOptions {
-            deadline: Some(Duration::ZERO),
-            ..GateOptions::default()
-        };
-        let report = Gate::new(&registry()).config(config()).workers(1).options(options).run(&version(false));
-        assert_eq!(report.degraded_rules, 1);
-        assert!(report.reports[0].degraded);
-        assert!(report.warnings.iter().any(|w| w.contains("deadline")));
-        // The degraded sanity check still executes the one selected test
-        // and can still catch the regression on this small system.
-        assert_eq!(report.decision, GateDecision::Block);
+    fn zero_deadline_leaves_every_rule_unchecked_and_decides_by_fail_mode() {
+        for (fail_mode, decision) in
+            [(FailMode::Closed, GateDecision::Block), (FailMode::Open, GateDecision::Pass)]
+        {
+            let options =
+                GateOptions { fail_mode, deadline: Some(Duration::ZERO), ..GateOptions::default() };
+            let report = Gate::new(&registry()).config(config()).workers(1).options(options).run(&version(true));
+            assert_eq!(report.unchecked_rules, 1);
+            assert_eq!(report.engine_errors, 1, "decided like an engine error");
+            let r = &report.reports[0];
+            assert!(r.unchecked && r.has_engine_error() && r.tests_selected.is_empty());
+            assert_eq!(r.stats.tests_executed, 0, "nothing ran");
+            assert_eq!(report.warnings, ["gate deadline expired; 1 rule(s) not checked"]);
+            assert_eq!(report.decision, decision, "fail-{fail_mode}");
+        }
     }
 
     #[test]

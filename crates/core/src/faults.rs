@@ -33,7 +33,7 @@ pub enum FaultKind {
     /// modelling malformed oracle output.
     MalformedCondition,
     /// Sleep inside the rule check, modelling a slow stage; with a gate
-    /// deadline set this pushes later rules into degraded mode.
+    /// deadline set, rules dequeued after it expires are not checked.
     Stall,
 }
 

@@ -257,7 +257,8 @@ impl GateConfig {
     /// - `--workers <n|auto>` — rule-level worker width; `auto` (or `0`)
     ///   sizes to the machine's available parallelism (default auto)
     /// - `--fail-mode closed|open`
-    /// - `--deadline-ms <n>` — gate deadline
+    /// - `--deadline-ms <n>` — gate deadline: rules dequeued after it
+    ///   are reported not checked
     /// - `--max-solver-conflicts <n>` — SAT conflict budget per query
     /// - `--fault-seed <n>` / `--fault-rate <f>` — chaos drill
     /// - `--cache on|off` — the rule-report memo (default on)

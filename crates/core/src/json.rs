@@ -14,7 +14,7 @@ use crate::verdict::{ChainVerdict, RuleReport};
 /// Version of the machine-readable gate report schema. Bumped whenever a
 /// field is removed or its meaning changes; additive fields do not bump
 /// it. CI consumers should pin on this, not on incidental key order.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Escape a string per RFC 8259.
 pub fn escape(s: &str) -> String {
@@ -54,7 +54,7 @@ pub fn rule_report_json(r: &RuleReport) -> String {
     num_field(&mut out, "violated", r.violated_count() as u64, true);
     num_field(&mut out, "not_covered", r.not_covered_count() as u64, true);
     num_field(&mut out, "engine_errors", r.engine_error_count() as u64, true);
-    let _ = write!(out, "\"degraded\":{},", r.degraded);
+    let _ = write!(out, "\"unchecked\":{},", r.unchecked);
     let _ = write!(out, "\"sanity_ok\":{},", r.sanity_ok);
     out.push_str("\"chains\":[");
     for (i, c) in r.chains.iter().enumerate() {
@@ -112,7 +112,7 @@ pub fn enforcement_json(e: &EnforcementReport) -> String {
     str_field(&mut out, "fail_mode", &e.fail_mode.to_string(), true);
     num_field(&mut out, "review_needed", e.review_needed as u64, true);
     num_field(&mut out, "engine_errors", e.engine_errors as u64, true);
-    num_field(&mut out, "degraded_rules", e.degraded_rules as u64, true);
+    num_field(&mut out, "unchecked_rules", e.unchecked_rules as u64, true);
     out.push_str("\"warnings\":[");
     for (i, w) in e.warnings.iter().enumerate() {
         if i > 0 {

@@ -22,14 +22,13 @@ use lisa_analysis::{
     chain_aliases, execution_tree_filtered, AliasMap, CallGraph, TargetSpec, TreeLimits,
 };
 use lisa_concolic::{
-    run_tests_budgeted, HarnessBudget, HarnessOutcome, Policy, SystemVersion, TargetHit, TestCase,
+    run_tests_budgeted, HarnessBudget, Policy, SystemVersion, TargetHit, TestCase,
 };
 use lisa_oracle::rag::{describe_path, TestIndex};
 use lisa_oracle::SemanticRule;
 use lisa_smt::ViolationOutcome;
 use lisa_util::Fnv1a;
 
-use crate::enforce::DegradeSignal;
 use crate::error::LisaError;
 use crate::gate::GateCache;
 use crate::verdict::{ChainReport, ChainVerdict, PipelineStats, RuleReport, Violation};
@@ -56,17 +55,6 @@ pub struct ResourceBudgets {
     pub max_solver_conflicts: Option<u64>,
     /// Interpreter step ceiling per executed test.
     pub max_steps_per_test: Option<u64>,
-}
-
-impl ResourceBudgets {
-    /// The budgets used for deadline-degraded rules: a fixed-path sanity
-    /// check must finish in milliseconds, not explore exhaustively.
-    pub(crate) fn degraded(self) -> ResourceBudgets {
-        ResourceBudgets {
-            max_solver_conflicts: Some(self.max_solver_conflicts.unwrap_or(512).min(512)),
-            max_steps_per_test: Some(self.max_steps_per_test.unwrap_or(100_000).min(100_000)),
-        }
-    }
 }
 
 /// Pipeline configuration.
@@ -113,11 +101,11 @@ impl Pipeline {
     /// is keyed by an FNV-1a hash of everything the check reads: the
     /// version's fingerprint ([`SystemVersion::fingerprint`]: the
     /// program plus each test's name, summary and entry in order), the
-    /// rule's id, description, target and condition source, this
-    /// configuration, and whether the check is degraded. The version
-    /// label is not part of a report, so it is not part of the key.
-    /// Caching is transparent: reports are identical to an uncached
-    /// pipeline's, field for field, apart from `stats.wall`.
+    /// rule's id, description, target and condition source, and this
+    /// configuration. The version label is not part of a report, so it
+    /// is not part of the key. Caching is transparent: reports are
+    /// identical to an uncached pipeline's, field for field, apart from
+    /// `stats.wall`.
     pub fn with_cache(config: PipelineConfig, cache: Arc<GateCache>) -> Pipeline {
         let config_fp = config_hash(&config);
         Pipeline { config, memo: Some((cache, config_fp)) }
@@ -142,7 +130,8 @@ impl Pipeline {
     /// whose condition source does not parse is checked by its parsed
     /// condition, and its report is not memoized.
     pub fn check_rule(&self, version: &SystemVersion, rule: &SemanticRule) -> RuleReport {
-        self.check_rule_mode(version, None, rule, false, None)
+        self.check_memoized(version, None, rule, false)
+            .expect("an unvalidated check never rejects its rule")
     }
 
     /// Result-based stage boundary for the gate: validate the rule before
@@ -153,64 +142,25 @@ impl Pipeline {
         version: &SystemVersion,
         rule: &SemanticRule,
     ) -> Result<RuleReport, LisaError> {
-        self.try_check_rule_ctx(version, None, rule, None)
+        self.try_check_rule_ctx(version, None, rule)
     }
 
-    /// [`Pipeline::try_check_rule`] under the gate's deadline: the gate's
-    /// entry point. Test runs and solver queries that start after the
-    /// deadline expired drop to degraded budgets. `version_fp`, when
-    /// given, is `version.fingerprint()`, computed once for a whole gate.
+    /// [`Pipeline::try_check_rule`], the gate's entry point.
+    /// `version_fp`, when given, is `version.fingerprint()`, computed once
+    /// for a whole gate.
     pub(crate) fn try_check_rule_ctx(
         &self,
         version: &SystemVersion,
         version_fp: Option<u64>,
         rule: &SemanticRule,
-        degrade: Option<&DegradeSignal>,
     ) -> Result<RuleReport, LisaError> {
-        self.check_memoized(version, version_fp, rule, false, degrade, true)
+        self.check_memoized(version, version_fp, rule, true)
     }
 
-    /// Degraded check: the fixed-path sanity pass the gate falls back to
-    /// once its deadline has expired — one test, tight budgets, report
-    /// marked [`RuleReport::degraded`].
-    pub fn check_rule_degraded(
-        &self,
-        version: &SystemVersion,
-        rule: &SemanticRule,
-    ) -> RuleReport {
-        self.check_rule_mode(version, None, rule, true, None)
-    }
-
-    /// [`Pipeline::check_rule_degraded`] under the gate's deadline.
-    pub(crate) fn check_rule_degraded_ctx(
-        &self,
-        version: &SystemVersion,
-        version_fp: Option<u64>,
-        rule: &SemanticRule,
-        degrade: Option<&DegradeSignal>,
-    ) -> RuleReport {
-        self.check_rule_mode(version, version_fp, rule, true, degrade)
-    }
-
-    /// [`Pipeline::check_memoized`] without validating `rule`.
-    fn check_rule_mode(
-        &self,
-        version: &SystemVersion,
-        version_fp: Option<u64>,
-        rule: &SemanticRule,
-        degraded_mode: bool,
-        degrade: Option<&DegradeSignal>,
-    ) -> RuleReport {
-        self.check_memoized(version, version_fp, rule, degraded_mode, degrade, false)
-            .expect("an unvalidated check never rejects its rule")
-    }
-
-    /// One rule check, answered from the memo when it may be. A check
-    /// started after the gate deadline expired depends on machine time,
-    /// so it neither reads nor fills the memo; a miss stores its report
-    /// unless the report came out degraded or the rule fails
-    /// [`validate`]. The version's fingerprint is computed here only when
-    /// the caller did not pass it in.
+    /// One rule check, answered from the memo when it may be. A miss
+    /// stores its report unless the rule fails [`validate`]. The
+    /// version's fingerprint is computed here only when the caller did
+    /// not pass it in.
     ///
     /// Every memoized report therefore belongs to a valid rule, and the
     /// key covers all that validation reads, so a hit skips validation.
@@ -222,20 +172,17 @@ impl Pipeline {
         version: &SystemVersion,
         version_fp: Option<u64>,
         rule: &SemanticRule,
-        degraded_mode: bool,
-        degrade: Option<&DegradeSignal>,
         validated: bool,
     ) -> Result<RuleReport, LisaError> {
-        let memo = self.memo.as_ref().filter(|_| !degrade.is_some_and(|d| d.expired()));
-        let Some((cache, config_fp)) = memo else {
+        let Some((cache, config_fp)) = &self.memo else {
             if validated {
                 validate(rule)?;
             }
-            return Ok(self.check_uncached(version, rule, degraded_mode, degrade));
+            return Ok(self.check_uncached(version, rule));
         };
         let started = Instant::now();
         let version_fp = version_fp.unwrap_or_else(|| version.fingerprint());
-        let key = memo_key(*config_fp, version_fp, rule, degraded_mode);
+        let key = memo_key(*config_fp, version_fp, rule);
         if let Some(hit) = cache.get(key) {
             let mut report = RuleReport::clone(&hit);
             report.stats.wall = started.elapsed();
@@ -245,32 +192,17 @@ impl Pipeline {
             Err(e) if validated => return Err(e),
             valid => valid.is_ok(),
         };
-        let report = self.check_uncached(version, rule, degraded_mode, degrade);
-        if valid && !report.degraded {
+        let report = self.check_uncached(version, rule);
+        if valid {
             cache.insert(key, report.clone());
         }
         Ok(report)
     }
 
-    fn budgets(&self, degraded_mode: bool) -> ResourceBudgets {
-        if degraded_mode {
-            self.config.budgets.degraded()
-        } else {
-            self.config.budgets
-        }
-    }
-
-    fn check_uncached(
-        &self,
-        version: &SystemVersion,
-        rule: &SemanticRule,
-        degraded_mode: bool,
-        degrade: Option<&DegradeSignal>,
-    ) -> RuleReport {
+    fn check_uncached(&self, version: &SystemVersion, rule: &SemanticRule) -> RuleReport {
         let started = Instant::now();
         let mut rule_span = lisa_telemetry::span_with("pipeline.rule", rule.id.as_str());
-        rule_span.arg("degraded_mode", u64::from(degraded_mode));
-        let budgets = self.budgets(degraded_mode);
+        let budgets = self.config.budgets;
         let mut stats = PipelineStats::default();
         let program = &version.program;
         let graph = CallGraph::build(program);
@@ -302,49 +234,25 @@ impl Pipeline {
             }
         }
 
-        // Test selection; degraded mode keeps only the best-ranked test
-        // (the fixed-path sanity check).
         let selected = {
             let _s = lisa_telemetry::span("pipeline.select");
             self.select_tests(version, &tree, &graph, rule)
         };
-        let selected = if degraded_mode { &selected[..selected.len().min(1)] } else { &selected };
         stats.tests_selected = selected.len() as u64;
 
-        // Once the gate deadline expires, every remaining test run and
-        // solver query drops to degraded budgets and marks the report
-        // degraded. The signal latches, so no check flickers back.
-        let mut deadline_hit = false;
-        let mut past_deadline = || {
-            let expired = degrade.is_some_and(|d| d.expired());
-            deadline_hit |= expired;
-            expired
-        };
-        let degraded_budgets = budgets.degraded();
-
-        // Concolic execution under the step budget: each selected test
-        // runs as its own batch, checking the deadline before it starts.
+        // Concolic execution of every selected test, in one batch, under
+        // the step budget.
         let mut concolic_span = lisa_telemetry::span("concolic.run");
-        let outcomes: Vec<HarnessOutcome> = selected
-            .iter()
-            .map(|test| {
-                let max_steps_per_test = if past_deadline() {
-                    degraded_budgets.max_steps_per_test
-                } else {
-                    budgets.max_steps_per_test
-                };
-                let budget = HarnessBudget { max_steps_per_test, wall: None };
-                run_tests_budgeted(
-                    program,
-                    std::slice::from_ref(test),
-                    &rule.target,
-                    &aliases,
-                    &self.config.policy,
-                    &budget,
-                )
-            })
-            .collect();
-        let runs: Vec<_> = outcomes.iter().flat_map(|o| o.runs.iter()).collect();
+        let budget = HarnessBudget { max_steps_per_test: budgets.max_steps_per_test, wall: None };
+        let runs = run_tests_budgeted(
+            program,
+            &selected,
+            &rule.target,
+            &aliases,
+            &self.config.policy,
+            &budget,
+        )
+        .runs;
         stats.tests_executed = runs.len() as u64;
         concolic_span.arg("tests", stats.tests_selected);
         concolic_span.arg("executed", stats.tests_executed);
@@ -373,19 +281,14 @@ impl Pipeline {
         // Chains that saw an arrival the solver could not decide; they
         // must not end up Verified no matter the arrival order.
         let mut uncertain = vec![false; chain_reports.len()];
-        for run in runs {
+        for run in &runs {
             stats.branches_seen += run.stats.branches_seen;
             stats.branches_recorded += run.stats.branches_recorded;
             stats.target_hits += run.stats.target_hits;
             stats.interp_steps += run.steps;
             for hit in &run.hits {
                 stats.solver_calls += 1;
-                let conflicts = if past_deadline() {
-                    degraded_budgets.max_solver_conflicts
-                } else {
-                    budgets.max_solver_conflicts
-                };
-                let outcome = session.violates_budgeted(&hit.pi, conflicts);
+                let outcome = session.violates_budgeted(&hit.pi, budgets.max_solver_conflicts);
                 if matches!(outcome, ViolationOutcome::Unknown { .. }) {
                     stats.solver_unknowns += 1;
                 }
@@ -432,13 +335,9 @@ impl Pipeline {
         let sanity_ok = chain_reports
             .iter()
             .any(|c| matches!(c.verdict, ChainVerdict::Verified));
-        let degraded = degraded_mode || deadline_hit;
         stats.wall = started.elapsed();
         if lisa_telemetry::metrics_enabled() {
             lisa_telemetry::counter_add("pipeline.rules_checked", 1);
-            if degraded {
-                lisa_telemetry::counter_add("pipeline.rules_degraded", 1);
-            }
             for c in &chain_reports {
                 lisa_telemetry::counter_add(
                     match c.verdict {
@@ -453,12 +352,6 @@ impl Pipeline {
             lisa_telemetry::counter_add(
                 "verdict.off_tree_violations",
                 off_tree_violations.len() as u64,
-            );
-        }
-        if degraded_mode {
-            lisa_telemetry::event(
-                "pipeline.degraded",
-                format!("rule {}: deadline-degraded sanity pass", rule.id),
             );
         }
         rule_span.arg("static_chains", stats.static_chains);
@@ -478,7 +371,7 @@ impl Pipeline {
             sanity_ok,
             off_tree_violations: off_tree_violations.into(),
             unmatched_hits,
-            degraded,
+            unchecked: false,
             stats,
         }
     }
@@ -563,10 +456,9 @@ pub(crate) fn config_hash(config: &PipelineConfig) -> u64 {
 /// The memo key of one rule check (see [`Pipeline::with_cache`]). The
 /// rule's parsed condition and placeholder roots are not hashed: both
 /// are derived from its condition source.
-fn memo_key(config_fp: u64, version_fp: u64, rule: &SemanticRule, degraded_mode: bool) -> u64 {
+fn memo_key(config_fp: u64, version_fp: u64, rule: &SemanticRule) -> u64 {
     let mut h = Fnv1a::new();
     h.part_u64(config_fp);
-    h.part_u64(u64::from(degraded_mode));
     h.part_u64(version_fp);
     h.part(rule.id.as_bytes()).part(rule.description.as_bytes());
     part_target(&mut h, &rule.target);
@@ -766,19 +658,7 @@ mod tests {
         for (x, y) in a.chains.iter().zip(b.chains.iter()) {
             assert_eq!(x.verdict.label(), y.verdict.label(), "{}", x.rendered);
         }
-        assert!(!b.degraded);
         assert_eq!(b.stats.solver_unknowns, 0);
-    }
-
-    #[test]
-    fn degraded_mode_is_marked_and_terminates_fast() {
-        let pipeline = Pipeline::new(PipelineConfig {
-            selection: TestSelection::All,
-            ..PipelineConfig::default()
-        });
-        let report = pipeline.check_rule_degraded(&version(), &rule());
-        assert!(report.degraded);
-        assert!(report.tests_selected.len() <= 1, "{:?}", report.tests_selected);
     }
 
     #[test]
@@ -871,41 +751,27 @@ mod tests {
     fn memo_key_is_pinned() {
         // Memo keys live only in memory, but a formatting change must not
         // split or merge them: the target is fed as its variant's tag and
-        // its names, one part each. `(full, degraded)` keys per target.
+        // its names, one part each. One key per target.
         let pinned = [
-            (
-                TargetSpec::Call { callee: "create_ephemeral".into() },
-                [0xf87e_6888_66cc_fc54, 0x06d5_b374_1fbf_7449],
-            ),
-            (
-                TargetSpec::Builtin { name: "blocking_io".into() },
-                [0x32bc_d06b_2043_2399, 0xa8ba_9358_217e_0092],
-            ),
-            (
-                TargetSpec::BuiltinInSync { name: "blocking_io".into() },
-                [0xbba0_306a_9496_05d0, 0xdf34_0e3a_b0c8_07cf],
-            ),
+            (TargetSpec::Call { callee: "create_ephemeral".into() }, 0x7306_104c_d303_fa65),
+            (TargetSpec::Builtin { name: "blocking_io".into() }, 0x914d_cec6_6e00_3a4e),
+            (TargetSpec::BuiltinInSync { name: "blocking_io".into() }, 0x0e0a_c536_c7a1_dd9b),
             (
                 TargetSpec::BuiltinInCaller { name: "blocking_io".into(), caller: "sync".into() },
-                [0xf2ba_74a6_541f_4c79, 0x2b7f_14e3_22a0_2130],
+                0x6330_2bee_a786_7634,
             ),
         ];
         for (target, expected) in pinned {
             let mut r = rule();
             r.target = target;
-            assert_eq!(
-                [memo_key(7, 11, &r, false), memo_key(7, 11, &r, true)],
-                expected,
-                "{:?}",
-                r.target
-            );
+            assert_eq!(memo_key(7, 11, &r), expected, "{:?}", r.target);
         }
         // Names are parts of their own: moving a byte from one name to
         // the next changes the key.
         let split = |name: &str, caller: &str| {
             let mut r = rule();
             r.target = TargetSpec::BuiltinInCaller { name: name.into(), caller: caller.into() };
-            memo_key(7, 11, &r, false)
+            memo_key(7, 11, &r)
         };
         assert_ne!(split("ab", "c"), split("a", "bc"));
     }

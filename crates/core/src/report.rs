@@ -20,11 +20,8 @@ pub fn render_rule_report(r: &RuleReport) -> String {
         r.not_covered_count(),
         r.chains.len()
     );
-    if r.degraded {
-        let _ = writeln!(
-            out,
-            "  note: checked in degraded mode (fixed-path sanity check only)"
-        );
+    if r.unchecked {
+        let _ = writeln!(out, "  note: not checked (the gate deadline expired before it started)");
     }
     for c in r.chains.iter() {
         let _ = writeln!(out, "    [{}] {}", c.verdict.label(), c.rendered);
@@ -65,11 +62,11 @@ pub fn render_enforcement(e: &EnforcementReport) -> String {
     for w in &e.warnings {
         let _ = writeln!(out, "warning: {w}");
     }
-    if e.engine_errors > 0 || e.degraded_rules > 0 {
+    if e.engine_errors > 0 {
         let _ = writeln!(
             out,
-            "resilience: {} engine error(s), {} degraded rule(s) (fail-{})",
-            e.engine_errors, e.degraded_rules, e.fail_mode
+            "resilience: {} engine error(s), {} unchecked rule(s) (fail-{})",
+            e.engine_errors, e.unchecked_rules, e.fail_mode
         );
     }
     let _ = writeln!(out, "decision: {} ({} chain(s) need developer review)", e.decision, e.review_needed);

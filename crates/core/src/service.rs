@@ -48,7 +48,7 @@
 //! Parallel throughput comes from the worker pool across jobs and, with
 //! `DurableOptions::workers`, from checking a job's rules in parallel.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -64,6 +64,7 @@ use lisa_oracle::{author_rule, SemanticRule};
 use lisa_store::journal::{fnv1a, read_atomic, write_atomic};
 use lisa_store::repl::ReplBus;
 use lisa_store::{scan, IoFaults, RuleOutcome, RunState, RunStore, StoreError};
+use lisa_telemetry::Histogram;
 use lisa_util::Fnv1a;
 
 use crate::enforce::{
@@ -219,7 +220,7 @@ pub fn outcome_of(r: &RuleReport) -> RuleOutcome {
         violated: (r.violated_count() + r.off_tree_violations.len()) as u64,
         not_covered: r.not_covered_count() as u64,
         engine_errors: r.engine_error_count() as u64,
-        degraded: r.degraded,
+        unchecked: r.unchecked,
         sanity_ok: r.sanity_ok,
     }
 }
@@ -331,7 +332,7 @@ impl DurableGateReport {
                 o.violated,
                 o.not_covered,
                 o.engine_errors,
-                if o.degraded { " (degraded)" } else { "" },
+                if o.unchecked { " (not checked)" } else { "" },
             ));
         }
         if !self.durable {
@@ -450,14 +451,13 @@ pub fn gate_durable(
     let mut warnings = std::mem::take(&mut store.warnings);
     let recovered_records = store.recovered_records;
 
-    // A degraded outcome is checked again: the deadline that cut it
-    // short is not part of the journal key, so this run may have none.
-    // Its new `RuleCheckFinished` replaces the old one by rule id, as the
-    // rule-report memo likewise never keeps a degraded report.
+    // An unchecked outcome is checked now: the deadline that left it
+    // unchecked is not part of the journal key, so this run may have
+    // none. Its new `RuleCheckFinished` replaces the old one by rule id.
     let slots: Vec<DurableSlot> = rules
         .iter()
         .map(|rule| match store.state.finished_outcome(&rule.id) {
-            Some(outcome) if !outcome.degraded => DurableSlot::Journaled,
+            Some(outcome) if !outcome.unchecked => DurableSlot::Journaled,
             _ => DurableSlot::Pending,
         })
         .collect();
@@ -590,6 +590,9 @@ pub struct ServeStats {
 /// whoever settles it — worker, or supervisor on dead-letter — can reply.
 struct Job {
     id: String,
+    /// The job's state-dir name, [`sanitize`]d from `id` once at
+    /// admission.
+    dir: String,
     tenant: String,
     system: String,
     rules: String,
@@ -815,7 +818,7 @@ fn process_job(
     rules_path: &str,
     fail_mode: FailMode,
     shared: &Arc<Shared>,
-    job_id: &str,
+    dir: &str,
     tenant: &str,
     cancel: Arc<AtomicBool>,
     progress: Arc<dyn Fn() + Send + Sync>,
@@ -828,7 +831,7 @@ fn process_job(
     let config = PipelineConfig { selection: TestSelection::All, ..PipelineConfig::default() };
     let gate = GateOptions { fail_mode, ..GateOptions::default() };
     let durable = DurableOptions {
-        state_dir: shared.state_root.join(sanitize(job_id)),
+        state_dir: shared.state_root.join(dir),
         progress: Some(progress),
         cancel: Some(cancel),
         // The tenant's own cache: verdict reuse never crosses tenants.
@@ -856,10 +859,8 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
                 // must never race its abandoned predecessor on the same
                 // journal, and duplicate job ids serialize.
                 let QueueState { queues, busy_dirs } = &mut *q;
-                if let Some((job, timeout)) =
-                    queues.pop(|j| !busy_dirs.contains(&sanitize(&j.id)))
-                {
-                    let key = sanitize(&job.id);
+                if let Some((job, timeout)) = queues.pop(|j| !busy_dirs.contains(&j.dir)) {
+                    let key = job.dir.clone();
                     busy_dirs.insert(key.clone());
                     break Some((job, timeout, key));
                 }
@@ -882,7 +883,7 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
         );
         // Released on every exit from this iteration — completion, chaos
         // panic unwind, or cancelled abandonment.
-        let _dir = DirGuard { shared: Arc::clone(&shared), key };
+        let dir = DirGuard { shared: Arc::clone(&shared), key };
         let (id, tenant, system, rules, fail_mode, chaos) = (
             job.id.clone(),
             job.tenant.clone(),
@@ -925,7 +926,7 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
             &rules,
             fail_mode,
             &shared,
-            &id,
+            &dir.key,
             &tenant,
             Arc::clone(&cancel),
             progress,
@@ -1052,7 +1053,7 @@ fn restore_metrics(path: &Path) {
     if let Some(Json::Obj(histograms)) = snap.get("histograms") {
         for (name, h) in histograms {
             let Some(Json::Arr(buckets)) = h.get("buckets") else { continue };
-            let mut restored = lisa_telemetry::Histogram::new();
+            let mut restored = Histogram::new();
             for (i, b) in buckets.iter().take(restored.buckets.len()).enumerate() {
                 restored.buckets[i] = b.as_u64().unwrap_or(0);
             }
@@ -1311,10 +1312,9 @@ fn counters_json() -> String {
     counters
 }
 
-/// The per-layer timing summaries as one JSON object.
-fn timings_json() -> String {
+/// The per-layer timing summaries in `hists` as one JSON object.
+fn timings_json(hists: &BTreeMap<String, Histogram>) -> String {
     let mut timings = String::from("{");
-    let hists = lisa_telemetry::histograms_snapshot();
     let mut first = true;
     for name in STATS_TIMINGS {
         let Some(h) = hists.get(name) else { continue };
@@ -1336,9 +1336,8 @@ fn timings_json() -> String {
 
 /// Per-tenant queue, fairness, and latency summaries for the `stats`
 /// reply: the operator's view of who is queued, who is shedding, and
-/// each tenant's p50/p95/p99 job latency.
-fn tenants_json(shared: &Arc<Shared>) -> String {
-    let hists = lisa_telemetry::histograms_snapshot();
+/// each tenant's p50/p95/p99 job latency, read from `hists`.
+fn tenants_json(shared: &Arc<Shared>, hists: &BTreeMap<String, Histogram>) -> String {
     let q = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
     let mut out = String::from("{");
     let mut first = true;
@@ -1372,6 +1371,8 @@ fn tenants_json(shared: &Arc<Shared>) -> String {
 /// per-tenant summaries, cumulative telemetry counters (restored across
 /// restarts via the metrics snapshot), and per-layer timing summaries.
 fn stats_response(shared: &Arc<Shared>, stats: &ServeStats) -> String {
+    // One snapshot of the histogram registry serves both summaries.
+    let hists = lisa_telemetry::histograms_snapshot();
     let queued = shared.queue.lock().unwrap_or_else(|p| p.into_inner()).queues.queued_total();
     let resolved_workers;
     let mut workers = String::from("[");
@@ -1400,9 +1401,9 @@ fn stats_response(shared: &Arc<Shared>, stats: &ServeStats) -> String {
         stats.respawned_workers,
         stats.rejected_overload,
         shared.listen_conns.load(Ordering::Relaxed),
-        tenants_json(shared),
+        tenants_json(shared, &hists),
         counters_json(),
-        timings_json(),
+        timings_json(&hists),
     )
 }
 
@@ -1471,6 +1472,7 @@ fn dispatch_request(
             // the reply comes when the job settles, on shed it comes
             // right back with the retry hint.
             let job = Job {
+                dir: sanitize(&id),
                 id,
                 tenant: tenant.to_string(),
                 system: system.to_string(),
@@ -1754,11 +1756,18 @@ mod tests {
         let report =
             gate_durable(&registry(), &version(false), &config(), &gate, &durable).expect("run");
         assert_eq!(report.fresh, 2);
-        assert!(report.outcomes.iter().all(|o| o.degraded), "every rule degrades");
+        assert!(
+            report.outcomes.iter().all(|o| o.unchecked && o.has_engine_error()),
+            "no rule starts: {:?}",
+            report.outcomes
+        );
+        // Fail-closed decides unchecked rules like engine errors.
+        assert_eq!(report.decision, GateDecision::Block);
+        assert_eq!(exit_code_of(report.decision, report.has_violation()), 2);
         let expired: Vec<&String> =
             report.warnings.iter().filter(|w| w.contains("gate deadline expired")).collect();
         assert_eq!(expired.len(), 1, "one deadline for the run: {:?}", report.warnings);
-        assert!(expired[0].contains("2 rule(s)"), "{expired:?}");
+        assert!(expired[0].contains("2 rule(s) not checked"), "{expired:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1771,11 +1780,15 @@ mod tests {
         let dir = tmpdir("deadline-then-full");
         let expired = GateOptions { deadline: Some(Duration::ZERO), ..GateOptions::default() };
         let cut = run(&dir, &expired);
-        assert!(cut.outcomes.iter().all(|o| o.degraded), "every rule degrades");
+        assert!(cut.outcomes.iter().all(|o| o.unchecked), "no rule starts");
+        // Journaled under the wire key `degraded`, as earlier releases
+        // wrote a deadline-degraded outcome.
+        let wal = std::fs::read(dir.join(RunStore::JOURNAL)).expect("wal");
+        assert_eq!(String::from_utf8_lossy(&wal).matches("\tdegraded=1\t").count(), 2);
 
         let full = run(&dir, &GateOptions::default());
-        assert_eq!((full.reused, full.fresh), (0, 2), "degraded outcomes are not reused");
-        assert!(full.outcomes.iter().all(|o| !o.degraded), "{:?}", full.outcomes);
+        assert_eq!((full.reused, full.fresh), (0, 2), "unchecked outcomes are not reused");
+        assert!(full.outcomes.iter().all(|o| !o.unchecked), "{:?}", full.outcomes);
 
         // The same run in a fresh state dir decides identically, and a
         // third run now reuses the full outcomes.

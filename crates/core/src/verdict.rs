@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use lisa_oracle::SemanticRule;
 use lisa_smt::{Model, Term};
 
 /// Verdict for one static execution chain (paper §3.2: "the result of
@@ -90,11 +91,10 @@ pub struct RuleReport {
     pub off_tree_violations: Arc<[Violation]>,
     /// Arrivals that matched no static chain (violating or not).
     pub unmatched_hits: u64,
-    /// True when the rule was checked in degraded mode (fixed-path
-    /// sanity check instead of full exploration), or when the gate
-    /// deadline expired during its check. The deadline is the only
-    /// wall-clock input to a rule check.
-    pub degraded: bool,
+    /// True when the rule was never checked: the gate deadline expired
+    /// before it started. Its one chain is an engine error carrying the
+    /// reason, so the fail mode decides it like any engine error.
+    pub unchecked: bool,
     /// Aggregate engine statistics across test executions.
     pub stats: PipelineStats,
 }
@@ -166,8 +166,24 @@ impl RuleReport {
             sanity_ok: false,
             off_tree_violations: Arc::new([]),
             unmatched_hits: 0,
-            degraded: false,
+            unchecked: false,
             stats: PipelineStats::default(),
+        }
+    }
+
+    /// A report for a rule the gate never started checking: the
+    /// [`RuleReport::engine_error`] shape, marked
+    /// [`RuleReport::unchecked`].
+    pub fn not_checked(rule: &SemanticRule, reason: impl Into<String>) -> RuleReport {
+        RuleReport {
+            unchecked: true,
+            ..RuleReport::engine_error(
+                rule.id.clone(),
+                rule.description.clone(),
+                rule.target.to_string(),
+                rule.condition_src.clone(),
+                reason,
+            )
         }
     }
 }

@@ -23,7 +23,11 @@ pub struct RuleOutcome {
     pub violated: u64,
     pub not_covered: u64,
     pub engine_errors: u64,
-    pub degraded: bool,
+    /// The rule was not checked (the gate deadline expired before it
+    /// started), so a resumed run checks it again. Journaled under the
+    /// wire key `degraded`, which earlier releases wrote for the same
+    /// "do not resume this outcome" meaning.
+    pub unchecked: bool,
     pub sanity_ok: bool,
 }
 
@@ -70,7 +74,7 @@ impl GateEvent {
                 ("violated", &o.violated.to_string()),
                 ("not_covered", &o.not_covered.to_string()),
                 ("engine_errors", &o.engine_errors.to_string()),
-                ("degraded", if o.degraded { "1" } else { "0" }),
+                ("degraded", if o.unchecked { "1" } else { "0" }),
                 ("sanity_ok", if o.sanity_ok { "1" } else { "0" }),
             ]),
             GateEvent::RunFinished { decision } => {
@@ -98,7 +102,7 @@ impl GateEvent {
                     violated: field_u64(&fields, "violated")?,
                     not_covered: field_u64(&fields, "not_covered")?,
                     engine_errors: field_u64(&fields, "engine_errors")?,
-                    degraded: field(&fields, "degraded")? == "1",
+                    unchecked: field(&fields, "degraded")? == "1",
                     sanity_ok: field(&fields, "sanity_ok")? == "1",
                 },
             }),
@@ -122,7 +126,7 @@ mod tests {
             violated,
             not_covered: 0,
             engine_errors: 0,
-            degraded: false,
+            unchecked: false,
             sanity_ok: true,
         }
     }

@@ -84,7 +84,7 @@ fn encode_entry(fp: &RuleFingerprint) -> Vec<u8> {
         ("violated", &o.violated.to_string()),
         ("not_covered", &o.not_covered.to_string()),
         ("engine_errors", &o.engine_errors.to_string()),
-        ("degraded", if o.degraded { "1" } else { "0" }),
+        ("degraded", if o.unchecked { "1" } else { "0" }),
         ("sanity_ok", if o.sanity_ok { "1" } else { "0" }),
     ])
 }
@@ -101,7 +101,7 @@ fn decode_entry(payload: &[u8]) -> Result<RuleFingerprint, String> {
         violated: field_u64(&fields, "violated")?,
         not_covered: field_u64(&fields, "not_covered")?,
         engine_errors: field_u64(&fields, "engine_errors")?,
-        degraded: field(&fields, "degraded")? == "1",
+        unchecked: field(&fields, "degraded")? == "1",
         sanity_ok: field(&fields, "sanity_ok")? == "1",
     };
     Ok(RuleFingerprint { dep_hash, outcome })
@@ -119,7 +119,7 @@ mod tests {
             violated: 0,
             not_covered: 0,
             engine_errors: 0,
-            degraded: false,
+            unchecked: false,
             sanity_ok: true,
         }
     }

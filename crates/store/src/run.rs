@@ -3,10 +3,10 @@
 //!
 //! A run's journal holds `run-started`, two records per checked rule and
 //! `run-finished`, so it is the run's one durable artifact and there is
-//! nothing to compact. A rule checked in degraded mode (under a gate
-//! deadline) is checked again by the next run over the journal, which
-//! appends its two records once more; the new `RuleCheckFinished`
-//! replaces the degraded one.
+//! nothing to compact. A rule the gate deadline left unchecked is
+//! checked by the next run over the journal, which appends its two
+//! records once more; the new `RuleCheckFinished` replaces the unchecked
+//! one.
 //!
 //! Invariants (DESIGN.md §10):
 //!
@@ -241,7 +241,7 @@ mod tests {
             violated,
             not_covered: 0,
             engine_errors: 0,
-            degraded: false,
+            unchecked: false,
             sanity_ok: true,
         }
     }

@@ -43,7 +43,7 @@ fn arb_event(rng: &mut Prng) -> GateEvent {
                     violated: rng.gen_index(3) as u64,
                     not_covered: rng.gen_index(2) as u64,
                     engine_errors: rng.gen_index(2) as u64,
-                    degraded: rng.gen_bool(0.2),
+                    unchecked: rng.gen_bool(0.2),
                     sanity_ok: rng.gen_bool(0.9),
                 },
             }
@@ -80,7 +80,7 @@ fn canon(s: &RunState) -> String {
     for o in &s.finished {
         out.push_str(&format!("finished {} {:?} v={} x={} nc={} ee={} d={} s={}\n",
             o.rule_id, o.fingerprint, o.verified, o.violated, o.not_covered,
-            o.engine_errors, o.degraded, o.sanity_ok));
+            o.engine_errors, o.unchecked, o.sanity_ok));
     }
     out.push_str(&format!("decision={:?}\n", s.decision));
     out

@@ -122,12 +122,15 @@ if cmp -s "$SMOKE/orders.sir" "$SMOKE/v2/orders.sir"; then echo "v2 fixture unch
 "$LISA" gate --system "$SMOKE/v2" --rules "$SMOKE/rules.txt" --state "$SMOKE/state-v2" \
     > /dev/null
 cmp "$SMOKE/state/wal.log" "$SMOKE/state-v2/wal.log"
-# A deadline run journals degraded outcomes. The deadline is not part of
-# the journal key, so the next run over that state dir without one must
-# check every rule again in full and print what a fresh state dir prints.
+# Past a zero deadline no rule starts: every rule is journaled "not
+# checked", and fail-closed blocks with exit 2. The deadline is not part
+# of the journal key, so the next run over that state dir without one
+# must check every rule and print what a fresh state dir prints.
+dl_code=0
 "$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --state "$SMOKE/state-dl" \
-    --deadline-ms 0 > "$SMOKE/dl1.out"
-grep -q '(degraded)' "$SMOKE/dl1.out"
+    --deadline-ms 0 --fail-mode closed > "$SMOKE/dl1.out" || dl_code=$?
+test "$dl_code" -eq 2
+grep -q '(not checked)' "$SMOKE/dl1.out"
 "$LISA" gate --system "$SMOKE" --rules "$SMOKE/rules.txt" --state "$SMOKE/state-dl" \
     > "$SMOKE/dl2.out"
 grep -q '0 reused from journal' "$SMOKE/dl2.out"

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lisa::report::render_enforcement;
+use lisa::report::{render_enforcement, render_rule_report};
 use lisa::{
     gate_durable, DurableGateReport, DurableOptions, FaultInjector, FaultKind, FaultPlan, Gate,
     GateCache, GateOptions, PipelineConfig, RuleRegistry, TestSelection,
@@ -301,19 +301,20 @@ fn renders(
 }
 
 #[test]
-fn degraded_and_wall_budget_reports_are_never_memoized() {
+fn a_rule_started_before_the_deadline_is_memoized_and_an_unstarted_one_never_is() {
     let reg = registry();
     let v = version("v1", false, 0);
     let cache = Arc::new(GateCache::new());
 
-    // Deadline already expired: every rule runs its degraded sanity pass.
+    // Deadline already expired: no rule starts, and nothing is memoized.
     let expired = GateOptions { deadline: Some(Duration::ZERO), ..GateOptions::default() };
     let report = Gate::new(&reg).config(config()).options(expired).cache(&cache).run(&v);
-    assert_eq!(report.degraded_rules, reg.len());
+    assert_eq!(report.unchecked_rules, reg.len());
+    assert_eq!(memo_entries(&cache), 0, "an unchecked report was memoized");
 
-    // A deadline that expires during the check: the first test spins to
-    // its step limit, so the deadline passes before the second test runs
-    // and the report comes out degraded.
+    // A deadline that expires during the first rule's check: the rule
+    // stalls past it before checking, and its first test then spins to
+    // the interpreter's step ceiling, so the second rule never starts.
     let mut spun = parse_version(
         "v1",
         &format!(
@@ -323,10 +324,32 @@ fn degraded_and_wall_budget_reports_are_never_memoized() {
     );
     spun.tests.rotate_right(1);
     assert_eq!(spun.tests[0].name, "test_spin");
-    let mid = || GateOptions { deadline: Some(Duration::from_millis(20)), ..Default::default() };
+    let mid = || {
+        let stall = FaultPlan::new().inject("ZK-1208", FaultKind::Stall);
+        let faults = FaultInjector::new(stall);
+        assert!(faults.stall > Duration::from_millis(20));
+        GateOptions {
+            deadline: Some(Duration::from_millis(20)),
+            faults: Some(faults),
+            ..GateOptions::default()
+        }
+    };
     let report = Gate::new(&reg).config(config()).options(mid()).cache(&cache).run(&spun);
-    assert!(report.reports.iter().any(|r| r.degraded), "the deadline never fired");
-    assert_eq!(memo_entries(&cache), 0, "a degraded or wall-budget report was memoized");
+    let [started, unstarted] = &report.reports[..] else { panic!("two rules") };
+    assert!(!started.unchecked, "the first rule starts at once");
+    assert!(unstarted.unchecked, "the deadline never fired");
+    assert_eq!(report.unchecked_rules, 1);
+    // The started rule ran to its budgets: the same report as with no
+    // deadline, and memoized like any other.
+    let plain = Gate::new(&reg).config(config()).run(&spun);
+    assert_eq!(render_rule_report(started), render_rule_report(&plain.reports[0]));
+    assert_eq!(memo_entries(&cache), 1, "only the started rule is memoized");
+    let hits = cache.hits();
+    let rerun = Gate::new(&reg).config(config()).options(mid()).cache(&cache).run(&spun);
+    assert_eq!(cache.hits(), hits + 1, "the started rule's report answers the rerun");
+    assert_eq!(render_rule_report(&rerun.reports[0]), render_rule_report(started));
+    assert!(rerun.reports[1].unchecked);
+    assert_eq!(memo_entries(&cache), 1);
 
     // A plain gate on the same cache renders exactly like an uncached one.
     for v in [&v, &spun] {

@@ -205,7 +205,7 @@ fn json_format_emits_machine_readable_gate() {
     let line = out.lines().find(|l| l.starts_with('{')).expect("json line");
     // The schema is versioned and the version leads the document — CI
     // consumers pin on this, so a bump must be deliberate.
-    assert!(line.starts_with("{\"schema_version\":2,"), "{line}");
+    assert!(line.starts_with("{\"schema_version\":3,"), "{line}");
     assert!(line.contains("\"decision\":\"BLOCK\""), "{line}");
     assert!(line.contains("\"verdict\":\"VIOLATED\""), "{line}");
     assert!(line.ends_with('}'), "{line}");

@@ -12,14 +12,16 @@ use std::io::Write as _;
 use std::process::Command;
 use std::time::Duration;
 
+use lisa::service::exit_code_of;
 use lisa::{
     FailMode, FaultInjector, FaultKind, FaultPlan, Gate, GateDecision, GateOptions,
     PipelineConfig, RuleReport, RuleRegistry, TestSelection,
 };
 use lisa_analysis::TargetSpec;
 use lisa_concolic::{discover_tests, SystemVersion};
+use lisa_corpus::all_cases;
 use lisa_lang::Program;
-use lisa_oracle::SemanticRule;
+use lisa_oracle::{infer_rules, rescope, Scope, SemanticRule};
 
 /// A small multi-subsystem version: an ephemeral-session path (with or
 /// without the `closing` guard), a fully guarded checkout path, and a
@@ -276,11 +278,66 @@ fn deadline_plus_faults_still_produce_a_complete_decision() {
     };
     let report = Gate::new(&reg).config(config()).workers(1).options(options).run(&v);
     assert_eq!(report.reports.len(), reg.len());
-    assert!(report.engine_errors >= 1, "the injected panic still fires in degraded mode");
-    assert!(report.degraded_rules >= 1, "past-deadline rules run degraded");
+    // No rule starts, so the injected panic never fires: every rule is
+    // reported not checked.
+    assert_eq!(report.unchecked_rules, reg.len(), "past-deadline rules are not checked");
+    assert_eq!(report.engine_errors, reg.len());
+    assert!(
+        report.warnings.iter().all(|w| !w.contains("panicked")),
+        "{:?}",
+        report.warnings
+    );
     assert!(report.warnings.iter().any(|w| w.contains("deadline")), "{:?}", report.warnings);
-    // Fail-closed + engine error: the gate must block rather than guess.
+    // Fail-closed + unchecked rules: the gate must block rather than guess.
     assert_eq!(report.decision, GateDecision::Block);
+}
+
+/// The case's rule mined from its original ticket; builtin-family rules
+/// are generalized (Figure 6) before enforcement.
+fn mined_rule(case: &lisa_corpus::Case) -> SemanticRule {
+    let out = infer_rules(case.original_ticket()).expect("inference");
+    let rule = out.rules.into_iter().next().expect("at least one rule");
+    match &rule.target {
+        TargetSpec::Call { .. } => rule,
+        _ => rescope(&rule, Scope::Generalized).expect("builtin rules rescope"),
+    }
+}
+
+/// Every corpus gate (16 cases of 4 versions, each with its case's mined
+/// rule) past a zero deadline: no rule starts, so fail-closed blocks every
+/// gate with exit 2, violating version or not, and fail-open passes every
+/// gate with a warning.
+#[test]
+fn a_zero_deadline_blocks_every_corpus_gate_fail_closed_and_warns_fail_open() {
+    let mut gates = 0;
+    for case in all_cases() {
+        let mut reg = RuleRegistry::new();
+        reg.register(mined_rule(&case));
+        for v in case.versions.all() {
+            let gate = |fail_mode| {
+                let options =
+                    GateOptions { fail_mode, deadline: Some(Duration::ZERO), ..Default::default() };
+                Gate::new(&reg).config(config()).options(options).run(v)
+            };
+            let closed = gate(FailMode::Closed);
+            let what = format!("{} {}", case.meta.id, v.label);
+            assert_eq!(closed.unchecked_rules, reg.len(), "{what}");
+            assert_eq!(closed.decision, GateDecision::Block, "{what}");
+            assert!(!closed.reports.iter().any(RuleReport::has_violation), "{what}");
+            assert_eq!(exit_code_of(closed.decision, false), 2, "{what}");
+
+            let open = gate(FailMode::Open);
+            assert_eq!(open.unchecked_rules, reg.len(), "{what}");
+            assert_eq!(open.decision, GateDecision::Pass, "{what}");
+            assert!(
+                open.warnings.iter().any(|w| w.contains("not checked")),
+                "{what}: {:?}",
+                open.warnings
+            );
+            gates += 1;
+        }
+    }
+    assert_eq!(gates, 64, "16 cases of 4 versions");
 }
 
 // ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lisa::{
-    gate_durable, DiskFaultInjector, DurableGateReport, DurableOptions, GateOptions,
-    PipelineConfig, RuleRegistry, TestSelection,
+    gate_durable, load_rules, load_system, DiskFaultInjector, DurableGateReport, DurableOptions,
+    GateConfig, GateOptions, PipelineConfig, RuleRegistry, TestSelection,
 };
 use lisa_analysis::TargetSpec;
 use lisa_concolic::{discover_tests, SystemVersion};
@@ -626,4 +626,49 @@ fn sigkilled_daemon_restarted_on_its_state_root_reuses_every_verdict() {
     assert_eq!(code, 0);
     let status = daemon.child.wait().expect("daemon exit");
     assert_eq!(status.code(), Some(0));
+}
+
+/// A journal written by commit dd47206, whose gate ran a one-test sanity
+/// pass on rules dequeued past the deadline and journaled the outcome
+/// with `degraded=1`. Today's gate decodes it as an unchecked outcome:
+/// it replays the journal (no archive), reuses nothing and checks the
+/// rule, appending the new outcome after the old records.
+#[test]
+fn a_degraded_outcome_journaled_by_an_earlier_release_is_checked_again() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/compat/dd47206/deadline");
+    let old_wal = std::fs::read(fixture.join("state/wal.log")).expect("fixture journal");
+    let old: Vec<GateEvent> =
+        scan(&old_wal).records.iter().map(|r| GateEvent::decode(r).expect("decodes")).collect();
+    let unchecked: Vec<bool> = old
+        .iter()
+        .filter_map(|e| match e {
+            GateEvent::RuleCheckFinished { outcome } => Some(outcome.unchecked),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(unchecked, [true], "{old:?}");
+
+    let dir = tmpdir("compat-degraded");
+    std::fs::copy(fixture.join("state/wal.log"), dir.join("wal.log")).expect("copy journal");
+    let cfg = GateConfig::from_args(&Default::default()).expect("default gate flags");
+    let version =
+        load_system(fixture.join("system").to_str().expect("utf-8"), &cfg.pipeline.test_prefix)
+            .expect("fixture system");
+    let mut registry = RuleRegistry::new();
+    for r in load_rules(fixture.join("rules.txt").to_str().expect("utf-8")).expect("rules") {
+        registry.register(r);
+    }
+    let durable = DurableOptions { state_dir: dir.clone(), ..DurableOptions::default() };
+    let report =
+        gate_durable(&registry, &version, &cfg.pipeline, &GateOptions::default(), &durable)
+            .expect("run");
+    assert_eq!(report.recovered_records, old.len(), "the old journal is replayed");
+    assert_eq!((report.reused, report.fresh), (0, 1));
+    assert!(report.outcomes.iter().all(|o| !o.unchecked), "{:?}", report.outcomes);
+    assert!(report.has_violation(), "the unguarded path is checked and blocks");
+    let wal = std::fs::read(dir.join("wal.log")).expect("wal");
+    assert!(wal.starts_with(&old_wal), "appended to, not archived");
+    assert!(!dir.join("wal.log.stale").exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }
