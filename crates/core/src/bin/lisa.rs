@@ -13,7 +13,7 @@
 //! lisa serve   --socket <path> [--state-root <dir>] [--workers N] [--queue-cap N]
 //!              [--job-timeout-ms N]
 //!              [--listen <host:port>] [--tenants name[:weight[:timeout_ms]],...]
-//!              [--tenant-cap N] [--max-conns N]
+//!              [--max-conns N]
 //! lisa submit  (--socket <path> | --addr <host:port>)
 //!              [--op gate|ping|stats|verdict|shutdown] [--system <dir>]
 //!              [--rules <file>] [--fail-mode closed|open] [--job-id <id>]
@@ -52,9 +52,10 @@
 //! worker pool; `lisa submit` is its client. `--listen <host:port>`
 //! additionally serves the same protocol over TCP through a nonblocking
 //! `poll(2)` readiness loop, with multi-tenant fairness (`--tenants`
-//! weights), per-tenant bounded queues, and explicit load shedding —
-//! saturated submissions get `{"status":"shed","retry_after_ms":...}`
-//! immediately instead of a hung or dropped connection. A daemon
+//! weights), each tenant's queue bounded by its weight share of
+//! `--queue-cap`, and explicit load shedding — saturated submissions
+//! get `{"status":"shed","retry_after_ms":...}` immediately instead of
+//! a hung or dropped connection. A daemon
 //! restarted on the same `--state-root` resumes each job from its
 //! journal, so a client that resubmits a job after a crash gets the
 //! settled verdicts back without re-checking them.
@@ -135,7 +136,7 @@ const USAGE: &str = "usage:
   lisa serve   --socket <path> [--state-root <dir>] [--workers N|auto] [--queue-cap N]
                [--job-timeout-ms N]
                [--listen <host:port>] [--tenants name[:weight[:timeout_ms]],...]
-               [--tenant-cap N] [--max-conns N]
+               [--max-conns N]
   lisa submit  (--socket <path> | --addr <host:port>)
                [--op gate|ping|stats|verdict|shutdown] [--system <dir>]
                [--rules <file>] [--fail-mode closed|open] [--job-id <id>]
@@ -202,7 +203,7 @@ fn command_flags(cmd: &str) -> Option<Vec<&'static str>> {
         "serve" => (
             &[
                 "socket", "state-root", "workers", "queue-cap", "job-timeout-ms", "listen",
-                "tenants", "tenant-cap", "max-conns",
+                "tenants", "max-conns",
             ],
             &[],
         ),
@@ -373,7 +374,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<Outcome, String> {
             Some(spec) => lisa::parse_tenant_specs(spec)?,
             None => Vec::new(),
         },
-        tenant_cap: parse_num(flags, "tenant-cap")?.unwrap_or(0),
         max_conns: parse_num(flags, "max-conns")?.unwrap_or(4096),
     };
     // Chaos panics (and enforce-side injected panics) are expected,

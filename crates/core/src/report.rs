@@ -6,6 +6,9 @@ use std::fmt::Write as _;
 use crate::enforce::EnforcementReport;
 use crate::verdict::{ChainVerdict, RuleReport};
 
+const NO_VERIFIED_CHAIN: &str =
+    "warning: no verified chain — the fixed path did not confirm (sanity check)";
+
 /// Render one rule report as a CI log block.
 pub fn render_rule_report(r: &RuleReport) -> String {
     let mut out = String::new();
@@ -43,11 +46,9 @@ pub fn render_rule_report(r: &RuleReport) -> String {
         let _ = writeln!(out, "        pi:      {}", v.pi);
         let _ = writeln!(out, "        witness: {}", v.witness);
     }
-    if !r.sanity_ok {
-        let _ = writeln!(
-            out,
-            "    warning: no verified chain — the fixed path did not confirm (sanity check)"
-        );
+    // An engine error or a rule never checked ran no path to confirm.
+    if !r.sanity_ok && !r.has_engine_error() {
+        let _ = writeln!(out, "    {NO_VERIFIED_CHAIN}");
     }
     out
 }
@@ -124,6 +125,38 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verdict::ChainReport;
+    use lisa_analysis::TargetSpec;
+    use lisa_oracle::SemanticRule;
+    use std::sync::Arc;
+
+    #[test]
+    fn only_a_checked_rule_warns_of_no_verified_chain() {
+        let target = TargetSpec::Call { callee: "f".into() };
+        let rule = SemanticRule::new("r", "r", target, "x != null").expect("rule");
+        let unchecked = RuleReport::not_checked(&rule, "deadline");
+        let failed = RuleReport::engine_error("r", "r", "f", "x != null", "solver exhausted");
+        let uncovered = RuleReport {
+            chains: Arc::new([ChainReport {
+                rendered: "main -> f".to_string(),
+                entry: "main".to_string(),
+                functions: vec!["main".to_string(), "f".to_string()],
+                verdict: ChainVerdict::NotCovered,
+                covering_tests: Vec::new(),
+            }]),
+            ..failed.clone()
+        };
+        let cases = [
+            ("not checked", unchecked, false),
+            ("engine error", failed, false),
+            ("checked", uncovered, true),
+        ];
+        for (what, report, warns) in cases {
+            assert!(!report.sanity_ok, "{what}");
+            let text = render_rule_report(&report);
+            assert_eq!(text.contains(NO_VERIFIED_CHAIN), warns, "{what}:\n{text}");
+        }
+    }
 
     #[test]
     fn table_aligns_columns() {

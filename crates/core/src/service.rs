@@ -533,8 +533,9 @@ pub struct ServeConfig {
     pub state_root: PathBuf,
     /// Worker threads.
     pub workers: usize,
-    /// Queue capacity; submissions beyond it get a `shed` reply with a
-    /// `retry_after_ms` hint.
+    /// Queue capacity, shared by the tenants in proportion to their
+    /// weights: a submission past the global cap or past its tenant's
+    /// share gets a `shed` reply with a `retry_after_ms` hint.
     pub queue_cap: usize,
     /// A worker making no progress on its job for this long is
     /// considered stalled: abandoned, its job dead-lettered. Progress is
@@ -551,9 +552,6 @@ pub struct ServeConfig {
     /// timeout per name. Tenants not listed here auto-register at
     /// weight 1 on first submission.
     pub tenants: Vec<TenantSpec>,
-    /// Explicit per-tenant queue bound; 0 means each tenant's bound is
-    /// its weight-proportional share of `queue_cap`.
-    pub tenant_cap: usize,
     /// Maximum concurrently parked connections (accepted, request line
     /// not yet complete) across both listeners: the unix socket and
     /// `listen`. Accepts past it are answered with a structured shed and
@@ -571,7 +569,6 @@ impl Default for ServeConfig {
             job_timeout: Duration::from_secs(30),
             listen: None,
             tenants: Vec::new(),
-            tenant_cap: 0,
             max_conns: 4096,
         }
     }
@@ -1128,13 +1125,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
             job_timeout: None,
         });
     }
-    let queues = FairQueues::new(
-        &tenant_specs,
-        config.queue_cap,
-        config.tenant_cap,
-        config.job_timeout,
-        workers,
-    );
+    let queues = FairQueues::new(&tenant_specs, config.queue_cap, config.job_timeout, workers);
     let shared = Arc::new(Shared {
         queue: Mutex::new(QueueState { queues, busy_dirs: HashSet::new() }),
         available: Condvar::new(),

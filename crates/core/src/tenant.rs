@@ -106,9 +106,6 @@ pub struct Tenant<J> {
     /// Stride-scheduler position; lowest backlogged pass dequeues next.
     pass: u64,
     queue: VecDeque<J>,
-    /// Explicit queue bound; 0 = weight-proportional share of the
-    /// global cap, recomputed as tenants register.
-    pub cap: usize,
     pub job_timeout: Duration,
     /// Jobs currently held by workers on this tenant's behalf.
     pub active: usize,
@@ -118,13 +115,12 @@ pub struct Tenant<J> {
 }
 
 impl<J> Tenant<J> {
-    fn new(weight: u64, cap: usize, job_timeout: Duration) -> Tenant<J> {
+    fn new(weight: u64, job_timeout: Duration) -> Tenant<J> {
         Tenant {
             weight,
             stride: STRIDE1 / weight.clamp(1, 100),
             pass: 0,
             queue: VecDeque::new(),
-            cap,
             job_timeout,
             active: 0,
             done: 0,
@@ -143,7 +139,7 @@ impl<J> Tenant<J> {
 pub enum ShedReason {
     /// The global queue (sum over tenants) is at capacity.
     GlobalSaturated,
-    /// This tenant's own bounded queue is at capacity.
+    /// This tenant's queue holds its weight share of the global cap.
     TenantSaturated,
 }
 
@@ -169,8 +165,6 @@ pub struct FairQueues<J> {
     tenants: BTreeMap<String, Tenant<J>>,
     queued_total: usize,
     global_cap: usize,
-    /// Explicit per-tenant cap; 0 = weight-proportional share.
-    tenant_cap: usize,
     default_timeout: Duration,
     workers: u64,
     /// Scheduler virtual time: the pass of the most recent dequeue. A
@@ -186,7 +180,6 @@ impl<J> FairQueues<J> {
     pub fn new(
         specs: &[TenantSpec],
         global_cap: usize,
-        tenant_cap: usize,
         default_timeout: Duration,
         workers: usize,
     ) -> FairQueues<J> {
@@ -194,7 +187,6 @@ impl<J> FairQueues<J> {
             tenants: BTreeMap::new(),
             queued_total: 0,
             global_cap: global_cap.max(1),
-            tenant_cap,
             default_timeout,
             workers: workers.max(1) as u64,
             virtual_time: 0,
@@ -203,7 +195,7 @@ impl<J> FairQueues<J> {
         for spec in specs {
             q.tenants.insert(
                 spec.name.clone(),
-                Tenant::new(spec.weight, tenant_cap, spec.job_timeout.unwrap_or(default_timeout)),
+                Tenant::new(spec.weight, spec.job_timeout.unwrap_or(default_timeout)),
             );
         }
         q
@@ -221,13 +213,10 @@ impl<J> FairQueues<J> {
         self.tenants.values().map(|t| t.weight).sum::<u64>().max(1)
     }
 
-    /// Effective queue bound for one tenant: explicit cap, or its
-    /// weight-proportional share of the global cap (at least 1, so a
+    /// Queue bound for one tenant: its weight-proportional share of the
+    /// global cap, recomputed as tenants register (at least 1, so a
     /// quiet low-weight tenant can always queue something).
-    fn effective_cap(&self, tenant: &Tenant<J>) -> usize {
-        if tenant.cap > 0 {
-            return tenant.cap;
-        }
+    fn share_cap(&self, tenant: &Tenant<J>) -> usize {
         (self.global_cap as u64 * tenant.weight / self.total_weight()).max(1) as usize
     }
 
@@ -248,10 +237,7 @@ impl<J> FairQueues<J> {
                     error: format!("too many tenants (max {MAX_TENANTS}); reuse an existing one"),
                 };
             }
-            self.tenants.insert(
-                tenant.to_string(),
-                Tenant::new(1, self.tenant_cap, self.default_timeout),
-            );
+            self.tenants.insert(tenant.to_string(), Tenant::new(1, self.default_timeout));
         }
         if self.queued_total >= self.global_cap {
             let retry = self.retry_after_ms(self.queued_total);
@@ -259,7 +245,7 @@ impl<J> FairQueues<J> {
             t.shed += 1;
             return Admitted::Shed { job, retry_after_ms: retry, reason: ShedReason::GlobalSaturated };
         }
-        let cap = self.effective_cap(&self.tenants[tenant]);
+        let cap = self.share_cap(&self.tenants[tenant]);
         let vt = self.virtual_time;
         let t = self.tenants.get_mut(tenant).expect("registered above");
         if t.queue.len() >= cap {
@@ -330,7 +316,6 @@ mod tests {
         FairQueues::new(
             &parse_tenant_specs(specs).expect("spec"),
             global_cap,
-            0,
             Duration::from_secs(30),
             2,
         )
@@ -409,7 +394,7 @@ mod tests {
                 assert!(retry_after_ms >= 50);
                 assert_eq!(reason, ShedReason::TenantSaturated);
             }
-            _ => panic!("expected tenant-cap shed"),
+            _ => panic!("expected a weight-share shed"),
         }
         // b can still queue: a's overflow never ate b's share.
         assert!(matches!(q.admit("b", 4), Admitted::Queued));

@@ -36,17 +36,6 @@ impl Diff {
             .collect()
     }
 
-    /// All removed lines with their old-version line numbers.
-    pub fn removed_lines(&self) -> Vec<(u32, &str)> {
-        self.ops
-            .iter()
-            .filter_map(|op| match op {
-                DiffOp::Remove { old_line, text } => Some((*old_line, text.as_str())),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Number of changed (added + removed) lines.
     pub fn change_count(&self) -> usize {
         self.ops
@@ -163,20 +152,21 @@ mod tests {
         let added = d.added_lines();
         assert_eq!(added.len(), 1);
         assert!(added[0].1.contains("s.closing"));
-        assert_eq!(d.removed_lines().len(), 1);
+        assert_eq!(d.change_count(), 2, "one line replaced");
     }
 
     #[test]
     fn pure_insertion() {
         let d = diff_lines("a\nc", "a\nb\nc");
         assert_eq!(d.added_lines(), vec![(2, "b")]);
-        assert!(d.removed_lines().is_empty());
+        assert_eq!(d.change_count(), 1);
     }
 
     #[test]
     fn pure_deletion() {
         let d = diff_lines("a\nb\nc", "a\nc");
-        assert_eq!(d.removed_lines(), vec![(2, "b")]);
+        assert_eq!(d.ops[1], DiffOp::Remove { old_line: 2, text: "b".to_string() });
+        assert_eq!(d.change_count(), 1);
         assert!(d.added_lines().is_empty());
     }
 

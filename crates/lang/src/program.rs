@@ -170,12 +170,6 @@ impl Program {
         self.global_index.len()
     }
 
-    /// Module that declares function `name`.
-    pub fn module_of_fn(&self, name: &str) -> Option<&Module> {
-        let (m, _) = self.fn_index[find(&self.modules, &self.fn_index, |m| &m.functions, name)?];
-        Some(&self.modules[m])
-    }
-
     pub fn functions(&self) -> impl Iterator<Item = &FnDecl> {
         self.modules.iter().flat_map(|m| m.functions.iter())
     }
@@ -216,7 +210,6 @@ mod tests {
         assert_eq!(p.global_slot("g"), Some(0));
         assert_eq!(p.global_slot("fa"), None);
         assert_eq!(p.global_count(), 1);
-        assert_eq!(p.module_of_fn("fb").expect("m").name, "b");
     }
 
     #[test]

@@ -58,10 +58,6 @@ impl LineMap {
         LineMap { source: source_name.into(), line_starts }
     }
 
-    pub fn source_name(&self) -> &str {
-        &self.source
-    }
-
     /// Resolve a byte offset.
     pub fn loc(&self, offset: usize) -> Loc {
         let line_idx = match self.line_starts.binary_search(&offset) {

@@ -39,16 +39,6 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens
 }
 
-/// FNV-1a hash for feature hashing.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// A dense embedding vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Embedding(pub Vec<f32>);
@@ -111,7 +101,7 @@ impl Embedder {
         }
         let n = tokens.len() as f32;
         for (tok, count) in tf {
-            let h = fnv1a(&tok);
+            let h = lisa_util::fnv1a(tok.as_bytes());
             let idx = (h % DIM as u64) as usize;
             // Sign bit decorrelates collisions (standard hashing trick).
             let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };

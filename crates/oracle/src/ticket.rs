@@ -53,15 +53,6 @@ impl FailureTicket {
             .collect()
     }
 
-    /// Modules whose text changed.
-    pub fn changed_modules(&self) -> Vec<String> {
-        self.patch()
-            .into_iter()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(m, _)| m)
-            .collect()
-    }
-
     /// Total changed line count (patch size metric).
     pub fn patch_size(&self) -> usize {
         self.patch().iter().map(|(_, d)| d.change_count()).sum()
@@ -154,7 +145,6 @@ mod tests {
         assert_eq!(d.added_lines().len(), 1);
         assert!(d.added_lines()[0].1.contains("s.closing"));
         assert_eq!(t.patch_size(), 2);
-        assert_eq!(t.changed_modules(), vec!["zk/session"]);
     }
 
     #[test]

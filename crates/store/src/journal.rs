@@ -32,14 +32,7 @@ pub const MAX_RECORD: u32 = 16 * 1024 * 1024;
 
 /// FNV-1a over a byte slice — the journal's checksum. Not cryptographic;
 /// it detects the torn writes and bit flips the fault model cares about.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+pub use lisa_util::fnv1a;
 
 /// A fault to apply at one I/O operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The tracked tree as this run found it (empty outside a git work tree),
+# compared once every step has run.
+TRACKED_BEFORE=""
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    TRACKED_BEFORE=$(git diff --binary | cksum)
+fi
+
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
@@ -179,8 +186,8 @@ echo "parallel gate: ok"
 # SIGKILLed and started again on the same state root. The resubmitted
 # job must get the same verdict from the journal without re-executing
 # anything (`tests/e2e_recovery.rs` compares the verdict digests).
-RESTARTED=""; SERVE=""
-trap 'kill -9 $RESTARTED $SERVE 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
+RESTARTED=""
+trap 'kill -9 $RESTARTED 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
 serve_restart() {
     "$LISA" serve --socket "$SMOKE/restart.sock" --state-root "$SMOKE/rstate" &
     RESTARTED=$!
@@ -204,9 +211,10 @@ grep -q '"fresh":0' "$SMOKE/fo-restarted.out"
 "$LISA" submit --socket "$SMOKE/restart.sock" --op shutdown > /dev/null
 wait "$RESTARTED"
 RESTARTED=""
-# Replication and in-process job retry are gone: their flags are refused
-# like any unknown flag.
-for flag in follow repl-listen heartbeat-ms heartbeat-timeout-ms repl-fault-seed max-attempts; do
+# Replication, in-process job retry and the explicit per-tenant queue cap
+# are gone: their flags are refused like any unknown flag.
+for flag in follow repl-listen heartbeat-ms heartbeat-timeout-ms repl-fault-seed max-attempts \
+    tenant-cap; do
     code=0
     "$LISA" serve --socket "$SMOKE/gone.sock" "--$flag" 1 2> "$SMOKE/gone.err" || code=$?
     test "$code" -eq 2
@@ -215,40 +223,23 @@ done
 echo "restart smoke: ok"
 
 # Multi-tenant serve e2e: transport byte-parity, weighted-fair dequeue,
-# structured load-shedding, bounded job ids, per-tenant stats.
+# structured load-shedding, bounded job ids, per-tenant stats, and over a
+# thousand connections open at once from one client thread.
 cargo test -q -p lisa --test e2e_serve_load
 
-# Serve-load smoke: a starved daemon (1 worker, 2-deep queues) under a
-# TCP burst must answer every connection, shed the overflow with
-# structured retry hints, expose per-tenant queue state in `stats`, and
-# drain cleanly on shutdown.
-SPORT=$((20000 + RANDOM % 20000))
-"$LISA" serve --socket "$SMOKE/load.sock" --state-root "$SMOKE/loadstate" \
-    --listen "127.0.0.1:$SPORT" --workers 1 --queue-cap 2 --tenant-cap 2 \
-    --tenants "alpha:4,beta:2,gamma:1,delta:1" &
-SERVE=$!
-# Wait until the daemon answers on --listen: a client that connects
-# before the port is bound is refused, which is a harness race, not a
-# lost reply.
-for _ in $(seq 100); do
-    "$LISA" submit --addr "127.0.0.1:$SPORT" --op ping > /dev/null 2>&1 && break
-    sleep 0.1
-done
-# serve_load itself asserts zero lost and zero malformed replies. The
-# 48 clients arrive at once (no jitter window), so the 1-worker daemon
-# cannot keep up and must shed.
-target/release/serve_load --addr "127.0.0.1:$SPORT" --clients 48 --window-ms 0 \
-    > "$SMOKE/load.out"
-grep -Eq '"shed":[1-9]' "$SMOKE/load.out"
-grep -q '"alpha":{"weight":4,"queued":' "$SMOKE/load.out"
-target/release/serve_load --addr "127.0.0.1:$SPORT" --clients 4 --window-ms 0 \
-    --shutdown > /dev/null
-wait "$SERVE"
-SERVE=""
-echo "serve-load smoke: ok"
+# Serve-durable smoke: lisabench drives an in-process daemon over TCP
+# with fresh and resubmitted durable jobs, and exits 1 on any lost,
+# malformed, error or shed reply, or a verdict that disagrees with the
+# corpus ground truth.
+lisabench/target/release/lisabench --workload serve-durable --seed 1 --seconds 2 --trace 0 \
+    > /dev/null
+echo "serve-durable smoke: ok"
 
-# Multi-tenant serve bench: >=1000 concurrent TCP clients across 4
-# skew-weighted tenants; asserts zero lost/malformed replies and a
-# structurally-shedding saturation phase, then writes BENCH_serve.json.
-cargo run -q --release -p lisa-bench --bin serve_load > /dev/null
-echo "serve bench: ok"
+# No step may rewrite a committed file: the tracked tree must read as it
+# did before the first step.
+if [ -n "$TRACKED_BEFORE" ] && [ "$(git diff --binary | cksum)" != "$TRACKED_BEFORE" ]; then
+    echo "ci.sh changed tracked files:" >&2
+    git diff --stat >&2
+    exit 1
+fi
+echo "tracked tree unchanged: ok"

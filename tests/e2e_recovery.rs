@@ -310,9 +310,11 @@ impl Daemon {
             .stderr(Stdio::null())
             .spawn()
             .expect("spawn lisa serve");
+        // The socket file appears at bind(2), a moment before listen(2):
+        // wait until a connection is accepted, not until the file exists.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !std::path::Path::new(&socket).exists() {
-            assert!(Instant::now() < deadline, "daemon never bound its socket");
+        while std::os::unix::net::UnixStream::connect(&socket).is_err() {
+            assert!(Instant::now() < deadline, "daemon never listened on its socket");
             std::thread::sleep(Duration::from_millis(20));
         }
         Daemon { child, socket }

@@ -4,8 +4,9 @@
 //! one port never stall another, weighted-fair dequeue keeps a noisy
 //! tenant from starving a quiet one, saturation is answered with
 //! structured sheds (never silence), oversized job ids get a structured
-//! bad-request, and the `stats` op exposes per-tenant depth and tail
-//! latency.
+//! bad-request, the `stats` op exposes per-tenant depth and tail
+//! latency, and over a thousand connections held open at once by one
+//! client thread each get exactly one well-formed reply.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -342,7 +343,7 @@ fn saturated_daemon_sheds_structurally_and_answers_everyone() {
     let daemon = Daemon::start(
         &fx,
         "shed",
-        &["--workers", "1", "--queue-cap", "2", "--tenant-cap", "2"],
+        &["--workers", "1", "--queue-cap", "2"],
     );
     let sys = fx.path("sys");
     let rules = fx.path("rules.txt");
@@ -483,4 +484,106 @@ fn stats_reports_per_tenant_depth_and_tail_latency() {
         assert!(t.u64_of("p99_us").is_some(), "per-tenant p99 missing: {stats}");
     }
     assert!(stats.contains("\"listen_conns\""), "{stats}");
+}
+
+// ---------------------------------------------------------------------------
+// Over a thousand connections open at once, from one client thread
+// ---------------------------------------------------------------------------
+
+/// Four skew-weighted tenants, each with its share of the offered load
+/// in percent: alpha sends 60% at weight 4, delta 5% at weight 1.
+const LOAD_TENANTS: [(&str, u64, usize); 4] =
+    [("alpha", 4, 60), ("beta", 2, 25), ("gamma", 1, 10), ("delta", 1, 5)];
+
+/// The tenant of client `i`. A stride coprime with 100 visits every
+/// slot, so the 60/25/10/5 mix holds over any 100 consecutive clients.
+fn load_tenant(i: usize) -> &'static str {
+    let slot = (i * 37) % 100;
+    let mut edge = 0;
+    for (name, _, share) in LOAD_TENANTS {
+        edge += share;
+        if slot < edge {
+            return name;
+        }
+    }
+    unreachable!("the shares sum to 100")
+}
+
+#[test]
+fn a_thousand_connections_from_one_thread_each_get_one_well_formed_reply() {
+    const CLIENTS: usize = 1_100;
+    // Connections made before the daemon accepts any of them wait in its
+    // listen backlog, which std's `TcpListener::bind` sizes at 128: a
+    // batch that size never overflows it.
+    const BATCH: usize = 128;
+    let limit = lisa::netloop::raise_fd_limit(CLIENTS as u64 + 256);
+    assert!(limit > CLIENTS as u64 + 64, "open-file limit {limit} cannot hold {CLIENTS} sockets");
+
+    let fx = Fixture::new("thousand");
+    let tenants = "alpha:4,beta:2,gamma:1,delta:1";
+    let daemon = Daemon::start(&fx, "thousand", &["--workers", "2", "--tenants", tenants]);
+    let sys = fx.path("sys");
+    let rules = fx.path("rules.txt");
+    let ping = "{\"v\":1,\"op\":\"ping\"}";
+
+    // Connect every client, silent for now. The daemon accepts in arrival
+    // order, so a ping answered on a fresh connection means the batch
+    // before it has left the backlog.
+    let mut clients = Vec::with_capacity(CLIENTS);
+    while clients.len() < CLIENTS {
+        for _ in 0..BATCH.min(CLIENTS - clients.len()) {
+            let stream = TcpStream::connect(&daemon.addr).expect("connect");
+            stream.set_read_timeout(Some(Duration::from_secs(120))).expect("read timeout");
+            clients.push(stream);
+        }
+        assert!(daemon.tcp(ping).contains("\"ok\""), "ping between batches");
+    }
+    // All of them are parked in the daemon's readiness loop at once.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = daemon.tcp("{\"v\":1,\"op\":\"stats\"}");
+        let parked = Json::parse(stats.trim()).expect("stats parses").u64_of("listen_conns");
+        if parked >= Some(CLIENTS as u64) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "{CLIENTS} connections never parked: {stats}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    for (i, mut stream) in clients.iter().enumerate() {
+        let line = gate_line(&format!("k-{i}"), load_tenant(i), &sys, &rules);
+        writeln!(stream, "{line}").expect("write request");
+    }
+    let (mut done, mut shed) = (0, 0);
+    for (i, stream) in clients.into_iter().enumerate() {
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        let json = Json::parse(reply.trim())
+            .unwrap_or_else(|e| panic!("client {i}: malformed reply {reply:?}: {e}"));
+        assert_eq!(json.str_of("job_id"), Some(format!("k-{i}").as_str()), "{reply}");
+        match json.str_of("status") {
+            Some("done") => done += 1,
+            Some("shed") => {
+                shed += 1;
+                assert!(json.u64_of("retry_after_ms").unwrap_or(0) > 0, "no retry hint: {reply}");
+            }
+            other => panic!("client {i}: status {other:?}: {reply}"),
+        }
+        // Exactly one reply: the daemon closes the connection after it.
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).expect("read to close");
+        assert!(rest.is_empty(), "client {i}: a second reply {rest:?}");
+    }
+    assert!(done > 0, "the daemon finished no job ({shed} shed)");
+
+    let stats = daemon.tcp("{\"v\":1,\"op\":\"stats\"}");
+    let json = Json::parse(stats.trim()).expect("stats parses");
+    let tenants = json.get("tenants").expect("tenants object");
+    for (name, weight, _) in LOAD_TENANTS {
+        let t = tenants.get(name).unwrap_or_else(|| panic!("tenant {name}: {stats}"));
+        assert_eq!(t.u64_of("weight"), Some(weight), "{stats}");
+        assert!(t.u64_of("p99_us").is_some(), "tenant {name} has no p99: {stats}");
+    }
+    assert_eq!(json.u64_of("dead_letters"), Some(0), "{stats}");
 }
